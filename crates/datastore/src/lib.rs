@@ -26,7 +26,9 @@ pub mod service;
 pub mod state;
 pub mod web;
 
-pub use pipeline::{shared_view, shared_view_from_json, shared_view_to_json, SharedView};
+pub use pipeline::{
+    shared_view, shared_view_from_json, shared_view_to_json, write_shared_view_json, SharedView,
+};
 pub use repl::{ReplShipper, ReplicaLink};
 pub use service::{
     annotation_to_json, BrokerLink, DataStoreConfig, DataStoreService, StorageEngine,

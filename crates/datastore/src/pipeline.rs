@@ -9,7 +9,7 @@
 //! independently.
 
 use crate::state::ContributorAccount;
-use sensorsafe_json::{json, Map, Value};
+use sensorsafe_json::{json, write_array, write_i64, write_str, Map, Value};
 use sensorsafe_policy::{
     enforce, ConsumerCtx, DependencyGraph, SharedLocation, SharedSegment, TimeAbs,
 };
@@ -118,7 +118,44 @@ pub fn shared_view(
     SharedView { windows }
 }
 
-/// Serializes a shared view to the query-API wire form.
+/// Appends the query-API wire form of `view` to `out`: the enforced view
+/// goes straight to response bytes, segments by
+/// [`WaveSegment::write_json`], with no [`Value`] in between.
+/// [`shared_view_to_json`] builds the tree that serializes to the same
+/// bytes.
+pub fn write_shared_view_json(view: &SharedView, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"windows\":");
+    write_array(out, &view.windows, |out, w| {
+        out.extend_from_slice(b"{\"segment\":");
+        match &w.segment {
+            Some(seg) => seg.write_json(out),
+            None => out.extend_from_slice(b"null"),
+        }
+        out.extend_from_slice(b",\"labels\":");
+        write_array(out, &w.labels, |out, l| {
+            out.extend_from_slice(b"{\"kind\":");
+            write_str(out, l.kind.as_str());
+            out.extend_from_slice(b",\"label\":");
+            write_str(out, &l.label);
+            out.extend_from_slice(b",\"window\":{\"start\":");
+            write_i64(out, l.window.start.millis());
+            out.extend_from_slice(b",\"end\":");
+            write_i64(out, l.window.end.millis());
+            out.extend_from_slice(b"}}");
+        });
+        out.extend_from_slice(b",\"location\":");
+        match &w.location {
+            SharedLocation::None => out.extend_from_slice(b"null"),
+            SharedLocation::Text(t) => write_str(out, t),
+        }
+        out.extend_from_slice(b",\"time_level\":");
+        write_str(out, w.time_level.as_str());
+        out.push(b'}');
+    });
+    out.push(b'}');
+}
+
+/// The query-API wire form as a tree (see [`write_shared_view_json`]).
 pub fn shared_view_to_json(view: &SharedView) -> Value {
     let windows: Vec<Value> = view
         .windows

@@ -17,7 +17,7 @@
 //! | `POST /api/places/set` | contributor | define labeled places |
 //! | `GET /ui/*`, `POST /ui/*` | browser | web user interface (see [`crate::web`]) |
 
-use crate::pipeline::{shared_view, shared_view_to_json};
+use crate::pipeline::{shared_view, write_shared_view_json};
 use crate::state::{ConsumerAccount, ContributorAccount, DataStoreState, LockMode};
 use parking_lot::Mutex;
 use sensorsafe_auth::{ApiKey, KeyRing, PasswordStore, Principal, Role, SessionManager};
@@ -786,13 +786,16 @@ impl Inner {
             let Some(account) = self.state.read_contributor(&contributor) else {
                 return Response::error(Status::NotFound, "no such contributor");
             };
-            let segments: Vec<Value> = account
-                .store
-                .query(&query)
-                .iter()
-                .map(WaveSegment::to_json)
-                .collect();
-            return Response::json(&json!({ "segments": (Value::Array(segments)) }));
+            let segments = account.store.query(&query);
+            drop(account);
+            trace::phase("store_query");
+            let mut body = b"{\"segments\":".to_vec();
+            sensorsafe_json::write_array(&mut body, &segments, |body, segment| {
+                segment.write_json(body)
+            });
+            body.push(b'}');
+            trace::phase("serialize");
+            return Response::json_bytes(body);
         }
         if principal.role != Role::Consumer {
             return Response::error(Status::Forbidden, "consumers only");
@@ -832,10 +835,15 @@ impl Inner {
             account.rule_epoch,
         );
         let view = shared_view(&account, &ctx, &query, &self.graph);
-        let payload = shared_view_to_json(&view);
-        trace::phase("serialize");
+        // The view shares the store's blobs by reference count, so the
+        // account guard is not needed while its text is written.
         drop(account);
-        Response::json(&payload)
+        let mut body = Vec::new();
+        write_shared_view_json(&view, &mut body);
+        // Stamped once the body bytes exist: rendering the numbers is the
+        // largest single cost of a query and belongs to this phase.
+        trace::phase("serialize");
+        Response::json_bytes(body)
     }
 
     fn handle_rules_set(&self, body: &Value) -> Response {
@@ -1806,6 +1814,58 @@ mod tests {
             .as_array()
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn query_span_attributes_the_reply_text_to_serialize() {
+        // A whole simulated day under allow-all is close to a megabyte of
+        // reply: writing its numbers is the bulk of the request, and the
+        // span must say so — `serialize` is stamped once the body bytes
+        // exist, and little of the request falls outside every phase.
+        let (svc, admin) = service();
+        let alice = register(&svc, &admin, "alice", "contributor");
+        let bob = register(&svc, &admin, "bob", "consumer");
+        upload_alice_day(&svc, &alice);
+        let resp = svc.handle(&Request::post_json(
+            "/api/rules/set",
+            &json!({"key": (alice.clone()), "rules": [{"Action": "Allow"}]}),
+        ));
+        assert_eq!(resp.status, Status::Ok);
+        for key in [bob, alice] {
+            let resp = svc.handle(&Request::post_json(
+                "/api/query",
+                &json!({"key": key, "contributor": "alice"}),
+            ));
+            assert_eq!(resp.status, Status::Ok);
+            assert!(resp.body.len() > 500_000, "{} bytes", resp.body.len());
+            let trace = svc
+                .recent_traces()
+                .into_iter()
+                .rfind(|t| t.name == "POST /api/query")
+                .expect("query span recorded");
+            let of = |name: &str| -> std::time::Duration {
+                trace
+                    .phases
+                    .iter()
+                    .filter(|p| p.name == name)
+                    .map(|p| p.elapsed)
+                    .sum()
+            };
+            let attributed: std::time::Duration = trace.phases.iter().map(|p| p.elapsed).sum();
+            let serialize = of("serialize");
+            assert_eq!(trace.phases.last().unwrap().name, "serialize");
+            assert!(
+                serialize >= attributed - serialize,
+                "serialize {serialize:?} of {attributed:?} attributed: {:?}",
+                trace.phases
+            );
+            let unattributed = trace.total - attributed;
+            assert!(
+                unattributed * 5 < trace.total,
+                "unattributed {unattributed:?} of {:?}",
+                trace.total
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! segments (Fig. 5) as JSON documents. This crate provides the JSON data
 //! model ([`Value`]), a strict RFC 8259 parser ([`parse`]), compact and
 //! pretty serializers, and an insertion-ordered object map ([`Map`]) so
-//! that documents round-trip byte-stably.
+//! that documents round-trip byte-stably. The number and string writers
+//! the serializers are made of ([`write_f64`], [`write_f32`],
+//! [`write_i64`], [`write_str`], [`write_array`]) are public, so a large
+//! reply can be written straight into its body buffer without building a
+//! [`Value`].
 //!
 //! # Why not `serde_json`?
 //!
@@ -29,13 +33,15 @@
 //! ```
 
 mod map;
+mod num;
 mod parse;
 mod ser;
 mod value;
 
 pub use map::Map;
+pub use num::{widen_f32, write_f32, write_f64, write_i64};
 pub use parse::{parse, ParseError, Parser};
-pub use ser::{to_string, to_string_pretty};
+pub use ser::{to_string, to_string_pretty, to_vec, write_array, write_str};
 pub use value::{Number, Value};
 
 /// Build a [`Value`] with JSON-like literal syntax.

@@ -11,8 +11,8 @@ use crate::Map;
 pub enum Number {
     /// An exact signed integer.
     Int(i64),
-    /// A double-precision float. Never NaN (NaN is not representable in
-    /// JSON and is rejected at construction).
+    /// A double-precision float. Always finite (NaN and the infinities
+    /// are not representable in JSON and are rejected at construction).
     Float(f64),
 }
 
@@ -257,13 +257,13 @@ impl From<usize> for Value {
     }
 }
 impl From<f64> for Value {
-    /// NaN is not representable in JSON; mapped to `null` (documented
-    /// lossy edge, asserted in tests).
+    /// NaN and the infinities are not representable in JSON; mapped to
+    /// `null` (documented lossy edge, asserted in tests).
     fn from(f: f64) -> Self {
-        if f.is_nan() {
-            Value::Null
-        } else {
+        if f.is_finite() {
             Value::Number(Number::Float(f))
+        } else {
+            Value::Null
         }
     }
 }

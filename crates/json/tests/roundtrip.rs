@@ -1,7 +1,7 @@
 //! Property-based round-trip tests for the JSON substrate.
 
 use proptest::prelude::*;
-use sensorsafe_json::{parse, to_string, to_string_pretty, Map, Value};
+use sensorsafe_json::{parse, to_string, to_string_pretty, write_str, Map, Value};
 
 /// Strategy for arbitrary JSON values with bounded depth and size.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -22,7 +22,56 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// The string writer as it was before it copied unescaped runs in bulk:
+/// one `char` at a time. Kept as the reference the fast one must match.
+fn write_str_charwise(out: &mut String, s: &str) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{0008}' => out.push_str("\\b"),
+            '\u{000C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Strings dense in what the writer must escape (quotes, backslashes,
+/// every control character) between runs it must copy through untouched
+/// (ASCII, DEL, 2-, 3- and 4-byte UTF-8).
+fn arb_escapy_string() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        any::<char>(),
+        (0u8..0x20).prop_map(char::from),
+        Just('"'),
+        Just('\\'),
+        Just('\u{7f}'),
+        Just('é'),
+        Just('世'),
+        Just('😀'),
+    ];
+    prop::collection::vec(piece, 0..48).prop_map(|chars| chars.into_iter().collect())
+}
+
 proptest! {
+    /// Bulk-copying string writer == the char-at-a-time one, byte for
+    /// byte, and the text parses back to the input.
+    #[test]
+    fn string_writer_matches_charwise_reference(s in arb_escapy_string()) {
+        let mut fast = Vec::new();
+        write_str(&mut fast, &s);
+        let mut reference = String::new();
+        write_str_charwise(&mut reference, &s);
+        prop_assert_eq!(std::str::from_utf8(&fast).unwrap(), reference.as_str());
+        prop_assert_eq!(parse(&reference).unwrap(), Value::from(s));
+    }
+
     /// Serialize → parse returns an equal value.
     #[test]
     fn compact_roundtrip(v in arb_value()) {

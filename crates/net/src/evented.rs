@@ -896,6 +896,9 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
             return;
         };
+        // Counted before the peer can observe the close, so a client that
+        // has read EOF always finds its close in the counter.
+        count_closed(reason, conn.opened);
         // Dropping the stream closes the fd, which deregisters it from
         // epoll (this loop holds the only handle).
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
@@ -903,7 +906,6 @@ impl EventLoop {
         self.generations[slot] += 1;
         self.free.push(slot);
         self.live -= 1;
-        count_closed(reason, conn.opened);
     }
 }
 

@@ -272,10 +272,18 @@ impl Response {
 
     /// A JSON body with an explicit status.
     pub fn json_with_status(status: Status, value: &sensorsafe_json::Value) -> Response {
-        let mut resp = Response::status(status);
+        let mut resp = Response::json_bytes(sensorsafe_json::to_vec(value));
+        resp.status = status;
+        resp
+    }
+
+    /// A 200 whose body is JSON text the caller has already written (a
+    /// large reply streamed into its buffer instead of built as a tree).
+    pub fn json_bytes(body: Vec<u8>) -> Response {
+        let mut resp = Response::status(Status::Ok);
         resp.headers
             .insert("content-type".into(), "application/json".into());
-        resp.body = value.to_string().into_bytes();
+        resp.body = body;
         resp
     }
 

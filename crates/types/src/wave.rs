@@ -20,7 +20,9 @@ use crate::channel::{ChannelId, ChannelSpec, ValueKind};
 use crate::location::GeoPoint;
 use crate::time::{TimeRange, Timestamp};
 use bytes::{Bytes, BytesMut};
-use sensorsafe_json::{json, Map, Value};
+use sensorsafe_json::{
+    json, widen_f32, write_array, write_f32, write_f64, write_i64, write_str, Map, Value,
+};
 
 /// Errors constructing or decoding wave segments.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,6 +101,43 @@ pub struct WaveSegment {
     /// Row-major encoded tuples; cheap to clone and slice (ref-counted).
     blob: Bytes,
     rows: usize,
+    /// Byte offset of each column inside a tuple, then the tuple width:
+    /// derived from `meta.format` when the segment is assembled, so cell
+    /// access never re-walks the format. Not part of any wire form.
+    offsets: Vec<usize>,
+}
+
+/// One decoded blob cell, still at its column's declared kind.
+#[derive(Clone, Copy)]
+enum Cell {
+    F64(f64),
+    F32(f32),
+    I16(i16),
+}
+
+impl Cell {
+    /// Decodes the cell that starts `bytes`.
+    fn decode(bytes: &[u8], kind: ValueKind) -> Cell {
+        match kind {
+            ValueKind::F64 => Cell::F64(f64::from_le_bytes(
+                bytes[..8].try_into().expect("blob aligned"),
+            )),
+            ValueKind::F32 => Cell::F32(f32::from_le_bytes(
+                bytes[..4].try_into().expect("blob aligned"),
+            )),
+            ValueKind::I16 => Cell::I16(i16::from_le_bytes(
+                bytes[..2].try_into().expect("blob aligned"),
+            )),
+        }
+    }
+
+    fn as_f64(self) -> f64 {
+        match self {
+            Cell::F64(v) => v,
+            Cell::F32(v) => v as f64,
+            Cell::I16(v) => v as f64,
+        }
+    }
 }
 
 impl WaveSegment {
@@ -122,8 +161,8 @@ impl WaveSegment {
                 return Err(WaveError::TimestampsNotMonotonic);
             }
         }
-        let width = tuple_width(&meta.format);
-        let mut blob = BytesMut::with_capacity(width * rows.len());
+        let offsets = column_offsets(&meta.format);
+        let mut blob = BytesMut::with_capacity(offsets[meta.format.len()] * rows.len());
         for row in rows {
             if row.len() != meta.format.len() {
                 return Err(WaveError::RowWidth {
@@ -139,6 +178,7 @@ impl WaveSegment {
             meta,
             blob: blob.freeze(),
             rows: rows.len(),
+            offsets,
         })
     }
 
@@ -148,7 +188,8 @@ impl WaveSegment {
         if meta.format.is_empty() {
             return Err(WaveError::EmptyFormat);
         }
-        let width = tuple_width(&meta.format);
+        let offsets = column_offsets(&meta.format);
+        let width = offsets[meta.format.len()];
         if !blob.len().is_multiple_of(width) {
             return Err(WaveError::BlobMisaligned);
         }
@@ -166,7 +207,12 @@ impl WaveSegment {
                 return Err(WaveError::BadInterval);
             }
         }
-        Ok(WaveSegment { meta, blob, rows })
+        Ok(WaveSegment {
+            meta,
+            blob,
+            rows,
+            offsets,
+        })
     }
 
     /// The segment metadata.
@@ -191,7 +237,7 @@ impl WaveSegment {
 
     /// Bytes per tuple.
     pub fn tuple_width(&self) -> usize {
-        tuple_width(&self.meta.format)
+        self.offsets[self.meta.format.len()]
     }
 
     /// Approximate in-memory footprint in bytes (blob + timestamps).
@@ -241,18 +287,32 @@ impl WaveSegment {
     pub fn value(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.rows, "row out of range");
         assert!(col < self.meta.format.len(), "column out of range");
-        let width = self.tuple_width();
-        let mut offset = row * width;
-        for spec in &self.meta.format[..col] {
-            offset += spec.kind.width();
-        }
-        decode_value(&self.blob[offset..], self.meta.format[col].kind)
+        let offset = row * self.tuple_width() + self.offsets[col];
+        Cell::decode(&self.blob[offset..], self.meta.format[col].kind).as_f64()
+    }
+
+    /// The cells of `tuple` (a blob slice starting at a row), decoded at
+    /// their declared kinds.
+    fn cells<'a>(&'a self, tuple: &'a [u8]) -> impl Iterator<Item = Cell> + 'a {
+        self.meta
+            .format
+            .iter()
+            .zip(&self.offsets)
+            .map(move |(spec, &offset)| Cell::decode(&tuple[offset..], spec.kind))
+    }
+
+    /// The cells of each tuple in turn.
+    fn tuples(&self) -> impl Iterator<Item = impl Iterator<Item = Cell> + '_> + '_ {
+        self.blob
+            .chunks_exact(self.tuple_width())
+            .map(|tuple| self.cells(tuple))
     }
 
     /// One sample as a `Vec<f64>`.
     pub fn row(&self, row: usize) -> Vec<f64> {
-        (0..self.meta.format.len())
-            .map(|c| self.value(row, c))
+        assert!(row < self.rows, "row out of range");
+        self.cells(&self.blob[row * self.tuple_width()..])
+            .map(Cell::as_f64)
             .collect()
     }
 
@@ -264,7 +324,13 @@ impl WaveSegment {
     /// All values of one channel.
     pub fn channel_values(&self, channel: &ChannelId) -> Option<Vec<f64>> {
         let col = self.column_of(channel)?;
-        Some((0..self.rows).map(|r| self.value(r, col)).collect())
+        let (offset, kind) = (self.offsets[col], self.meta.format[col].kind);
+        Some(
+            self.blob
+                .chunks_exact(self.tuple_width())
+                .map(|tuple| Cell::decode(&tuple[offset..], kind).as_f64())
+                .collect(),
+        )
     }
 
     /// The channels carried by this segment, in column order.
@@ -291,15 +357,24 @@ impl WaveSegment {
             return Some(self.clone());
         }
         let format: Vec<ChannelSpec> = cols.iter().map(|&i| self.meta.format[i].clone()).collect();
-        let rows: Vec<Vec<f64>> = (0..self.rows)
-            .map(|r| cols.iter().map(|&c| self.value(r, c)).collect())
-            .collect();
-        let meta = SegmentMeta {
-            timing: self.meta.timing.clone(),
-            location: self.meta.location,
-            format,
-        };
-        Some(WaveSegment::from_rows(meta, &rows).expect("projection preserves invariants"))
+        let offsets = column_offsets(&format);
+        // The kept cells are copied as bytes: no decode, no re-encode.
+        let mut blob = BytesMut::with_capacity(offsets[format.len()] * self.rows);
+        for tuple in self.blob.chunks_exact(self.tuple_width()) {
+            for &c in &cols {
+                blob.extend_from_slice(&tuple[self.offsets[c]..self.offsets[c + 1]]);
+            }
+        }
+        Some(WaveSegment {
+            meta: SegmentMeta {
+                timing: self.meta.timing.clone(),
+                location: self.meta.location,
+                format,
+            },
+            blob: blob.freeze(),
+            rows: self.rows,
+            offsets,
+        })
     }
 
     /// Restricts the segment to samples inside `range`. Returns `None` if
@@ -339,6 +414,7 @@ impl WaveSegment {
                     meta,
                     blob,
                     rows: hi - lo,
+                    offsets: self.offsets.clone(),
                 })
             }
             Timing::PerSample(stamps) => {
@@ -358,6 +434,7 @@ impl WaveSegment {
                     meta,
                     blob,
                     rows: hi - lo,
+                    offsets: self.offsets.clone(),
                 })
             }
         }
@@ -409,10 +486,84 @@ impl WaveSegment {
             meta: self.meta.clone(),
             blob: blob.freeze(),
             rows: self.rows + next.rows,
+            offsets: self.offsets.clone(),
         }
     }
 
-    /// Serializes to the Fig. 5 JSON form.
+    /// Appends the Fig. 5 JSON form to `out`: one pass over the blob, no
+    /// intermediate [`Value`]. This text *is* the wire form — every number
+    /// carries the precision of its column's declared kind (an `f32` cell
+    /// prints the shortest decimal that identifies the `f32`, an `i16`
+    /// cell prints integer digits), and [`WaveSegment::to_json`] builds
+    /// the tree that serializes to exactly these bytes.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        out.reserve(self.json_size_hint());
+        out.push(b'{');
+        if let Some(loc) = self.meta.location {
+            out.extend_from_slice(b"\"location\":{\"latitude\":");
+            write_f64(out, loc.latitude);
+            out.extend_from_slice(b",\"longitude\":");
+            write_f64(out, loc.longitude);
+            out.extend_from_slice(b"},");
+        }
+        match &self.meta.timing {
+            Timing::Uniform {
+                start,
+                interval_secs,
+            } => {
+                out.extend_from_slice(b"\"start_time\":");
+                write_i64(out, start.millis());
+                out.extend_from_slice(b",\"sampling_interval\":");
+                write_f64(out, *interval_secs);
+            }
+            Timing::PerSample(stamps) => {
+                out.extend_from_slice(b"\"timestamps\":");
+                write_array(out, stamps, |out, stamp| write_i64(out, stamp.millis()));
+            }
+        }
+        out.extend_from_slice(b",\"format\":");
+        write_array(out, &self.meta.format, |out, spec| {
+            out.extend_from_slice(b"{\"channel\":");
+            write_str(out, spec.channel.as_str());
+            out.extend_from_slice(b",\"kind\":");
+            write_str(out, spec.kind.as_str());
+            out.push(b'}');
+        });
+        out.extend_from_slice(b",\"data\":");
+        write_array(out, self.tuples(), |out, tuple| {
+            write_array(out, tuple, |out, cell| match cell {
+                Cell::F64(v) => write_f64(out, v),
+                Cell::F32(v) => write_f32(out, v),
+                Cell::I16(v) => write_i64(out, v as i64),
+            })
+        });
+        out.push(b'}');
+    }
+
+    /// Roughly how many bytes [`WaveSegment::write_json`] appends: what a
+    /// typical cell of each kind prints to, plus brackets and the header.
+    fn json_size_hint(&self) -> usize {
+        let per_row: usize = self
+            .meta
+            .format
+            .iter()
+            .map(|spec| match spec.kind {
+                ValueKind::F64 => 19,
+                ValueKind::F32 => 12,
+                ValueKind::I16 => 7,
+            })
+            .sum();
+        let stamps = match &self.meta.timing {
+            Timing::Uniform { .. } => 0,
+            Timing::PerSample(stamps) => stamps.len() * 14,
+        };
+        192 + self.meta.format.len() * 48 + stamps + self.rows * (per_row + 2)
+    }
+
+    /// The Fig. 5 JSON form as a tree, serializing to the bytes of
+    /// [`WaveSegment::write_json`]: `f32` cells enter it as the `f64`
+    /// their shortest decimal reads as ([`sensorsafe_json::widen_f32`]),
+    /// `i16` cells as integers.
     pub fn to_json(&self) -> Value {
         let mut obj = Map::new();
         if let Some(loc) = self.meta.location {
@@ -451,8 +602,19 @@ impl WaveSegment {
                     .collect(),
             ),
         );
-        let data: Vec<Value> = (0..self.rows)
-            .map(|r| Value::Array(self.row(r).into_iter().map(Value::from).collect()))
+        let data: Vec<Value> = self
+            .tuples()
+            .map(|tuple| {
+                Value::Array(
+                    tuple
+                        .map(|cell| match cell {
+                            Cell::F64(v) => Value::from(v),
+                            Cell::F32(v) => Value::from(widen_f32(v)),
+                            Cell::I16(v) => Value::from(v as i64),
+                        })
+                        .collect(),
+                )
+            })
             .collect();
         obj.insert("data".into(), Value::Array(data));
         Value::Object(obj)
@@ -549,8 +711,17 @@ impl WaveSegment {
     }
 }
 
-fn tuple_width(format: &[ChannelSpec]) -> usize {
-    format.iter().map(|s| s.kind.width()).sum()
+/// Byte offset of every column inside a tuple, followed by the tuple
+/// width (so column `c` occupies `offsets[c]..offsets[c + 1]`).
+fn column_offsets(format: &[ChannelSpec]) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(format.len() + 1);
+    let mut at = 0;
+    for spec in format {
+        offsets.push(at);
+        at += spec.kind.width();
+    }
+    offsets.push(at);
+    offsets
 }
 
 fn location_eq(a: Option<GeoPoint>, b: Option<GeoPoint>) -> bool {
@@ -569,14 +740,6 @@ fn encode_value(out: &mut BytesMut, value: f64, kind: ValueKind) {
             let clamped = value.round().clamp(i16::MIN as f64, i16::MAX as f64) as i16;
             out.extend_from_slice(&clamped.to_le_bytes());
         }
-    }
-}
-
-fn decode_value(bytes: &[u8], kind: ValueKind) -> f64 {
-    match kind {
-        ValueKind::F64 => f64::from_le_bytes(bytes[..8].try_into().expect("blob aligned")),
-        ValueKind::F32 => f32::from_le_bytes(bytes[..4].try_into().expect("blob aligned")) as f64,
-        ValueKind::I16 => i16::from_le_bytes(bytes[..2].try_into().expect("blob aligned")) as f64,
     }
 }
 
@@ -880,6 +1043,62 @@ mod tests {
         let seg = WaveSegment::from_rows(meta, &[vec![0.5], vec![-0.5]]).unwrap();
         let back = WaveSegment::from_json(&seg.to_json()).unwrap();
         assert_eq!(back, seg);
+    }
+
+    fn streamed(seg: &WaveSegment) -> String {
+        let mut out = Vec::new();
+        seg.write_json(&mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn json_numbers_carry_column_precision() {
+        let meta = SegmentMeta {
+            timing: Timing::Uniform {
+                start: Timestamp(1_311_535_598_327),
+                interval_secs: 0.02,
+            },
+            location: Some(GeoPoint::ucla()),
+            format: vec![
+                ChannelSpec::i16(CHAN_ECG),
+                ChannelSpec::f32(CHAN_RESPIRATION),
+                ChannelSpec::f64("gps_lat"),
+            ],
+        };
+        let seg = WaveSegment::from_rows(meta, &[vec![512.0, 0.1, 0.1], vec![-7.0, 298.0, -0.0]])
+            .unwrap();
+        let text = streamed(&seg);
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"location":{"latitude":34.0722,"longitude":-118.4441},"#,
+                r#""start_time":1311535598327,"sampling_interval":0.02,"#,
+                r#""format":[{"channel":"ecg","kind":"i16"},"#,
+                r#"{"channel":"respiration","kind":"f32"},{"channel":"gps_lat","kind":"f64"}],"#,
+                r#""data":[[512,0.1,0.1],[-7,298.0,-0.0]]}"#,
+            )
+        );
+        assert_eq!(sensorsafe_json::to_string(&seg.to_json()), text);
+        let parsed = sensorsafe_json::parse(&text).unwrap();
+        assert_eq!(WaveSegment::from_json(&parsed).unwrap(), seg);
+    }
+
+    #[test]
+    fn non_finite_cells_print_null_in_both_forms() {
+        // 1e300 narrows to an infinite f32; JSON has no text for it.
+        let meta = SegmentMeta {
+            timing: Timing::PerSample(vec![Timestamp(1), Timestamp(2)]),
+            location: None,
+            format: vec![ChannelSpec::f32("x"), ChannelSpec::f64("y")],
+        };
+        let seg = WaveSegment::from_rows(meta, &[vec![1e300, f64::NAN], vec![1.5, 2.5]]).unwrap();
+        let text = streamed(&seg);
+        assert!(
+            text.ends_with(r#""data":[[null,null],[1.5,2.5]]}"#),
+            "{text}"
+        );
+        assert!(text.contains(r#""timestamps":[1,2]"#));
+        assert_eq!(sensorsafe_json::to_string(&seg.to_json()), text);
     }
 
     #[test]

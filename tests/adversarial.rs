@@ -2,10 +2,11 @@
 //! privacy enforcement or break the servers with hostile input, plus
 //! partial-failure behavior (broker down).
 
+use sensorsafe::datastore::annotation_to_json;
 use sensorsafe::net::{Request, Service, Status};
 use sensorsafe::sim::Scenario;
 use sensorsafe::store::Query;
-use sensorsafe::types::Timestamp;
+use sensorsafe::types::{TimeRange, Timestamp, WaveSegment};
 use sensorsafe::{json, Deployment, Value};
 
 fn deployment_with_alice(rules: Value) -> (Deployment, sensorsafe::ConsumerApp) {
@@ -88,6 +89,152 @@ fn time_window_probing_respects_context_denials() {
             }
         }
     }
+}
+
+/// Alice's day loaded by hand — rendered packets plus the ground-truth
+/// annotations (not the device's inferred ones, which read the sensor
+/// data) — with every cell `tamper(sample time, channel)` selects
+/// shifted by 1000. Eve holds access.
+fn tampered_world(
+    rules: &Value,
+    tamper: impl Fn(Timestamp, &str) -> bool,
+) -> (Deployment, sensorsafe::ConsumerApp) {
+    let mut deployment = Deployment::in_process();
+    deployment.add_store("s1");
+    let alice = deployment.register_contributor("s1", "alice").unwrap();
+    let rendered = Scenario::alice_day(Timestamp::from_millis(0), 23, 1).render();
+    let segments: Vec<Value> = rendered
+        .all_segments()
+        .iter()
+        .map(|seg| {
+            let rows: Vec<Vec<f64>> = (0..seg.len())
+                .map(|r| {
+                    let mut row = seg.row(r);
+                    for (cell, spec) in row.iter_mut().zip(&seg.meta().format) {
+                        if tamper(seg.time_at(r), spec.channel.as_str()) {
+                            *cell += 1000.0;
+                        }
+                    }
+                    row
+                })
+                .collect();
+            WaveSegment::from_rows(seg.meta().clone(), &rows)
+                .unwrap()
+                .to_json()
+        })
+        .collect();
+    let annotations: Vec<Value> = rendered
+        .annotations
+        .iter()
+        .map(annotation_to_json)
+        .collect();
+    let resp = alice
+        .store
+        .round_trip(&Request::post_json(
+            "/api/upload",
+            &json!({
+                "key": (alice.api_key.clone()),
+                "segments": (Value::Array(segments)),
+                "annotations": (Value::Array(annotations)),
+            }),
+        ))
+        .unwrap();
+    assert_eq!(resp.status, Status::Ok);
+    alice.set_rules(rules).unwrap();
+    let eve = deployment.register_consumer("eve").unwrap();
+    eve.add_contributors(&["alice"]).unwrap();
+    (deployment, eve)
+}
+
+/// The body bytes the store serves Eve for `query`, before any client
+/// decodes them.
+fn reply_bytes(deployment: &Deployment, eve: &sensorsafe::ConsumerApp, query: &Query) -> Vec<u8> {
+    let access = eve.access_list().unwrap().remove(0);
+    let resp = (deployment.transports())(&access.store_addr)
+        .round_trip(&Request::post_json(
+            "/api/query",
+            &json!({
+                "key": (access.api_key),
+                "contributor": (access.contributor),
+                "query": (query.to_json()),
+            }),
+        ))
+        .unwrap();
+    assert_eq!(resp.status, Status::Ok);
+    resp.body
+}
+
+fn contains(haystack: &[u8], needle: &str) -> bool {
+    haystack
+        .windows(needle.len())
+        .any(|w| w == needle.as_bytes())
+}
+
+#[test]
+fn closed_over_channel_never_reaches_the_reply_bytes() {
+    // Smoking is shared as a label, so raw respiration is closed over.
+    // The served bytes must not name the channel, and must not depend on
+    // its values: a world whose respiration differs everywhere answers
+    // every probe with the identical body.
+    let rules = json!([
+        {"Action": "Allow"},
+        {"Action": {"Abstraction": {"Smoking": "Label"}}},
+    ]);
+    let (world_a, eve_a) = tampered_world(&rules, |_, _| false);
+    let (world_b, eve_b) = tampered_world(&rules, |_, channel| channel == "respiration");
+    for q in [
+        Query::all(),
+        Query::all().with_channels(["respiration".into()]),
+        Query::all().with_channels(["respiration".into(), "ecg".into()]),
+    ] {
+        let a = reply_bytes(&world_a, &eve_a, &q);
+        let b = reply_bytes(&world_b, &eve_b, &q);
+        assert!(!contains(&a, "respiration"), "channel named via {q:?}");
+        assert!(a == b, "reply bytes depend on closed-over values via {q:?}");
+    }
+    // The probe has teeth: where respiration *is* shared, the same
+    // tampering changes the bytes.
+    let open = json!([{"Action": "Allow"}]);
+    let (world_c, eve_c) = tampered_world(&open, |_, _| false);
+    let (world_d, eve_d) = tampered_world(&open, |_, channel| channel == "respiration");
+    let c = reply_bytes(&world_c, &eve_c, &Query::all());
+    assert!(contains(&c, "respiration"));
+    assert!(c != reply_bytes(&world_d, &eve_d, &Query::all()));
+}
+
+#[test]
+fn context_denied_samples_never_reach_the_reply_bytes() {
+    // Everything is denied during conversation (minutes 4..6). Changing
+    // every sample inside that window leaves every reply byte-identical,
+    // whole-day and boundary-probing queries alike.
+    let rules = json!([
+        {"Action": "Allow"},
+        {"Context": ["Conversation"], "Action": "Deny"},
+    ]);
+    let meeting = TimeRange::new(
+        Timestamp::from_millis(4 * 60 * 1000),
+        Timestamp::from_millis(6 * 60 * 1000),
+    );
+    let (world_a, eve_a) = tampered_world(&rules, |_, _| false);
+    let (world_b, eve_b) = tampered_world(&rules, |t, _| meeting.contains(t));
+    let mut probes = vec![Query::all()];
+    for (s, e) in [
+        (-500, 500),
+        (59_000, 61_000),
+        (119_000, 121_000),
+        (0, 120_000),
+    ] {
+        probes.push(Query::all().in_time(TimeRange::new(
+            meeting.start.plus_millis(s),
+            meeting.start.plus_millis(e),
+        )));
+    }
+    for q in probes {
+        let a = reply_bytes(&world_a, &eve_a, &q);
+        let b = reply_bytes(&world_b, &eve_b, &q);
+        assert!(a == b, "reply bytes depend on denied samples via {q:?}");
+    }
+    assert!(reply_bytes(&world_a, &eve_a, &Query::all()).len() > 100_000);
 }
 
 #[test]

@@ -225,6 +225,16 @@ fn multi_store_consistency_under_rule_updates() {
     bob.add_contributors(&["alice"]).unwrap();
     let results = bob.download_all(&Query::all()).unwrap();
     assert!(results[0].1.is_empty(), "revoked rules must deny downloads");
+    // Byte for byte: the streamed body of a denied query is the empty
+    // view, with no channel name or sample in it.
+    let access = bob.access_list().unwrap().remove(0);
+    let denied = (deployment.transports())(&access.store_addr)
+        .round_trip(&Request::post_json(
+            "/api/query",
+            &json!({"key": (access.api_key), "contributor": "alice"}),
+        ))
+        .unwrap();
+    assert_eq!(denied.body, b"{\"windows\":[]}");
     // Re-grant.
     alice.set_rules(&json!([{"Action": "Allow"}])).unwrap();
     let results = bob.download_all(&Query::all()).unwrap();
