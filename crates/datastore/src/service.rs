@@ -1077,8 +1077,9 @@ impl Inner {
     /// Liveness plus component health. Always HTTP 200 — liveness probes
     /// must keep passing while the process can answer at all — but the
     /// body's `status` drops to `degraded` when a component is impaired
-    /// (a sticky WAL commit failure, or the audit ledger running on its
-    /// in-memory fallback), which the broker's fleet health plane reads.
+    /// (a sticky WAL commit failure, the audit ledger running on its
+    /// in-memory fallback, or a ledger that can no longer sync to disk),
+    /// which the broker's fleet health plane reads.
     fn handle_healthz(&self) -> Response {
         let wal_errors = self.state.wal_sticky_errors();
         let wal_status = match wal_errors.first() {
@@ -1093,6 +1094,8 @@ impl Inner {
         };
         let ledger_status = if self.ledger_fallback {
             "fallback_memory"
+        } else if self.ledger.sync_error().is_some() {
+            "failed"
         } else {
             "ok"
         };
@@ -2125,10 +2128,81 @@ mod durability_tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A query's decision records could not be made durable (here: the
+    /// head sidecar's name is taken by a directory). The reply still
+    /// goes out — enforcement does not fail over a bad audit disk — but
+    /// the store says so: `/healthz` degrades and the failure is counted.
+    #[test]
+    fn healthz_reports_an_audit_ledger_that_cannot_sync() {
+        let dir =
+            std::env::temp_dir().join(format!("sensorsafe-ledger-failed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (svc, admin) = DataStoreService::new(DataStoreConfig {
+            name: "ledger-failed".into(),
+            data_dir: Some(dir.clone()),
+            ..DataStoreConfig::default()
+        });
+        let alice = register_alice(&svc, &admin);
+        let bob = register(&svc, &admin, "bob", "consumer");
+        let rendered =
+            sensorsafe_sim::Scenario::alice_day(sensorsafe_types::Timestamp::from_millis(0), 6, 1)
+                .render();
+        let segments: Vec<Value> = rendered
+            .chest_segments
+            .iter()
+            .take(4)
+            .map(WaveSegment::to_json)
+            .collect();
+        let resp = svc.handle(&Request::post_json(
+            "/api/upload",
+            &json!({"key": alice, "segments": (Value::Array(segments))}),
+        ));
+        assert_eq!(resp.status, Status::Ok);
+        let health =
+            |svc: &DataStoreService| svc.handle(&Request::get("/healthz")).json_body().unwrap();
+        assert_eq!(
+            health(&svc)["components"]["audit_ledger"].as_str(),
+            Some("ok")
+        );
+
+        std::fs::create_dir(dir.join("audit.ledger.head")).unwrap();
+        let failures = sensorsafe_obsv::global().counter(
+            "sensorsafe_audit_ledger_sync_failures_total",
+            "File-backed audit ledgers that stopped persisting after an I/O failure.",
+            &[],
+        );
+        let before = failures.get();
+        let resp = svc.handle(&Request::post_json(
+            "/api/query",
+            &json!({"key": bob, "contributor": "alice"}),
+        ));
+        assert_eq!(resp.status, Status::Ok);
+        assert!(
+            !svc.audit_ledger().is_empty(),
+            "the query recorded no decision"
+        );
+        assert_eq!(failures.get() - before, 1);
+        let body = health(&svc);
+        assert_eq!(body["status"].as_str(), Some("degraded"));
+        assert_eq!(body["components"]["audit_ledger"].as_str(), Some("failed"));
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn register_alice(svc: &DataStoreService, admin: &sensorsafe_auth::ApiKey) -> String {
+        register(svc, admin, "alice", "contributor")
+    }
+
+    fn register(
+        svc: &DataStoreService,
+        admin: &sensorsafe_auth::ApiKey,
+        name: &str,
+        role: &str,
+    ) -> String {
         let resp = svc.handle(&Request::post_json(
             "/api/register",
-            &json!({"key": (admin.to_hex()), "name": "alice", "role": "contributor"}),
+            &json!({"key": (admin.to_hex()), "name": name, "role": role}),
         ));
         assert_eq!(resp.status, Status::Created, "{:?}", resp.json_body());
         resp.json_body().unwrap()["api_key"]

@@ -420,6 +420,11 @@ pub trait AuditLedger: Send + Sync {
     fn append(&self, record: DecisionRecord) -> u64;
     /// Makes every appended record durable (file backends fsync here).
     fn sync(&self);
+    /// The sticky I/O failure of a backend that can no longer make
+    /// records durable (`None` for healthy and volatile ledgers).
+    fn sync_error(&self) -> Option<String> {
+        None
+    }
     /// Records appended so far.
     fn len(&self) -> u64;
     /// Whether no record has been appended yet.

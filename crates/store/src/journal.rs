@@ -65,6 +65,32 @@
 //! otherwise GC defers (safe — deferral costs disk, never data) and is
 //! re-attempted after the next shipper ack pass.
 //!
+//! # When a batch is cut
+//!
+//! Staging a record never cuts a batch: an upload stages its `Segment`
+//! and its `UploadToken` a few tens of microseconds apart under the
+//! account lock, and a cut between the two would split one request
+//! across two fsyncs. What cuts a batch is **demand** — a
+//! [`JournalTicket::wait`] on a record the commit thread has not taken
+//! yet — or a `flush`, shutdown, a full batch
+//! ([`GroupCommitConfig::max_batch`]), or the flush bound: the first
+//! record staged into an empty buffer starts a
+//! [`GroupCommitConfig::max_delay`] clock, so a record nobody waits on
+//! is still durable within `max_delay` (plus the fsyncs themselves).
+//!
+//! A waiter does not sit out that clock unless the commit thread has
+//! evidence of **company**. Each time a batch retires, the commit
+//! thread notes how many durable waits were outstanding at that moment
+//! — the ones the batch released plus the ones already queued behind
+//! it — as its estimate of the requests in flight. The next batch is
+//! cut as soon as that many waiters have arrived (they are all the
+//! company there is to gather), and otherwise at the `max_delay`
+//! deadline. A lone writer therefore pays handoff + write + one fsync
+//! and no window; a crowd keeps the whole window exactly while some of
+//! it is still on the way. The estimate expires: if nothing was staged
+//! for a whole `max_delay` after a batch retired, whoever was there has
+//! left.
+//!
 //! # Locking
 //!
 //! `stage` takes only the journal mutex and is called under one account
@@ -84,6 +110,7 @@ use crate::wal::{
     appends_counter, decode_record_payload, encode_record_payload, fsync_counter, tag_is_known,
     GroupCommitConfig, WalError, WalRecord,
 };
+use sensorsafe_obsv::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -184,8 +211,25 @@ struct JournalState {
     staged_count: usize,
     /// Global sequence of the newest staged record (0 = none yet).
     staged_seq: u64,
+    /// Global sequence through which the commit thread has taken staged
+    /// records into a batch (`durable_seq..=cut_seq` is the batch in
+    /// flight). A wait at or below this needs no further cut.
+    cut_seq: u64,
     /// Highest global sequence known durable on disk.
     durable_seq: u64,
+    /// Ticket waits blocked on records past `cut_seq` — the demand that
+    /// cuts the next batch.
+    waiters: usize,
+    /// Ticket waits the batch in flight will release (`waiters` at its
+    /// cut plus late arrivals it already covers).
+    batch_waiters: usize,
+    /// Requests-in-flight estimate taken when the last batch retired:
+    /// the waits it released plus those already queued behind it. While
+    /// fewer than this are waiting, company is on its way and the
+    /// gather window stays open (see the module docs).
+    expected_waiters: usize,
+    /// Batches retired since open (one write + fsync each).
+    batches: u64,
     /// A flush wants the commit thread to cut the batch immediately.
     flush_requested: bool,
     /// Shutdown: the commit thread drains and exits, the checkpoint
@@ -214,11 +258,85 @@ struct JournalState {
     recovered: BTreeMap<String, RecoveredState>,
 }
 
+/// Metric handles `stage`, `wait` and the commit thread touch per record
+/// or per batch, resolved once at open instead of by name under the
+/// journal mutex. The batch metrics are shared with the per-account WAL
+/// so the fsync/upload coalescing ratio stays comparable across engines.
+struct JournalMetrics {
+    appends: Arc<Counter>,
+    fsyncs: Arc<Counter>,
+    batch_records: Arc<Histogram>,
+    commit_seconds: Arc<Histogram>,
+    active_bytes: Arc<Gauge>,
+    rotations: Arc<Counter>,
+    /// Staged records not yet taken by the commit thread. Sampled at
+    /// stage and batch-take time; a persistently high value means the
+    /// commit thread (write + fsync) is the bottleneck, not the stagers.
+    queue_depth: Arc<Gauge>,
+    /// How full each batch ran against `max_batch`: near 1.0 means the
+    /// cap is the binding constraint, near 0 a lone writer or traffic
+    /// too thin to have company worth gathering.
+    occupancy: Arc<Histogram>,
+    /// [`JournalTicket::wait`] entry → durable.
+    commit_wait: Arc<Histogram>,
+}
+
+impl JournalMetrics {
+    fn resolve() -> JournalMetrics {
+        let registry = sensorsafe_obsv::global();
+        JournalMetrics {
+            appends: appends_counter(),
+            fsyncs: fsync_counter(),
+            batch_records: registry.histogram(
+                "sensorsafe_store_wal_commit_batch_records",
+                "Records retired per WAL group-commit batch.",
+                &[],
+                Some(&[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]),
+            ),
+            commit_seconds: registry.histogram(
+                "sensorsafe_store_wal_commit_seconds",
+                "WAL group-commit batch latency (write + fsync).",
+                &[],
+                None,
+            ),
+            active_bytes: registry.gauge(
+                "sensorsafe_store_journal_active_segment_bytes",
+                "Bytes in the journal's active (append-tail) segment.",
+                &[],
+            ),
+            rotations: registry.counter(
+                "sensorsafe_store_journal_rotations_total",
+                "Journal segment rotations (active segment sealed).",
+                &[],
+            ),
+            queue_depth: registry.gauge(
+                "sensorsafe_journal_commit_queue_depth",
+                "Records staged in the store journal awaiting the commit thread.",
+                &[],
+            ),
+            occupancy: registry.histogram(
+                "sensorsafe_journal_gather_occupancy_ratio",
+                "Fraction of max_batch filled per journal commit batch.",
+                &[],
+                Some(&[0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]),
+            ),
+            commit_wait: registry.histogram(
+                "sensorsafe_journal_commit_wait_seconds",
+                "Time a journal ticket wait took from entry until its records were durable.",
+                &[],
+                None,
+            ),
+        }
+    }
+}
+
 struct JournalInner {
     dir: PathBuf,
     config: JournalConfig,
+    metrics: JournalMetrics,
     state: Mutex<JournalState>,
-    /// Wakes the commit thread (staged data / flush / stop).
+    /// Wakes the commit thread (flush bound to arm / demand / full
+    /// batch / flush / stop).
     work: Condvar,
     /// Wakes ticket waiters (batch retired / sticky error).
     done: Condvar,
@@ -265,6 +383,8 @@ pub struct JournalStats {
     pub live_segments: usize,
     /// Highest global staging sequence known durable.
     pub durable_seq: u64,
+    /// Batches retired since open (one write + fsync each).
+    pub batches: u64,
 }
 
 fn sticky_err(msg: &str) -> WalError {
@@ -282,7 +402,7 @@ fn checkpoint_path(dir: &Path) -> PathBuf {
 }
 
 /// fsyncs a directory so file creations/renames inside it are durable.
-fn sync_dir(dir: &Path) -> std::io::Result<()> {
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
@@ -328,46 +448,28 @@ impl ActiveSegment {
         })
     }
 
-    /// One batch write + fsync, sharing the per-account WAL's batch
-    /// metrics so the fsync/upload coalescing ratio stays comparable
-    /// across engines.
-    fn write_batch(&mut self, batch: &[u8], records: usize) -> Result<(), WalError> {
+    /// One batch write + fsync.
+    fn write_batch(
+        &mut self,
+        batch: &[u8],
+        records: usize,
+        metrics: &JournalMetrics,
+    ) -> Result<(), WalError> {
         let started = Instant::now();
         self.file.write_all(batch)?;
         self.file.sync_data()?;
-        fsync_counter().inc();
+        metrics.fsyncs.inc();
         self.bytes += batch.len() as u64;
         self.records += records as u64;
-        let registry = sensorsafe_obsv::global();
-        registry
-            .histogram(
-                "sensorsafe_store_wal_commit_batch_records",
-                "Records retired per WAL group-commit batch.",
-                &[],
-                Some(&[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]),
-            )
-            .observe_secs(records as f64);
-        registry
-            .histogram(
-                "sensorsafe_store_wal_commit_seconds",
-                "WAL group-commit batch latency (write + fsync).",
-                &[],
-                None,
-            )
-            .observe(started.elapsed());
-        registry
-            .gauge(
-                "sensorsafe_store_journal_active_segment_bytes",
-                "Bytes in the journal's active (append-tail) segment.",
-                &[],
-            )
-            .set(self.bytes as i64);
+        metrics.batch_records.observe_secs(records as f64);
+        metrics.commit_seconds.observe(started.elapsed());
+        metrics.active_bytes.set(self.bytes as i64);
         Ok(())
     }
 
     /// Seals the current segment (already fully fsynced by
     /// `write_batch`) and opens the next.
-    fn rotate(&mut self) -> Result<(), WalError> {
+    fn rotate(&mut self, metrics: &JournalMetrics) -> Result<(), WalError> {
         let next = self.seg_no + 1;
         let file = OpenOptions::new()
             .create(true)
@@ -378,21 +480,8 @@ impl ActiveSegment {
         self.seg_no = next;
         self.bytes = 0;
         self.records = 0;
-        let registry = sensorsafe_obsv::global();
-        registry
-            .counter(
-                "sensorsafe_store_journal_rotations_total",
-                "Journal segment rotations (active segment sealed).",
-                &[],
-            )
-            .inc();
-        registry
-            .gauge(
-                "sensorsafe_store_journal_active_segment_bytes",
-                "Bytes in the journal's active (append-tail) segment.",
-                &[],
-            )
-            .set(0);
+        metrics.rotations.inc();
+        metrics.active_bytes.set(0);
         Ok(())
     }
 }
@@ -484,11 +573,17 @@ impl StoreJournal {
         let inner = Arc::new(JournalInner {
             dir,
             config,
+            metrics: JournalMetrics::resolve(),
             state: Mutex::new(JournalState {
                 buf: Vec::new(),
                 staged_count: 0,
                 staged_seq: 0,
+                cut_seq: 0,
                 durable_seq: 0,
+                waiters: 0,
+                batch_waiters: 0,
+                expected_waiters: 0,
+                batches: 0,
                 flush_requested: false,
                 stop: false,
                 error: None,
@@ -579,6 +674,11 @@ impl StoreJournal {
     /// that sequence completes. Callers serialize per-account staging
     /// (the datastore stages under the account's write lock); staging
     /// for different accounts may race freely.
+    ///
+    /// Staging does not cut a batch — a wait on a ticket does (module
+    /// docs, "When a batch is cut"). The commit thread is woken only to
+    /// start the `max_delay` flush bound for the first record of a
+    /// batch, or because the batch is full.
     pub fn stage(&self, account: &str, record: &WalRecord) -> Result<u64, WalError> {
         let (tag, payload) = encode_record_payload(record);
         let name = account.as_bytes();
@@ -590,7 +690,8 @@ impl StoreJournal {
         body.push(tag);
         body.extend_from_slice(&payload);
 
-        let mut state = self.inner.state.lock().expect("journal state poisoned");
+        let inner = &*self.inner;
+        let mut state = inner.state.lock().expect("journal state poisoned");
         if let Some(msg) = &state.error {
             return Err(sticky_err(msg));
         }
@@ -603,15 +704,19 @@ impl StoreJournal {
         body[name_end..name_end + 8].copy_from_slice(&aseq.to_le_bytes());
         state.staged_seq += 1;
         state.staged_count += 1;
-        commit_queue_gauge().set(state.staged_count as i64);
+        inner.metrics.queue_depth.set(state.staged_count as i64);
         let seq = state.staged_seq;
         state
             .buf
             .extend_from_slice(&(body.len() as u32).to_le_bytes());
         state.buf.extend_from_slice(&crc32(&body).to_le_bytes());
         state.buf.extend_from_slice(&body);
-        appends_counter().inc();
-        self.inner.work.notify_all();
+        inner.metrics.appends.inc();
+        let wake = state.staged_count == 1 || state.staged_count >= inner.config.commit.max_batch;
+        drop(state);
+        if wake {
+            inner.work.notify_one();
+        }
         Ok(seq)
     }
 
@@ -624,16 +729,14 @@ impl StoreJournal {
         }
     }
 
-    /// Commits every staged record immediately (no gathering delay) and
-    /// returns once they are durable.
+    /// Commits every staged record immediately (cutting an open gather
+    /// window) and returns once they are durable.
     pub fn flush(&self) -> Result<(), WalError> {
         let seq = {
-            let mut state = self.inner.state.lock().expect("journal state poisoned");
-            state.flush_requested = true;
-            self.inner.work.notify_all();
+            let state = self.inner.state.lock().expect("journal state poisoned");
             state.staged_seq
         };
-        wait_durable(&self.inner, seq)
+        wait_durable(&self.inner, seq, true)
     }
 
     /// The highest global staging sequence known durable.
@@ -689,6 +792,7 @@ impl StoreJournal {
             checkpointed_through: state.checkpointed_through,
             live_segments: list_segments(&self.inner.dir).map(|v| v.len()).unwrap_or(0),
             durable_seq: state.durable_seq,
+            batches: state.batches,
         }
     }
 }
@@ -715,8 +819,14 @@ impl Drop for StoreJournal {
 
 impl JournalTicket {
     /// Blocks until every record covered by this ticket is durable.
+    /// Waiting is what asks the commit thread for a batch: it cuts one
+    /// as soon as every request it believes in flight is waiting too,
+    /// at the latest `max_delay` after the batch's first record.
     pub fn wait(&self) -> Result<(), WalError> {
-        wait_durable(&self.inner, self.seq)
+        let entered = Instant::now();
+        let result = wait_durable(&self.inner, self.seq, false);
+        self.inner.metrics.commit_wait.observe(entered.elapsed());
+        result
     }
 
     /// The global journal sequence this ticket waits for.
@@ -725,8 +835,13 @@ impl JournalTicket {
     }
 }
 
-fn wait_durable(inner: &JournalInner, seq: u64) -> Result<(), WalError> {
+/// Blocks until `seq` is durable or the journal has failed. A wait the
+/// commit thread has not yet taken into a batch registers as demand
+/// (`urgent`: as a flush request) and wakes it; a wait on records that
+/// are already durable, or already in the batch in flight, does not.
+fn wait_durable(inner: &JournalInner, seq: u64, urgent: bool) -> Result<(), WalError> {
     let mut state = inner.state.lock().expect("journal state poisoned");
+    let mut registered = false;
     loop {
         if let Some(msg) = &state.error {
             return Err(sticky_err(msg));
@@ -734,24 +849,42 @@ fn wait_durable(inner: &JournalInner, seq: u64) -> Result<(), WalError> {
         if state.durable_seq >= seq {
             return Ok(());
         }
+        if !registered {
+            registered = true;
+            if seq <= state.cut_seq {
+                if !urgent {
+                    state.batch_waiters += 1;
+                }
+            } else if urgent {
+                state.flush_requested = true;
+                inner.work.notify_one();
+            } else {
+                state.waiters += 1;
+                if state.waiters >= state.expected_waiters {
+                    inner.work.notify_one();
+                }
+            }
+        }
         state = inner.done.wait(state).expect("journal state poisoned");
     }
 }
 
-/// Staged records not yet taken by the commit thread. Sampled at stage
-/// and batch-take time; a persistently high value means the commit thread
-/// (write + fsync) is the bottleneck, not the stagers.
-fn commit_queue_gauge() -> std::sync::Arc<sensorsafe_obsv::Gauge> {
-    sensorsafe_obsv::global().gauge(
-        "sensorsafe_journal_commit_queue_depth",
-        "Records staged in the store journal awaiting the commit thread.",
-        &[],
-    )
+/// Whether the commit thread should stop gathering and take the batch
+/// now rather than at the `max_delay` deadline.
+fn cut_now(state: &JournalState, config: &GroupCommitConfig) -> bool {
+    state.flush_requested
+        || state.stop
+        || state.staged_count >= config.max_batch
+        // Demand, and nobody else expected: every request believed in
+        // flight is already waiting on this batch.
+        || (state.waiters > 0 && state.waiters >= state.expected_waiters)
 }
 
 /// The commit thread: gather staged frames across accounts, retire each
 /// batch with one write + fsync, rotate when the active segment fills.
 fn commit_loop(inner: Arc<JournalInner>, mut active: ActiveSegment) {
+    let config = inner.config.commit;
+    let mut retired_at = Instant::now();
     loop {
         let (batch, upto, records) = {
             // Waiting for (and gathering) work; distinguishes idle/gather
@@ -767,34 +900,33 @@ fn commit_loop(inner: Arc<JournalInner>, mut active: ActiveSegment) {
                 }
                 state = inner.work.wait(state).expect("journal state poisoned");
             }
-            // Gathering window: give concurrent stagers a chance to
-            // join this batch, unless a flush wants immediacy.
-            let max_delay = inner.config.commit.max_delay;
-            if !state.flush_requested && !max_delay.is_zero() {
-                let deadline = Instant::now() + max_delay;
-                while state.staged_count < inner.config.commit.max_batch
-                    && !state.flush_requested
-                    && !state.stop
-                {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = inner
-                        .work
-                        .wait_timeout(state, deadline - now)
-                        .expect("journal state poisoned");
-                    state = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
+            // The batch's clock starts now: whatever is staged is taken
+            // at `deadline` at the latest, waited on or not.
+            let opened = Instant::now();
+            let deadline = opened + config.max_delay;
+            if opened.duration_since(retired_at) > config.max_delay {
+                // Nothing was staged for a whole window after the last
+                // batch retired: its waiters are not coming back.
+                state.expected_waiters = 0;
+            }
+            while !cut_now(&state, &config) {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
                 }
+                state = inner
+                    .work
+                    .wait_timeout(state, deadline - now)
+                    .expect("journal state poisoned")
+                    .0;
             }
             let batch = std::mem::take(&mut state.buf);
             let records = state.staged_count;
             state.staged_count = 0;
-            commit_queue_gauge().set(0);
+            inner.metrics.queue_depth.set(0);
             state.flush_requested = false;
+            state.cut_seq = state.staged_seq;
+            state.batch_waiters = std::mem::take(&mut state.waiters);
             (batch, state.staged_seq, records)
         };
         if batch.is_empty() {
@@ -803,33 +935,31 @@ fn commit_loop(inner: Arc<JournalInner>, mut active: ActiveSegment) {
             inner.done.notify_all();
             continue;
         }
-        // How full the gathering window ran: near 1.0 means max_batch is
-        // the binding constraint, near 0 means commits retire singletons
-        // (max_delay too short or traffic too thin to batch).
-        sensorsafe_obsv::global()
-            .histogram(
-                "sensorsafe_journal_gather_occupancy_ratio",
-                "Fraction of max_batch filled per journal commit batch.",
-                &[],
-                Some(&[0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]),
-            )
-            .observe_secs(records as f64 / inner.config.commit.max_batch.max(1) as f64);
+        inner
+            .metrics
+            .occupancy
+            .observe_secs(records as f64 / config.max_batch.max(1) as f64);
         let _commit = sensorsafe_obsv::prof_frame!("journal-commit");
-        let wrote = active.write_batch(&batch, records);
+        let wrote = active.write_batch(&batch, records, &inner.metrics);
+        retired_at = Instant::now();
         let mut state = inner.state.lock().expect("journal state poisoned");
         let mut rotate = false;
         match wrote {
             Ok(()) => {
                 state.durable_seq = upto;
+                state.batches += 1;
                 rotate = active.bytes >= inner.config.rotate_bytes
                     || active.records >= inner.config.rotate_records;
             }
             Err(e) => state.error = Some(e.to_string()),
         }
+        // Requests in flight right now: the waits this batch releases
+        // plus the ones that queued behind it during the fsync.
+        state.expected_waiters = std::mem::take(&mut state.batch_waiters) + state.waiters;
         inner.done.notify_all();
         if rotate {
             drop(state);
-            let rotated = active.rotate();
+            let rotated = active.rotate(&inner.metrics);
             let mut state = inner.state.lock().expect("journal state poisoned");
             match rotated {
                 Ok(()) => {
@@ -1510,13 +1640,319 @@ mod tests {
         }
     }
 
+    /// A journal whose gather window (2 s) dwarfs every threshold the
+    /// policy tests assert on: anything that returns in a fraction of it
+    /// did not sit the window out.
+    fn wide_window_config() -> JournalConfig {
+        JournalConfig {
+            rotate_bytes: u64::MAX,
+            rotate_records: u64::MAX,
+            commit: GroupCommitConfig {
+                max_batch: 64,
+                max_delay: Duration::from_secs(2),
+            },
+        }
+    }
+
+    /// Far below the 2 s window, far above a handoff + write + fsync.
+    const PROMPT: Duration = Duration::from_millis(200);
+
+    fn lock(journal: &StoreJournal) -> std::sync::MutexGuard<'_, JournalState> {
+        journal.inner.state.lock().unwrap()
+    }
+
+    /// Installs the estimate a batch that had `n` requests in flight
+    /// would have left behind.
+    fn expect_company(journal: &StoreJournal, n: usize) {
+        lock(journal).expected_waiters = n;
+    }
+
+    fn wait_for_waiters(journal: &StoreJournal, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while lock(journal).waiters < n {
+            assert!(Instant::now() < deadline, "waiters never registered");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn cut_rule_wants_demand_and_no_missing_company() {
+        let journal = StoreJournal::open(tempdir("cut-rule"), wide_window_config()).unwrap();
+        let config = journal.config().commit;
+        let mut state = lock(&journal);
+        state.staged_count = 2;
+        assert!(!cut_now(&state, &config), "staging alone never cuts");
+        state.waiters = 1;
+        assert!(cut_now(&state, &config), "a lone waiter cuts at once");
+        state.expected_waiters = 3;
+        assert!(
+            !cut_now(&state, &config),
+            "two of three are still on the way"
+        );
+        state.waiters = 3;
+        assert!(cut_now(&state, &config), "everyone expected has arrived");
+        state.waiters = 0;
+        state.staged_count = config.max_batch;
+        assert!(cut_now(&state, &config), "a full batch cuts unwaited");
+        state.staged_count = 2;
+        state.flush_requested = true;
+        assert!(cut_now(&state, &config), "a flush cuts unwaited");
+        // Leave nothing behind for the commit thread to act on.
+        state.staged_count = 0;
+        state.flush_requested = false;
+        state.expected_waiters = 0;
+    }
+
+    #[test]
+    fn lone_writer_does_not_sit_out_the_window() {
+        let journal = StoreJournal::open(tempdir("lone"), wide_window_config()).unwrap();
+        for i in 0..3 {
+            let started = Instant::now();
+            journal.stage("alice", &seg(i * 1000)).unwrap();
+            journal.ticket().wait().unwrap();
+            assert!(
+                started.elapsed() < PROMPT,
+                "lone durable wait {i} took {:?} under a 2 s window",
+                started.elapsed()
+            );
+        }
+        assert_eq!(journal.stats().batches, 3);
+    }
+
+    #[test]
+    fn one_callers_records_share_one_batch() {
+        let journal = StoreJournal::open(tempdir("one-request"), wide_window_config()).unwrap();
+        journal.stage("alice", &seg(0)).unwrap();
+        // Long enough for a commit thread that cut on staging to have
+        // taken the first record alone.
+        std::thread::sleep(Duration::from_millis(20));
+        journal.stage("alice", &ann(0)).unwrap();
+        journal.ticket().wait().unwrap();
+        let stats = journal.stats();
+        assert_eq!(stats.durable_seq, 2);
+        assert_eq!(stats.batches, 1, "one request split across two fsyncs");
+    }
+
+    #[test]
+    fn expected_company_holds_the_window_until_it_arrives() {
+        let journal =
+            Arc::new(StoreJournal::open(tempdir("company"), wide_window_config()).unwrap());
+        expect_company(&journal, 2);
+        let first = {
+            let journal = Arc::clone(&journal);
+            std::thread::spawn(move || {
+                journal.stage("alice", &seg(0)).unwrap();
+                journal.ticket().wait()
+            })
+        };
+        wait_for_waiters(&journal, 1);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            journal.stats().batches,
+            0,
+            "cut under the first waiter although company was expected"
+        );
+        let started = Instant::now();
+        journal.stage("bob", &seg(1000)).unwrap();
+        journal.ticket().wait().unwrap();
+        first.join().unwrap().unwrap();
+        assert!(
+            started.elapsed() < PROMPT,
+            "window stayed open after the expected company arrived"
+        );
+        assert_eq!(journal.stats().batches, 1, "both waits share one fsync");
+        assert_eq!(
+            lock(&journal).expected_waiters,
+            2,
+            "the retired batch released two waits: that is the next estimate"
+        );
+    }
+
+    #[test]
+    fn barrier_released_threads_share_batches() {
+        let journal =
+            Arc::new(StoreJournal::open(tempdir("barrier"), wide_window_config()).unwrap());
+        let n = 8;
+        let barrier = Arc::new(std::sync::Barrier::new(n));
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let journal = Arc::clone(&journal);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    journal
+                        .stage(&format!("acct-{i}"), &seg(i as i64 * 1000))
+                        .unwrap();
+                    barrier.wait();
+                    journal.ticket().wait()
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap().unwrap();
+        }
+        let stats = journal.stats();
+        assert_eq!(stats.durable_seq, n as u64);
+        // Every record was staged before the first wait, so the cut that
+        // wait triggers takes them all, and the waits that arrive while
+        // it is in flight ask for no second one.
+        assert_eq!(
+            stats.batches, 1,
+            "{n} waiters took {} fsyncs",
+            stats.batches
+        );
+    }
+
+    #[test]
+    fn stale_company_estimate_expires() {
+        let config = JournalConfig {
+            commit: GroupCommitConfig {
+                max_batch: 64,
+                max_delay: Duration::from_millis(400),
+            },
+            ..wide_window_config()
+        };
+        let journal = StoreJournal::open(tempdir("stale"), config).unwrap();
+        expect_company(&journal, 4);
+        // Nothing staged for more than a whole window: the crowd the
+        // estimate remembers is gone.
+        std::thread::sleep(Duration::from_millis(500));
+        let started = Instant::now();
+        journal.stage("alice", &seg(0)).unwrap();
+        journal.ticket().wait().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_millis(200),
+            "lone wait after a quiet spell took {:?} (400 ms window)",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn unwaited_record_is_durable_within_the_flush_bound() {
+        let config = JournalConfig {
+            commit: GroupCommitConfig {
+                max_batch: 64,
+                max_delay: Duration::from_millis(50),
+            },
+            ..wide_window_config()
+        };
+        let journal = StoreJournal::open(tempdir("unwaited"), config).unwrap();
+        journal.stage("alice", &seg(0)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while journal.durable_seq() < 1 {
+            assert!(
+                Instant::now() < deadline,
+                "a record nobody waits on never became durable"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn flush_cuts_an_open_gather() {
+        let journal =
+            Arc::new(StoreJournal::open(tempdir("flush-cut"), wide_window_config()).unwrap());
+        expect_company(&journal, 2);
+        let held = {
+            let journal = Arc::clone(&journal);
+            std::thread::spawn(move || {
+                journal.stage("alice", &seg(0)).unwrap();
+                journal.ticket().wait()
+            })
+        };
+        wait_for_waiters(&journal, 1);
+        let started = Instant::now();
+        journal.flush().unwrap();
+        held.join().unwrap().unwrap();
+        assert!(
+            started.elapsed() < PROMPT,
+            "flush waited out the gather window instead of cutting it"
+        );
+        assert_eq!(journal.stats().batches, 1);
+    }
+
+    #[test]
+    fn wait_on_durable_records_asks_for_nothing() {
+        let journal = StoreJournal::open(tempdir("durable-wait"), wide_window_config()).unwrap();
+        journal.stage("alice", &seg(0)).unwrap();
+        let ticket = journal.ticket();
+        ticket.wait().unwrap();
+        // Company that will never come: a wait that registered as demand
+        // would now sit in the window.
+        expect_company(&journal, 2);
+        let started = Instant::now();
+        ticket.wait().unwrap();
+        journal.ticket().wait().unwrap();
+        journal.flush().unwrap();
+        assert!(started.elapsed() < PROMPT);
+        let state = lock(&journal);
+        assert_eq!((state.waiters, state.flush_requested), (0, false));
+        assert_eq!(state.batches, 1);
+    }
+
+    #[test]
+    fn drop_drains_staged_records() {
+        let dir = tempdir("drop-drain");
+        let started = Instant::now();
+        {
+            let journal = StoreJournal::open(&dir, wide_window_config()).unwrap();
+            journal.stage("alice", &seg(0)).unwrap();
+            journal.stage("alice", &ann(0)).unwrap();
+        }
+        assert!(
+            started.elapsed() < PROMPT,
+            "shutdown sat out the flush bound"
+        );
+        let journal = StoreJournal::open(&dir, wide_window_config()).unwrap();
+        assert_eq!(
+            journal.take_account("alice").unwrap().records,
+            vec![seg(0), ann(0)]
+        );
+    }
+
     #[test]
     fn sticky_error_reported_to_all_waiters() {
+        if !Path::new("/dev/full").exists() {
+            return;
+        }
         let dir = tempdir("sticky");
-        let journal = StoreJournal::open(&dir, quick_config()).unwrap();
+        let config = JournalConfig {
+            rotate_bytes: 1, // rotate after the first batch
+            ..wide_window_config()
+        };
+        let journal = Arc::new(StoreJournal::open(&dir, config).unwrap());
+        // The next segment is a device that refuses every write.
+        std::os::unix::fs::symlink("/dev/full", segment_path(&dir, 2)).unwrap();
         journal.stage("alice", &seg(0)).unwrap();
         journal.flush().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while journal.stats().active_segment < 2 {
+            assert!(Instant::now() < deadline, "rotation never happened");
+            std::thread::yield_now();
+        }
         assert!(journal.sticky_error().is_none());
+
+        let n = 4;
+        let barrier = Arc::new(std::sync::Barrier::new(n));
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let journal = Arc::clone(&journal);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    journal
+                        .stage(&format!("acct-{i}"), &seg(i as i64 * 1000))
+                        .unwrap();
+                    barrier.wait();
+                    journal.ticket().wait()
+                })
+            })
+            .collect();
+        for h in handles {
+            assert!(h.join().unwrap().is_err(), "acked after a failed write");
+        }
+        assert!(journal.sticky_error().is_some());
+        assert!(journal.stage("alice", &seg(9000)).is_err());
+        assert!(journal.ticket().wait().is_err());
+        assert_eq!(journal.durable_seq(), 1);
     }
 
     #[test]

@@ -5,9 +5,16 @@
 //! (`u32 len | payload | 32-byte hash`, see `obsv::ledger`), and
 //! `<path>.head` holds the 40-byte [`ChainHead`] (record count + final
 //! chain hash). Appends are buffered; [`FileLedger::sync`] follows the WAL
-//! pattern — flush, `sync_data` the ledger file, and only *then* rewrite
+//! pattern — flush, `sync_data` the ledger file, and only *then* write
 //! and `sync_data` the head sidecar, so the head never attests records
-//! that are not yet durable.
+//! that are not yet durable. The sidecar is created once (tmp file +
+//! rename, so it is never seen short or empty) and from then on held
+//! open and overwritten in place: its length never changes, so a sync
+//! costs two data syncs and no truncate or size-changing metadata
+//! commit. An I/O failure on either file is sticky
+//! ([`AuditLedger::sync_error`]): after a failed fsync the page cache
+//! can no longer be trusted, so the ledger stops writing and reports it
+//! rather than retrying into an unknown state.
 //!
 //! Tamper and truncation detection: [`FileLedger::open`] replays and
 //! verifies the whole chain against the head (a store refuses to silently
@@ -22,6 +29,7 @@ use sensorsafe_obsv::ledger::{encode_frame, verify_frames, ChainHead, GENESIS_HA
 use sensorsafe_obsv::{AuditFilter, AuditLedger, AuditPage, DecisionRecord, LedgerError};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -41,15 +49,27 @@ fn fsyncs_counter() -> Arc<sensorsafe_obsv::Counter> {
     )
 }
 
+fn sync_failures_counter() -> Arc<sensorsafe_obsv::Counter> {
+    sensorsafe_obsv::global().counter(
+        "sensorsafe_audit_ledger_sync_failures_total",
+        "File-backed audit ledgers that stopped persisting after an I/O failure.",
+        &[],
+    )
+}
+
 fn io_err(e: std::io::Error) -> LedgerError {
     LedgerError::Io(e.to_string())
 }
 
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
 /// The head sidecar's path for a ledger at `path`.
 pub fn head_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".head");
-    PathBuf::from(name)
+    with_suffix(path, ".head")
 }
 
 /// Reads and verifies a ledger file (and its head sidecar when present)
@@ -71,14 +91,70 @@ pub fn verify_ledger_file(path: impl AsRef<Path>) -> Result<Vec<DecisionRecord>,
     verify_frames(&bytes, head.as_ref())
 }
 
+/// Creates the head sidecar holding `head_bytes` without ever exposing
+/// a short or empty file at `path`: written and synced under a tmp name,
+/// renamed into place, directory synced. Returns the handle later syncs
+/// overwrite in place.
+fn create_head(path: &Path, head_bytes: &[u8]) -> std::io::Result<File> {
+    let tmp = with_suffix(path, ".tmp");
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&tmp)?;
+    file.write_all(head_bytes)?;
+    file.sync_data()?;
+    std::fs::rename(&tmp, path)?;
+    // A bare file name has the empty path as its parent.
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    crate::journal::sync_dir(dir.unwrap_or(Path::new(".")))?;
+    Ok(file)
+}
+
 struct Inner {
     writer: BufWriter<File>,
+    /// The head sidecar, held open and overwritten in place; `None`
+    /// until the first sync of a ledger that has none creates it.
+    head_file: Option<File>,
     /// In-memory mirror of every verified + appended record, for queries.
     records: Vec<DecisionRecord>,
     /// The chain's current end (covers buffered, not-yet-synced appends).
     head: ChainHead,
     /// Appends since the last completed sync.
     dirty: bool,
+    /// Sticky I/O failure: set by the first failed write or sync, after
+    /// which nothing more is written (the in-memory mirror keeps
+    /// serving reads).
+    failed: Option<String>,
+}
+
+impl Inner {
+    /// WAL discipline: frames first, head second, a `sync_data` after
+    /// each — the head on disk must never get ahead of durable frames.
+    fn persist(&mut self, head_path: &Path) -> std::io::Result<()> {
+        self.writer.flush()?;
+        self.writer.get_ref().sync_data()?;
+        let head_bytes = self.head.encode();
+        match &self.head_file {
+            Some(file) => {
+                file.write_all_at(&head_bytes, 0)?;
+                file.sync_data()
+            }
+            None => {
+                self.head_file = Some(create_head(head_path, &head_bytes)?);
+                Ok(())
+            }
+        }
+    }
+
+    fn fail(&mut self, path: &Path, e: std::io::Error) {
+        eprintln!(
+            "{{\"event\":\"audit_ledger_sync_failed\",\"path\":\"{}\",\"error\":\"{e}\"}}",
+            path.display()
+        );
+        sync_failures_counter().inc();
+        self.failed = Some(e.to_string());
+    }
 }
 
 /// A durable [`AuditLedger`]: appends are hash-chained onto the verified
@@ -112,13 +188,22 @@ impl FileLedger {
             .append(true)
             .open(&path)
             .map_err(io_err)?;
+        // A missing sidecar was accepted by the verify above; the first
+        // sync creates it.
+        let head_file = match OpenOptions::new().write(true).open(head_path(&path)) {
+            Ok(file) => Some(file),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(io_err(e)),
+        };
         Ok(FileLedger {
             path,
             inner: Mutex::new(Inner {
                 writer: BufWriter::new(file),
+                head_file,
                 records,
                 head,
                 dirty: false,
+                failed: None,
             }),
         })
     }
@@ -153,8 +238,13 @@ impl AuditLedger for FileLedger {
         let hash = encode_frame(&mut frame, &inner.head.hash, &record);
         // An audit ledger must never drop a decision silently, but the
         // enforcement path cannot fail the data response over a full disk
-        // either; a write error here surfaces at the next sync/verify.
-        let _ = inner.writer.write_all(&frame);
+        // either: a write error makes the ledger sticky-failed (a frame
+        // missing from the file breaks the chain for every later one).
+        if inner.failed.is_none() {
+            if let Err(e) = inner.writer.write_all(&frame) {
+                inner.fail(&self.path, e);
+            }
+        }
         inner.head = ChainHead {
             count: record.seq + 1,
             hash,
@@ -167,24 +257,20 @@ impl AuditLedger for FileLedger {
 
     fn sync(&self) {
         let mut inner = self.inner.lock();
-        if !inner.dirty {
+        if !inner.dirty || inner.failed.is_some() {
             return;
         }
-        // WAL discipline: data first, head second, fsync between — the
-        // head on disk must never get ahead of durable frames.
-        if inner.writer.flush().is_err() {
-            return;
+        match inner.persist(&head_path(&self.path)) {
+            Ok(()) => {
+                inner.dirty = false;
+                fsyncs_counter().inc();
+            }
+            Err(e) => inner.fail(&self.path, e),
         }
-        if inner.writer.get_ref().sync_data().is_err() {
-            return;
-        }
-        let head_bytes = inner.head.encode();
-        let ok = File::create(head_path(&self.path))
-            .and_then(|mut f| f.write_all(&head_bytes).and_then(|_| f.sync_data()));
-        if ok.is_ok() {
-            inner.dirty = false;
-            fsyncs_counter().inc();
-        }
+    }
+
+    fn sync_error(&self) -> Option<String> {
+        self.inner.lock().failed.clone()
     }
 
     fn len(&self) -> u64 {
@@ -306,6 +392,84 @@ mod tests {
             }
             other => panic!("expected HeadMismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn head_is_forty_bytes_overwritten_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let path = temp_path("in-place");
+        let head = head_path(&path);
+        let mut inode = None;
+        for round in 0..2 {
+            // Round 0 creates the sidecar (tmp + rename); round 1
+            // reopens the ledger and adopts the existing one.
+            let ledger = FileLedger::open(&path).unwrap();
+            assert_eq!(ledger.len(), round * 5);
+            for i in 0..5 {
+                ledger.append(record(&format!("c{i}")));
+                ledger.sync();
+                let meta = std::fs::metadata(&head).unwrap();
+                assert_eq!(meta.len(), 40, "head is exactly one ChainHead");
+                assert_eq!(*inode.get_or_insert(meta.ino()), meta.ino(), "re-created");
+                assert!(ledger.sync_error().is_none());
+            }
+            assert!(
+                !with_suffix(&head, ".tmp").exists(),
+                "creation left its tmp file"
+            );
+        }
+        assert_eq!(verify_ledger_file(&path).unwrap().len(), 10);
+    }
+
+    #[test]
+    fn stale_head_is_rejected_on_open() {
+        let path = temp_path("stale-head");
+        let old_head;
+        {
+            let ledger = FileLedger::open(&path).unwrap();
+            ledger.append(record("bob"));
+            ledger.sync();
+            old_head = std::fs::read(head_path(&path)).unwrap();
+            ledger.append(record("carol"));
+            ledger.sync();
+        }
+        // A crash between the two syncs: frames durable, head one sync
+        // behind. Not repaired silently — the operator removes the head.
+        std::fs::write(head_path(&path), &old_head).unwrap();
+        match FileLedger::open(&path) {
+            Err(LedgerError::HeadMismatch { expected, found }) => {
+                assert_eq!((expected, found), (1, 2));
+            }
+            other => panic!("expected HeadMismatch, got {:?}", other.map(|l| l.len())),
+        }
+    }
+
+    #[test]
+    fn sync_failure_is_sticky_counted_and_reported() {
+        let path = temp_path("sync-fail");
+        let _ = std::fs::remove_dir(head_path(&path));
+        let ledger = FileLedger::open(&path).unwrap();
+        // The sidecar cannot be created: its name is taken by a directory.
+        std::fs::create_dir(head_path(&path)).unwrap();
+        let failures = sync_failures_counter();
+        let before = failures.get();
+        ledger.append(record("bob"));
+        ledger.sync();
+        assert!(
+            ledger.sync_error().is_some(),
+            "a failed sync went unreported"
+        );
+        assert_eq!(failures.get() - before, 1);
+        // Sticky: no retry into an unknown state, reads keep working.
+        ledger.append(record("carol"));
+        ledger.sync();
+        assert_eq!(failures.get() - before, 1);
+        assert_eq!(ledger.recent(10).len(), 2);
+        // The frames that reached the file before the failure still
+        // verify on their own.
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(verify_frames(&bytes, None).unwrap().len(), 1);
+        std::fs::remove_dir(head_path(&path)).unwrap();
     }
 
     #[test]

@@ -439,12 +439,18 @@ impl Wal {
     }
 }
 
-/// Tuning knobs for [`GroupCommitWal`] batching.
+/// Caps on group-commit batching, for [`GroupCommitWal`] and the
+/// store-wide [`StoreJournal`](crate::StoreJournal) alike.
 ///
-/// Batches are cut when either bound is hit: `max_batch` staged records,
-/// or `max_delay` elapsed since the leader started gathering. A
-/// [`GroupCommitWal::flush`] (and every [`SegmentStore::sync`]
-/// [`compact`]) cuts the batch immediately regardless.
+/// Both are upper bounds on gathering, not a price every commit pays: a
+/// batch is cut at `max_batch` staged records or `max_delay` after
+/// gathering began at the latest, and earlier whenever the engine sees
+/// nobody left to gather — a `GroupCommitWal` leader with no commit
+/// siblings cuts at once, and the journal's commit thread cuts the
+/// moment every request it believes in flight is waiting (see
+/// `journal.rs`, "When a batch is cut"). A `flush` (and every
+/// [`SegmentStore::sync`] / [`compact`]) cuts the batch immediately
+/// regardless.
 ///
 /// [`SegmentStore::sync`]: crate::SegmentStore::sync
 /// [`compact`]: crate::SegmentStore::compact
@@ -453,9 +459,10 @@ pub struct GroupCommitConfig {
     /// Cut the batch once this many records are staged. `1` degenerates
     /// to one fsync per record (the pre-group-commit behavior).
     pub max_batch: usize,
-    /// How long a commit leader waits for the batch to fill before
-    /// cutting it anyway. `Duration::ZERO` disables gathering: the
-    /// leader commits whatever is staged the moment it takes over
+    /// The longest a batch is held open while company is expected, and
+    /// (journal) the longest a staged record nobody waits on stays off
+    /// the disk. `Duration::ZERO` disables gathering: whatever is
+    /// staged is committed the moment the committer takes over
     /// (batching then comes only from records staged while the previous
     /// fsync was in flight).
     pub max_delay: Duration,
@@ -463,8 +470,10 @@ pub struct GroupCommitConfig {
 
 impl Default for GroupCommitConfig {
     /// 64-record batches gathered for at most 500 µs — enough to
-    /// coalesce a concurrency-8 upload burst without adding visible
-    /// latency to a lone writer (an fsync alone costs about that much).
+    /// coalesce a fleet-shaped burst (≈ 20 uploads per fsync at 32 in
+    /// flight, EXPERIMENTS.md C4). A lone writer never sees the 500 µs
+    /// under either engine: it pays its handoff, the write and one
+    /// fsync.
     fn default() -> Self {
         GroupCommitConfig {
             max_batch: 64,
