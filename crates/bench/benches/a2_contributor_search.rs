@@ -2,10 +2,15 @@
 //!
 //! The paper's example query — "finding data contributors who share ECG
 //! and respiration sensor data at the location labeled 'work' from 9am
-//! to 6pm on weekdays" — run against rule mirrors of growing size.
+//! to 6pm on weekdays" — run against rule mirrors of growing size, at
+//! both ends of what the search's cost depends on: a population that
+//! mirrors four rule lists between them (`shared`: a search evaluates
+//! four lists however many contributors there are) and one where every
+//! contributor's list is their own (`unshared`: one evaluation each).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sensorsafe_bench::synthetic_rules;
+use sensorsafe_bench::{synthetic_rules, synthetic_rules_unshared};
+use sensorsafe_core::policy::PrivacyRule;
 use sensorsafe_core::policy::{ConsumerCtx, RuleIndex, SearchQuery};
 use sensorsafe_core::types::{ContextKind, ContributorId, RepeatTime};
 use std::hint::black_box;
@@ -29,29 +34,42 @@ fn driving_stress_query() -> SearchQuery {
     }
 }
 
-fn index_with(contributors: usize, rules_each: usize) -> RuleIndex {
+/// Contributor index → that contributor's rule list.
+type RulesOf = fn(usize) -> Vec<PrivacyRule>;
+
+fn index_of(contributors: usize, rules_of: impl Fn(usize) -> Vec<PrivacyRule>) -> RuleIndex {
     let mut index = RuleIndex::new();
     for i in 0..contributors {
         index.sync(
             ContributorId::new(format!("contributor-{i:05}")),
             1,
-            synthetic_rules(i, rules_each),
+            rules_of(i),
         );
     }
     index
 }
 
+fn index_with(contributors: usize, rules_each: usize) -> RuleIndex {
+    index_of(contributors, |i| synthetic_rules(i, rules_each))
+}
+
 fn bench_search_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("a2_search_vs_contributors");
-    for n in [10usize, 100, 1_000, 10_000] {
-        let index = index_with(n, 4);
-        let query = paper_query();
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &index, |b, index| {
-            b.iter(|| black_box(index.search(black_box(&query)).len()))
-        });
+    let populations: [(&str, RulesOf); 2] = [
+        ("shared", |i| synthetic_rules(i, 4)),
+        ("unshared", |i| synthetic_rules_unshared(i, 4)),
+    ];
+    for (population, rules_of) in populations {
+        let mut group = c.benchmark_group(format!("a2_search_vs_contributors_{population}"));
+        for n in [10usize, 100, 1_000, 10_000] {
+            let index = index_of(n, rules_of);
+            let query = paper_query();
+            group.throughput(Throughput::Elements(n as u64));
+            group.bench_with_input(BenchmarkId::from_parameter(n), &index, |b, index| {
+                b.iter(|| black_box(index.search(black_box(&query)).len()))
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 fn bench_search_vs_rules_per_contributor(c: &mut Criterion) {

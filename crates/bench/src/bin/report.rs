@@ -11,11 +11,11 @@
 use sensorsafe_bench::{
     alice_scenario, chest_packets, durable_workload, durable_workload_with, mixed_workload,
     run_durable_uploads, run_many_account_uploads, run_mixed_traffic, segment_store_with,
-    synthetic_rules, tuple_store_with,
+    synthetic_rules, synthetic_rules_unshared, tuple_store_with,
 };
 use sensorsafe_core::datastore::{DataStoreConfig, LockMode, StorageEngine};
 use sensorsafe_core::net::{LocalTransport, Request, Service, Transport};
-use sensorsafe_core::policy::{ConsumerCtx, RuleIndex, SearchQuery};
+use sensorsafe_core::policy::{ConsumerCtx, PrivacyRule, RuleIndex, SearchQuery};
 use sensorsafe_core::store::{GroupCommitConfig, MergePolicy, Query};
 use sensorsafe_core::types::{ContextKind, ContributorId, RepeatTime};
 use sensorsafe_core::{json, ContributorDevice, Deployment};
@@ -85,17 +85,11 @@ fn a1_merge_table() {
     println!();
 }
 
+/// Contributor index → that contributor's rule list.
+type RulesOf = fn(usize) -> Vec<PrivacyRule>;
+
 fn a2_search_table() {
-    println!("== A2: contributor search result shape ==");
-    let mut index = RuleIndex::new();
-    let n = 1_000;
-    for i in 0..n {
-        index.sync(
-            ContributorId::new(format!("contributor-{i:05}")),
-            1,
-            synthetic_rules(i, 4),
-        );
-    }
+    println!("== A2: contributor search, result shape and work done ==");
     let paper_query = SearchQuery {
         consumer: ConsumerCtx::user("bob"),
         raw_channels: vec!["ecg".into(), "respiration".into()],
@@ -109,15 +103,48 @@ fn a2_search_table() {
         active_contexts: vec![ContextKind::Drive],
         ..Default::default()
     };
-    println!("mirror: {n} contributors x 4 rules");
+    // Both ends of what a search costs: four rule lists shared by the
+    // whole population (at two sizes: the work does not grow with it),
+    // and a list of one's own per contributor.
+    let mirrors: [(usize, &str, RulesOf); 3] = [
+        (1_000, "4 classes, lists shared", |i| synthetic_rules(i, 4)),
+        (100_000, "4 classes, lists shared", |i| {
+            synthetic_rules(i, 4)
+        }),
+        (1_000, "4 classes, every list unique", |i| {
+            synthetic_rules_unshared(i, 4)
+        }),
+    ];
     println!(
-        "paper query (ECG+RSP at 'work', weekdays 9-6): {} match",
-        index.search(&paper_query).len()
+        "{:>12}  {:<30} {:>14}  {:<42} {:>15} {:>6}",
+        "contributors", "mirror", "distinct lists", "query", "lists evaluated", "hits"
     );
-    println!(
-        "driving-stress query (ECG+RSP while driving): {} match",
-        index.search(&driving_query).len()
-    );
+    for (n, population, rules_of) in mirrors {
+        let mut index = RuleIndex::new();
+        for i in 0..n {
+            index.sync(
+                ContributorId::new(format!("contributor-{i:06}")),
+                1,
+                rules_of(i),
+            );
+        }
+        for (name, query) in [
+            ("paper (ECG+RSP at 'work', weekdays 9-6)", &paper_query),
+            ("driving-stress (ECG+RSP while driving)", &driving_query),
+        ] {
+            let mut hits = 0;
+            let evaluated = index.search_each(query, |_| hits += 1);
+            println!(
+                "{:>12}  {:<30} {:>14}  {:<42} {:>15} {:>6}",
+                n,
+                population,
+                index.distinct_rule_sets(),
+                name,
+                evaluated,
+                hits
+            );
+        }
+    }
     println!();
 }
 
@@ -954,6 +981,12 @@ fn main() {
             .and_then(|n| n.parse().ok())
             .expect("c3-client <addr> <conns>");
         c3_client_main(addr, conns);
+        return;
+    }
+    // `report a2` runs the contributor-search table alone (EXPERIMENTS.md
+    // A2).
+    if args.get(1).map(String::as_str) == Some("a2") {
+        a2_search_table();
         return;
     }
     // `report c4` runs the storage-engine sweep alone — the section CI

@@ -171,6 +171,25 @@ pub fn synthetic_rules(i: usize, rules_per_contributor: usize) -> Vec<PrivacyRul
     rules
 }
 
+/// [`synthetic_rules`] made unlike anyone else's: contributor `i`'s class
+/// list plus one consumer-scoped allow rule nobody shares, so a mirror of
+/// these has as many distinct rule lists as contributors — the end of
+/// the range where the search's per-list memo saves nothing. The extra
+/// rule names a consumer no query uses; the hits are the class's.
+pub fn synthetic_rules_unshared(i: usize, rules_per_contributor: usize) -> Vec<PrivacyRule> {
+    let mut rules = synthetic_rules(i, rules_per_contributor);
+    rules.push(PrivacyRule {
+        conditions: Conditions {
+            consumers: vec![ConsumerSelector::User(
+                format!("confidant-of-{i}").as_str().into(),
+            )],
+            ..Default::default()
+        },
+        action: Action::Allow,
+    });
+    rules
+}
+
 /// The canonical Alice day used by device benches.
 pub fn alice_scenario(seed: u64) -> Scenario {
     Scenario::alice_day(Timestamp::from_millis(DAY_START), seed, 1)
@@ -652,17 +671,23 @@ mod tests {
         // The C2 acceptance shape in miniature: 4 threads hammering one
         // contributor's WAL must ack every upload with fewer fsyncs than
         // uploads (group commit), and the data must be on disk.
-        let fsyncs = sensorsafe_core::obsv::global().counter(
-            "sensorsafe_store_wal_fsyncs_total",
-            "fsync calls issued by write-ahead logs.",
-            &[],
-        );
+        // Counted on this store's own journal (one fsync per batch):
+        // `sensorsafe_store_wal_fsyncs_total` is process-wide, and the
+        // tests beside this one fsync too.
         let workload = durable_workload(GroupCommitConfig::default(), 1);
-        let before = fsyncs.get();
+        let before = journal_batches(&workload);
         run_durable_uploads(&workload, 4, 8);
-        let spent = fsyncs.get() - before;
+        let spent = journal_batches(&workload) - before;
         assert!(spent > 0, "durable uploads must fsync");
         assert!(spent < 32, "no coalescing: {spent} fsyncs for 32 uploads");
+    }
+
+    fn journal_batches(workload: &DurableWorkload) -> u64 {
+        workload
+            .store
+            .journal_stats()
+            .expect("the default engine is the store-wide journal")
+            .batches
     }
 
     #[test]
@@ -672,6 +697,9 @@ mod tests {
         // coalescing from this shape (one fsync per upload), while the
         // store-wide journal batches strangers' uploads into shared
         // fsyncs. A restart replays the journal and must come back up.
+        // Per-account WALs keep no count of their own, so their side
+        // reads the process-wide counter: other tests can only add to a
+        // figure that is asserted from below.
         let fsyncs = sensorsafe_core::obsv::global().counter(
             "sensorsafe_store_wal_fsyncs_total",
             "fsync calls issued by write-ahead logs.",
@@ -704,9 +732,9 @@ mod tests {
             },
             contributors,
         );
-        let before = fsyncs.get();
+        let before = journal_batches(&journal_workload);
         run_many_account_uploads(&journal_workload, threads, 0, rounds);
-        let journal_spent = fsyncs.get() - before;
+        let journal_spent = journal_batches(&journal_workload) - before;
         assert!(journal_spent > 0, "durable uploads must fsync");
         assert!(
             journal_spent * 2 < total,

@@ -291,6 +291,17 @@ impl FleetPlane {
     pub(crate) fn health_of(&self, addr: &str) -> Option<StoreHealth> {
         self.stores.lock().get(addr).map(|s| s.machine.state)
     }
+
+    /// Addresses of the stores currently held Unreachable (usually
+    /// none), read under one lock.
+    pub(crate) fn unreachable_stores(&self) -> Vec<String> {
+        self.stores
+            .lock()
+            .iter()
+            .filter(|(_, s)| s.machine.state == StoreHealth::Unreachable)
+            .map(|(addr, _)| addr.clone())
+            .collect()
+    }
 }
 
 /// Series-key helpers: every retained series is namespaced by store

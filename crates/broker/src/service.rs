@@ -17,7 +17,7 @@ use parking_lot::RwLock;
 use sensorsafe_auth::{ApiKey, KeyRing, PasswordStore, Principal, Role, SessionManager};
 use sensorsafe_json::{json, Value};
 use sensorsafe_net::{Request, Response, Router, Service, Status, TcpTransport, Transport};
-use sensorsafe_obsv::{Registry, TraceRecorder};
+use sensorsafe_obsv::{Counter, Gauge, Histogram, Registry, TraceRecorder};
 use sensorsafe_policy::{ConsumerCtx, PrivacyRule, RuleIndex, SearchQuery};
 use sensorsafe_types::{
     ChannelId, ConsumerId, ContextKind, ContributorId, GroupId, RepeatTime, StoreAddr, StudyId,
@@ -69,6 +69,7 @@ pub(crate) struct Inner {
     pub(crate) passwords: PasswordStore,
     pub(crate) sessions: SessionManager,
     pub(crate) metrics: Registry,
+    pub(crate) mirror_metrics: MirrorMetrics,
     pub(crate) traces: Arc<TraceRecorder>,
     pub(crate) fleet: crate::fleet::FleetPlane,
     /// Completed failover promotions, oldest first (bounded ring; see
@@ -76,6 +77,65 @@ pub(crate) struct Inner {
     pub(crate) failovers:
         parking_lot::Mutex<std::collections::VecDeque<crate::failover::FailoverEvent>>,
     pub(crate) started: std::time::Instant,
+}
+
+/// The rule mirror's metric families, resolved once at construction so
+/// neither `/api/sync` (under the index write lock) nor `/api/search`
+/// looks a handle up by name. All of them are aggregates: the number of
+/// series does not grow with the mirrored population.
+pub(crate) struct MirrorMetrics {
+    syncs_accepted: Arc<Counter>,
+    syncs_stale: Arc<Counter>,
+    contributors: Arc<Gauge>,
+    /// Against `contributors`, how much of a search the per-list memo
+    /// saves: equal means no two contributors share a rule list.
+    distinct_lists: Arc<Gauge>,
+    epoch_max: Arc<Gauge>,
+    lists_evaluated: Arc<Histogram>,
+}
+
+impl MirrorMetrics {
+    /// Records one finished search by the rule lists it evaluated.
+    pub(crate) fn observe_search(&self, lists_evaluated: usize) {
+        self.lists_evaluated.observe_secs(lists_evaluated as f64);
+    }
+
+    fn resolve(registry: &Registry) -> MirrorMetrics {
+        let syncs = |result| {
+            registry.counter(
+                "sensorsafe_broker_rule_syncs_total",
+                "Rule-sync messages from data stores, by outcome.",
+                &[("result", result)],
+            )
+        };
+        MirrorMetrics {
+            syncs_accepted: syncs("accepted"),
+            syncs_stale: syncs("stale"),
+            contributors: registry.gauge(
+                "sensorsafe_broker_mirrored_contributors",
+                "Contributors whose privacy rules the broker mirrors.",
+                &[],
+            ),
+            distinct_lists: registry.gauge(
+                "sensorsafe_broker_distinct_rule_lists",
+                "Distinct rule lists among the mirrored contributors.",
+                &[],
+            ),
+            epoch_max: registry.gauge(
+                "sensorsafe_broker_rule_epoch_max",
+                "Highest rule epoch mirrored for any contributor.",
+                &[],
+            ),
+            lists_evaluated: registry.histogram(
+                "sensorsafe_broker_search_lists_evaluated",
+                "Rule lists evaluated per contributor search.",
+                &[],
+                Some(&[
+                    1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0,
+                ]),
+            ),
+        }
+    }
 }
 
 /// The broker service. Cheap to clone (shared state).
@@ -91,6 +151,15 @@ fn bad_request(msg: &str) -> Response {
 
 fn unauthorized() -> Response {
     Response::error(Status::Unauthorized, "invalid API key")
+}
+
+/// Appends `name` as the next item of the JSON string array being written
+/// at the end of `out` (empty, or ending in `[`, before the first item).
+fn push_name(out: &mut Vec<u8>, name: &str) {
+    if !matches!(out.last(), None | Some(b'[')) {
+        out.push(b',');
+    }
+    sensorsafe_json::write_str(out, name);
 }
 
 impl Inner {
@@ -286,7 +355,7 @@ impl Inner {
         let Some(rules_json) = body.get("rules") else {
             return bad_request("missing 'rules'");
         };
-        let rules = match PrivacyRule::parse_rules(&rules_json.to_string()) {
+        let rules = match PrivacyRule::rules_from_json(rules_json) {
             Ok(r) => r,
             Err(e) => return bad_request(&e.to_string()),
         };
@@ -296,36 +365,29 @@ impl Inner {
             self.registry
                 .upsert_contributor(ContributorId::new(contributor), StoreAddr::new(addr));
         }
-        let id = ContributorId::new(contributor);
+        let metrics = &self.mirror_metrics;
         let accepted = {
             let mut index = self.rules.write();
-            let accepted = index.sync(id.clone(), epoch, rules);
-            let mirrored = index.rules_of(&id).map(|(e, _)| e).unwrap_or(0);
-            self.metrics
-                .counter(
-                    "sensorsafe_broker_rule_syncs_total",
-                    "Rule-sync messages from data stores, by outcome.",
-                    &[("result", if accepted { "accepted" } else { "stale" })],
-                )
-                .inc();
-            self.metrics
-                .gauge(
-                    "sensorsafe_broker_rule_epoch",
-                    "Mirrored rule epoch per contributor.",
-                    &[("contributor", contributor)],
-                )
-                .set(mirrored as i64);
-            // 0 when the mirror just caught up; positive when a stale
-            // message arrived (how many epochs behind it was).
-            self.metrics
-                .gauge(
-                    "sensorsafe_broker_rule_sync_lag",
-                    "Mirrored epoch minus the epoch of the last sync message per contributor.",
-                    &[("contributor", contributor)],
-                )
-                .set(mirrored as i64 - epoch as i64);
+            let accepted = index.sync(ContributorId::new(contributor), epoch, rules);
+            if accepted {
+                // Set under the write lock, so the gauges never describe
+                // a mirror that was not.
+                metrics.contributors.set(index.len() as i64);
+                metrics
+                    .distinct_lists
+                    .set(index.distinct_rule_sets() as i64);
+                metrics
+                    .epoch_max
+                    .set(metrics.epoch_max.get().max(epoch as i64));
+            }
             accepted
         };
+        let outcome = if accepted {
+            &metrics.syncs_accepted
+        } else {
+            &metrics.syncs_stale
+        };
+        outcome.inc();
         Response::json(&json!({ "accepted": accepted }))
     }
 
@@ -442,32 +504,35 @@ impl Inner {
             Ok(q) => q,
             Err(e) => return bad_request(&e),
         };
-        // Snapshot under a brief read lock; the search itself (rule
-        // matching over every mirrored contributor) runs lock-free on
-        // copy-on-write `Arc`s, so concurrent syncs are never blocked.
         let _frame = sensorsafe_obsv::prof_frame!("broker-search");
-        let snapshot = self.rules.read().snapshot();
-        let hits = snapshot.search(&query);
-        // Annotate hits whose hosting store the fleet plane currently
-        // holds Unreachable: their data exists but cannot be fetched
-        // right now. The `contributors` list itself is untouched so
-        // existing clients keep working.
-        let unreachable: Vec<Value> = hits
-            .iter()
-            .filter(|c| {
-                self.registry
-                    .store_addr_of(c)
-                    .and_then(|addr| self.fleet.health_of(addr.as_str()))
-                    == Some(crate::fleet::StoreHealth::Unreachable)
-            })
-            .map(|c| Value::from(c.as_str()))
-            .collect();
-        Response::json(&json!({
-            "contributors": (Value::Array(
-                hits.iter().map(|c| Value::from(c.as_str())).collect()
-            )),
-            "unreachable": (Value::Array(unreachable)),
-        }))
+        // Hits whose hosting store the fleet plane currently holds
+        // Unreachable are listed a second time under `unreachable`: their
+        // data exists but cannot be fetched right now. The plane is read
+        // once; while every store is reachable no hit touches the registry.
+        let down = self.fleet.unreachable_stores();
+        // The body is written as the walk finds hits — the bytes the tree
+        // `json!({"contributors": [..], "unreachable": [..]})` serialized
+        // to. The index read lock covers the walk only (a memo lookup per
+        // contributor, an evaluation per distinct rule list); the
+        // registry's contributor map is taken inside it, as a leaf.
+        let mut body = b"{\"contributors\":[".to_vec();
+        let mut unreachable = Vec::new();
+        let evaluated = self.rules.read().search_each(&query, |hit| {
+            push_name(&mut body, hit.as_str());
+            if !down.is_empty()
+                && self
+                    .registry
+                    .store_addr_of(hit)
+                    .is_some_and(|addr| down.iter().any(|d| d == addr.as_str()))
+            {
+                push_name(&mut unreachable, hit.as_str());
+            }
+        });
+        self.mirror_metrics.observe_search(evaluated);
+        body.extend_from_slice(b"],\"unreachable\":[");
+        body.extend_from_slice(&unreachable);
+        body.extend_from_slice(b"]}");
+        Response::json_bytes(body)
     }
 
     /// Auto-registers `consumer` at `contributor`'s store and escrows the
@@ -616,6 +681,7 @@ impl BrokerService {
             config.slow_request_threshold,
         ));
         let fleet = crate::fleet::FleetPlane::new(config.fleet.clone());
+        let metrics = Registry::new();
         let inner = Arc::new(Inner {
             config,
             fleet,
@@ -624,7 +690,8 @@ impl BrokerService {
             keys: KeyRing::new(),
             passwords: PasswordStore::new(),
             sessions: SessionManager::new(),
-            metrics: Registry::new(),
+            mirror_metrics: MirrorMetrics::resolve(&metrics),
+            metrics,
             traces,
             failovers: parking_lot::Mutex::new(std::collections::VecDeque::new()),
             started: std::time::Instant::now(),
@@ -860,12 +927,16 @@ mod tests {
     }
 
     fn sync_rules(rig: &Rig, contributor: &str, epoch: u64, rules: Value) {
+        sync_rules_at(rig, contributor, "store-1", epoch, rules);
+    }
+
+    fn sync_rules_at(rig: &Rig, contributor: &str, store_addr: &str, epoch: u64, rules: Value) {
         let resp = rig.broker.handle(&Request::post_json(
             "/api/sync",
             &json!({
                 "key": (rig.store_key.clone()),
                 "contributor": contributor,
-                "store_addr": "store-1",
+                "store_addr": store_addr,
                 "epoch": epoch,
                 "rules": (rules),
             }),
@@ -1170,16 +1241,21 @@ mod tests {
         }
     }
 
-    /// A rig whose store can be taken down, with fast fleet thresholds.
+    /// A rig whose store (`store-1`) can be taken down, with fast fleet
+    /// thresholds. A store paired under any other address stays up.
     fn flaky_rig() -> (Rig, Arc<std::sync::atomic::AtomicBool>) {
         let (store, store_admin) = DataStoreService::new(DataStoreConfig::default());
         let down = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let store_for_factory = store.clone();
         let down_for_factory = down.clone();
-        let transports: TransportFactory = Arc::new(move |_addr: &str| {
+        let transports: TransportFactory = Arc::new(move |addr: &str| {
             Arc::new(FlakyTransport {
                 inner: LocalTransport::new(Arc::new(store_for_factory.clone())),
-                down: down_for_factory.clone(),
+                down: if addr == "store-1" {
+                    down_for_factory.clone()
+                } else {
+                    Default::default()
+                },
             }) as Arc<dyn Transport>
         });
         let (broker, broker_admin) = BrokerService::new(BrokerConfig {
@@ -1411,6 +1487,193 @@ mod tests {
             Some("degraded")
         );
         assert_eq!(body["stores"][0]["failures"].as_u64(), Some(0));
+    }
+
+    /// What `/api/search` answered before it streamed: the `json!` tree,
+    /// serialized.
+    fn tree_body(contributors: &[&str], unreachable: &[&str]) -> Vec<u8> {
+        let names = |names: &[&str]| Value::Array(names.iter().map(|n| Value::from(*n)).collect());
+        sensorsafe_json::to_vec(&json!({
+            "contributors": (names(contributors)),
+            "unreachable": (names(unreachable)),
+        }))
+    }
+
+    fn search_body(rig: &Rig, consumer_key: &str) -> Vec<u8> {
+        let resp = rig.broker.handle(&Request::post_json(
+            "/api/search",
+            &json!({"key": consumer_key, "query": {"channels": ["ecg"]}}),
+        ));
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.headers["content-type"], "application/json");
+        resp.body
+    }
+
+    #[test]
+    fn streamed_search_body_is_the_tree_byte_for_byte() {
+        let rig = rig();
+        let bob = register_consumer(&rig, "bob");
+        // Nothing mirrored, then nothing matching.
+        assert_eq!(search_body(&rig, &bob), tree_body(&[], &[]));
+        sync_rules(&rig, "nobody", 1, json!([]));
+        assert_eq!(search_body(&rig, &bob), tree_body(&[], &[]));
+        // One hit (no separator), then names the writer has to escape:
+        // quote, backslash, controls, and multi-byte UTF-8 passed through.
+        sync_rules(&rig, "alice", 1, json!([{"Action": "Allow"}]));
+        assert_eq!(search_body(&rig, &bob), tree_body(&["alice"], &[]));
+        let awkward = [
+            "bell\u{7}",
+            "back\\slash",
+            "line\nbreak",
+            "quo\"te",
+            "tab\there",
+            "zoë-日本",
+        ];
+        for name in awkward {
+            sync_rules(&rig, name, 1, json!([{"Action": "Allow"}]));
+        }
+        let mut names = vec!["alice"];
+        names.extend(awkward);
+        names.sort_unstable();
+        let body = search_body(&rig, &bob);
+        assert_eq!(body, tree_body(&names, &[]));
+        assert_eq!(
+            sensorsafe_json::parse(std::str::from_utf8(&body).unwrap()).unwrap()["contributors"]
+                .as_string_list()
+                .unwrap(),
+            names
+        );
+    }
+
+    #[test]
+    fn streamed_search_body_lists_unreachable_hits_like_the_tree() {
+        // Two stores, of which `store-1` can be taken down.
+        let (rig, down) = flaky_rig();
+        let resp = rig.broker.handle(&Request::post_json(
+            "/api/stores/register",
+            &json!({
+                "key": (rig.broker_admin.clone()),
+                "addr": "store-2",
+                "register_key": (rig.store_admin.clone()),
+            }),
+        ));
+        assert_eq!(resp.status, Status::Created);
+        let bob = register_consumer(&rig, "bob");
+        for (name, addr, rules) in [
+            ("alice", "store-2", json!([{"Action": "Allow"}])),
+            ("b\\ob", "store-1", json!([{"Action": "Allow"}])),
+            ("carol", "store-1", json!([{"Action": "Allow"}])),
+            ("d\"ave", "store-2", json!([{"Action": "Allow"}])),
+            // On the dead store, but shares nothing: not a hit.
+            ("erin", "store-1", json!([{"Action": "Deny"}])),
+        ] {
+            sync_rules_at(&rig, name, addr, 1, rules);
+        }
+        let hits = ["alice", "b\\ob", "carol", "d\"ave"];
+        rig.broker.fleet_sweep_now();
+        assert_eq!(search_body(&rig, &bob), tree_body(&hits, &[]));
+        // unreachable_after = 2.
+        down.store(true, std::sync::atomic::Ordering::SeqCst);
+        rig.broker.fleet_sweep_now();
+        rig.broker.fleet_sweep_now();
+        assert_eq!(
+            search_body(&rig, &bob),
+            tree_body(&hits, &["b\\ob", "carol"])
+        );
+        down.store(false, std::sync::atomic::Ordering::SeqCst);
+        rig.broker.fleet_sweep_now();
+        assert_eq!(search_body(&rig, &bob), tree_body(&hits, &[]));
+    }
+
+    #[test]
+    fn sync_takes_an_array_or_one_rule_and_rejects_the_rest() {
+        let rig = rig();
+        let sync = |rules: Value| {
+            rig.broker.handle(&Request::post_json(
+                "/api/sync",
+                &json!({
+                    "key": (rig.store_key.clone()),
+                    "contributor": "alice",
+                    "store_addr": "store-1",
+                    "epoch": 1,
+                    "rules": rules,
+                }),
+            ))
+        };
+        for (bad, why) in [
+            (
+                json!([{"Action": "Allow"}, 7]),
+                "rule must be a JSON object",
+            ),
+            (
+                json!("[{'Action': 'Allow'}]"),
+                "rule document must be an object or array",
+            ),
+            (json!(7), "rule document must be an object or array"),
+            (
+                json!([{"Action": "Allow", "Sensr": ["ecg"]}]),
+                "unknown rule key 'Sensr'",
+            ),
+        ] {
+            let resp = sync(bad.clone());
+            assert_eq!(resp.status, Status::BadRequest, "{bad}");
+            let body = String::from_utf8(resp.body).unwrap();
+            assert!(body.contains(why), "{bad}: {body}");
+        }
+        // Nothing malformed reached the mirror; a single rule object is a
+        // one-rule list.
+        let bob = register_consumer(&rig, "bob");
+        assert_eq!(search_body(&rig, &bob), tree_body(&[], &[]));
+        let resp = sync(json!({"Action": "Allow"}));
+        assert_eq!(resp.json_body().unwrap()["accepted"].as_bool(), Some(true));
+        assert_eq!(search_body(&rig, &bob), tree_body(&["alice"], &[]));
+    }
+
+    #[test]
+    fn mirror_telemetry_is_aggregate_not_per_contributor() {
+        let rig = rig();
+        let bob = register_consumer(&rig, "bob");
+        let mirror = |population: usize, epoch: u64| {
+            for i in 0..population {
+                // Three lists over the whole population.
+                let rules = match i % 3 {
+                    0 => json!([{"Action": "Allow"}]),
+                    1 => json!([{"Action": "Allow"}, {"Sensor": ["ecg"], "Action": "Deny"}]),
+                    _ => json!([]),
+                };
+                sync_rules(&rig, &format!("c{i:03}"), epoch, rules);
+            }
+        };
+        mirror(9, 4);
+        search_body(&rig, &bob);
+        let small = rig.broker.registry().encode();
+        for line in [
+            "sensorsafe_broker_mirrored_contributors 9",
+            "sensorsafe_broker_distinct_rule_lists 3",
+            "sensorsafe_broker_rule_epoch_max 4",
+            "sensorsafe_broker_rule_syncs_total{result=\"accepted\"} 9",
+            "sensorsafe_broker_rule_syncs_total{result=\"stale\"} 0",
+            "sensorsafe_broker_search_lists_evaluated_count 1",
+            "sensorsafe_broker_search_lists_evaluated_sum 3",
+        ] {
+            assert!(small.lines().any(|l| l == line), "{line}: {small}");
+        }
+        // Thirty times the population, one stale push: same series.
+        mirror(270, 7);
+        sync_rules(&rig, "c000", 2, json!([]));
+        search_body(&rig, &bob);
+        let large = rig.broker.registry().encode();
+        assert_eq!(small.lines().count(), large.lines().count(), "{large}");
+        assert!(!large.contains("contributor="), "{large}");
+        for line in [
+            "sensorsafe_broker_mirrored_contributors 270",
+            "sensorsafe_broker_distinct_rule_lists 3",
+            "sensorsafe_broker_rule_epoch_max 7",
+            "sensorsafe_broker_rule_syncs_total{result=\"stale\"} 1",
+            "sensorsafe_broker_search_lists_evaluated_sum 6",
+        ] {
+            assert!(large.lines().any(|l| l == line), "{line}: {large}");
+        }
     }
 
     #[test]

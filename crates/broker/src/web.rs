@@ -182,17 +182,16 @@ fn handle_search_post(inner: &Inner, req: &Request) -> Response {
         .iter()
         .filter_map(|c| ContextKind::parse(c))
         .collect();
-    let hits = inner.rules.read().snapshot().search(&query);
-    let items: String = hits
-        .iter()
-        .map(|c| format!("<li>{}</li>", escape(c.as_str())))
-        .collect();
+    let mut items = String::new();
+    let mut hits = 0;
+    let evaluated = inner.rules.read().search_each(&query, |hit| {
+        hits += 1;
+        items.push_str(&format!("<li>{}</li>", escape(hit.as_str())));
+    });
+    inner.mirror_metrics.observe_search(evaluated);
     page(
         "Search Results",
-        &format!(
-            "<p>{} contributor(s) share enough data.</p><ol id=\"results\">{items}</ol>",
-            hits.len()
-        ),
+        &format!("<p>{hits} contributor(s) share enough data.</p><ol id=\"results\">{items}</ol>"),
     )
 }
 

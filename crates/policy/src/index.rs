@@ -11,21 +11,41 @@
 //! "finding data contributors who share ECG and respiration sensor data
 //! at the location labeled 'work' from 9am to 6pm on weekdays".
 //!
-//! Search evaluates each contributor's rule set against *representative
-//! probe windows* drawn from the query (one per requested weekday, at the
-//! midpoint of the daily window, with the required contexts active). A
-//! contributor matches when every probe window yields a decision that
-//! shares every required channel raw and meets every required context
-//! level.
+//! # What a search evaluates
+//!
+//! A rule list is evaluated against *representative probe windows* drawn
+//! from the query (one per requested weekday, at the midpoint of the
+//! daily window, with the required contexts active). It matches when
+//! every probe window yields a decision that shares every required
+//! channel raw and meets every required context level. The probe windows
+//! are the query's **plan**: built once per search, not once per
+//! contributor.
+//!
+//! # What a search costs
+//!
+//! Whether a contributor matches depends only on the query and on their
+//! rule list, and contributors whose lists come from the same template (a
+//! study's participants, an organisation's default) mirror *identical*
+//! lists. So the mirror **interns** lists: a contributor's entry is an
+//! epoch and a slot in a slab of distinct lists, each with a member
+//! count, and a search is one name-ordered walk over the entries with a
+//! per-slot memo — every distinct list is evaluated at most once per
+//! query, through the same reference [`evaluate`] enforcement is tested
+//! against. A search therefore costs `distinct lists × probes`
+//! evaluations plus one memo lookup per contributor; when no two
+//! contributors share a list the memo gives nothing and the cost is the
+//! per-list evaluation the plan already made cheaper. List identity is
+//! `==` on the parsed rules; a hash only picks where to look.
 
 use crate::abstraction::{ActivityAbs, BinaryAbs};
 use crate::deps::DependencyGraph;
-use crate::eval::{evaluate, ConsumerCtx, WindowCtx};
-use crate::rule::PrivacyRule;
+use crate::eval::{evaluate, ConsumerCtx, Decision, WindowCtx};
+use crate::rule::{Action, PrivacyRule};
 use sensorsafe_types::{
     ChannelId, ContextKind, ContextState, ContributorId, RepeatTime, TimeRange, Timestamp, Weekday,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A contributor-search query.
@@ -102,20 +122,30 @@ impl SearchQuery {
         probes
     }
 
-    fn probe_window(&self, instant: Timestamp) -> WindowCtx {
-        WindowCtx {
-            time: instant,
-            location: None,
-            location_labels: self.location_labels.clone(),
-            contexts: self
-                .active_contexts
-                .iter()
-                .map(|k| ContextState::on(*k))
+    /// Everything about the query that does not depend on the rule list
+    /// under evaluation, built once per search.
+    fn plan(&self) -> SearchPlan<'_> {
+        let contexts: Vec<ContextState> = self
+            .active_contexts
+            .iter()
+            .map(|k| ContextState::on(*k))
+            .collect();
+        SearchPlan {
+            query: self,
+            windows: self
+                .probe_instants()
+                .into_iter()
+                .map(|time| WindowCtx {
+                    time,
+                    location: None,
+                    location_labels: self.location_labels.clone(),
+                    contexts: contexts.clone(),
+                })
                 .collect(),
         }
     }
 
-    fn context_level_ok(&self, decision: &crate::eval::Decision) -> bool {
+    fn context_level_ok(&self, decision: &Decision) -> bool {
         self.label_contexts.iter().all(|k| match k {
             ContextKind::Stress => decision.stress != BinaryAbs::NotShared,
             ContextKind::Smoking => decision.smoking != BinaryAbs::NotShared,
@@ -129,34 +159,108 @@ impl SearchQuery {
         })
     }
 
-    /// Whether one contributor's rule set satisfies the query.
+    /// Whether one rule list satisfies the query.
     pub fn matches(&self, rules: &[PrivacyRule], graph: &DependencyGraph) -> bool {
-        // Channels whose decisions matter: the required raw channels plus
-        // the sources of required contexts (their suppression is fine —
-        // labels survive — but they must not be *denied*).
-        let channels: Vec<ChannelId> = self.raw_channels.clone();
-        self.probe_instants().iter().all(|instant| {
-            let window = self.probe_window(*instant);
-            let decision = evaluate(rules, &self.consumer, &window, &channels, graph);
-            let raw_ok = self
+        self.plan().matches(rules, graph)
+    }
+}
+
+/// A query's probe windows (see [`SearchQuery::plan`]).
+struct SearchPlan<'q> {
+    query: &'q SearchQuery,
+    windows: Vec<WindowCtx>,
+}
+
+impl SearchPlan<'_> {
+    fn matches(&self, rules: &[PrivacyRule], graph: &DependencyGraph) -> bool {
+        let query = self.query;
+        // Only the required raw channels are decided: the sources of
+        // required contexts may be suppressed (labels survive).
+        self.windows.iter().all(|window| {
+            let decision = evaluate(rules, &query.consumer, window, &query.raw_channels, graph);
+            let raw_ok = query
                 .raw_channels
                 .iter()
-                .all(|c| decision.raw_channels().any(|r| r == c));
-            raw_ok && self.context_level_ok(&decision)
+                .all(|c| decision.allowed.contains(c) && !decision.suppressed.contains(c));
+            raw_ok && query.context_level_ok(&decision)
         })
     }
 }
 
-/// The broker's mirror of every contributor's privacy rules.
-///
-/// Rule lists are stored behind `Arc` (copy-on-write: `sync` replaces the
-/// whole `Arc`, never mutates in place), so [`RuleIndex::snapshot`] can
-/// hand searches a cheap immutable view — the broker holds its `RwLock`
-/// only long enough to clone the `Arc`s, and the O(contributors × probes)
-/// evaluation runs entirely outside the lock, concurrent with syncs.
-#[derive(Debug, Default)]
+/// One mirrored contributor: the epoch of their last accepted sync and
+/// the slot of their rule list in [`RuleIndex::lists`].
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    epoch: u64,
+    slot: u32,
+}
+
+/// One distinct rule list and the number of contributors mirroring it.
+/// `members == 0` marks a free slot (its rules are dropped).
+#[derive(Debug, Clone)]
+struct RuleList {
+    rules: Vec<PrivacyRule>,
+    members: usize,
+}
+
+/// Where to look for a list equal to `rules`. Equal lists hash equally
+/// (every hashed field is one `PartialEq` compares, and `-0.0 == 0.0` is
+/// folded); unequal lists may collide, which [`RuleIndex::intern`]
+/// settles by comparing the rules themselves.
+fn bucket_of(rules: &[PrivacyRule]) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    rules.len().hash(&mut h);
+    for rule in rules {
+        let c = &rule.conditions;
+        c.consumers.hash(&mut h);
+        c.sensors.hash(&mut h);
+        c.contexts.hash(&mut h);
+        if let Some(location) = &c.location {
+            location.labels.hash(&mut h);
+            location.regions.len().hash(&mut h);
+            for r in &location.regions {
+                for edge in [r.south, r.north, r.west, r.east] {
+                    (edge + 0.0).to_bits().hash(&mut h);
+                }
+            }
+        }
+        if let Some(time) = &c.time {
+            time.ranges.hash(&mut h);
+            time.repeats.len().hash(&mut h);
+            for repeat in &time.repeats {
+                repeat.days.hash(&mut h);
+                repeat.from.hash(&mut h);
+                repeat.to.hash(&mut h);
+            }
+        }
+        match &rule.action {
+            Action::Allow => 0u8.hash(&mut h),
+            Action::Deny => 1u8.hash(&mut h),
+            Action::Abstraction(spec) => {
+                2u8.hash(&mut h);
+                spec.location.hash(&mut h);
+                spec.time.hash(&mut h);
+                spec.activity.hash(&mut h);
+                spec.stress.hash(&mut h);
+                spec.smoking.hash(&mut h);
+                spec.conversation.hash(&mut h);
+            }
+        }
+    }
+    h.finish()
+}
+
+/// The broker's mirror of every contributor's privacy rules, with rule
+/// lists interned (module docs, "What a search costs").
+#[derive(Debug, Clone, Default)]
 pub struct RuleIndex {
-    entries: BTreeMap<ContributorId, (u64, Arc<Vec<PrivacyRule>>)>,
+    entries: BTreeMap<ContributorId, Entry>,
+    /// Slab of distinct lists; `Entry::slot` indexes it.
+    lists: Vec<RuleList>,
+    /// Free slots of `lists`, reused before the slab grows.
+    free: Vec<u32>,
+    /// `(bucket_of(list), slot)` of every live list.
+    by_bucket: BTreeSet<(u64, u32)>,
     graph: Arc<DependencyGraph>,
 }
 
@@ -164,8 +268,47 @@ impl RuleIndex {
     /// An empty index using the paper's dependency graph.
     pub fn new() -> RuleIndex {
         RuleIndex {
-            entries: BTreeMap::new(),
             graph: Arc::new(DependencyGraph::paper()),
+            ..RuleIndex::default()
+        }
+    }
+
+    /// The slot of the list equal to `rules`, with one more member;
+    /// allocated if no contributor mirrors such a list yet.
+    fn intern(&mut self, rules: Vec<PrivacyRule>) -> u32 {
+        let bucket = bucket_of(&rules);
+        let same_bucket = self.by_bucket.range((bucket, 0)..=(bucket, u32::MAX));
+        for &(_, slot) in same_bucket {
+            let list = &mut self.lists[slot as usize];
+            if list.rules == rules {
+                list.members += 1;
+                return slot;
+            }
+        }
+        let list = RuleList { rules, members: 1 };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.lists[slot as usize] = list;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.lists.len()).expect("fewer than 2^32 rule lists");
+                self.lists.push(list);
+                slot
+            }
+        };
+        self.by_bucket.insert((bucket, slot));
+        slot
+    }
+
+    /// Drops one member of `slot`, freeing the list with its last one.
+    fn release(&mut self, slot: u32) {
+        let list = &mut self.lists[slot as usize];
+        list.members -= 1;
+        if list.members == 0 {
+            let rules = std::mem::take(&mut list.rules);
+            self.by_bucket.remove(&(bucket_of(&rules), slot));
+            self.free.push(slot);
         }
     }
 
@@ -178,30 +321,39 @@ impl RuleIndex {
         epoch: u64,
         rules: Vec<PrivacyRule>,
     ) -> bool {
-        match self.entries.get(&contributor) {
-            Some((current, _)) if *current >= epoch => false,
-            _ => {
-                self.entries.insert(contributor, (epoch, Arc::new(rules)));
-                true
-            }
+        if matches!(self.entries.get(&contributor), Some(current) if current.epoch >= epoch) {
+            return false;
         }
+        // Intern before releasing, so re-syncing an unchanged list never
+        // frees and re-allocates it.
+        let slot = self.intern(rules);
+        if let Some(old) = self.entries.insert(contributor, Entry { epoch, slot }) {
+            self.release(old.slot);
+        }
+        true
     }
 
     /// Removes a contributor (account deletion).
     pub fn remove(&mut self, contributor: &ContributorId) -> bool {
-        self.entries.remove(contributor).is_some()
+        match self.entries.remove(contributor) {
+            Some(entry) => {
+                self.release(entry.slot);
+                true
+            }
+            None => false,
+        }
     }
 
     /// The mirrored rules of one contributor.
     pub fn rules_of(&self, contributor: &ContributorId) -> Option<(u64, &[PrivacyRule])> {
         self.entries
             .get(contributor)
-            .map(|(e, r)| (*e, r.as_slice()))
+            .map(|e| (e.epoch, self.lists[e.slot as usize].rules.as_slice()))
     }
 
     /// Mirrored `(contributor, epoch)` pairs, in name order.
     pub fn epochs(&self) -> impl Iterator<Item = (&ContributorId, u64)> {
-        self.entries.iter().map(|(c, (e, _))| (c, *e))
+        self.entries.iter().map(|(c, e)| (c, e.epoch))
     }
 
     /// Number of mirrored contributors.
@@ -214,59 +366,74 @@ impl RuleIndex {
         self.entries.is_empty()
     }
 
-    /// An immutable view of the current mirror: O(contributors) `Arc`
-    /// clones, no rule data copied. Searches over the snapshot see the
-    /// rule lists as of this instant, regardless of concurrent syncs.
+    /// Number of distinct rule lists mirrored — the most a search
+    /// evaluates; `len()` when no two contributors share a list.
+    pub fn distinct_rule_sets(&self) -> usize {
+        self.lists.len() - self.free.len()
+    }
+
+    /// A detached copy of the mirror as of this instant (O(contributors);
+    /// searches need none — they walk the index itself).
     pub fn snapshot(&self) -> RuleSnapshot {
-        RuleSnapshot {
-            entries: self
-                .entries
-                .iter()
-                .map(|(c, (_, rules))| (c.clone(), Arc::clone(rules)))
-                .collect(),
-            graph: Arc::clone(&self.graph),
+        RuleSnapshot(self.clone())
+    }
+
+    /// Hands every contributor whose rule list satisfies `query` to
+    /// `hit`, in name order, and returns how many rule lists it had to
+    /// evaluate: each distinct list at most once, and only lists some
+    /// contributor mirrors.
+    pub fn search_each(&self, query: &SearchQuery, mut hit: impl FnMut(&ContributorId)) -> usize {
+        let plan = query.plan();
+        // Verdict per slot, filled on first use. Local to the query, so
+        // a slot freed and reused between queries starts unknown.
+        let mut memo: Vec<Option<bool>> = vec![None; self.lists.len()];
+        let mut evaluated = 0;
+        for (contributor, entry) in &self.entries {
+            let slot = entry.slot as usize;
+            let matched = *memo[slot].get_or_insert_with(|| {
+                evaluated += 1;
+                plan.matches(&self.lists[slot].rules, &self.graph)
+            });
+            if matched {
+                hit(contributor);
+            }
         }
+        evaluated
     }
 
-    /// All contributors whose rule sets satisfy `query`, in name order.
+    /// All contributors whose rule lists satisfy `query`, in name order.
     pub fn search(&self, query: &SearchQuery) -> Vec<ContributorId> {
-        self.entries
-            .iter()
-            .filter(|(_, (_, rules))| query.matches(rules, &self.graph))
-            .map(|(id, _)| id.clone())
-            .collect()
+        let mut hits = Vec::new();
+        self.search_each(query, |contributor| hits.push(contributor.clone()));
+        hits
     }
 }
 
-/// A point-in-time view of the rule mirror, detached from the index's
-/// lock. Produced by [`RuleIndex::snapshot`].
+/// A point-in-time copy of the rule mirror, detached from the index's
+/// lock. Produced by [`RuleIndex::snapshot`]; searches it as the index
+/// searches itself.
 #[derive(Debug, Clone)]
-pub struct RuleSnapshot {
-    entries: Vec<(ContributorId, Arc<Vec<PrivacyRule>>)>,
-    graph: Arc<DependencyGraph>,
-}
+pub struct RuleSnapshot(RuleIndex);
 
 impl RuleSnapshot {
     /// Number of mirrored contributors in the snapshot.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.0.len()
     }
 
     /// True if the snapshot mirrors no contributors.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.0.is_empty()
     }
 
-    /// All contributors whose rule sets satisfy `query`, in name order
-    /// (entries inherit the index's `BTreeMap` ordering).
+    /// All contributors whose rule lists satisfy `query`, in name order.
     pub fn search(&self, query: &SearchQuery) -> Vec<ContributorId> {
-        self.entries
-            .iter()
-            .filter(|(_, rules)| query.matches(rules, &self.graph))
-            .map(|(id, _)| id.clone())
-            .collect()
+        self.0.search(query)
     }
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {

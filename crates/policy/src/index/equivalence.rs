@@ -1,0 +1,510 @@
+//! The interned, memoised search against the walk it replaced.
+//!
+//! [`reference_search`] is the per-contributor walk `RuleIndex::search`
+//! was before lists were interned — probe windows rebuilt for every
+//! contributor, [`evaluate`] per probe — over a plain model of the mirror.
+//! The proptest drives an index and that model through the same random
+//! syncs and removals and requires the same hits in the same order after
+//! every step, over populations that share lists and populations that do
+//! not, plus the slab's bookkeeping invariants.
+
+use super::*;
+use crate::rule::{
+    AbstractionSpec, Conditions, ConsumerSelector, LocationCondition, TimeCondition,
+};
+use crate::{LocationAbs, TimeAbs};
+use proptest::prelude::*;
+use sensorsafe_types::{ConsumerId, GeoPoint, GroupId, Region, StudyId, TimeOfDay};
+
+/// The mirror as a store would describe it: name → (epoch, rules).
+type Model = BTreeMap<ContributorId, (u64, Vec<PrivacyRule>)>;
+
+fn reference_matches(query: &SearchQuery, rules: &[PrivacyRule], graph: &DependencyGraph) -> bool {
+    let channels: Vec<ChannelId> = query.raw_channels.clone();
+    query.probe_instants().iter().all(|instant| {
+        let window = WindowCtx {
+            time: *instant,
+            location: None,
+            location_labels: query.location_labels.clone(),
+            contexts: query
+                .active_contexts
+                .iter()
+                .map(|k| ContextState::on(*k))
+                .collect(),
+        };
+        let decision = evaluate(rules, &query.consumer, &window, &channels, graph);
+        let raw_ok = query
+            .raw_channels
+            .iter()
+            .all(|c| decision.raw_channels().any(|r| r == c));
+        raw_ok && query.context_level_ok(&decision)
+    })
+}
+
+fn reference_search(model: &Model, query: &SearchQuery) -> Vec<ContributorId> {
+    let graph = DependencyGraph::paper();
+    model
+        .iter()
+        .filter(|(_, (_, rules))| reference_matches(query, rules, &graph))
+        .map(|(id, _)| id.clone())
+        .collect()
+}
+
+/// Everything the slab must keep true, checked against the model.
+fn check_invariants(index: &RuleIndex, model: &Model) {
+    assert_eq!(index.len(), model.len());
+    assert_eq!(index.is_empty(), model.is_empty());
+    let live: Vec<(usize, &RuleList)> = index
+        .lists
+        .iter()
+        .enumerate()
+        .filter(|(_, list)| list.members > 0)
+        .collect();
+    assert_eq!(live.len(), index.distinct_rule_sets());
+    assert_eq!(live.len() + index.free.len(), index.lists.len());
+    assert!(index.distinct_rule_sets() <= index.len());
+    assert_eq!(
+        live.iter().map(|(_, list)| list.members).sum::<usize>(),
+        index.len(),
+        "every contributor is a member of exactly one list"
+    );
+    for slot in &index.free {
+        assert_eq!(index.lists[*slot as usize].members, 0);
+        assert!(index.lists[*slot as usize].rules.is_empty());
+    }
+    let buckets: BTreeSet<(u64, u32)> = live
+        .iter()
+        .map(|(slot, list)| (bucket_of(&list.rules), *slot as u32))
+        .collect();
+    assert_eq!(buckets, index.by_bucket);
+    // Interning is exact: as many live lists as the model has distinct
+    // ones, and every member count is the model's.
+    let mut distinct: Vec<(&Vec<PrivacyRule>, usize)> = Vec::new();
+    for (_, rules) in model.values() {
+        match distinct.iter_mut().find(|(seen, _)| *seen == rules) {
+            Some((_, members)) => *members += 1,
+            None => distinct.push((rules, 1)),
+        }
+    }
+    assert_eq!(distinct.len(), live.len());
+    for (rules, members) in distinct {
+        let (_, list) = live
+            .iter()
+            .find(|(_, list)| &list.rules == rules)
+            .expect("every mirrored list is interned");
+        assert_eq!(list.members, members);
+    }
+    for (id, (epoch, rules)) in model {
+        assert_eq!(index.rules_of(id), Some((*epoch, rules.as_slice())));
+    }
+    assert!(index
+        .epochs()
+        .map(|(id, epoch)| (id.clone(), epoch))
+        .eq(model.iter().map(|(id, (epoch, _))| (id.clone(), *epoch))));
+}
+
+fn check_searches(index: &RuleIndex, model: &Model, queries: &[SearchQuery]) {
+    for query in queries {
+        let expected = reference_search(model, query);
+        let mut hits = Vec::new();
+        let evaluated = index.search_each(query, |id| hits.push(id.clone()));
+        assert_eq!(hits, expected, "{query:?}");
+        assert!(evaluated <= index.distinct_rule_sets());
+        assert_eq!(index.search(query), expected);
+        assert_eq!(index.snapshot().search(query), expected);
+    }
+}
+
+// Small vocabularies, so that rules, queries and each other's lists meet.
+const CHANNELS: [&str; 4] = ["ecg", "respiration", "accel_mag", "audio_energy"];
+const LABELS: [&str; 3] = ["work", "home", "UCLA"];
+const WEEK_MS: i64 = 7 * 86_400_000;
+
+fn week_start() -> i64 {
+    reference_week_start().millis()
+}
+
+fn arb_subset<T: Clone + std::fmt::Debug + 'static>(
+    of: &[T],
+    at_most: usize,
+) -> impl Strategy<Value = Vec<T>> {
+    prop::collection::vec(prop::sample::select(of.to_vec()), 0..=at_most)
+}
+
+fn arb_time_of_day() -> impl Strategy<Value = TimeOfDay> {
+    (0u8..24, prop::sample::select(vec![0u8, 30])).prop_map(|(h, m)| TimeOfDay::new(h, m))
+}
+
+fn arb_repeat() -> impl Strategy<Value = RepeatTime> {
+    (
+        arb_subset(&Weekday::ALL, 4),
+        arb_time_of_day(),
+        arb_time_of_day(),
+    )
+        .prop_map(|(days, from, to)| RepeatTime::new(days, from, to))
+}
+
+/// Ranges around the reference week the probes fall in, a few weeks
+/// either side, an hour to three weeks long.
+fn arb_range() -> impl Strategy<Value = TimeRange> {
+    (-3 * WEEK_MS..3 * WEEK_MS, 3_600_000..3 * WEEK_MS).prop_map(|(offset, length)| {
+        let start = week_start() + offset;
+        TimeRange::new(
+            Timestamp::from_millis(start),
+            Timestamp::from_millis(start + length),
+        )
+    })
+}
+
+fn arb_action() -> impl Strategy<Value = Action> {
+    let binary = || {
+        prop::option::of(prop::sample::select(vec![
+            BinaryAbs::Raw,
+            BinaryAbs::Label,
+            BinaryAbs::NotShared,
+        ]))
+    };
+    let abstraction = (
+        prop::option::of(prop::sample::select(vec![
+            LocationAbs::Coordinates,
+            LocationAbs::City,
+            LocationAbs::NotShared,
+        ])),
+        prop::option::of(prop::sample::select(vec![
+            TimeAbs::Hour,
+            TimeAbs::NotShared,
+        ])),
+        prop::option::of(prop::sample::select(vec![
+            ActivityAbs::Raw,
+            ActivityAbs::TransportMode,
+            ActivityAbs::MoveNotMove,
+            ActivityAbs::NotShared,
+        ])),
+        binary(),
+        binary(),
+        binary(),
+    )
+        .prop_filter_map(
+            "abstraction must set a level",
+            |(location, time, activity, stress, smoking, conversation)| {
+                let spec = AbstractionSpec {
+                    location,
+                    time,
+                    activity,
+                    stress,
+                    smoking,
+                    conversation,
+                };
+                (!spec.is_empty()).then_some(Action::Abstraction(spec))
+            },
+        );
+    // Allow twice: a list with no matching Allow shares nothing, and
+    // hit lists that are always empty would prove little.
+    prop_oneof![
+        Just(Action::Allow),
+        Just(Action::Allow),
+        Just(Action::Deny),
+        abstraction
+    ]
+}
+
+fn arb_conditions() -> impl Strategy<Value = Conditions> {
+    let consumers = arb_subset(
+        &[
+            ConsumerSelector::User(ConsumerId::new("bob")),
+            ConsumerSelector::User(ConsumerId::new("eve")),
+            ConsumerSelector::Group(GroupId::new("researchers")),
+            ConsumerSelector::Study(StudyId::new("stress-study")),
+        ],
+        2,
+    );
+    let location = (
+        arb_subset(&LABELS.map(String::from), 2),
+        arb_subset(
+            &[
+                Region::around(GeoPoint::ucla(), 0.05),
+                Region::around(GeoPoint::new(40.7, -74.0), 0.1),
+            ],
+            1,
+        ),
+    )
+        .prop_map(|(labels, regions)| LocationCondition { labels, regions });
+    let time = (
+        prop::collection::vec(arb_range(), 0..2),
+        prop::collection::vec(arb_repeat(), 0..2),
+    )
+        .prop_map(|(ranges, repeats)| TimeCondition { ranges, repeats });
+    (
+        consumers,
+        // A quarter of the rules carry each condition kind, as JSON
+        // decoding would leave them: never `Some(empty)`.
+        (0u8..4, location),
+        (0u8..4, time),
+        arb_subset(&CHANNELS.map(ChannelId::new), 2),
+        arb_subset(&ContextKind::ALL, 1),
+    )
+        .prop_map(
+            |(consumers, (has_location, location), (has_time, time), sensors, contexts)| {
+                Conditions {
+                    consumers,
+                    location: (has_location == 0 && !location.is_empty()).then_some(location),
+                    time: (has_time == 0 && !time.is_empty()).then_some(time),
+                    sensors,
+                    contexts,
+                }
+            },
+        )
+}
+
+fn arb_rules() -> impl Strategy<Value = Vec<PrivacyRule>> {
+    prop::collection::vec(
+        (arb_conditions(), arb_action())
+            .prop_map(|(conditions, action)| PrivacyRule { conditions, action }),
+        0..5,
+    )
+}
+
+/// Every query shape: repeat / range / both / neither, with and without
+/// active and label contexts, a plain consumer and one with memberships.
+fn arb_query() -> impl Strategy<Value = SearchQuery> {
+    let consumer = prop_oneof![
+        Just(ConsumerCtx::user("bob")),
+        Just(ConsumerCtx {
+            id: Some(ConsumerId::new("eve")),
+            groups: vec![GroupId::new("researchers")],
+            studies: vec![StudyId::new("stress-study")],
+        }),
+    ];
+    (
+        consumer,
+        arb_subset(&CHANNELS.map(ChannelId::new), 2),
+        (
+            arb_subset(&ContextKind::ALL, 2),
+            arb_subset(&ContextKind::ALL, 2),
+        ),
+        arb_subset(&LABELS.map(String::from), 2),
+        prop::option::of(arb_repeat()),
+        prop::option::of(arb_range()),
+    )
+        .prop_map(
+            |(
+                consumer,
+                raw_channels,
+                (label_contexts, active_contexts),
+                location_labels,
+                repeat,
+                range,
+            )| {
+                SearchQuery {
+                    consumer,
+                    raw_channels,
+                    label_contexts,
+                    location_labels,
+                    repeat,
+                    range,
+                    active_contexts,
+                }
+            },
+        )
+}
+
+/// One step on the mirror.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Sync contributor `who` with list `list` of the pool, at its
+    /// mirrored epoch plus `bump` — 0 is a stale push, and a fresh
+    /// contributor, a same-list re-sync and a list change all occur.
+    Sync {
+        who: usize,
+        list: usize,
+        bump: u64,
+    },
+    Remove {
+        who: usize,
+    },
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0usize..10, 0usize..64, 0u64..3).prop_map(|(who, list, bump)| Step::Sync {
+            who,
+            list,
+            bump
+        }),
+        (0usize..10, 0usize..64, 1u64..3).prop_map(|(who, list, bump)| Step::Sync {
+            who,
+            list,
+            bump
+        }),
+        (0usize..10).prop_map(|who| Step::Remove { who }),
+    ]
+}
+
+proptest! {
+    /// `search` == the per-contributor reference walk, in order, after
+    /// every step, and the slab's books balance. With `shared` the
+    /// population draws its lists from a small pool with repetition;
+    /// without, one consumer-scoped rule per sync makes every list unique.
+    #[test]
+    fn interned_search_equals_the_per_contributor_walk(
+        pool in prop::collection::vec(arb_rules(), 1..5),
+        steps in prop::collection::vec(arb_step(), 1..40),
+        queries in prop::collection::vec(arb_query(), 1..4),
+        shared in any::<bool>(),
+    ) {
+        let mut index = RuleIndex::new();
+        let mut model = Model::new();
+        for (n, step) in steps.iter().enumerate() {
+            match step {
+                Step::Sync { who, list, bump } => {
+                    let id = ContributorId::new(format!("c{who}"));
+                    let mut rules = pool[list % pool.len()].clone();
+                    if !shared {
+                        rules.push(PrivacyRule {
+                            conditions: Conditions {
+                                consumers: vec![ConsumerSelector::User(ConsumerId::new(
+                                    format!("only-{n}"),
+                                ))],
+                                ..Default::default()
+                            },
+                            action: Action::Allow,
+                        });
+                    }
+                    let mirrored = model.get(&id).map_or(0, |(epoch, _)| *epoch);
+                    let epoch = mirrored + bump;
+                    let accepted = index.sync(id.clone(), epoch, rules.clone());
+                    prop_assert_eq!(accepted, epoch > mirrored || !model.contains_key(&id));
+                    if accepted {
+                        model.insert(id, (epoch, rules));
+                    }
+                }
+                Step::Remove { who } => {
+                    let id = ContributorId::new(format!("c{who}"));
+                    prop_assert_eq!(index.remove(&id), model.remove(&id).is_some());
+                }
+            }
+            check_invariants(&index, &model);
+            if !shared {
+                prop_assert_eq!(index.distinct_rule_sets(), index.len());
+            }
+            check_searches(&index, &model, &queries);
+        }
+    }
+}
+
+fn allow_for(consumer: &str) -> Vec<PrivacyRule> {
+    vec![PrivacyRule {
+        conditions: Conditions {
+            consumers: vec![ConsumerSelector::User(ConsumerId::new(consumer))],
+            ..Default::default()
+        },
+        action: Action::Allow,
+    }]
+}
+
+fn ecg_query(consumer: &str) -> SearchQuery {
+    SearchQuery {
+        consumer: ConsumerCtx::user(consumer),
+        raw_channels: vec![ChannelId::new("ecg")],
+        ..Default::default()
+    }
+}
+
+/// The work a search does, as a count: however many contributors mirror
+/// them, four lists are four evaluations.
+#[test]
+fn a_search_evaluates_each_distinct_list_once() {
+    let lists = [
+        vec![PrivacyRule::allow_all()],
+        allow_for("bob"),
+        allow_for("eve"),
+        vec![],
+    ];
+    let mut index = RuleIndex::new();
+    for i in 0..1_000 {
+        index.sync(
+            ContributorId::new(format!("c{i:04}")),
+            1,
+            lists[i % 4].clone(),
+        );
+    }
+    assert_eq!(index.distinct_rule_sets(), 4);
+    let mut hits = 0;
+    assert_eq!(index.search_each(&ecg_query("bob"), |_| hits += 1), 4);
+    assert_eq!(hits, 500);
+    // Re-syncing everyone to one list leaves one list to evaluate, and
+    // a mirror nobody is in evaluates nothing.
+    for i in 0..1_000 {
+        index.sync(ContributorId::new(format!("c{i:04}")), 2, allow_for("eve"));
+    }
+    assert_eq!(index.distinct_rule_sets(), 1);
+    assert_eq!(index.search_each(&ecg_query("bob"), |_| hits += 1), 1);
+    assert_eq!(hits, 500);
+    assert_eq!(RuleIndex::new().search_each(&ecg_query("bob"), |_| ()), 0);
+}
+
+/// A freed slot is handed to the next new list, and the verdict its old
+/// tenant earned does not come with it.
+#[test]
+fn a_reused_slot_carries_no_verdict_over() {
+    let mut index = RuleIndex::new();
+    let (alice, carol) = (ContributorId::new("alice"), ContributorId::new("carol"));
+    index.sync(alice.clone(), 1, allow_for("bob"));
+    assert_eq!(index.search(&ecg_query("bob")), vec![alice.clone()]);
+    assert!(index.remove(&alice));
+    assert_eq!((index.distinct_rule_sets(), index.free.len()), (0, 1));
+    index.sync(carol.clone(), 1, allow_for("eve"));
+    assert_eq!(
+        (index.lists.len(), index.free.len()),
+        (1, 0),
+        "the slot was reused"
+    );
+    assert!(index.search(&ecg_query("bob")).is_empty());
+    assert_eq!(index.search(&ecg_query("eve")), vec![carol.clone()]);
+    // The same through a list change: carol's old list loses its last
+    // member in the sync that interns her new one.
+    index.sync(carol.clone(), 2, allow_for("bob"));
+    assert_eq!(index.distinct_rule_sets(), 1);
+    assert_eq!(index.search(&ecg_query("bob")), vec![carol]);
+    assert!(index.search(&ecg_query("eve")).is_empty());
+}
+
+/// Lists that differ only where the bucket hash does not look — or that
+/// collide outright — are still told apart: equality decides.
+#[test]
+fn equality_not_the_bucket_decides_identity() {
+    let at = |south: f64| {
+        vec![PrivacyRule {
+            conditions: Conditions {
+                location: Some(LocationCondition {
+                    labels: vec![],
+                    regions: vec![Region::new(south, 10.0, 0.0, 1.0)],
+                }),
+                ..Default::default()
+            },
+            action: Action::Allow,
+        }]
+    };
+    // `0.0 == -0.0`, so these are one list and must share a bucket.
+    assert_eq!(at(0.0), at(-0.0));
+    assert_eq!(bucket_of(&at(0.0)), bucket_of(&at(-0.0)));
+    // A collision, forced: a different list filed under that bucket.
+    let mut index = RuleIndex::new();
+    let bucket = bucket_of(&at(0.0));
+    index.lists.push(RuleList {
+        rules: allow_for("bob"),
+        members: 1,
+    });
+    index.by_bucket.insert((bucket, 0));
+    let dave = ContributorId::new("dave");
+    index
+        .entries
+        .insert(dave.clone(), Entry { epoch: 1, slot: 0 });
+    index.sync(ContributorId::new("a"), 1, at(0.0));
+    index.sync(ContributorId::new("b"), 1, at(-0.0));
+    index.sync(ContributorId::new("c"), 1, at(0.5));
+    assert_eq!(index.distinct_rule_sets(), 3);
+    assert_eq!(index.rules_of(&ContributorId::new("a")).unwrap().1, at(0.0));
+    assert_eq!(index.rules_of(&ContributorId::new("b")).unwrap().1, at(0.0));
+    assert_eq!(index.rules_of(&dave).unwrap().1, allow_for("bob"));
+}

@@ -22,8 +22,8 @@
 //! * [`deps`] — the sensor↔context dependency graph and its closure.
 //! * [`eval`] — condition matching and decision resolution.
 //! * [`enforce`](mod@enforce) — applying decisions to wave segments and annotations.
-//! * [`index`] — searchable rule summaries for the broker's contributor
-//!   search (§5.2).
+//! * [`index`] — the broker's mirror of everyone's rules, with identical
+//!   rule lists interned, and the contributor search over it (§5.2).
 
 pub mod abstraction;
 pub mod compile;

@@ -455,9 +455,15 @@ impl PrivacyRule {
         let value = Parser::lenient(text)
             .parse_document()
             .map_err(|e| err(format!("JSON: {e}")))?;
-        match &value {
+        PrivacyRule::rules_from_json(&value)
+    }
+
+    /// Decodes a rule document that is already a JSON value (a field of a
+    /// request body): an array of rules or a single rule object.
+    pub fn rules_from_json(value: &Value) -> Result<Vec<PrivacyRule>, RuleError> {
+        match value {
             Value::Array(items) => items.iter().map(PrivacyRule::from_json).collect(),
-            Value::Object(_) => Ok(vec![PrivacyRule::from_json(&value)?]),
+            Value::Object(_) => Ok(vec![PrivacyRule::from_json(value)?]),
             _ => Err(err("rule document must be an object or array")),
         }
     }

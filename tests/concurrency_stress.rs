@@ -12,9 +12,18 @@
 //!    allow-all and deny-ecg, every segment in one response carries the
 //!    same channel set, and ecg never appears without respiration.
 //!
+//! The broker's rule mirror gets the same treatment: searches walk the
+//! mirror under its read lock while a store pushes rule syncs, and
+//!
+//! 3. **No torn hit list** — every search reply is the hit list of the
+//!    mirror as it stood before or after some sync, never a mix, and a
+//!    searcher never sees the mirror go backwards; and the syncs finish
+//!    while searches keep arriving (readers do not starve the writer).
+//!
 //! CI runs this in a debug build so the `cfg(debug_assertions)`
 //! lock-order assertions in `sensorsafe_datastore::state` are armed.
 
+use sensorsafe_core::broker::{BrokerConfig, BrokerService};
 use sensorsafe_core::datastore::{DataStoreConfig, DataStoreService};
 use sensorsafe_core::net::{Request, Service, Status};
 use sensorsafe_core::types::{ChannelSpec, GeoPoint, SegmentMeta, Timestamp, Timing, WaveSegment};
@@ -43,8 +52,8 @@ fn packet(seq: usize) -> WaveSegment {
     WaveSegment::from_rows(meta, &rows).expect("valid packet")
 }
 
-fn post(store: &DataStoreService, path: &str, body: &Value) -> Value {
-    let resp = store.handle(&Request::post_json(path, body));
+fn post(server: &impl Service, path: &str, body: &Value) -> Value {
+    let resp = server.handle(&Request::post_json(path, body));
     assert_eq!(resp.status, Status::Ok, "{path} failed: {:?}", resp.body);
     resp.json_body().expect("JSON response")
 }
@@ -297,5 +306,116 @@ fn uploads_queries_and_rule_mutations_race_safely() {
     assert!(
         p99 < LOCK_WAIT_P99_BUDGET_SECS,
         "lock-wait SLO violated: p99 {p99:.6}s >= {LOCK_WAIT_P99_BUDGET_SECS}s"
+    );
+}
+
+#[test]
+fn searches_never_see_a_torn_mirror_and_syncs_are_not_starved() {
+    const MIRRORED: usize = 64;
+    const SYNCS: usize = 600;
+    const SEARCHERS: usize = 3;
+    let (broker, admin) = BrokerService::new(BrokerConfig::default());
+    let admin = admin.to_hex();
+    let resp = broker.handle(&Request::post_json(
+        "/api/register",
+        &json!({"key": (admin.clone()), "name": "bob", "role": "consumer"}),
+    ));
+    assert_eq!(resp.status, Status::Created);
+    let bob = resp.json_body().unwrap()["api_key"]
+        .as_str()
+        .unwrap()
+        .to_string();
+
+    // Contributor `i` either shares everything or withholds ecg; bit `i`
+    // of a state says which. Two lists over the whole mirror, so every
+    // search answers from the per-list memo.
+    let sync = |i: usize, epoch: u64, shares: bool| {
+        let rules = if shares {
+            json!([{"Action": "Allow"}])
+        } else {
+            json!([{"Action": "Allow"}, {"Sensor": ["ecg"], "Action": "Deny"}])
+        };
+        let resp = broker.handle(&Request::post_json(
+            "/api/sync",
+            &json!({
+                "key": (admin.clone()),
+                "contributor": (format!("c{i:02}")),
+                "epoch": epoch,
+                "rules": rules,
+            }),
+        ));
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.json_body().unwrap()["accepted"].as_bool(), Some(true));
+    };
+    let mut state = 0u64;
+    for i in 0..MIRRORED {
+        sync(i, 1, i % 2 == 0);
+        state |= ((i % 2 == 0) as u64) << i;
+    }
+    // The writer's script: sync `k` flips contributor `7k mod 64`, so
+    // the mirror passes through `states[0..=SYNCS]` in order.
+    let mut states = vec![state];
+    for k in 0..SYNCS {
+        state ^= 1 << (k * 7 % MIRRORED);
+        states.push(state);
+    }
+
+    let writer_done = AtomicBool::new(false);
+    let searches_beside_syncs = AtomicUsize::new(0);
+    let started = std::sync::Barrier::new(SEARCHERS + 1);
+    std::thread::scope(|scope| {
+        let searchers: Vec<_> = (0..SEARCHERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    started.wait();
+                    // Index into `states` of the oldest state the last
+                    // reply could have come from.
+                    let mut at_least = 0;
+                    loop {
+                        // Read the flag first: the search after the last
+                        // sync must still be checked.
+                        let last = writer_done.load(Ordering::SeqCst);
+                        let body = post(
+                            &broker,
+                            "/api/search",
+                            &json!({"key": (bob.clone()), "query": {"channels": ["ecg"]}}),
+                        );
+                        assert!(body["unreachable"].as_array().unwrap().is_empty());
+                        let names = body["contributors"].as_string_list().unwrap();
+                        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+                        let seen = names.iter().fold(0u64, |mask, name| {
+                            mask | 1 << name[1..].parse::<usize>().expect("c<index>")
+                        });
+                        at_least += states[at_least..]
+                            .iter()
+                            .position(|state| *state == seen)
+                            .unwrap_or_else(|| {
+                                panic!(
+                                    "torn or stale hit list {seen:#018x}: no mirror state at \
+                                     or after #{at_least} has these hits"
+                                )
+                            });
+                        if last {
+                            assert_eq!(seen, states[SYNCS], "the last sync is visible");
+                            return;
+                        }
+                        searches_beside_syncs.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        started.wait();
+        for k in 0..SYNCS {
+            let i = k * 7 % MIRRORED;
+            sync(i, 2 + k as u64, states[k + 1] >> i & 1 == 1);
+        }
+        writer_done.store(true, Ordering::SeqCst);
+        for searcher in searchers {
+            searcher.join().expect("searcher thread panicked");
+        }
+    });
+    assert!(
+        searches_beside_syncs.load(Ordering::Relaxed) > 0,
+        "no search overlapped the syncs"
     );
 }

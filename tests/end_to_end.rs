@@ -190,10 +190,7 @@ fn metrics_endpoints_report_traffic_and_policy_decisions() {
         "{broker_metrics}"
     );
     assert!(
-        metric_total(
-            &broker_metrics,
-            "sensorsafe_broker_rule_epoch{contributor=\"alice\"}"
-        ) >= 3.0,
+        metric_total(&broker_metrics, "sensorsafe_broker_rule_epoch_max") >= 3.0,
         "{broker_metrics}"
     );
 }
