@@ -1,6 +1,6 @@
 //! C3 — evented network core: per-request round-trip latency over a
-//! keep-alive connection, in both server modes, with and without
-//! thousands of idle connections parked on the same server.
+//! keep-alive connection, with and without thousands of idle
+//! connections parked on the same server.
 //!
 //! The full 10k-connection flat-memory run is produced by the `report`
 //! binary (EXPERIMENTS.md C3; the fd budget forces client connections
@@ -8,13 +8,11 @@
 //! face of the claim: a readiness-driven server answers in the same
 //! time whether 0 or 2,000 idle connections are parked, because idle
 //! sockets cost it nothing but a slab slot and a timer-wheel entry.
-//! The thread-pool baseline has no 2,000-idle variant — it would need
-//! 2,000 dedicated workers just to keep those sockets open.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sensorsafe_bench::{open_soak_conns, soak_round};
 use sensorsafe_core::json;
-use sensorsafe_core::net::{EventedConfig, Response, Router, Server, ServerMode, Service};
+use sensorsafe_core::net::{EventedConfig, Response, Router, Server, Service};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,15 +44,6 @@ fn bench_round_trip(c: &mut Criterion) {
         .expect("evented server");
         let mut conn = open_soak_conns(&server.addr_string(), 1).expect("bench conn");
         group.bench_function("evented", |b| {
-            b.iter(|| black_box(soak_round(&mut conn)).expect("round trip"))
-        });
-    }
-
-    {
-        let server = Server::bind_mode("127.0.0.1:0", ServerMode::ThreadPool, 4, healthz_service())
-            .expect("thread-pool server");
-        let mut conn = open_soak_conns(&server.addr_string(), 1).expect("bench conn");
-        group.bench_function("thread_pool", |b| {
             b.iter(|| black_box(soak_round(&mut conn)).expect("round trip"))
         });
     }

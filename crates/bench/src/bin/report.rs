@@ -13,7 +13,7 @@ use sensorsafe_bench::{
     run_durable_uploads, run_many_account_uploads, run_mixed_traffic, segment_store_with,
     synthetic_rules, synthetic_rules_unshared, tuple_store_with,
 };
-use sensorsafe_core::datastore::{DataStoreConfig, LockMode, StorageEngine};
+use sensorsafe_core::datastore::DataStoreConfig;
 use sensorsafe_core::net::{LocalTransport, Request, Service, Transport};
 use sensorsafe_core::policy::{ConsumerCtx, PrivacyRule, RuleIndex, SearchQuery};
 use sensorsafe_core::store::{GroupCommitConfig, MergePolicy, Query};
@@ -232,70 +232,6 @@ fn f1_byte_accounting() {
     println!("--> data path bypasses the broker; broker bytes stay O(contributors), not O(data)\n");
 }
 
-fn c1_concurrency_table() {
-    println!("== C1: sharded vs global-lock store, mixed upload/query traffic ==");
-    println!(
-        "environment: {} CPU(s) visible to this process",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    // The account lock-wait histogram accumulates process-wide; deltas
-    // around each timed run attribute waiting to that run alone.
-    let lock_wait_secs = || -> f64 {
-        ["read", "write"]
-            .iter()
-            .map(|mode| {
-                sensorsafe_core::obsv::global()
-                    .histogram(
-                        "sensorsafe_datastore_lock_wait_seconds",
-                        "Time spent waiting to acquire a contributor account lock.",
-                        &[("mode", mode)],
-                        None,
-                    )
-                    .snapshot()
-                    .sum()
-            })
-            .sum()
-    };
-    let ops = 300;
-    // Best-of-3 to damp scheduler noise; lock-wait from the best run.
-    let measure = |mode: LockMode, threads: usize, contributors: usize| -> (f64, f64) {
-        let workload = mixed_workload(mode, contributors);
-        run_mixed_traffic(&workload, threads, 40); // warm-up, discarded
-        let mut best_rate = 0.0f64;
-        let mut best_wait = 0.0f64;
-        for _ in 0..3 {
-            let wait_before = lock_wait_secs();
-            let elapsed = run_mixed_traffic(&workload, threads, ops);
-            let wait = lock_wait_secs() - wait_before;
-            let rate = (threads * ops) as f64 / elapsed.as_secs_f64();
-            if rate > best_rate {
-                best_rate = rate;
-                best_wait = wait;
-            }
-        }
-        (best_rate, best_wait)
-    };
-    println!(
-        "{:<22} {:>13} {:>13} {:>8} {:>12} {:>12}",
-        "threads x contribs", "global req/s", "shard req/s", "speedup", "g-wait ms", "s-wait ms"
-    );
-    for (threads, contributors) in [(1, 8), (2, 8), (4, 8), (8, 8), (8, 2), (8, 32)] {
-        let (global, global_wait) = measure(LockMode::GlobalLock, threads, contributors);
-        let (sharded, sharded_wait) = measure(LockMode::Sharded, threads, contributors);
-        println!(
-            "{:<22} {:>13.0} {:>13.0} {:>7.2}x {:>12.2} {:>12.2}",
-            format!("{threads} x {contributors}"),
-            global,
-            sharded,
-            sharded / global,
-            global_wait * 1e3,
-            sharded_wait * 1e3
-        );
-    }
-    println!("(wait columns: contributor-account lock acquisition wait per timed run)");
-    println!();
-}
-
 fn c2_durable_upload_table() {
     println!("== C2: durable uploads, group commit vs per-record fsync ==");
     println!(
@@ -401,8 +337,8 @@ fn c4_store_wide_group_commit_table() {
     // flight, so in-flight depth bounds the achievable coalescing.
     let threads = 32;
     println!(
-        "{:<18} {:<16} {:>9} {:>10} {:>8} {:>8} {:>12}",
-        "engine", "commit config", "contribs", "req/s", "uploads", "fsyncs", "fsync/up"
+        "{:<16} {:>9} {:>10} {:>8} {:>8} {:>12}",
+        "commit config", "contribs", "req/s", "uploads", "fsyncs", "fsync/up"
     );
     let configs = [
         ("batch64_500us", GroupCommitConfig::default()),
@@ -414,36 +350,32 @@ fn c4_store_wide_group_commit_table() {
             },
         ),
     ];
-    for (engine_label, engine) in [
-        ("per-account-wal", StorageEngine::PerAccountWal),
-        ("journal", StorageEngine::Journal),
-    ] {
-        for (wal_label, wal) in configs {
-            for contributors in [100usize, 1000] {
-                let workload = durable_workload_with(
-                    DataStoreConfig {
-                        engine,
-                        wal,
+    for (commit_label, commit) in configs {
+        for contributors in [100usize, 1000] {
+            let workload = durable_workload_with(
+                DataStoreConfig {
+                    journal: JournalConfig {
+                        commit,
                         ..Default::default()
                     },
-                    contributors,
-                );
-                run_many_account_uploads(&workload, threads, 0, 1); // warm-up, discarded
-                let (f0, u0) = (fsyncs.get(), uploads.get());
-                let elapsed = run_many_account_uploads(&workload, threads, 1, 3);
-                let df = fsyncs.get() - f0;
-                let du = uploads.get() - u0;
-                println!(
-                    "{:<18} {:<16} {:>9} {:>10.0} {:>8} {:>8} {:>12.3}",
-                    engine_label,
-                    wal_label,
-                    contributors,
-                    du as f64 / elapsed.as_secs_f64(),
-                    du,
-                    df,
-                    df as f64 / du as f64
-                );
-            }
+                    ..Default::default()
+                },
+                contributors,
+            );
+            run_many_account_uploads(&workload, threads, 0, 1); // warm-up, discarded
+            let (f0, u0) = (fsyncs.get(), uploads.get());
+            let elapsed = run_many_account_uploads(&workload, threads, 1, 3);
+            let df = fsyncs.get() - f0;
+            let du = uploads.get() - u0;
+            println!(
+                "{:<16} {:>9} {:>10.0} {:>8} {:>8} {:>12.3}",
+                commit_label,
+                contributors,
+                du as f64 / elapsed.as_secs_f64(),
+                du,
+                df,
+                df as f64 / du as f64
+            );
         }
     }
     // Recovery-time probe: rotation + checkpoints bound replay to the
@@ -481,7 +413,6 @@ fn c4_store_wide_group_commit_table() {
         for cycles in [1usize, 4, 16] {
             let mut workload = durable_workload_with(
                 DataStoreConfig {
-                    engine: StorageEngine::Journal,
                     journal,
                     ..Default::default()
                 },
@@ -509,7 +440,7 @@ fn c4_store_wide_group_commit_table() {
                 }
             }
             let replay = workload.restart();
-            let stats = workload.store.journal_stats().expect("journal engine");
+            let stats = workload.store.journal_stats().expect("durable store");
             println!(
                 "{:<34} {:>9} {:>9} {:>12.2} {:>10} {:>8}",
                 format!("{label}, {cycles} cycles"),
@@ -552,7 +483,7 @@ fn c3_client_main(addr: &str, conns: usize) {
 
 fn c3_evented_core_table() {
     use sensorsafe_bench::rss_kb;
-    use sensorsafe_core::net::{EventedConfig, Server, ServerMode};
+    use sensorsafe_core::net::{EventedConfig, Server};
     use std::io::{BufRead, BufReader, Write};
     use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
@@ -651,24 +582,7 @@ fn c3_evented_core_table() {
     }
     server.shutdown();
 
-    // --- thread-pool baseline, same run ---
-    // The blocking server parks one worker per keep-alive connection,
-    // so its concurrency ceiling IS its worker count; 10k connections
-    // would need 10k threads. Measured at a 512-worker rig instead.
-    let (store, _admin) = sensorsafe_core::datastore::DataStoreService::new(Default::default());
-    let tp_base_kb = rss_kb();
-    let mut server = Server::bind_mode("127.0.0.1:0", ServerMode::ThreadPool, 512, Arc::new(store))
-        .expect("thread-pool store");
-    print_row("0 (thread-pool, 512 workers)", tp_base_kb, 0);
-    let client = spawn_client(&server.addr_string(), 512);
-    print_row("512 (thread-pool)", tp_base_kb, 512);
-    release_client(client);
-    server.shutdown();
-    println!(
-        "--> evented: 10,240 keep-alive connections on {} handler threads; \
-         thread-pool ceiling = worker count\n",
-        8
-    );
+    println!("--> 10,240 keep-alive connections on 8 handler threads\n");
 }
 
 fn obsv_overhead_table() {
@@ -872,7 +786,7 @@ fn o3_profiler_overhead_table() {
     ];
     let threads = 4;
     let ops = 600;
-    let workload = mixed_workload(LockMode::Sharded, 8);
+    let workload = mixed_workload(8);
     run_mixed_traffic(&workload, threads, 40); // warm-up, discarded
 
     const ROUNDS: usize = 8;
@@ -917,7 +831,7 @@ fn o4_awareness_overhead_table() {
     // Same interleaved best-of-round estimator as O1-O3. The awareness
     // plane hangs off the store, so the kill switch is flipped on the
     // workload's own instance between timed runs; every consumer query
-    // in the C1 mix funnels one decision through `record_decision`,
+    // in the mix funnels one decision through `record_decision`,
     // which is exactly the aggregation path being priced.
     let configs: [(&str, bool); 2] = [
         ("awareness plane disabled", false),
@@ -925,7 +839,7 @@ fn o4_awareness_overhead_table() {
     ];
     let threads = 4;
     let ops = 600;
-    let workload = mixed_workload(LockMode::Sharded, 8);
+    let workload = mixed_workload(8);
     run_mixed_traffic(&workload, threads, 40); // warm-up, discarded
 
     const ROUNDS: usize = 8;
@@ -989,7 +903,7 @@ fn main() {
         a2_search_table();
         return;
     }
-    // `report c4` runs the storage-engine sweep alone — the section CI
+    // `report c4` runs the journal group-commit sweep alone — the section CI
     // and the OPERATIONS.md runbook re-run in isolation.
     if args.get(1).map(String::as_str) == Some("c4") {
         c4_store_wide_group_commit_table();
@@ -1013,7 +927,6 @@ fn main() {
     a2_search_table();
     a3_savings_table();
     f1_byte_accounting();
-    c1_concurrency_table();
     c2_durable_upload_table();
     c3_evented_core_table();
     c4_store_wide_group_commit_table();

@@ -4,14 +4,16 @@
 //! and EXPERIMENTS.md); this crate holds the workload constructors they
 //! share so benches and the `report` binary measure identical inputs.
 
-use sensorsafe_core::datastore::{DataStoreConfig, DataStoreService, LockMode};
+use sensorsafe_core::datastore::{DataStoreConfig, DataStoreService};
 use sensorsafe_core::net::{Request, Service, Status};
 use sensorsafe_core::policy::{
     AbstractionSpec, Action, BinaryAbs, Conditions, ConsumerSelector, LocationCondition,
     PrivacyRule, TimeCondition,
 };
 use sensorsafe_core::sim::Scenario;
-use sensorsafe_core::store::{GroupCommitConfig, MergePolicy, SegmentStore, TupleStore};
+use sensorsafe_core::store::{
+    GroupCommitConfig, JournalConfig, MergePolicy, SegmentStore, TupleStore,
+};
 use sensorsafe_core::types::{
     ChannelSpec, ContextKind, GeoPoint, Region, RepeatTime, SegmentMeta, Timestamp, Timing,
     WaveSegment,
@@ -195,9 +197,9 @@ pub fn alice_scenario(seed: u64) -> Scenario {
     Scenario::alice_day(Timestamp::from_millis(DAY_START), seed, 1)
 }
 
-/// A data store preloaded for the C1 concurrency workload: one server in
-/// the requested [`LockMode`], `n` registered contributors (each with
-/// data and a non-trivial rule set) and one consumer.
+/// A data store preloaded for mixed upload/query traffic: one in-memory
+/// server, `n` registered contributors (each with data and a non-trivial
+/// rule set) and one consumer.
 pub struct MixedWorkload {
     /// The in-process store all traffic targets.
     pub store: DataStoreService,
@@ -207,15 +209,12 @@ pub struct MixedWorkload {
     pub consumer_key: String,
 }
 
-/// Builds the C1 workload: register `n_contributors` on a fresh store in
-/// `lock_mode`, give each a rule set that exercises real enforcement
-/// (allow-all plus a context-scoped deny) and `preload_packets` chest
+/// Builds the mixed workload: register `n_contributors` on a fresh
+/// store, give each a rule set that exercises real enforcement
+/// (allow-all plus a context-scoped deny) and eight preloaded chest
 /// packets, and register one consumer.
-pub fn mixed_workload(lock_mode: LockMode, n_contributors: usize) -> MixedWorkload {
-    let (store, admin) = DataStoreService::new(DataStoreConfig {
-        lock_mode,
-        ..Default::default()
-    });
+pub fn mixed_workload(n_contributors: usize) -> MixedWorkload {
+    let (store, admin) = DataStoreService::new(DataStoreConfig::default());
     let admin = admin.to_hex();
     let preload: Vec<Value> = chest_packets(8).iter().map(WaveSegment::to_json).collect();
     let mut contributors = Vec::with_capacity(n_contributors);
@@ -262,7 +261,7 @@ pub fn mixed_workload(lock_mode: LockMode, n_contributors: usize) -> MixedWorklo
 }
 
 /// One 64-sample chest packet per contributor, a day past the preload
-/// region (so C1 traffic uploads never intersect the queried window).
+/// region (so traffic uploads never intersect the queried window).
 fn future_packet(i: usize) -> WaveSegment {
     future_packet_at(i, 0)
 }
@@ -386,9 +385,8 @@ impl Drop for DurableWorkload {
 
 impl DurableWorkload {
     /// Shuts the running service down and reopens a fresh one over the
-    /// same on-disk state, returning how long the reopen took. Under
-    /// [`StorageEngine::Journal`](sensorsafe_core::datastore::StorageEngine)
-    /// that covers the full journal replay
+    /// same on-disk state, returning how long the reopen took. That
+    /// covers the full journal replay
     /// (checkpoint load + tail-segment scan), so this is the C4
     /// recovery-time probe: with rotation + checkpoints, the duration
     /// must stay flat as upload history grows.
@@ -407,12 +405,14 @@ impl DurableWorkload {
 }
 
 /// Builds the C2 workload: a durable store under the given group-commit
-/// configuration and the default storage engine, with `n_contributors`
-/// registered accounts.
-pub fn durable_workload(wal: GroupCommitConfig, n_contributors: usize) -> DurableWorkload {
+/// configuration, with `n_contributors` registered accounts.
+pub fn durable_workload(commit: GroupCommitConfig, n_contributors: usize) -> DurableWorkload {
     durable_workload_with(
         DataStoreConfig {
-            wal,
+            journal: JournalConfig {
+                commit,
+                ..JournalConfig::default()
+            },
             ..Default::default()
         },
         n_contributors,
@@ -420,7 +420,7 @@ pub fn durable_workload(wal: GroupCommitConfig, n_contributors: usize) -> Durabl
 }
 
 /// Builds a durable workload from an explicit [`DataStoreConfig`]
-/// (engine, group-commit, and journal rotation settings) — the C4
+/// (group-commit and journal rotation settings) — the C4
 /// builder. The config's `data_dir` is overwritten with a fresh temp
 /// directory that the workload removes on drop.
 pub fn durable_workload_with(
@@ -646,7 +646,6 @@ pub fn soak_round(conns: &mut [SoakConn]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sensorsafe_core::datastore::StorageEngine;
 
     #[test]
     fn chest_packets_are_mergeable() {
@@ -669,7 +668,7 @@ mod tests {
     #[test]
     fn durable_uploads_coalesce_fsyncs() {
         // The C2 acceptance shape in miniature: 4 threads hammering one
-        // contributor's WAL must ack every upload with fewer fsyncs than
+        // contributor must ack every upload with fewer fsyncs than
         // uploads (group commit), and the data must be on disk.
         // Counted on this store's own journal (one fsync per batch):
         // `sensorsafe_store_wal_fsyncs_total` is process-wide, and the
@@ -686,52 +685,22 @@ mod tests {
         workload
             .store
             .journal_stats()
-            .expect("the default engine is the store-wide journal")
+            .expect("a durable store has a journal")
             .batches
     }
 
     #[test]
     fn c4_group_commit_coalesces_across_accounts() {
         // The C4 acceptance shape at reduced scale: many accounts, each
-        // uploading at most once at a time. Per-account WALs get no
-        // coalescing from this shape (one fsync per upload), while the
-        // store-wide journal batches strangers' uploads into shared
-        // fsyncs. A restart replays the journal and must come back up.
-        // Per-account WALs keep no count of their own, so their side
-        // reads the process-wide counter: other tests can only add to a
-        // figure that is asserted from below.
-        let fsyncs = sensorsafe_core::obsv::global().counter(
-            "sensorsafe_store_wal_fsyncs_total",
-            "fsync calls issued by write-ahead logs.",
-            &[],
-        );
+        // uploading at most once at a time. The store-wide journal
+        // batches strangers' uploads into shared fsyncs (a log per
+        // account would pay one fsync per upload on this shape). A
+        // restart replays the journal and must come back up.
         let contributors = 48;
         let (threads, rounds) = (8, 2);
         let total = (contributors * rounds) as u64;
 
-        let wal_workload = durable_workload_with(
-            DataStoreConfig {
-                engine: StorageEngine::PerAccountWal,
-                ..Default::default()
-            },
-            contributors,
-        );
-        let before = fsyncs.get();
-        run_many_account_uploads(&wal_workload, threads, 0, rounds);
-        let per_account_spent = fsyncs.get() - before;
-        assert!(
-            per_account_spent >= total,
-            "per-account WALs cannot coalesce across accounts: \
-             {per_account_spent} fsyncs for {total} uploads"
-        );
-
-        let mut journal_workload = durable_workload_with(
-            DataStoreConfig {
-                engine: StorageEngine::Journal,
-                ..Default::default()
-            },
-            contributors,
-        );
+        let mut journal_workload = durable_workload_with(Default::default(), contributors);
         let before = journal_batches(&journal_workload);
         run_many_account_uploads(&journal_workload, threads, 0, rounds);
         let journal_spent = journal_batches(&journal_workload) - before;
@@ -762,12 +731,10 @@ mod tests {
     }
 
     #[test]
-    fn mixed_traffic_runs_in_both_lock_modes() {
-        for mode in [LockMode::Sharded, LockMode::GlobalLock] {
-            let workload = mixed_workload(mode, 3);
-            assert_eq!(workload.contributors.len(), 3);
-            let elapsed = run_mixed_traffic(&workload, 2, 6);
-            assert!(elapsed > Duration::ZERO);
-        }
+    fn mixed_traffic_runs() {
+        let workload = mixed_workload(3);
+        assert_eq!(workload.contributors.len(), 3);
+        let elapsed = run_mixed_traffic(&workload, 2, 6);
+        assert!(elapsed > Duration::ZERO);
     }
 }

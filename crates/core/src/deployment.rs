@@ -36,9 +36,7 @@ use sensorsafe_datastore::{
 };
 use sensorsafe_json::{json, Value};
 use sensorsafe_net::failover::{AddrResolver, FailoverTransport, TransportMaker};
-use sensorsafe_net::{
-    LocalTransport, Request, Server, ServerMode, Service, Status, TcpTransport, Transport,
-};
+use sensorsafe_net::{LocalTransport, Request, Server, Service, Status, TcpTransport, Transport};
 use sensorsafe_sim::Scenario;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -79,9 +77,6 @@ pub struct Deployment {
     /// Background replication shippers (one per paired primary);
     /// dropping the deployment stops and joins them.
     repl_shippers: Vec<ReplShipper>,
-    /// Architecture for servers bound through [`Deployment::serve_broker`]
-    /// / [`Deployment::serve_store`].
-    server_mode: ServerMode,
 }
 
 impl Deployment {
@@ -122,7 +117,6 @@ impl Deployment {
             broker_transport,
             fleet_scraper: None,
             repl_shippers: Vec::new(),
-            server_mode: ServerMode::from_env(),
         }
     }
 
@@ -155,39 +149,17 @@ impl Deployment {
             broker_transport,
             fleet_scraper: None,
             repl_shippers: Vec::new(),
-            server_mode: ServerMode::from_env(),
         }
     }
 
-    /// Overrides the server architecture for subsequently bound servers
-    /// (default: [`ServerMode::from_env`], i.e. evented unless
-    /// `SENSORSAFE_SERVER_MODE` says otherwise).
-    pub fn with_server_mode(mut self, mode: ServerMode) -> Deployment {
-        self.server_mode = mode;
-        self
-    }
-
-    /// The architecture [`Deployment::serve_broker`] /
-    /// [`Deployment::serve_store`] bind with.
-    pub fn server_mode(&self) -> ServerMode {
-        self.server_mode
-    }
-
-    /// Serves the broker over TCP on `addr` in this deployment's
-    /// [`ServerMode`]. The caller owns the returned server (dropping it
-    /// shuts it down).
+    /// Serves the broker over TCP on `addr`. The caller owns the
+    /// returned server (dropping it shuts it down).
     pub fn serve_broker(&self, addr: &str, workers: usize) -> std::io::Result<Server> {
-        Server::bind_mode(
-            addr,
-            self.server_mode,
-            workers,
-            Arc::new(self.broker.clone()),
-        )
+        Server::bind(addr, workers, Arc::new(self.broker.clone()))
     }
 
     /// Serves a previously added store over TCP on its own address (for
-    /// TCP deployments the store's name *is* its `host:port`) in this
-    /// deployment's [`ServerMode`].
+    /// TCP deployments the store's name *is* its `host:port`).
     pub fn serve_store(&self, store_addr: &str, workers: usize) -> Result<Server, DeploymentError> {
         let store = self
             .stores
@@ -195,7 +167,7 @@ impl Deployment {
             .get(store_addr)
             .cloned()
             .ok_or_else(|| err(format!("unknown store '{store_addr}'")))?;
-        Server::bind_mode(store_addr, self.server_mode, workers, Arc::new(store))
+        Server::bind(store_addr, workers, Arc::new(store))
             .map_err(|e| err(format!("binding store '{store_addr}': {e}")))
     }
 
@@ -241,8 +213,8 @@ impl Deployment {
     }
 
     /// Like [`Deployment::add_store`], but with an explicit store
-    /// configuration (durable `data_dir`, slow-request threshold, lock
-    /// mode...). The config's `name` is overridden with `addr` so
+    /// configuration (durable `data_dir`, slow-request threshold...).
+    /// The config's `name` is overridden with `addr` so
     /// in-process routing keeps working.
     pub fn add_store_with(&mut self, addr: &str, config: DataStoreConfig) -> DataStoreService {
         let (store, store_admin) = DataStoreService::new(DataStoreConfig {

@@ -30,10 +30,8 @@ pub use pipeline::{
     shared_view, shared_view_from_json, shared_view_to_json, write_shared_view_json, SharedView,
 };
 pub use repl::{ReplShipper, ReplicaLink};
-pub use service::{
-    annotation_to_json, BrokerLink, DataStoreConfig, DataStoreService, StorageEngine,
-};
+pub use service::{annotation_to_json, BrokerLink, DataStoreConfig, DataStoreService};
 pub use state::{
     ConsumerAccount, ContributorAccount, ContributorReadGuard, ContributorWriteGuard,
-    DataStoreState, LockMode,
+    DataStoreState,
 };

@@ -210,7 +210,7 @@ impl Inner {
         // are acked (the journal's GC gate reads `repl_acked_seq`), so a
         // shipping pass is the natural moment to retry.
         if shipped > 0 {
-            if let Some(journal) = &self.journal {
+            if let Ok(Some(journal)) = &self.journal {
                 journal.maybe_gc();
             }
         }

@@ -18,39 +18,19 @@
 //! | `GET /ui/*`, `POST /ui/*` | browser | web user interface (see [`crate::web`]) |
 
 use crate::pipeline::{shared_view, write_shared_view_json};
-use crate::state::{ConsumerAccount, ContributorAccount, DataStoreState, LockMode};
+use crate::state::{ConsumerAccount, ContributorAccount, DataStoreState};
 use parking_lot::Mutex;
 use sensorsafe_auth::{ApiKey, KeyRing, PasswordStore, Principal, Role, SessionManager};
 use sensorsafe_json::{json, Value};
 use sensorsafe_net::{Request, Response, Router, Service, Status, Transport};
 use sensorsafe_obsv::{audit, trace, AuditLedger, MemoryLedger, Registry, TraceRecorder};
 use sensorsafe_policy::{DependencyGraph, PrivacyRule};
-use sensorsafe_store::{repl, GroupCommitConfig, MergePolicy, Query, ReplConfig};
+use sensorsafe_store::{repl, MergePolicy, Query, ReplConfig};
 use sensorsafe_types::{
     ConsumerId, ContextAnnotation, ContributorId, GroupId, Region, StudyId, WaveSegment,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// Which durability engine backs hosted contributor stores when a data
-/// directory is configured (ignored for in-memory deployments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageEngine {
-    /// Storage engine v2 (default): one store-wide
-    /// [`sensorsafe_store::StoreJournal`] shared by every hosted
-    /// account. A single commit thread batches records from many
-    /// contributors into one `write`+`fsync`, segments rotate at a size
-    /// threshold, each rotation checkpoints account state so crash
-    /// replay is bounded to the tail segment, and checkpointed segments
-    /// are garbage-collected once replication acks catch up.
-    #[default]
-    Journal,
-    /// Storage engine v1: one `<dir>/<name>.wal` group-commit log per
-    /// contributor account. Kept for migration and as the bench
-    /// baseline; fsync cost scales with the number of concurrently
-    /// active accounts.
-    PerAccountWal,
-}
 
 /// Construction-time configuration.
 #[derive(Debug, Clone)]
@@ -60,27 +40,17 @@ pub struct DataStoreConfig {
     /// Merge policy for hosted contributors' stores.
     pub merge: MergePolicy,
     /// Directory for durable storage. `None` keeps all data in memory
-    /// (tests, benches); with a directory set, contributor data is
-    /// recovered on registration — from the shared journal
-    /// (`<dir>/journal.seg-N` + `<dir>/journal.ckpt`) under
-    /// [`StorageEngine::Journal`], or from `<dir>/<name>.wal` under
-    /// [`StorageEngine::PerAccountWal`] — so a restarted server
-    /// recovers its data.
+    /// (tests, benches); with a directory set, every hosted account
+    /// shares one store-wide [`sensorsafe_store::StoreJournal`]
+    /// (`<dir>/journal.seg-N` + `<dir>/journal.ckpt`) and contributor
+    /// data is recovered from it on registration, so a restarted server
+    /// recovers its data. See `docs/OPERATIONS.md` ("Storage engine").
     pub data_dir: Option<std::path::PathBuf>,
-    /// Durability engine for contributor data under `data_dir`. See
-    /// [`StorageEngine`] and `docs/OPERATIONS.md` ("Storage engine").
-    pub engine: StorageEngine,
-    /// Journal segment rotation thresholds (journal engine only). See
-    /// [`sensorsafe_store::JournalConfig`].
+    /// Journal segment rotation thresholds and commit-thread batching
+    /// caps (ignored when `data_dir` is `None`). See
+    /// [`sensorsafe_store::JournalConfig`] and `docs/OPERATIONS.md` for
+    /// tuning.
     pub journal: sensorsafe_store::JournalConfig,
-    /// Locking discipline for contributor state. `GlobalLock` reproduces
-    /// the pre-sharding coarse lock (bench baseline only).
-    pub lock_mode: LockMode,
-    /// WAL group-commit batching for durable contributor stores (ignored
-    /// when `data_dir` is `None`). Applies to both engines: the journal
-    /// engine uses it as its commit-thread batching window. See
-    /// [`GroupCommitConfig`] and `docs/OPERATIONS.md` for tuning.
-    pub wal: GroupCommitConfig,
     /// Requests slower than this are pinned in the slow-trace ring and
     /// logged as one structured JSON line (`None` disables capture). See
     /// docs/OPERATIONS.md for tuning guidance.
@@ -93,10 +63,7 @@ impl Default for DataStoreConfig {
             name: "sensorsafe-datastore".to_string(),
             merge: MergePolicy::default(),
             data_dir: None,
-            engine: StorageEngine::default(),
             journal: sensorsafe_store::JournalConfig::default(),
-            lock_mode: LockMode::Sharded,
-            wal: GroupCommitConfig::default(),
             slow_request_threshold: None,
         }
     }
@@ -114,11 +81,18 @@ pub struct BrokerLink {
 
 pub(crate) struct Inner {
     pub(crate) config: DataStoreConfig,
-    /// The shared store-wide journal (storage engine v2). `Some` only
-    /// when `data_dir` is set and the engine is
-    /// [`StorageEngine::Journal`]; a journal that fails to open degrades
-    /// the server to per-account WALs rather than refusing to start.
-    pub(crate) journal: Option<Arc<sensorsafe_store::StoreJournal>>,
+    /// The store-wide journal every hosted account stages on:
+    /// `Ok(None)` without a `data_dir` (memory-only), `Err` with the
+    /// reason when the journal would not open. A store in that state
+    /// still starts, so `/healthz` can say why it is degraded, but hosts
+    /// no contributor account: acking an upload it cannot make durable
+    /// would be a lie, and so would quietly keeping it in memory.
+    pub(crate) journal: Result<Option<Arc<sensorsafe_store::StoreJournal>>, String>,
+    /// `*.wal` files found in `data_dir` at open: per-account logs of
+    /// the retired storage engine, which nothing reads any more.
+    /// `/healthz` reports them, since starting empty over them looks
+    /// exactly like data loss.
+    pub(crate) legacy_wal_files: usize,
     pub(crate) state: DataStoreState,
     pub(crate) keys: KeyRing,
     pub(crate) graph: DependencyGraph,
@@ -194,12 +168,7 @@ impl Inner {
             Role::Contributor => {
                 let mut account = match self.open_contributor_account(name) {
                     Ok(account) => account,
-                    Err(e) => {
-                        return Response::error(
-                            Status::InternalError,
-                            &format!("failed to open contributor store: {e}"),
-                        )
-                    }
+                    Err(resp) => return resp,
                 };
                 // A replicated primary ships every account from birth.
                 if self.replica.lock().is_some() {
@@ -258,54 +227,46 @@ impl Inner {
         Response::json_with_status(Status::Created, &json!({ "api_key": (key.to_hex()) }))
     }
 
-    /// Opens (or creates) the hosted account for `name` under the
-    /// configured durability engine: in-memory without a data directory,
-    /// the shared journal under [`StorageEngine::Journal`], otherwise a
-    /// per-account `<dir>/<name>.wal`. Journal-recovered state (if any)
-    /// is claimed exactly once inside
-    /// [`ContributorAccount::open_journal`].
-    fn open_contributor_account(
-        &self,
-        name: &str,
-    ) -> Result<ContributorAccount, sensorsafe_store::StoreError> {
+    /// Opens (or creates) the hosted account for `name`: in memory
+    /// without a data directory, otherwise on the shared journal, where
+    /// recovered state (if any) is claimed exactly once inside
+    /// [`ContributorAccount::open_journal`]. A store whose journal would
+    /// not open hosts nobody: the error is the 500 to answer with.
+    fn open_contributor_account(&self, name: &str) -> Result<ContributorAccount, Response> {
         let id = ContributorId::new(name);
-        match (&self.config.data_dir, &self.journal) {
-            (None, _) => Ok(ContributorAccount::new(id, self.config.merge)),
-            (Some(_), Some(journal)) => Ok(ContributorAccount::open_journal(
+        match &self.journal {
+            Ok(None) => Ok(ContributorAccount::new(id, self.config.merge)),
+            Ok(Some(journal)) => Ok(ContributorAccount::open_journal(
                 id,
                 journal.clone(),
                 self.config.merge,
             )),
-            (Some(dir), None) => {
-                let path = dir.join(format!("{name}.wal"));
-                ContributorAccount::open_with(id, path, self.config.merge, self.config.wal)
-            }
+            Err(e) => Err(Response::error(
+                Status::InternalError,
+                &format!("failed to open contributor store: {e}"),
+            )),
         }
     }
 
     /// Creates an empty contributor account if `name` has none yet (the
     /// replica side of replication: accounts materialize on first
     /// mirrored registration or shipped batch). Durable when the store
-    /// has a data directory. Returns `false` only on a WAL open failure.
-    fn ensure_contributor_account(&self, name: &str) -> bool {
+    /// has a data directory; fails only when its journal would not open.
+    fn ensure_contributor_account(&self, name: &str) -> Result<(), Response> {
         let id = ContributorId::new(name);
-        if self.state.with_contributor(&id, |_| ()).is_some() {
-            return true;
+        if self.state.with_contributor(&id, |_| ()).is_none() {
+            // A concurrent insert losing the race is fine: the account exists.
+            self.state
+                .add_contributor(self.open_contributor_account(name)?);
         }
-        let account = match self.open_contributor_account(name) {
-            Ok(account) => account,
-            Err(_) => return false,
-        };
-        // A concurrent insert losing the race is fine: the account exists.
-        self.state.add_contributor(account);
-        true
+        Ok(())
     }
 
     /// `POST /repl/segment` — a primary pushes one sealed replication
     /// batch. Idempotent by `(contributor, seq)`: the replica records the
-    /// highest applied sequence in its own WAL (crash-safe) and skips
+    /// highest applied sequence in its journal (crash-safe) and skips
     /// anything at or below it, so the primary can re-send after a lost
-    /// ack. The batch is applied **atomically** (one WAL frame carries
+    /// ack. The batch is applied **atomically** (one journal frame carries
     /// the records and the high-water advance together), so a crash can
     /// never leave a half-applied batch for a re-send to duplicate.
     /// Frames carrying an epoch older than the account's assignment
@@ -329,8 +290,8 @@ impl Inner {
             Ok(f) => f,
             Err(e) => return bad_request(&format!("bad replication frame: {e}")),
         };
-        if !self.ensure_contributor_account(&frame.contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
+        if let Err(resp) = self.ensure_contributor_account(&frame.contributor) {
+            return resp;
         }
         let id = ContributorId::new(frame.contributor.as_str());
         let seq = frame.seq;
@@ -393,8 +354,8 @@ impl Inner {
         let Some(contributor) = body.get("contributor").and_then(Value::as_str) else {
             return bad_request("missing 'contributor'");
         };
-        if !self.ensure_contributor_account(contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
+        if let Err(resp) = self.ensure_contributor_account(contributor) {
+            return resp;
         }
         let id = ContributorId::new(contributor);
         let Some(account) = self.state.read_contributor(&id) else {
@@ -410,7 +371,7 @@ impl Inner {
     /// `POST /repl/reset` — wipes this replica's copy of one
     /// contributor's data ahead of a full re-snapshot (the primary calls
     /// this when the status handshake shows the streams diverged). The
-    /// wipe is durable (the WAL is rewritten) and epoch-guarded: a
+    /// wipe is durable (a reset marker is journaled) and epoch-guarded: a
     /// deposed primary carrying a stale epoch cannot wipe a promoted
     /// replica, and the assignment epoch/fence survive the reset.
     fn handle_repl_reset(&self, body: &Value) -> Response {
@@ -426,8 +387,8 @@ impl Inner {
         let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
             return bad_request("missing 'epoch'");
         };
-        if !self.ensure_contributor_account(contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
+        if let Err(resp) = self.ensure_contributor_account(contributor) {
+            return resp;
         }
         let id = ContributorId::new(contributor);
         let outcome = self.state.with_contributor_mut(&id, |account| {
@@ -479,11 +440,8 @@ impl Inner {
         };
         match role {
             Role::Contributor => {
-                if !self.ensure_contributor_account(name) {
-                    return Response::error(
-                        Status::InternalError,
-                        "failed to open replica account",
-                    );
+                if let Err(resp) = self.ensure_contributor_account(name) {
+                    return resp;
                 }
             }
             Role::Consumer => {
@@ -542,8 +500,8 @@ impl Inner {
             Ok(r) => r,
             Err(e) => return bad_request(&e.to_string()),
         };
-        if !self.ensure_contributor_account(contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
+        if let Err(resp) = self.ensure_contributor_account(contributor) {
+            return resp;
         }
         let id = ContributorId::new(contributor);
         let current = self
@@ -568,7 +526,7 @@ impl Inner {
     /// account's assignment epoch forward and set the fenced flag. An
     /// epoch older than the current one is rejected as stale, making both
     /// operations idempotent and safe to retry. The transition is staged
-    /// on the account's WAL and the 200 waits for the commit — the broker
+    /// on the journal and the 200 waits for the commit — the broker
     /// stops retrying a fence once acknowledged, so the ack must mean
     /// the fence survives a restart.
     fn repl_set_epoch(&self, body: &Value, fenced: bool) -> Response {
@@ -584,8 +542,8 @@ impl Inner {
         let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
             return bad_request("missing 'epoch'");
         };
-        if !self.ensure_contributor_account(contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
+        if let Err(resp) = self.ensure_contributor_account(contributor) {
+            return resp;
         }
         let id = ContributorId::new(contributor);
         let outcome = self.state.with_contributor_mut(&id, |account| {
@@ -677,7 +635,7 @@ impl Inner {
             }
         };
         // Stage-then-wait: the account write lock covers only the
-        // in-memory mutation and WAL *staging*; the fsync wait happens
+        // in-memory mutation and journal *staging*; the fsync wait happens
         // after the lock is released, so concurrent uploads (to this or
         // other accounts) group-commit instead of serializing on disk
         // latency (DESIGN.md §8).
@@ -746,7 +704,7 @@ impl Inner {
                     &format!("durable commit failed: {e}"),
                 );
             }
-            // Process-wide (like the WAL fsync counter it pairs with):
+            // Process-wide (like the journal fsync counter it pairs with):
             // fsyncs_total / durable_uploads_total is the group-commit
             // coalescing ratio the C2 bench asserts on.
             sensorsafe_obsv::global()
@@ -1077,20 +1035,22 @@ impl Inner {
     /// Liveness plus component health. Always HTTP 200 — liveness probes
     /// must keep passing while the process can answer at all — but the
     /// body's `status` drops to `degraded` when a component is impaired
-    /// (a sticky WAL commit failure, the audit ledger running on its
+    /// (a journal that would not open or whose commit failed, legacy
+    /// `*.wal` files nothing reads, the audit ledger running on its
     /// in-memory fallback, or a ledger that can no longer sync to disk),
     /// which the broker's fleet health plane reads.
     fn handle_healthz(&self) -> Response {
-        let wal_errors = self.state.wal_sticky_errors();
-        let wal_status = match wal_errors.first() {
+        let journal_error = match &self.journal {
+            Err(e) => Some(e.clone()),
+            Ok(journal) => journal.as_ref().and_then(|j| j.sticky_error()),
+        };
+        let wal_status = match journal_error {
+            Some(err) => format!("error: {err}"),
+            None if self.legacy_wal_files > 0 => format!(
+                "ignoring {} legacy *.wal files in the data directory",
+                self.legacy_wal_files
+            ),
             None => "ok".to_string(),
-            Some((contributor, err)) => {
-                format!(
-                    "error ({} accounts): {}: {err}",
-                    wal_errors.len(),
-                    contributor
-                )
-            }
         };
         let ledger_status = if self.ledger_fallback {
             "fallback_memory"
@@ -1119,6 +1079,17 @@ impl Inner {
         body.push_str(&sensorsafe_obsv::global().encode());
         Response::text(body)
     }
+}
+
+/// How many `*.wal` files `dir` holds (0 when it cannot be listed).
+fn count_wal_files(dir: &std::path::Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .filter(|entry| entry.path().extension().is_some_and(|ext| ext == "wal"))
+        .count()
 }
 
 fn annotation_from_json(value: &Value) -> Result<ContextAnnotation, String> {
@@ -1260,8 +1231,8 @@ impl DataStoreService {
     /// `Role::Server` credential the operator uses to create accounts
     /// and that the broker uses for escrowed consumer registration).
     pub fn new(config: DataStoreConfig) -> (DataStoreService, ApiKey) {
-        let state = DataStoreState::with_mode(config.lock_mode);
-        // The audit ledger is durable alongside the WALs when a data
+        let state = DataStoreState::new();
+        // The audit ledger is durable alongside the journal when a data
         // directory is configured. A ledger that fails verification is
         // never silently adopted: the file is left untouched for offline
         // forensics (docs/OPERATIONS.md) and decisions go to a fresh
@@ -1281,30 +1252,30 @@ impl DataStoreService {
                 }
             },
         };
-        // Storage engine v2: one shared journal for every hosted
-        // account. An open failure (corrupt checkpoint, unwritable
-        // directory) degrades to per-account WALs — the server still
-        // starts and /healthz exposes the per-store engine state — but
-        // is loudly logged because the operator chose the journal.
-        let journal = match (&config.data_dir, config.engine) {
-            (Some(dir), StorageEngine::Journal) => {
-                let journal_config = sensorsafe_store::JournalConfig {
-                    commit: config.wal,
-                    ..config.journal
-                };
-                match sensorsafe_store::StoreJournal::open(dir, journal_config) {
-                    Ok(journal) => Some(Arc::new(journal)),
-                    Err(e) => {
-                        eprintln!(
-                            "{{\"event\":\"journal_open_failed\",\"server\":\"{}\",\"error\":\"{e}\",\"fallback\":\"per_account_wal\"}}",
-                            config.name
-                        );
-                        None
-                    }
+        // One shared journal for every hosted account. An open failure
+        // (corrupt checkpoint, unwritable directory) is remembered, not
+        // worked around: the server starts so /healthz can report it, and
+        // refuses to host accounts it could not make durable.
+        let journal = match &config.data_dir {
+            None => Ok(None),
+            Some(dir) => match sensorsafe_store::StoreJournal::open(dir, config.journal) {
+                Ok(journal) => Ok(Some(Arc::new(journal))),
+                Err(e) => {
+                    eprintln!(
+                        "{{\"event\":\"journal_open_failed\",\"server\":\"{}\",\"error\":\"{e}\"}}",
+                        config.name
+                    );
+                    Err(format!("journal open failed: {e}"))
                 }
-            }
-            _ => None,
+            },
         };
+        let legacy_wal_files = config.data_dir.as_deref().map_or(0, count_wal_files);
+        if legacy_wal_files > 0 {
+            eprintln!(
+                "{{\"event\":\"legacy_wal_files_ignored\",\"server\":\"{}\",\"count\":{legacy_wal_files}}}",
+                config.name
+            );
+        }
         let traces = TraceRecorder::new(256);
         traces.set_slow_threshold(sensorsafe_obsv::trace::slow_threshold_from_env(
             config.slow_request_threshold,
@@ -1312,6 +1283,7 @@ impl DataStoreService {
         let inner = Arc::new(Inner {
             config,
             journal,
+            legacy_wal_files,
             state,
             keys: KeyRing::new(),
             graph: DependencyGraph::paper(),
@@ -1331,7 +1303,7 @@ impl DataStoreService {
             name: "admin".to_string(),
             role: Role::Server,
         });
-        if let Some(journal) = inner.journal.clone() {
+        if let Ok(Some(journal)) = &inner.journal {
             // Checkpoint source: snapshot every hosted account under its
             // write lock. `high_seq` MUST be read under that same lock
             // (atomically with the record snapshot) or records staged in
@@ -1340,7 +1312,7 @@ impl DataStoreService {
             // forward by the journal itself. Weak references keep the
             // journal's background threads from leaking the whole server.
             let weak = Arc::downgrade(&inner);
-            let source_journal = Arc::downgrade(&journal);
+            let source_journal = Arc::downgrade(journal);
             journal.register_checkpoint_source(Box::new(move || {
                 let (Some(inner), Some(journal)) = (weak.upgrade(), source_journal.upgrade())
                 else {
@@ -1548,11 +1520,12 @@ impl DataStoreService {
     }
 
     /// A snapshot of the shared journal's segment/checkpoint bookkeeping,
-    /// or `None` when this store runs in-memory or on per-account WALs.
-    /// Operators get the same numbers as metrics; benches and tests use
-    /// this to assert rotation and GC actually happened.
+    /// or `None` when this store runs in-memory (or its journal would not
+    /// open). Operators get the same numbers as metrics; benches and
+    /// tests use this to assert rotation and GC actually happened.
     pub fn journal_stats(&self) -> Option<sensorsafe_store::JournalStats> {
-        self.inner.journal.as_ref().map(|journal| journal.stats())
+        let journal = self.inner.journal.as_ref().ok()?.as_ref()?;
+        Some(journal.stats())
     }
 }
 
@@ -2112,7 +2085,7 @@ mod durability_tests {
             uploaded = 32 * 64;
         }
         // "Restart": a fresh service over the same data directory.
-        // Re-registration replays the WAL into the new account.
+        // Re-registration claims what the journal recovered for the account.
         let (svc, admin) = DataStoreService::new(config);
         let resp = svc.handle(&Request::post_json(
             "/api/register",
@@ -2124,7 +2097,179 @@ mod durability_tests {
             .state()
             .with_contributor(&id, |a| a.store.stats())
             .unwrap();
-        assert_eq!(stats.samples, uploaded, "WAL replay recovered the data");
+        assert_eq!(stats.samples, uploaded, "journal replay recovered the data");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn health(svc: &DataStoreService) -> Value {
+        svc.handle(&Request::get("/healthz")).json_body().unwrap()
+    }
+
+    /// Uploads `take` chest packets of Alice's day starting at packet
+    /// `skip`; returns the response status and the samples sent.
+    fn upload_packets(
+        svc: &DataStoreService,
+        key: &str,
+        skip: usize,
+        take: usize,
+    ) -> (Status, usize) {
+        let rendered =
+            sensorsafe_sim::Scenario::alice_day(sensorsafe_types::Timestamp::from_millis(0), 6, 1)
+                .render();
+        let packets = &rendered.chest_segments[skip..skip + take];
+        let segments: Vec<Value> = packets.iter().map(WaveSegment::to_json).collect();
+        let resp = svc.handle(&Request::post_json(
+            "/api/upload",
+            &json!({"key": key, "segments": (Value::Array(segments))}),
+        ));
+        (resp.status, packets.iter().map(WaveSegment::len).sum())
+    }
+
+    fn stored_samples(svc: &DataStoreService, name: &str) -> Option<usize> {
+        svc.state()
+            .with_contributor(&ContributorId::new(name), |a| a.store.stats().samples)
+    }
+
+    /// A journal that will not open (here: a checkpoint failing its
+    /// checksum) must not be worked around. The old per-account-WAL
+    /// fallback acked uploads into `<name>.wal` files that a later start
+    /// with a healthy journal never read: acked, then gone.
+    #[test]
+    fn store_that_cannot_open_its_journal_acks_nothing() {
+        let dir =
+            std::env::temp_dir().join(format!("sensorsafe-journal-shut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("journal.ckpt"), b"not a checkpoint").unwrap();
+        let config = DataStoreConfig {
+            name: "journal-shut".into(),
+            data_dir: Some(dir.clone()),
+            ..DataStoreConfig::default()
+        };
+        {
+            let (svc, admin) = DataStoreService::new(config.clone());
+            // Every way an account comes to exist answers 5xx, so no
+            // upload path has an account to store into.
+            for (path, body) in [
+                (
+                    "/api/register",
+                    json!({"key": (admin.to_hex()), "name": "alice", "role": "contributor"}),
+                ),
+                (
+                    "/repl/status",
+                    json!({"key": (admin.to_hex()), "contributor": "alice"}),
+                ),
+            ] {
+                let resp = svc.handle(&Request::post_json(path, &body));
+                assert_eq!(resp.status, Status::InternalError, "{path}");
+                let text = String::from_utf8_lossy(&resp.body).into_owned();
+                assert!(text.contains("journal open failed"), "{path}: {text}");
+            }
+            assert_eq!(stored_samples(&svc, "alice"), None);
+            let body = health(&svc);
+            assert_eq!(body["status"].as_str(), Some("degraded"));
+            let wal = body["components"]["wal"].as_str().unwrap();
+            assert!(wal.starts_with("error: journal open failed"), "{wal}");
+        }
+        assert_eq!(count_wal_files(&dir), 0, "a second log format appeared");
+
+        // Repaired (the operator moved the bad checkpoint aside): the
+        // store serves again and keeps what it acks across a restart.
+        std::fs::remove_file(dir.join("journal.ckpt")).unwrap();
+        let acked = {
+            let (svc, admin) = DataStoreService::new(config.clone());
+            assert_eq!(health(&svc)["status"].as_str(), Some("ok"));
+            let key = register_alice(&svc, &admin);
+            let (status, samples) = upload_packets(&svc, &key, 0, 32);
+            assert_eq!(status, Status::Ok);
+            samples
+        };
+        let (svc, admin) = DataStoreService::new(config);
+        register_alice(&svc, &admin);
+        assert_eq!(stored_samples(&svc, "alice"), Some(acked));
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Directories written by the retired per-account engine (or by its
+    /// fallback) hold `*.wal` files nothing reads any more; starting
+    /// empty over them must at least be visible.
+    #[test]
+    fn legacy_wal_files_degrade_healthz() {
+        let dir =
+            std::env::temp_dir().join(format!("sensorsafe-legacy-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("alice.wal"), b"").unwrap();
+        let (svc, admin) = DataStoreService::new(DataStoreConfig {
+            name: "legacy-wal".into(),
+            data_dir: Some(dir.clone()),
+            ..DataStoreConfig::default()
+        });
+        let body = health(&svc);
+        assert_eq!(body["status"].as_str(), Some("degraded"));
+        let wal = body["components"]["wal"].as_str().unwrap();
+        assert!(wal.contains("1 legacy *.wal files"), "{wal}");
+        // A check, not a refusal: the journal itself is fine.
+        register_alice(&svc, &admin);
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal whose write fails (the segment it rotates into is a
+    /// device that refuses every write) stops acking: the failed upload
+    /// is a 500, `/healthz` degrades, and a restart finds exactly what
+    /// was acked before.
+    #[test]
+    fn failed_journal_commit_is_not_acked_and_degrades_healthz() {
+        if !std::path::Path::new("/dev/full").exists() {
+            return;
+        }
+        let dir =
+            std::env::temp_dir().join(format!("sensorsafe-journal-full-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = DataStoreConfig {
+            name: "journal-full".into(),
+            data_dir: Some(dir.clone()),
+            journal: sensorsafe_store::JournalConfig {
+                rotate_bytes: 1, // rotate after the first batch
+                ..sensorsafe_store::JournalConfig::default()
+            },
+            ..DataStoreConfig::default()
+        };
+        let acked = {
+            let (svc, admin) = DataStoreService::new(config.clone());
+            // Only once the journal is open: replaying /dev/full never ends.
+            std::os::unix::fs::symlink("/dev/full", dir.join("journal.seg-2")).unwrap();
+            let key = register_alice(&svc, &admin);
+            let (status, acked) = upload_packets(&svc, &key, 0, 4);
+            assert_eq!(status, Status::Ok);
+            // Let the rotation and its checkpoint land first, so the
+            // checkpoint cannot snapshot the upload that is about to fail.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while svc.journal_stats().unwrap().checkpointed_through < 1 {
+                assert!(std::time::Instant::now() < deadline, "never checkpointed");
+                std::thread::yield_now();
+            }
+            assert_eq!(health(&svc)["status"].as_str(), Some("ok"));
+
+            let (status, _) = upload_packets(&svc, &key, 4, 4);
+            assert_eq!(status, Status::InternalError, "acked after a failed write");
+            let (status, _) = upload_packets(&svc, &key, 8, 4);
+            assert_eq!(status, Status::InternalError, "the failure is sticky");
+            let body = health(&svc);
+            assert_eq!(body["status"].as_str(), Some("degraded"));
+            let wal = body["components"]["wal"].as_str().unwrap();
+            assert!(wal.starts_with("error: "), "{wal}");
+            acked
+        };
+        // The operator replaces the disk.
+        std::fs::remove_file(dir.join("journal.seg-2")).unwrap();
+        let (svc, admin) = DataStoreService::new(config);
+        register_alice(&svc, &admin);
+        assert_eq!(stored_samples(&svc, "alice"), Some(acked));
+        drop(svc);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2159,8 +2304,6 @@ mod durability_tests {
             &json!({"key": alice, "segments": (Value::Array(segments))}),
         ));
         assert_eq!(resp.status, Status::Ok);
-        let health =
-            |svc: &DataStoreService| svc.handle(&Request::get("/healthz")).json_body().unwrap();
         assert_eq!(
             health(&svc)["components"]["audit_ledger"].as_str(),
             Some("ok")

@@ -19,21 +19,15 @@
 //! Debug builds assert this order (`mod lock_order`): acquiring a stripe
 //! while holding an account lock, or a second account lock, panics.
 //!
-//! [`LockMode::GlobalLock`] layers the seed's coarse single-lock behavior
-//! on top (every access also takes one global `RwLock`), kept as the
-//! baseline the `c1_concurrency` bench compares against.
-//!
-//! WAL group commit (DESIGN.md §8) deliberately sits *outside* this
+//! Journal group commit (DESIGN.md §8) deliberately sits *outside* this
 //! hierarchy: durable uploads stage log records while holding the
 //! account write lock, but wait for the batch fsync only after every
 //! lock above has been released, so disk latency never extends an
 //! account-lock hold.
 
-use parking_lot::{
-    ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RwLock};
 use sensorsafe_policy::{CompiledRules, PrivacyRule};
-use sensorsafe_store::{GroupCommitConfig, MergePolicy, SegmentStore, StoreError, StoreJournal};
+use sensorsafe_store::{MergePolicy, SegmentStore, StoreJournal};
 use sensorsafe_types::{ConsumerId, ContributorId, GeoPoint, GroupId, Region, StudyId};
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
@@ -80,43 +74,10 @@ impl ContributorAccount {
         }
     }
 
-    /// A durable account whose store replays from `wal_path`, using the
-    /// default group-commit batching.
-    pub fn open(
-        id: ContributorId,
-        wal_path: impl AsRef<std::path::Path>,
-        merge: MergePolicy,
-    ) -> Result<ContributorAccount, StoreError> {
-        ContributorAccount::open_with(id, wal_path, merge, GroupCommitConfig::default())
-    }
-
-    /// [`ContributorAccount::open`] with explicit WAL group-commit
-    /// batching configuration.
-    ///
-    /// Durable uploads stage records under this account's write lock and
-    /// wait for the batch commit *after* releasing it (the stage-then-
-    /// wait path; DESIGN.md §8), so `wal_config` bounds how long an
-    /// acked upload can wait and how many concurrent uploads share one
-    /// fsync.
-    pub fn open_with(
-        id: ContributorId,
-        wal_path: impl AsRef<std::path::Path>,
-        merge: MergePolicy,
-        wal_config: GroupCommitConfig,
-    ) -> Result<ContributorAccount, StoreError> {
-        Ok(ContributorAccount {
-            id,
-            store: SegmentStore::open_with(wal_path, merge, wal_config)?,
-            rules: Vec::new(),
-            rule_epoch: 0,
-            places: Vec::new(),
-            compiled: Mutex::new(None),
-        })
-    }
-
-    /// A durable account backed by the **store-wide journal** (storage
-    /// engine v2): records stage into the shared [`StoreJournal`] and
-    /// ride its single commit thread's batched fsyncs. Any state the
+    /// A durable account: records stage into the data store's shared
+    /// [`StoreJournal`] under this account's write lock and ride its
+    /// single commit thread's batched fsyncs; the upload path waits for
+    /// the commit *after* releasing the lock (DESIGN.md §8). Any state the
     /// journal recovered for this account at open (checkpoint +
     /// tail-segment replay) is claimed here — `take_account` hands it
     /// over exactly once, so a second registration of the same name
@@ -199,19 +160,6 @@ impl ConsumerAccount {
     }
 }
 
-/// Which locking discipline [`DataStoreState`] runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LockMode {
-    /// Per-contributor account locks behind a striped directory
-    /// (production mode).
-    #[default]
-    Sharded,
-    /// The seed's coarse behavior: every contributor access additionally
-    /// serializes through one global `RwLock` (reads shared, writes
-    /// exclusive). Kept for same-run A/B comparison in benches.
-    GlobalLock,
-}
-
 /// Debug-build lock-order assertions (see the module docs for the
 /// hierarchy). Zero code in release builds.
 #[cfg(debug_assertions)]
@@ -262,22 +210,21 @@ mod lock_order {
 /// Returned by [`DataStoreState::read_contributor`]. The guard owns an
 /// `Arc` to the account's lock, so it stays valid even if the directory
 /// changes concurrently.
-pub struct ContributorReadGuard<'a> {
+pub struct ContributorReadGuard {
     // The owned guard keeps the account's lock allocation alive itself
     // (it holds an `Arc` of the lock), so the directory may rehash or the
     // entry be replaced while this guard is out.
     guard: ArcRwLockReadGuard<ContributorAccount>,
-    _global: Option<RwLockReadGuard<'a, ()>>,
 }
 
-impl Deref for ContributorReadGuard<'_> {
+impl Deref for ContributorReadGuard {
     type Target = ContributorAccount;
     fn deref(&self) -> &ContributorAccount {
         &self.guard
     }
 }
 
-impl Drop for ContributorReadGuard<'_> {
+impl Drop for ContributorReadGuard {
     fn drop(&mut self) {
         lock_order::release_account();
     }
@@ -286,26 +233,25 @@ impl Drop for ContributorReadGuard<'_> {
 /// Exclusive (write) access to one contributor, held until dropped.
 ///
 /// Returned by [`DataStoreState::write_contributor`].
-pub struct ContributorWriteGuard<'a> {
+pub struct ContributorWriteGuard {
     // Owned guard, as in `ContributorReadGuard`.
     guard: ArcRwLockWriteGuard<ContributorAccount>,
-    _global: Option<RwLockWriteGuard<'a, ()>>,
 }
 
-impl Deref for ContributorWriteGuard<'_> {
+impl Deref for ContributorWriteGuard {
     type Target = ContributorAccount;
     fn deref(&self) -> &ContributorAccount {
         &self.guard
     }
 }
 
-impl DerefMut for ContributorWriteGuard<'_> {
+impl DerefMut for ContributorWriteGuard {
     fn deref_mut(&mut self) -> &mut ContributorAccount {
         &mut self.guard
     }
 }
 
-impl Drop for ContributorWriteGuard<'_> {
+impl Drop for ContributorWriteGuard {
     fn drop(&mut self) {
         lock_order::release_account();
     }
@@ -317,14 +263,11 @@ type Stripe = RwLock<BTreeMap<ContributorId, Arc<RwLock<ContributorAccount>>>>;
 pub struct DataStoreState {
     stripes: Vec<Stripe>,
     consumers: RwLock<BTreeMap<ConsumerId, Arc<ConsumerAccount>>>,
-    /// `Some` in [`LockMode::GlobalLock`]: the extra coarse lock every
-    /// contributor access takes, reproducing the seed's serialization.
-    global: Option<RwLock<()>>,
 }
 
 impl Default for DataStoreState {
     fn default() -> DataStoreState {
-        DataStoreState::with_mode(LockMode::default())
+        DataStoreState::new()
     }
 }
 
@@ -367,13 +310,8 @@ fn stripe_lock_wait_histogram(stripe: usize, mode: &str) -> Arc<sensorsafe_obsv:
 }
 
 impl DataStoreState {
-    /// Empty state in the default (sharded) mode.
+    /// Empty state.
     pub fn new() -> DataStoreState {
-        DataStoreState::default()
-    }
-
-    /// Empty state under an explicit locking discipline.
-    pub fn with_mode(mode: LockMode) -> DataStoreState {
         sensorsafe_obsv::global()
             .gauge(
                 "sensorsafe_datastore_shards",
@@ -384,19 +322,6 @@ impl DataStoreState {
         DataStoreState {
             stripes: (0..STRIPES).map(|_| Stripe::default()).collect(),
             consumers: RwLock::default(),
-            global: match mode {
-                LockMode::Sharded => None,
-                LockMode::GlobalLock => Some(RwLock::new(())),
-            },
-        }
-    }
-
-    /// The locking discipline this state runs under.
-    pub fn lock_mode(&self) -> LockMode {
-        if self.global.is_some() {
-            LockMode::GlobalLock
-        } else {
-            LockMode::Sharded
         }
     }
 
@@ -446,16 +371,12 @@ impl DataStoreState {
 
     /// Acquires shared access to a contributor's account. Concurrent
     /// readers of the same account proceed in parallel; readers of
-    /// *different* accounts never contend at all (sharded mode).
-    pub fn read_contributor(&self, id: &ContributorId) -> Option<ContributorReadGuard<'_>> {
-        // The wait clock covers the whole acquisition path, so in
-        // `GlobalLock` mode time blocked on the global lock shows up in
-        // the histogram too (that is the contention the sharding kills).
+    /// *different* accounts never contend at all.
+    pub fn read_contributor(&self, id: &ContributorId) -> Option<ContributorReadGuard> {
         let waited = Instant::now();
         // Profiling frame covers the acquisition only, so sampled stacks
         // separate lock-wait time from time spent holding the lock.
         let prof = sensorsafe_obsv::prof_frame!("stripe-lock-wait");
-        let _global = self.global.as_ref().map(|g| g.read());
         let account = self.lookup(id)?;
         lock_order::acquire_account();
         let guard = RwLock::read_arc(&account);
@@ -463,15 +384,14 @@ impl DataStoreState {
         let elapsed = waited.elapsed();
         lock_wait_histogram("read").observe(elapsed);
         stripe_lock_wait_histogram(stripe_of(id), "read").observe(elapsed);
-        Some(ContributorReadGuard { guard, _global })
+        Some(ContributorReadGuard { guard })
     }
 
     /// Acquires exclusive access to a contributor's account. Only writers
-    /// and readers of the *same* account are serialized (sharded mode).
-    pub fn write_contributor(&self, id: &ContributorId) -> Option<ContributorWriteGuard<'_>> {
+    /// and readers of the *same* account are serialized.
+    pub fn write_contributor(&self, id: &ContributorId) -> Option<ContributorWriteGuard> {
         let waited = Instant::now();
         let prof = sensorsafe_obsv::prof_frame!("stripe-lock-wait");
-        let _global = self.global.as_ref().map(|g| g.write());
         let account = self.lookup(id)?;
         lock_order::acquire_account();
         let guard = RwLock::write_arc(&account);
@@ -479,7 +399,7 @@ impl DataStoreState {
         let elapsed = waited.elapsed();
         lock_wait_histogram("write").observe(elapsed);
         stripe_lock_wait_histogram(stripe_of(id), "write").observe(elapsed);
-        Some(ContributorWriteGuard { guard, _global })
+        Some(ContributorWriteGuard { guard })
     }
 
     /// Runs `f` with shared access to a contributor (convenience wrapper
@@ -523,22 +443,6 @@ impl DataStoreState {
     pub fn contributor_count(&self) -> usize {
         lock_order::assert_no_account_lock();
         self.stripes.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Sticky WAL I/O failures across every hosted contributor, as
-    /// `(contributor, error)` pairs. Non-empty means this store has acked
-    /// its last durable write: `/healthz` reports it as `degraded`.
-    pub fn wal_sticky_errors(&self) -> Vec<(ContributorId, String)> {
-        let mut errors = Vec::new();
-        for id in self.contributor_ids() {
-            if let Some(err) = self
-                .with_contributor(&id, |a| a.store.wal_sticky_error())
-                .flatten()
-            {
-                errors.push((id, err));
-            }
-        }
-        errors
     }
 }
 
@@ -667,19 +571,6 @@ mod tests {
         assert_eq!(compiled.len(), 1);
         assert!(!Arc::ptr_eq(&empty, &compiled));
         assert!(Arc::ptr_eq(&compiled, &account.compiled_rules()));
-    }
-
-    #[test]
-    fn global_lock_mode_behaves_identically() {
-        let state = DataStoreState::with_mode(LockMode::GlobalLock);
-        assert_eq!(state.lock_mode(), LockMode::GlobalLock);
-        let id = ContributorId::new("alice");
-        state.add_contributor(ContributorAccount::new(id.clone(), MergePolicy::default()));
-        state
-            .with_contributor_mut(&id, |a| a.set_rules(vec![PrivacyRule::allow_all()]))
-            .unwrap();
-        assert_eq!(state.with_contributor(&id, |a| a.rule_epoch).unwrap(), 1);
-        assert_eq!(DataStoreState::new().lock_mode(), LockMode::Sharded);
     }
 
     #[test]

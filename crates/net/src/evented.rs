@@ -1,5 +1,5 @@
-//! The evented server: epoll event loops with `SO_REUSEPORT` sharded
-//! accept.
+//! The server ([`Server`]): epoll event loops with `SO_REUSEPORT`
+//! sharded accept.
 //!
 //! Architecture (one box per [`EventedConfig::loops`]):
 //!
@@ -20,7 +20,7 @@
 //! reads readiness-driven byte fragments into the connection's
 //! [`RequestDecoder`], dispatches each
 //! complete request to a bounded handler pool (where the blocking
-//! service code — WAL commits, policy evaluation — runs unchanged), and
+//! service code — journal commits, policy evaluation — runs unchanged), and
 //! writes the response back with non-blocking writes, re-arming
 //! `EPOLLOUT` on short writes. Handler threads return responses through
 //! a per-loop completion queue plus an `eventfd` wakeup.
@@ -69,7 +69,7 @@ pub struct EventedConfig {
     /// overflow is shed like the connection cap.
     pub handler_queue_depth: usize,
     /// Idle keep-alive connections are closed after this long without a
-    /// request (mirrors the thread-pool server's 30 s read timeout).
+    /// request.
     pub idle_timeout: Duration,
 }
 
@@ -370,8 +370,10 @@ fn bind_reuseport(addr: SocketAddr) -> std::io::Result<TcpListener> {
     }
 }
 
-/// A running evented server. See the module docs for the architecture.
-pub struct EventedServer {
+/// A running HTTP server. See the module docs for the architecture.
+/// Dropping it (or calling [`Server::shutdown`]) stops accepting and
+/// joins all threads.
+pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     loops: Vec<JoinHandle<()>>,
@@ -380,13 +382,23 @@ pub struct EventedServer {
     job_tx: Option<Sender<Job>>,
 }
 
-impl EventedServer {
-    /// Binds `service` on `addr` (port 0 for ephemeral) with `config`.
-    pub fn bind(
+impl Server {
+    /// Binds `service` on `addr` (use port 0 for an ephemeral port) with
+    /// `workers` handler threads and one event loop per core.
+    pub fn bind(addr: &str, workers: usize, service: Arc<dyn Service>) -> std::io::Result<Server> {
+        let config = EventedConfig {
+            handler_threads: workers,
+            ..EventedConfig::default()
+        };
+        Server::bind_evented(addr, config, service)
+    }
+
+    /// Binds with full [`EventedConfig`] control.
+    pub fn bind_evented(
         addr: &str,
         config: EventedConfig,
         service: Arc<dyn Service>,
-    ) -> std::io::Result<EventedServer> {
+    ) -> std::io::Result<Server> {
         use std::net::ToSocketAddrs;
         let sockaddr = addr
             .to_socket_addrs()?
@@ -438,7 +450,7 @@ impl EventedServer {
             );
         }
 
-        Ok(EventedServer {
+        Ok(Server {
             addr: local,
             stop,
             loops,
@@ -451,6 +463,11 @@ impl EventedServer {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The bound address as a `host:port` string.
+    pub fn addr_string(&self) -> String {
+        self.addr.to_string()
     }
 
     /// Stops the loops (closing every connection), drains the handler
@@ -472,7 +489,7 @@ impl EventedServer {
     }
 }
 
-impl Drop for EventedServer {
+impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -954,7 +971,7 @@ mod tests {
 
     #[test]
     fn serves_requests_over_tcp() {
-        let server = EventedServer::bind("127.0.0.1:0", small_config(), echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", small_config(), echo_service()).unwrap();
         let client = HttpClient::new(server.addr().to_string());
         let resp = client.send(&Request::get("/ping")).unwrap();
         assert_eq!(resp.status, Status::Ok);
@@ -963,7 +980,7 @@ mod tests {
 
     #[test]
     fn keep_alive_many_requests_one_connection() {
-        let server = EventedServer::bind("127.0.0.1:0", small_config(), echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", small_config(), echo_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -980,7 +997,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_answered_in_order() {
-        let server = EventedServer::bind("127.0.0.1:0", small_config(), echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", small_config(), echo_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1000,7 +1017,7 @@ mod tests {
 
     #[test]
     fn malformed_request_gets_400_and_close() {
-        let server = EventedServer::bind("127.0.0.1:0", small_config(), echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", small_config(), echo_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.write_all(b"BOGUS REQUEST LINE\r\n\r\n").unwrap();
         let mut buf = Vec::new();
@@ -1011,7 +1028,7 @@ mod tests {
 
     #[test]
     fn oversized_headers_get_431() {
-        let server = EventedServer::bind("127.0.0.1:0", small_config(), echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", small_config(), echo_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.write_all(b"GET /ping HTTP/1.1\r\n").unwrap();
         let filler = format!("x-filler: {}\r\n", "y".repeat(4000));
@@ -1035,7 +1052,7 @@ mod tests {
             max_connections_per_loop: 4,
             ..EventedConfig::default()
         };
-        let server = EventedServer::bind("127.0.0.1:0", config, echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", config, echo_service()).unwrap();
         // Fill the cap with idle keep-alive connections.
         let mut held = Vec::new();
         for _ in 0..4 {
@@ -1082,7 +1099,7 @@ mod tests {
             idle_timeout: Duration::from_millis(200),
             ..EventedConfig::default()
         };
-        let server = EventedServer::bind("127.0.0.1:0", config, echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", config, echo_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         write_request(&mut stream, &Request::get("/ping")).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -1098,7 +1115,7 @@ mod tests {
 
     #[test]
     fn connection_close_header_honored() {
-        let server = EventedServer::bind("127.0.0.1:0", small_config(), echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", small_config(), echo_service()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let mut req = Request::get("/ping");
         req.headers.insert("connection".into(), "close".into());
@@ -1115,7 +1132,7 @@ mod tests {
     #[test]
     fn shutdown_is_clean_and_idempotent() {
         let mut server =
-            EventedServer::bind("127.0.0.1:0", small_config(), echo_service()).unwrap();
+            Server::bind_evented("127.0.0.1:0", small_config(), echo_service()).unwrap();
         let addr = server.addr();
         let client = HttpClient::new(addr.to_string());
         assert!(client.send(&Request::get("/ping")).is_ok());
@@ -1132,7 +1149,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_across_loops() {
-        let server = EventedServer::bind("127.0.0.1:0", small_config(), echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", small_config(), echo_service()).unwrap();
         let addr = server.addr().to_string();
         let mut handles = Vec::new();
         for i in 0..8 {
@@ -1153,7 +1170,7 @@ mod tests {
 
     #[test]
     fn method_not_allowed_statuses_pass_through() {
-        let server = EventedServer::bind("127.0.0.1:0", small_config(), echo_service()).unwrap();
+        let server = Server::bind_evented("127.0.0.1:0", small_config(), echo_service()).unwrap();
         let client = HttpClient::new(server.addr().to_string());
         let req = Request {
             method: Method::Delete,

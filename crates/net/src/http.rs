@@ -479,8 +479,12 @@ fn read_head_line<R: Read>(
     Ok(line)
 }
 
-/// Reads one request from a stream. Returns `Ok(None)` on a clean EOF
-/// before any bytes (keep-alive connection closed by peer).
+/// Reads one request from a blocking stream. Returns `Ok(None)` on a
+/// clean EOF before any bytes (keep-alive connection closed by peer).
+///
+/// The server decodes incrementally ([`crate::codec::RequestDecoder`]);
+/// this is the reference parser that decoder is differential-tested
+/// against (`tests/codec_incremental.rs`, `tests/properties.rs`).
 pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> std::io::Result<Option<Request>> {
     let mut budget = MAX_HEAD_BYTES;
     let line = read_head_line(reader, &mut budget)?;

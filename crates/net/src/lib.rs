@@ -9,8 +9,10 @@
 //!   (`Content-Length` framing; GET/POST/PUT/DELETE; keep-alive).
 //! * [`Router`] — path-pattern routing (`/api/data/:user`) dispatching to
 //!   handler closures; implements [`Service`].
-//! * [`Server`] — a blocking TCP acceptor with a crossbeam-channel thread
-//!   pool and clean shutdown.
+//! * [`Server`] — epoll event loops with `SO_REUSEPORT` sharded accept
+//!   ([`evented`]), an incremental request decoder ([`codec`]), a bounded
+//!   handler pool for the blocking service code, overload shedding and
+//!   clean shutdown.
 //! * [`HttpClient`] — a blocking client for consumer apps, contributor
 //!   phones, and server-to-server calls (rule sync, key escrow).
 //! * [`promtext`] — a tolerant Prometheus text-format parser, the inverse
@@ -41,12 +43,11 @@ pub mod traces;
 mod transport;
 
 pub use debug::{profile_response, spans_response, spans_table_html};
-pub use evented::{EventedConfig, EventedServer};
+pub use evented::{EventedConfig, Server};
 pub use failover::{AddrResolver, FailoverTransport, TransportMaker};
 pub use http::{Method, Request, Response, Status, TRACE_HEADER};
 pub use promtext::{ParsedScrape, TextSample};
 pub use router::{Params, Router};
-pub use server::{Server, ServerMode, ThreadPoolServer};
 pub use traces::traces_response;
 pub use transport::{
     HttpClient, LocalTransport, TcpTransport, Transport, TransportError, DEFAULT_POOL_SIZE,

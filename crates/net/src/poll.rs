@@ -3,8 +3,7 @@
 //! This is the readiness core under [`crate::evented`]: one [`Poller`]
 //! per event loop, registered file descriptors identified by a
 //! caller-chosen `u64` token, and a [`Waker`] other threads ring to pull
-//! a loop out of [`Poller::wait`] (replacing the old loopback-connection
-//! shutdown hack in the thread-pool server).
+//! a loop out of [`Poller::wait`].
 //!
 //! The syscall surface comes from the vendored `libc` shim
 //! (`vendor/libc`), consistent with the workspace's no-external-crates

@@ -1,302 +1,10 @@
-//! The server front door: mode selection between the evented core and
-//! the thread-pool baseline, plus the thread-pool implementation itself.
-//!
-//! [`Server::bind`] is what everything in the workspace calls; it
-//! defaults to the epoll-based [`EventedServer`](crate::evented) (see
-//! [`ServerMode::from_env`]) and keeps the original blocking
-//! thread-per-connection pool selectable as [`ServerMode::ThreadPool`]
-//! — the same same-run A/B discipline as the store's `LockMode`:
-//! baselines stay runnable forever, so any experiment can pit the two
-//! architectures against each other in one process.
-//!
-//! The thread-pool path ([`ThreadPoolServer`]): connections are
-//! accepted on a dedicated thread and dispatched to a fixed pool of
-//! workers over a crossbeam channel. Each worker speaks keep-alive
-//! HTTP/1.1 and *parks on its connection* until the peer closes, sends
-//! `Connection: close`, or errors — which is exactly why it cannot
-//! scale past `workers` concurrent keep-alive connections, and why the
-//! evented core exists (EXPERIMENTS.md C3).
+//! Server-level request accounting, and the front-door tests of
+//! [`Server`](crate::Server) over real TCP. The server itself — event
+//! loops, connection state machines, handler pool — is
+//! [`crate::evented`].
 
-use crate::evented::{EventedConfig, EventedServer};
-use crate::http::{read_request, write_response, Response, Status};
-use crate::Service;
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::Mutex;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use crate::http::Status;
 use std::time::Duration;
-
-/// Which server architecture [`Server::bind`] stands up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// Blocking accept + fixed worker pool; one worker thread is parked
-    /// per live keep-alive connection. The pre-evented baseline.
-    ThreadPool,
-    /// Epoll event loops with `SO_REUSEPORT` sharded accept; thousands
-    /// of idle connections per loop at flat memory. The default.
-    Evented,
-}
-
-impl ServerMode {
-    /// Parses a mode name as used by `SENSORSAFE_SERVER_MODE` and the
-    /// bench CLI: `"evented"` or `"thread-pool"`/`"threadpool"`.
-    pub fn parse(s: &str) -> Option<ServerMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "evented" | "epoll" => Some(ServerMode::Evented),
-            "thread-pool" | "threadpool" | "thread_pool" => Some(ServerMode::ThreadPool),
-            _ => None,
-        }
-    }
-
-    /// The deployment default: `Evented`, unless the
-    /// `SENSORSAFE_SERVER_MODE` environment variable selects otherwise
-    /// (unrecognized values fall back to `Evented`).
-    pub fn from_env() -> ServerMode {
-        std::env::var("SENSORSAFE_SERVER_MODE")
-            .ok()
-            .and_then(|v| ServerMode::parse(&v))
-            .unwrap_or(ServerMode::Evented)
-    }
-
-    /// The name [`ServerMode::parse`] round-trips.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ServerMode::ThreadPool => "thread-pool",
-            ServerMode::Evented => "evented",
-        }
-    }
-}
-
-enum Inner {
-    ThreadPool(ThreadPoolServer),
-    Evented(EventedServer),
-}
-
-/// A running HTTP server in either [`ServerMode`]. Dropping it (or
-/// calling [`Server::shutdown`]) stops accepting and joins all threads.
-pub struct Server {
-    inner: Inner,
-}
-
-impl Server {
-    /// Binds `service` on `addr` (use port 0 for an ephemeral port) in
-    /// the mode [`ServerMode::from_env`] selects. `workers` sizes the
-    /// worker pool (thread-pool mode) or the handler pool (evented
-    /// mode); in evented mode the event-loop count is one per core.
-    pub fn bind(addr: &str, workers: usize, service: Arc<dyn Service>) -> std::io::Result<Server> {
-        Server::bind_mode(addr, ServerMode::from_env(), workers, service)
-    }
-
-    /// Binds in an explicit mode — how experiments A/B the two
-    /// architectures in one run.
-    pub fn bind_mode(
-        addr: &str,
-        mode: ServerMode,
-        workers: usize,
-        service: Arc<dyn Service>,
-    ) -> std::io::Result<Server> {
-        let inner = match mode {
-            ServerMode::ThreadPool => {
-                Inner::ThreadPool(ThreadPoolServer::bind(addr, workers, service)?)
-            }
-            ServerMode::Evented => {
-                let config = EventedConfig {
-                    handler_threads: workers,
-                    ..EventedConfig::default()
-                };
-                Inner::Evented(EventedServer::bind(addr, config, service)?)
-            }
-        };
-        Ok(Server { inner })
-    }
-
-    /// Binds the evented core with full [`EventedConfig`] control.
-    pub fn bind_evented(
-        addr: &str,
-        config: EventedConfig,
-        service: Arc<dyn Service>,
-    ) -> std::io::Result<Server> {
-        Ok(Server {
-            inner: Inner::Evented(EventedServer::bind(addr, config, service)?),
-        })
-    }
-
-    /// The mode this server is running in.
-    pub fn mode(&self) -> ServerMode {
-        match &self.inner {
-            Inner::ThreadPool(_) => ServerMode::ThreadPool,
-            Inner::Evented(_) => ServerMode::Evented,
-        }
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        match &self.inner {
-            Inner::ThreadPool(s) => s.addr(),
-            Inner::Evented(s) => s.addr(),
-        }
-    }
-
-    /// The bound address as a `host:port` string.
-    pub fn addr_string(&self) -> String {
-        self.addr().to_string()
-    }
-
-    /// Stops accepting, closes live connections, and joins all threads.
-    /// Idempotent.
-    pub fn shutdown(&mut self) {
-        match &mut self.inner {
-            Inner::ThreadPool(s) => s.shutdown(),
-            Inner::Evented(s) => s.shutdown(),
-        }
-    }
-}
-
-/// The blocking thread-pool server (the pre-evented architecture, kept
-/// as the A/B baseline). Dropping it (or calling
-/// [`ThreadPoolServer::shutdown`]) stops the acceptor and joins the
-/// workers.
-pub struct ThreadPoolServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    conn_tx: Option<Sender<TcpStream>>,
-    /// Live keep-alive connections; shut down eagerly so workers parked
-    /// in blocking reads unblock immediately at server shutdown.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-}
-
-impl ThreadPoolServer {
-    /// Binds `service` on `addr` (use port 0 for an ephemeral port) with
-    /// `workers` pool threads.
-    pub fn bind(
-        addr: &str,
-        workers: usize,
-        service: Arc<dyn Service>,
-    ) -> std::io::Result<ThreadPoolServer> {
-        assert!(workers > 0, "need at least one worker");
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = bounded::<TcpStream>(1024);
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let rx = rx.clone();
-            let service = service.clone();
-            let conns = conns.clone();
-            let stop = stop.clone();
-            let thread = std::thread::Builder::new().name(format!("net-worker-{i}"));
-            worker_handles.push(thread.spawn(move || {
-                while let Ok(stream) = rx.recv() {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Ok(clone) = stream.try_clone() {
-                        let mut live = conns.lock();
-                        // Opportunistically drop closed entries so the
-                        // registry doesn't grow unboundedly.
-                        live.retain(|s| s.peer_addr().is_ok());
-                        live.push(clone);
-                    }
-                    serve_connection(stream, service.as_ref());
-                }
-            })?);
-        }
-        let acceptor_stop = stop.clone();
-        let acceptor_tx = tx.clone();
-        // Blocking accept: zero CPU while idle. Shutdown wakes the
-        // acceptor with a loopback connection (see [`Server::shutdown`]),
-        // which it drops once it sees the stop flag.
-        let acceptor = std::thread::spawn(move || {
-            while !acceptor_stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if acceptor_stop.load(Ordering::Relaxed) {
-                            break; // the shutdown wake-up connection
-                        }
-                        sensorsafe_obsv::global()
-                            .counter(
-                                "sensorsafe_net_connections_total",
-                                "TCP connections accepted across all servers in this process.",
-                                &[],
-                            )
-                            .inc();
-                        let _ = stream.set_nodelay(true);
-                        if acceptor_tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(ThreadPoolServer {
-            addr: local,
-            stop,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
-            conn_tx: Some(tx),
-            conns,
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The bound address as a `host:port` string.
-    pub fn addr_string(&self) -> String {
-        self.addr.to_string()
-    }
-
-    /// A connectable form of the bound address: wildcard binds
-    /// (`0.0.0.0` / `::`) are not routable as connect targets, so the
-    /// shutdown wake-up aims at loopback on the same port.
-    fn wake_addr(&self) -> SocketAddr {
-        let mut addr = self.addr;
-        if addr.ip().is_unspecified() {
-            match addr {
-                SocketAddr::V4(_) => addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into()),
-                SocketAddr::V6(_) => addr.set_ip(std::net::Ipv6Addr::LOCALHOST.into()),
-            }
-        }
-        addr
-    }
-
-    /// Stops accepting, drains the pool, and joins all threads. Live
-    /// keep-alive connections are closed immediately.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.acceptor.take() {
-            // Wake the acceptor parked in the blocking `accept()`: one
-            // throwaway loopback connection, immediately dropped on both
-            // sides once the stop flag is observed.
-            let _ = TcpStream::connect_timeout(&self.wake_addr(), Duration::from_millis(250));
-            let _ = handle.join();
-        }
-        // Closing the channel lets idle workers exit; shutting the live
-        // sockets unblocks workers parked in keep-alive reads.
-        self.conn_tx.take();
-        for stream in self.conns.lock().drain(..) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ThreadPoolServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
 
 /// Server-level accounting: one latency observation plus a status-class
 /// counter per request, regardless of which service answered it.
@@ -325,62 +33,15 @@ pub(crate) fn record_request(elapsed: Duration, status: Status) {
         .inc();
 }
 
-fn serve_connection(stream: TcpStream, service: &dyn Service) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    serve_loop(&mut reader, &mut writer, service);
-    // The shutdown registry holds another clone of this socket's fd, so
-    // dropping our handles would NOT close the TCP connection — shut it
-    // down explicitly or clients waiting for EOF hang.
-    let _ = writer.shutdown(std::net::Shutdown::Both);
-}
-
-fn serve_loop(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, service: &dyn Service) {
-    loop {
-        match read_request(reader) {
-            Ok(Some(request)) => {
-                let close = request
-                    .header("connection")
-                    .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-                // Same frame name as the evented handler pool, so profiles
-                // compare across server modes.
-                let frame = sensorsafe_obsv::prof_frame!("request-handler");
-                let started = std::time::Instant::now();
-                let response = service.handle(&request);
-                record_request(started.elapsed(), response.status);
-                drop(frame);
-                if write_response(writer, &response).is_err() {
-                    return;
-                }
-                if close {
-                    return;
-                }
-            }
-            Ok(None) => return, // clean close
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Malformed or over a resource bound: answer the typed
-                // status (400 / 413 / 431) and close.
-                let mut resp = Response::error(crate::http::error_status(&e), &e.to_string());
-                resp.headers.insert("connection".into(), "close".into());
-                let _ = write_response(writer, &resp);
-                return;
-            }
-            Err(_) => return, // timeout / reset
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::http::{Method, Request};
+    use crate::http::{Method, Request, Response, Status};
     use crate::transport::HttpClient;
-    use crate::Router;
+    use crate::{Router, Server, Service};
     use sensorsafe_json::json;
+    use std::net::TcpStream;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn echo_service() -> Arc<dyn Service> {
         let mut router = Router::new();
@@ -396,38 +57,10 @@ mod tests {
     #[test]
     fn serves_over_real_tcp() {
         let server = Server::bind("127.0.0.1:0", 2, echo_service()).unwrap();
-        // Unset env → the deployment default, the evented core.
-        assert_eq!(server.mode(), ServerMode::Evented);
         let client = HttpClient::new(server.addr_string());
         let resp = client.send(&Request::get("/ping")).unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.json_body().unwrap(), json!("pong"));
-    }
-
-    #[test]
-    fn both_modes_serve_identically() {
-        for mode in [ServerMode::ThreadPool, ServerMode::Evented] {
-            let server = Server::bind_mode("127.0.0.1:0", mode, 2, echo_service()).unwrap();
-            assert_eq!(server.mode(), mode);
-            let client = HttpClient::new(server.addr_string());
-            let body = json!({"mode": (mode.as_str())});
-            let resp = client.send(&Request::post_json("/echo", &body)).unwrap();
-            assert_eq!(resp.status, Status::Ok, "{mode:?}");
-            assert_eq!(resp.json_body().unwrap(), body, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn mode_names_round_trip() {
-        for mode in [ServerMode::ThreadPool, ServerMode::Evented] {
-            assert_eq!(ServerMode::parse(mode.as_str()), Some(mode));
-        }
-        assert_eq!(ServerMode::parse("EVENTED"), Some(ServerMode::Evented));
-        assert_eq!(
-            ServerMode::parse("threadpool"),
-            Some(ServerMode::ThreadPool)
-        );
-        assert_eq!(ServerMode::parse("nonsense"), None);
     }
 
     #[test]
@@ -473,45 +106,32 @@ mod tests {
     }
 
     #[test]
-    fn malformed_request_gets_400_in_both_modes() {
+    fn malformed_request_gets_400() {
         use std::io::{Read, Write};
-        for mode in [ServerMode::ThreadPool, ServerMode::Evented] {
-            let server = Server::bind_mode("127.0.0.1:0", mode, 1, echo_service()).unwrap();
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            stream.write_all(b"BOGUS REQUEST LINE\r\n\r\n").unwrap();
-            let mut buf = Vec::new();
-            stream.read_to_end(&mut buf).unwrap();
-            let text = String::from_utf8_lossy(&buf);
-            assert!(text.starts_with("HTTP/1.1 400"), "{mode:?}: {text}");
-        }
+        let server = Server::bind("127.0.0.1:0", 1, echo_service()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(b"BOGUS REQUEST LINE\r\n\r\n").unwrap();
+        let mut buf = Vec::new();
+        stream.read_to_end(&mut buf).unwrap();
+        let text = String::from_utf8_lossy(&buf);
+        assert!(text.starts_with("HTTP/1.1 400"), "{text}");
     }
 
     #[test]
-    fn shutdown_is_clean_and_idempotent_in_both_modes() {
-        for mode in [ServerMode::ThreadPool, ServerMode::Evented] {
-            let mut server = Server::bind_mode("127.0.0.1:0", mode, 2, echo_service()).unwrap();
-            let addr = server.addr();
-            server.shutdown();
-            server.shutdown();
-            assert!(
-                TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err(),
-                "{mode:?} still accepting after shutdown"
-            );
-        }
-    }
-
-    #[test]
-    fn shutdown_wakes_idle_blocking_acceptor() {
-        // With a blocking accept and no traffic, thread-pool shutdown
-        // must complete via the loopback wake-up rather than hanging in
-        // `accept()`.
-        let mut server = ThreadPoolServer::bind("127.0.0.1:0", 1, echo_service()).unwrap();
+    fn shutdown_is_clean_and_idempotent() {
+        let mut server = Server::bind("127.0.0.1:0", 2, echo_service()).unwrap();
+        let addr = server.addr();
         let started = std::time::Instant::now();
+        server.shutdown();
         server.shutdown();
         assert!(
             started.elapsed() < Duration::from_secs(2),
-            "shutdown took {:?}",
+            "idle shutdown took {:?}",
             started.elapsed()
+        );
+        assert!(
+            TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err(),
+            "still accepting after shutdown"
         );
     }
 

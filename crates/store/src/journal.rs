@@ -1,17 +1,16 @@
-//! Storage engine v2: the **store-wide journal** — one shared,
-//! segment-rotated, checkpointed log for every contributor account a
-//! data store hosts.
+//! The **store-wide journal** — one shared, segment-rotated,
+//! checkpointed log for every contributor account a data store hosts,
+//! and the store's only durability mechanism for contributor data.
 //!
-//! The per-account [`GroupCommitWal`](crate::GroupCommitWal) pays one
-//! fsync stream per account, which is the wrong shape for SensorSafe's
-//! deployment: fleets of thousands of *low-rate* contributors (§6's
-//! studies stream ~1 Hz vitals). With one log per account there is no
-//! cross-account batching — a thousand 1 Hz contributors cost a
-//! thousand fsyncs per second even though each write is tiny. The
-//! journal inverts that: every account **stages** encoded records into
-//! one shared buffer, and a single commit thread retires the combined
-//! batch with one `write` + `fsync`, so the fsync cost amortizes across
-//! the fleet (target ≪1 fsync per upload at 1000 contributors × 1 Hz).
+//! SensorSafe's deployment is fleets of thousands of *low-rate*
+//! contributors (§6's studies stream ~1 Hz vitals). A log per account
+//! would pay one fsync stream per account with no cross-account batching
+//! — a thousand 1 Hz contributors cost a thousand fsyncs per second even
+//! though each write is tiny (EXPERIMENTS.md C4 measured exactly that).
+//! So every account **stages** encoded records into one shared buffer,
+//! and a single commit thread retires the combined batch with one
+//! `write` + `fsync`: the fsync cost amortizes across the fleet
+//! (≪1 fsync per upload at 1000 contributors × 1 Hz).
 //!
 //! # On-disk layout
 //!
@@ -30,8 +29,7 @@
 //! payload:
 //!   u16 account name length, name bytes
 //!   u64 account sequence (1-based, per account, monotonic forever)
-//!   u8  record tag + record payload (same per-record encoding as the
-//!       per-account WAL — see crate::wal)
+//!   u8  record tag + record payload (see crate::wal)
 //! ```
 //!
 //! # Rotation, checkpoints, and bounded replay
@@ -101,9 +99,9 @@
 //! lock, then account locks **one at a time** (via the registered
 //! source callback), then the journal mutex; nothing takes them in the
 //! reverse order. [`SegmentStore::compact`](crate::SegmentStore::compact)
-//! in journal mode only *requests* an async checkpoint for exactly this
-//! reason: it runs under an account lock, and checkpointing inline
-//! there would invert the order.
+//! only *requests* an async checkpoint for exactly this reason: it runs
+//! under an account lock, and checkpointing inline there would invert
+//! the order.
 
 use crate::codec::crc32;
 use crate::wal::{
@@ -130,8 +128,8 @@ pub struct JournalConfig {
     pub rotate_bytes: u64,
     /// Seal the active segment once it holds this many records.
     pub rotate_records: u64,
-    /// Group-commit batching for the shared commit thread (same knobs
-    /// as the per-account WAL; the batch now gathers across accounts).
+    /// Group-commit batching for the shared commit thread (the batch
+    /// gathers across accounts).
     pub commit: GroupCommitConfig,
 }
 
@@ -235,8 +233,8 @@ struct JournalState {
     /// Shutdown: the commit thread drains and exits, the checkpoint
     /// thread exits.
     stop: bool,
-    /// Sticky I/O failure (same contract as the per-account WAL: after
-    /// a failed batch write, nothing acks durably again).
+    /// Sticky I/O failure: after a failed batch write, nothing acks
+    /// durably again (acking after a failed fsync would be a lie).
     error: Option<String>,
     /// Per-account staging sequence high-waters (monotonic forever,
     /// surviving restarts via checkpoint + replay).
@@ -260,8 +258,7 @@ struct JournalState {
 
 /// Metric handles `stage`, `wait` and the commit thread touch per record
 /// or per batch, resolved once at open instead of by name under the
-/// journal mutex. The batch metrics are shared with the per-account WAL
-/// so the fsync/upload coalescing ratio stays comparable across engines.
+/// journal mutex.
 struct JournalMetrics {
     appends: Arc<Counter>,
     fsyncs: Arc<Counter>,
@@ -748,7 +745,10 @@ impl StoreJournal {
             .durable_seq
     }
 
-    /// The sticky I/O failure, if a batch commit has ever failed.
+    /// The sticky I/O failure, if a batch commit has ever failed. Once
+    /// set, every later stage and wait reports it; the data store's
+    /// `/healthz` surfaces it so fleet monitoring sees a store that can
+    /// no longer ack writes durably.
     pub fn sticky_error(&self) -> Option<String> {
         self.inner
             .state
@@ -1502,6 +1502,7 @@ mod tests {
                 journal.flush().unwrap();
             }
             let stats = journal.stats();
+            assert_eq!(stats.batches, 4, "unbatched: one write + fsync per flush");
             assert!(stats.active_segment > 1, "rotation advanced the segment");
             assert!(stats.last_sealed >= 1);
         }
@@ -1983,5 +1984,26 @@ mod tests {
             journal.take_account("alice").unwrap().records,
             vec![seg(0), seg(2000)]
         );
+    }
+
+    #[test]
+    fn corrupt_frame_ends_replay_at_the_valid_prefix() {
+        let dir = tempdir("corrupt");
+        {
+            let journal = StoreJournal::open(&dir, quick_config()).unwrap();
+            journal.stage("alice", &seg(0)).unwrap();
+            journal.stage("alice", &seg(1000)).unwrap();
+            journal.flush().unwrap();
+        }
+        // Flip a payload byte in the second frame: its CRC no longer
+        // matches, so replay keeps the first frame only.
+        let seg1 = segment_path(&dir, 1);
+        let mut data = std::fs::read(&seg1).unwrap();
+        let len = data.len();
+        data[len - 3] ^= 0xff;
+        std::fs::write(&seg1, &data).unwrap();
+        let journal = StoreJournal::open(&dir, quick_config()).unwrap();
+        assert_eq!(journal.take_account("alice").unwrap().records, vec![seg(0)]);
+        assert!(std::fs::metadata(&seg1).unwrap().len() < len as u64);
     }
 }

@@ -8,21 +8,21 @@
 //! * [`codec`] — compact binary encoding of segments and annotations for
 //!   the log (the JSON form of Fig. 5 is the *wire* format; the log uses
 //!   binary framing with CRC32 checksums).
-//! * [`wal`] — an append-only write-ahead log giving durability; a store
-//!   reopened from its log replays to identical state. Concurrent
-//!   writers go through [`GroupCommitWal`], which coalesces appends into
-//!   batched `write`+`fsync` commits (DESIGN.md §8).
-//! * [`journal`] — storage engine v2: the **store-wide journal**
-//!   ([`StoreJournal`]) shared by every hosted account. One commit
-//!   thread batches staged records from many accounts into a single
-//!   `write`+`fsync`; segments rotate at a size threshold, each
-//!   rotation checkpoints account state so crash replay is bounded to
-//!   the tail segment, and checkpointed segments are garbage-collected
-//!   once replication acks catch up.
+//! * [`wal`] — the log record ([`WalRecord`]) and its tag + payload
+//!   codec: what the journal frames, what checkpoints snapshot, what
+//!   replication batches carry.
+//! * [`journal`] — durability: the **store-wide journal**
+//!   ([`StoreJournal`]) shared by every hosted account; a store reopened
+//!   from it replays to identical state. One commit thread batches
+//!   staged records from many accounts into a single `write`+`fsync`
+//!   (DESIGN.md §8); segments rotate at a size threshold, each rotation
+//!   checkpoints account state so crash replay is bounded to the tail
+//!   segment, and checkpointed segments are garbage-collected once
+//!   replication acks catch up.
 //! * [`ledger`] — the file-backed, hash-chained privacy audit ledger
 //!   ([`FileLedger`]): `obsv::ledger`'s integrity model persisted with the
-//!   WAL's flush + `sync_data` discipline, so enforcement decisions are as
-//!   durable as the data they were made about.
+//!   journal's flush + `sync_data` discipline, so enforcement decisions
+//!   are as durable as the data they were made about.
 //! * [`repl`] — replication shipping: sealed batches cut from the live
 //!   record stream plus the CRC-framed wire codec a primary uses to push
 //!   them to its replica (ISSUE 6's rotation-lite log shipping).
@@ -53,5 +53,5 @@ pub use journal::{
 pub use ledger::{verify_ledger_file, FileLedger};
 pub use query::Query;
 pub use repl::{ReplBuffer, ReplConfig, ReplFrame, SealedBatch};
-pub use store::{MergePolicy, SegmentStore, StoreError, StoreStats, StoreTicket};
-pub use wal::{CommitTicket, GroupCommitConfig, GroupCommitWal, Wal, WalError, WalRecord};
+pub use store::{MergePolicy, SegmentStore, StoreError, StoreStats};
+pub use wal::{GroupCommitConfig, WalError, WalRecord};

@@ -4,14 +4,13 @@ use crate::codec::CodecError;
 use crate::journal::{JournalTicket, StoreJournal};
 use crate::query::Query;
 use crate::repl::{ReplBuffer, ReplConfig, SealedBatch};
-use crate::wal::{CommitTicket, GroupCommitConfig, GroupCommitWal, Wal, WalError, WalRecord};
+use crate::wal::{WalError, WalRecord};
 use sensorsafe_types::{ChannelSpec, ContextAnnotation, TimeRange, WaveSegment};
 use std::collections::{BTreeMap, VecDeque};
-use std::path::Path;
 use std::sync::Arc;
 
 /// How many recent upload idempotency tokens a store remembers. Bounds
-/// both memory and the compacted log's bookkeeping tail; a client retry
+/// both memory and a checkpoint's bookkeeping tail; a client retry
 /// older than the last 256 uploads re-stores (acceptable: the retry
 /// window is seconds, not hundreds of uploads).
 const UPLOAD_TOKEN_CAP: usize = 256;
@@ -54,21 +53,12 @@ impl MergePolicy {
 pub enum StoreError {
     /// Durability layer failed.
     Wal(WalError),
-    /// Compaction refused: this many replication batches are still
-    /// awaiting replica acks. Compaction renumbers the shipping stream,
-    /// so it must wait for the shipper to drain below the low-water
-    /// mark.
-    ReplicationLag(usize),
 }
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Wal(e) => write!(f, "store WAL error: {e}"),
-            StoreError::ReplicationLag(pending) => write!(
-                f,
-                "compaction blocked: {pending} replication batches not yet acked by the replica"
-            ),
         }
     }
 }
@@ -96,15 +86,12 @@ pub struct StoreStats {
     pub annotations: usize,
 }
 
-/// Which durability engine backs a store.
+/// Where a store's records go to become durable.
 enum Durability {
-    /// No log: in-memory only (tests, benches).
+    /// Nowhere: in-memory only (tests, benches, memory-only servers).
     None,
-    /// Storage engine v1: one [`GroupCommitWal`] per account. Kept as
-    /// the A/B baseline for the C4 bench.
-    Wal(Arc<GroupCommitWal>),
-    /// Storage engine v2: the shared [`StoreJournal`], staging under
-    /// this account's name.
+    /// The data store's shared [`StoreJournal`], staging under this
+    /// account's name.
     Journal {
         journal: Arc<StoreJournal>,
         account: String,
@@ -115,32 +102,7 @@ impl Durability {
     fn stage(&self, record: &WalRecord) -> Result<(), WalError> {
         match self {
             Durability::None => Ok(()),
-            Durability::Wal(wal) => wal.stage(record).map(|_| ()),
             Durability::Journal { journal, account } => journal.stage(account, record).map(|_| ()),
-        }
-    }
-}
-
-/// A durability claim from either engine: resolves once every record
-/// staged on this store before the ticket was taken is on disk. Take it
-/// under the account lock, [`StoreTicket::wait`] after releasing it —
-/// the stage-then-wait upload path that keeps fsync latency off the
-/// account lock.
-pub enum StoreTicket {
-    /// A per-account WAL commit ticket (engine v1).
-    Wal(CommitTicket),
-    /// A store-wide journal ticket (engine v2) — one shared fsync may
-    /// resolve many accounts' tickets at once.
-    Journal(JournalTicket),
-}
-
-impl StoreTicket {
-    /// Blocks until the covered records are durable (or the engine's
-    /// sticky error surfaces).
-    pub fn wait(&self) -> Result<(), WalError> {
-        match self {
-            StoreTicket::Wal(t) => t.wait(),
-            StoreTicket::Journal(t) => t.wait(),
         }
     }
 }
@@ -207,39 +169,8 @@ impl SegmentStore {
         }
     }
 
-    /// Opens a durable store backed by the WAL at `path` with default
-    /// group-commit batching, replaying any existing log (a torn tail is
-    /// truncated away).
-    pub fn open(path: impl AsRef<Path>, policy: MergePolicy) -> Result<SegmentStore, StoreError> {
-        SegmentStore::open_with(path, policy, GroupCommitConfig::default())
-    }
-
-    /// [`SegmentStore::open`] with explicit group-commit batching
-    /// configuration for the WAL (see [`GroupCommitConfig`]).
-    pub fn open_with(
-        path: impl AsRef<Path>,
-        policy: MergePolicy,
-        wal_config: GroupCommitConfig,
-    ) -> Result<SegmentStore, StoreError> {
-        let path = path.as_ref();
-        let (records, valid_len) = Wal::replay(path)?;
-        if path.exists() {
-            let on_disk = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            if on_disk > valid_len {
-                Wal::truncate(path, valid_len)?;
-            }
-        }
-        let mut store = SegmentStore::in_memory(policy);
-        for record in records {
-            store.apply_replay_record(record);
-        }
-        store.annotations.sort_by_key(|a| a.window.start);
-        store.durability = Durability::Wal(Arc::new(GroupCommitWal::open(path, wal_config)?));
-        Ok(store)
-    }
-
-    /// Opens a store backed by the shared [`StoreJournal`] (storage
-    /// engine v2), applying `recovered` — the record stream the journal
+    /// Opens a store backed by the shared [`StoreJournal`], applying
+    /// `recovered` — the record stream the journal
     /// recovered for this account
     /// ([`StoreJournal::take_account`](crate::StoreJournal::take_account)),
     /// empty for a brand-new account. Future inserts stage on the
@@ -263,8 +194,7 @@ impl SegmentStore {
         store
     }
 
-    /// Applies one replayed log record to in-memory state (shared by
-    /// the per-account WAL and journal recovery paths).
+    /// Applies one replayed log record to in-memory state.
     fn apply_replay_record(&mut self, record: WalRecord) {
         match record {
             WalRecord::Segment(seg) if !seg.is_empty() => self.insert_segment_inner(seg),
@@ -309,7 +239,7 @@ impl SegmentStore {
         }
     }
 
-    /// Inserts a segment, staging it on the WAL and running the merge
+    /// Inserts a segment, staging it on the journal and running the merge
     /// optimizer. Empty segments are ignored. Staged records become
     /// durable on the next group commit — take a
     /// [`SegmentStore::commit_ticket`] and wait on it (or call
@@ -358,7 +288,7 @@ impl SegmentStore {
         series.segments.insert((start, self.seq), segment);
     }
 
-    /// Stores a context annotation (staged on the WAL like segments;
+    /// Stores a context annotation (staged on the journal like segments;
     /// see [`SegmentStore::insert_segment`] for durability).
     pub fn insert_annotation(&mut self, annotation: ContextAnnotation) -> Result<(), StoreError> {
         self.durability
@@ -380,35 +310,19 @@ impl SegmentStore {
     pub fn sync(&mut self) -> Result<(), StoreError> {
         match &self.durability {
             Durability::None => Ok(()),
-            Durability::Wal(wal) => Ok(wal.flush()?),
             Durability::Journal { journal, .. } => Ok(journal.flush()?),
         }
     }
 
     /// A ticket covering every record staged so far on this store's
-    /// durability engine, or `None` for in-memory stores. The caller can
-    /// release the store lock and then [`StoreTicket::wait`] — this is
-    /// the stage-then-wait upload path that keeps fsync latency off the
-    /// account lock.
-    pub fn commit_ticket(&self) -> Option<StoreTicket> {
+    /// journal, or `None` for in-memory stores. Take it under the account
+    /// lock, release the lock, then [`JournalTicket::wait`] — the
+    /// stage-then-wait upload path that keeps fsync latency off the
+    /// account lock (one shared fsync may resolve many accounts' tickets).
+    pub fn commit_ticket(&self) -> Option<JournalTicket> {
         match &self.durability {
             Durability::None => None,
-            Durability::Wal(wal) => Some(StoreTicket::Wal(wal.ticket())),
-            Durability::Journal { journal, .. } => Some(StoreTicket::Journal(journal.ticket())),
-        }
-    }
-
-    /// The durability engine's sticky I/O failure, if any batch commit
-    /// has ever failed (`None` for in-memory stores and healthy logs).
-    /// Surfaced by the data store's `/healthz` so fleet monitoring sees
-    /// a store that can no longer ack writes durably. In journal mode
-    /// the error is store-wide: one failed shared commit surfaces on
-    /// every hosted account.
-    pub fn wal_sticky_error(&self) -> Option<String> {
-        match &self.durability {
-            Durability::None => None,
-            Durability::Wal(wal) => wal.sticky_error(),
-            Durability::Journal { journal, .. } => journal.sticky_error(),
+            Durability::Journal { journal, .. } => Some(journal.ticket()),
         }
     }
 
@@ -482,7 +396,7 @@ impl SegmentStore {
     }
 
     /// Replication batches not yet acked by the replica (0 without
-    /// replication — and the precondition for [`SegmentStore::compact`]).
+    /// replication).
     pub fn repl_pending(&self) -> usize {
         self.repl.as_ref().map(ReplBuffer::pending).unwrap_or(0)
     }
@@ -599,9 +513,7 @@ impl SegmentStore {
     /// Wipes this store's data state for a replication resync: series,
     /// annotations, the apply high-water, and remembered upload tokens
     /// all reset; the assignment epoch/fence are **kept** (a reset must
-    /// not unfence a store). The wipe is durable before this returns: in
-    /// per-account WAL mode the log is rewritten (via
-    /// [`SegmentStore::compact`]); in journal mode a
+    /// not unfence a store). The wipe is durable before this returns: a
     /// [`WalRecord::AccountReset`] marker is staged and flushed, so a
     /// crash mid-resync replays the wipe instead of resurrecting the
     /// wiped records.
@@ -615,12 +527,8 @@ impl SegmentStore {
         if let Some(config) = self.repl.as_ref().map(ReplBuffer::config) {
             self.repl = Some(ReplBuffer::new(config));
         }
-        if let Durability::Journal { journal, account } = &self.durability {
-            journal.stage(account, &WalRecord::AccountReset)?;
-            journal.flush()?;
-            return Ok(());
-        }
-        self.compact()
+        self.durability.stage(&WalRecord::AccountReset)?;
+        self.sync()
     }
 
     /// Seals the open replication batch and returns the shipping head —
@@ -674,67 +582,20 @@ impl SegmentStore {
         }
     }
 
-    /// Rewrites the WAL from the current (merged) in-memory state. The
-    /// log otherwise records one entry per *uploaded packet* forever;
-    /// after compaction it holds one entry per live segment, so replay
-    /// cost and disk use drop by the merge factor. Atomic: the new log
-    /// is written to a sibling temp file, fsynced, then renamed over the
-    /// old one. No-op for in-memory stores.
+    /// Bounds crash replay to the current (merged) state: flushes staged
+    /// records and asks the journal for a checkpoint, after which replay
+    /// reads one entry per live segment instead of one per uploaded
+    /// packet, and segment GC (not this call) reclaims the disk. No-op
+    /// for in-memory stores.
     ///
-    /// Any in-flight group-commit batch is drained first, so commit
-    /// tickets taken before compaction remain honest: their records are
-    /// durable in the *old* log before it is replaced, and the records
-    /// survive into the new log via the in-memory state being rewritten.
-    ///
-    /// On a replicated primary, compaction additionally refuses to run
-    /// while any shipping batch is unacked
-    /// ([`StoreError::ReplicationLag`]): the rewrite collapses merged
-    /// segments and would renumber the shipping stream past records the
-    /// replica has not confirmed, so the low-water mark (everything
-    /// acked) must first catch up to the buffer head. Retry after the
-    /// shipper drains.
+    /// The checkpoint is asynchronous on purpose: `compact()` runs under
+    /// the account lock and the checkpoint source takes account locks
+    /// itself, so an inline checkpoint here would deadlock.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         if let Durability::Journal { journal, .. } = &self.durability {
-            // Journal mode: there is no per-account log to rewrite.
-            // Flush staged records and request an async checkpoint —
-            // once written it bounds replay exactly as a rewrite would,
-            // and segment GC (not this call) reclaims the disk. Async
-            // on purpose: compact() runs under the account lock and the
-            // checkpoint source takes account locks itself, so an
-            // inline checkpoint here would deadlock. No replication-lag
-            // refusal either — nothing here renumbers the shipping
-            // stream (GC separately waits for replica acks).
             journal.flush()?;
             journal.request_checkpoint();
-            return Ok(());
         }
-        let pending = self.repl_pending();
-        if pending > 0 {
-            return Err(StoreError::ReplicationLag(pending));
-        }
-        let Durability::Wal(wal) = std::mem::replace(&mut self.durability, Durability::None) else {
-            return Ok(());
-        };
-        // Drain: every staged record (including batches being gathered
-        // by in-flight `StoreTicket::wait`ers) hits the old log before
-        // the rename. Outstanding tickets hold Arc clones, but their
-        // sequences are durable after this, so their waits return
-        // without touching the replaced file.
-        wal.flush()?;
-        let path = wal.path().to_path_buf();
-        let config = wal.config();
-        drop(wal); // release our append handle before the rename
-        let tmp = path.with_extension("compact-tmp");
-        let _ = std::fs::remove_file(&tmp);
-        {
-            let mut fresh = Wal::open(&tmp)?;
-            for record in self.snapshot_records() {
-                fresh.append(&record)?;
-            }
-            fresh.sync()?;
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| StoreError::Wal(e.into()))?;
-        self.durability = Durability::Wal(Arc::new(GroupCommitWal::open(&path, config)?));
         Ok(())
     }
 
@@ -744,8 +605,8 @@ impl SegmentStore {
     /// ([`WalRecord::ReplApplied`]), assignment epoch/fence
     /// ([`WalRecord::AssignEpoch`]), and remembered upload idempotency
     /// tokens ([`WalRecord::UploadToken`]). Replaying these records
-    /// reconstructs this store exactly; it is what both a compacted
-    /// per-account log and a journal checkpoint persist.
+    /// reconstructs this store exactly; it is what a journal checkpoint
+    /// persists.
     pub fn snapshot_records(&self) -> Vec<WalRecord> {
         let mut out = Vec::new();
         for series in self.series.values() {
@@ -757,12 +618,12 @@ impl SegmentStore {
             out.push(WalRecord::Annotation(ann.clone()));
         }
         if self.repl_applied > 0 {
-            // A replica's apply high-water mark survives compaction.
+            // A replica's apply high-water mark survives a checkpoint.
             out.push(WalRecord::ReplApplied(self.repl_applied));
         }
         if self.assignment_epoch > 0 || self.fenced {
-            // The fence must survive compaction too, or a compacted
-            // deposed primary would restart writable.
+            // The fence must survive a checkpoint too, or a deposed
+            // primary would restart writable once its segments are GC'd.
             out.push(WalRecord::AssignEpoch {
                 epoch: self.assignment_epoch,
                 fenced: self.fenced,
@@ -880,9 +741,11 @@ impl SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{CheckpointAccount, JournalConfig};
     use sensorsafe_types::{
         ChannelId, ChannelSpec, ContextKind, ContextState, GeoPoint, SegmentMeta, Timestamp, Timing,
     };
+    use std::path::{Path, PathBuf};
 
     fn seg_at(start_ms: i64, rows: usize) -> WaveSegment {
         let meta = SegmentMeta {
@@ -1071,15 +934,76 @@ mod tests {
         assert_eq!(store.stats().segments, 0);
     }
 
+    /// A fresh directory for one test's journal.
+    fn journal_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("sensorsafe-store-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Opens (or, on a directory that already holds one, reopens) the
+    /// journal in `dir` and the store of its one account, replaying what
+    /// the journal recovered for it. Dropping both is the restart.
+    fn open_with(
+        dir: &Path,
+        policy: MergePolicy,
+        config: JournalConfig,
+    ) -> (Arc<StoreJournal>, SegmentStore) {
+        let journal = Arc::new(StoreJournal::open(dir, config).unwrap());
+        let recovered = journal
+            .take_account("alice")
+            .map(|r| r.records)
+            .unwrap_or_default();
+        let store = SegmentStore::open_journal(journal.clone(), "alice", policy, recovered);
+        (journal, store)
+    }
+
+    fn open_durable(dir: &Path, policy: MergePolicy) -> SegmentStore {
+        open_with(dir, policy, JournalConfig::default()).1
+    }
+
+    /// A journal that seals its segment after every batch, so everything
+    /// synced so far is eligible for a checkpoint.
+    fn rotating() -> JournalConfig {
+        JournalConfig {
+            rotate_records: 1,
+            ..JournalConfig::default()
+        }
+    }
+
+    /// Checkpoints `store` as it stands and deletes every journal
+    /// segment the checkpoint covers, so a reopen can only learn the
+    /// covered state from [`SegmentStore::snapshot_records`].
+    fn checkpoint_and_gc(journal: &StoreJournal, store: &mut SegmentStore) {
+        let (records, high_seq, repl_head) = (
+            store.snapshot_records(),
+            journal.account_seq("alice"),
+            store.repl_seal_head(),
+        );
+        journal.register_checkpoint_source(Box::new(move || {
+            vec![CheckpointAccount {
+                name: "alice".to_string(),
+                records: records.clone(),
+                high_seq,
+                rule_epoch: 0,
+                repl_head,
+            }]
+        }));
+        // Synchronous, GC included; nothing is staging, so nothing races it.
+        assert!(journal.checkpoint_now().unwrap(), "nothing sealed");
+        for n in 1..=journal.stats().checkpointed_through {
+            let segment = journal.dir().join(format!("journal.seg-{n}"));
+            assert!(!segment.exists(), "seg-{n} kept");
+        }
+    }
+
     #[test]
     fn durable_store_replays_identically() {
-        let dir = std::env::temp_dir().join(format!("sensorsafe-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
+        let dir = journal_dir("replay");
         let stats_before;
         {
-            let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+            let mut store = open_durable(&dir, MergePolicy::default());
             for packet in 0..20 {
                 store.insert_segment(seg_at(packet * 64 * 20, 64)).unwrap();
             }
@@ -1087,150 +1011,22 @@ mod tests {
             store.sync().unwrap();
             stats_before = store.stats();
         }
-        let reopened = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+        let reopened = open_durable(&dir, MergePolicy::default());
         assert_eq!(reopened.stats(), stats_before);
         // Query result equality, not just counts.
         let q = Query::all();
         let results = reopened.query(&q);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].len(), 1280);
-    }
-
-    #[test]
-    fn compaction_shrinks_log_and_preserves_state() {
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-store-compact-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
-        let stats_before;
-        {
-            let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
-            for packet in 0..100 {
-                store.insert_segment(seg_at(packet * 64 * 20, 64)).unwrap();
-            }
-            store.insert_annotation(ann_at(0)).unwrap();
-            store.sync().unwrap();
-            stats_before = store.stats();
-            let size_before = std::fs::metadata(&path).unwrap().len();
-            store.compact().unwrap();
-            let size_after = std::fs::metadata(&path).unwrap().len();
-            // Sample bytes dominate, so the file only loses per-record
-            // framing — but 101 records collapse to 2 (one merged
-            // segment + one annotation), which is what replay cost
-            // tracks.
-            assert!(size_after < size_before, "{size_after} vs {size_before}");
-            let (records, _) = crate::wal::Wal::replay(&path).unwrap();
-            assert_eq!(records.len(), 2);
-            // The store keeps working after compaction.
-            store.insert_segment(seg_at(100 * 64 * 20, 64)).unwrap();
-            store.sync().unwrap();
-        }
-        let reopened = SegmentStore::open(&path, MergePolicy::default()).unwrap();
-        let stats = reopened.stats();
-        assert_eq!(stats.samples, stats_before.samples + 64);
-        assert_eq!(stats.segments, 1, "post-compaction appends still merge");
-        assert_eq!(stats.annotations, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compact_drains_inflight_batch() {
-        // Regression: compact() used to swap the WAL without draining
-        // the group-commit pipeline, so a ticket taken just before
-        // compaction could wait on (or write to) the replaced log.
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-store-drain-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
-        // A huge gathering delay: without the drain, the upload's leader
-        // would sit in its gathering window across the whole compaction.
-        let config = crate::wal::GroupCommitConfig {
-            max_batch: 1024,
-            max_delay: std::time::Duration::from_secs(5),
-        };
-        let mut store = SegmentStore::open_with(&path, MergePolicy::disabled(), config).unwrap();
-        store.insert_segment(seg_at(0, 64)).unwrap();
-        store.sync().unwrap();
-        // An in-flight durable upload: staged + ticket taken, waiter
-        // blocked in the gathering window on another thread.
-        store.insert_segment(seg_at(64 * 20, 64)).unwrap();
-        let ticket = store.commit_ticket().unwrap();
-        let waiter = std::thread::spawn(move || ticket.wait());
-        // Give the waiter time to become the gathering leader.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let started = std::time::Instant::now();
-        store.compact().unwrap();
-        waiter
-            .join()
-            .unwrap()
-            .expect("in-flight ticket must resolve durable across compact");
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(4),
-            "compact waited out the gathering window instead of cutting it"
-        );
-        // Post-compaction state is exactly the two segments, once each.
-        drop(store);
-        let reopened = SegmentStore::open(&path, MergePolicy::disabled()).unwrap();
-        assert_eq!(reopened.stats().segments, 2);
-        assert_eq!(reopened.stats().samples, 128);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compact_refuses_while_replication_lags() {
-        // Regression (ISSUE 6): compaction used to run regardless of the
-        // shipper, renumbering the shipping stream past batches the
-        // replica never acked.
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-store-repl-lw-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
-        let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
-        store.enable_replication(crate::repl::ReplConfig {
-            seal_records: 2,
-            seal_bytes: usize::MAX,
-        });
-        for packet in 0..6 {
-            store.insert_segment(seg_at(packet * 64 * 20, 64)).unwrap();
-        }
-        store.sync().unwrap();
-        assert_eq!(store.repl_pending(), 3);
-        match store.compact() {
-            Err(StoreError::ReplicationLag(pending)) => assert_eq!(pending, 3),
-            other => panic!("compact must refuse under replication lag, got {other:?}"),
-        }
-        // Partial acks keep the guard up.
-        store.repl_ack(2);
-        assert!(matches!(
-            store.compact(),
-            Err(StoreError::ReplicationLag(1))
-        ));
-        // Once the replica acks through the head, compaction proceeds.
-        store.repl_ack(3);
-        store.compact().unwrap();
-        let (records, _) = crate::wal::Wal::replay(&path).unwrap();
-        assert_eq!(records.len(), 1, "six packets merged into one segment");
-        // An unsealed open tail also blocks: it has not even shipped.
-        store.insert_segment(seg_at(6 * 64 * 20, 64)).unwrap();
-        assert!(matches!(
-            store.compact(),
-            Err(StoreError::ReplicationLag(1))
-        ));
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn repl_applied_mark_survives_restart_and_compaction() {
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-store-repl-hw-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
+        let dir = journal_dir("repl-hw");
         {
-            let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+            let (_, mut store) = open_with(&dir, MergePolicy::default(), rotating());
             store.insert_segment(seg_at(0, 64)).unwrap();
             store.note_repl_applied(4).unwrap();
             // Stale marks are ignored; the high-water is monotonic.
@@ -1238,13 +1034,15 @@ mod tests {
             store.sync().unwrap();
             assert_eq!(store.repl_applied(), 4);
         }
-        let mut reopened = SegmentStore::open(&path, MergePolicy::default()).unwrap();
-        assert_eq!(reopened.repl_applied(), 4, "mark replays from the log");
-        reopened.compact().unwrap();
-        drop(reopened);
-        let again = SegmentStore::open(&path, MergePolicy::default()).unwrap();
-        assert_eq!(again.repl_applied(), 4, "mark survives compaction");
+        {
+            let (journal, mut reopened) = open_with(&dir, MergePolicy::default(), rotating());
+            assert_eq!(reopened.repl_applied(), 4, "mark replays from the log");
+            checkpoint_and_gc(&journal, &mut reopened);
+        }
+        let again = open_durable(&dir, MergePolicy::default());
+        assert_eq!(again.repl_applied(), 4, "mark survives checkpoint + GC");
         assert_eq!(again.stats().samples, 64);
+        drop(again);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1274,13 +1072,9 @@ mod tests {
 
     #[test]
     fn repl_batch_applies_atomically_and_idempotently() {
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-store-batch-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
+        let dir = journal_dir("batch");
         {
-            let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+            let mut store = open_durable(&dir, MergePolicy::default());
             let batch = vec![
                 WalRecord::Segment(seg_at(0, 64)),
                 WalRecord::Annotation(ann_at(0)),
@@ -1300,54 +1094,53 @@ mod tests {
         }
         // Crash replay: the batch's records and its high-water advance
         // arrive together.
-        let reopened = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+        let reopened = open_durable(&dir, MergePolicy::default());
         assert_eq!(reopened.stats().samples, 64);
         assert_eq!(reopened.stats().annotations, 1);
         assert_eq!(reopened.repl_applied(), 1);
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn assignment_epoch_survives_restart_and_compaction() {
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-store-fence-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
+        let dir = journal_dir("fence");
         {
-            let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+            let (_, mut store) = open_with(&dir, MergePolicy::default(), rotating());
             store.insert_segment(seg_at(0, 64)).unwrap();
             store.note_assignment(2, true).unwrap();
             store.sync().unwrap();
             assert_eq!(store.assignment_epoch(), 2);
             assert!(store.fenced());
         }
-        let mut reopened = SegmentStore::open(&path, MergePolicy::default()).unwrap();
-        assert_eq!(reopened.assignment_epoch(), 2, "fence replays from log");
-        assert!(reopened.fenced());
-        reopened.compact().unwrap();
-        drop(reopened);
-        let again = SegmentStore::open(&path, MergePolicy::default()).unwrap();
-        assert_eq!(again.assignment_epoch(), 2, "fence survives compaction");
+        {
+            let (journal, mut reopened) = open_with(&dir, MergePolicy::default(), rotating());
+            assert_eq!(reopened.assignment_epoch(), 2, "fence replays from log");
+            assert!(reopened.fenced());
+            checkpoint_and_gc(&journal, &mut reopened);
+        }
+        let again = open_durable(&dir, MergePolicy::default());
+        assert_eq!(
+            again.assignment_epoch(),
+            2,
+            "fence survives checkpoint + GC"
+        );
         assert!(again.fenced());
+        drop(again);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn upload_tokens_dedupe_across_restart_and_cap() {
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-store-token-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
+        let dir = journal_dir("token");
         {
-            let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+            let mut store = open_durable(&dir, MergePolicy::default());
             store.note_upload_token(vec![1, 2, 3], 5, 2).unwrap();
             assert_eq!(store.check_upload_token(&[1, 2, 3]), Some((5, 2)));
             assert_eq!(store.check_upload_token(&[9]), None);
             store.sync().unwrap();
         }
-        let mut reopened = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+        let mut reopened = open_durable(&dir, MergePolicy::default());
         assert_eq!(
             reopened.check_upload_token(&[1, 2, 3]),
             Some((5, 2)),
@@ -1360,18 +1153,15 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(reopened.check_upload_token(&[1, 2, 3]), None);
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn repl_reset_wipes_data_but_keeps_fence() {
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-store-reset-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
+        let dir = journal_dir("reset");
         {
-            let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+            let mut store = open_durable(&dir, MergePolicy::default());
             store
                 .apply_repl_batch(3, vec![WalRecord::Segment(seg_at(0, 64))])
                 .unwrap();
@@ -1384,11 +1174,13 @@ mod tests {
             assert_eq!(store.assignment_epoch(), 2, "epoch survives the wipe");
         }
         // The wipe is durable: a crash right after cannot resurrect the
-        // old records (the WAL was rewritten, not just the memory).
-        let reopened = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+        // old records (the reset marker was journaled, not just the
+        // memory cleared).
+        let reopened = open_durable(&dir, MergePolicy::default());
         assert_eq!(reopened.stats().samples, 0);
         assert_eq!(reopened.repl_applied(), 0);
         assert_eq!(reopened.assignment_epoch(), 2);
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1430,26 +1222,27 @@ mod tests {
 
     #[test]
     fn durable_store_truncates_torn_tail() {
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-store-torn-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.wal");
+        let dir = journal_dir("torn");
         {
-            let mut store = SegmentStore::open(&path, MergePolicy::disabled()).unwrap();
+            let mut store = open_durable(&dir, MergePolicy::disabled());
             store.insert_segment(seg_at(0, 64)).unwrap();
             store.insert_segment(seg_at(64 * 20, 64)).unwrap();
             store.sync().unwrap();
         }
-        let full = std::fs::metadata(&path).unwrap().len();
-        Wal::truncate(&path, full - 3).unwrap();
+        let tail = dir.join("journal.seg-1");
+        let full = std::fs::metadata(&tail).unwrap().len();
+        let file = std::fs::OpenOptions::new().write(true).open(&tail).unwrap();
+        file.set_len(full - 3).unwrap();
+        drop(file);
         {
-            let mut store = SegmentStore::open(&path, MergePolicy::disabled()).unwrap();
+            let mut store = open_durable(&dir, MergePolicy::disabled());
             assert_eq!(store.stats().segments, 1, "torn record dropped");
             store.insert_segment(seg_at(10_000, 64)).unwrap();
             store.sync().unwrap();
         }
-        let store = SegmentStore::open(&path, MergePolicy::disabled()).unwrap();
+        let store = open_durable(&dir, MergePolicy::disabled());
         assert_eq!(store.stats().segments, 2);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

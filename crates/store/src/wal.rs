@@ -1,42 +1,27 @@
-//! Append-only write-ahead log, with single-writer and group-commit
-//! front ends.
+//! The log record: what the store-wide journal frames, what its
+//! checkpoints snapshot, and what replication batches carry.
 //!
-//! Record framing (shared by both front ends; see DESIGN.md §8):
+//! Every durable byte a store writes about a contributor is one
+//! [`WalRecord`], encoded as a tag plus a payload:
 //!
 //! ```text
 //! u8  record tag (1 = segment, 2 = annotation, 3 = repl-applied mark,
 //!     4 = assignment-epoch mark, 5 = repl batch, 6 = upload token,
 //!     7 = account reset)
-//! u32 payload length
-//! u32 crc32(payload)
-//! payload bytes
+//! payload bytes (per-tag layout, see `encode_record_payload`)
 //! ```
 //!
-//! Replay stops at the first torn or corrupt record (a crash mid-append
-//! leaves a valid prefix), reporting how many bytes were salvaged so the
-//! caller can truncate.
-//!
-//! Two write paths share that on-disk format:
-//!
-//! * [`Wal`] — the single-writer handle: `&mut self` appends plus an
-//!   explicit [`Wal::sync`]. Used by replay-side tooling, compaction
-//!   rewrites, and anything single-threaded.
-//! * [`GroupCommitWal`] — the concurrent front end: threads **stage**
-//!   encoded records under a short mutex, then **wait** on a
-//!   [`CommitTicket`]; the first waiter becomes the *leader*, gathers
-//!   the batch (up to [`GroupCommitConfig::max_batch`] records or
-//!   [`GroupCommitConfig::max_delay`]), and retires it with one
-//!   `write` + `fsync` while followers sleep on a condvar. Concurrent
-//!   durable uploads therefore cost ~one fsync per *batch*, not one per
-//!   request.
+//! The journal ([`crate::journal`]) wraps that in its own length + CRC
+//! frame with the account name and sequence, and stores the same
+//! tag + payload pairs in checkpoints, so a record reads back identically
+//! from either place. This module also holds [`GroupCommitConfig`] (the
+//! journal commit thread's batching caps) and the two process-wide
+//! append / fsync counters.
 
-use crate::codec::{self, crc32, CodecError};
+use crate::codec::{self, CodecError};
 use sensorsafe_types::{ContextAnnotation, WaveSegment};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A record recovered from (or appended to) the log.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,10 +74,9 @@ pub enum WalRecord {
     /// A durable account wipe marker. Replaying one clears every data
     /// record (segments, annotations, replication high-water, upload
     /// tokens) seen so far for the account, while the assignment
-    /// epoch/fence survive. The per-account WAL never writes this —
-    /// its `/repl/reset` path rewrites the log file instead — but the
-    /// store-wide journal cannot rewrite a shared log for one account's
-    /// reset, so it appends this marker.
+    /// epoch/fence survive. The journal is shared by every account, so
+    /// `/repl/reset` cannot rewrite it for one of them; it appends this
+    /// marker instead.
     AccountReset,
 }
 
@@ -140,7 +124,7 @@ pub(crate) fn tag_is_known(tag: u8) -> bool {
 /// Encodes a [`WalRecord::ReplBatch`] payload: `u64 seq`, `u32 count`,
 /// then per nested data record `u8 tag, u32 len, payload` (the same
 /// sub-framing as the replication wire format, minus its checksum — the
-/// enclosing WAL frame's CRC covers the whole batch).
+/// enclosing journal frame's CRC covers the whole batch).
 fn encode_repl_batch(seq: u64, records: &[WalRecord]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     out.extend_from_slice(&seq.to_le_bytes());
@@ -198,9 +182,8 @@ fn decode_repl_batch(payload: &[u8]) -> Result<(u64, Vec<WalRecord>), CodecError
 }
 
 /// Encodes one record's payload, returning `(tag, payload)`. Shared by
-/// the per-account WAL frame ([`encode_frame`]) and the store-wide
-/// journal's segment frames, so both log formats carry byte-identical
-/// record payloads.
+/// the journal's segment frames and its checkpoint entries, so both
+/// carry byte-identical record payloads.
 pub(crate) fn encode_record_payload(record: &WalRecord) -> (u8, Vec<u8>) {
     match record {
         WalRecord::Segment(seg) => (TAG_SEGMENT, codec::encode_segment(seg)),
@@ -294,17 +277,6 @@ pub(crate) fn decode_record_payload(tag: u8, payload: &[u8]) -> Result<WalRecord
     Ok(record)
 }
 
-/// Encodes one record into its on-disk frame (tag, length, CRC, payload).
-fn encode_frame(record: &WalRecord) -> Vec<u8> {
-    let (tag, payload) = encode_record_payload(record);
-    let mut frame = Vec::with_capacity(1 + 4 + 4 + payload.len());
-    frame.push(tag);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
-}
-
 pub(crate) fn appends_counter() -> Arc<sensorsafe_obsv::Counter> {
     sensorsafe_obsv::global().counter(
         "sensorsafe_store_wal_appends_total",
@@ -321,136 +293,15 @@ pub(crate) fn fsync_counter() -> Arc<sensorsafe_obsv::Counter> {
     )
 }
 
-/// An open, appendable write-ahead log (single-writer front end).
-pub struct Wal {
-    path: PathBuf,
-    writer: BufWriter<File>,
-}
-
-impl Wal {
-    /// Opens (creating if absent) the log at `path` for appending.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sensorsafe_store::Wal;
-    ///
-    /// let dir = std::env::temp_dir().join("sensorsafe-wal-open-doc");
-    /// std::fs::create_dir_all(&dir).unwrap();
-    /// let wal = Wal::open(dir.join("doc.wal")).unwrap();
-    /// assert!(wal.path().ends_with("doc.wal"));
-    /// ```
-    pub fn open(path: impl AsRef<Path>) -> Result<Wal, WalError> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Wal {
-            path,
-            writer: BufWriter::new(file),
-        })
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one record (buffered; call [`Wal::sync`] for durability).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sensorsafe_store::{Wal, WalRecord};
-    /// use sensorsafe_types::{ContextAnnotation, ContextKind, ContextState, TimeRange, Timestamp};
-    ///
-    /// let dir = std::env::temp_dir().join("sensorsafe-wal-append-doc");
-    /// std::fs::create_dir_all(&dir).unwrap();
-    /// let path = dir.join("doc.wal");
-    /// let _ = std::fs::remove_file(&path);
-    ///
-    /// let record = WalRecord::Annotation(ContextAnnotation::new(
-    ///     TimeRange::new(Timestamp::from_millis(0), Timestamp::from_millis(1000)),
-    ///     vec![ContextState::on(ContextKind::Walk)],
-    /// ));
-    /// let mut wal = Wal::open(&path).unwrap();
-    /// wal.append(&record).unwrap();
-    /// wal.sync().unwrap(); // the record is durable only after this
-    ///
-    /// let (replayed, _) = Wal::replay(&path).unwrap();
-    /// assert_eq!(replayed, vec![record]);
-    /// ```
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        self.writer.write_all(&encode_frame(record))?;
-        appends_counter().inc();
-        Ok(())
-    }
-
-    /// Flushes buffers and fsyncs.
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
-        fsync_counter().inc();
-        Ok(())
-    }
-
-    /// Replays the log at `path`, returning the valid records plus the
-    /// byte offset of the valid prefix (everything after it is torn or
-    /// corrupt and should be truncated before further appends).
-    pub fn replay(path: impl AsRef<Path>) -> Result<(Vec<WalRecord>, u64), WalError> {
-        let path = path.as_ref();
-        if !path.exists() {
-            return Ok((Vec::new(), 0));
-        }
-        let mut data = Vec::new();
-        File::open(path)?.read_to_end(&mut data)?;
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        loop {
-            let header_end = pos + 1 + 4 + 4;
-            if header_end > data.len() {
-                break; // torn header
-            }
-            let tag = data[pos];
-            let len = u32::from_le_bytes(data[pos + 1..pos + 5].try_into().unwrap()) as usize;
-            let expected_crc = u32::from_le_bytes(data[pos + 5..pos + 9].try_into().unwrap());
-            let payload_end = header_end + len;
-            if payload_end > data.len() {
-                break; // torn payload
-            }
-            let payload = &data[header_end..payload_end];
-            if crc32(payload) != expected_crc {
-                break; // corrupt record: stop at the valid prefix
-            }
-            if !tag_is_known(tag) {
-                break; // unknown tag: treat as corruption
-            }
-            records.push(decode_record_payload(tag, payload)?);
-            pos = payload_end;
-        }
-        Ok((records, pos as u64))
-    }
-
-    /// Truncates the log to `len` bytes (dropping a torn suffix found by
-    /// [`Wal::replay`]).
-    pub fn truncate(path: impl AsRef<Path>, len: u64) -> Result<(), WalError> {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(len)?;
-        file.sync_data()?;
-        Ok(())
-    }
-}
-
-/// Caps on group-commit batching, for [`GroupCommitWal`] and the
-/// store-wide [`StoreJournal`](crate::StoreJournal) alike.
+/// Caps on the batches the [`StoreJournal`](crate::StoreJournal)
+/// commit thread gathers.
 ///
 /// Both are upper bounds on gathering, not a price every commit pays: a
 /// batch is cut at `max_batch` staged records or `max_delay` after
-/// gathering began at the latest, and earlier whenever the engine sees
-/// nobody left to gather — a `GroupCommitWal` leader with no commit
-/// siblings cuts at once, and the journal's commit thread cuts the
-/// moment every request it believes in flight is waiting (see
-/// `journal.rs`, "When a batch is cut"). A `flush` (and every
-/// [`SegmentStore::sync`] / [`compact`]) cuts the batch immediately
-/// regardless.
+/// gathering began at the latest, and earlier the moment every request
+/// the commit thread believes in flight is waiting (see `journal.rs`,
+/// "When a batch is cut"). A `flush` (and every [`SegmentStore::sync`] /
+/// [`compact`]) cuts the batch immediately regardless.
 ///
 /// [`SegmentStore::sync`]: crate::SegmentStore::sync
 /// [`compact`]: crate::SegmentStore::compact
@@ -460,8 +311,7 @@ pub struct GroupCommitConfig {
     /// to one fsync per record (the pre-group-commit behavior).
     pub max_batch: usize,
     /// The longest a batch is held open while company is expected, and
-    /// (journal) the longest a staged record nobody waits on stays off
-    /// the disk. `Duration::ZERO` disables gathering: whatever is
+    /// the longest a staged record nobody waits on stays off the disk. `Duration::ZERO` disables gathering: whatever is
     /// staged is committed the moment the committer takes over
     /// (batching then comes only from records staged while the previous
     /// fsync was in flight).
@@ -471,9 +321,8 @@ pub struct GroupCommitConfig {
 impl Default for GroupCommitConfig {
     /// 64-record batches gathered for at most 500 µs — enough to
     /// coalesce a fleet-shaped burst (≈ 20 uploads per fsync at 32 in
-    /// flight, EXPERIMENTS.md C4). A lone writer never sees the 500 µs
-    /// under either engine: it pays its handoff, the write and one
-    /// fsync.
+    /// flight, EXPERIMENTS.md C4). A lone writer never sees the
+    /// 500 µs: it pays its handoff, the write and one fsync.
     fn default() -> Self {
         GroupCommitConfig {
             max_batch: 64,
@@ -493,325 +342,12 @@ impl GroupCommitConfig {
     }
 }
 
-/// Mutable batching state, guarded by one mutex; the condvar alongside
-/// it wakes gathering leaders (batch filled / flush requested) and
-/// waiting followers (batch retired).
-struct GroupState {
-    /// Encoded frames staged since the last batch was cut, in stage
-    /// order (stage order is the on-disk order).
-    buf: Vec<u8>,
-    /// Records currently in `buf`.
-    staged_count: usize,
-    /// Sequence number of the newest staged record (0 = none yet).
-    staged_seq: u64,
-    /// Highest sequence number known durable on disk.
-    durable_seq: u64,
-    /// A leader is gathering or writing a batch.
-    committing: bool,
-    /// A flush wants the gathering leader to cut the batch now.
-    flush_requested: bool,
-    /// Threads currently inside `commit` (leader + followers). A leader
-    /// only opens its `max_delay` gathering window when it has company
-    /// (commit siblings); a lone writer cuts immediately, so batching
-    /// never taxes an uncontended stream.
-    waiters: usize,
-    /// Sticky I/O failure: once a batch write fails, every subsequent
-    /// wait reports it (acking after a failed fsync would be a lie).
-    error: Option<String>,
-}
-
-/// The group-commit front end over one WAL file.
-///
-/// Records are **staged** (encoded and queued, assigning a sequence
-/// number) and later **committed** (written + fsynced as a batch).
-/// Staging requires external serialization — in the datastore each
-/// account's WAL is staged only under that account's write lock — but
-/// committing is free-threaded: any number of threads may wait on
-/// tickets concurrently, and exactly one of them leads each batch.
-///
-/// See the module docs and DESIGN.md §8 for the durability contract.
-pub struct GroupCommitWal {
-    path: PathBuf,
-    config: GroupCommitConfig,
-    /// Leader-only append handle; the `state` lock's `committing` flag
-    /// already serializes batch writes, this mutex just satisfies the
-    /// borrow checker without `unsafe`.
-    file: Mutex<File>,
-    state: Mutex<GroupState>,
-    cond: Condvar,
-}
-
-/// A claim on durability for every record staged up to a point.
-///
-/// Produced by [`GroupCommitWal::ticket`] (usually via
-/// [`SegmentStore::commit_ticket`]); [`CommitTicket::wait`] returns once
-/// all covered records are on disk. Tickets own an `Arc` of the log, so
-/// they stay valid across store compaction and shutdown.
-///
-/// [`SegmentStore::commit_ticket`]: crate::SegmentStore::commit_ticket
-pub struct CommitTicket {
-    wal: Arc<GroupCommitWal>,
-    seq: u64,
-}
-
-impl CommitTicket {
-    /// Blocks until every record covered by this ticket is durable
-    /// (written and fsynced), participating in group commit: the first
-    /// waiter leads the batch, later waiters follow.
-    pub fn wait(&self) -> Result<(), WalError> {
-        self.wal.commit(self.seq, false)
-    }
-
-    /// The sequence number this ticket waits for.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
-fn sticky_err(msg: &str) -> WalError {
-    WalError::Io(std::io::Error::other(format!(
-        "WAL group commit previously failed: {msg}"
-    )))
-}
-
-impl GroupCommitWal {
-    /// Opens (creating if absent) the log at `path` for group-commit
-    /// appends with the given batching configuration.
-    pub fn open(
-        path: impl AsRef<Path>,
-        config: GroupCommitConfig,
-    ) -> Result<GroupCommitWal, WalError> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(GroupCommitWal {
-            path,
-            config,
-            file: Mutex::new(file),
-            state: Mutex::new(GroupState {
-                buf: Vec::new(),
-                staged_count: 0,
-                staged_seq: 0,
-                durable_seq: 0,
-                committing: false,
-                flush_requested: false,
-                waiters: 0,
-                error: None,
-            }),
-            cond: Condvar::new(),
-        })
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The batching configuration this log was opened with.
-    pub fn config(&self) -> GroupCommitConfig {
-        self.config
-    }
-
-    /// Stages one record for the next batch, returning its sequence
-    /// number. The record is **not durable** until a commit covering
-    /// that sequence completes ([`CommitTicket::wait`] /
-    /// [`GroupCommitWal::flush`]).
-    ///
-    /// Callers must serialize staging (the datastore stages only under
-    /// the owning account's write lock); commits need no serialization.
-    pub fn stage(&self, record: &WalRecord) -> Result<u64, WalError> {
-        let frame = encode_frame(record);
-        let mut state = self.state.lock().expect("WAL state poisoned");
-        if let Some(msg) = &state.error {
-            return Err(sticky_err(msg));
-        }
-        state.staged_seq += 1;
-        state.staged_count += 1;
-        state.buf.extend_from_slice(&frame);
-        appends_counter().inc();
-        let seq = state.staged_seq;
-        if state.staged_count >= self.config.max_batch {
-            // Wake a leader gathering on max_delay: the batch is full.
-            self.cond.notify_all();
-        }
-        Ok(seq)
-    }
-
-    /// A ticket covering everything staged so far. Waiting on it makes
-    /// all of those records durable.
-    pub fn ticket(self: &Arc<Self>) -> CommitTicket {
-        let state = self.state.lock().expect("WAL state poisoned");
-        CommitTicket {
-            wal: Arc::clone(self),
-            seq: state.staged_seq,
-        }
-    }
-
-    /// Commits every staged record immediately (no gathering delay) and
-    /// returns once they are durable. Used on shutdown and before
-    /// compaction, and by [`SegmentStore::sync`].
-    ///
-    /// [`SegmentStore::sync`]: crate::SegmentStore::sync
-    pub fn flush(&self) -> Result<(), WalError> {
-        let seq = {
-            let state = self.state.lock().expect("WAL state poisoned");
-            state.staged_seq
-        };
-        self.commit(seq, true)
-    }
-
-    /// The highest sequence number known durable.
-    pub fn durable_seq(&self) -> u64 {
-        self.state.lock().expect("WAL state poisoned").durable_seq
-    }
-
-    /// The sticky I/O failure, if a batch commit has ever failed.
-    ///
-    /// Once set, every subsequent stage/commit on this log reports the
-    /// same error; health endpoints surface it so operators learn about
-    /// a store that can no longer ack durably.
-    pub fn sticky_error(&self) -> Option<String> {
-        self.state.lock().expect("WAL state poisoned").error.clone()
-    }
-
-    /// Waits until `seq` is durable. The first thread to find no commit
-    /// in progress becomes the batch leader: it gathers (bounded by
-    /// `max_batch` / `max_delay` / flush requests — and only when it has
-    /// commit siblings), cuts the batch, and retires it with one
-    /// `write` + `fsync`; every other thread sleeps until the leader's
-    /// notify. `urgent` skips the gathering delay.
-    fn commit(&self, seq: u64, urgent: bool) -> Result<(), WalError> {
-        let mut state = self.state.lock().expect("WAL state poisoned");
-        if urgent {
-            state.flush_requested = true;
-            self.cond.notify_all();
-        }
-        state.waiters += 1;
-        let result = loop {
-            if let Some(msg) = &state.error {
-                break Err(sticky_err(msg));
-            }
-            if state.durable_seq >= seq {
-                break Ok(());
-            }
-            if state.committing {
-                // Follow: a leader is already gathering or writing.
-                state = self.cond.wait(state).expect("WAL state poisoned");
-                continue;
-            }
-            state.committing = true;
-            // Gathering phase: give concurrent stagers a chance to join
-            // this batch. Only worthwhile with commit siblings (other
-            // threads inside commit right now) — a lone writer gains
-            // nothing from waiting, so it cuts immediately and batching
-            // costs an uncontended stream nothing. Also skipped when the
-            // batch is already full, a flush wants immediate durability,
-            // or delay is disabled.
-            if !self.config.max_delay.is_zero() && state.waiters > 1 {
-                let deadline = Instant::now() + self.config.max_delay;
-                while state.staged_count < self.config.max_batch && !state.flush_requested {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = self
-                        .cond
-                        .wait_timeout(state, deadline - now)
-                        .expect("WAL state poisoned");
-                    state = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-            }
-            // Cut the batch.
-            let batch = std::mem::take(&mut state.buf);
-            let upto = state.staged_seq;
-            let records = state.staged_count;
-            state.staged_count = 0;
-            state.flush_requested = false;
-            drop(state);
-            let wrote = if batch.is_empty() {
-                Ok(())
-            } else {
-                self.write_batch(&batch, records)
-            };
-            state = self.state.lock().expect("WAL state poisoned");
-            match wrote {
-                Ok(()) => state.durable_seq = upto,
-                Err(e) => state.error = Some(e.to_string()),
-            }
-            state.committing = false;
-            self.cond.notify_all();
-            // Loop: either our seq is now durable, the error is sticky,
-            // or our record was staged after the cut and we wait for
-            // (or lead) the next batch.
-        };
-        state.waiters -= 1;
-        result
-    }
-
-    /// One batch write + fsync, with batch-size and latency metrics.
-    fn write_batch(&self, batch: &[u8], records: usize) -> Result<(), WalError> {
-        let started = Instant::now();
-        {
-            let mut file = self.file.lock().expect("WAL file poisoned");
-            file.write_all(batch)?;
-            file.sync_data()?;
-        }
-        fsync_counter().inc();
-        let registry = sensorsafe_obsv::global();
-        registry
-            .histogram(
-                "sensorsafe_store_wal_commit_batch_records",
-                "Records retired per WAL group-commit batch.",
-                &[],
-                Some(&[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]),
-            )
-            .observe_secs(records as f64);
-        registry
-            .histogram(
-                "sensorsafe_store_wal_commit_seconds",
-                "WAL group-commit batch latency (write + fsync).",
-                &[],
-                None,
-            )
-            .observe(started.elapsed());
-        Ok(())
-    }
-}
-
-impl Drop for GroupCommitWal {
-    /// Clean shutdown: a dropped log flushes whatever is staged (best
-    /// effort — errors are unreportable here, and unacked records carry
-    /// no durability promise anyway).
-    fn drop(&mut self) {
-        let (batch, records) = {
-            let mut state = self.state.lock().expect("WAL state poisoned");
-            if state.error.is_some() {
-                return;
-            }
-            (std::mem::take(&mut state.buf), state.staged_count)
-        };
-        if !batch.is_empty() {
-            let _ = self.write_batch(&batch, records);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sensorsafe_types::{
         ChannelSpec, ContextKind, ContextState, SegmentMeta, TimeRange, Timestamp, Timing,
     };
-
-    fn tempdir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("sensorsafe-wal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn seg(start: i64) -> WaveSegment {
         let meta = SegmentMeta {
@@ -837,31 +373,11 @@ mod tests {
     }
 
     #[test]
-    fn append_replay_roundtrip() {
-        let dir = tempdir("roundtrip");
-        let path = dir.join("wal.log");
+    fn bookkeeping_records_roundtrip() {
         let records = vec![
             WalRecord::Segment(seg(0)),
             WalRecord::Annotation(ann(0)),
-            WalRecord::Segment(seg(320)),
-        ];
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            for r in &records {
-                wal.append(r).unwrap();
-            }
-            wal.sync().unwrap();
-        }
-        let (replayed, offset) = Wal::replay(&path).unwrap();
-        assert_eq!(replayed, records);
-        assert_eq!(offset, std::fs::metadata(&path).unwrap().len());
-    }
-
-    #[test]
-    fn bookkeeping_records_roundtrip() {
-        let dir = tempdir("bookkeeping");
-        let path = dir.join("wal.log");
-        let records = vec![
+            WalRecord::ReplApplied(11),
             WalRecord::AssignEpoch {
                 epoch: 7,
                 fenced: true,
@@ -879,17 +395,14 @@ mod tests {
                 seq: 43,
                 records: Vec::new(),
             },
+            WalRecord::AccountReset,
         ];
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            for r in &records {
-                wal.append(r).unwrap();
-            }
-            wal.sync().unwrap();
+        for record in records {
+            let (tag, payload) = encode_record_payload(&record);
+            assert!(tag_is_known(tag));
+            assert_eq!(decode_record_payload(tag, &payload).unwrap(), record);
         }
-        let (replayed, offset) = Wal::replay(&path).unwrap();
-        assert_eq!(replayed, records);
-        assert_eq!(offset, std::fs::metadata(&path).unwrap().len());
+        assert!(!tag_is_known(0) && !tag_is_known(TAG_ACCOUNT_RESET + 1));
     }
 
     #[test]
@@ -903,203 +416,5 @@ mod tests {
         payload.extend_from_slice(&8u32.to_le_bytes());
         payload.extend_from_slice(&1u64.to_le_bytes());
         assert!(decode_repl_batch(&payload).is_err());
-    }
-
-    #[test]
-    fn replay_missing_file_is_empty() {
-        let dir = tempdir("missing");
-        let (records, offset) = Wal::replay(dir.join("nope.log")).unwrap();
-        assert!(records.is_empty());
-        assert_eq!(offset, 0);
-    }
-
-    #[test]
-    fn replay_stops_at_torn_record() {
-        let dir = tempdir("torn");
-        let path = dir.join("wal.log");
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Segment(seg(0))).unwrap();
-            wal.append(&WalRecord::Segment(seg(320))).unwrap();
-            wal.sync().unwrap();
-        }
-        // Tear the last record.
-        let full = std::fs::metadata(&path).unwrap().len();
-        Wal::truncate(&path, full - 5).unwrap();
-        let (records, offset) = Wal::replay(&path).unwrap();
-        assert_eq!(records.len(), 1);
-        assert!(offset < full - 5);
-        // Truncate to the valid prefix and keep appending.
-        Wal::truncate(&path, offset).unwrap();
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Annotation(ann(99))).unwrap();
-            wal.sync().unwrap();
-        }
-        let (records, _) = Wal::replay(&path).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[1], WalRecord::Annotation(ann(99)));
-    }
-
-    #[test]
-    fn replay_stops_at_corrupt_crc() {
-        let dir = tempdir("corrupt");
-        let path = dir.join("wal.log");
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Segment(seg(0))).unwrap();
-            wal.append(&WalRecord::Segment(seg(320))).unwrap();
-            wal.sync().unwrap();
-        }
-        // Flip a payload byte in the second record.
-        let mut data = std::fs::read(&path).unwrap();
-        let len = data.len();
-        data[len - 3] ^= 0xff;
-        std::fs::write(&path, &data).unwrap();
-        let (records, offset) = Wal::replay(&path).unwrap();
-        assert_eq!(records.len(), 1);
-        assert!(offset > 0);
-    }
-
-    #[test]
-    fn empty_log_replays_empty() {
-        let dir = tempdir("empty");
-        let path = dir.join("wal.log");
-        Wal::open(&path).unwrap().sync().unwrap();
-        let (records, offset) = Wal::replay(&path).unwrap();
-        assert!(records.is_empty());
-        assert_eq!(offset, 0);
-    }
-
-    #[test]
-    fn interleaved_reopen_appends() {
-        let dir = tempdir("reopen");
-        let path = dir.join("wal.log");
-        for i in 0..5 {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Segment(seg(i * 320))).unwrap();
-            wal.sync().unwrap();
-        }
-        let (records, _) = Wal::replay(&path).unwrap();
-        assert_eq!(records.len(), 5);
-    }
-
-    #[test]
-    fn group_commit_stage_flush_replay() {
-        let dir = tempdir("group-basic");
-        let path = dir.join("wal.log");
-        let wal = Arc::new(GroupCommitWal::open(&path, GroupCommitConfig::default()).unwrap());
-        for i in 0..5 {
-            wal.stage(&WalRecord::Segment(seg(i * 320))).unwrap();
-        }
-        assert_eq!(wal.durable_seq(), 0, "staged records are not durable yet");
-        wal.flush().unwrap();
-        assert_eq!(wal.durable_seq(), 5);
-        let (records, offset) = Wal::replay(&path).unwrap();
-        assert_eq!(records.len(), 5);
-        assert_eq!(offset, std::fs::metadata(&path).unwrap().len());
-    }
-
-    #[test]
-    fn group_commit_ticket_covers_staged_prefix() {
-        let dir = tempdir("group-ticket");
-        let path = dir.join("wal.log");
-        let wal = Arc::new(GroupCommitWal::open(&path, GroupCommitConfig::default()).unwrap());
-        wal.stage(&WalRecord::Segment(seg(0))).unwrap();
-        wal.stage(&WalRecord::Segment(seg(320))).unwrap();
-        let ticket = wal.ticket();
-        assert_eq!(ticket.seq(), 2);
-        // A record staged after the ticket is not covered by it.
-        wal.stage(&WalRecord::Segment(seg(640))).unwrap();
-        ticket.wait().unwrap();
-        assert!(wal.durable_seq() >= 2);
-        // The straggler still gets committed by a flush.
-        wal.flush().unwrap();
-        assert_eq!(wal.durable_seq(), 3);
-        let (records, _) = Wal::replay(&path).unwrap();
-        assert_eq!(records.len(), 3);
-    }
-
-    #[test]
-    fn group_commit_concurrent_waiters_coalesce() {
-        let dir = tempdir("group-coalesce");
-        let path = dir.join("wal.log");
-        let fsyncs_before = fsync_counter().get();
-        let wal = Arc::new(
-            GroupCommitWal::open(
-                &path,
-                GroupCommitConfig {
-                    max_batch: 64,
-                    max_delay: Duration::from_millis(20),
-                },
-            )
-            .unwrap(),
-        );
-        // Stage a burst, then have 8 threads wait on per-record tickets
-        // concurrently: the leader's gathering window should retire the
-        // burst in far fewer fsyncs than records.
-        let tickets: Vec<CommitTicket> = (0..8)
-            .map(|i| {
-                let s = wal.stage(&WalRecord::Segment(seg(i * 320))).unwrap();
-                CommitTicket {
-                    wal: Arc::clone(&wal),
-                    seq: s,
-                }
-            })
-            .collect();
-        let handles: Vec<_> = tickets
-            .into_iter()
-            .map(|t| std::thread::spawn(move || t.wait()))
-            .collect();
-        for h in handles {
-            h.join().unwrap().unwrap();
-        }
-        let fsyncs = fsync_counter().get() - fsyncs_before;
-        assert!(fsyncs < 8, "8 concurrent waiters took {fsyncs} fsyncs");
-        let (records, _) = Wal::replay(&path).unwrap();
-        assert_eq!(records.len(), 8);
-    }
-
-    #[test]
-    fn group_commit_preserves_stage_order_on_disk() {
-        let dir = tempdir("group-order");
-        let path = dir.join("wal.log");
-        let wal = Arc::new(GroupCommitWal::open(&path, GroupCommitConfig::default()).unwrap());
-        let expected: Vec<WalRecord> = (0..20).map(|i| WalRecord::Segment(seg(i * 320))).collect();
-        for (i, r) in expected.iter().enumerate() {
-            wal.stage(r).unwrap();
-            if i % 7 == 0 {
-                wal.flush().unwrap(); // multiple batches
-            }
-        }
-        wal.flush().unwrap();
-        let (records, _) = Wal::replay(&path).unwrap();
-        assert_eq!(records, expected);
-    }
-
-    #[test]
-    fn group_commit_drop_flushes() {
-        let dir = tempdir("group-drop");
-        let path = dir.join("wal.log");
-        {
-            let wal = Arc::new(GroupCommitWal::open(&path, GroupCommitConfig::default()).unwrap());
-            wal.stage(&WalRecord::Segment(seg(0))).unwrap();
-            // No flush: Drop's clean-shutdown path writes the tail.
-        }
-        let (records, _) = Wal::replay(&path).unwrap();
-        assert_eq!(records.len(), 1);
-    }
-
-    #[test]
-    fn unbatched_config_syncs_per_commit() {
-        let dir = tempdir("group-unbatched");
-        let path = dir.join("wal.log");
-        let wal = Arc::new(GroupCommitWal::open(&path, GroupCommitConfig::unbatched()).unwrap());
-        let fsyncs_before = fsync_counter().get();
-        for i in 0..4 {
-            wal.stage(&WalRecord::Segment(seg(i * 320))).unwrap();
-            wal.flush().unwrap();
-        }
-        assert_eq!(fsync_counter().get() - fsyncs_before, 4);
     }
 }

@@ -1,14 +1,14 @@
-//! Crash-replay property tests for the store-wide journal (storage
-//! engine v2).
+//! Crash-replay property tests for the store-wide journal.
 //!
-//! The durability contract is the same as the per-account WAL's — once
-//! a flush covering a record returns, that record survives any crash —
-//! but the failure surface is larger: a crash can land across a
-//! **segment rotation boundary**, before or after a **checkpoint**, and
-//! segment **GC** may already have deleted files the checkpoint covers.
-//! These tests pin that in every such interleaving, replay recovers
-//! each account's acked records exactly once, in order, and never
-//! invents or duplicates a record.
+//! The durability contract: once a flush (or ticket wait) covering a
+//! record returns — the upload is *acked* — that record survives any
+//! crash. A crash can tear whatever came after the last completed
+//! commit, and it can land across a **segment rotation boundary**,
+//! before or after a **checkpoint**, with segment **GC** having already
+//! deleted files the checkpoint covers. These tests pin that in every
+//! such interleaving, replay recovers each account's acked records
+//! exactly once, in order, never invents or duplicates a record, and
+//! never panics or misparses a torn or garbage tail.
 //!
 //! Simulated kill: the journal directory is copied and the **active**
 //! (highest-numbered) segment is cut at an arbitrary byte no earlier
@@ -335,6 +335,97 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&crash_dir);
     }
+
+    /// A torn tail corrupted with garbage (not just truncated) is also
+    /// rejected: replay stops at the last valid frame boundary and
+    /// truncates the segment there.
+    #[test]
+    fn garbage_tail_is_rejected(
+        n in 1u8..6,
+        garbage in prop::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let seed: Vec<u64> = std::iter::once(n as u64)
+            .chain(garbage.iter().map(|&b| b as u64))
+            .collect();
+        let dir = std::env::temp_dir().join(format!(
+            "sensorsafe-jgarbage-{}-{}",
+            std::process::id(),
+            case_suffix(&seed),
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let staged: Vec<WalRecord> = (0..n as usize).map(|i| record(i, 8, i % 2 == 0)).collect();
+        {
+            let journal = StoreJournal::open(&dir, quick_config(u64::MAX)).unwrap();
+            for r in &staged {
+                journal.stage("alice", r).unwrap();
+            }
+            journal.flush().unwrap();
+        }
+        let tail = dir.join("journal.seg-1");
+        let mut bytes = std::fs::read(&tail).unwrap();
+        let clean_len = bytes.len() as u64;
+        bytes.extend_from_slice(&garbage);
+        std::fs::write(&tail, &bytes).unwrap();
+
+        let journal = StoreJournal::open(&dir, quick_config(u64::MAX)).unwrap();
+        let recovered = journal.take_account("alice").map(|r| r.records).unwrap_or_default();
+        // Reopening truncated the segment to its valid prefix.
+        let valid_len = std::fs::metadata(&tail).unwrap().len();
+        // Garbage after the clean log never costs a clean record …
+        prop_assert!(valid_len >= clean_len);
+        prop_assert_eq!(&recovered[..n as usize], &staged[..]);
+        // … and never produces an extra one unless it happens to frame
+        // and checksum as a whole record.
+        prop_assert!(recovered.len() <= n as usize + 1);
+        if valid_len == clean_len {
+            prop_assert_eq!(recovered.len(), n as usize);
+        }
+        drop(journal);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Concurrent committers then a crash: whatever batches completed before
+/// the simulated kill are fully recovered. This is the multi-threaded
+/// shape of the upload path (stage under a lock, wait without it).
+#[test]
+fn concurrent_commits_then_crash_recovers_acked_prefix() {
+    let dir = std::env::temp_dir().join(format!("sensorsafe-jcrash-mt-{}", std::process::id()));
+    let crash_dir = dir.with_extension("crashed");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = JournalConfig {
+        commit: GroupCommitConfig {
+            max_batch: 8,
+            max_delay: Duration::from_millis(2),
+        },
+        ..quick_config(u64::MAX)
+    };
+    let acked_len;
+    {
+        let journal = StoreJournal::open(&dir, config).unwrap();
+        // Staging is serialized (as the account write lock does in the
+        // datastore); waiting is concurrent.
+        let mut handles = Vec::new();
+        for i in 0..32usize {
+            journal.stage("alice", &record(i, 8, false)).unwrap();
+            let ticket = journal.ticket();
+            handles.push(std::thread::spawn(move || ticket.wait()));
+        }
+        for h in handles {
+            h.join().unwrap().unwrap();
+        }
+        acked_len = std::fs::metadata(dir.join("journal.seg-1")).unwrap().len();
+        // One more record staged but never acked, then "kill": cut inside it.
+        journal.stage("alice", &record(999, 8, false)).unwrap();
+        journal.flush().unwrap();
+    }
+    crash_copy(&dir, &crash_dir, acked_len as usize + 3);
+    let journal = StoreJournal::open(&crash_dir, config).unwrap();
+    let recovered = journal.take_account("alice").unwrap().records;
+    assert_eq!(recovered.len(), 32, "all acked records, torn tail dropped");
+    drop(journal);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
 }
 
 /// Checkpointed segments are only GC'd once replication acks reach the
@@ -477,7 +568,7 @@ fn bookkeeping_survives_rotation_checkpoint_and_gc() {
                 };
                 s.insert_segment(seg).unwrap();
             }
-            // Journal-mode compact: flush + async checkpoint request.
+            // compact: flush + async checkpoint request.
             s.compact().unwrap();
             s.sync().unwrap();
         }

@@ -1,15 +1,28 @@
 //! Property-based tests for the storage engine: the wave-segment store,
-//! the per-tuple baseline, and the WAL must all agree.
+//! the per-tuple baseline, and the journal must all agree.
 
 use proptest::prelude::*;
 use sensorsafe_store::{
-    decode_annotation, decode_segment, encode_annotation, encode_segment, MergePolicy, Query,
-    SegmentStore, TupleStore, Wal, WalRecord,
+    decode_annotation, decode_segment, encode_annotation, encode_segment, JournalConfig,
+    MergePolicy, Query, SegmentStore, StoreJournal, TupleStore, WalRecord,
 };
 use sensorsafe_types::{
     ChannelSpec, ContextAnnotation, ContextKind, ContextState, GeoPoint, SegmentMeta, TimeRange,
     Timestamp, Timing, WaveSegment,
 };
+use std::path::Path;
+use std::sync::Arc;
+
+/// Opens (or reopens) the journal in `dir` and the store of its one
+/// account, replaying whatever the journal recovered for it.
+fn open_durable(dir: &Path) -> SegmentStore {
+    let journal = Arc::new(StoreJournal::open(dir, JournalConfig::default()).unwrap());
+    let recovered = journal
+        .take_account("alice")
+        .map(|r| r.records)
+        .unwrap_or_default();
+    SegmentStore::open_journal(journal, "alice", MergePolicy::default(), recovered)
+}
 
 /// A workload: a list of (gap_ms_before, rows) packet descriptors.
 fn arb_workload() -> impl Strategy<Value = Vec<(u16, u8)>> {
@@ -124,7 +137,7 @@ proptest! {
         prop_assert_eq!(back, ann);
     }
 
-    /// A store replayed from its WAL answers every query identically.
+    /// A store replayed from its journal answers every query identically.
     #[test]
     fn wal_replay_equivalence(workload in arb_workload(), range in arb_query_range()) {
         let dir = std::env::temp_dir().join(format!(
@@ -132,27 +145,26 @@ proptest! {
             std::process::id(),
             rand_suffix(&workload),
         ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
         let packets = build_packets(&workload);
         let q = Query::all().in_time(range);
         let live_result = {
-            let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+            let mut store = open_durable(&dir);
             for p in &packets {
                 store.insert_segment(p.clone()).unwrap();
             }
             store.sync().unwrap();
             store.query(&q)
         };
-        let reopened = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+        let reopened = open_durable(&dir);
         prop_assert_eq!(reopened.query(&q), live_result);
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 /// Deterministic per-case suffix so parallel proptest cases don't share
-/// WAL files.
+/// journal directories.
 fn rand_suffix(workload: &[(u16, u8)]) -> u64 {
     let mut h = 1469598103934665603u64;
     for (a, b) in workload {
@@ -164,31 +176,43 @@ fn rand_suffix(workload: &[(u16, u8)]) -> u64 {
 
 #[test]
 fn wal_truncation_fuzz() {
-    // Cutting the log at every byte offset must yield a clean prefix
-    // replay, never a panic or misparse.
+    // Cutting a journal segment at every byte offset must yield a clean
+    // prefix replay, never a panic or misparse.
     let dir = std::env::temp_dir().join(format!("sensorsafe-trunc-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wal.log");
-    let packets = build_packets(&[(0, 16), (5, 16), (100, 16)]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let records: Vec<WalRecord> = build_packets(&[(0, 16), (5, 16), (100, 16)])
+        .into_iter()
+        .map(WalRecord::Segment)
+        .collect();
     {
-        let mut wal = Wal::open(&path).unwrap();
-        for p in &packets {
-            wal.append(&WalRecord::Segment(p.clone())).unwrap();
+        let journal = StoreJournal::open(&dir, JournalConfig::default()).unwrap();
+        for r in &records {
+            journal.stage("alice", r).unwrap();
         }
-        wal.sync().unwrap();
+        journal.flush().unwrap();
     }
-    let full = std::fs::read(&path).unwrap();
+    let full = std::fs::read(dir.join("journal.seg-1")).unwrap();
+    let cut_dir = dir.join("cut");
     for cut in 0..full.len() {
-        let cut_path = dir.join(format!("cut-{cut}.log"));
+        let _ = std::fs::remove_dir_all(&cut_dir);
+        std::fs::create_dir_all(&cut_dir).unwrap();
+        let cut_path = cut_dir.join("journal.seg-1");
         std::fs::write(&cut_path, &full[..cut]).unwrap();
-        let (records, offset) = Wal::replay(&cut_path).unwrap();
-        assert!(offset as usize <= cut);
-        assert!(records.len() <= packets.len());
+        let journal = StoreJournal::open(&cut_dir, JournalConfig::default()).unwrap();
+        let replayed = journal
+            .take_account("alice")
+            .map(|r| r.records)
+            .unwrap_or_default();
+        drop(journal);
+        // Reopening truncated the segment to the valid prefix it found.
+        assert!(std::fs::metadata(&cut_path).unwrap().len() as usize <= cut);
         // Replayed prefix must equal the original records' prefix.
-        for (got, want) in records.iter().zip(&packets) {
-            assert_eq!(got, &WalRecord::Segment(want.clone()));
-        }
-        std::fs::remove_file(&cut_path).unwrap();
+        assert!(replayed.len() <= records.len());
+        assert_eq!(replayed[..], records[..replayed.len()]);
     }
+    // The uncut segment replays whole.
+    let journal = StoreJournal::open(&dir, JournalConfig::default()).unwrap();
+    assert_eq!(journal.take_account("alice").unwrap().records, records);
+    drop(journal);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -26,8 +26,6 @@ fn main() {
     let store1_host = "127.0.0.1:7071";
     let store2_host = "127.0.0.1:7072";
 
-    // Server architecture comes from SENSORSAFE_SERVER_MODE (default:
-    // the evented epoll core; "thread-pool" selects the baseline).
     let mut deployment =
         Deployment::over_tcp_with_fleet(broker_host, sensorsafe::broker::FleetConfig::default());
     let broker_server = deployment
@@ -41,7 +39,6 @@ fn main() {
     let store2_server = deployment
         .serve_store(store2_host, 4)
         .expect("bind store 2");
-    println!("mode    : {}", deployment.server_mode().as_str());
     println!("broker  : http://{}", broker_server.addr());
     println!("store 1 : http://{}", store1_server.addr());
     println!("store 2 : http://{}", store2_server.addr());

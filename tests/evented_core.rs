@@ -2,15 +2,12 @@
 //! C3 experiment; see EXPERIMENTS.md for the full 10k-connection run).
 //!
 //! Holds hundreds of concurrent keep-alive connections against a
-//! handful of handler threads — a ratio the thread-pool baseline
-//! cannot express, since it parks one worker per connection — and
-//! exercises idle-timeout reaping and overload shedding end to end
-//! over real sockets, in both server modes.
+//! handful of handler threads — a ratio a server that parks one worker
+//! per connection cannot express — and exercises idle-timeout reaping
+//! and overload shedding end to end over real sockets.
 
 use sensorsafe::json;
-use sensorsafe::net::{
-    EventedConfig, Params, Request, Response, Router, Server, ServerMode, Service, Status,
-};
+use sensorsafe::net::{EventedConfig, Params, Request, Response, Router, Server, Service, Status};
 use std::io::{BufReader, Read};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -70,17 +67,6 @@ fn evented_mode_holds_hundreds_of_connections_on_few_threads() {
     };
     let server = Server::bind_evented("127.0.0.1:0", config, echo_service()).unwrap();
     soak(server.addr(), 300, "evented");
-}
-
-#[test]
-fn thread_pool_mode_soaks_at_worker_count() {
-    // The baseline's ceiling IS its worker count: 64 connections need
-    // 64 parked workers. Same traffic shape as the evented soak so CI
-    // exercises both architectures.
-    let server =
-        Server::bind_mode("127.0.0.1:0", ServerMode::ThreadPool, 64, echo_service()).unwrap();
-    assert_eq!(server.mode(), ServerMode::ThreadPool);
-    soak(server.addr(), 64, "thread-pool");
 }
 
 #[test]

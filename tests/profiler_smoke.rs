@@ -10,7 +10,7 @@
 //! search (broker). Also asserts the `/debug/spans` stats table is
 //! monotone across reads, as the endpoint contract promises.
 
-use sensorsafe::net::{HttpClient, Request, ServerMode, Status};
+use sensorsafe::net::{HttpClient, Request, Status};
 use sensorsafe::sim::Scenario;
 use sensorsafe::store::Query;
 use sensorsafe::types::Timestamp;
@@ -48,7 +48,7 @@ fn spans_table(addr: &str) -> BTreeMap<String, (u64, f64)> {
 fn profile_attributes_samples_across_crates() {
     let broker_addr = "127.0.0.1:7193";
     let store_addr = "127.0.0.1:7194";
-    let mut deployment = Deployment::over_tcp(broker_addr).with_server_mode(ServerMode::Evented);
+    let mut deployment = Deployment::over_tcp(broker_addr);
     let _broker_server = deployment
         .serve_broker(broker_addr, 4)
         .expect("bind broker");
