@@ -769,7 +769,7 @@ impl Inner {
         // and with the ledger + contributor so every enforcement decision
         // lands in the tamper-evident audit trail.
         let _audit = audit::consumer_scope(principal.name.clone());
-        let _ledger = audit::ledger_scope(self.ledger.clone(), contributor.as_str().to_string());
+        let ledger = audit::ledger_scope(self.ledger.clone(), contributor.as_str().to_string());
         sensorsafe_obsv::global()
             .counter(
                 "sensorsafe_audit_requests_total",
@@ -796,11 +796,20 @@ impl Inner {
         // The view shares the store's blobs by reference count, so the
         // account guard is not needed while its text is written.
         drop(account);
+        // Every decision of this request is appended: the ledger's sync
+        // thread makes them durable while the reply is rendered (stage
+        // under the lock, wait after release — DESIGN.md §8).
+        ledger.begin_sync();
         let mut body = Vec::new();
         write_shared_view_json(&view, &mut body);
         // Stamped once the body bytes exist: rendering the numbers is the
         // largest single cost of a query and belongs to this phase.
         trace::phase("serialize");
+        // The reply is not released before both of the round's syncs have
+        // returned (or the ledger has failed, which `/healthz` reports):
+        // this is the wait left over after rendering.
+        drop(ledger);
+        trace::phase("audit_sync");
         Response::json_bytes(body)
     }
 
@@ -1807,7 +1816,10 @@ mod tests {
             &json!({"key": (alice.clone()), "rules": [{"Action": "Allow"}]}),
         ));
         assert_eq!(resp.status, Status::Ok);
-        for key in [bob, alice] {
+        // The consumer's reply additionally waits for its audit records
+        // (nothing to wait for on this in-memory ledger); the owner's
+        // raw view records none.
+        for (key, last_phase) in [(bob, "audit_sync"), (alice, "serialize")] {
             let resp = svc.handle(&Request::post_json(
                 "/api/query",
                 &json!({"key": key, "contributor": "alice"}),
@@ -1829,7 +1841,7 @@ mod tests {
             };
             let attributed: std::time::Duration = trace.phases.iter().map(|p| p.elapsed).sum();
             let serialize = of("serialize");
-            assert_eq!(trace.phases.last().unwrap().name, "serialize");
+            assert_eq!(trace.phases.last().unwrap().name, last_phase);
             assert!(
                 serialize >= attributed - serialize,
                 "serialize {serialize:?} of {attributed:?} attributed: {:?}",
@@ -2329,6 +2341,159 @@ mod durability_tests {
         let body = health(&svc);
         assert_eq!(body["status"].as_str(), Some("degraded"));
         assert_eq!(body["components"]["audit_ledger"].as_str(), Some("failed"));
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn allow_all(svc: &DataStoreService, contributor_key: &str) {
+        let resp = svc.handle(&Request::post_json(
+            "/api/rules/set",
+            &json!({"key": contributor_key, "rules": [{"Action": "Allow"}]}),
+        ));
+        assert_eq!(resp.status, Status::Ok, "{:?}", resp.json_body());
+    }
+
+    fn consumer_query(svc: &DataStoreService, key: &str, contributor: &str) -> Response {
+        svc.handle(&Request::post_json(
+            "/api/query",
+            &json!({"key": key, "contributor": contributor}),
+        ))
+    }
+
+    /// The durable twin of `query_span_attributes_the_reply_text_to_serialize`:
+    /// with a ledger that really syncs, the wait left after rendering is
+    /// a named phase of the span, not its unattributed remainder.
+    #[test]
+    fn durable_query_span_names_the_audit_sync() {
+        let dir =
+            std::env::temp_dir().join(format!("sensorsafe-audit-span-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (svc, admin) = DataStoreService::new(DataStoreConfig {
+            name: "audit-span".into(),
+            data_dir: Some(dir.clone()),
+            ..DataStoreConfig::default()
+        });
+        let alice = register_alice(&svc, &admin);
+        let bob = register(&svc, &admin, "bob", "consumer");
+        assert_eq!(upload_packets(&svc, &alice, 0, 32).0, Status::Ok);
+        allow_all(&svc, &alice);
+        let resp = consumer_query(&svc, &bob, "alice");
+        assert_eq!(resp.status, Status::Ok);
+        let trace = svc
+            .recent_traces()
+            .into_iter()
+            .rfind(|t| t.name == "POST /api/query")
+            .expect("query span recorded");
+        let names: Vec<&str> = trace.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names.first(), Some(&"auth"), "{names:?}");
+        assert_eq!(
+            names[names.len() - 2..],
+            ["serialize", "audit_sync"],
+            "{names:?}"
+        );
+        let audit_sync = trace.phases.last().unwrap().elapsed;
+        assert!(audit_sync > std::time::Duration::ZERO);
+        let attributed: std::time::Duration = trace.phases.iter().map(|p| p.elapsed).sum();
+        let unattributed = trace.total - attributed;
+        assert!(
+            unattributed * 5 < trace.total,
+            "unattributed {unattributed:?} of {:?}: {:?}",
+            trace.total,
+            trace.phases
+        );
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The contract the overlap must not loosen: the instant `handle`
+    /// returns a consumer's reply — no extra `sync()` — the ledger file
+    /// *and its head* on disk hold that request's decisions. (With the
+    /// head path blocked the reply still leaves and `/healthz` degrades:
+    /// `healthz_reports_an_audit_ledger_that_cannot_sync`.)
+    #[test]
+    fn consumer_reply_never_leaves_before_its_audit_records_are_durable() {
+        let dir =
+            std::env::temp_dir().join(format!("sensorsafe-audit-contract-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (svc, admin) = DataStoreService::new(DataStoreConfig {
+            name: "audit-contract".into(),
+            data_dir: Some(dir.clone()),
+            ..DataStoreConfig::default()
+        });
+        let ledger_file = dir.join("audit.ledger");
+
+        // Four contributors with different data, one consumer each.
+        let names = ["c0", "c1", "c2", "c3"];
+        let mut consumers = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            let key = register(&svc, &admin, name, "contributor");
+            assert_eq!(upload_packets(&svc, &key, 8 * i, 8).0, Status::Ok);
+            allow_all(&svc, &key);
+            consumers.push(register(&svc, &admin, &format!("k{i}"), "consumer"));
+        }
+
+        // One reader: after every reply the chain on disk, verified
+        // against the head on disk, is the chain in memory.
+        let mut replies = Vec::new();
+        let mut decisions_per_query = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            let before = svc.audit_ledger().len();
+            let resp = consumer_query(&svc, &consumers[i], name);
+            assert_eq!(resp.status, Status::Ok);
+            let on_disk = sensorsafe_store::verify_ledger_file(&ledger_file).unwrap();
+            assert_eq!(on_disk, svc.audit_ledger().recent(usize::MAX));
+            let mine = &on_disk[before as usize..];
+            assert!(!mine.is_empty(), "the query recorded no decision");
+            assert!(mine
+                .iter()
+                .all(|r| r.contributor == *name && r.consumer == format!("k{i}")));
+            decisions_per_query.push(mine.len() as u64);
+            replies.push(resp.body);
+        }
+
+        // Four readers at once share sync rounds; nobody's reply or
+        // audit trail changes for it.
+        const ROUNDS: u64 = 8;
+        let start = std::sync::Barrier::new(names.len());
+        std::thread::scope(|scope| {
+            for (i, name) in names.iter().enumerate() {
+                let (svc, start, key, expected) = (&svc, &start, &consumers[i], &replies[i]);
+                let ledger_file = &ledger_file;
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        let resp = consumer_query(svc, key, name);
+                        assert_eq!(resp.status, Status::Ok);
+                        assert_eq!(&resp.body, expected, "reply changed under concurrency");
+                        // Other readers may be mid-append, so only this
+                        // thread's own records are asserted on: every one
+                        // appended before its reply is attested on disk.
+                        let mine = svc.audit_ledger().page(&sensorsafe_obsv::AuditFilter {
+                            consumer: Some(format!("k{i}")),
+                            limit: 1,
+                            ..Default::default()
+                        });
+                        let newest = mine.records.last().expect("own decisions").seq;
+                        let head = std::fs::read(sensorsafe_store::ledger::head_path(ledger_file))
+                            .unwrap();
+                        let attested = sensorsafe_obsv::ledger::ChainHead::decode(&head).unwrap();
+                        assert!(
+                            newest < attested.count,
+                            "reply left ahead of the head on disk"
+                        );
+                    }
+                });
+            }
+        });
+        let total: u64 = decisions_per_query.iter().sum::<u64>() * (1 + ROUNDS);
+        assert_eq!(svc.audit_ledger().len(), total);
+        let replayed = sensorsafe_store::verify_ledger_file(&ledger_file).unwrap();
+        assert_eq!(replayed.len() as u64, total);
+        let rebuilt = sensorsafe_obsv::AwarenessAggregates::rebuild(replayed.iter());
+        assert_eq!(svc.awareness().digest(), rebuilt.digest());
+        assert!(svc.audit_ledger().sync_error().is_none());
         drop(svc);
         let _ = std::fs::remove_dir_all(&dir);
     }

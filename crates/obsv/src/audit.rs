@@ -14,8 +14,10 @@
 //! The same bridge carries the durable record: when the handler also
 //! installs a [`ledger_scope`], every decision is appended to that
 //! contributor's [`AuditLedger`] with the consumer, matched rule indices,
-//! and the request's trace id; the scope's drop syncs the ledger so the
-//! response never outruns its audit trail.
+//! and the request's trace id; the scope's drop waits for the ledger's
+//! sync (requested earlier with [`LedgerScope::begin_sync`] when there is
+//! a reply to render meanwhile) so the response never outruns its audit
+//! trail.
 //!
 //! Consumer names are attacker-influenced label values (anyone the broker
 //! registers), so the counter families cap distinct consumer labels at
@@ -98,18 +100,26 @@ pub fn current_consumer() -> String {
     })
 }
 
-/// RAII guard detaching the ledger scope; syncs the ledger on drop so the
-/// enclosed decisions are durable before the response leaves.
+/// RAII guard detaching the ledger scope; its drop waits in
+/// [`AuditLedger::sync`], so the enclosed decisions are durable before
+/// the response leaves. A handler that still has the reply to render
+/// calls [`LedgerScope::begin_sync`] after its last decision and drops
+/// the guard once the body exists: the disk works meanwhile.
 pub struct LedgerScope {
-    _private: (),
+    ledger: Arc<dyn AuditLedger>,
+}
+
+impl LedgerScope {
+    /// Requests the sync the drop will wait for, without waiting.
+    pub fn begin_sync(&self) {
+        self.ledger.sync_begin();
+    }
 }
 
 impl Drop for LedgerScope {
     fn drop(&mut self) {
-        let popped = CURRENT_LEDGER.with(|stack| stack.borrow_mut().pop());
-        if let Some((ledger, _)) = popped {
-            ledger.sync();
-        }
+        CURRENT_LEDGER.with(|stack| stack.borrow_mut().pop());
+        self.ledger.sync();
     }
 }
 
@@ -117,8 +127,12 @@ impl Drop for LedgerScope {
 /// `contributor` (whose data is being decided over). Scopes nest; the
 /// innermost wins.
 pub fn ledger_scope(ledger: Arc<dyn AuditLedger>, contributor: impl Into<String>) -> LedgerScope {
-    CURRENT_LEDGER.with(|stack| stack.borrow_mut().push((ledger, contributor.into())));
-    LedgerScope { _private: () }
+    CURRENT_LEDGER.with(|stack| {
+        stack
+            .borrow_mut()
+            .push((ledger.clone(), contributor.into()))
+    });
+    LedgerScope { ledger }
 }
 
 /// The bounded consumer label for `family`: the consumer's own name while

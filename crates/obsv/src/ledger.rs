@@ -5,8 +5,11 @@
 //! also deserve "exactly when, by whom, under which rule" — and that record
 //! must survive restarts and resist after-the-fact editing. This module
 //! defines the ledger's *content and integrity model*; file persistence
-//! (with the WAL's fsync discipline) lives in the `store` crate's
-//! `FileLedger`, keeping obsv free of I/O policy.
+//! (frames synced before the head, on the ledger's own sync thread) lives
+//! in the `store` crate's `FileLedger`, keeping obsv free of I/O policy.
+//! The [`AuditLedger`] trait exposes durability as *request*
+//! (`sync_begin`) and *wait* (`sync`) so a request handler can render its
+//! reply while the disk works and still not release it before the wait.
 //!
 //! Integrity model: each [`DecisionRecord`] is encoded to a canonical
 //! binary payload and hash-chained — `hash_i = SHA256(hash_{i-1} ||
@@ -414,11 +417,19 @@ pub fn page_records(records: &[DecisionRecord], filter: &AuditFilter) -> AuditPa
 /// `append` assigns the record's `seq` and returns it; callers must not
 /// set `seq` themselves. Durability is backend-defined: `sync` is the
 /// point after which appended records must survive a crash (a no-op for
-/// the in-memory backend).
+/// the in-memory backend). A caller with work to do in the meantime
+/// splits it in two — `sync_begin` right after its last append, `sync`
+/// when it needs the guarantee — and a backend that syncs off-thread
+/// overlaps the two.
 pub trait AuditLedger: Send + Sync {
     /// Appends one decision, assigning and returning its chain position.
     fn append(&self, record: DecisionRecord) -> u64;
-    /// Makes every appended record durable (file backends fsync here).
+    /// Asks the backend to start making every appended record durable
+    /// and returns without waiting; `sync` is still what guarantees it.
+    /// A no-op for backends that have nothing to start early.
+    fn sync_begin(&self) {}
+    /// Returns only once every record appended before the call is
+    /// durable, or the backend has failed (see `sync_error`).
     fn sync(&self);
     /// The sticky I/O failure of a backend that can no longer make
     /// records durable (`None` for healthy and volatile ledgers).

@@ -1,20 +1,31 @@
 //! File-backed audit ledger: `sensorsafe_obsv::ledger`'s chain semantics
-//! with the WAL's durability discipline.
+//! with the journal's durability discipline.
 //!
 //! Layout on disk: `<path>` holds the hash-chained record frames
 //! (`u32 len | payload | 32-byte hash`, see `obsv::ledger`), and
 //! `<path>.head` holds the 40-byte [`ChainHead`] (record count + final
-//! chain hash). Appends are buffered; [`FileLedger::sync`] follows the WAL
-//! pattern — flush, `sync_data` the ledger file, and only *then* write
-//! and `sync_data` the head sidecar, so the head never attests records
-//! that are not yet durable. The sidecar is created once (tmp file +
-//! rename, so it is never seen short or empty) and from then on held
-//! open and overwritten in place: its length never changes, so a sync
-//! costs two data syncs and no truncate or size-changing metadata
-//! commit. An I/O failure on either file is sticky
-//! ([`AuditLedger::sync_error`]): after a failed fsync the page cache
-//! can no longer be trusted, so the ledger stops writing and reports it
-//! rather than retrying into an unknown state.
+//! chain hash). Appends are buffered under the ledger mutex; making them
+//! durable is the `ledger-sync` thread's job, one *round* at a time:
+//! flush the buffer and capture the head under the mutex, then — outside
+//! it — `sync_data` the ledger file, and only *then* write and
+//! `sync_data` the head sidecar, so the head never attests records that
+//! are not yet durable. [`AuditLedger::sync_begin`] asks for a round and
+//! returns; [`AuditLedger::sync`] asks and waits until a round has
+//! covered everything appended before the call. Because the disk work
+//! holds no lock, `append`/`len`/`recent`/`page`/`sync_error` never wait
+//! on it, appends that arrive during a round ride the next one, and
+//! concurrent waiters share rounds (same shape as the store journal's
+//! stage-then-wait, DESIGN.md §8).
+//!
+//! The sidecar is created once (tmp file + rename, so it is never seen
+//! short or empty) and from then on held open and overwritten in place:
+//! its length never changes, so a round costs two data syncs and no
+//! truncate or size-changing metadata commit. An I/O failure on either
+//! file is sticky ([`AuditLedger::sync_error`]): after a failed fsync
+//! the page cache can no longer be trusted, so the ledger stops writing,
+//! releases every current and later waiter, and reports it rather than
+//! retrying into an unknown state. Dropping the ledger runs a last round
+//! for appends nobody synced and joins the thread.
 //!
 //! Tamper and truncation detection: [`FileLedger::open`] replays and
 //! verifies the whole chain against the head (a store refuses to silently
@@ -24,16 +35,16 @@
 //! with `verify_frames(bytes, None)` — see docs/OPERATIONS.md for the
 //! recovery procedure.
 
-use parking_lot::Mutex;
 use sensorsafe_obsv::ledger::{encode_frame, verify_frames, ChainHead, GENESIS_HASH};
-use sensorsafe_obsv::{AuditFilter, AuditLedger, AuditPage, DecisionRecord, LedgerError};
+use sensorsafe_obsv::{AuditFilter, AuditLedger, AuditPage, Counter, DecisionRecord, LedgerError};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
-fn appends_counter() -> Arc<sensorsafe_obsv::Counter> {
+fn appends_counter() -> Arc<Counter> {
     sensorsafe_obsv::global().counter(
         "sensorsafe_audit_ledger_appends_total",
         "Enforcement decisions appended to an audit ledger.",
@@ -41,7 +52,7 @@ fn appends_counter() -> Arc<sensorsafe_obsv::Counter> {
     )
 }
 
-fn fsyncs_counter() -> Arc<sensorsafe_obsv::Counter> {
+fn fsyncs_counter() -> Arc<Counter> {
     sensorsafe_obsv::global().counter(
         "sensorsafe_audit_ledger_fsyncs_total",
         "Durable sync operations completed by file-backed audit ledgers.",
@@ -49,7 +60,7 @@ fn fsyncs_counter() -> Arc<sensorsafe_obsv::Counter> {
     )
 }
 
-fn sync_failures_counter() -> Arc<sensorsafe_obsv::Counter> {
+fn sync_failures_counter() -> Arc<Counter> {
     sensorsafe_obsv::global().counter(
         "sensorsafe_audit_ledger_sync_failures_total",
         "File-backed audit ledgers that stopped persisting after an I/O failure.",
@@ -111,65 +122,194 @@ fn create_head(path: &Path, head_bytes: &[u8]) -> std::io::Result<File> {
     Ok(file)
 }
 
-struct Inner {
+/// What the ledger mutex guards: the chain in memory, the buffered
+/// writer, and the sync thread's mailbox.
+struct State {
     writer: BufWriter<File>,
-    /// The head sidecar, held open and overwritten in place; `None`
-    /// until the first sync of a ledger that has none creates it.
-    head_file: Option<File>,
     /// In-memory mirror of every verified + appended record, for queries.
     records: Vec<DecisionRecord>,
     /// The chain's current end (covers buffered, not-yet-synced appends).
     head: ChainHead,
-    /// Appends since the last completed sync.
-    dirty: bool,
-    /// Sticky I/O failure: set by the first failed write or sync, after
+    /// Record count somebody has asked to be made durable.
+    requested: u64,
+    /// Record count the last completed round made durable (and the head
+    /// on disk attests).
+    durable: u64,
+    /// Sticky failure: set by the first failed write or sync, after
     /// which nothing more is written (the in-memory mirror keeps
     /// serving reads).
     failed: Option<String>,
+    /// The ledger is being dropped: exit once nothing is requested.
+    stop: bool,
 }
 
-impl Inner {
-    /// WAL discipline: frames first, head second, a `sync_data` after
-    /// each — the head on disk must never get ahead of durable frames.
-    fn persist(&mut self, head_path: &Path) -> std::io::Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
-        let head_bytes = self.head.encode();
+/// Metric handles, resolved once at open (`append` runs under the
+/// ledger mutex).
+struct Metrics {
+    appends: Arc<Counter>,
+    fsyncs: Arc<Counter>,
+    sync_failures: Arc<Counter>,
+}
+
+struct Shared {
+    path: PathBuf,
+    state: Mutex<State>,
+    /// Wakes the sync thread: a round was requested, or `stop`.
+    work: Condvar,
+    /// Wakes waiters: a round completed or the ledger failed.
+    done: Condvar,
+    metrics: Metrics,
+    /// Test-only pause point between a round's two syncs.
+    #[cfg(test)]
+    between_syncs: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("ledger state poisoned")
+    }
+
+    /// Makes the ledger sticky-failed (first failure only) and releases
+    /// every waiter.
+    fn fail(&self, state: &mut State, error: &std::io::Error) {
+        if state.failed.is_some() {
+            return;
+        }
+        eprintln!(
+            "{{\"event\":\"audit_ledger_sync_failed\",\"path\":\"{}\",\"error\":\"{error}\"}}",
+            self.path.display()
+        );
+        self.metrics.sync_failures.inc();
+        state.failed = Some(error.to_string());
+        self.done.notify_all();
+    }
+
+    /// Asks the sync thread to cover everything appended so far; returns
+    /// the record count to wait for, or `None` when there is nothing to
+    /// wait for (already durable, or failed).
+    fn request(&self, state: &mut State) -> Option<u64> {
+        let target = state.head.count;
+        if state.durable >= target || state.failed.is_some() {
+            return None;
+        }
+        if state.requested < target {
+            state.requested = target;
+            self.work.notify_one();
+        }
+        Some(target)
+    }
+}
+
+/// The sync thread's own handles: no lock is held while they are used.
+struct Disk {
+    /// A second handle on the ledger file (`sync_data` covers the inode).
+    file: File,
+    /// The head sidecar, held open and overwritten in place; `None`
+    /// until the first round of a ledger that has none creates it.
+    head_file: Option<File>,
+}
+
+impl Disk {
+    /// Journal discipline: frames first, head second, a `sync_data`
+    /// after each — the head on disk must never get ahead of durable
+    /// frames. `head` was captured with the flush that precedes this.
+    fn persist(&mut self, shared: &Shared, head: &ChainHead) -> std::io::Result<()> {
+        self.file.sync_data()?;
+        #[cfg(test)]
+        {
+            let hook = shared.between_syncs.lock().expect("hook lock").clone();
+            if let Some(hook) = hook {
+                hook();
+            }
+        }
+        let head_bytes = head.encode();
         match &self.head_file {
             Some(file) => {
                 file.write_all_at(&head_bytes, 0)?;
                 file.sync_data()
             }
             None => {
-                self.head_file = Some(create_head(head_path, &head_bytes)?);
+                self.head_file = Some(create_head(&head_path(&shared.path), &head_bytes)?);
                 Ok(())
             }
         }
     }
+}
 
-    fn fail(&mut self, path: &Path, e: std::io::Error) {
-        eprintln!(
-            "{{\"event\":\"audit_ledger_sync_failed\",\"path\":\"{}\",\"error\":\"{e}\"}}",
-            path.display()
-        );
-        sync_failures_counter().inc();
-        self.failed = Some(e.to_string());
+/// Releases waiters with a sticky error if the sync thread unwinds:
+/// a wait must end in durable-or-failed, never hang.
+struct DeathWatch<'a>(&'a Shared);
+
+impl Drop for DeathWatch<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.failed.is_none() {
+            // Not `eprintln!`: a second panic while unwinding aborts.
+            let _ = writeln!(
+                std::io::stderr(),
+                "{{\"event\":\"audit_ledger_sync_thread_died\",\"path\":\"{}\"}}",
+                self.0.path.display()
+            );
+            state.failed = Some("ledger-sync thread died".to_string());
+        }
+        self.0.done.notify_all();
+    }
+}
+
+/// The `ledger-sync` thread: one round per wake-up covers every append
+/// made before its flush, however many requests asked for it.
+fn sync_loop(shared: Arc<Shared>, mut disk: Disk) {
+    let _watch = DeathWatch(&shared);
+    loop {
+        let head = {
+            let mut state = shared.lock();
+            loop {
+                if state.requested > state.durable && state.failed.is_none() {
+                    break;
+                }
+                if state.stop {
+                    return;
+                }
+                state = shared.work.wait(state).expect("ledger state poisoned");
+            }
+            if let Err(e) = state.writer.flush() {
+                shared.fail(&mut state, &e);
+                continue;
+            }
+            state.head
+        };
+        let _round = sensorsafe_obsv::prof_frame!("ledger-sync");
+        let persisted = disk.persist(&shared, &head);
+        let mut state = shared.lock();
+        match persisted {
+            Ok(()) => {
+                state.durable = head.count;
+                shared.metrics.fsyncs.inc();
+                shared.done.notify_all();
+            }
+            Err(e) => shared.fail(&mut state, &e),
+        }
     }
 }
 
 /// A durable [`AuditLedger`]: appends are hash-chained onto the verified
-/// tail and made durable (file then head) on `sync`.
+/// tail and made durable (file then head) by the ledger's sync thread,
+/// on request.
 pub struct FileLedger {
-    path: PathBuf,
-    inner: Mutex<Inner>,
+    shared: Arc<Shared>,
+    sync_thread: Option<JoinHandle<()>>,
 }
 
 impl FileLedger {
     /// Opens (creating if absent) the ledger at `path`, verifying the
-    /// existing chain against its head sidecar. Errors mean the audit
-    /// trail is torn, tampered, or truncated — the caller decides whether
-    /// to refuse startup or quarantine the file; this code never silently
-    /// repairs it.
+    /// existing chain against its head sidecar, and starts its
+    /// `ledger-sync` thread. Errors mean the audit trail is torn,
+    /// tampered, or truncated — the caller decides whether to refuse
+    /// startup or quarantine the file; this code never silently repairs
+    /// it.
     pub fn open(path: impl AsRef<Path>) -> Result<FileLedger, LedgerError> {
         let path = path.as_ref().to_path_buf();
         let records = verify_ledger_file(&path)?;
@@ -189,28 +329,51 @@ impl FileLedger {
             .open(&path)
             .map_err(io_err)?;
         // A missing sidecar was accepted by the verify above; the first
-        // sync creates it.
+        // round creates it.
         let head_file = match OpenOptions::new().write(true).open(head_path(&path)) {
             Ok(file) => Some(file),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(io_err(e)),
         };
-        Ok(FileLedger {
+        let disk = Disk {
+            file: file.try_clone().map_err(io_err)?,
+            head_file,
+        };
+        let shared = Arc::new(Shared {
             path,
-            inner: Mutex::new(Inner {
+            state: Mutex::new(State {
                 writer: BufWriter::new(file),
-                head_file,
                 records,
                 head,
-                dirty: false,
+                requested: head.count,
+                durable: head.count,
                 failed: None,
+                stop: false,
             }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+            metrics: Metrics {
+                appends: appends_counter(),
+                fsyncs: fsyncs_counter(),
+                sync_failures: sync_failures_counter(),
+            },
+            #[cfg(test)]
+            between_syncs: Mutex::new(None),
+        });
+        let thread_shared = Arc::clone(&shared);
+        let sync_thread = std::thread::Builder::new()
+            .name("ledger-sync".to_string())
+            .spawn(move || sync_loop(thread_shared, disk))
+            .map_err(io_err)?;
+        Ok(FileLedger {
+            shared,
+            sync_thread: Some(sync_thread),
         })
     }
 
     /// The ledger file's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.shared.path
     }
 
     /// Re-reads the file from disk and verifies the full chain — what
@@ -219,72 +382,95 @@ impl FileLedger {
     pub fn verify_chain(&self) -> Result<Vec<DecisionRecord>, LedgerError> {
         // Flush buffered frames first so the on-disk image is complete
         // (verification, not durability — no fsync needed).
-        let mut inner = self.inner.lock();
-        if inner.writer.flush().is_err() {
+        let mut state = self.shared.lock();
+        if state.writer.flush().is_err() {
             return Err(LedgerError::Io("flush before verify failed".into()));
         }
         // A verify between append and sync would see a head sidecar
         // behind the file; compare against the in-memory head instead.
-        let bytes = std::fs::read(&self.path).map_err(io_err)?;
-        verify_frames(&bytes, Some(&inner.head))
+        let bytes = std::fs::read(&self.shared.path).map_err(io_err)?;
+        verify_frames(&bytes, Some(&state.head))
+    }
+}
+
+impl Drop for FileLedger {
+    /// Clean shutdown: the sync thread makes pending appends durable
+    /// (best effort), then is joined.
+    fn drop(&mut self) {
+        {
+            let mut state = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            state.requested = state.head.count;
+            state.stop = true;
+        }
+        self.shared.work.notify_one();
+        if let Some(handle) = self.sync_thread.take() {
+            // A panic there was already reported by its `DeathWatch`.
+            let _ = handle.join();
+        }
     }
 }
 
 impl AuditLedger for FileLedger {
     fn append(&self, mut record: DecisionRecord) -> u64 {
-        let mut inner = self.inner.lock();
-        record.seq = inner.head.count;
+        let shared = &*self.shared;
+        let mut state = shared.lock();
+        record.seq = state.head.count;
         let mut frame = Vec::with_capacity(96);
-        let hash = encode_frame(&mut frame, &inner.head.hash, &record);
+        let hash = encode_frame(&mut frame, &state.head.hash, &record);
         // An audit ledger must never drop a decision silently, but the
         // enforcement path cannot fail the data response over a full disk
         // either: a write error makes the ledger sticky-failed (a frame
         // missing from the file breaks the chain for every later one).
-        if inner.failed.is_none() {
-            if let Err(e) = inner.writer.write_all(&frame) {
-                inner.fail(&self.path, e);
+        if state.failed.is_none() {
+            if let Err(e) = state.writer.write_all(&frame) {
+                shared.fail(&mut state, &e);
             }
         }
-        inner.head = ChainHead {
+        state.head = ChainHead {
             count: record.seq + 1,
             hash,
         };
-        inner.records.push(record);
-        inner.dirty = true;
-        appends_counter().inc();
-        inner.head.count - 1
+        let seq = record.seq;
+        state.records.push(record);
+        shared.metrics.appends.inc();
+        seq
+    }
+
+    fn sync_begin(&self) {
+        self.shared.request(&mut self.shared.lock());
     }
 
     fn sync(&self) {
-        let mut inner = self.inner.lock();
-        if !inner.dirty || inner.failed.is_some() {
+        let shared = &*self.shared;
+        let mut state = shared.lock();
+        let Some(target) = shared.request(&mut state) else {
             return;
-        }
-        match inner.persist(&head_path(&self.path)) {
-            Ok(()) => {
-                inner.dirty = false;
-                fsyncs_counter().inc();
-            }
-            Err(e) => inner.fail(&self.path, e),
+        };
+        while state.durable < target && state.failed.is_none() {
+            state = shared.done.wait(state).expect("ledger state poisoned");
         }
     }
 
     fn sync_error(&self) -> Option<String> {
-        self.inner.lock().failed.clone()
+        self.shared.lock().failed.clone()
     }
 
     fn len(&self) -> u64 {
-        self.inner.lock().head.count
+        self.shared.lock().head.count
     }
 
     fn recent(&self, limit: usize) -> Vec<DecisionRecord> {
-        let inner = self.inner.lock();
-        let skip = inner.records.len().saturating_sub(limit);
-        inner.records[skip..].to_vec()
+        let state = self.shared.lock();
+        let skip = state.records.len().saturating_sub(limit);
+        state.records[skip..].to_vec()
     }
 
     fn page(&self, filter: &AuditFilter) -> AuditPage {
-        sensorsafe_obsv::ledger::page_records(&self.inner.lock().records, filter)
+        sensorsafe_obsv::ledger::page_records(&self.shared.lock().records, filter)
     }
 }
 
@@ -470,6 +656,148 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(verify_frames(&bytes, None).unwrap().len(), 1);
         std::fs::remove_dir(head_path(&path)).unwrap();
+    }
+
+    /// Parks the sync thread between its two syncs: `paused` reports
+    /// each round that got there (the first one blocks until `resume`),
+    /// so a test can act while the disk is "busy" and count rounds.
+    struct PausePoint {
+        paused: std::sync::mpsc::Receiver<u32>,
+        resume: std::sync::mpsc::Sender<()>,
+    }
+
+    fn pause_first_round(ledger: &FileLedger) -> PausePoint {
+        let (paused_tx, paused) = std::sync::mpsc::channel();
+        let (resume, resume_rx) = std::sync::mpsc::channel::<()>();
+        let link = Mutex::new((paused_tx, resume_rx, 0u32));
+        *ledger.shared.between_syncs.lock().unwrap() = Some(Arc::new(move || {
+            let mut link = link.lock().unwrap();
+            link.2 += 1;
+            link.0.send(link.2).unwrap();
+            if link.2 == 1 {
+                link.1.recv().unwrap();
+            }
+        }));
+        PausePoint { paused, resume }
+    }
+
+    const STUCK: std::time::Duration = std::time::Duration::from_secs(20);
+
+    #[test]
+    fn nobody_waits_on_the_disk_and_waiters_share_the_next_round() {
+        let path = temp_path("overlap");
+        let ledger = Arc::new(FileLedger::open(&path).unwrap());
+        let pause = pause_first_round(&ledger);
+        ledger.append(record("first"));
+        ledger.sync_begin();
+        assert_eq!(pause.paused.recv_timeout(STUCK), Ok(1));
+
+        // Round 1 sits between its two syncs. Appenders and readers
+        // go through regardless (on a helper thread, so that a
+        // regression fails instead of hanging the suite).
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let reader = {
+            let ledger = Arc::clone(&ledger);
+            std::thread::spawn(move || {
+                let seq = ledger.append(record("during"));
+                let len = ledger.len();
+                let page = ledger.page(&AuditFilter {
+                    limit: 10,
+                    ..AuditFilter::default()
+                });
+                let error = ledger.sync_error();
+                done_tx.send((seq, len, page.matched, error)).unwrap();
+            })
+        };
+        assert_eq!(done.recv_timeout(STUCK), Ok((1, 2, 2, None)));
+        reader.join().unwrap();
+        // The head on disk is still the one from before the round.
+        assert!(!head_path(&path).exists());
+
+        // Four requests arrive while the disk is busy: each appends,
+        // then waits in `sync()`. None can be covered by round 1 (its
+        // head was captured before they appended); one round 2 covers
+        // them all.
+        let appended = Arc::new(std::sync::Barrier::new(5));
+        let (synced_tx, synced) = std::sync::mpsc::channel();
+        let waiters: Vec<_> = (0..4)
+            .map(|i| {
+                let (ledger, appended, synced_tx) = (
+                    Arc::clone(&ledger),
+                    Arc::clone(&appended),
+                    synced_tx.clone(),
+                );
+                std::thread::spawn(move || {
+                    let seq = ledger.append(record(&format!("w{i}")));
+                    appended.wait();
+                    ledger.sync();
+                    synced_tx.send(seq).unwrap();
+                })
+            })
+            .collect();
+        appended.wait();
+        assert!(synced.try_recv().is_err(), "sync() returned mid-round");
+        pause.resume.send(()).unwrap();
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert_eq!(pause.paused.recv_timeout(STUCK), Ok(2));
+        let on_disk = verify_ledger_file(&path).unwrap();
+        assert_eq!(on_disk.len(), 6, "round 2 covered every waiter");
+        let mut seqs: Vec<u64> = synced.try_iter().collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, [2, 3, 4, 5]);
+        // Everything is durable: a further sync() starts no round.
+        ledger.sync();
+        assert!(pause.paused.try_recv().is_err(), "a round ran for nothing");
+    }
+
+    #[test]
+    fn drop_flushes_pending_appends_and_joins_the_sync_thread() {
+        let path = temp_path("drop");
+        let ledger = FileLedger::open(&path).unwrap();
+        let thread_alive = Arc::downgrade(&ledger.shared);
+        for i in 0..3 {
+            ledger.append(record(&format!("c{i}")));
+        }
+        drop(ledger);
+        // The thread held the only other reference to the shared state.
+        assert!(
+            thread_alive.upgrade().is_none(),
+            "ledger-sync outlived drop"
+        );
+        // Nobody called sync(), yet frames and head are both there.
+        assert_eq!(verify_ledger_file(&path).unwrap().len(), 3);
+        assert_eq!(std::fs::metadata(head_path(&path)).unwrap().len(), 40);
+        assert_eq!(FileLedger::open(&path).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn dead_sync_thread_releases_waiters_with_a_sticky_error() {
+        let path = temp_path("thread-death");
+        let ledger = Arc::new(FileLedger::open(&path).unwrap());
+        *ledger.shared.between_syncs.lock().unwrap() =
+            Some(Arc::new(|| panic!("injected: ledger-sync dies mid-round")));
+        ledger.append(record("bob"));
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let waiter = {
+            let ledger = Arc::clone(&ledger);
+            std::thread::spawn(move || {
+                ledger.sync();
+                done_tx.send(ledger.sync_error()).unwrap();
+            })
+        };
+        let error = done
+            .recv_timeout(STUCK)
+            .expect("sync() hung on a dead thread");
+        assert_eq!(error.as_deref(), Some("ledger-sync thread died"));
+        waiter.join().unwrap();
+        // Sticky: later appends and syncs return, nothing is written.
+        let size = std::fs::metadata(&path).unwrap().len();
+        ledger.append(record("carol"));
+        ledger.sync();
+        assert_eq!(ledger.len(), 2);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), size);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use sensorsafe_obsv::audit::Outcome;
+use sensorsafe_obsv::ledger::{chain_hash, verify_frames, ChainHead, GENESIS_HASH};
 use sensorsafe_obsv::{AuditLedger, DecisionRecord, LedgerError};
 use sensorsafe_store::ledger::head_path;
 use sensorsafe_store::{verify_ledger_file, FileLedger};
@@ -216,4 +217,189 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
+}
+
+// ---------------------------------------------------------------------
+// Concurrency (ISSUE 20): the sync runs on the ledger's own thread and
+// concurrent waiters share rounds. What must hold however rounds and
+// appends interleave.
+// ---------------------------------------------------------------------
+
+fn plain_record(consumer: &str) -> DecisionRecord {
+    DecisionRecord {
+        seq: 0,
+        unix_ms: 1_700_000_000_000,
+        trace_id: 7,
+        rule_epoch: 1,
+        contributor: "alice".into(),
+        consumer: consumer.into(),
+        matched_rules: vec![0],
+        outcome: Outcome::Allowed,
+        suppressed_channels: 0,
+    }
+}
+
+fn ledger_counter(name: &str, help: &str) -> std::sync::Arc<sensorsafe_obsv::Counter> {
+    sensorsafe_obsv::global().counter(name, help, &[])
+}
+
+/// The head sidecar as a concurrent reader may trust it: the 40 bytes
+/// are overwritten in place, so a read racing the overwrite is retried
+/// until two consecutive reads agree. `None` before the first round.
+fn stable_head(path: &std::path::Path) -> Option<ChainHead> {
+    let mut last = std::fs::read(head_path(path)).ok()?;
+    loop {
+        let again = std::fs::read(head_path(path)).ok()?;
+        if again == last {
+            return Some(ChainHead::decode(&again).unwrap());
+        }
+        last = again;
+    }
+}
+
+/// Durable on return, never ahead — and coalescing never costs a record.
+/// Eight threads append + `sync()` while a checker keeps reading the
+/// head *then* the file: the head on disk never attests a frame the file
+/// does not hold, and a record whose `sync()` has returned is attested.
+#[test]
+fn concurrent_syncs_are_durable_on_return_and_the_head_is_never_ahead() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const THREADS: usize = 8;
+    const PER_THREAD: usize = 200;
+    let path = case_path("concurrent", 20);
+    let ledger = FileLedger::open(&path).unwrap();
+    let appends = ledger_counter(
+        "sensorsafe_audit_ledger_appends_total",
+        "Enforcement decisions appended to an audit ledger.",
+    );
+    let fsyncs = ledger_counter(
+        "sensorsafe_audit_ledger_fsyncs_total",
+        "Durable sync operations completed by file-backed audit ledgers.",
+    );
+    let (appends_before, fsyncs_before) = (appends.get(), fsyncs.get());
+    // SeqCst: the flag publishes nothing but itself; the checker's reads
+    // go through the file system.
+    let running = AtomicBool::new(true);
+    let start = std::sync::Barrier::new(THREADS + 1);
+
+    let checks = std::thread::scope(|scope| {
+        let checker = scope.spawn(|| {
+            start.wait();
+            let mut checks = 0u64;
+            while running.load(Ordering::SeqCst) {
+                let Some(head) = stable_head(&path) else {
+                    continue;
+                };
+                let bytes = std::fs::read(&path).unwrap();
+                // An append landing while the file is read can show as a
+                // torn last frame; whole frames before it must verify.
+                let records = match verify_frames(&bytes, None) {
+                    Ok(records) => records,
+                    Err(LedgerError::Torn { offset }) => {
+                        verify_frames(&bytes[..offset], None).unwrap()
+                    }
+                    Err(e) => panic!("chain on disk does not verify: {e}"),
+                };
+                assert!(
+                    records.len() as u64 >= head.count,
+                    "head attests {} records, file holds {}",
+                    head.count,
+                    records.len()
+                );
+                let mut hash = GENESIS_HASH;
+                for record in &records[..head.count as usize] {
+                    hash = chain_hash(&hash, &record.encode());
+                }
+                assert_eq!(hash, head.hash, "head hash is not the chain's at its count");
+                checks += 1;
+            }
+            checks
+        });
+        let writers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (ledger, path, start) = (&ledger, &path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        let seq = ledger.append(plain_record(&format!("t{t}-{i}")));
+                        ledger.sync();
+                        let head = stable_head(path).expect("sync() returned without a head");
+                        assert!(
+                            seq < head.count,
+                            "sync() returned before record {seq} was attested (head {})",
+                            head.count
+                        );
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        running.store(false, Ordering::SeqCst);
+        checker.join().unwrap()
+    });
+    assert!(ledger.sync_error().is_none());
+    assert!(checks > 0, "the checker never saw a head");
+
+    // A round covers at least one new append, so rounds never outnumber
+    // appends (foreign activity in this process obeys the same rule).
+    let total = (THREADS * PER_THREAD) as u64;
+    assert!(appends.get() - appends_before >= total);
+    assert!(fsyncs.get() - fsyncs_before <= appends.get() - appends_before);
+    drop(ledger);
+    let reopened = FileLedger::open(&path).unwrap();
+    assert_eq!(reopened.len(), total);
+    let records = reopened.recent(usize::MAX);
+    assert!(records.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+    // Nothing lost, nothing doubled: every (thread, i) exactly once.
+    let mut consumers: Vec<&str> = records.iter().map(|r| r.consumer.as_str()).collect();
+    consumers.sort_unstable();
+    consumers.dedup();
+    assert_eq!(consumers.len() as u64, total);
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// Failure releases everyone: the head sidecar cannot be created (its
+/// name is taken by a directory) while four requests wait in `sync()`.
+/// All return, the error is sticky and counted once, nothing more is
+/// written.
+#[test]
+fn a_failed_round_releases_every_waiter_and_stays_failed() {
+    let path = case_path("fail-concurrent", 20);
+    let ledger = FileLedger::open(&path).unwrap();
+    std::fs::create_dir(head_path(&path)).unwrap();
+    let failures = ledger_counter(
+        "sensorsafe_audit_ledger_sync_failures_total",
+        "File-backed audit ledgers that stopped persisting after an I/O failure.",
+    );
+    let before = failures.get();
+    let appended = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (ledger, appended) = (&ledger, &appended);
+            scope.spawn(move || {
+                ledger.append(plain_record(&format!("w{t}")));
+                appended.wait();
+                // Returns (the scope would hang otherwise) — failed.
+                ledger.sync();
+                assert!(ledger.sync_error().is_some());
+            });
+        }
+    });
+    assert_eq!(failures.get() - before, 1);
+    assert_eq!(ledger.len(), 4);
+    // Sticky: no retry, no further write, reads keep working.
+    let size = std::fs::metadata(&path).unwrap().len();
+    ledger.append(plain_record("late"));
+    ledger.sync();
+    assert_eq!(failures.get() - before, 1);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), size);
+    assert_eq!(ledger.recent(10).len(), 5);
+    // The frames that reached the file before the failure still verify.
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(verify_frames(&bytes, None).unwrap().len(), 4);
+    drop(ledger);
+    std::fs::remove_dir(head_path(&path)).unwrap();
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
