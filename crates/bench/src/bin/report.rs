@@ -1,22 +1,23 @@
-//! Non-timing experiment metrics: storage sizes, segment counts, data-
-//! volume savings, broker byte accounting, and search-result shapes.
+//! What the perf ledger (`crates/bench/perf`) cannot say: storage
+//! sizes, segment counts, data-volume savings, search-result shapes, the
+//! 10k-connection soak, journal recovery time against history, and the
+//! fleet scraper's cost to a store.
 //!
-//! Criterion measures latencies; this binary prints the counted
-//! quantities EXPERIMENTS.md reports, one table per experiment id.
+//! One table per experiment id in EXPERIMENTS.md (F5, A1, A2, A3, C3,
+//! C4, O2); `report a2` and `report c4` run those two alone.
 //!
 //! ```text
 //! cargo run -p sensorsafe-bench --bin report --release
 //! ```
 
 use sensorsafe_bench::{
-    alice_scenario, chest_packets, durable_workload, durable_workload_with, mixed_workload,
-    run_durable_uploads, run_many_account_uploads, run_mixed_traffic, segment_store_with,
-    synthetic_rules, synthetic_rules_unshared, tuple_store_with,
+    alice_scenario, chest_packets, durable_workload_with, run_many_account_uploads,
+    segment_store_with, synthetic_rules, synthetic_rules_unshared, tuple_store_with,
 };
 use sensorsafe_core::datastore::DataStoreConfig;
 use sensorsafe_core::net::{LocalTransport, Request, Service, Transport};
 use sensorsafe_core::policy::{ConsumerCtx, PrivacyRule, RuleIndex, SearchQuery};
-use sensorsafe_core::store::{GroupCommitConfig, MergePolicy, Query};
+use sensorsafe_core::store::{MergePolicy, Query};
 use sensorsafe_core::types::{ContextKind, ContributorId, RepeatTime};
 use sensorsafe_core::{json, ContributorDevice, Deployment};
 use std::sync::Arc;
@@ -205,179 +206,16 @@ fn a3_savings_table() {
     println!();
 }
 
-fn f1_byte_accounting() {
-    println!("== F1: broker vs store bytes on the download path ==");
-    let mut deployment = Deployment::in_process();
-    deployment.add_store("s1");
-    for i in 0..4 {
-        let handle = deployment
-            .register_contributor("s1", &format!("c{i}"))
-            .unwrap();
-        handle.upload_scenario(&alice_scenario(i)).unwrap();
-        handle.set_rules(&json!([{"Action": "Allow"}])).unwrap();
-    }
-    let bob = deployment.register_consumer("bob").unwrap();
-    bob.add_contributors(&["c0", "c1", "c2", "c3"]).unwrap();
-    // Access-list payload (the broker's entire role on the data path).
-    let access = bob.access_list().unwrap();
-    let access_bytes: usize = access
-        .iter()
-        .map(|a| a.contributor.len() + a.store_addr.len() + a.api_key.len())
-        .sum();
-    let results = bob.download_all(&Query::all()).unwrap();
-    let data_samples: usize = results.iter().map(|(_, v)| v.raw_samples()).sum();
-    // A raw f32 sample is 4 bytes before JSON framing; JSON inflates ~5x.
-    println!("broker-served access metadata: ~{access_bytes} bytes");
-    println!("store-served sensor payload:   {data_samples} samples");
-    println!("--> data path bypasses the broker; broker bytes stay O(contributors), not O(data)\n");
-}
-
-fn c2_durable_upload_table() {
-    println!("== C2: durable uploads, group commit vs per-record fsync ==");
-    println!(
-        "environment: {} CPU(s) visible to this process",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let registry = sensorsafe_core::obsv::global();
-    let fsyncs = registry.counter(
-        "sensorsafe_store_wal_fsyncs_total",
-        "fsync calls issued by write-ahead logs.",
-        &[],
-    );
-    let uploads = registry.counter(
-        "sensorsafe_datastore_durable_uploads_total",
-        "Upload requests acked after a durable WAL commit.",
-        &[],
-    );
-    let commit_latency = || {
-        registry
-            .histogram(
-                "sensorsafe_store_wal_commit_seconds",
-                "WAL group-commit batch latency (write + fsync).",
-                &[],
-                None,
-            )
-            .snapshot()
-    };
-    let ops = 100;
-    let contributors = 2;
-    println!(
-        "{:<16} {:>8} {:>10} {:>8} {:>8} {:>12} {:>12}",
-        "config", "threads", "req/s", "uploads", "fsyncs", "fsync/up", "commit mean"
-    );
-    for (label, config) in [
-        ("unbatched", GroupCommitConfig::unbatched()),
-        ("batch64_500us", GroupCommitConfig::default()),
-        (
-            "batch256_2ms",
-            GroupCommitConfig {
-                max_batch: 256,
-                max_delay: std::time::Duration::from_millis(2),
-            },
-        ),
-    ] {
-        for threads in [1usize, 4, 8] {
-            let workload = durable_workload(config, contributors);
-            run_durable_uploads(&workload, threads, 10); // warm-up, discarded
-            let (f0, u0, l0) = (fsyncs.get(), uploads.get(), commit_latency());
-            let elapsed = run_durable_uploads(&workload, threads, ops);
-            let df = fsyncs.get() - f0;
-            let du = uploads.get() - u0;
-            // The histogram is cumulative; mean over the delta of
-            // (sum, count) attributes latency to this run alone.
-            let l1 = commit_latency();
-            let commits = l1.count().saturating_sub(l0.count());
-            let mean_ms = if commits > 0 {
-                (l1.sum() - l0.sum()) / commits as f64 * 1e3
-            } else {
-                0.0
-            };
-            let rate = (threads * ops) as f64 / elapsed.as_secs_f64();
-            println!(
-                "{:<16} {:>8} {:>10.0} {:>8} {:>8} {:>12.3} {:>10.3}ms",
-                label,
-                threads,
-                rate,
-                du,
-                df,
-                df as f64 / du as f64,
-                mean_ms
-            );
-        }
-    }
-    println!("(fsync/up < 1 at threads >= 4 is group commit coalescing concurrent acks)");
-    println!();
-}
-
-fn c4_store_wide_group_commit_table() {
+fn c4_recovery_table() {
     use sensorsafe_core::store::JournalConfig;
-    println!("== C4: store-wide group commit, many accounts x low per-account rate ==");
+    println!("== C4: journal recovery, replay time against upload history ==");
     println!(
         "environment: {} CPU(s) visible to this process",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
-    println!(
-        "shape: every contributor uploads one packet per round (a 1 Hz fleet\n\
-         compressed in time) — no account ever has two uploads in flight, so\n\
-         only cross-account batching can coalesce fsyncs"
-    );
-    let registry = sensorsafe_core::obsv::global();
-    let fsyncs = registry.counter(
-        "sensorsafe_store_wal_fsyncs_total",
-        "fsync calls issued by write-ahead logs.",
-        &[],
-    );
-    let uploads = registry.counter(
-        "sensorsafe_datastore_durable_uploads_total",
-        "Upload requests acked after a durable WAL commit.",
-        &[],
-    );
-    // More workers than a single fsync can retire: the commit thread
-    // batches every upload staged while the previous fsync was in
-    // flight, so in-flight depth bounds the achievable coalescing.
+    // More workers than a single fsync can retire, so the journal fills
+    // at group-commit speed.
     let threads = 32;
-    println!(
-        "{:<16} {:>9} {:>10} {:>8} {:>8} {:>12}",
-        "commit config", "contribs", "req/s", "uploads", "fsyncs", "fsync/up"
-    );
-    let configs = [
-        ("batch64_500us", GroupCommitConfig::default()),
-        (
-            "batch256_2ms",
-            GroupCommitConfig {
-                max_batch: 256,
-                max_delay: std::time::Duration::from_millis(2),
-            },
-        ),
-    ];
-    for (commit_label, commit) in configs {
-        for contributors in [100usize, 1000] {
-            let workload = durable_workload_with(
-                DataStoreConfig {
-                    journal: JournalConfig {
-                        commit,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-                contributors,
-            );
-            run_many_account_uploads(&workload, threads, 0, 1); // warm-up, discarded
-            let (f0, u0) = (fsyncs.get(), uploads.get());
-            let elapsed = run_many_account_uploads(&workload, threads, 1, 3);
-            let df = fsyncs.get() - f0;
-            let du = uploads.get() - u0;
-            println!(
-                "{:<16} {:>9} {:>10.0} {:>8} {:>8} {:>12.3}",
-                commit_label,
-                contributors,
-                du as f64 / elapsed.as_secs_f64(),
-                du,
-                df,
-                df as f64 / du as f64
-            );
-        }
-    }
     // Recovery-time probe: rotation + checkpoints bound replay to the
     // checkpoint snapshot plus the tail segments — segments a checkpoint
     // covers are skipped wholesale at reopen. The workload drives
@@ -387,7 +225,7 @@ fn c4_store_wide_group_commit_table() {
     // full-log replay (the control rig, rotation disabled) degrades
     // linearly and a checkpointed reopen stays flat.
     println!(
-        "\n{:<34} {:>9} {:>9} {:>12} {:>10} {:>8}",
+        "{:<34} {:>9} {:>9} {:>12} {:>10} {:>8}",
         "journal recovery rig", "history", "live", "replay ms", "live segs", "ckpt'd"
     );
     let rigs = [
@@ -424,17 +262,14 @@ fn c4_store_wide_group_commit_table() {
                     // Operator wipe between cycles: the account's prior
                     // records become dead history the checkpoint drops.
                     for (name, _) in &workload.contributors {
-                        let resp =
-                            workload
-                                .store
-                                .handle(&sensorsafe_core::net::Request::post_json(
-                                    "/repl/reset",
-                                    &sensorsafe_core::json!({
-                                        "key": (workload.admin_key.clone()),
-                                        "contributor": (name.clone()),
-                                        "epoch": 0,
-                                    }),
-                                ));
+                        let resp = workload.store.handle(&Request::post_json(
+                            "/repl/reset",
+                            &json!({
+                                "key": (workload.admin_key.clone()),
+                                "contributor": (name.clone()),
+                                "epoch": 0,
+                            }),
+                        ));
                         assert!(resp.status.is_success(), "re-enrollment wipe failed");
                     }
                 }
@@ -585,89 +420,12 @@ fn c3_evented_core_table() {
     println!("--> 10,240 keep-alive connections on 8 handler threads\n");
 }
 
-fn obsv_overhead_table() {
-    println!("== O1: observability overhead on the query hot path ==");
-    // Each configuration gets its own deployment because the audit
-    // ledger is not behind the metrics kill switch (accountability is
-    // not telemetry): the baseline must avoid it structurally, via an
-    // in-memory store, rather than by flipping the registry off.
-    //
-    // Run-to-run noise on a ~30 ms query is larger than the 5% budget,
-    // so the harness interleaves the configurations over several rounds
-    // and reports each configuration's best round — the estimator least
-    // disturbed by scheduler and allocator interference.
-    let ledger_dir = std::env::temp_dir().join(format!("sensorsafe-o1-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&ledger_dir);
-    std::fs::create_dir_all(&ledger_dir).expect("O1 ledger dir");
-
-    let wire = |config: sensorsafe_core::datastore::DataStoreConfig| {
-        let mut deployment = Deployment::in_process();
-        let store = deployment.add_store_with("s1", config);
-        let alice = deployment.register_contributor("s1", "alice").unwrap();
-        alice.upload_scenario(&alice_scenario(3)).unwrap();
-        alice.set_rules(&json!([{"Action": "Allow"}])).unwrap();
-        let bob = deployment.register_consumer("bob").unwrap();
-        bob.add_contributors(&["alice"]).unwrap();
-        (store, bob)
-    };
-    let rigs = [
-        (
-            "kill switch off, in-memory ledger",
-            false,
-            wire(Default::default()),
-        ),
-        (
-            "metrics+tracing, in-memory ledger",
-            true,
-            wire(Default::default()),
-        ),
-        (
-            "metrics+tracing+durable audit ledger",
-            true,
-            wire(sensorsafe_core::datastore::DataStoreConfig {
-                data_dir: Some(ledger_dir.clone()),
-                slow_request_threshold: Some(std::time::Duration::from_millis(250)),
-                ..Default::default()
-            }),
-        ),
-    ];
-
-    const ROUNDS: usize = 5;
-    const ITERATIONS: usize = 30;
-    let mut best = [f64::INFINITY; 3];
-    for round in 0..=ROUNDS {
-        for (i, (_, enabled, (store, bob))) in rigs.iter().enumerate() {
-            sensorsafe_core::obsv::global().set_enabled(*enabled);
-            store.registry().set_enabled(*enabled);
-            let started = std::time::Instant::now();
-            for _ in 0..ITERATIONS {
-                let results = bob.download_all(&Query::all()).unwrap();
-                assert!(results[0].1.raw_samples() > 0);
-            }
-            let mean_ms = started.elapsed().as_secs_f64() * 1e3 / ITERATIONS as f64;
-            // Round 0 is warm-up (caches, lazy series registration).
-            if round > 0 && mean_ms < best[i] {
-                best[i] = mean_ms;
-            }
-        }
-    }
-    sensorsafe_core::obsv::global().set_enabled(true);
-    let _ = std::fs::remove_dir_all(&ledger_dir);
-
-    for (i, (label, _, _)) in rigs.iter().enumerate() {
-        println!("{label:<44} {:>9.3} ms/query (best of {ROUNDS})", best[i]);
-    }
-    let metrics_overhead = (best[1] - best[0]) / best[0] * 100.0;
-    let full_overhead = (best[2] - best[0]) / best[0] * 100.0;
-    println!("--> metrics+tracing overhead:       {metrics_overhead:+.2}% (budget: <5%)");
-    println!("--> full stack incl. audit ledger:  {full_overhead:+.2}% (budget: <5%)\n");
-}
-
 fn fleet_scrape_overhead_table() {
     println!("== O2: fleet scrape overhead on store query latency ==");
-    // Same estimator as O1: the configurations are interleaved over
-    // several rounds and each reports its best round, because run-to-run
-    // noise on a ~30 ms query dwarfs the 5% budget. The scraped rigs run
+    // The configurations are interleaved over several rounds and each
+    // reports its best round — the estimator least disturbed by
+    // scheduler and allocator interference — because run-to-run noise
+    // on one query dwarfs the 5% budget. The scraped rigs run
     // the broker's background scraper at intervals far more aggressive
     // than the 5 s default, so the measured overhead is an upper bound:
     // every sweep costs the store two extra requests (/healthz +
@@ -761,188 +519,32 @@ fn fleet_scrape_overhead_table() {
     // Scrapers stop (and join) when the deployments drop here.
 }
 
-fn o3_profiler_overhead_table() {
-    println!("== O3: continuous profiler overhead on the mixed workload ==");
-    println!(
-        "environment: {} CPU(s) visible to this process",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    use sensorsafe_core::obsv::prof;
-    // Same estimator as O1/O2: interleave the configurations over
-    // several rounds and report each configuration's best round, since
-    // scheduler noise on a multi-threaded run dwarfs the 5% budget.
-    // The sampler rate is process-wide state, so each configuration
-    // sets it (and the plane's kill switch) just before its timed run.
-    //
-    // `disabled` is the true baseline: frame enter/exit reduces to one
-    // relaxed load + branch and the sampler parks. `0 Hz` keeps the
-    // span-stats table hot (every frame still timed) without stack
-    // sampling, isolating the bookkeeping cost from the sampling cost.
-    let configs: [(&str, bool, u64); 4] = [
-        ("profiling plane disabled", false, 0),
-        ("frames on, sampler paused (0 Hz)", true, 0),
-        ("frames on, sampler at 99 Hz (default)", true, 99),
-        ("frames on, sampler at 997 Hz", true, 997),
-    ];
-    let threads = 4;
-    let ops = 600;
-    let workload = mixed_workload(8);
-    run_mixed_traffic(&workload, threads, 40); // warm-up, discarded
-
-    const ROUNDS: usize = 8;
-    let mut best = [0.0f64; 4];
-    for round in 0..=ROUNDS {
-        for (i, (_, enabled, hz)) in configs.iter().enumerate() {
-            prof::set_enabled(*enabled);
-            prof::set_sample_rate_hz(*hz);
-            let elapsed = run_mixed_traffic(&workload, threads, ops);
-            let rate = (threads * ops) as f64 / elapsed.as_secs_f64();
-            // Round 0 is warm-up (sampler thread spawn, interning).
-            if round > 0 && rate > best[i] {
-                best[i] = rate;
-            }
-        }
-    }
-    prof::set_enabled(true);
-    prof::set_sample_rate_hz(prof::DEFAULT_SAMPLE_HZ);
-
-    for (i, (label, _, _)) in configs.iter().enumerate() {
-        let overhead = (best[0] - best[i]) / best[0] * 100.0;
-        println!(
-            "{label:<40} {:>10.0} req/s (best of {ROUNDS}, {overhead:+.2}% vs disabled)",
-            best[i]
-        );
-    }
-    let overhead_99 = (best[0] - best[2]) / best[0] * 100.0;
-    println!("--> sampler overhead at 99 Hz: {overhead_99:+.2}% (budget: <5%)");
-    println!(
-        "    {} stack samples taken process-wide so far",
-        prof::total_samples()
-    );
-    println!();
-}
-
-fn o4_awareness_overhead_table() {
-    println!("== O4: awareness-aggregator overhead on the mixed workload ==");
-    println!(
-        "environment: {} CPU(s) visible to this process",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    // Same interleaved best-of-round estimator as O1-O3. The awareness
-    // plane hangs off the store, so the kill switch is flipped on the
-    // workload's own instance between timed runs; every consumer query
-    // in the mix funnels one decision through `record_decision`,
-    // which is exactly the aggregation path being priced.
-    let configs: [(&str, bool); 2] = [
-        ("awareness plane disabled", false),
-        ("awareness plane enabled (default)", true),
-    ];
-    let threads = 4;
-    let ops = 600;
-    let workload = mixed_workload(8);
-    run_mixed_traffic(&workload, threads, 40); // warm-up, discarded
-
-    const ROUNDS: usize = 8;
-    let mut best = [0.0f64; 2];
-    for round in 0..=ROUNDS {
-        for (i, (_, enabled)) in configs.iter().enumerate() {
-            workload.store.awareness().set_enabled(*enabled);
-            let elapsed = run_mixed_traffic(&workload, threads, ops);
-            let rate = (threads * ops) as f64 / elapsed.as_secs_f64();
-            // Round 0 is warm-up (allocator, map growth) and discarded.
-            if round > 0 && rate > best[i] {
-                best[i] = rate;
-            }
-        }
-    }
-    workload.store.awareness().set_enabled(true);
-
-    for (i, (label, _)) in configs.iter().enumerate() {
-        let overhead = (best[0] - best[i]) / best[0] * 100.0;
-        println!(
-            "{label:<40} {:>10.0} req/s (best of {ROUNDS}, {overhead:+.2}% vs disabled)",
-            best[i]
-        );
-    }
-    let overhead = (best[0] - best[1]) / best[0] * 100.0;
-    println!("--> awareness aggregation overhead: {overhead:+.2}% (budget: <5%)");
-    println!(
-        "    {} decisions aggregated on the workload store",
-        workload.store.awareness().aggregates().total().total()
-    );
-    println!();
-}
-
-fn obsv_metrics_snapshot(store: &sensorsafe_core::datastore::DataStoreService) {
-    println!("== OBSV: metrics snapshot after the runs above ==");
-    // Per-instance (datastore) families first, then the process-wide
-    // registry — the same concatenation `GET /metrics` serves.
-    let mut exposition = store.registry().encode();
-    exposition.push_str(&sensorsafe_core::obsv::global().encode());
-    for line in exposition.lines().filter(|l| !l.starts_with('#')) {
-        println!("{line}");
-    }
-    println!();
-}
-
 fn main() {
     // Self-exec entry point for the C3 soak's client children.
     let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("c3-client") {
-        let addr = args.get(2).expect("c3-client <addr> <conns>");
-        let conns = args
-            .get(3)
-            .and_then(|n| n.parse().ok())
-            .expect("c3-client <addr> <conns>");
-        c3_client_main(addr, conns);
-        return;
+    match args.get(1).map(String::as_str) {
+        Some("c3-client") => {
+            let addr = args.get(2).expect("c3-client <addr> <conns>");
+            let conns = args
+                .get(3)
+                .and_then(|n| n.parse().ok())
+                .expect("c3-client <addr> <conns>");
+            c3_client_main(addr, conns);
+        }
+        // `report a2` runs the contributor-search table alone
+        // (EXPERIMENTS.md A2).
+        Some("a2") => a2_search_table(),
+        // `report c4` runs the journal recovery rig alone — the section
+        // the OPERATIONS.md runbook re-runs in isolation.
+        Some("c4") => c4_recovery_table(),
+        _ => {
+            f5_storage_table();
+            a1_merge_table();
+            a2_search_table();
+            a3_savings_table();
+            c3_evented_core_table();
+            c4_recovery_table();
+            fleet_scrape_overhead_table();
+        }
     }
-    // `report a2` runs the contributor-search table alone (EXPERIMENTS.md
-    // A2).
-    if args.get(1).map(String::as_str) == Some("a2") {
-        a2_search_table();
-        return;
-    }
-    // `report c4` runs the journal group-commit sweep alone — the section CI
-    // and the OPERATIONS.md runbook re-run in isolation.
-    if args.get(1).map(String::as_str) == Some("c4") {
-        c4_store_wide_group_commit_table();
-        return;
-    }
-    // `report o3` runs the profiler overhead sweep alone — the section
-    // EXPERIMENTS.md O3 and the OPERATIONS.md runbook reference.
-    if args.get(1).map(String::as_str) == Some("o3") {
-        o3_profiler_overhead_table();
-        return;
-    }
-    // `report o4` runs the awareness overhead sweep alone — the section
-    // EXPERIMENTS.md O4 and the OPERATIONS.md runbook reference.
-    if args.get(1).map(String::as_str) == Some("o4") {
-        o4_awareness_overhead_table();
-        return;
-    }
-
-    f5_storage_table();
-    a1_merge_table();
-    a2_search_table();
-    a3_savings_table();
-    f1_byte_accounting();
-    c2_durable_upload_table();
-    c3_evented_core_table();
-    c4_store_wide_group_commit_table();
-    obsv_overhead_table();
-    fleet_scrape_overhead_table();
-    o3_profiler_overhead_table();
-    o4_awareness_overhead_table();
-
-    // Re-run one instrumented flow so the snapshot shows every family.
-    let mut deployment = Deployment::in_process();
-    let store = deployment.add_store("s1");
-    let alice = deployment.register_contributor("s1", "alice").unwrap();
-    alice.upload_scenario(&alice_scenario(5)).unwrap();
-    alice.set_rules(&json!([{"Action": "Allow"}])).unwrap();
-    let bob = deployment.register_consumer("bob").unwrap();
-    bob.add_contributors(&["alice"]).unwrap();
-    let _ = bob.download_all(&Query::all()).unwrap();
-    obsv_metrics_snapshot(&store);
 }

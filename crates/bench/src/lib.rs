@@ -11,9 +11,7 @@ use sensorsafe_core::policy::{
     PrivacyRule, TimeCondition,
 };
 use sensorsafe_core::sim::Scenario;
-use sensorsafe_core::store::{
-    GroupCommitConfig, JournalConfig, MergePolicy, SegmentStore, TupleStore,
-};
+use sensorsafe_core::store::{MergePolicy, SegmentStore, TupleStore};
 use sensorsafe_core::types::{
     ChannelSpec, ContextKind, GeoPoint, Region, RepeatTime, SegmentMeta, Timestamp, Timing,
     WaveSegment,
@@ -197,75 +195,6 @@ pub fn alice_scenario(seed: u64) -> Scenario {
     Scenario::alice_day(Timestamp::from_millis(DAY_START), seed, 1)
 }
 
-/// A data store preloaded for mixed upload/query traffic: one in-memory
-/// server, `n` registered contributors (each with data and a non-trivial
-/// rule set) and one consumer.
-pub struct MixedWorkload {
-    /// The in-process store all traffic targets.
-    pub store: DataStoreService,
-    /// `(name, api_key)` per contributor.
-    pub contributors: Vec<(String, String)>,
-    /// The consumer's API key.
-    pub consumer_key: String,
-}
-
-/// Builds the mixed workload: register `n_contributors` on a fresh
-/// store, give each a rule set that exercises real enforcement
-/// (allow-all plus a context-scoped deny) and eight preloaded chest
-/// packets, and register one consumer.
-pub fn mixed_workload(n_contributors: usize) -> MixedWorkload {
-    let (store, admin) = DataStoreService::new(DataStoreConfig::default());
-    let admin = admin.to_hex();
-    let preload: Vec<Value> = chest_packets(8).iter().map(WaveSegment::to_json).collect();
-    let mut contributors = Vec::with_capacity(n_contributors);
-    for i in 0..n_contributors {
-        let name = format!("c{i}");
-        let resp = store.handle(&Request::post_json(
-            "/api/register",
-            &json!({"key": (admin.clone()), "name": (name.clone()), "role": "contributor"}),
-        ));
-        assert_eq!(resp.status, Status::Created, "contributor registration");
-        let key = resp.json_body().unwrap()["api_key"]
-            .as_str()
-            .unwrap()
-            .to_string();
-        let resp = store.handle(&Request::post_json(
-            "/api/rules/set",
-            &json!({"key": (key.clone()), "rules": [
-                {"Action": "Allow"},
-                {"Context": ["Drive"], "Sensor": ["ecg"], "Action": "Deny"},
-            ]}),
-        ));
-        assert_eq!(resp.status, Status::Ok, "rules/set");
-        let resp = store.handle(&Request::post_json(
-            "/api/upload",
-            &json!({"key": (key.clone()), "segments": (Value::Array(preload.clone()))}),
-        ));
-        assert_eq!(resp.status, Status::Ok, "preload upload");
-        contributors.push((name, key));
-    }
-    let resp = store.handle(&Request::post_json(
-        "/api/register",
-        &json!({"key": (admin.clone()), "name": "bob", "role": "consumer"}),
-    ));
-    assert_eq!(resp.status, Status::Created, "consumer registration");
-    let consumer_key = resp.json_body().unwrap()["api_key"]
-        .as_str()
-        .unwrap()
-        .to_string();
-    MixedWorkload {
-        store,
-        contributors,
-        consumer_key,
-    }
-}
-
-/// One 64-sample chest packet per contributor, a day past the preload
-/// region (so traffic uploads never intersect the queried window).
-fn future_packet(i: usize) -> WaveSegment {
-    future_packet_at(i, 0)
-}
-
 /// Round `round` of contributor `i`'s packet stream: each round starts
 /// exactly where the previous one ended, so consecutive uploads merge —
 /// the shape of a real continuous 1 Hz sensor feed. Contributors are
@@ -286,85 +215,17 @@ fn future_packet_at(i: usize, round: usize) -> WaveSegment {
     WaveSegment::from_rows(meta, &rows).expect("valid packet")
 }
 
-/// Drives `threads` workers, each issuing `ops_per_thread` alternating
-/// upload (as a fixed contributor) and consumer-query (round-robin over
-/// contributors) requests against `workload.store`. All request bodies
-/// are rendered before the clock starts; the returned duration covers
-/// only the traffic. Every response must be 200/OK.
-pub fn run_mixed_traffic(
-    workload: &MixedWorkload,
-    threads: usize,
-    ops_per_thread: usize,
-) -> Duration {
-    let n = workload.contributors.len();
-    assert!(n > 0 && threads > 0);
-    // One single-packet upload per contributor, placed far after the
-    // preload window so repeated uploads never land inside the queried
-    // range (per-query work stays constant as the run accumulates data).
-    let upload_reqs: Arc<Vec<Request>> = Arc::new(
-        workload
-            .contributors
-            .iter()
-            .enumerate()
-            .map(|(i, (_, key))| {
-                let packet = future_packet(i);
-                Request::post_json(
-                    "/api/upload",
-                    &json!({"key": (key.clone()), "segments": (Value::Array(vec![packet.to_json()]))}),
-                )
-            })
-            .collect(),
-    );
-    // Queries pin the preload window (8 packets x 64 samples x 20 ms).
-    let window_end = DAY_START + 8 * 64 * 20;
-    let query_reqs: Arc<Vec<Request>> = Arc::new(
-        workload
-            .contributors
-            .iter()
-            .map(|(name, _)| {
-                Request::post_json(
-                    "/api/query",
-                    &json!({
-                        "key": (workload.consumer_key.clone()),
-                        "contributor": (name.clone()),
-                        "query": {"time": {"start": DAY_START, "end": window_end}},
-                    }),
-                )
-            })
-            .collect(),
-    );
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let store = workload.store.clone();
-            let uploads = upload_reqs.clone();
-            let queries = query_reqs.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for i in 0..ops_per_thread {
-                    let resp = if i % 2 == 0 {
-                        store.handle(&uploads[t % uploads.len()])
-                    } else {
-                        store.handle(&queries[(t + i) % queries.len()])
-                    };
-                    assert_eq!(resp.status, Status::Ok, "mixed-traffic op failed");
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let started = Instant::now();
-    for handle in handles {
-        handle.join().expect("traffic thread panicked");
-    }
-    started.elapsed()
+/// One single-packet `POST /api/upload` as the contributor holding `key`.
+fn upload_request(key: &str, packet: &WaveSegment) -> Request {
+    Request::post_json(
+        "/api/upload",
+        &json!({"key": key, "segments": (Value::Array(vec![packet.to_json()]))}),
+    )
 }
 
-/// A data store in durable mode for the C2 group-commit workload: WAL
-/// files live in a fresh temp directory (removed on drop), contributor
-/// accounts are registered, and every upload is acked only after a
-/// durable commit.
+/// A data store in durable mode: the journal lives in a fresh temp
+/// directory (removed on drop), contributor accounts are registered, and
+/// every upload is acked only after a durable commit.
 pub struct DurableWorkload {
     /// The in-process durable store all traffic targets.
     pub store: DataStoreService,
@@ -404,21 +265,6 @@ impl DurableWorkload {
     }
 }
 
-/// Builds the C2 workload: a durable store under the given group-commit
-/// configuration, with `n_contributors` registered accounts.
-pub fn durable_workload(commit: GroupCommitConfig, n_contributors: usize) -> DurableWorkload {
-    durable_workload_with(
-        DataStoreConfig {
-            journal: JournalConfig {
-                commit,
-                ..JournalConfig::default()
-            },
-            ..Default::default()
-        },
-        n_contributors,
-    )
-}
-
 /// Builds a durable workload from an explicit [`DataStoreConfig`]
 /// (group-commit and journal rotation settings) — the C4
 /// builder. The config's `data_dir` is overwritten with a fresh temp
@@ -430,7 +276,7 @@ pub fn durable_workload_with(
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "sensorsafe-c2-{}-{}",
+        "sensorsafe-durable-{}-{}",
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed),
     ));
@@ -466,12 +312,10 @@ pub fn durable_workload_with(
 /// exactly one packet per round (`rounds * n_contributors` uploads
 /// total), with the contributor space sharded over `threads` workers.
 /// Each contributor's rounds form one contiguous packet stream (they
-/// merge, like a real 1 Hz feed). Unlike [`run_durable_uploads`] — many
-/// threads hammering few accounts — no account ever sees two concurrent
-/// uploads here, so per-account group commit has nothing to coalesce and
-/// only a store-wide commit path can batch the fsyncs. `start_round`
-/// continues a stream a previous call left off at. Bodies are
-/// pre-rendered; the duration covers only the traffic.
+/// merge, like a real 1 Hz feed). No account ever sees two concurrent
+/// uploads here, so only a store-wide commit path can batch the fsyncs.
+/// `start_round` continues a stream a previous call left off at. Bodies
+/// are pre-rendered; the duration covers only the traffic.
 pub fn run_many_account_uploads(
     workload: &DurableWorkload,
     threads: usize,
@@ -485,13 +329,7 @@ pub fn run_many_account_uploads(
             .contributors
             .iter()
             .enumerate()
-            .map(|(i, (_, key))| {
-                let packet = future_packet_at(i, round);
-                Request::post_json(
-                    "/api/upload",
-                    &json!({"key": (key.clone()), "segments": (Value::Array(vec![packet.to_json()]))}),
-                )
-            })
+            .map(|(i, (_, key))| upload_request(key, &future_packet_at(i, round)))
             .collect()
     };
     let upload_reqs: Arc<Vec<Vec<Request>>> = Arc::new(
@@ -512,54 +350,6 @@ pub fn run_many_account_uploads(
                         let resp = store.handle(&round[i]);
                         assert_eq!(resp.status, Status::Ok, "many-account upload failed");
                     }
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let started = Instant::now();
-    for handle in handles {
-        handle.join().expect("upload thread panicked");
-    }
-    started.elapsed()
-}
-
-/// Drives `threads` workers, each issuing `ops_per_thread` durable
-/// single-packet uploads (thread `t` targets contributor `t % n`, so
-/// with more threads than contributors concurrent uploads contend for
-/// the same account and its WAL — the group-commit case). Bodies are
-/// pre-rendered; the duration covers only the traffic. Every upload
-/// must ack 200/OK, i.e. durably committed.
-pub fn run_durable_uploads(
-    workload: &DurableWorkload,
-    threads: usize,
-    ops_per_thread: usize,
-) -> Duration {
-    let n = workload.contributors.len();
-    assert!(n > 0 && threads > 0);
-    let upload_reqs: Arc<Vec<Request>> = Arc::new(
-        (0..threads)
-            .map(|t| {
-                let (_, key) = &workload.contributors[t % n];
-                let packet = future_packet(t);
-                Request::post_json(
-                    "/api/upload",
-                    &json!({"key": (key.clone()), "segments": (Value::Array(vec![packet.to_json()]))}),
-                )
-            })
-            .collect(),
-    );
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let store = workload.store.clone();
-            let uploads = upload_reqs.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for _ in 0..ops_per_thread {
-                    let resp = store.handle(&uploads[t]);
-                    assert_eq!(resp.status, Status::Ok, "durable upload failed");
                 }
             })
         })
@@ -667,15 +457,31 @@ mod tests {
 
     #[test]
     fn durable_uploads_coalesce_fsyncs() {
-        // The C2 acceptance shape in miniature: 4 threads hammering one
-        // contributor must ack every upload with fewer fsyncs than
-        // uploads (group commit), and the data must be on disk.
+        // 4 threads hammering one contributor must ack every upload with
+        // fewer fsyncs than uploads (group commit), and the data must be
+        // on disk. `run_many_account_uploads` never puts two uploads of
+        // one account in flight, so this shape is driven here.
         // Counted on this store's own journal (one fsync per batch):
         // `sensorsafe_store_wal_fsyncs_total` is process-wide, and the
         // tests beside this one fsync too.
-        let workload = durable_workload(GroupCommitConfig::default(), 1);
+        let workload = durable_workload_with(Default::default(), 1);
+        let (_, key) = &workload.contributors[0];
+        let (threads, ops_per_thread) = (4, 8);
         let before = journal_batches(&workload);
-        run_durable_uploads(&workload, 4, 8);
+        let barrier = Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let upload = upload_request(key, &future_packet_at(t, 0));
+                let (store, barrier) = (&workload.store, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for _ in 0..ops_per_thread {
+                        let resp = store.handle(&upload);
+                        assert_eq!(resp.status, Status::Ok, "durable upload failed");
+                    }
+                });
+            }
+        });
         let spent = journal_batches(&workload) - before;
         assert!(spent > 0, "durable uploads must fsync");
         assert!(spent < 32, "no coalescing: {spent} fsyncs for 32 uploads");
@@ -728,13 +534,5 @@ mod tests {
         let mut conns = open_soak_conns(&server.addr_string(), 8).unwrap();
         soak_round(&mut conns).unwrap();
         assert!(rss_kb() > 0, "VmRSS should be readable on this platform");
-    }
-
-    #[test]
-    fn mixed_traffic_runs() {
-        let workload = mixed_workload(3);
-        assert_eq!(workload.contributors.len(), 3);
-        let elapsed = run_mixed_traffic(&workload, 2, 6);
-        assert!(elapsed > Duration::ZERO);
     }
 }

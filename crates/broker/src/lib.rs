@@ -7,7 +7,7 @@
 //! consumer registration at each store (key escrow, §5.4), and lets
 //! consumers keep named contributor lists. Sensor data never flows
 //! through the broker — consumers download directly from the stores
-//! (the F1 bench measures exactly this property).
+//! (`tests/end_to_end.rs` meters exactly this property in bytes).
 //!
 //! * [`registry`] — contributor → store-address registry, paired-store
 //!   records, consumer accounts with escrowed keys and saved lists.

@@ -7,8 +7,8 @@
 //! and consumer bookkeeping touch disjoint maps, so a rule sync
 //! upserting a contributor no longer serializes against a consumer
 //! fetching their escrowed keys. Methods take `&self` and never hold
-//! more than one map lock at a time (see DESIGN.md §7 for the
-//! broker-side lock order).
+//! more than one map lock at a time (see docs/ARCHITECTURE.md "Lock
+//! order" for the broker-side lock order).
 
 use parking_lot::RwLock;
 use sensorsafe_types::{ConsumerId, ContributorId, GroupId, StoreAddr, StudyId};

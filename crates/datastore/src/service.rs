@@ -706,7 +706,7 @@ impl Inner {
             }
             // Process-wide (like the journal fsync counter it pairs with):
             // fsyncs_total / durable_uploads_total is the group-commit
-            // coalescing ratio the C2 bench asserts on.
+            // coalescing ratio (perf row `store.journal_fsyncs_per_upload`).
             sensorsafe_obsv::global()
                 .counter(
                     "sensorsafe_datastore_durable_uploads_total",
@@ -1523,7 +1523,7 @@ impl DataStoreService {
 
     /// The sharing-awareness plane: live privacy-decision analytics over
     /// the `record_decision` stream. Tests compare its aggregates against
-    /// a ledger replay; the O4 experiment toggles it via `set_enabled`.
+    /// a ledger replay.
     pub fn awareness(&self) -> Arc<sensorsafe_obsv::AwarenessPlane> {
         self.inner.awareness.clone()
     }

@@ -5,7 +5,8 @@
 //! Mutable state is sharded per contributor: a lock-striped *directory*
 //! maps contributor ids to `Arc<RwLock<ContributorAccount>>`, so uploads
 //! to one contributor never contend with queries against another. The
-//! lock hierarchy (also documented in DESIGN.md §7) is:
+//! lock hierarchy (the whole order, journal and ledger included, is in
+//! docs/ARCHITECTURE.md "Lock order") is:
 //!
 //! 1. **Directory stripe** (`RwLock` over one stripe's id → account map)
 //!    — held only long enough to clone the account `Arc`, never while an

@@ -9,7 +9,7 @@
 //! once its final byte has arrived.
 //!
 //! Both decoders share the head grammar helpers with the blocking parser
-//! (`parse_request_line`, `parse_header_line`, ...), so the two can
+//! (`parse_request_line`, `parse_header_into`, ...), so the two can
 //! never drift: `crates/net/tests/codec_incremental.rs` proptests feed
 //! identical wire bytes to both at arbitrary split points and assert
 //! byte-exact agreement.
@@ -21,7 +21,7 @@
 //! unbounded memory.
 
 use crate::http::{
-    invalid, parse_content_length, parse_header_line, parse_request_line, parse_status_line,
+    invalid, parse_content_length, parse_header_into, parse_request_line, parse_status_line,
     Request, Response, Status, MAX_HEAD_BYTES,
 };
 use std::collections::BTreeMap;
@@ -315,8 +315,7 @@ impl ResponseDecoder {
 fn parse_headers(lines: &[String]) -> std::io::Result<BTreeMap<String, String>> {
     let mut headers = BTreeMap::new();
     for line in lines {
-        let (key, value) = parse_header_line(line.trim_end())?;
-        headers.insert(key, value);
+        parse_header_into(&mut headers, line)?;
     }
     Ok(headers)
 }

@@ -63,7 +63,6 @@ pub fn spans_response(_req: &Request) -> Response {
         })
         .collect();
     let mut body = Map::new();
-    body.insert("enabled".into(), Value::from(prof::enabled()));
     body.insert("sample_rate_hz".into(), Value::from(prof::sample_rate_hz()));
     body.insert("total_samples".into(), Value::from(prof::total_samples()));
     body.insert("spans".into(), Value::Array(rows));
@@ -87,17 +86,11 @@ fn escape_html(s: &str) -> String {
 /// The span-stats table as an HTML fragment for the servers' `/ui/spans`
 /// pages (each server wraps it in its own chrome, behind its sessions).
 pub fn spans_table_html() -> String {
-    let mut html = String::from("<p>Sampler: ");
-    html.push_str(&format!(
-        "{} at {} Hz, {} samples total.</p>\n",
-        if prof::enabled() {
-            "enabled"
-        } else {
-            "disabled"
-        },
+    let mut html = format!(
+        "<p>Sampler: {} Hz, {} samples total.</p>\n",
         prof::sample_rate_hz(),
         prof::total_samples()
-    ));
+    );
     html.push_str(
         "<table>\n<tr><th>span</th><th>count</th><th>total ms</th>\
          <th>self ms</th><th>p99 ms</th></tr>\n",

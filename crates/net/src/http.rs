@@ -426,17 +426,35 @@ pub(crate) fn parse_status_line(line: &str) -> std::io::Result<Status> {
     Status::from_code(code).ok_or_else(|| invalid("unknown status code"))
 }
 
-/// Parses one `key: value` header line (already known non-empty).
-pub(crate) fn parse_header_line(line: &str) -> std::io::Result<(String, String)> {
+/// Parses one `key: value` header line (already known non-empty) into
+/// `headers`. A repeated header keeps the last value, except
+/// `content-length`: two lengths that disagree would let this parser
+/// and an intermediary frame the body differently, so the head is
+/// rejected.
+pub(crate) fn parse_header_into(
+    headers: &mut BTreeMap<String, String>,
+    line: &str,
+) -> std::io::Result<()> {
     let (key, value) = line
         .trim_end()
         .split_once(':')
         .ok_or_else(|| invalid("bad header"))?;
-    Ok((key.trim().to_ascii_lowercase(), value.trim().to_string()))
+    let (key, value) = (key.trim().to_ascii_lowercase(), value.trim().to_string());
+    if key == "content-length" && headers.get(&key).is_some_and(|first| *first != value) {
+        return Err(invalid("conflicting content-length"));
+    }
+    headers.insert(key, value);
+    Ok(())
 }
 
-/// Extracts and bounds-checks `content-length`.
+/// Extracts and bounds-checks `content-length` — the only body framing
+/// spoken here. A message that declares `transfer-encoding` is rejected:
+/// read as `content-length: 0`, its chunked body would be parsed as the
+/// next message on a keep-alive connection.
 pub(crate) fn parse_content_length(headers: &BTreeMap<String, String>) -> std::io::Result<usize> {
+    if headers.contains_key("transfer-encoding") {
+        return Err(invalid("transfer-encoding is not supported"));
+    }
     let content_length: usize = headers
         .get("content-length")
         .map(|v| v.parse().map_err(|_| invalid("bad content-length")))
@@ -502,8 +520,7 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> std::io::Result<Optio
         if trimmed.is_empty() {
             break;
         }
-        let (key, value) = parse_header_line(trimmed)?;
-        headers.insert(key, value);
+        parse_header_into(&mut headers, trimmed)?;
     }
     let content_length = parse_content_length(&headers)?;
     let mut body = vec![0u8; content_length];
@@ -569,8 +586,7 @@ pub fn read_response<R: Read>(reader: &mut BufReader<R>) -> std::io::Result<Resp
         if trimmed.is_empty() {
             break;
         }
-        let (key, value) = parse_header_line(trimmed)?;
-        headers.insert(key, value);
+        parse_header_into(&mut headers, trimmed)?;
     }
     let content_length = parse_content_length(&headers)?;
     let mut body = vec![0u8; content_length];

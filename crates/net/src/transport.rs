@@ -3,8 +3,7 @@
 //! [`TcpTransport`]/[`HttpClient`] speak real HTTP over sockets (used by
 //! examples, integration tests, and the §6 walkthrough). A
 //! [`LocalTransport`] calls the service in-process — byte-for-byte the
-//! same requests and responses, without kernel overhead — which is what
-//! the F1/F2 benches use to measure *architecture* costs.
+//! same requests and responses, without kernel overhead.
 
 use crate::http::{read_response, write_request, Request, Response};
 use crate::Service;

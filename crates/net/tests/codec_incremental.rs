@@ -292,3 +292,56 @@ proptest! {
         prop_assert!(completed, "completing the wire must decode the request");
     }
 }
+
+/// Body framing is never guessed at. A request that declares
+/// `Transfer-Encoding` (its chunked body would otherwise be decoded as
+/// the *next* request) or two `Content-Length`s that disagree gets the
+/// same `400` verdict from the blocking reader and from the incremental
+/// decoder at every split point, and neither ever yields a request from
+/// the bytes behind the bad head.
+#[test]
+fn ambiguous_body_framing_is_rejected_by_both_parsers_at_every_split() {
+    let wires: [&[u8]; 3] = [
+        b"POST /api/upload HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+          5\r\nhello\r\n0\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n",
+        b"POST /api/upload HTTP/1.1\r\nContent-Length: 5\r\ntransfer-encoding: chunked\r\n\r\n\
+          hello",
+        b"POST /api/upload HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 25\r\n\r\n\
+          GET /healthz HTTP/1.1\r\n\r\n",
+    ];
+    for wire in wires {
+        let shown = String::from_utf8_lossy(wire);
+        let blocking = read_request(&mut BufReader::new(wire))
+            .expect_err(&format!("blocking reader accepted {shown:?}"));
+        assert_eq!(blocking.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            sensorsafe_net::http::error_status(&blocking),
+            Status::BadRequest
+        );
+        for split in 0..=wire.len() {
+            let mut decoder = RequestDecoder::new();
+            let mut verdict = None;
+            for fragment in [&wire[..split], &wire[split..]] {
+                decoder.feed(fragment);
+                match decoder.poll() {
+                    Decoded::Item(req) => {
+                        panic!("split {split} of {shown:?} decoded {:?}", req.path)
+                    }
+                    Decoded::NeedMore => {}
+                    Decoded::Failed(err) => verdict = Some(err),
+                }
+            }
+            let err = verdict.unwrap_or_else(|| panic!("split {split} of {shown:?} not rejected"));
+            assert_eq!(err.status, Status::BadRequest);
+            assert_eq!(err.message, blocking.to_string());
+        }
+    }
+    // A repeated length that agrees with the first is not ambiguous.
+    let wire: &[u8] = b"POST /echo HTTP/1.1\r\ncontent-length: 5\r\nContent-Length: 5\r\n\r\nhello";
+    let blocking = read_request(&mut BufReader::new(wire)).unwrap().unwrap();
+    let mut decoder = RequestDecoder::new();
+    let incremental = drive_request_decoder(&mut decoder, wire, &[0, wire.len()]);
+    assert_eq!(blocking.body, b"hello");
+    assert_eq!(incremental.len(), 1);
+    assert_eq!(incremental[0].body, blocking.body);
+}

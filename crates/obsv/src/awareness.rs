@@ -44,7 +44,6 @@ use parking_lot::Mutex;
 use sensorsafe_auth::Sha256;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Width of one trend bucket. Decisions inside the same bucket accumulate
@@ -432,7 +431,6 @@ pub struct ContributorSummary {
 /// datastore owns one plane and feeds it through [`awareness_scope`] +
 /// [`crate::audit::record_decision`].
 pub struct AwarenessPlane {
-    enabled: AtomicBool,
     state: Mutex<PlaneState>,
 }
 
@@ -443,10 +441,9 @@ impl Default for AwarenessPlane {
 }
 
 impl AwarenessPlane {
-    /// An empty, enabled plane.
+    /// An empty plane.
     pub fn new() -> AwarenessPlane {
         AwarenessPlane {
-            enabled: AtomicBool::new(true),
             state: Mutex::new(PlaneState {
                 aggregates: AwarenessAggregates::new(),
                 rules: BTreeMap::new(),
@@ -456,23 +453,9 @@ impl AwarenessPlane {
         }
     }
 
-    /// Kill switch (the O4 overhead experiment's "aggregator off" arm):
-    /// a disabled plane ignores observations entirely.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether observations are currently aggregated.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Folds one decision into the live aggregates and bumps the
     /// fleet-facing metric families.
     pub fn observe(&self, record: &DecisionRecord) {
-        if !self.enabled() {
-            return;
-        }
         {
             let mut state = self.state.lock();
             state.aggregates.observe(record);
@@ -843,17 +826,6 @@ mod tests {
         assert!(kept.contains_key(&(MAX_EPOCHS_RETAINED as u64 + 3)));
         assert!(!kept.contains_key(&1));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn disabled_plane_ignores_observations() {
-        let plane = AwarenessPlane::new();
-        plane.set_enabled(false);
-        plane.observe(&record("alice", "doctor", Outcome::Allowed, &[0], 1, 1_000));
-        assert_eq!(plane.aggregates().total().total(), 0);
-        plane.set_enabled(true);
-        plane.observe(&record("alice", "doctor", Outcome::Allowed, &[0], 1, 1_000));
-        assert_eq!(plane.aggregates().total().total(), 1);
     }
 
     #[test]

@@ -52,10 +52,6 @@
 //! crates (`net`, `store`, `policy`) report into the process-wide
 //! [`global()`] registry. A server's `/metrics` endpoint concatenates its
 //! instance registry with the global one.
-//!
-//! Instrumentation can be disabled at runtime ([`Registry::set_enabled`]);
-//! disabled handles reduce to one relaxed atomic load and a branch, which
-//! is what the `f2_auth_layer` overhead bench compares against.
 
 pub mod audit;
 pub mod awareness;

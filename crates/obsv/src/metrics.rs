@@ -9,7 +9,7 @@
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,14 +41,12 @@ fn shard_index() -> usize {
 
 /// Monotonic counter.
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
     shards: Box<[CachePadded<AtomicU64>]>,
 }
 
 impl Counter {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
+    fn new() -> Self {
         Counter {
-            enabled,
             shards: (0..SHARDS)
                 .map(|_| CachePadded(AtomicU64::new(0)))
                 .collect(),
@@ -62,9 +60,6 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -79,31 +74,23 @@ impl Counter {
 
 /// Last-write-wins signed gauge.
 pub struct Gauge {
-    enabled: Arc<AtomicBool>,
     value: AtomicI64,
 }
 
 impl Gauge {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
+    fn new() -> Self {
         Gauge {
-            enabled,
             value: AtomicI64::new(0),
         }
     }
 
     #[inline]
     pub fn set(&self, v: i64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.value.store(v, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn add(&self, delta: i64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -121,16 +108,14 @@ struct HistogramShard {
 /// Fixed-bucket histogram; quantiles come from bucket interpolation on a
 /// merged [`HistogramSnapshot`].
 pub struct Histogram {
-    enabled: Arc<AtomicBool>,
     bounds: Arc<[f64]>,
     shards: Box<[CachePadded<HistogramShard>]>,
 }
 
 impl Histogram {
-    fn new(enabled: Arc<AtomicBool>, bounds: Arc<[f64]>) -> Self {
+    fn new(bounds: Arc<[f64]>) -> Self {
         let buckets = bounds.len() + 1;
         Histogram {
-            enabled,
             bounds: bounds.clone(),
             shards: (0..SHARDS)
                 .map(|_| {
@@ -150,9 +135,6 @@ impl Histogram {
 
     #[inline]
     pub fn observe_secs(&self, value: f64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let bucket = self.bounds.partition_point(|&b| b < value);
         let shard = &self.shards[shard_index()].0;
         shard.counts[bucket].fetch_add(1, Ordering::Relaxed);
@@ -283,7 +265,6 @@ pub(crate) struct RegistryInner {
 /// A namespace of metric families. Lookups are idempotent: the same
 /// `(name, labels)` always yields the same shared handle.
 pub struct Registry {
-    enabled: Arc<AtomicBool>,
     pub(crate) inner: RwLock<RegistryInner>,
 }
 
@@ -296,19 +277,8 @@ impl Default for Registry {
 impl Registry {
     pub fn new() -> Self {
         Registry {
-            enabled: Arc::new(AtomicBool::new(true)),
             inner: RwLock::new(RegistryInner::default()),
         }
-    }
-
-    /// Runtime kill switch: disabled registries reduce every update to a
-    /// relaxed load and branch (the overhead-bench baseline).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
@@ -329,7 +299,7 @@ impl Registry {
         family
             .series
             .entry(set)
-            .or_insert_with(|| Arc::new(Counter::new(self.enabled.clone())))
+            .or_insert_with(|| Arc::new(Counter::new()))
             .clone()
     }
 
@@ -351,7 +321,7 @@ impl Registry {
         family
             .series
             .entry(set)
-            .or_insert_with(|| Arc::new(Gauge::new(self.enabled.clone())))
+            .or_insert_with(|| Arc::new(Gauge::new()))
             .clone()
     }
 
@@ -387,7 +357,7 @@ impl Registry {
         family
             .series
             .entry(set)
-            .or_insert_with(|| Arc::new(Histogram::new(self.enabled.clone(), layout)))
+            .or_insert_with(|| Arc::new(Histogram::new(layout)))
             .clone()
     }
 
@@ -429,21 +399,6 @@ mod tests {
         a.inc();
         assert_eq!(b.get(), 1);
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn disabled_registry_drops_updates() {
-        let registry = Registry::new();
-        let counter = registry.counter("y_total", "y", &[]);
-        let histogram = registry.histogram("y_seconds", "y", &[], None);
-        registry.set_enabled(false);
-        counter.inc();
-        histogram.observe_secs(0.001);
-        assert_eq!(counter.get(), 0);
-        assert_eq!(histogram.snapshot().count(), 0);
-        registry.set_enabled(true);
-        counter.inc();
-        assert_eq!(counter.get(), 1);
     }
 
     #[test]

@@ -32,16 +32,12 @@
 //! [`enter`] / the `prof_frame!` macro. Threads with no open frame are
 //! sampled as `kind;(idle)`, so blocked worker pools stay visible without
 //! instrumenting every wait site.
-//!
-//! The whole plane is gated on one relaxed [`AtomicBool`]
-//! ([`set_enabled`]); when off, [`enter`] reduces to a load and a branch,
-//! which is what the O3 overhead experiment compares against.
 
 use crate::metrics::{HistogramSnapshot, DEFAULT_LATENCY_BUCKETS};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Once, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -60,20 +56,6 @@ pub const OTHER_FRAME: u32 = 0;
 
 /// Synthetic frame id for a registered thread with no open frame.
 pub const IDLE_FRAME: u32 = 1;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns the profiling plane on or off process-wide. Off, frame
-/// enter/exit reduces to one relaxed load and a branch and the sampler
-/// parks itself. On by default.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the profiling plane is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // Frame interning
@@ -204,26 +186,20 @@ fn new_thread_stack() -> Arc<ThreadStack> {
 
 /// RAII guard for an open profiling frame (see [`enter`]).
 pub struct ProfGuard {
-    active: bool,
+    _private: (),
 }
 
 /// Opens a profiling frame named `name` on the current thread; the frame
 /// closes when the returned guard drops. While open, the sampler sees the
 /// frame in this thread's stack, and on close its duration feeds
-/// [`span_stats`]. A no-op (load + branch) when the plane is disabled.
+/// [`span_stats`].
 pub fn enter(name: &str) -> ProfGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return ProfGuard { active: false };
-    }
     enter_id(intern(name))
 }
 
 /// [`enter`] for a pre-interned frame id — the zero-lookup hot path used
 /// by the `prof_frame!` macro.
 pub fn enter_id(id: u32) -> ProfGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return ProfGuard { active: false };
-    }
     LOCAL.with(|cell| {
         let mut local = cell.borrow_mut();
         if local.stack.is_none() {
@@ -244,14 +220,11 @@ pub fn enter_id(id: u32) -> ProfGuard {
             child_nanos: 0,
         });
     });
-    ProfGuard { active: true }
+    ProfGuard { _private: () }
 }
 
 impl Drop for ProfGuard {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
         // try_with: a guard dropped during thread-local teardown must not
         // panic; losing that one frame's statistics is fine.
         let _ = LOCAL.try_with(|cell| {
@@ -320,9 +293,6 @@ fn record_span(id: u32, total_nanos: u64, self_nanos: u64) {
 /// Records a leaf entry for a timed phase (fed by [`crate::trace::phase`]):
 /// a span whose self time equals its total.
 pub fn record_phase(name: &'static str, elapsed: Duration) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
     let nanos = elapsed.as_nanos() as u64;
     record_span(intern(name), nanos, nanos);
 }
@@ -461,7 +431,7 @@ fn sampler_loop(sampler: &'static Sampler) {
     let mut next = Instant::now();
     loop {
         let hz = sampler.hz.load(Ordering::Relaxed);
-        if hz == 0 || !ENABLED.load(Ordering::Relaxed) {
+        if hz == 0 {
             std::thread::sleep(Duration::from_millis(50));
             next = Instant::now();
             continue;
@@ -679,18 +649,6 @@ mod tests {
         }
         // Totals only grow.
         assert!(folded_snapshot().len() >= before.len() || before.is_empty());
-    }
-
-    #[test]
-    fn disabled_plane_opens_no_frames() {
-        set_enabled(false);
-        {
-            let _g = enter("prof_test_disabled_frame");
-        }
-        set_enabled(true);
-        assert!(span_stats()
-            .iter()
-            .all(|s| s.name != "prof_test_disabled_frame"));
     }
 
     #[test]

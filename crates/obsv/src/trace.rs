@@ -28,7 +28,7 @@
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -187,7 +187,6 @@ pub struct TraceRecorder {
     ring: Mutex<VecDeque<Trace>>,
     slow_ring: Mutex<VecDeque<Trace>>,
     capacity: usize,
-    enabled: AtomicBool,
     slow_threshold_nanos: AtomicU64,
 }
 
@@ -197,13 +196,8 @@ impl TraceRecorder {
             ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
             slow_ring: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
-            enabled: AtomicBool::new(true),
             slow_threshold_nanos: AtomicU64::new(0),
         })
-    }
-
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Requests slower than `threshold` are pinned in the slow ring,
@@ -231,9 +225,6 @@ impl TraceRecorder {
         name: impl Into<String>,
         ctx: Option<TraceContext>,
     ) -> SpanGuard {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return SpanGuard { state: None };
-        }
         let (trace_id, parent_span_id) = match ctx.or_else(current_context) {
             Some(ctx) => (ctx.trace_id, ctx.parent_span_id),
             None => (next_id(), 0),
@@ -253,15 +244,13 @@ impl TraceRecorder {
             })
         });
         SpanGuard {
-            state: Some(SpanState {
-                recorder: self.clone(),
-                name,
-                trace_id,
-                span_id,
-                parent_span_id,
-                started,
-                _prof: prof,
-            }),
+            recorder: self.clone(),
+            name,
+            trace_id,
+            span_id,
+            parent_span_id,
+            started,
+            _prof: prof,
         }
     }
 
@@ -370,7 +359,8 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-struct SpanState {
+/// RAII guard for an active span.
+pub struct SpanGuard {
     recorder: Arc<TraceRecorder>,
     name: String,
     trace_id: u64,
@@ -381,29 +371,21 @@ struct SpanState {
     _prof: crate::prof::ProfGuard,
 }
 
-/// RAII guard for an active span.
-pub struct SpanGuard {
-    state: Option<SpanState>,
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(state) = self.state.take() else {
-            return;
-        };
         let active = SPAN_STACK.with(|stack| stack.borrow_mut().pop());
         let Some(active) = active else { return };
         let completed_unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        state.recorder.record(Trace {
-            trace_id: state.trace_id,
-            span_id: state.span_id,
-            parent_span_id: state.parent_span_id,
-            name: state.name,
+        self.recorder.record(Trace {
+            trace_id: self.trace_id,
+            span_id: self.span_id,
+            parent_span_id: self.parent_span_id,
+            name: std::mem::take(&mut self.name),
             phases: active.phases,
-            total: state.started.elapsed(),
+            total: self.started.elapsed(),
             completed_unix_ms,
         });
     }
@@ -533,17 +515,6 @@ mod tests {
         assert_eq!(inner.trace_id, outer.trace_id);
         assert_eq!(outer.parent_span_id, 0);
         assert_ne!(inner.span_id, outer.span_id);
-    }
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let recorder = TraceRecorder::new(8);
-        recorder.set_enabled(false);
-        {
-            let _span = recorder.begin("dropped");
-            phase("ignored");
-        }
-        assert!(recorder.recent_traces().is_empty());
     }
 
     #[test]

@@ -333,7 +333,7 @@ impl Default for GroupCommitConfig {
 
 impl GroupCommitConfig {
     /// Per-record commits: no gathering, one fsync per staged record
-    /// batch of one. The A/B baseline for the C2 bench.
+    /// batch of one. The baseline the journal's policy tests count against.
     pub fn unbatched() -> GroupCommitConfig {
         GroupCommitConfig {
             max_batch: 1,

@@ -164,3 +164,38 @@ fn overload_is_shed_with_503_not_queued() {
     assert!(saw_503, "cap overflow was never answered 503");
     assert!(shed.get() > before, "shed counter did not move");
 }
+
+#[test]
+fn chunked_post_gets_one_400_and_a_closed_socket_not_a_desynchronised_reply() {
+    use std::io::Write;
+    let config = EventedConfig {
+        loops: 1,
+        handler_threads: 2,
+        ..EventedConfig::default()
+    };
+    let server = Server::bind_evented("127.0.0.1:0", config, echo_service()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // One write: a chunked POST with a GET pipelined behind it. Framed
+    // as `content-length: 0` the POST would be answered with an empty
+    // echo and its chunk bytes parsed as the next request.
+    stream
+        .write_all(
+            b"POST /echo HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+              5\r\nhello\r\n0\r\n\r\nGET /ping HTTP/1.1\r\n\r\n",
+        )
+        .unwrap();
+    let mut buf = Vec::new();
+    BufReader::new(stream)
+        .read_to_end(&mut buf)
+        .expect("the server must close the connection after the 400");
+    let text = String::from_utf8_lossy(&buf);
+    assert!(text.starts_with("HTTP/1.1 400"), "first reply: {text}");
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "one reply: {text}");
+    assert!(
+        text.to_ascii_lowercase().contains("connection: close"),
+        "the 400 must close: {text}"
+    );
+}
