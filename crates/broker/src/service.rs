@@ -16,7 +16,10 @@ use crate::registry::{BrokerRegistry, ConsumerRecord, StoreAccess, StoreRecord};
 use parking_lot::RwLock;
 use sensorsafe_auth::{ApiKey, KeyRing, PasswordStore, Principal, Role, SessionManager};
 use sensorsafe_json::{json, Value};
-use sensorsafe_net::{Request, Response, Router, Service, Status, TcpTransport, Transport};
+use sensorsafe_net::{
+    str_field, u64_field, Edge, Reply, Request, RequestFamilies, Response, Router, Service, Status,
+    TcpTransport, Transport,
+};
 use sensorsafe_obsv::{Counter, Gauge, Histogram, Registry, TraceRecorder};
 use sensorsafe_policy::{ConsumerCtx, PrivacyRule, RuleIndex, SearchQuery};
 use sensorsafe_types::{
@@ -68,7 +71,7 @@ pub(crate) struct Inner {
     pub(crate) keys: KeyRing,
     pub(crate) passwords: PasswordStore,
     pub(crate) sessions: SessionManager,
-    pub(crate) metrics: Registry,
+    pub(crate) metrics: Arc<Registry>,
     pub(crate) mirror_metrics: MirrorMetrics,
     pub(crate) traces: Arc<TraceRecorder>,
     pub(crate) fleet: crate::fleet::FleetPlane,
@@ -142,15 +145,12 @@ impl MirrorMetrics {
 #[derive(Clone)]
 pub struct BrokerService {
     inner: Arc<Inner>,
-    router: Arc<Router>,
+    edge: Arc<Edge>,
 }
 
-fn bad_request(msg: &str) -> Response {
-    Response::error(Status::BadRequest, msg)
-}
-
-fn unauthorized() -> Response {
-    Response::error(Status::Unauthorized, "invalid API key")
+/// The 403 of a consumer key whose account the registry does not hold.
+fn not_registered() -> Response {
+    Response::error(Status::Forbidden, "consumer not registered")
 }
 
 /// Appends `name` as the next item of the JSON string array being written
@@ -163,9 +163,27 @@ fn push_name(out: &mut Vec<u8>, name: &str) {
 }
 
 impl Inner {
-    pub(crate) fn authenticate(&self, body: &Value) -> Option<Principal> {
-        let key = body.get("key").and_then(Value::as_str)?;
-        self.keys.authenticate(key)
+    /// Authenticates the `key` field of a request body (§5.4): the caller
+    /// behind it, or the 401; with `required`, the 403 it carries unless
+    /// the caller holds that role. Every API route passes through here
+    /// before its handler runs (the route table in [`BrokerService::new`]
+    /// names each route's requirement).
+    fn authenticate(
+        &self,
+        body: &Value,
+        required: Option<(Role, &str)>,
+    ) -> Result<Principal, Response> {
+        let principal = body
+            .get("key")
+            .and_then(Value::as_str)
+            .and_then(|key| self.keys.authenticate(key))
+            .ok_or_else(Response::unauthorized)?;
+        match required {
+            Some((role, denied)) if principal.role != role => {
+                Err(Response::error(Status::Forbidden, denied))
+            }
+            _ => Ok(principal),
+        }
     }
 
     fn handle_health(&self) -> Response {
@@ -178,63 +196,43 @@ impl Inner {
         }))
     }
 
-    fn handle_register(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "registration requires the admin key");
-        }
-        let Some(name) = body.get("name").and_then(Value::as_str) else {
-            return bad_request("missing 'name'");
-        };
+    fn handle_register(&self, _: Principal, body: &Value) -> Reply {
+        let name = str_field(body, "name")?;
         if name.is_empty() {
-            return bad_request("empty 'name'");
+            return Err(Response::bad_request("empty 'name'"));
         }
-        let groups: Vec<GroupId> = body
-            .get("groups")
-            .and_then(Value::as_string_list)
-            .unwrap_or_default()
-            .into_iter()
-            .map(GroupId::new)
-            .collect();
-        let studies: Vec<StudyId> = body
-            .get("studies")
-            .and_then(Value::as_string_list)
-            .unwrap_or_default()
-            .into_iter()
-            .map(StudyId::new)
-            .collect();
+        let list = |field| {
+            body.get(field)
+                .and_then(Value::as_string_list)
+                .unwrap_or_default()
+        };
         let record = ConsumerRecord {
-            groups,
-            studies,
+            groups: list("groups").into_iter().map(GroupId::new).collect(),
+            studies: list("studies").into_iter().map(StudyId::new).collect(),
             ..Default::default()
         };
         if !self.registry.insert_consumer(ConsumerId::new(name), record) {
-            return Response::error(Status::Conflict, "consumer already exists");
+            return Err(Response::error(Status::Conflict, "consumer already exists"));
         }
         let key = self.keys.register(Principal {
             name: name.to_string(),
             role: Role::Consumer,
         });
-        Response::json_with_status(Status::Created, &json!({ "api_key": (key.to_hex()) }))
+        Ok(Response::json_with_status(
+            Status::Created,
+            &json!({ "api_key": (key.to_hex()) }),
+        ))
     }
 
-    fn handle_store_register(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "pairing requires the admin key");
-        }
+    fn handle_store_register(&self, _: Principal, body: &Value) -> Reply {
         let (Some(addr), Some(register_key)) = (
             body.get("addr").and_then(Value::as_str),
             body.get("register_key").and_then(Value::as_str),
         ) else {
-            return bad_request("missing 'addr' or 'register_key'");
+            return Err(Response::bad_request("missing 'addr' or 'register_key'"));
         };
         if addr.is_empty() {
-            return bad_request("empty 'addr'");
+            return Err(Response::bad_request("empty 'addr'"));
         }
         self.registry.upsert_store(StoreRecord {
             addr: StoreAddr::new(addr),
@@ -246,36 +244,32 @@ impl Inner {
             name: format!("store:{addr}"),
             role: Role::Server,
         });
-        Response::json_with_status(
+        Ok(Response::json_with_status(
             Status::Created,
             &json!({ "store_key": (store_key.to_hex()) }),
-        )
+        ))
     }
 
     /// `POST /api/stores/replica` — pairs a replica with a primary so
     /// the failover controller knows where to promote. Both stores must
     /// already be paired via `/api/stores/register` (the fleet plane
     /// probes them, and promotion needs the replica's registration key).
-    fn handle_stores_replica(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "pairing requires the admin key");
-        }
+    fn handle_stores_replica(&self, _: Principal, body: &Value) -> Reply {
         let (Some(primary), Some(replica)) = (
             body.get("primary").and_then(Value::as_str),
             body.get("replica").and_then(Value::as_str),
         ) else {
-            return bad_request("missing 'primary' or 'replica'");
+            return Err(Response::bad_request("missing 'primary' or 'replica'"));
         };
         if self.registry.store_by_addr(primary).is_none()
             || self.registry.store_by_addr(replica).is_none()
         {
-            return bad_request("both stores must be registered before replica pairing");
+            return Err(Response::bad_request(
+                "both stores must be registered before replica pairing",
+            ));
         }
         self.registry.set_replica(primary, StoreAddr::new(replica));
-        Response::json(&json!({ "ok": true }))
+        Ok(Response::json(&json!({ "ok": true })))
     }
 
     /// `POST /api/contributors/resolve` — the current store assignment
@@ -287,13 +281,9 @@ impl Inner {
     /// consumer sees contributors whose stores escrowed access for them.
     /// Anything else is answered exactly like a nonexistent contributor,
     /// so the endpoint cannot be used to probe which names exist.
-    fn handle_contributor_resolve(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        let Some(name) = body.get("name").and_then(Value::as_str) else {
-            return bad_request("missing 'name'");
-        };
+    fn handle_contributor_resolve(&self, principal: Principal, body: &Value) -> Reply {
+        let name = str_field(body, "name")?;
+        let unknown = || Response::error(Status::NotFound, "unknown contributor");
         let allowed = match principal.role {
             Role::Server => true,
             Role::Contributor => principal.name == name,
@@ -304,29 +294,26 @@ impl Inner {
                 .unwrap_or(false),
         };
         if !allowed {
-            return Response::error(Status::NotFound, "unknown contributor");
+            return Err(unknown());
         }
-        match self.registry.assignment_of(&ContributorId::new(name)) {
-            Some(assignment) => Response::json(&json!({
-                "store_addr": (assignment.addr.as_str()),
-                "epoch": (assignment.epoch),
-            })),
-            None => Response::error(Status::NotFound, "unknown contributor"),
-        }
+        let assignment = self
+            .registry
+            .assignment_of(&ContributorId::new(name))
+            .ok_or_else(unknown)?;
+        Ok(Response::json(&json!({
+            "store_addr": (assignment.addr.as_str()),
+            "epoch": (assignment.epoch),
+        })))
     }
 
-    fn handle_contributor_register(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "store key required");
-        }
+    fn handle_contributor_register(&self, _: Principal, body: &Value) -> Reply {
         let (Some(contributor), Some(addr)) = (
             body.get("contributor").and_then(Value::as_str),
             body.get("store_addr").and_then(Value::as_str),
         ) else {
-            return bad_request("missing 'contributor' or 'store_addr'");
+            return Err(Response::bad_request(
+                "missing 'contributor' or 'store_addr'",
+            ));
         };
         self.registry
             .upsert_contributor(ContributorId::new(contributor), StoreAddr::new(addr));
@@ -336,29 +323,19 @@ impl Inner {
             name: contributor.to_string(),
             role: Role::Contributor,
         });
-        Response::json(&json!({ "ok": true, "resolve_key": (resolve_key.to_hex()) }))
+        Ok(Response::json(
+            &json!({ "ok": true, "resolve_key": (resolve_key.to_hex()) }),
+        ))
     }
 
-    fn handle_sync(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "store key required");
-        }
-        let Some(contributor) = body.get("contributor").and_then(Value::as_str) else {
-            return bad_request("missing 'contributor'");
-        };
-        let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
-            return bad_request("missing 'epoch'");
-        };
-        let Some(rules_json) = body.get("rules") else {
-            return bad_request("missing 'rules'");
-        };
-        let rules = match PrivacyRule::rules_from_json(rules_json) {
-            Ok(r) => r,
-            Err(e) => return bad_request(&e.to_string()),
-        };
+    fn handle_sync(&self, _: Principal, body: &Value) -> Reply {
+        let contributor = str_field(body, "contributor")?;
+        let epoch = u64_field(body, "epoch")?;
+        let rules = body
+            .get("rules")
+            .ok_or_else(|| Response::bad_request("missing 'rules'"))?;
+        let rules = PrivacyRule::rules_from_json(rules)
+            .map_err(|e| Response::bad_request(&e.to_string()))?;
         // Rule syncs double as contributor-registration upserts, so a
         // store paired after its contributors registered still converges.
         if let Some(addr) = body.get("store_addr").and_then(Value::as_str) {
@@ -388,7 +365,7 @@ impl Inner {
             &metrics.syncs_stale
         };
         outcome.inc();
-        Response::json(&json!({ "accepted": accepted }))
+        Ok(Response::json(&json!({ "accepted": accepted })))
     }
 
     fn handle_healthz(&self) -> Response {
@@ -405,13 +382,6 @@ impl Inner {
             "uptime_secs": (self.started.elapsed().as_secs()),
             "rule_sync_epoch": rule_sync_epoch,
         }))
-    }
-
-    /// Instance metrics plus the process-wide registry, one scrape body.
-    fn handle_metrics(&self) -> Response {
-        let mut body = self.metrics.encode();
-        body.push_str(&sensorsafe_obsv::global().encode());
-        Response::text(body)
     }
 
     fn parse_search_query(body: &Value, consumer: ConsumerCtx) -> Result<SearchQuery, String> {
@@ -490,20 +460,11 @@ impl Inner {
         })
     }
 
-    fn handle_search(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Consumer {
-            return Response::error(Status::Forbidden, "consumers only");
-        }
-        let Some(ctx) = self.consumer_ctx(&principal.name) else {
-            return Response::error(Status::Forbidden, "consumer not registered");
-        };
-        let query = match Self::parse_search_query(body, ctx) {
-            Ok(q) => q,
-            Err(e) => return bad_request(&e),
-        };
+    fn handle_search(&self, principal: Principal, body: &Value) -> Reply {
+        let ctx = self
+            .consumer_ctx(&principal.name)
+            .ok_or_else(not_registered)?;
+        let query = Self::parse_search_query(body, ctx).map_err(|e| Response::bad_request(&e))?;
         let _frame = sensorsafe_obsv::prof_frame!("broker-search");
         // Hits whose hosting store the fleet plane currently holds
         // Unreachable are listed a second time under `unreachable`: their
@@ -532,7 +493,7 @@ impl Inner {
         body.extend_from_slice(b"],\"unreachable\":[");
         body.extend_from_slice(&unreachable);
         body.extend_from_slice(b"]}");
-        Response::json_bytes(body)
+        Ok(Response::json_bytes(body))
     }
 
     /// Auto-registers `consumer` at `contributor`'s store and escrows the
@@ -581,20 +542,16 @@ impl Inner {
         })
     }
 
-    fn handle_consumers_add(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Consumer {
-            return Response::error(Status::Forbidden, "consumers only");
-        }
-        let Some(names) = body.get("contributors").and_then(Value::as_string_list) else {
-            return bad_request("missing 'contributors'");
-        };
+    fn handle_consumers_add(&self, principal: Principal, body: &Value) -> Reply {
+        let names = body
+            .get("contributors")
+            .and_then(Value::as_string_list)
+            .ok_or_else(|| Response::bad_request("missing 'contributors'"))?;
         let consumer_id = ConsumerId::new(&principal.name);
-        let Some(record) = self.registry.consumer(&consumer_id) else {
-            return Response::error(Status::Forbidden, "consumer not registered");
-        };
+        let record = self
+            .registry
+            .consumer(&consumer_id)
+            .ok_or_else(not_registered)?;
         let mut added = Vec::new();
         let mut errors = Vec::new();
         // Reuse one escrowed key per store when the consumer is already
@@ -632,22 +589,17 @@ impl Inner {
                 Err(e) => errors.push(format!("{name}: {e}")),
             }
         }
-        Response::json(&json!({
+        Ok(Response::json(&json!({
             "added": (Value::Array(added.iter().map(Value::from).collect())),
             "errors": (Value::Array(errors.iter().map(Value::from).collect())),
-        }))
+        })))
     }
 
-    fn handle_consumers_access(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Consumer {
-            return Response::error(Status::Forbidden, "consumers only");
-        }
-        let Some(record) = self.registry.consumer(&ConsumerId::new(&principal.name)) else {
-            return Response::error(Status::Forbidden, "consumer not registered");
-        };
+    fn handle_consumers_access(&self, principal: Principal, _: &Value) -> Reply {
+        let record = self
+            .registry
+            .consumer(&ConsumerId::new(&principal.name))
+            .ok_or_else(not_registered)?;
         let access: Vec<Value> = record
             .contributor_list
             .iter()
@@ -669,7 +621,7 @@ impl Inner {
                 })
             })
             .collect();
-        Response::json(&json!({ "access": (Value::Array(access)) }))
+        Ok(Response::json(&json!({ "access": (Value::Array(access)) })))
     }
 }
 
@@ -681,7 +633,7 @@ impl BrokerService {
             config.slow_request_threshold,
         ));
         let fleet = crate::fleet::FleetPlane::new(config.fleet.clone());
-        let metrics = Registry::new();
+        let metrics = Arc::new(Registry::new());
         let inner = Arc::new(Inner {
             config,
             fleet,
@@ -701,65 +653,78 @@ impl BrokerService {
             role: Role::Server,
         });
         let mut router = Router::new();
-        {
+        type Page = fn(&Inner) -> Response;
+        let pages: [(&str, Page); 3] = [
+            ("/health", Inner::handle_health),
+            ("/healthz", Inner::handle_healthz),
+            ("/fleet", Inner::handle_fleet),
+        ];
+        for (path, handler) in pages {
             let inner = inner.clone();
-            router.get("/health", move |_, _| inner.handle_health());
+            router.get(path, move |_, _| handler(&inner));
         }
-        {
+        // Every API route: who may call it (the role its key must hold and
+        // the 403 otherwise; `None` = the handler decides by role) and the
+        // handler the authenticated caller is passed to.
+        type Handler = fn(&Inner, Principal, &Value) -> Reply;
+        type Required = Option<(Role, &'static str)>;
+        let admin = Some((Role::Server, "registration requires the admin key"));
+        let pairing = Some((Role::Server, "pairing requires the admin key"));
+        let store = Some((Role::Server, "store key required"));
+        let consumer = Some((Role::Consumer, "consumers only"));
+        let api: [(&str, Required, Handler); 9] = [
+            ("/api/register", admin, Inner::handle_register),
+            (
+                "/api/stores/register",
+                pairing,
+                Inner::handle_store_register,
+            ),
+            ("/api/stores/replica", pairing, Inner::handle_stores_replica),
+            (
+                "/api/contributors/register",
+                store,
+                Inner::handle_contributor_register,
+            ),
+            (
+                "/api/contributors/resolve",
+                None,
+                Inner::handle_contributor_resolve,
+            ),
+            ("/api/sync", store, Inner::handle_sync),
+            ("/api/search", consumer, Inner::handle_search),
+            ("/api/consumers/add", consumer, Inner::handle_consumers_add),
+            (
+                "/api/consumers/access",
+                consumer,
+                Inner::handle_consumers_access,
+            ),
+        ];
+        for (path, required, handler) in api {
             let inner = inner.clone();
-            router.get("/healthz", move |_, _| inner.handle_healthz());
+            router.post_json(path, move |body| {
+                handler(&inner, inner.authenticate(body, required)?, body)
+            });
         }
-        {
-            let inner = inner.clone();
-            router.get("/metrics", move |_, _| inner.handle_metrics());
-        }
-        {
-            let inner = inner.clone();
-            router.get("/fleet", move |_, _| inner.handle_fleet());
-        }
-        {
-            let inner = inner.clone();
-            router.get(
-                "/traces",
-                move |req: &Request, _: &sensorsafe_net::Params| {
-                    sensorsafe_net::traces_response(&inner.traces, req)
-                },
-            );
-        }
-        router.get(
-            "/debug/profile",
-            move |req: &Request, _: &sensorsafe_net::Params| sensorsafe_net::profile_response(req),
+        crate::web::mount(&mut router, &inner);
+        let edge = Edge::new(
+            router,
+            RequestFamilies {
+                seconds: (
+                    "sensorsafe_broker_request_seconds",
+                    "Broker request latency by endpoint.",
+                ),
+                total: (
+                    "sensorsafe_broker_requests_total",
+                    "Broker requests by endpoint and status code.",
+                ),
+            },
+            inner.metrics.clone(),
+            inner.traces.clone(),
         );
-        router.get(
-            "/debug/spans",
-            move |req: &Request, _: &sensorsafe_net::Params| sensorsafe_net::spans_response(req),
-        );
-        macro_rules! post_json_route {
-            ($path:literal, $method:ident) => {{
-                let inner = inner.clone();
-                router.post(
-                    $path,
-                    move |req: &Request, _: &sensorsafe_net::Params| match req.json() {
-                        Ok(body) => inner.$method(&body),
-                        Err(e) => bad_request(&format!("invalid JSON body: {e}")),
-                    },
-                );
-            }};
-        }
-        post_json_route!("/api/register", handle_register);
-        post_json_route!("/api/stores/register", handle_store_register);
-        post_json_route!("/api/stores/replica", handle_stores_replica);
-        post_json_route!("/api/contributors/register", handle_contributor_register);
-        post_json_route!("/api/contributors/resolve", handle_contributor_resolve);
-        post_json_route!("/api/sync", handle_sync);
-        post_json_route!("/api/search", handle_search);
-        post_json_route!("/api/consumers/add", handle_consumers_add);
-        post_json_route!("/api/consumers/access", handle_consumers_access);
-        crate::web::mount(&mut router, inner.clone());
         (
             BrokerService {
                 inner,
-                router: Arc::new(router),
+                edge: Arc::new(edge),
             },
             admin_key,
         )
@@ -797,50 +762,11 @@ impl BrokerService {
     pub fn spawn_fleet_scraper(&self) -> crate::fleet::FleetScraper {
         crate::fleet::FleetScraper::spawn(self.inner.clone())
     }
-
-    /// Completed failover promotions, oldest first (tests/operators; the
-    /// same events `GET /fleet` serves under `"failovers"`).
-    pub fn failover_events(&self) -> Vec<crate::failover::FailoverEvent> {
-        self.inner.failovers.lock().iter().cloned().collect()
-    }
 }
 
 impl Service for BrokerService {
     fn handle(&self, request: &Request) -> Response {
-        let endpoint = self
-            .router
-            .match_pattern(request.method, &request.path)
-            .unwrap_or("unmatched")
-            .to_string();
-        // Join the caller's trace when an X-SensorSafe-Trace header is
-        // present; otherwise this span roots a fresh trace.
-        let _span = self.inner.traces.begin_ctx(
-            format!("{} {endpoint}", request.method.as_str()),
-            request.trace_context(),
-        );
-        let started = std::time::Instant::now();
-        let response = self.router.handle(request);
-        self.inner
-            .metrics
-            .histogram(
-                "sensorsafe_broker_request_seconds",
-                "Broker request latency by endpoint.",
-                &[("endpoint", &endpoint)],
-                None,
-            )
-            .observe(started.elapsed());
-        self.inner
-            .metrics
-            .counter(
-                "sensorsafe_broker_requests_total",
-                "Broker requests by endpoint and status code.",
-                &[
-                    ("endpoint", &endpoint),
-                    ("code", &response.status.code().to_string()),
-                ],
-            )
-            .inc();
-        response
+        self.edge.handle(request)
     }
 }
 
@@ -1003,6 +929,52 @@ mod tests {
         assert_eq!(resp.status, Status::Ok, "{:?}", resp.json_body());
         assert_eq!(resolve(Some(&bob), "alice").status, Status::Ok);
         assert_eq!(resolve(Some(&bob), "carol").status, Status::NotFound);
+    }
+
+    #[test]
+    fn front_door_labels_requests_by_route_pattern_never_by_path() {
+        let (svc, _) = BrokerService::new(BrokerConfig::default());
+        // A served route under a path that is not its pattern (trailing and
+        // doubled slashes), a path nothing serves, and a served path under
+        // the wrong method.
+        assert_eq!(svc.handle(&Request::get("//healthz/")).status, Status::Ok);
+        let missing = svc.handle(&Request::get("/api/contributors/alice-secret"));
+        assert_eq!(missing.status, Status::NotFound);
+        let wrong_method = svc.handle(&Request::get("/api/register"));
+        assert_eq!(wrong_method.status, Status::MethodNotAllowed);
+
+        let scrape = svc.handle(&Request::get("/metrics"));
+        let text = String::from_utf8(scrape.body).unwrap();
+        for line in [
+            "sensorsafe_broker_request_seconds_count{endpoint=\"/healthz\"} 1",
+            "sensorsafe_broker_request_seconds_count{endpoint=\"unmatched\"} 2",
+            "sensorsafe_broker_requests_total{code=\"200\",endpoint=\"/healthz\"} 1",
+            "sensorsafe_broker_requests_total{code=\"404\",endpoint=\"unmatched\"} 1",
+            "sensorsafe_broker_requests_total{code=\"405\",endpoint=\"unmatched\"} 1",
+        ] {
+            assert!(text.contains(line), "missing {line} in:\n{text}");
+        }
+        let traces = svc.handle(&Request::get("/traces")).json_body().unwrap();
+        let names: Vec<&str> = traces["traces"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|t| t["name"].as_str().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "GET /healthz",
+                "GET unmatched",
+                "GET unmatched",
+                "GET /metrics"
+            ]
+        );
+        // The concrete paths appear nowhere in the telemetry.
+        for leaked in ["alice-secret", "healthz/", "//"] {
+            assert!(!text.contains(leaked), "{leaked} in:\n{text}");
+            assert!(!traces.to_string().contains(leaked), "{leaked} in {traces}");
+        }
     }
 
     #[test]

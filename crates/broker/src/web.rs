@@ -3,49 +3,18 @@
 
 use crate::service::Inner;
 use sensorsafe_json::Value;
-use sensorsafe_net::{Params, Request, Response, Router, Status};
+use sensorsafe_net::html::{escape, form_all, page, parse_form, with_session};
+use sensorsafe_net::{Method, Request, Response, Router, Status};
 use sensorsafe_policy::{ConsumerCtx, SearchQuery};
 use sensorsafe_types::{ChannelId, ConsumerId, ContextKind, RepeatTime, TimeOfDay, Weekday};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
-}
-
-fn page(title: &str, body: &str) -> Response {
-    Response::html(format!(
-        "<!DOCTYPE html><html><head><title>{t} — SensorSafe Broker</title></head>\
-         <body><h1>{t}</h1>{body}</body></html>",
-        t = escape(title)
-    ))
-}
-
-fn parse_form(body: &[u8]) -> BTreeMap<String, String> {
-    let text = String::from_utf8_lossy(body);
-    let mut map = BTreeMap::new();
-    for pair in text.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        map.insert(
-            k.replace('+', " "),
-            v.replace('+', " ").replace("%3A", ":").replace("%2C", ","),
-        );
-    }
-    map
-}
-
-fn require_session(inner: &Inner, req: &Request) -> Result<String, Response> {
-    req.query
-        .get("session")
-        .and_then(|token| inner.sessions.validate(token))
-        .ok_or_else(|| Response::error(Status::Unauthorized, "not logged in (see /ui/login)"))
-}
+/// The site name in every page title.
+const SITE: &str = "SensorSafe Broker";
 
 fn handle_login_page() -> Response {
     page(
+        SITE,
         "Broker Login",
         r#"<form method="post" action="/ui/login">
             <label>Username <input type="text" name="username"></label>
@@ -65,6 +34,7 @@ fn handle_login(inner: &Inner, req: &Request) -> Response {
     }
     let token = inner.sessions.login(username);
     page(
+        SITE,
         "Logged in",
         &format!(
             r#"<ul><li><a href="/ui/search?session={t}">Search contributors</a></li>
@@ -107,11 +77,7 @@ fn search_form(session: &str) -> String {
     )
 }
 
-fn handle_search_page(inner: &Inner, req: &Request) -> Response {
-    let _username = match require_session(inner, req) {
-        Ok(u) => u,
-        Err(resp) => return resp,
-    };
+fn handle_search_page(inner: &Inner, req: &Request, _: &str) -> Response {
     let session = req.query.get("session").cloned().unwrap_or_default();
     let all: String = inner
         .registry
@@ -120,6 +86,7 @@ fn handle_search_page(inner: &Inner, req: &Request) -> Response {
         .map(|c| format!("<li>{}</li>", escape(c.as_str())))
         .collect();
     page(
+        SITE,
         "Contributor Search",
         &format!(
             "<h2>All contributors</h2><ul id=\"contributors\">{all}</ul>{}",
@@ -128,30 +95,16 @@ fn handle_search_page(inner: &Inner, req: &Request) -> Response {
     )
 }
 
-fn form_all(body: &[u8], key: &str) -> Vec<String> {
-    let text = String::from_utf8_lossy(body);
-    text.split('&')
-        .filter_map(|pair| pair.split_once('='))
-        .filter(|(k, _)| *k == key)
-        .map(|(_, v)| v.replace('+', " ").replace("%3A", ":"))
-        .filter(|v| !v.is_empty())
-        .collect()
-}
-
-fn handle_search_post(inner: &Inner, req: &Request) -> Response {
-    let username = match require_session(inner, req) {
-        Ok(u) => u,
-        Err(resp) => return resp,
-    };
+fn handle_search_post(inner: &Inner, req: &Request, username: &str) -> Response {
     let form = parse_form(&req.body);
     let get = |k: &str| form.get(k).filter(|v| !v.is_empty());
-    let consumer = match inner.registry.consumer(&ConsumerId::new(&username)) {
+    let consumer = match inner.registry.consumer(&ConsumerId::new(username)) {
         Some(record) => ConsumerCtx {
-            id: Some(ConsumerId::new(&username)),
+            id: Some(ConsumerId::new(username)),
             groups: record.groups,
             studies: record.studies,
         },
-        None => ConsumerCtx::user(&username),
+        None => ConsumerCtx::user(username),
     };
     let mut query = SearchQuery {
         consumer,
@@ -190,6 +143,7 @@ fn handle_search_post(inner: &Inner, req: &Request) -> Response {
     });
     inner.mirror_metrics.observe_search(evaluated);
     page(
+        SITE,
         "Search Results",
         &format!("<p>{hits} contributor(s) share enough data.</p><ol id=\"results\">{items}</ol>"),
     )
@@ -218,10 +172,7 @@ fn slo_cell(slo: &Value) -> String {
 
 /// `GET /ui/fleet`: the fleet health plane as an HTML table — the same
 /// snapshot `GET /fleet` serves as JSON.
-fn handle_fleet_page(inner: &Inner, req: &Request) -> Response {
-    if let Err(resp) = require_session(inner, req) {
-        return resp;
-    }
+fn handle_fleet_page(inner: &Inner, _: &Request, _: &str) -> Response {
     let Ok(fleet) = inner.handle_fleet().json_body() else {
         return Response::error(Status::InternalError, "fleet snapshot unavailable");
     };
@@ -328,6 +279,7 @@ fn handle_fleet_page(inner: &Inner, req: &Request) -> Response {
         dead = privacy["dead_rules"].as_f64().unwrap_or(0.0),
     );
     page(
+        SITE,
         "Fleet Health",
         &format!(
             "<p>{sweeps} sweep(s), {series} series retained.</p>{alert_block}{failover_block}\
@@ -342,56 +294,36 @@ fn handle_fleet_page(inner: &Inner, req: &Request) -> Response {
 
 /// `GET /ui/spans` — the broker's continuous span-stats table (profiling
 /// plane), behind a session like the fleet page.
-fn handle_spans_page(inner: &Inner, req: &Request) -> Response {
-    if let Err(resp) = require_session(inner, req) {
-        return resp;
-    }
-    let body = format!(
-        "<p>Per-span timing since process start. Pull folded stacks from \
-         <code>/debug/profile?seconds=5</code> for a flamegraph.</p>\n{}",
-        sensorsafe_net::spans_table_html()
-    );
-    page("Profiling spans", &body)
+fn handle_spans_page(_: &Inner, _: &Request, _: &str) -> Response {
+    page(
+        SITE,
+        "Profiling spans",
+        &sensorsafe_net::debug::spans_page_html(),
+    )
 }
 
-/// Mounts the broker web UI.
-pub(crate) fn mount(router: &mut Router, inner: Arc<Inner>) {
-    router.get("/ui/login", move |_: &Request, _: &Params| {
-        handle_login_page()
-    });
+/// Mounts the broker web UI. Every page but the login pair is served to a
+/// valid session only, and is handed the user name the session belongs to.
+pub(crate) fn mount(router: &mut Router, inner: &Arc<Inner>) {
+    router.get("/ui/login", |_, _| handle_login_page());
     {
         let inner = inner.clone();
-        router.post("/ui/login", move |req: &Request, _: &Params| {
-            handle_login(&inner, req)
-        });
+        router.post("/ui/login", move |req, _| handle_login(&inner, req));
     }
-    {
+    type Page = fn(&Inner, &Request, &str) -> Response;
+    let pages: [(Method, &str, Page); 4] = [
+        (Method::Get, "/ui/search", handle_search_page),
+        (Method::Post, "/ui/search", handle_search_post),
+        (Method::Get, "/ui/fleet", handle_fleet_page),
+        (Method::Get, "/ui/spans", handle_spans_page),
+    ];
+    for (method, path, handler) in pages {
         let inner = inner.clone();
-        router.get("/ui/search", move |req: &Request, _: &Params| {
-            handle_search_page(&inner, req)
+        router.route(method, path, move |req, _| {
+            let validate = |token: &str| inner.sessions.validate(token);
+            with_session(req, validate, |username| handler(&inner, req, username))
         });
     }
-    {
-        let inner = inner.clone();
-        router.post("/ui/search", move |req: &Request, _: &Params| {
-            handle_search_post(&inner, req)
-        });
-    }
-    {
-        let inner = inner.clone();
-        router.get("/ui/fleet", move |req: &Request, _: &Params| {
-            handle_fleet_page(&inner, req)
-        });
-    }
-    {
-        let inner = inner.clone();
-        router.get("/ui/spans", move |req: &Request, _: &Params| {
-            handle_spans_page(&inner, req)
-        });
-    }
-    // Quiet the unused-field lint for Value: web handlers only need a
-    // subset of what the API handlers use.
-    let _ = Value::Null;
 }
 
 #[cfg(test)]
@@ -399,7 +331,7 @@ mod tests {
     use super::*;
     use crate::service::{BrokerConfig, BrokerService};
     use sensorsafe_json::json;
-    use sensorsafe_net::{Method, Service};
+    use sensorsafe_net::Service;
     use sensorsafe_types::ContributorId;
 
     fn logged_in_broker() -> (BrokerService, String, String) {

@@ -18,11 +18,14 @@
 //! | `GET /ui/*`, `POST /ui/*` | browser | web user interface (see [`crate::web`]) |
 
 use crate::pipeline::{shared_view, write_shared_view_json};
-use crate::state::{ConsumerAccount, ContributorAccount, DataStoreState};
+use crate::state::{ConsumerAccount, ContributorAccount, ContributorWriteGuard, DataStoreState};
 use parking_lot::Mutex;
 use sensorsafe_auth::{ApiKey, KeyRing, PasswordStore, Principal, Role, SessionManager};
 use sensorsafe_json::{json, Value};
-use sensorsafe_net::{Request, Response, Router, Service, Status, Transport};
+use sensorsafe_net::{
+    str_field, u64_field, Edge, Reply, Request, RequestFamilies, Response, Router, Service, Status,
+    Transport,
+};
 use sensorsafe_obsv::{audit, trace, AuditLedger, MemoryLedger, Registry, TraceRecorder};
 use sensorsafe_policy::{DependencyGraph, PrivacyRule};
 use sensorsafe_store::{repl, MergePolicy, Query, ReplConfig};
@@ -105,7 +108,7 @@ pub(crate) struct Inner {
     pub(crate) repl_synced: Mutex<BTreeSet<ContributorId>>,
     pub(crate) passwords: PasswordStore,
     pub(crate) sessions: SessionManager,
-    pub(crate) registry: Registry,
+    pub(crate) registry: Arc<Registry>,
     pub(crate) traces: Arc<TraceRecorder>,
     pub(crate) ledger: Arc<dyn AuditLedger>,
     /// True when the configured file ledger failed verification and
@@ -123,53 +126,42 @@ pub(crate) struct Inner {
 #[derive(Clone)]
 pub struct DataStoreService {
     inner: Arc<Inner>,
-    router: Arc<Router>,
-}
-
-fn bad_request(msg: &str) -> Response {
-    Response::error(Status::BadRequest, msg)
-}
-
-fn unauthorized() -> Response {
-    Response::error(Status::Unauthorized, "invalid API key")
+    edge: Arc<Edge>,
 }
 
 impl Inner {
-    /// Authenticates the `key` field of a request body.
-    pub(crate) fn authenticate(&self, body: &Value) -> Option<Principal> {
-        let key = body.get("key").and_then(Value::as_str)?;
-        self.keys.authenticate(key)
+    /// Authenticates the `key` field of a request body (§5.4): the caller
+    /// behind it, or the 401; with `required`, the 403 it carries unless
+    /// the caller holds that role. Every API route passes through here
+    /// before its handler runs (the route table in
+    /// [`DataStoreService::new`] names each route's requirement).
+    fn authenticate(
+        &self,
+        body: &Value,
+        required: Option<(Role, &str)>,
+    ) -> Result<Principal, Response> {
+        let principal = body
+            .get("key")
+            .and_then(Value::as_str)
+            .and_then(|key| self.keys.authenticate(key))
+            .ok_or_else(Response::unauthorized)?;
+        match required {
+            Some((role, denied)) if principal.role != role => {
+                Err(Response::error(Status::Forbidden, denied))
+            }
+            _ => Ok(principal),
+        }
     }
 
-    fn handle_register(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(
-                Status::Forbidden,
-                "registration requires the admin or broker key",
-            );
-        }
-        let Some(name) = body.get("name").and_then(Value::as_str) else {
-            return bad_request("missing 'name'");
-        };
+    fn handle_register(&self, _: Principal, body: &Value) -> Reply {
+        let name = str_field(body, "name")?;
         if name.is_empty() {
-            return bad_request("empty 'name'");
+            return Err(Response::bad_request("empty 'name'"));
         }
-        let Some(role) = body
-            .get("role")
-            .and_then(Value::as_str)
-            .and_then(Role::parse)
-        else {
-            return bad_request("missing or invalid 'role'");
-        };
+        let role = role_field(body)?;
         let created = match role {
             Role::Contributor => {
-                let mut account = match self.open_contributor_account(name) {
-                    Ok(account) => account,
-                    Err(resp) => return resp,
-                };
+                let mut account = self.open_contributor_account(name)?;
                 // A replicated primary ships every account from birth.
                 if self.replica.lock().is_some() {
                     account.store.enable_replication(ReplConfig::default());
@@ -183,31 +175,11 @@ impl Inner {
                 }
                 created
             }
-            Role::Consumer => {
-                let groups = body
-                    .get("groups")
-                    .and_then(Value::as_string_list)
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(GroupId::new)
-                    .collect();
-                let studies = body
-                    .get("studies")
-                    .and_then(Value::as_string_list)
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(StudyId::new)
-                    .collect();
-                self.state.add_consumer(ConsumerAccount {
-                    id: ConsumerId::new(name),
-                    groups,
-                    studies,
-                })
-            }
+            Role::Consumer => self.state.add_consumer(consumer_account(name, body)),
             Role::Server => false,
         };
         if !created {
-            return Response::error(Status::Conflict, "account already exists");
+            return Err(Response::error(Status::Conflict, "account already exists"));
         }
         let key = self.keys.register(Principal {
             name: name.to_string(),
@@ -224,7 +196,10 @@ impl Inner {
             body.get("groups").unwrap_or(&empty),
             body.get("studies").unwrap_or(&empty),
         );
-        Response::json_with_status(Status::Created, &json!({ "api_key": (key.to_hex()) }))
+        Ok(Response::json_with_status(
+            Status::Created,
+            &json!({ "api_key": (key.to_hex()) }),
+        ))
     }
 
     /// Opens (or creates) the hosted account for `name`: in memory
@@ -272,61 +247,31 @@ impl Inner {
     /// Frames carrying an epoch older than the account's assignment
     /// epoch are rejected — a deposed primary cannot overwrite a promoted
     /// replica.
-    fn handle_repl_segment(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "replication requires a server key");
-        }
-        let Some(hex) = body.get("batch").and_then(Value::as_str) else {
-            return bad_request("missing 'batch'");
-        };
-        let bytes = match repl::from_hex(hex) {
-            Ok(b) => b,
-            Err(e) => return bad_request(&format!("bad batch hex: {e}")),
-        };
-        let frame = match repl::decode_batch(&bytes) {
-            Ok(f) => f,
-            Err(e) => return bad_request(&format!("bad replication frame: {e}")),
-        };
-        if let Err(resp) = self.ensure_contributor_account(&frame.contributor) {
-            return resp;
-        }
+    fn handle_repl_segment(&self, _: Principal, body: &Value) -> Reply {
+        let bytes = repl::from_hex(str_field(body, "batch")?)
+            .map_err(|e| Response::bad_request(&format!("bad batch hex: {e}")))?;
+        let frame = repl::decode_batch(&bytes)
+            .map_err(|e| Response::bad_request(&format!("bad replication frame: {e}")))?;
+        self.ensure_contributor_account(&frame.contributor)?;
         let id = ContributorId::new(frame.contributor.as_str());
         let seq = frame.seq;
         let (applied, ticket) = {
-            let Some(mut account) = self.state.write_contributor(&id) else {
-                return Response::error(Status::InternalError, "replica account vanished");
-            };
+            let mut account = self.state.write_contributor(&id).ok_or_else(vanished)?;
             if frame.epoch < account.store.assignment_epoch() {
-                let epoch = account.store.assignment_epoch();
-                return Response::json_with_status(
-                    Status::Conflict,
-                    &json!({ "error": "stale_epoch", "epoch": epoch }),
-                );
+                return Err(epoch_conflict(
+                    "stale_epoch",
+                    account.store.assignment_epoch(),
+                ));
             }
             match account.store.apply_repl_batch(seq, frame.records) {
                 Ok(false) => (false, None),
                 Ok(true) => (true, account.store.commit_ticket()),
-                Err(e) => {
-                    return Response::error(
-                        Status::InternalError,
-                        &format!("replica apply failed: {e}"),
-                    )
-                }
+                Err(e) => return Err(internal("replica apply failed", e)),
             }
         };
         // Same durability contract as /api/upload: the ack promises the
         // batch survives a replica crash, so the fsync must land first.
-        if let Some(ticket) = ticket {
-            if let Err(e) = ticket.wait() {
-                return Response::error(
-                    Status::InternalError,
-                    &format!("durable commit failed: {e}"),
-                );
-            }
-        }
+        wait_durable(ticket, "durable commit failed")?;
         if applied {
             sensorsafe_obsv::global()
                 .counter(
@@ -336,7 +281,7 @@ impl Inner {
                 )
                 .inc();
         }
-        Response::json(&json!({ "applied": applied, "seq": seq }))
+        Ok(Response::json(&json!({ "applied": applied, "seq": seq })))
     }
 
     /// `POST /repl/status` — the shipping primary's handshake. Reports
@@ -344,28 +289,16 @@ impl Inner {
     /// restarted primary (whose in-memory shipping sequence restarted
     /// from scratch) can detect divergence and trigger a full resync
     /// instead of shipping batches the replica will silently skip.
-    fn handle_repl_status(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "replication requires a server key");
-        }
-        let Some(contributor) = body.get("contributor").and_then(Value::as_str) else {
-            return bad_request("missing 'contributor'");
-        };
-        if let Err(resp) = self.ensure_contributor_account(contributor) {
-            return resp;
-        }
+    fn handle_repl_status(&self, _: Principal, body: &Value) -> Reply {
+        let contributor = str_field(body, "contributor")?;
+        self.ensure_contributor_account(contributor)?;
         let id = ContributorId::new(contributor);
-        let Some(account) = self.state.read_contributor(&id) else {
-            return Response::error(Status::InternalError, "replica account vanished");
-        };
-        Response::json(&json!({
+        let account = self.state.read_contributor(&id).ok_or_else(vanished)?;
+        Ok(Response::json(&json!({
             "applied": (account.store.repl_applied()),
             "epoch": (account.store.assignment_epoch()),
             "fenced": (account.store.fenced()),
-        }))
+        })))
     }
 
     /// `POST /repl/reset` — wipes this replica's copy of one
@@ -374,98 +307,40 @@ impl Inner {
     /// wipe is durable (a reset marker is journaled) and epoch-guarded: a
     /// deposed primary carrying a stale epoch cannot wipe a promoted
     /// replica, and the assignment epoch/fence survive the reset.
-    fn handle_repl_reset(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "replication requires a server key");
-        }
-        let Some(contributor) = body.get("contributor").and_then(Value::as_str) else {
-            return bad_request("missing 'contributor'");
-        };
-        let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
-            return bad_request("missing 'epoch'");
-        };
-        if let Err(resp) = self.ensure_contributor_account(contributor) {
-            return resp;
-        }
+    fn handle_repl_reset(&self, _: Principal, body: &Value) -> Reply {
+        let contributor = str_field(body, "contributor")?;
+        let epoch = u64_field(body, "epoch")?;
+        self.ensure_contributor_account(contributor)?;
         let id = ContributorId::new(contributor);
-        let outcome = self.state.with_contributor_mut(&id, |account| {
-            let current = account.store.assignment_epoch();
-            if epoch < current {
-                return Err(current);
-            }
-            Ok(account.store.repl_reset())
-        });
-        match outcome {
-            Some(Ok(Ok(()))) => Response::json(&json!({ "ok": true })),
-            Some(Ok(Err(e))) => {
-                Response::error(Status::InternalError, &format!("replica reset failed: {e}"))
-            }
-            Some(Err(current)) => Response::json_with_status(
-                Status::Conflict,
-                &json!({ "error": "stale_epoch", "epoch": current }),
-            ),
-            None => Response::error(Status::InternalError, "replica account vanished"),
+        let mut account = self.state.write_contributor(&id).ok_or_else(vanished)?;
+        let current = account.store.assignment_epoch();
+        if epoch < current {
+            return Err(epoch_conflict("stale_epoch", current));
         }
+        account
+            .store
+            .repl_reset()
+            .map_err(|e| internal("replica reset failed", e))?;
+        Ok(Response::json(&json!({ "ok": true })))
     }
 
     /// `POST /repl/register` — a primary mirrors a freshly minted
     /// account. The replica adopts the *same* API key, so clients keep
     /// authenticating after failover without re-registering.
-    fn handle_repl_register(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "replication requires a server key");
-        }
-        let Some(name) = body.get("name").and_then(Value::as_str) else {
-            return bad_request("missing 'name'");
-        };
-        let Some(role) = body
-            .get("role")
-            .and_then(Value::as_str)
-            .and_then(Role::parse)
-        else {
-            return bad_request("missing or invalid 'role'");
-        };
-        let Some(key) = body
+    fn handle_repl_register(&self, _: Principal, body: &Value) -> Reply {
+        let name = str_field(body, "name")?;
+        let role = role_field(body)?;
+        let key = body
             .get("mirrored_key")
             .and_then(Value::as_str)
             .and_then(ApiKey::parse)
-        else {
-            return bad_request("missing or invalid 'mirrored_key'");
-        };
+            .ok_or_else(|| Response::bad_request("missing or invalid 'mirrored_key'"))?;
         match role {
-            Role::Contributor => {
-                if let Err(resp) = self.ensure_contributor_account(name) {
-                    return resp;
-                }
-            }
+            Role::Contributor => self.ensure_contributor_account(name)?,
             Role::Consumer => {
-                let groups = body
-                    .get("groups")
-                    .and_then(Value::as_string_list)
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(GroupId::new)
-                    .collect();
-                let studies = body
-                    .get("studies")
-                    .and_then(Value::as_string_list)
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(StudyId::new)
-                    .collect();
-                self.state.add_consumer(ConsumerAccount {
-                    id: ConsumerId::new(name),
-                    groups,
-                    studies,
-                });
+                self.state.add_consumer(consumer_account(name, body));
             }
-            Role::Server => return bad_request("server keys are never mirrored"),
+            Role::Server => return Err(Response::bad_request("server keys are never mirrored")),
         }
         self.keys.register_key(
             &key,
@@ -474,35 +349,17 @@ impl Inner {
                 role,
             },
         );
-        Response::json(&json!({ "ok": true }))
+        Ok(Response::json(&json!({ "ok": true })))
     }
 
     /// `POST /repl/rules` — a primary mirrors a rule change so a promoted
     /// replica enforces the same privacy rules. Epoch-guarded: a stale
     /// mirror never regresses the replica's copy.
-    fn handle_repl_rules(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "replication requires a server key");
-        }
-        let Some(contributor) = body.get("contributor").and_then(Value::as_str) else {
-            return bad_request("missing 'contributor'");
-        };
-        let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
-            return bad_request("missing 'epoch'");
-        };
-        let Some(rules_json) = body.get("rules") else {
-            return bad_request("missing 'rules'");
-        };
-        let rules = match PrivacyRule::parse_rules(&rules_json.to_string()) {
-            Ok(r) => r,
-            Err(e) => return bad_request(&e.to_string()),
-        };
-        if let Err(resp) = self.ensure_contributor_account(contributor) {
-            return resp;
-        }
+    fn handle_repl_rules(&self, _: Principal, body: &Value) -> Reply {
+        let contributor = str_field(body, "contributor")?;
+        let epoch = u64_field(body, "epoch")?;
+        let rules = rules_field(body)?;
+        self.ensure_contributor_account(contributor)?;
         let id = ContributorId::new(contributor);
         let current = self
             .state
@@ -519,7 +376,7 @@ impl Inner {
             self.awareness
                 .note_rule_set(contributor, epoch, rules.len());
         }
-        Response::json(&json!({ "epoch": current }))
+        Ok(Response::json(&json!({ "epoch": current })))
     }
 
     /// Shared body of `/repl/fence` and `/repl/promote`: both CAS the
@@ -529,130 +386,76 @@ impl Inner {
     /// on the journal and the 200 waits for the commit — the broker
     /// stops retrying a fence once acknowledged, so the ack must mean
     /// the fence survives a restart.
-    fn repl_set_epoch(&self, body: &Value, fenced: bool) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Server {
-            return Response::error(Status::Forbidden, "fencing requires a server key");
-        }
-        let Some(contributor) = body.get("contributor").and_then(Value::as_str) else {
-            return bad_request("missing 'contributor'");
-        };
-        let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
-            return bad_request("missing 'epoch'");
-        };
-        if let Err(resp) = self.ensure_contributor_account(contributor) {
-            return resp;
-        }
+    fn repl_set_epoch(&self, body: &Value, fenced: bool) -> Reply {
+        let contributor = str_field(body, "contributor")?;
+        let epoch = u64_field(body, "epoch")?;
+        self.ensure_contributor_account(contributor)?;
         let id = ContributorId::new(contributor);
-        let outcome = self.state.with_contributor_mut(&id, |account| {
+        let ticket = {
+            let mut account = self.state.write_contributor(&id).ok_or_else(vanished)?;
             let current = account.store.assignment_epoch();
             if epoch < current {
-                return Err(current);
+                return Err(epoch_conflict("stale_epoch", current));
             }
-            Ok(account
+            account
                 .store
                 .note_assignment(epoch, fenced)
-                .map(|()| account.store.commit_ticket()))
-        });
-        match outcome {
-            Some(Ok(Ok(ticket))) => {
-                if let Some(ticket) = ticket {
-                    if let Err(e) = ticket.wait() {
-                        return Response::error(
-                            Status::InternalError,
-                            &format!("fence persist failed: {e}"),
-                        );
-                    }
-                }
-                Response::json(&json!({ "ok": true, "epoch": epoch }))
-            }
-            Some(Ok(Err(e))) => {
-                Response::error(Status::InternalError, &format!("fence persist failed: {e}"))
-            }
-            Some(Err(current)) => Response::json_with_status(
-                Status::Conflict,
-                &json!({ "error": "stale_epoch", "epoch": current }),
-            ),
-            None => Response::error(Status::InternalError, "replica account vanished"),
-        }
+                .map_err(|e| internal("fence persist failed", e))?;
+            account.store.commit_ticket()
+        };
+        wait_durable(ticket, "fence persist failed")?;
+        Ok(Response::json(&json!({ "ok": true, "epoch": epoch })))
     }
 
     /// `POST /repl/fence` — the broker fences a deposed primary: the
     /// account stops accepting contributor writes and the shipper stops
     /// pushing its batches.
-    fn handle_repl_fence(&self, body: &Value) -> Response {
+    fn handle_repl_fence(&self, _: Principal, body: &Value) -> Reply {
         self.repl_set_epoch(body, true)
     }
 
     /// `POST /repl/promote` — the broker promotes this store to primary
     /// for the contributor at the given epoch; writes are (re-)enabled.
-    fn handle_repl_promote(&self, body: &Value) -> Response {
+    fn handle_repl_promote(&self, _: Principal, body: &Value) -> Reply {
         self.repl_set_epoch(body, false)
     }
 
-    fn handle_upload(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Contributor {
-            return Response::error(Status::Forbidden, "only contributors upload data");
-        }
+    fn handle_upload(&self, principal: Principal, body: &Value) -> Reply {
         let id = ContributorId::new(principal.name);
-        let mut segments = Vec::new();
-        if let Some(items) = body.get("segments").and_then(Value::as_array) {
-            for item in items {
-                match WaveSegment::from_json(item) {
-                    Ok(seg) => segments.push(seg),
-                    Err(e) => return bad_request(&format!("bad segment: {e}")),
-                }
-            }
-        }
-        let mut annotations = Vec::new();
-        if let Some(items) = body.get("annotations").and_then(Value::as_array) {
-            for item in items {
-                match annotation_from_json(item) {
-                    Ok(ann) => annotations.push(ann),
-                    Err(e) => return bad_request(&format!("bad annotation: {e}")),
-                }
-            }
-        }
+        let items = |field| {
+            body.get(field)
+                .and_then(Value::as_array)
+                .into_iter()
+                .flatten()
+        };
+        let segments = items("segments")
+            .map(WaveSegment::from_json)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| Response::bad_request(&format!("bad segment: {e}")))?;
+        let annotations = items("annotations")
+            .map(annotation_from_json)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| Response::bad_request(&format!("bad annotation: {e}")))?;
         // Optional idempotency token: a client that retries an upload
         // whose response was lost sends the same token again, and the
         // duplicate is answered from the store's token ledger instead of
         // being stored twice.
-        let token = match body.get("upload_token") {
-            None => None,
-            Some(v) => {
-                let Some(hex) = v.as_str() else {
-                    return bad_request("bad 'upload_token': expected hex string");
-                };
-                match repl::from_hex(hex) {
-                    Ok(t) if !t.is_empty() => Some(t),
-                    _ => return bad_request("bad 'upload_token': expected hex string"),
-                }
-            }
-        };
+        let token = body
+            .get("upload_token")
+            .map(|v| {
+                v.as_str()
+                    .and_then(|hex| repl::from_hex(hex).ok())
+                    .filter(|token| !token.is_empty())
+                    .ok_or_else(|| Response::bad_request("bad 'upload_token': expected hex string"))
+            })
+            .transpose()?;
         // Stage-then-wait: the account write lock covers only the
         // in-memory mutation and journal *staging*; the fsync wait happens
         // after the lock is released, so concurrent uploads (to this or
         // other accounts) group-commit instead of serializing on disk
         // latency (DESIGN.md §8).
         let (stored, annotated, ticket) = {
-            let Some(mut account) = self.state.write_contributor(&id) else {
-                return Response::error(Status::NotFound, "no such contributor account");
-            };
-            // Epoch fence: after a failover this store is no longer the
-            // contributor's primary. Rejecting with the new epoch lets the
-            // client re-resolve the assignment at the broker and retry.
-            if account.store.fenced() {
-                let epoch = account.store.assignment_epoch();
-                return Response::json_with_status(
-                    Status::Conflict,
-                    &json!({ "error": "fenced", "epoch": epoch }),
-                );
-            }
+            let mut account = self.write_unfenced(&id)?;
             if let Some(token) = token.as_deref() {
                 if let Some((stored, annotated)) = account.store.check_upload_token(token) {
                     sensorsafe_obsv::global()
@@ -662,11 +465,11 @@ impl Inner {
                             &[],
                         )
                         .inc();
-                    return Response::json(&json!({
+                    return Ok(Response::json(&json!({
                         "stored_segments": (stored as usize),
                         "stored_annotations": (annotated as usize),
                         "duplicate": true,
-                    }));
+                    })));
                 }
             }
             let mut stored = 0usize;
@@ -682,28 +485,18 @@ impl Inner {
                 }
             }
             if let Some(token) = token {
-                if let Err(e) =
-                    account
-                        .store
-                        .note_upload_token(token, stored as u32, annotated as u32)
-                {
-                    return Response::error(
-                        Status::InternalError,
-                        &format!("durable commit failed: {e}"),
-                    );
-                }
+                account
+                    .store
+                    .note_upload_token(token, stored as u32, annotated as u32)
+                    .map_err(|e| internal("durable commit failed", e))?;
             }
             (stored, annotated, account.store.commit_ticket())
         };
         // Durable mode: make the batch crash-safe before acking. The ack
         // is a durability promise, so a failed commit must be a 500.
-        if let Some(ticket) = ticket {
-            if let Err(e) = ticket.wait() {
-                return Response::error(
-                    Status::InternalError,
-                    &format!("durable commit failed: {e}"),
-                );
-            }
+        let durable = ticket.is_some();
+        wait_durable(ticket, "durable commit failed")?;
+        if durable {
             // Process-wide (like the journal fsync counter it pairs with):
             // fsyncs_total / durable_uploads_total is the group-commit
             // coalescing ratio (perf row `store.journal_fsyncs_per_upload`).
@@ -715,37 +508,29 @@ impl Inner {
                 )
                 .inc();
         }
-        Response::json(&json!({
+        Ok(Response::json(&json!({
             "stored_segments": stored,
             "stored_annotations": annotated,
-        }))
+        })))
     }
 
-    fn handle_query(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
+    fn handle_query(&self, principal: Principal, body: &Value) -> Reply {
         trace::phase("auth");
-        let Some(contributor) = body.get("contributor").and_then(Value::as_str) else {
-            return bad_request("missing 'contributor'");
-        };
-        let contributor = ContributorId::new(contributor);
+        let contributor = ContributorId::new(str_field(body, "contributor")?);
         let query = match body.get("query") {
             None => Query::all(),
-            Some(q) => match Query::from_json(q) {
-                Ok(q) => q,
-                Err(e) => return bad_request(&format!("bad query: {e}")),
-            },
+            Some(q) => Query::from_json(q)
+                .map_err(|e| Response::bad_request(&format!("bad query: {e}")))?,
         };
+        let no_such_contributor = || Response::error(Status::NotFound, "no such contributor");
         // Owners see their own data raw ("view their own data using the
         // web-based interface"); everyone else goes through enforcement.
         let owner = principal.role == Role::Contributor && principal.name == contributor.as_str();
         if owner {
-            let Some(account) = self.state.read_contributor(&contributor) else {
-                return Response::error(Status::NotFound, "no such contributor");
-            };
-            let segments = account.store.query(&query);
-            drop(account);
+            let segments = self
+                .state
+                .with_contributor(&contributor, |account| account.store.query(&query))
+                .ok_or_else(no_such_contributor)?;
             trace::phase("store_query");
             let mut body = b"{\"segments\":".to_vec();
             sensorsafe_json::write_array(&mut body, &segments, |body, segment| {
@@ -753,23 +538,15 @@ impl Inner {
             });
             body.push(b'}');
             trace::phase("serialize");
-            return Response::json_bytes(body);
+            return Ok(Response::json_bytes(body));
         }
         if principal.role != Role::Consumer {
-            return Response::error(Status::Forbidden, "consumers only");
+            return Err(Response::error(Status::Forbidden, "consumers only"));
         }
-        let Some(consumer) = self
+        let consumer = self
             .state
             .consumer(&ConsumerId::new(principal.name.clone()))
-        else {
-            return Response::error(Status::Forbidden, "consumer not registered here");
-        };
-        // Tag this thread with the consumer so `policy::enforce` deep in the
-        // pipeline attributes its per-decision audit counters correctly,
-        // and with the ledger + contributor so every enforcement decision
-        // lands in the tamper-evident audit trail.
-        let _audit = audit::consumer_scope(principal.name.clone());
-        let ledger = audit::ledger_scope(self.ledger.clone(), contributor.as_str().to_string());
+            .ok_or_else(|| Response::error(Status::Forbidden, "consumer not registered here"))?;
         sensorsafe_obsv::global()
             .counter(
                 "sensorsafe_audit_requests_total",
@@ -781,17 +558,24 @@ impl Inner {
             )
             .inc();
         let ctx = consumer.to_ctx();
-        let Some(account) = self.state.read_contributor(&contributor) else {
-            return Response::error(Status::NotFound, "no such contributor");
-        };
-        // The awareness scope needs the rule epoch that is live for this
-        // request (read under the same account guard enforcement uses),
-        // so rule hits attribute to the exact rule set that produced them.
-        let _aware = sensorsafe_obsv::awareness::awareness_scope(
-            self.awareness.clone(),
-            contributor.as_str().to_string(),
-            account.rule_epoch,
-        );
+        let account = self
+            .state
+            .read_contributor(&contributor)
+            .ok_or_else(no_such_contributor)?;
+        // Everything `policy::enforce`, deep in the pipeline, needs to
+        // attribute a decision: the consumer (per-decision audit counters),
+        // the contributor and the rule epoch live for this request (read
+        // under the same account guard enforcement uses, so rule hits
+        // attribute to the exact rule set that produced them), and both
+        // sinks — the tamper-evident ledger and the awareness plane.
+        let decisions = audit::DecisionScope {
+            consumer: principal.name,
+            contributor: contributor.as_str().to_string(),
+            rule_epoch: account.rule_epoch,
+            ledger: self.ledger.clone(),
+            awareness: self.awareness.clone(),
+        }
+        .install();
         let view = shared_view(&account, &ctx, &query, &self.graph);
         // The view shares the store's blobs by reference count, so the
         // account guard is not needed while its text is written.
@@ -799,7 +583,7 @@ impl Inner {
         // Every decision of this request is appended: the ledger's sync
         // thread makes them durable while the reply is rendered (stage
         // under the lock, wait after release — DESIGN.md §8).
-        ledger.begin_sync();
+        decisions.begin_sync();
         let mut body = Vec::new();
         write_shared_view_json(&view, &mut body);
         // Stamped once the body bytes exist: rendering the numbers is the
@@ -808,50 +592,59 @@ impl Inner {
         // The reply is not released before both of the round's syncs have
         // returned (or the ledger has failed, which `/healthz` reports):
         // this is the wait left over after rendering.
-        drop(ledger);
+        drop(decisions);
         trace::phase("audit_sync");
-        Response::json_bytes(body)
+        Ok(Response::json_bytes(body))
     }
 
-    fn handle_rules_set(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Contributor {
-            return Response::error(Status::Forbidden, "only contributors edit their rules");
-        }
-        let Some(rules_json) = body.get("rules") else {
-            return bad_request("missing 'rules'");
-        };
-        let rules = match PrivacyRule::parse_rules(&rules_json.to_string()) {
-            Ok(r) => r,
-            Err(e) => return bad_request(&e.to_string()),
-        };
-        let id = ContributorId::new(principal.name.clone());
-        let epoch = {
-            let Some(mut account) = self.state.write_contributor(&id) else {
-                return Response::error(Status::NotFound, "no such contributor account");
-            };
-            if account.store.fenced() {
-                let epoch = account.store.assignment_epoch();
-                return Response::json_with_status(
-                    Status::Conflict,
-                    &json!({ "error": "fenced", "epoch": epoch }),
-                );
-            }
-            account.set_rules(rules.clone())
+    fn handle_rules_set(&self, principal: Principal, body: &Value) -> Reply {
+        let rules = rules_field(body)?;
+        let id = ContributorId::new(principal.name);
+        let (epoch, synced) = self.replace_rules(&id, |_| rules)?;
+        Ok(Response::json(
+            &json!({ "epoch": epoch, "broker_synced": synced }),
+        ))
+    }
+
+    /// Replaces a contributor's rule set with `edit(current rules)` and
+    /// tells everyone who keeps a copy: the awareness plane (dead-rule
+    /// findings are per epoch), the broker's mirror and the replica. The
+    /// API and the web form both change rules through here. Returns the
+    /// new epoch and whether the broker acknowledged.
+    pub(crate) fn replace_rules(
+        &self,
+        id: &ContributorId,
+        edit: impl FnOnce(&[PrivacyRule]) -> Vec<PrivacyRule>,
+    ) -> Result<(u64, bool), Response> {
+        let (epoch, rules) = {
+            let mut account = self.write_unfenced(id)?;
+            let rules = edit(&account.rules);
+            (account.set_rules(rules.clone()), rules)
         };
         self.awareness
             .note_rule_set(id.as_str(), epoch, rules.len());
-        let synced = self.push_rules_to_broker(&id, epoch, &rules);
+        let synced = self.push_rules_to_broker(id, epoch, &rules);
         self.mirror_rules_to_replica(id.as_str(), epoch, &PrivacyRule::rules_to_json(&rules));
-        Response::json(&json!({ "epoch": epoch, "broker_synced": synced }))
+        Ok((epoch, synced))
+    }
+
+    /// Exclusive access to a hosted account that still takes its
+    /// contributor's writes, or the 404 / the fence's 409. After a
+    /// failover this store is no longer the contributor's primary:
+    /// rejecting with the new epoch lets the client re-resolve the
+    /// assignment at the broker and retry.
+    fn write_unfenced(&self, id: &ContributorId) -> Result<ContributorWriteGuard, Response> {
+        let account = self.state.write_contributor(id).ok_or_else(no_account)?;
+        if account.store.fenced() {
+            return Err(epoch_conflict("fenced", account.store.assignment_epoch()));
+        }
+        Ok(account)
     }
 
     /// Pushes one contributor's rules to the broker. Returns whether the
     /// broker acknowledged ("remote data stores automatically communicate
     /// with the broker to synchronize the privacy rules", §5.2).
-    pub(crate) fn push_rules_to_broker(
+    fn push_rules_to_broker(
         &self,
         contributor: &ContributorId,
         epoch: u64,
@@ -874,57 +667,41 @@ impl Inner {
             .unwrap_or(false)
     }
 
-    fn handle_rules_get(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Contributor {
-            return Response::error(Status::Forbidden, "only contributors read their rules");
-        }
+    fn handle_rules_get(&self, principal: Principal, _: &Value) -> Reply {
         let id = ContributorId::new(principal.name);
-        let Some(account) = self.state.read_contributor(&id) else {
-            return Response::error(Status::NotFound, "no such contributor account");
-        };
-        Response::json(&json!({
+        let account = self.state.read_contributor(&id).ok_or_else(no_account)?;
+        Ok(Response::json(&json!({
             "rules": (PrivacyRule::rules_to_json(&account.rules)),
             "epoch": (account.rule_epoch),
-        }))
+        })))
     }
 
-    fn handle_places_set(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
-        if principal.role != Role::Contributor {
-            return Response::error(Status::Forbidden, "only contributors edit their places");
-        }
-        let Some(items) = body.get("places").and_then(Value::as_array) else {
-            return bad_request("missing 'places'");
-        };
+    fn handle_places_set(&self, principal: Principal, body: &Value) -> Reply {
+        let items = body
+            .get("places")
+            .and_then(Value::as_array)
+            .ok_or_else(|| Response::bad_request("missing 'places'"))?;
         let mut places = Vec::with_capacity(items.len());
         for item in items {
             let Some(label) = item.get("label").and_then(Value::as_str) else {
-                return bad_request("place missing 'label'");
+                return Err(Response::bad_request("place missing 'label'"));
             };
             let get = |k: &str| item.path(&format!("region.{k}")).and_then(Value::as_f64);
             let (Some(south), Some(north), Some(west), Some(east)) =
                 (get("south"), get("north"), get("west"), get("east"))
             else {
-                return bad_request("place missing region bounds");
+                return Err(Response::bad_request("place missing region bounds"));
             };
             if south > north {
-                return bad_request("place region south above north");
+                return Err(Response::bad_request("place region south above north"));
             }
             places.push((label.to_string(), Region::new(south, north, west, east)));
         }
         let id = ContributorId::new(principal.name);
-        match self.state.write_contributor(&id) {
-            Some(mut account) => {
-                account.places = places;
-                Response::json(&json!({ "ok": true }))
-            }
-            None => Response::error(Status::NotFound, "no such contributor account"),
-        }
+        self.state
+            .with_contributor_mut(&id, |account| account.places = places)
+            .ok_or_else(no_account)?;
+        Ok(Response::json(&json!({ "ok": true })))
     }
 
     /// `POST /api/audit` — the contributor-facing audit query (§3's
@@ -932,10 +709,7 @@ impl Inner {
     /// what). The key travels in the body per §5.4. Contributors see
     /// their own enforcement history; the admin key may pass an explicit
     /// `contributor` filter (or none, for the whole ledger).
-    fn handle_audit(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
+    fn handle_audit(&self, principal: Principal, body: &Value) -> Reply {
         let contributor_filter = match principal.role {
             Role::Contributor => Some(principal.name.clone()),
             Role::Server => body
@@ -943,10 +717,10 @@ impl Inner {
                 .and_then(Value::as_str)
                 .map(str::to_string),
             Role::Consumer => {
-                return Response::error(
+                return Err(Response::error(
                     Status::Forbidden,
                     "the audit ledger is owner- and operator-facing",
-                )
+                ))
             }
         };
         // Filtering is pushed down into the ledger backend: one backward
@@ -985,11 +759,11 @@ impl Inner {
                 })
             })
             .collect();
-        Response::json(&json!({
+        Ok(Response::json(&json!({
             "decisions": (Value::Array(decisions)),
             "matched": (page.matched),
             "ledger_len": (self.ledger.len()),
-        }))
+        })))
     }
 
     /// `POST /api/privacy/summary` — the sharing-awareness plane's JSON
@@ -997,29 +771,23 @@ impl Inner {
     /// key travels in the body per §5.4. Contributors see their own
     /// summary; the admin key passes an explicit `contributor`; consumers
     /// are refused — this surface is about them, not for them.
-    fn handle_privacy_summary(&self, body: &Value) -> Response {
-        let Some(principal) = self.authenticate(body) else {
-            return unauthorized();
-        };
+    fn handle_privacy_summary(&self, principal: Principal, body: &Value) -> Reply {
         let contributor = match principal.role {
-            Role::Contributor => principal.name.clone(),
-            Role::Server => match body.get("contributor").and_then(Value::as_str) {
-                Some(c) => c.to_string(),
-                None => return bad_request("missing 'contributor'"),
-            },
+            Role::Contributor => principal.name,
+            Role::Server => str_field(body, "contributor")?.to_string(),
             Role::Consumer => {
-                return Response::error(
+                return Err(Response::error(
                     Status::Forbidden,
                     "the privacy summary is owner- and operator-facing",
-                )
+                ))
             }
         };
         let summary = self.awareness.contributor_summary(&contributor);
-        Response::json(&privacy_summary_json(
+        Ok(Response::json(&privacy_summary_json(
             &contributor,
             &summary,
             self.ledger.len(),
-        ))
+        )))
     }
 
     fn handle_health(&self) -> Response {
@@ -1080,14 +848,6 @@ impl Inner {
             },
         }))
     }
-
-    /// Instance metrics first, then the process-wide registry (net/store/
-    /// policy counters), in one scrape body.
-    fn handle_metrics(&self) -> Response {
-        let mut body = self.registry.encode();
-        body.push_str(&sensorsafe_obsv::global().encode());
-        Response::text(body)
-    }
 }
 
 /// How many `*.wal` files `dir` holds (0 when it cannot be listed).
@@ -1099,6 +859,67 @@ fn count_wal_files(dir: &std::path::Path) -> usize {
         .flatten()
         .filter(|entry| entry.path().extension().is_some_and(|ext| ext == "wal"))
         .count()
+}
+
+/// The 409 of a store that is not (or no longer) the contributor's
+/// primary at the caller's epoch: `error` says why, `epoch` is the
+/// assignment epoch to re-resolve against.
+fn epoch_conflict(error: &str, epoch: u64) -> Response {
+    Response::json_with_status(Status::Conflict, &json!({ "error": error, "epoch": epoch }))
+}
+
+fn no_account() -> Response {
+    Response::error(Status::NotFound, "no such contributor account")
+}
+
+fn internal(what: &str, e: impl std::fmt::Display) -> Response {
+    Response::error(Status::InternalError, &format!("{what}: {e}"))
+}
+
+/// A replica-side account that [`Inner::ensure_contributor_account`] just
+/// made sure of is gone again.
+fn vanished() -> Response {
+    Response::error(Status::InternalError, "replica account vanished")
+}
+
+/// Waits for a staged commit, if the store is durable. The 200 after it
+/// is a durability promise, so a failed commit is the 500 `what` names.
+fn wait_durable(
+    ticket: Option<sensorsafe_store::JournalTicket>,
+    what: &str,
+) -> Result<(), Response> {
+    ticket.map_or(Ok(()), |ticket| {
+        ticket.wait().map_err(|e| internal(what, e))
+    })
+}
+
+fn role_field(body: &Value) -> Result<Role, Response> {
+    body.get("role")
+        .and_then(Value::as_str)
+        .and_then(Role::parse)
+        .ok_or_else(|| Response::bad_request("missing or invalid 'role'"))
+}
+
+/// The body's `rules`: a rule array, or one rule.
+fn rules_field(body: &Value) -> Result<Vec<PrivacyRule>, Response> {
+    let rules = body
+        .get("rules")
+        .ok_or_else(|| Response::bad_request("missing 'rules'"))?;
+    PrivacyRule::rules_from_json(rules).map_err(|e| Response::bad_request(&e.to_string()))
+}
+
+/// The consumer account a registration body describes.
+fn consumer_account(name: &str, body: &Value) -> ConsumerAccount {
+    let list = |field| {
+        body.get(field)
+            .and_then(Value::as_string_list)
+            .unwrap_or_default()
+    };
+    ConsumerAccount {
+        id: ConsumerId::new(name),
+        groups: list("groups").into_iter().map(GroupId::new).collect(),
+        studies: list("studies").into_iter().map(StudyId::new).collect(),
+    }
 }
 
 fn annotation_from_json(value: &Value) -> Result<ContextAnnotation, String> {
@@ -1301,7 +1122,7 @@ impl DataStoreService {
             repl_synced: Mutex::new(BTreeSet::new()),
             passwords: PasswordStore::new(),
             sessions: SessionManager::new(),
-            registry: Registry::new(),
+            registry: Arc::new(Registry::new()),
             traces,
             ledger,
             ledger_fallback,
@@ -1368,59 +1189,63 @@ impl DataStoreService {
             let inner = inner.clone();
             router.get("/healthz", move |_, _| inner.handle_healthz());
         }
-        {
+        // Every API route: who may call it (the role its key must hold and
+        // the 403 otherwise; `None` = the handler decides by role) and the
+        // handler the authenticated caller is passed to.
+        type Handler = fn(&Inner, Principal, &Value) -> Reply;
+        type Required = Option<(Role, &'static str)>;
+        let contributor = |denied| Some((Role::Contributor, denied));
+        let upload = contributor("only contributors upload data");
+        let edit_rules = contributor("only contributors edit their rules");
+        let read_rules = contributor("only contributors read their rules");
+        let edit_places = contributor("only contributors edit their places");
+        let admin = "registration requires the admin or broker key";
+        let admin = Some((Role::Server, admin));
+        let repl = Some((Role::Server, "replication requires a server key"));
+        let fence = Some((Role::Server, "fencing requires a server key"));
+        let api: [(&str, Required, Handler); 15] = [
+            ("/api/register", admin, Inner::handle_register),
+            ("/api/upload", upload, Inner::handle_upload),
+            ("/api/query", None, Inner::handle_query),
+            ("/api/rules/set", edit_rules, Inner::handle_rules_set),
+            ("/api/rules/get", read_rules, Inner::handle_rules_get),
+            ("/api/places/set", edit_places, Inner::handle_places_set),
+            ("/api/audit", None, Inner::handle_audit),
+            ("/api/privacy/summary", None, Inner::handle_privacy_summary),
+            ("/repl/segment", repl, Inner::handle_repl_segment),
+            ("/repl/register", repl, Inner::handle_repl_register),
+            ("/repl/rules", repl, Inner::handle_repl_rules),
+            ("/repl/fence", fence, Inner::handle_repl_fence),
+            ("/repl/promote", fence, Inner::handle_repl_promote),
+            ("/repl/status", repl, Inner::handle_repl_status),
+            ("/repl/reset", repl, Inner::handle_repl_reset),
+        ];
+        for (path, required, handler) in api {
             let inner = inner.clone();
-            router.get("/metrics", move |_, _| inner.handle_metrics());
+            router.post_json(path, move |body| {
+                handler(&inner, inner.authenticate(body, required)?, body)
+            });
         }
-        {
-            let inner = inner.clone();
-            router.get(
-                "/traces",
-                move |req: &Request, _: &sensorsafe_net::Params| {
-                    sensorsafe_net::traces_response(&inner.traces, req)
-                },
-            );
-        }
-        router.get(
-            "/debug/profile",
-            move |req: &Request, _: &sensorsafe_net::Params| sensorsafe_net::profile_response(req),
+        crate::web::mount(&mut router, &inner);
+        let edge = Edge::new(
+            router,
+            RequestFamilies {
+                seconds: (
+                    "sensorsafe_datastore_request_seconds",
+                    "Data store request latency by endpoint.",
+                ),
+                total: (
+                    "sensorsafe_datastore_requests_total",
+                    "Data store requests by endpoint and status code.",
+                ),
+            },
+            inner.registry.clone(),
+            inner.traces.clone(),
         );
-        router.get(
-            "/debug/spans",
-            move |req: &Request, _: &sensorsafe_net::Params| sensorsafe_net::spans_response(req),
-        );
-        macro_rules! post_json_route {
-            ($path:literal, $method:ident) => {{
-                let inner = inner.clone();
-                router.post(
-                    $path,
-                    move |req: &Request, _: &sensorsafe_net::Params| match req.json() {
-                        Ok(body) => inner.$method(&body),
-                        Err(e) => bad_request(&format!("invalid JSON body: {e}")),
-                    },
-                );
-            }};
-        }
-        post_json_route!("/api/register", handle_register);
-        post_json_route!("/api/upload", handle_upload);
-        post_json_route!("/api/query", handle_query);
-        post_json_route!("/api/rules/set", handle_rules_set);
-        post_json_route!("/api/rules/get", handle_rules_get);
-        post_json_route!("/api/places/set", handle_places_set);
-        post_json_route!("/api/audit", handle_audit);
-        post_json_route!("/api/privacy/summary", handle_privacy_summary);
-        post_json_route!("/repl/segment", handle_repl_segment);
-        post_json_route!("/repl/register", handle_repl_register);
-        post_json_route!("/repl/rules", handle_repl_rules);
-        post_json_route!("/repl/fence", handle_repl_fence);
-        post_json_route!("/repl/promote", handle_repl_promote);
-        post_json_route!("/repl/status", handle_repl_status);
-        post_json_route!("/repl/reset", handle_repl_reset);
-        crate::web::mount(&mut router, inner.clone());
         (
             DataStoreService {
                 inner,
-                router: Arc::new(router),
+                edge: Arc::new(edge),
             },
             admin_key,
         )
@@ -1467,27 +1292,6 @@ impl DataStoreService {
     /// thread on drop.
     pub fn spawn_repl_shipper(&self, interval: std::time::Duration) -> crate::repl::ReplShipper {
         crate::repl::ReplShipper::spawn(self.inner.clone(), interval)
-    }
-
-    /// Immediately pushes every hosted contributor's rules to the broker
-    /// (used right after pairing so the mirror starts complete).
-    pub fn sync_all_rules(&self) -> usize {
-        let mut synced = 0;
-        for id in self.inner.state.contributor_ids() {
-            // Copy the (epoch, rules) pair out under the account lock;
-            // the broker round-trip happens without holding it.
-            let snapshot = self
-                .inner
-                .state
-                .read_contributor(&id)
-                .map(|a| (a.rule_epoch, a.rules.clone()));
-            if let Some((epoch, rules)) = snapshot {
-                if self.inner.push_rules_to_broker(&id, epoch, &rules) {
-                    synced += 1;
-                }
-            }
-        }
-        synced
     }
 
     /// Direct access to server state (in-process composition and tests).
@@ -1540,42 +1344,7 @@ impl DataStoreService {
 
 impl Service for DataStoreService {
     fn handle(&self, request: &Request) -> Response {
-        // Label by route pattern, not concrete path, so cardinality stays
-        // bounded by the route table.
-        let endpoint = self
-            .router
-            .match_pattern(request.method, &request.path)
-            .unwrap_or("unmatched")
-            .to_string();
-        // Join the caller's trace when an X-SensorSafe-Trace header is
-        // present; otherwise this span roots a fresh trace.
-        let _span = self.inner.traces.begin_ctx(
-            format!("{} {endpoint}", request.method.as_str()),
-            request.trace_context(),
-        );
-        let started = std::time::Instant::now();
-        let response = self.router.handle(request);
-        self.inner
-            .registry
-            .histogram(
-                "sensorsafe_datastore_request_seconds",
-                "Data store request latency by endpoint.",
-                &[("endpoint", &endpoint)],
-                None,
-            )
-            .observe(started.elapsed());
-        self.inner
-            .registry
-            .counter(
-                "sensorsafe_datastore_requests_total",
-                "Data store requests by endpoint and status code.",
-                &[
-                    ("endpoint", &endpoint),
-                    ("code", &response.status.code().to_string()),
-                ],
-            )
-            .inc();
-        response
+        self.edge.handle(request)
     }
 }
 
@@ -1718,6 +1487,52 @@ mod tests {
                 resp.json_body().unwrap()["applied"].as_bool(),
                 Some(expected_applied)
             );
+        }
+    }
+
+    #[test]
+    fn front_door_labels_requests_by_route_pattern_never_by_path() {
+        let (svc, _) = service();
+        // A served route under a path that is not its pattern (trailing and
+        // doubled slashes), a path nothing serves, and a served path under
+        // the wrong method.
+        assert_eq!(svc.handle(&Request::get("//healthz/")).status, Status::Ok);
+        let missing = svc.handle(&Request::get("/api/data/alice-secret"));
+        assert_eq!(missing.status, Status::NotFound);
+        let wrong_method = svc.handle(&Request::get("/api/register"));
+        assert_eq!(wrong_method.status, Status::MethodNotAllowed);
+
+        let scrape = svc.handle(&Request::get("/metrics"));
+        let text = String::from_utf8(scrape.body).unwrap();
+        for line in [
+            "sensorsafe_datastore_request_seconds_count{endpoint=\"/healthz\"} 1",
+            "sensorsafe_datastore_request_seconds_count{endpoint=\"unmatched\"} 2",
+            "sensorsafe_datastore_requests_total{code=\"200\",endpoint=\"/healthz\"} 1",
+            "sensorsafe_datastore_requests_total{code=\"404\",endpoint=\"unmatched\"} 1",
+            "sensorsafe_datastore_requests_total{code=\"405\",endpoint=\"unmatched\"} 1",
+        ] {
+            assert!(text.contains(line), "missing {line} in:\n{text}");
+        }
+        let traces = svc.handle(&Request::get("/traces")).json_body().unwrap();
+        let names: Vec<&str> = traces["traces"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|t| t["name"].as_str().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "GET /healthz",
+                "GET unmatched",
+                "GET unmatched",
+                "GET /metrics"
+            ]
+        );
+        // The concrete paths appear nowhere in the telemetry.
+        for leaked in ["alice-secret", "healthz/", "//"] {
+            assert!(!text.contains(leaked), "{leaked} in:\n{text}");
+            assert!(!traces.to_string().contains(leaked), "{leaked} in {traces}");
         }
     }
 

@@ -2,23 +2,26 @@
 //!
 //! # Sharding and lock order
 //!
-//! Mutable state is sharded per contributor: a lock-striped *directory*
-//! maps contributor ids to `Arc<RwLock<ContributorAccount>>`, so uploads
-//! to one contributor never contend with queries against another. The
-//! lock hierarchy (the whole order, journal and ledger included, is in
-//! docs/ARCHITECTURE.md "Lock order") is:
+//! Mutable state is sharded per contributor: a *directory* maps
+//! contributor ids to `Arc<RwLock<ContributorAccount>>`, so uploads to one
+//! contributor never contend with queries against another. The directory
+//! is written only at registration and read for one map lookup and an
+//! `Arc` clone, so it is a single `RwLock` like the consumer map beside
+//! it. The lock hierarchy (the whole order, journal and ledger included,
+//! is in docs/ARCHITECTURE.md "Lock order") is:
 //!
-//! 1. **Directory stripe** (`RwLock` over one stripe's id → account map)
-//!    — held only long enough to clone the account `Arc`, never while an
-//!    account lock is held.
+//! 1. **Directory lock** (`RwLock` over the id → account map) — held
+//!    only long enough to clone the account `Arc`, never while an account
+//!    lock is held.
 //! 2. **Account lock** (`RwLock<ContributorAccount>`) — held for the
 //!    duration of one request's work on that contributor. At most one
 //!    account lock per thread.
 //! 3. **Compiled-rule cache** (`Mutex` inside the account) — leaf lock,
 //!    held only to read or replace the cached `Arc<CompiledRules>`.
 //!
-//! Debug builds assert this order (`mod lock_order`): acquiring a stripe
-//! while holding an account lock, or a second account lock, panics.
+//! Debug builds assert this order (`mod lock_order`): touching the
+//! directory while holding an account lock, or taking a second account
+//! lock, panics.
 //!
 //! Journal group commit (DESIGN.md §8) deliberately sits *outside* this
 //! hierarchy: durable uploads stage log records while holding the
@@ -34,11 +37,6 @@ use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Number of directory stripes. Contention on the directory itself is
-/// rare (registration only); 16 stripes keep even registration bursts
-/// spread out without meaningfully growing the state footprint.
-const STRIPES: usize = 16;
 
 /// One contributor hosted on this data store.
 pub struct ContributorAccount {
@@ -258,28 +256,11 @@ impl Drop for ContributorWriteGuard {
     }
 }
 
-type Stripe = RwLock<BTreeMap<ContributorId, Arc<RwLock<ContributorAccount>>>>;
-
 /// All mutable server state, sharded per contributor (module docs).
+#[derive(Default)]
 pub struct DataStoreState {
-    stripes: Vec<Stripe>,
+    contributors: RwLock<BTreeMap<ContributorId, Arc<RwLock<ContributorAccount>>>>,
     consumers: RwLock<BTreeMap<ConsumerId, Arc<ConsumerAccount>>>,
-}
-
-impl Default for DataStoreState {
-    fn default() -> DataStoreState {
-        DataStoreState::new()
-    }
-}
-
-/// FNV-1a over the contributor name; stable and dependency-free.
-fn stripe_of(id: &ContributorId) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in id.as_str().bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % STRIPES as u64) as usize
 }
 
 fn lock_wait_histogram(mode: &str) -> Arc<sensorsafe_obsv::Histogram> {
@@ -291,39 +272,10 @@ fn lock_wait_histogram(mode: &str) -> Arc<sensorsafe_obsv::Histogram> {
     )
 }
 
-/// Static stripe-label table: label values are `&str` and 16 stripes is a
-/// closed set, so no per-observation allocation.
-const STRIPE_LABELS: [&str; STRIPES] = [
-    "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
-];
-
-/// Per-stripe lock-wait attribution: when the aggregate
-/// `sensorsafe_datastore_lock_wait_seconds` climbs, this family says
-/// whether the contention is spread evenly or one stripe (one hot
-/// contributor hashing there) is the culprit.
-fn stripe_lock_wait_histogram(stripe: usize, mode: &str) -> Arc<sensorsafe_obsv::Histogram> {
-    sensorsafe_obsv::global().histogram(
-        "sensorsafe_datastore_stripe_lock_wait_seconds",
-        "Time waiting to acquire a contributor account lock, by directory stripe.",
-        &[("mode", mode), ("stripe", STRIPE_LABELS[stripe % STRIPES])],
-        None,
-    )
-}
-
 impl DataStoreState {
     /// Empty state.
     pub fn new() -> DataStoreState {
-        sensorsafe_obsv::global()
-            .gauge(
-                "sensorsafe_datastore_shards",
-                "Lock stripes in the contributor directory.",
-                &[],
-            )
-            .set(STRIPES as i64);
-        DataStoreState {
-            stripes: (0..STRIPES).map(|_| Stripe::default()).collect(),
-            consumers: RwLock::default(),
-        }
+        DataStoreState::default()
     }
 
     fn update_account_gauge(&self) {
@@ -340,11 +292,11 @@ impl DataStoreState {
     pub fn add_contributor(&self, account: ContributorAccount) -> bool {
         lock_order::assert_no_account_lock();
         let added = {
-            let mut stripe = self.stripes[stripe_of(&account.id)].write();
-            if stripe.contains_key(&account.id) {
+            let mut contributors = self.contributors.write();
+            if contributors.contains_key(&account.id) {
                 false
             } else {
-                stripe.insert(account.id.clone(), Arc::new(RwLock::new(account)));
+                contributors.insert(account.id.clone(), Arc::new(RwLock::new(account)));
                 true
             }
         };
@@ -364,10 +316,10 @@ impl DataStoreState {
         true
     }
 
-    /// Clones the account `Arc` out of the directory (brief stripe read).
+    /// Clones the account `Arc` out of the directory (brief read lock).
     fn lookup(&self, id: &ContributorId) -> Option<Arc<RwLock<ContributorAccount>>> {
         lock_order::assert_no_account_lock();
-        self.stripes[stripe_of(id)].read().get(id).cloned()
+        self.contributors.read().get(id).cloned()
     }
 
     /// Acquires shared access to a contributor's account. Concurrent
@@ -377,14 +329,14 @@ impl DataStoreState {
         let waited = Instant::now();
         // Profiling frame covers the acquisition only, so sampled stacks
         // separate lock-wait time from time spent holding the lock.
-        let prof = sensorsafe_obsv::prof_frame!("stripe-lock-wait");
+        let prof = sensorsafe_obsv::prof_frame!("account-lock-wait");
         let account = self.lookup(id)?;
         lock_order::acquire_account();
         let guard = RwLock::read_arc(&account);
         drop(prof);
+        // Read the clock before the histogram is looked up: the wait ends here.
         let elapsed = waited.elapsed();
         lock_wait_histogram("read").observe(elapsed);
-        stripe_lock_wait_histogram(stripe_of(id), "read").observe(elapsed);
         Some(ContributorReadGuard { guard })
     }
 
@@ -392,14 +344,13 @@ impl DataStoreState {
     /// and readers of the *same* account are serialized.
     pub fn write_contributor(&self, id: &ContributorId) -> Option<ContributorWriteGuard> {
         let waited = Instant::now();
-        let prof = sensorsafe_obsv::prof_frame!("stripe-lock-wait");
+        let prof = sensorsafe_obsv::prof_frame!("account-lock-wait");
         let account = self.lookup(id)?;
         lock_order::acquire_account();
         let guard = RwLock::write_arc(&account);
         drop(prof);
         let elapsed = waited.elapsed();
         lock_wait_histogram("write").observe(elapsed);
-        stripe_lock_wait_histogram(stripe_of(id), "write").observe(elapsed);
         Some(ContributorWriteGuard { guard })
     }
 
@@ -431,19 +382,13 @@ impl DataStoreState {
     /// Contributor names hosted here, in name order.
     pub fn contributor_ids(&self) -> Vec<ContributorId> {
         lock_order::assert_no_account_lock();
-        let mut ids: Vec<ContributorId> = self
-            .stripes
-            .iter()
-            .flat_map(|stripe| stripe.read().keys().cloned().collect::<Vec<_>>())
-            .collect();
-        ids.sort();
-        ids
+        self.contributors.read().keys().cloned().collect()
     }
 
     /// Number of hosted contributors.
     pub fn contributor_count(&self) -> usize {
         lock_order::assert_no_account_lock();
-        self.stripes.iter().map(|s| s.read().len()).sum()
+        self.contributors.read().len()
     }
 }
 
@@ -537,7 +482,7 @@ mod tests {
     #[test]
     fn guard_outlives_concurrent_directory_growth() {
         // A held guard stays valid while another thread mutates the
-        // directory around it (registration on the same stripes).
+        // directory around it (registration).
         let state = Arc::new(DataStoreState::new());
         let id = ContributorId::new("alice");
         state.add_contributor(ContributorAccount::new(id.clone(), MergePolicy::default()));
@@ -572,18 +517,6 @@ mod tests {
         assert_eq!(compiled.len(), 1);
         assert!(!Arc::ptr_eq(&empty, &compiled));
         assert!(Arc::ptr_eq(&compiled, &account.compiled_rules()));
-    }
-
-    #[test]
-    fn stripe_distribution_is_stable() {
-        // The FNV mapping must be deterministic (directory lookups would
-        // break otherwise) and spread names across stripes.
-        let a = stripe_of(&ContributorId::new("alice"));
-        assert_eq!(a, stripe_of(&ContributorId::new("alice")));
-        let used: std::collections::BTreeSet<usize> = (0..64)
-            .map(|i| stripe_of(&ContributorId::new(format!("contributor-{i}"))))
-            .collect();
-        assert!(used.len() > STRIPES / 2, "poor stripe spread: {used:?}");
     }
 
     #[test]

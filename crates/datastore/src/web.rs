@@ -11,8 +11,9 @@
 //! * `GET /ui/rules` — the rule-builder form plus the current rule list
 //!   rendered from their canonical JSON.
 //! * `POST /ui/rules` — creates a rule from the form fields and appends
-//!   it to the contributor's rule set (bumping the epoch and syncing the
-//!   broker, exactly like the API path).
+//!   it to the contributor's rule set through the API path's own
+//!   `Inner::replace_rules` (epoch bump, awareness note, broker sync,
+//!   replica mirror, fence check).
 //! * `GET /ui/data` — the contributor's data viewer (per-series stats).
 //! * `GET /ui/audit` — the contributor's enforcement audit trail, paged
 //!   backwards with `?before=<seq>`.
@@ -24,7 +25,8 @@
 //! the contributor id.
 
 use crate::service::Inner;
-use sensorsafe_net::{Params, Request, Response, Router, Status};
+use sensorsafe_net::html::{escape, form_all, page, parse_form, with_session};
+use sensorsafe_net::{Method, Request, Response, Router, Status};
 use sensorsafe_policy::{
     AbstractionSpec, Action, ActivityAbs, BinaryAbs, Conditions, ConsumerSelector, LocationAbs,
     LocationCondition, PrivacyRule, TimeAbs, TimeCondition,
@@ -32,80 +34,14 @@ use sensorsafe_policy::{
 use sensorsafe_types::{
     ChannelId, ConsumerId, ContextKind, ContributorId, Region, RepeatTime, TimeOfDay, Weekday,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Escapes text for HTML interpolation.
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
-}
-
-fn page(title: &str, body: &str) -> Response {
-    Response::html(format!(
-        "<!DOCTYPE html><html><head><title>{t} — SensorSafe</title></head>\
-         <body><h1>{t}</h1>{body}</body></html>",
-        t = escape(title)
-    ))
-}
-
-/// Parses an `application/x-www-form-urlencoded` body.
-fn parse_form(body: &[u8]) -> BTreeMap<String, String> {
-    let text = String::from_utf8_lossy(body);
-    let mut map = BTreeMap::new();
-    for pair in text.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        map.insert(url_decode(k), url_decode(v));
-    }
-    map
-}
-
-fn url_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => {
-                out.push(b' ');
-                i += 1;
-            }
-            b'%' if i + 2 < bytes.len() + 1 => {
-                match bytes
-                    .get(i + 1..i + 3)
-                    .and_then(|h| std::str::from_utf8(h).ok())
-                    .and_then(|h| u8::from_str_radix(h, 16).ok())
-                {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
-                }
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn require_session(inner: &Inner, req: &Request) -> Result<String, Response> {
-    req.query
-        .get("session")
-        .and_then(|token| inner.sessions.validate(token))
-        .ok_or_else(|| Response::error(Status::Unauthorized, "not logged in (see /ui/login)"))
-}
+/// The site name in every page title.
+const SITE: &str = "SensorSafe";
 
 fn login_form() -> Response {
     page(
+        SITE,
         "Login",
         r#"<form method="post" action="/ui/login">
             <label>Username <input type="text" name="username"></label>
@@ -125,6 +61,7 @@ fn handle_login(inner: &Inner, req: &Request) -> Response {
     }
     let token = inner.sessions.login(username);
     page(
+        SITE,
         "Logged in",
         &format!(
             r#"<p>Welcome, {u}.</p>
@@ -231,12 +168,8 @@ fn rules_form(session: &str) -> String {
     )
 }
 
-fn handle_rules_page(inner: &Inner, req: &Request) -> Response {
-    let username = match require_session(inner, req) {
-        Ok(u) => u,
-        Err(resp) => return resp,
-    };
-    let id = ContributorId::new(username.clone());
+fn handle_rules_page(inner: &Inner, req: &Request, username: &str) -> Response {
+    let id = ContributorId::new(username);
     let rules_html = match inner.state.read_contributor(&id) {
         Some(account) => {
             let items: String = account
@@ -258,20 +191,10 @@ fn handle_rules_page(inner: &Inner, req: &Request) -> Response {
     };
     let session = req.query.get("session").cloned().unwrap_or_default();
     page(
+        SITE,
         "Privacy Rules",
         &format!("{rules_html}{}", rules_form(&session)),
     )
-}
-
-/// Multi-valued form lookup (check-box groups repeat the key).
-fn form_all(body: &[u8], key: &str) -> Vec<String> {
-    let text = String::from_utf8_lossy(body);
-    text.split('&')
-        .filter_map(|pair| pair.split_once('='))
-        .filter(|(k, _)| url_decode(k) == key)
-        .map(|(_, v)| url_decode(v))
-        .filter(|v| !v.is_empty())
-        .collect()
 }
 
 fn rule_from_form(body: &[u8]) -> Result<PrivacyRule, String> {
@@ -359,26 +282,23 @@ fn rule_from_form(body: &[u8]) -> Result<PrivacyRule, String> {
     })
 }
 
-fn handle_rules_post(inner: &Inner, req: &Request) -> Response {
-    let username = match require_session(inner, req) {
-        Ok(u) => u,
-        Err(resp) => return resp,
-    };
+fn handle_rules_post(inner: &Inner, req: &Request, username: &str) -> Response {
     let rule = match rule_from_form(&req.body) {
         Ok(r) => r,
         Err(e) => return Response::error(Status::BadRequest, &e),
     };
     let id = ContributorId::new(username);
-    let (epoch, rules) = {
-        let Some(mut account) = inner.state.write_contributor(&id) else {
-            return Response::error(Status::NotFound, "no contributor account");
-        };
-        let mut rules = account.rules.clone();
+    let appended = inner.replace_rules(&id, |rules| {
+        let mut rules = rules.to_vec();
         rules.push(rule);
-        (account.set_rules(rules.clone()), rules)
+        rules
+    });
+    let epoch = match appended {
+        Ok((epoch, _)) => epoch,
+        Err(resp) => return resp,
     };
-    inner.push_rules_to_broker(&id, epoch, &rules);
     page(
+        SITE,
         "Rule added",
         &format!(
             r#"<p>Rule stored; epoch is now {epoch}.</p>
@@ -397,14 +317,10 @@ const AUDIT_PAGE_ROWS: usize = 50;
 /// The contributor filter and row limit are pushed down into the ledger
 /// (`AuditLedger::page` does one backward scan — no full-ledger
 /// materialization), and `?before=<seq>` pages backwards in time.
-fn handle_audit_page(inner: &Inner, req: &Request) -> Response {
-    let username = match require_session(inner, req) {
-        Ok(u) => u,
-        Err(resp) => return resp,
-    };
+fn handle_audit_page(inner: &Inner, req: &Request, username: &str) -> Response {
     let before = req.query.get("before").and_then(|v| v.parse::<u64>().ok());
     let page_result = inner.ledger.page(&sensorsafe_obsv::AuditFilter {
-        contributor: Some(username.clone()),
+        contributor: Some(username.to_string()),
         before,
         limit: AUDIT_PAGE_ROWS,
         ..Default::default()
@@ -452,7 +368,7 @@ fn handle_audit_page(inner: &Inner, req: &Request) -> Response {
          <th>Decision</th><th>Matched rules</th><th>Trace</th></tr>{rows}</table>{older}",
         matched = page_result.matched,
     );
-    page(&format!("Audit trail of {username}"), &body)
+    page(SITE, &format!("Audit trail of {username}"), &body)
 }
 
 /// `GET /ui/privacy` — the sharing-awareness dashboard (the paper's §6
@@ -460,12 +376,8 @@ fn handle_audit_page(inner: &Inner, req: &Request) -> Response {
 /// stream): top consumers with their outcome mix, per-rule hit counts
 /// with dead rules highlighted, baseline-only flows, and the recent
 /// decision trend.
-fn handle_privacy_page(inner: &Inner, req: &Request) -> Response {
-    let username = match require_session(inner, req) {
-        Ok(u) => u,
-        Err(resp) => return resp,
-    };
-    let s = inner.awareness.contributor_summary(&username);
+fn handle_privacy_page(inner: &Inner, _: &Request, username: &str) -> Response {
+    let s = inner.awareness.contributor_summary(username);
     let consumer_rows: String = s
         .consumers
         .iter()
@@ -546,15 +458,11 @@ fn handle_privacy_page(inner: &Inner, req: &Request) -> Response {
         bucket = sensorsafe_obsv::awareness::TREND_BUCKET_SECS,
         digest = s.digest,
     );
-    page(&format!("Sharing awareness for {username}"), &body)
+    page(SITE, &format!("Sharing awareness for {username}"), &body)
 }
 
-fn handle_data_page(inner: &Inner, req: &Request) -> Response {
-    let username = match require_session(inner, req) {
-        Ok(u) => u,
-        Err(resp) => return resp,
-    };
-    let id = ContributorId::new(username.clone());
+fn handle_data_page(inner: &Inner, _: &Request, username: &str) -> Response {
+    let id = ContributorId::new(username);
     let body = match inner.state.read_contributor(&id) {
         Some(account) => {
             let stats = account.store.stats();
@@ -571,68 +479,42 @@ fn handle_data_page(inner: &Inner, req: &Request) -> Response {
         }
         None => "<p>No contributor account.</p>".to_string(),
     };
-    page(&format!("Data of {username}"), &body)
+    page(SITE, &format!("Data of {username}"), &body)
 }
 
 /// `GET /ui/spans` — the continuous span-stats table (profiling plane),
 /// behind a session like every other UI page.
-fn handle_spans_page(inner: &Inner, req: &Request) -> Response {
-    if let Err(resp) = require_session(inner, req) {
-        return resp;
-    }
-    let body = format!(
-        "<p>Per-span timing since process start. Pull folded stacks from \
-         <code>/debug/profile?seconds=5</code> for a flamegraph.</p>\n{}",
-        sensorsafe_net::spans_table_html()
-    );
-    page("Profiling spans", &body)
+fn handle_spans_page(_: &Inner, _: &Request, _: &str) -> Response {
+    page(
+        SITE,
+        "Profiling spans",
+        &sensorsafe_net::debug::spans_page_html(),
+    )
 }
 
-/// Mounts the web UI onto the service's router.
-pub(crate) fn mount(router: &mut Router, inner: Arc<Inner>) {
-    {
-        router.get("/ui/login", move |_: &Request, _: &Params| login_form());
-    }
-    {
-        let inner = inner.clone();
-        router.post("/ui/login", move |req: &Request, _: &Params| {
-            handle_login(&inner, req)
-        });
-    }
+/// Mounts the web UI onto the service's router. Every page but the login
+/// pair is served to a valid session only, and is handed the user name
+/// the session belongs to.
+pub(crate) fn mount(router: &mut Router, inner: &Arc<Inner>) {
+    router.get("/ui/login", |_, _| login_form());
     {
         let inner = inner.clone();
-        router.get("/ui/rules", move |req: &Request, _: &Params| {
-            handle_rules_page(&inner, req)
-        });
+        router.post("/ui/login", move |req, _| handle_login(&inner, req));
     }
-    {
+    type Page = fn(&Inner, &Request, &str) -> Response;
+    let pages: [(Method, &str, Page); 6] = [
+        (Method::Get, "/ui/rules", handle_rules_page),
+        (Method::Post, "/ui/rules", handle_rules_post),
+        (Method::Get, "/ui/data", handle_data_page),
+        (Method::Get, "/ui/audit", handle_audit_page),
+        (Method::Get, "/ui/privacy", handle_privacy_page),
+        (Method::Get, "/ui/spans", handle_spans_page),
+    ];
+    for (method, path, handler) in pages {
         let inner = inner.clone();
-        router.post("/ui/rules", move |req: &Request, _: &Params| {
-            handle_rules_post(&inner, req)
-        });
-    }
-    {
-        let inner = inner.clone();
-        router.get("/ui/data", move |req: &Request, _: &Params| {
-            handle_data_page(&inner, req)
-        });
-    }
-    {
-        let inner = inner.clone();
-        router.get("/ui/audit", move |req: &Request, _: &Params| {
-            handle_audit_page(&inner, req)
-        });
-    }
-    {
-        let inner = inner.clone();
-        router.get("/ui/privacy", move |req: &Request, _: &Params| {
-            handle_privacy_page(&inner, req)
-        });
-    }
-    {
-        let inner = inner.clone();
-        router.get("/ui/spans", move |req: &Request, _: &Params| {
-            handle_spans_page(&inner, req)
+        router.route(method, path, move |req, _| {
+            let validate = |token: &str| inner.sessions.validate(token);
+            with_session(req, validate, |username| handler(&inner, req, username))
         });
     }
 }
@@ -646,10 +528,15 @@ mod tests {
 
     fn logged_in_service() -> (DataStoreService, String) {
         let (svc, admin) = DataStoreService::new(DataStoreConfig::default());
+        let token = log_alice_in(&svc, &admin.to_hex());
+        (svc, token)
+    }
+
+    fn log_alice_in(svc: &DataStoreService, admin: &str) -> String {
         // Create Alice the contributor + her web login.
         let resp = svc.handle(&Request::post_json(
             "/api/register",
-            &json!({"key": (admin.to_hex()), "name": "alice", "role": "contributor"}),
+            &json!({"key": admin, "name": "alice", "role": "contributor"}),
         ));
         assert_eq!(resp.status, Status::Created);
         assert!(svc.create_web_user("alice", "hunter2"));
@@ -669,15 +556,13 @@ mod tests {
         let resp = svc.handle(&login);
         assert_eq!(resp.status, Status::Ok);
         let html = String::from_utf8(resp.body).unwrap();
-        let token = html
-            .split("data-session-token=\"")
+        html.split("data-session-token=\"")
             .nth(1)
             .unwrap()
             .split('"')
             .next()
             .unwrap()
-            .to_string();
-        (svc, token)
+            .to_string()
     }
 
     #[test]
@@ -772,6 +657,38 @@ mod tests {
             }
             other => panic!("wrong action {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_rule_posted_through_the_form_reaches_every_copy_the_api_path_feeds() {
+        let (primary, admin) = DataStoreService::new(DataStoreConfig::default());
+        let (replica, replica_admin) = DataStoreService::new(DataStoreConfig::default());
+        primary.attach_replica(crate::repl::ReplicaLink {
+            addr: "replica:0".to_string(),
+            transport: Arc::new(sensorsafe_net::LocalTransport::new(Arc::new(
+                replica.clone(),
+            ))),
+            repl_key: replica_admin.to_hex(),
+        });
+        let token = log_alice_in(&primary, &admin.to_hex());
+        let mut post = Request::get("/ui/rules").with_query("session", token);
+        post.method = Method::Post;
+        post.body = b"consumer=Bob&action=Allow".to_vec();
+        assert_eq!(primary.handle(&post).status, Status::Ok);
+        // The replica a failover would promote enforces the new rule, and
+        // the awareness plane knows the epoch its dead-rule findings are for.
+        let alice = ContributorId::new("alice");
+        let mirrored = replica
+            .state()
+            .with_contributor(&alice, |a| (a.rule_epoch, a.rules.len()));
+        assert_eq!(mirrored, Some((1, 1)));
+        let summary = primary.awareness().contributor_summary("alice");
+        assert_eq!((summary.rule_epoch, summary.rule_count), (1, 1));
+        // A fenced (deposed) primary refuses the form like the API.
+        let fence = json!({"key": (admin.to_hex()), "contributor": "alice", "epoch": 2});
+        let fenced = primary.handle(&Request::post_json("/repl/fence", &fence));
+        assert_eq!(fenced.status, Status::Ok);
+        assert_eq!(primary.handle(&post).status, Status::Conflict);
     }
 
     #[test]
@@ -927,19 +844,5 @@ mod tests {
         assert!(html.contains("id=\"rule-hits\""));
         assert!(html.contains("id=\"trend\""));
         assert!(html.contains("Aggregates digest"));
-    }
-
-    #[test]
-    fn html_escaping() {
-        assert_eq!(escape("<b>&\"x\""), "&lt;b&gt;&amp;&quot;x&quot;");
-    }
-
-    #[test]
-    fn form_parsing() {
-        let form = parse_form(b"a=1&b=hello+world&c=%E4%B8%96");
-        assert_eq!(form["a"], "1");
-        assert_eq!(form["b"], "hello world");
-        assert_eq!(form["c"], "世");
-        assert_eq!(form_all(b"x=1&x=2&y=3&x=", "x"), vec!["1", "2"]);
     }
 }

@@ -1,5 +1,5 @@
-//! Shared profiling debug endpoints, served identically by the datastore
-//! and the broker (like [`crate::traces`]):
+//! The profiling debug endpoints [`crate::Edge`] mounts on both servers
+//! (like [`crate::traces`]):
 //!
 //! * `GET /debug/profile?seconds=N` — blocks for the window, then returns
 //!   the folded-stack samples taken during it as collapsed-stack text
@@ -69,25 +69,13 @@ pub fn spans_response(_req: &Request) -> Response {
     Response::json(&Value::Object(body))
 }
 
-fn escape_html(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The span-stats table as an HTML fragment for the servers' `/ui/spans`
-/// pages (each server wraps it in its own chrome, behind its sessions).
-pub fn spans_table_html() -> String {
+/// The body of the servers' `/ui/spans` pages: the span-stats table as
+/// HTML (each server serves it in its own chrome, behind its sessions).
+pub fn spans_page_html() -> String {
     let mut html = format!(
-        "<p>Sampler: {} Hz, {} samples total.</p>\n",
+        "<p>Per-span timing since process start. Pull folded stacks from \
+         <code>/debug/profile?seconds=5</code> for a flamegraph.</p>\n\
+         <p>Sampler: {} Hz, {} samples total.</p>\n",
         prof::sample_rate_hz(),
         prof::total_samples()
     );
@@ -98,7 +86,7 @@ pub fn spans_table_html() -> String {
     for stat in prof::span_stats() {
         html.push_str(&format!(
             "<tr><td>{}</td><td>{}</td><td>{:.3}</td><td>{:.3}</td><td>{:.3}</td></tr>\n",
-            escape_html(&stat.name),
+            crate::html::escape(&stat.name),
             stat.count,
             stat.total.as_secs_f64() * 1e3,
             stat.self_time.as_secs_f64() * 1e3,
@@ -186,7 +174,7 @@ mod tests {
         {
             let _g = prof::enter("net_debug_html_<span>");
         }
-        let html = spans_table_html();
+        let html = spans_page_html();
         assert!(html.contains("net_debug_html_&lt;span&gt;"));
         assert!(html.contains("<th>p99 ms</th>"));
     }

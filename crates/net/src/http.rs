@@ -244,6 +244,10 @@ impl Request {
     }
 }
 
+/// What a handler that bails out with `?` returns: the error arm is the
+/// response to send instead (the 400, 401, 403, 409… the client gets).
+pub type Reply = Result<Response, Response>;
+
 /// An HTTP response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -312,6 +316,16 @@ impl Response {
         Response::json_with_status(status, &sensorsafe_json::json!({ "error": msg }))
     }
 
+    /// A 400 with `msg` as the error.
+    pub fn bad_request(msg: &str) -> Response {
+        Response::error(Status::BadRequest, msg)
+    }
+
+    /// The 401 every API endpoint answers a missing or unknown key with.
+    pub fn unauthorized() -> Response {
+        Response::error(Status::Unauthorized, "invalid API key")
+    }
+
     /// Parses the body as JSON.
     pub fn json_body(&self) -> Result<sensorsafe_json::Value, String> {
         let text = std::str::from_utf8(&self.body).map_err(|_| "body is not UTF-8".to_string())?;
@@ -319,38 +333,32 @@ impl Response {
     }
 }
 
-fn percent_decode(s: &str) -> String {
+/// Decodes `%XX` escapes and `+` (space) — the one decoder behind request
+/// targets, query strings and `application/x-www-form-urlencoded` bodies
+/// ([`crate::html::parse_form`]). A malformed escape passes through as
+/// written; bytes that do not form UTF-8 decode lossily.
+pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
+        let escaped = || {
+            let hex = bytes.get(i + 1..i + 3)?;
+            let digit = |b: u8| (b as char).to_digit(16);
+            Some((digit(hex[0])? * 16 + digit(hex[1])?) as u8)
+        };
         match bytes[i] {
-            b'%' if i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    std::str::from_utf8(h)
-                        .ok()
-                        .and_then(|h| u8::from_str_radix(h, 16).ok())
-                });
-                match hex {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+            b'%' => match escaped() {
+                Some(byte) => {
+                    out.push(byte);
+                    i += 2;
                 }
-            }
-            b'+' => {
-                out.push(b' ');
-                i += 1;
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
+                None => out.push(b'%'),
+            },
+            b'+' => out.push(b' '),
+            b => out.push(b),
         }
+        i += 1;
     }
     String::from_utf8_lossy(&out).into_owned()
 }
@@ -689,6 +697,8 @@ mod tests {
         assert_eq!(percent_decode("%E4%B8%96"), "世");
         assert_eq!(percent_decode("100%"), "100%"); // malformed escape passes through
         assert_eq!(percent_decode("%zz"), "%zz");
+        assert_eq!(percent_decode("%+5%4"), "% 5%4"); // a sign is not a hex digit
+        assert_eq!(percent_decode("a%40b%26c%3Dd%25"), "a@b&c=d%");
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //!   (`Content-Length` framing; GET/POST/PUT/DELETE; keep-alive).
 //! * [`Router`] — path-pattern routing (`/api/data/:user`) dispatching to
 //!   handler closures; implements [`Service`].
+//! * [`Edge`] — the front door the data store and the broker put their
+//!   routers behind: one route match labels, traces, times and counts a
+//!   request, and the ops endpoints (`/metrics`, `/traces`, `/debug/*`)
+//!   are mounted once ([`edge`]).
+//! * [`html`] — the HTML/form kit under both web user interfaces.
 //! * [`Server`] — epoll event loops with `SO_REUSEPORT` sharded accept
 //!   ([`evented`]), an incremental request decoder ([`codec`]), a bounded
 //!   handler pool for the blocking service code, overload shedding and
@@ -32,8 +37,10 @@
 
 pub mod codec;
 pub mod debug;
+pub mod edge;
 pub mod evented;
 pub mod failover;
+pub mod html;
 pub mod http;
 pub mod poll;
 pub mod promtext;
@@ -42,13 +49,12 @@ mod server;
 pub mod traces;
 mod transport;
 
-pub use debug::{profile_response, spans_response, spans_table_html};
+pub use edge::{Edge, RequestFamilies};
 pub use evented::{EventedConfig, Server};
 pub use failover::{AddrResolver, FailoverTransport, TransportMaker};
-pub use http::{Method, Request, Response, Status, TRACE_HEADER};
+pub use http::{Method, Reply, Request, Response, Status, TRACE_HEADER};
 pub use promtext::{ParsedScrape, TextSample};
-pub use router::{Params, Router};
-pub use traces::traces_response;
+pub use router::{str_field, u64_field, Params, Router};
 pub use transport::{
     HttpClient, LocalTransport, TcpTransport, Transport, TransportError, DEFAULT_POOL_SIZE,
 };

@@ -4,10 +4,14 @@
 //! `/api/data/:user` matches `/api/data/alice` with `user = "alice"`.
 //! Dispatch picks the first registered route whose method and pattern
 //! match; a path that matches some pattern with a different method yields
-//! 405, otherwise 404.
+//! 405, otherwise 404. The table is walked once per request
+//! ([`Router::resolve`]): the walk yields the matched route, whose
+//! pattern labels the request ([`crate::Edge`]) and whose handler
+//! answers it.
 
-use crate::http::{Method, Request, Response, Status};
+use crate::http::{Method, Reply, Request, Response, Status};
 use crate::Service;
+use sensorsafe_json::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -20,21 +24,47 @@ impl Params {
     pub fn get(&self, name: &str) -> Option<&str> {
         self.0.get(name).map(String::as_str)
     }
-
-    /// The captured value, or a 400 response for the caller to return.
-    pub fn require(&self, name: &str) -> Result<&str, Response> {
-        self.get(name)
-            .ok_or_else(|| Response::error(Status::BadRequest, &format!("missing '{name}'")))
-    }
 }
 
 type Handler = Arc<dyn Fn(&Request, &Params) -> Response + Send + Sync>;
 
-struct Route {
+pub(crate) struct Route {
     method: Method,
     raw_pattern: String,
     pattern: Vec<Pattern>,
     handler: Handler,
+}
+
+/// Where one walk of the route table ended.
+pub(crate) enum Resolved<'a> {
+    /// Method and pattern matched.
+    Route(&'a Route, Params),
+    /// Some pattern matched the path, under another method (405).
+    WrongMethod,
+    /// No pattern matched the path (404).
+    NoRoute,
+}
+
+impl Resolved<'_> {
+    /// The matched route's pattern as registered, e.g. `/api/data/:user`
+    /// for `GET /api/data/alice`; `None` for a 404/405.
+    pub(crate) fn pattern(&self) -> Option<&str> {
+        match self {
+            Resolved::Route(route, _) => Some(&route.raw_pattern),
+            _ => None,
+        }
+    }
+
+    /// Runs the matched handler, or builds the 405/404.
+    pub(crate) fn respond(&self, request: &Request) -> Response {
+        match self {
+            Resolved::Route(route, params) => (route.handler)(request, params),
+            Resolved::WrongMethod => {
+                Response::error(Status::MethodNotAllowed, "method not allowed")
+            }
+            Resolved::NoRoute => Response::error(Status::NotFound, "no such route"),
+        }
+    }
 }
 
 enum Pattern {
@@ -53,13 +83,12 @@ fn compile(pattern: &str) -> Vec<Pattern> {
         .collect()
 }
 
-fn match_path(pattern: &[Pattern], path: &str) -> Option<Params> {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+fn match_path(pattern: &[Pattern], segments: &[&str]) -> Option<Params> {
     if segments.len() != pattern.len() {
         return None;
     }
     let mut params = Params::default();
-    for (pat, seg) in pattern.iter().zip(&segments) {
+    for (pat, seg) in pattern.iter().zip(segments) {
         match pat {
             Pattern::Literal(lit) if lit == seg => {}
             Pattern::Literal(_) => return None,
@@ -69,6 +98,20 @@ fn match_path(pattern: &[Pattern], path: &str) -> Option<Params> {
         }
     }
     Some(params)
+}
+
+/// `body[field]` as a string, or the 400 that names the missing field.
+pub fn str_field<'a>(body: &'a Value, field: &str) -> Result<&'a str, Response> {
+    body.get(field)
+        .and_then(Value::as_str)
+        .ok_or_else(|| Response::bad_request(&format!("missing '{field}'")))
+}
+
+/// `body[field]` as an unsigned integer, or the 400 that names it.
+pub fn u64_field(body: &Value, field: &str) -> Result<u64, Response> {
+    body.get(field)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| Response::bad_request(&format!("missing '{field}'")))
 }
 
 /// A method+pattern dispatcher.
@@ -99,15 +142,19 @@ impl Router {
         self
     }
 
-    /// The registered pattern a request would dispatch to, e.g.
-    /// `"/api/data/:user"` for `GET /api/data/alice`. Metrics label
-    /// endpoints by pattern rather than by concrete path, keeping label
-    /// cardinality bounded by the route table.
-    pub fn match_pattern(&self, method: Method, path: &str) -> Option<&str> {
-        self.routes
-            .iter()
-            .find(|r| r.method == method && match_path(&r.pattern, path).is_some())
-            .map(|r| r.raw_pattern.as_str())
+    /// Walks the route table once for `request`.
+    pub(crate) fn resolve(&self, request: &Request) -> Resolved<'_> {
+        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
+        let mut resolved = Resolved::NoRoute;
+        for route in &self.routes {
+            if let Some(params) = match_path(&route.pattern, &segments) {
+                if route.method == request.method {
+                    return Resolved::Route(route, params);
+                }
+                resolved = Resolved::WrongMethod;
+            }
+        }
+        resolved
     }
 
     /// Registers a GET route.
@@ -128,41 +175,26 @@ impl Router {
         self.route(Method::Post, pattern, handler)
     }
 
-    /// Registers a PUT route.
-    pub fn put(
+    /// Registers a POST route whose body is JSON (the §5.4 convention: the
+    /// caller's key and arguments travel in the body). A body that does
+    /// not parse is answered 400 before `handler` runs; the handler's
+    /// early exits ([`Reply`]'s error arm — see [`str_field`]) are sent as
+    /// they are.
+    pub fn post_json(
         &mut self,
         pattern: &str,
-        handler: impl Fn(&Request, &Params) -> Response + Send + Sync + 'static,
+        handler: impl Fn(&Value) -> Reply + Send + Sync + 'static,
     ) -> &mut Router {
-        self.route(Method::Put, pattern, handler)
-    }
-
-    /// Registers a DELETE route.
-    pub fn delete(
-        &mut self,
-        pattern: &str,
-        handler: impl Fn(&Request, &Params) -> Response + Send + Sync + 'static,
-    ) -> &mut Router {
-        self.route(Method::Delete, pattern, handler)
+        self.post(pattern, move |req, _| match req.json() {
+            Ok(body) => handler(&body).unwrap_or_else(|early| early),
+            Err(e) => Response::bad_request(&format!("invalid JSON body: {e}")),
+        })
     }
 }
 
 impl Service for Router {
     fn handle(&self, request: &Request) -> Response {
-        let mut path_matched = false;
-        for route in &self.routes {
-            if let Some(params) = match_path(&route.pattern, &request.path) {
-                if route.method == request.method {
-                    return (route.handler)(request, &params);
-                }
-                path_matched = true;
-            }
-        }
-        if path_matched {
-            Response::error(Status::MethodNotAllowed, "method not allowed")
-        } else {
-            Response::error(Status::NotFound, "no such route")
-        }
+        self.resolve(request).respond(request)
     }
 }
 
@@ -254,20 +286,29 @@ mod tests {
     }
 
     #[test]
-    fn params_require() {
-        let p = Params::default();
-        assert!(p.require("user").is_err());
-    }
-
-    #[test]
-    fn match_pattern_returns_registered_pattern() {
-        let r = router();
+    fn post_json_parses_the_body_or_answers_400() {
+        let mut r = Router::new();
+        r.post_json("/api/echo", |body| {
+            Ok(Response::json(&json!({"name": (str_field(body, "name")?)})))
+        });
+        let ok = r.handle(&Request::post_json("/api/echo", &json!({"name": "x"})));
+        assert_eq!(ok.json_body().unwrap(), json!({"name": "x"}));
+        let missing = r.handle(&Request::post_json("/api/echo", &json!({"epoch": 1})));
+        assert_eq!(missing.status, Status::BadRequest);
         assert_eq!(
-            r.match_pattern(Method::Get, "/api/data/alice"),
-            Some("/api/data/:user")
+            missing.json_body().unwrap()["error"].as_str(),
+            Some("missing 'name'")
         );
-        assert_eq!(r.match_pattern(Method::Get, "/health"), Some("/health"));
-        assert_eq!(r.match_pattern(Method::Delete, "/health"), None);
-        assert_eq!(r.match_pattern(Method::Get, "/nope"), None);
+        assert_eq!(u64_field(&json!({"epoch": 1}), "epoch"), Ok(1));
+        assert!(u64_field(&json!({"epoch": "1"}), "epoch").is_err());
+        let mut bad = Request::post_json("/api/echo", &json!(null));
+        bad.body = b"{not json".to_vec();
+        let resp = r.handle(&bad);
+        assert_eq!(resp.status, Status::BadRequest);
+        let error = resp.json_body().unwrap()["error"]
+            .as_str()
+            .unwrap()
+            .to_string();
+        assert!(error.starts_with("invalid JSON body: "), "{error}");
     }
 }

@@ -4,19 +4,20 @@
 //! should be able to see, per consumer, how many requests were served as-is,
 //! served abstracted, or denied, and how often the dependency-closure rule
 //! suppressed extra channels beyond what the consumer asked for. Those
-//! counts are emitted from `policy::enforce`, which has no idea which
-//! consumer triggered it — the datastore request handler knows. The bridge
-//! is a thread-local consumer scope: the handler wraps enforcement in
-//! [`consumer_scope`], and [`record_decision`] picks the name up from
-//! thread-local storage (requests are served start-to-finish on one worker
-//! thread, so this is sound).
+//! decisions are made in `policy::enforce`, which has no idea which
+//! consumer triggered it, whose data it is deciding over, or where the
+//! record of the decision belongs — the datastore request handler knows.
+//! The bridge is one thread-local: the handler installs a [`DecisionScope`]
+//! around enforcement, and [`record_decision`] reads it (requests are
+//! served start-to-finish on one worker thread, so this is sound).
 //!
-//! The same bridge carries the durable record: when the handler also
-//! installs a [`ledger_scope`], every decision is appended to that
-//! contributor's [`AuditLedger`] with the consumer, matched rule indices,
-//! and the request's trace id; the scope's drop waits for the ledger's
-//! sync (requested earlier with [`LedgerScope::begin_sync`] when there is
-//! a reply to render meanwhile) so the response never outruns its audit
+//! The scope names both sinks of a decision: every one is appended to the
+//! scope's [`AuditLedger`] — exact consumer name, matched rule indices, the
+//! request's trace id — and observed by its [`AwarenessPlane`] *as the
+//! same record*, which is what keeps the live aggregates replayable from
+//! the chain. Dropping the installed scope waits for the ledger's sync
+//! (requested earlier with [`InstalledScope::begin_sync`] when there is a
+//! reply to render meanwhile) so the response never outruns its audit
 //! trail.
 //!
 //! Consumer names are attacker-influenced label values (anyone the broker
@@ -24,6 +25,7 @@
 //! [`MAX_CONSUMER_LABELS`] and fold the overflow into `"__other__"` —
 //! the ledger keeps exact names, the metrics keep bounded cardinality.
 
+use crate::awareness::AwarenessPlane;
 use crate::global;
 use crate::ledger::{AuditLedger, DecisionRecord};
 use crate::trace;
@@ -34,9 +36,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 thread_local! {
-    static CURRENT_CONSUMER: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-    static CURRENT_LEDGER: RefCell<Vec<(Arc<dyn AuditLedger>, String)>> =
-        RefCell::new(Vec::new());
+    static DECISION_SCOPES: RefCell<Vec<DecisionScope>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Most distinct `consumer` label values any one metric family will emit;
@@ -68,71 +68,55 @@ impl Outcome {
     }
 }
 
-/// RAII guard restoring the previous consumer scope on drop.
-pub struct ConsumerScope {
-    _private: (),
+/// Everything [`record_decision`] needs to know about the request a
+/// decision belongs to.
+#[derive(Clone)]
+pub struct DecisionScope {
+    /// The consumer on whose behalf enforcement runs.
+    pub consumer: String,
+    /// The contributor whose data is being decided over.
+    pub contributor: String,
+    /// The contributor's rule epoch live for this request (read under the
+    /// same account guard enforcement uses), so rule hits attribute to the
+    /// exact rule set that produced them.
+    pub rule_epoch: u64,
+    /// Where the decision records are appended.
+    pub ledger: Arc<dyn AuditLedger>,
+    /// The live aggregates observing the same records.
+    pub awareness: Arc<AwarenessPlane>,
 }
 
-impl Drop for ConsumerScope {
-    fn drop(&mut self) {
-        CURRENT_CONSUMER.with(|stack| {
-            stack.borrow_mut().pop();
-        });
+impl DecisionScope {
+    /// Routes the decisions recorded on this thread through this scope
+    /// until the returned guard drops. Scopes nest; the innermost wins.
+    pub fn install(self) -> InstalledScope {
+        let ledger = self.ledger.clone();
+        DECISION_SCOPES.with(|stack| stack.borrow_mut().push(self));
+        InstalledScope { ledger }
     }
 }
 
-/// Tags this thread with the consumer on whose behalf the enclosed work
-/// runs. Scopes nest; the innermost wins.
-pub fn consumer_scope(consumer: impl Into<String>) -> ConsumerScope {
-    CURRENT_CONSUMER.with(|stack| stack.borrow_mut().push(consumer.into()));
-    ConsumerScope { _private: () }
-}
-
-/// The consumer the current thread is serving, or `"unknown"` when
-/// enforcement runs outside a request scope (tests, offline tools).
-pub fn current_consumer() -> String {
-    CURRENT_CONSUMER.with(|stack| {
-        stack
-            .borrow()
-            .last()
-            .cloned()
-            .unwrap_or_else(|| "unknown".to_string())
-    })
-}
-
-/// RAII guard detaching the ledger scope; its drop waits in
+/// RAII guard of an installed [`DecisionScope`]; its drop waits in
 /// [`AuditLedger::sync`], so the enclosed decisions are durable before
 /// the response leaves. A handler that still has the reply to render
-/// calls [`LedgerScope::begin_sync`] after its last decision and drops
+/// calls [`InstalledScope::begin_sync`] after its last decision and drops
 /// the guard once the body exists: the disk works meanwhile.
-pub struct LedgerScope {
+pub struct InstalledScope {
     ledger: Arc<dyn AuditLedger>,
 }
 
-impl LedgerScope {
+impl InstalledScope {
     /// Requests the sync the drop will wait for, without waiting.
     pub fn begin_sync(&self) {
         self.ledger.sync_begin();
     }
 }
 
-impl Drop for LedgerScope {
+impl Drop for InstalledScope {
     fn drop(&mut self) {
-        CURRENT_LEDGER.with(|stack| stack.borrow_mut().pop());
+        DECISION_SCOPES.with(|stack| stack.borrow_mut().pop());
         self.ledger.sync();
     }
-}
-
-/// Routes decisions recorded on this thread into `ledger`, attributed to
-/// `contributor` (whose data is being decided over). Scopes nest; the
-/// innermost wins.
-pub fn ledger_scope(ledger: Arc<dyn AuditLedger>, contributor: impl Into<String>) -> LedgerScope {
-    CURRENT_LEDGER.with(|stack| {
-        stack
-            .borrow_mut()
-            .push((ledger.clone(), contributor.into()))
-    });
-    LedgerScope { ledger }
 }
 
 /// The bounded consumer label for `family`: the consumer's own name while
@@ -155,22 +139,14 @@ pub fn consumer_label(family: &str, consumer: &str) -> String {
     OTHER_CONSUMER_LABEL.to_string()
 }
 
-/// Records one enforcement decision in the global registry:
-/// `sensorsafe_policy_decisions_total{consumer, decision}` plus, when the
-/// dependency-closure rule suppressed channels, the suppression counters.
-/// Decision metadata-free variant of [`record_decision`], kept for callers
-/// with no rule provenance.
-pub fn record_enforcement(outcome: Outcome, suppressed_channels: u64) {
-    record_decision(outcome, suppressed_channels, &[]);
-}
-
 /// Records one enforcement decision with its rule provenance: bumps the
-/// per-consumer counters (bounded labels) and, when a [`ledger_scope`] is
-/// active, appends a [`DecisionRecord`] — exact consumer name, matched
-/// rule indices, current trace id — to the contributor's audit ledger.
+/// per-consumer counters (bounded labels; `"unknown"` when enforcement
+/// runs outside a request scope — tests, offline tools) and, inside a
+/// [`DecisionScope`], hands one [`DecisionRecord`] to both of its sinks.
 pub fn record_decision(outcome: Outcome, suppressed_channels: u64, matched_rules: &[u32]) {
-    let consumer = current_consumer();
-    let label = consumer_label("sensorsafe_policy_decisions_total", &consumer);
+    let scope = DECISION_SCOPES.with(|stack| stack.borrow().last().cloned());
+    let consumer = scope.as_ref().map_or("unknown", |s| s.consumer.as_str());
+    let label = consumer_label("sensorsafe_policy_decisions_total", consumer);
     global()
         .counter(
             "sensorsafe_policy_decisions_total",
@@ -179,7 +155,7 @@ pub fn record_decision(outcome: Outcome, suppressed_channels: u64, matched_rules
         )
         .inc();
     if suppressed_channels > 0 {
-        let label = consumer_label("sensorsafe_policy_closure_suppressions_total", &consumer);
+        let label = consumer_label("sensorsafe_policy_closure_suppressions_total", consumer);
         global()
             .counter(
                 "sensorsafe_policy_closure_suppressions_total",
@@ -195,40 +171,28 @@ pub fn record_decision(outcome: Outcome, suppressed_channels: u64, matched_rules
             )
             .add(suppressed_channels);
     }
-    let scope = CURRENT_LEDGER.with(|stack| stack.borrow().last().cloned());
-    let aware = crate::awareness::current_scope();
-    if scope.is_none() && aware.is_none() {
+    let Some(scope) = scope else {
         return;
-    }
+    };
     // One record serves both sinks: the ledger append and the awareness
     // observation must carry identical fields (timestamp included) so a
     // replay of the chain reproduces the live aggregates byte for byte.
-    let unix_ms = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    let contributor = scope
-        .as_ref()
-        .map(|(_, c)| c.clone())
-        .or_else(|| aware.as_ref().map(|(_, c, _)| c.clone()))
-        .unwrap_or_default();
     let record = DecisionRecord {
         seq: 0, // assigned by the ledger
-        unix_ms,
+        unix_ms: SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_millis() as u64)
+            .unwrap_or(0),
         trace_id: trace::current_context().map(|c| c.trace_id).unwrap_or(0),
-        rule_epoch: aware.as_ref().map(|(_, _, e)| *e).unwrap_or(0),
-        contributor,
-        consumer,
+        rule_epoch: scope.rule_epoch,
+        contributor: scope.contributor,
+        consumer: scope.consumer,
         matched_rules: matched_rules.to_vec(),
         outcome,
         suppressed_channels,
     };
-    if let Some((plane, _, _)) = aware {
-        plane.observe(&record);
-    }
-    if let Some((ledger, _)) = scope {
-        ledger.append(record);
-    }
+    scope.awareness.observe(&record);
+    scope.ledger.append(record);
 }
 
 #[cfg(test)]
@@ -236,28 +200,48 @@ mod tests {
     use super::*;
     use crate::ledger::MemoryLedger;
 
-    #[test]
-    fn scope_nests_and_restores() {
-        assert_eq!(current_consumer(), "unknown");
-        {
-            let _outer = consumer_scope("alice-doctor");
-            assert_eq!(current_consumer(), "alice-doctor");
-            {
-                let _inner = consumer_scope("bob-insurer");
-                assert_eq!(current_consumer(), "bob-insurer");
-            }
-            assert_eq!(current_consumer(), "alice-doctor");
+    fn scope(consumer: &str, ledger: &Arc<MemoryLedger>) -> DecisionScope {
+        DecisionScope {
+            consumer: consumer.to_string(),
+            contributor: "alice".to_string(),
+            rule_epoch: 7,
+            ledger: ledger.clone(),
+            awareness: Arc::new(AwarenessPlane::new()),
         }
-        assert_eq!(current_consumer(), "unknown");
+    }
+
+    fn newest_consumer(ledger: &MemoryLedger) -> String {
+        ledger.recent(1)[0].consumer.clone()
     }
 
     #[test]
-    fn record_enforcement_counts_by_consumer_and_decision() {
-        let _scope = consumer_scope("audit-test-consumer");
-        record_enforcement(Outcome::Allowed, 0);
-        record_enforcement(Outcome::Allowed, 0);
-        record_enforcement(Outcome::Abstracted, 0);
-        record_enforcement(Outcome::Denied, 3);
+    fn scope_nests_and_restores() {
+        let ledger = Arc::new(MemoryLedger::new());
+        {
+            let _outer = scope("alice-doctor", &ledger).install();
+            record_decision(Outcome::Allowed, 0, &[]);
+            assert_eq!(newest_consumer(&ledger), "alice-doctor");
+            {
+                let _inner = scope("bob-insurer", &ledger).install();
+                record_decision(Outcome::Allowed, 0, &[]);
+                assert_eq!(newest_consumer(&ledger), "bob-insurer");
+            }
+            record_decision(Outcome::Allowed, 0, &[]);
+            assert_eq!(newest_consumer(&ledger), "alice-doctor");
+        }
+        // Outside any scope, decisions are counted but reach no ledger.
+        record_decision(Outcome::Allowed, 0, &[]);
+        assert_eq!(ledger.len(), 3);
+    }
+
+    #[test]
+    fn record_decision_counts_by_consumer_and_decision() {
+        let ledger = Arc::new(MemoryLedger::new());
+        let _scope = scope("audit-test-consumer", &ledger).install();
+        record_decision(Outcome::Allowed, 0, &[]);
+        record_decision(Outcome::Allowed, 0, &[]);
+        record_decision(Outcome::Abstracted, 0, &[]);
+        record_decision(Outcome::Denied, 3, &[]);
 
         let get = |decision: &str| {
             global()
@@ -317,11 +301,12 @@ mod tests {
     }
 
     #[test]
-    fn decisions_reach_the_scoped_ledger_with_exact_names() {
+    fn decisions_reach_both_sinks_as_one_record_with_exact_names() {
         let ledger = Arc::new(MemoryLedger::new());
+        let scope = scope("ledger-test-consumer", &ledger);
+        let plane = scope.awareness.clone();
         {
-            let _ledger = ledger_scope(ledger.clone() as Arc<dyn AuditLedger>, "alice");
-            let _consumer = consumer_scope("ledger-test-consumer");
+            let _installed = scope.install();
             record_decision(Outcome::Abstracted, 2, &[1, 4]);
             record_decision(Outcome::Denied, 0, &[2]);
         }
@@ -329,12 +314,16 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].contributor, "alice");
         assert_eq!(records[0].consumer, "ledger-test-consumer");
+        assert_eq!(records[0].rule_epoch, 7);
         assert_eq!(records[0].matched_rules, vec![1, 4]);
         assert_eq!(records[0].outcome, Outcome::Abstracted);
         assert_eq!(records[0].suppressed_channels, 2);
         assert_eq!(records[1].matched_rules, vec![2]);
         assert_eq!(records[1].outcome, Outcome::Denied);
         assert_eq!(records[1].seq, 1);
+        // The plane saw the same records the chain holds.
+        let rebuilt = crate::awareness::AwarenessAggregates::rebuild(records.iter());
+        assert_eq!(plane.aggregates(), rebuilt);
         // Outside the scope, decisions no longer reach the ledger.
         record_decision(Outcome::Allowed, 0, &[]);
         assert_eq!(ledger.len(), 2);
@@ -346,7 +335,7 @@ mod tests {
         let ctx = trace::TraceContext::root();
         {
             let _trace = trace::context_scope(ctx);
-            let _ledger = ledger_scope(ledger.clone() as Arc<dyn AuditLedger>, "alice");
+            let _installed = scope("bob", &ledger).install();
             record_decision(Outcome::Allowed, 0, &[0]);
         }
         assert_eq!(ledger.recent(1)[0].trace_id, ctx.trace_id);

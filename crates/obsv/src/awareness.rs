@@ -21,8 +21,8 @@
 //!   baseline, a posture worth surfacing to the contributor).
 //!
 //! The plane is fed from the same [`crate::audit::record_decision`] path
-//! that feeds the ledger: the datastore request handler installs an
-//! [`awareness_scope`] next to the ledger scope, and every decision updates
+//! that feeds the ledger: the datastore request handler installs one
+//! [`crate::audit::DecisionScope`] naming both, and every decision updates
 //! the live aggregates with *the same record* that is appended to the
 //! chain. That shared feed is what makes the numbers **verifiable**:
 //! [`AwarenessAggregates::rebuild`] replays any decision-record stream
@@ -42,7 +42,6 @@ use crate::ledger::DecisionRecord;
 use crate::timeseries::SeriesTable;
 use parking_lot::Mutex;
 use sensorsafe_auth::Sha256;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -428,8 +427,8 @@ pub struct ContributorSummary {
 
 /// The live analytics plane: deterministic aggregates plus the live-only
 /// rule-set metadata needed for posture findings, behind one mutex. A
-/// datastore owns one plane and feeds it through [`awareness_scope`] +
-/// [`crate::audit::record_decision`].
+/// datastore owns one plane and feeds it through a
+/// [`crate::audit::DecisionScope`] + [`crate::audit::record_decision`].
 pub struct AwarenessPlane {
     state: Mutex<PlaneState>,
 }
@@ -629,47 +628,6 @@ fn dead_rules_gauge() -> Arc<crate::Gauge> {
     )
 }
 
-thread_local! {
-    static CURRENT_AWARENESS: RefCell<Vec<(Arc<AwarenessPlane>, String, u64)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// RAII guard detaching the awareness scope on drop.
-pub struct AwarenessScope {
-    _private: (),
-}
-
-impl Drop for AwarenessScope {
-    fn drop(&mut self) {
-        CURRENT_AWARENESS.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-    }
-}
-
-/// Routes decisions recorded on this thread into `plane`, attributed to
-/// `contributor` under their currently live `rule_epoch`. Installed by the
-/// datastore next to the ledger scope so the live aggregates and the
-/// hash-chained ledger see the same stream. Scopes nest; the innermost
-/// wins.
-pub fn awareness_scope(
-    plane: Arc<AwarenessPlane>,
-    contributor: impl Into<String>,
-    rule_epoch: u64,
-) -> AwarenessScope {
-    CURRENT_AWARENESS.with(|stack| {
-        stack
-            .borrow_mut()
-            .push((plane, contributor.into(), rule_epoch))
-    });
-    AwarenessScope { _private: () }
-}
-
-/// The innermost awareness scope on this thread, if any.
-pub(crate) fn current_scope() -> Option<(Arc<AwarenessPlane>, String, u64)> {
-    CURRENT_AWARENESS.with(|stack| stack.borrow().last().cloned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,16 +788,21 @@ mod tests {
 
     #[test]
     fn scoped_decisions_feed_plane_and_ledger_identically() {
-        use crate::audit::{consumer_scope, ledger_scope, record_decision};
+        use crate::audit::{record_decision, DecisionScope};
         use crate::ledger::{AuditLedger, MemoryLedger};
 
         let plane = Arc::new(AwarenessPlane::new());
         let ledger = Arc::new(MemoryLedger::new());
         plane.note_rule_set("alice", 7, 2);
         {
-            let _ledger = ledger_scope(ledger.clone() as Arc<dyn AuditLedger>, "alice");
-            let _aware = awareness_scope(plane.clone(), "alice", 7);
-            let _consumer = consumer_scope("awareness-scope-consumer");
+            let _installed = DecisionScope {
+                consumer: "awareness-scope-consumer".to_string(),
+                contributor: "alice".to_string(),
+                rule_epoch: 7,
+                ledger: ledger.clone(),
+                awareness: plane.clone(),
+            }
+            .install();
             record_decision(Outcome::Allowed, 0, &[0]);
             record_decision(Outcome::Denied, 0, &[]);
         }

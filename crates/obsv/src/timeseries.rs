@@ -134,21 +134,6 @@ impl SeriesRing {
         self.window(now_secs, window_secs).map(|s| s.value).sum()
     }
 
-    /// Mean of sample values inside the window, `None` when empty.
-    pub fn window_mean(&self, now_secs: f64, window_secs: f64) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for s in self.window(now_secs, window_secs) {
-            sum += s.value;
-            n += 1;
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-
     /// Counter increase over the window, tolerant of counter resets.
     ///
     /// Sums positive increments between consecutive samples; a decrease is
@@ -345,12 +330,6 @@ impl SeriesTable {
     pub fn dropped_series_pushes(&self) -> u64 {
         self.dropped
     }
-
-    /// Removes every series whose key starts with `prefix` (used when a
-    /// store is deregistered).
-    pub fn remove_prefix(&mut self, prefix: &str) {
-        self.series.retain(|k, _| !k.starts_with(prefix));
-    }
 }
 
 #[cfg(test)]
@@ -481,7 +460,7 @@ mod tests {
         assert_eq!(table.get("store-1|up").unwrap().len(), 2);
         let keys: Vec<&str> = table.with_prefix("store-1|").map(|(k, _)| k).collect();
         assert_eq!(keys, ["store-1|up"]);
-        table.remove_prefix("store-1|");
-        assert_eq!(table.series_count(), 1);
+        assert_eq!(table.with_prefix("store-").count(), 2);
+        assert_eq!(table.with_prefix("store-3|").count(), 0);
     }
 }

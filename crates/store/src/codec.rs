@@ -43,38 +43,42 @@ fn err(msg: impl Into<String>) -> CodecError {
 
 const VERSION: u8 = 1;
 
-struct Reader<'a> {
+/// Bounds-checked cursor over one encoded `what` (named in its errors):
+/// every read is length-checked and [`Reader::finish`] rejects trailing
+/// bytes. The replication frame codec ([`crate::repl`]) reads with it too.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    what: &'static str,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    pub(crate) fn new(buf: &'a [u8], what: &'static str) -> Self {
+        Reader { buf, pos: 0, what }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.pos + n > self.buf.len() {
-            return Err(err("truncated record"));
+            return Err(err(format!("truncated {}", self.what)));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, CodecError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -86,11 +90,11 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn finish(&self) -> Result<(), CodecError> {
+    pub(crate) fn finish(&self) -> Result<(), CodecError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
-            Err(err("trailing bytes after record"))
+            Err(err(format!("trailing bytes after {}", self.what)))
         }
     }
 }
@@ -156,7 +160,7 @@ pub fn encode_segment(seg: &WaveSegment) -> Vec<u8> {
 
 /// Decodes a segment from its binary log form.
 pub fn decode_segment(buf: &[u8]) -> Result<WaveSegment, CodecError> {
-    let mut r = Reader::new(buf);
+    let mut r = Reader::new(buf, "record");
     let version = r.u8()?;
     if version != VERSION {
         return Err(err(format!("unsupported segment version {version}")));
@@ -237,7 +241,7 @@ pub fn encode_annotation(ann: &ContextAnnotation) -> Vec<u8> {
 
 /// Decodes a context annotation.
 pub fn decode_annotation(buf: &[u8]) -> Result<ContextAnnotation, CodecError> {
-    let mut r = Reader::new(buf);
+    let mut r = Reader::new(buf, "record");
     let version = r.u8()?;
     if version != VERSION {
         return Err(err(format!("unsupported annotation version {version}")));

@@ -31,7 +31,7 @@
 //! accounting is off — the proptests in `tests/repl_codec.rs` flip bytes
 //! and truncate tails to prove it.
 
-use crate::codec::{self, crc32, CodecError};
+use crate::codec::{self, crc32, CodecError, Reader};
 use crate::wal::WalRecord;
 use std::collections::VecDeque;
 
@@ -245,7 +245,7 @@ pub fn decode_batch(buf: &[u8]) -> Result<ReplFrame, CodecError> {
     if crc32(body) != expected {
         return Err(err("frame checksum mismatch"));
     }
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(body, "repl frame");
     let version = r.u8()?;
     if version != WIRE_VERSION {
         return Err(err(format!("unsupported repl frame version {version}")));
@@ -312,52 +312,6 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, CodecError> {
         out.push(digit(pair[0])? << 4 | digit(pair[1])?);
     }
     Ok(out)
-}
-
-/// Bounds-checked cursor, mirroring the WAL codec's reader: every read
-/// is length-checked and [`Reader::finish`] rejects trailing bytes.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.pos + n > self.buf.len() {
-            return Err(err("truncated repl frame"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn finish(&self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(err("trailing bytes after repl frame"))
-        }
-    }
 }
 
 #[cfg(test)]

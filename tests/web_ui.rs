@@ -164,3 +164,60 @@ fn sessions_do_not_cross_servers() {
         .handle(&Request::get("/ui/search").with_query("session", token));
     assert_eq!(resp.status, Status::Unauthorized);
 }
+
+#[test]
+fn escaped_form_values_decode_the_same_on_both_servers() {
+    use sensorsafe::net::Service as _;
+    // A login whose name and password need every kind of escape a browser
+    // produces: `@`, `&`, `=`, `%`, a space and a non-ASCII byte pair.
+    let (username, password) = ("bob@lab.org", "p&ss=w%rd é");
+    let login_body = b"username=bob%40lab.org&password=p%26ss%3Dw%25rd+%C3%A9".to_vec();
+
+    let mut deployment = Deployment::in_process();
+    let store = deployment.add_store("s1");
+    let alice = deployment.register_contributor("s1", "alice").unwrap();
+    // Alice shares only at a place whose label needs escaping in a form,
+    // and only with this consumer.
+    alice
+        .set_rules(&json!([{
+            "Consumer": [username],
+            "LocationLabel": ["R&D lab, 2nd floor"],
+            "Action": "Allow",
+        }]))
+        .unwrap();
+    let broker = deployment.broker();
+    store.create_web_user(username, password);
+    broker.create_web_user(username, password);
+
+    let mut login = Request::get("/ui/login");
+    login.method = Method::Post;
+    login.body = login_body;
+    // The data store and the broker decode the same body the same way.
+    let at_store = store.handle(&login);
+    assert_eq!(at_store.status, Status::Ok, "data store login");
+    assert!(String::from_utf8_lossy(&at_store.body).contains("Welcome, bob@lab.org."));
+    let at_broker = broker.handle(&login);
+    assert_eq!(at_broker.status, Status::Ok, "broker login");
+    let token = extract_token(&String::from_utf8_lossy(&at_broker.body));
+    // The same password with its escapes left in is a different password.
+    login.body = b"username=bob%40lab.org&password=p%2526ss".to_vec();
+    assert_eq!(broker.handle(&login).status, Status::Unauthorized);
+
+    // Search-form values are matched decoded: the label and the session's
+    // user name select alice's rule; a different label does not.
+    let search = |body: &str| {
+        let mut post = Request::get("/ui/search").with_query("session", token.clone());
+        post.method = Method::Post;
+        post.body = body.as_bytes().to_vec();
+        let resp = broker.handle(&post);
+        assert_eq!(resp.status, Status::Ok);
+        String::from_utf8_lossy(&resp.body).to_string()
+    };
+    let html = search(
+        "channels=ecg%2Crespiration&location_label=R%26D+lab%2C+2nd+floor\
+         &d%61y=Mon&from=9%3A00am&to=6%3A00pm",
+    );
+    assert!(html.contains("<li>alice</li>"), "{html}");
+    let html = search("channels=ecg&location_label=R%26D+lab&day=Mon&from=9%3A00am&to=6%3A00pm");
+    assert!(html.contains("0 contributor(s)"), "{html}");
+}
