@@ -653,57 +653,87 @@ impl BrokerService {
             role: Role::Server,
         });
         let mut router = Router::new();
+        // Where the server may run a route (`sensorsafe_net::Service::
+        // blocking`). INLINE — on the event loop that decoded the request —
+        // is only for a handler that never waits on disk, the network, a
+        // sleep or a lock held across one: all four routes so marked read
+        // and write memory under short locks. Everything else takes the
+        // POOL (`/fleet` walks every store's retained series,
+        // `/api/consumers/add` and the registrations call out to stores).
+        // `tests/evented_core.rs` pins the set.
+        const INLINE: bool = true;
+        const POOL: bool = false;
         type Page = fn(&Inner) -> Response;
-        let pages: [(&str, Page); 3] = [
-            ("/health", Inner::handle_health),
-            ("/healthz", Inner::handle_healthz),
-            ("/fleet", Inner::handle_fleet),
+        let pages: [(&str, bool, Page); 3] = [
+            ("/health", INLINE, Inner::handle_health),
+            ("/healthz", INLINE, Inner::handle_healthz),
+            ("/fleet", POOL, Inner::handle_fleet),
         ];
-        for (path, handler) in pages {
+        for (path, inline, handler) in pages {
             let inner = inner.clone();
-            router.get(path, move |_, _| handler(&inner));
+            let route = router.get(path, move |_, _| handler(&inner));
+            if inline {
+                route.non_blocking();
+            }
         }
         // Every API route: who may call it (the role its key must hold and
-        // the 403 otherwise; `None` = the handler decides by role) and the
-        // handler the authenticated caller is passed to.
+        // the 403 otherwise; `None` = the handler decides by role), where
+        // it runs, and the handler the authenticated caller is passed to.
         type Handler = fn(&Inner, Principal, &Value) -> Reply;
         type Required = Option<(Role, &'static str)>;
         let admin = Some((Role::Server, "registration requires the admin key"));
         let pairing = Some((Role::Server, "pairing requires the admin key"));
         let store = Some((Role::Server, "store key required"));
         let consumer = Some((Role::Consumer, "consumers only"));
-        let api: [(&str, Required, Handler); 9] = [
-            ("/api/register", admin, Inner::handle_register),
+        let api: [(&str, Required, bool, Handler); 9] = [
+            ("/api/register", admin, POOL, Inner::handle_register),
             (
                 "/api/stores/register",
                 pairing,
+                POOL,
                 Inner::handle_store_register,
             ),
-            ("/api/stores/replica", pairing, Inner::handle_stores_replica),
+            (
+                "/api/stores/replica",
+                pairing,
+                POOL,
+                Inner::handle_stores_replica,
+            ),
             (
                 "/api/contributors/register",
                 store,
+                POOL,
                 Inner::handle_contributor_register,
             ),
             (
                 "/api/contributors/resolve",
                 None,
+                POOL,
                 Inner::handle_contributor_resolve,
             ),
-            ("/api/sync", store, Inner::handle_sync),
-            ("/api/search", consumer, Inner::handle_search),
-            ("/api/consumers/add", consumer, Inner::handle_consumers_add),
+            ("/api/sync", store, INLINE, Inner::handle_sync),
+            ("/api/search", consumer, INLINE, Inner::handle_search),
+            (
+                "/api/consumers/add",
+                consumer,
+                POOL,
+                Inner::handle_consumers_add,
+            ),
             (
                 "/api/consumers/access",
                 consumer,
+                POOL,
                 Inner::handle_consumers_access,
             ),
         ];
-        for (path, required, handler) in api {
+        for (path, required, inline, handler) in api {
             let inner = inner.clone();
-            router.post_json(path, move |body| {
+            let route = router.post_json(path, move |body| {
                 handler(&inner, inner.authenticate(body, required)?, body)
             });
+            if inline {
+                route.non_blocking();
+            }
         }
         crate::web::mount(&mut router, &inner);
         let edge = Edge::new(
@@ -750,6 +780,12 @@ impl BrokerService {
         self.inner.traces.recent_traces()
     }
 
+    /// The routes a server may run inline on its event loops, as
+    /// `"<METHOD> <pattern>"` (the route table in [`BrokerService::new`]).
+    pub fn non_blocking_routes(&self) -> Vec<String> {
+        self.edge.non_blocking_routes()
+    }
+
     /// Runs one synchronous fleet sweep on the calling thread. Tests and
     /// in-process deployments use this for deterministic scheduling; TCP
     /// deployments run [`BrokerService::spawn_fleet_scraper`] instead.
@@ -767,6 +803,10 @@ impl BrokerService {
 impl Service for BrokerService {
     fn handle(&self, request: &Request) -> Response {
         self.edge.handle(request)
+    }
+
+    fn blocking(&self, request: &Request) -> bool {
+        self.edge.blocking(request)
     }
 }
 

@@ -1180,6 +1180,13 @@ impl DataStoreService {
                     .flatten()
             }));
         }
+        // No route here is declared non-blocking (`sensorsafe_net::Service::
+        // blocking`), so the handler pool runs them all: every upload and
+        // query waits on a journal or ledger sync, and `/healthz` reads each
+        // hosted account under its lock, where it queues behind the
+        // checkpoint thread re-serialising that account — milliseconds an
+        // event loop must not spend. `tests/evented_core.rs` pins the
+        // (empty) set.
         let mut router = Router::new();
         {
             let inner = inner.clone();
@@ -1319,6 +1326,13 @@ impl DataStoreService {
         self.inner.traces.recent_traces()
     }
 
+    /// The routes a server may run inline on its event loops, as
+    /// `"<METHOD> <pattern>"` — none (the route table in
+    /// [`DataStoreService::new`] says why).
+    pub fn non_blocking_routes(&self) -> Vec<String> {
+        self.edge.non_blocking_routes()
+    }
+
     /// The enforcement-decision audit ledger (file-backed when the store
     /// has a data directory, in-memory otherwise).
     pub fn audit_ledger(&self) -> Arc<dyn AuditLedger> {
@@ -1345,6 +1359,10 @@ impl DataStoreService {
 impl Service for DataStoreService {
     fn handle(&self, request: &Request) -> Response {
         self.edge.handle(request)
+    }
+
+    fn blocking(&self, request: &Request) -> bool {
+        self.edge.blocking(request)
     }
 }
 

@@ -13,16 +13,18 @@
 //!   exactly one place, and only ever by its route *pattern* — never the
 //!   concrete path, so label cardinality is bounded by the route table;
 //!   paths no route serves (404) or serves under another method (405)
-//!   share the label `unmatched`.
+//!   share the label `unmatched`. The metric handles are resolved once
+//!   per route (and status code) on first use, so a request in steady
+//!   state builds no label set and takes no registry lock.
 //! * **The ops mount**: `GET /metrics` (the instance registry, then the
 //!   process-wide one, in one scrape body), `GET /traces`,
 //!   `GET /debug/profile` and `GET /debug/spans`.
 
-use crate::http::{Request, Response};
-use crate::router::Router;
+use crate::http::{Request, Response, Status};
+use crate::router::{Resolved, Router};
 use crate::Service;
-use sensorsafe_obsv::{Registry, TraceRecorder};
-use std::sync::Arc;
+use sensorsafe_obsv::{Counter, Histogram, Registry, TraceRecorder};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The two per-request metric families of one server, each as `(name,
@@ -38,12 +40,25 @@ pub struct RequestFamilies {
 /// The label of requests no route serves.
 const UNMATCHED: &str = "unmatched";
 
+/// One route's metric handles, each resolved the first time it is
+/// needed — a series exists from the first request that earns it, as when
+/// every request looked it up by label.
+#[derive(Default)]
+struct RouteMetrics {
+    seconds: OnceLock<Arc<Histogram>>,
+    /// By [`Status`] variant.
+    total: [OnceLock<Arc<Counter>>; Status::ServiceUnavailable as usize + 1],
+}
+
 /// A server's routes behind the shared front door (module docs).
 pub struct Edge {
     router: Router,
     families: RequestFamilies,
     registry: Arc<Registry>,
     traces: Arc<TraceRecorder>,
+    /// One entry per route by table index, then the one `unmatched`
+    /// requests share.
+    metrics: Vec<RouteMetrics>,
 }
 
 impl Edge {
@@ -73,12 +88,22 @@ impl Edge {
             crate::debug::profile_response(req)
         });
         router.get("/debug/spans", |req, _| crate::debug::spans_response(req));
+        let metrics = (0..=router.len())
+            .map(|_| RouteMetrics::default())
+            .collect();
         Edge {
             router,
             families,
             registry,
             traces,
+            metrics,
         }
+    }
+
+    /// The routes this server declared non-blocking
+    /// ([`Router::non_blocking_routes`]).
+    pub fn non_blocking_routes(&self) -> Vec<String> {
+        self.router.non_blocking_routes()
     }
 }
 
@@ -90,24 +115,33 @@ impl Service for Edge {
             format!("{} {endpoint}", request.method.as_str()),
             request.trace_context(),
         );
+        let metrics = match &resolved {
+            Resolved::Route(route, _) => &self.metrics[route.index],
+            _ => &self.metrics[self.router.len()],
+        };
         let started = Instant::now();
         let response = resolved.respond(request);
-        let (name, help) = self.families.seconds;
-        self.registry
-            .histogram(name, help, &[("endpoint", endpoint)], None)
+        metrics
+            .seconds
+            .get_or_init(|| {
+                let (name, help) = self.families.seconds;
+                self.registry
+                    .histogram(name, help, &[("endpoint", endpoint)], None)
+            })
             .observe(started.elapsed());
-        let (name, help) = self.families.total;
-        self.registry
-            .counter(
-                name,
-                help,
-                &[
-                    ("endpoint", endpoint),
-                    ("code", &response.status.code().to_string()),
-                ],
-            )
+        metrics.total[response.status as usize]
+            .get_or_init(|| {
+                let (name, help) = self.families.total;
+                let code = response.status.code().to_string();
+                self.registry
+                    .counter(name, help, &[("endpoint", endpoint), ("code", &code)])
+            })
             .inc();
         response
+    }
+
+    fn blocking(&self, request: &Request) -> bool {
+        self.router.blocking(request)
     }
 }
 

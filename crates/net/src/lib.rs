@@ -16,8 +16,9 @@
 //! * [`html`] — the HTML/form kit under both web user interfaces.
 //! * [`Server`] — epoll event loops with `SO_REUSEPORT` sharded accept
 //!   ([`evented`]), an incremental request decoder ([`codec`]), a bounded
-//!   handler pool for the blocking service code, overload shedding and
-//!   clean shutdown.
+//!   handler pool for the service code that waits (a route declared
+//!   non-blocking — [`Service::blocking`] — is answered by the loop
+//!   itself), overload shedding and clean shutdown.
 //! * [`HttpClient`] — a blocking client for consumer apps, contributor
 //!   phones, and server-to-server calls (rule sync, key escrow).
 //! * [`promtext`] — a tolerant Prometheus text-format parser, the inverse
@@ -66,6 +67,17 @@ use std::sync::Arc;
 pub trait Service: Send + Sync {
     /// Handles one request.
     fn handle(&self, request: &Request) -> Response;
+
+    /// Whether handling `request` may **wait**: on disk, on the network,
+    /// on a sleep, or on a lock some other thread holds across one of
+    /// those. [`Server`] runs a blocking request on its handler pool and
+    /// a non-blocking one inline on the event loop that decoded it — so a
+    /// `false` here that turns out slow stalls every other connection of
+    /// that loop. The default is `true`; a wrapper around another
+    /// service must forward this method or the default silently wins.
+    fn blocking(&self, _request: &Request) -> bool {
+        true
+    }
 }
 
 impl<F> Service for F
@@ -80,5 +92,9 @@ where
 impl Service for Arc<dyn Service> {
     fn handle(&self, request: &Request) -> Response {
         (**self).handle(request)
+    }
+
+    fn blocking(&self, request: &Request) -> bool {
+        (**self).blocking(request)
     }
 }

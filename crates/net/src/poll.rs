@@ -43,20 +43,36 @@ fn check(ret: libc::c_int) -> io::Result<libc::c_int> {
 /// An `epoll` instance. Level-triggered on purpose: the event loop's
 /// state machines re-arm interest explicitly, and level triggering makes
 /// a missed edge impossible (at worst a spurious wakeup).
+///
+/// Every method takes `&self`: a handler thread re-arms a connection's
+/// read interest ([`Poller::modify`]) while the owning loop sits in
+/// [`Poller::wait`] — `epoll_ctl` against a concurrent `epoll_wait` is
+/// defined by the kernel, and the instance is shared by `Arc` so the
+/// epoll fd outlives every thread that may still name it.
 pub struct Poller {
     epfd: RawFd,
-    /// Reused kernel-facing event buffer.
-    events: Vec<libc::epoll_event>,
+}
+
+/// Events taken from the kernel per [`Poller::wait`]; with level
+/// triggering whatever did not fit is reported again by the next wait.
+const WAIT_BATCH: usize = 256;
+
+/// `epoll_wait`'s timeout argument: `-1` blocks, otherwise whole
+/// milliseconds rounded **up** (and at least 1), so a loop waiting for a
+/// timer-wheel tick 1.9 ms away does not wake 0.9 ms early and poll again
+/// for nothing, and a 100 µs timeout does not spin at 0 ms.
+fn timeout_ms(timeout: Option<Duration>) -> libc::c_int {
+    match timeout {
+        None => -1,
+        Some(t) => t.as_nanos().div_ceil(1_000_000).clamp(1, i32::MAX as u128) as libc::c_int,
+    }
 }
 
 impl Poller {
     /// A fresh epoll instance (close-on-exec).
     pub fn new() -> io::Result<Poller> {
         let epfd = check(unsafe { libc::epoll_create1(libc::EPOLL_CLOEXEC) })?;
-        Ok(Poller {
-            epfd,
-            events: vec![libc::epoll_event { events: 0, u64: 0 }; 1024],
-        })
+        Ok(Poller { epfd })
     }
 
     fn ctl(&self, op: libc::c_int, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
@@ -77,8 +93,11 @@ impl Poller {
         self.ctl(libc::EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    /// Deregisters `fd`. (Closing the fd deregisters implicitly; this is
-    /// for fds that outlive their registration.)
+    /// Deregisters `fd`. (Closing the last handle to the open file
+    /// deregisters implicitly; this is for fds that outlive their
+    /// registration — a connection's stream is shared with the handler
+    /// thread answering it, so the loop cannot count on its own drop being
+    /// the last.)
     pub fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(libc::EPOLL_CTL_DEL, fd, 0, 0)
     }
@@ -86,18 +105,14 @@ impl Poller {
     /// Waits for readiness, appending into `out`. `None` blocks until an
     /// event arrives (or the waker rings). A signal-interrupted wait
     /// returns cleanly with no events.
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        let timeout_ms: libc::c_int = match timeout {
-            None => -1,
-            // Round up so a 100µs timeout does not spin at 0ms.
-            Some(t) => t.as_millis().min(i32::MAX as u128).max(1) as libc::c_int,
-        };
+    pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        let mut events = [libc::epoll_event { events: 0, u64: 0 }; WAIT_BATCH];
         let n = unsafe {
             libc::epoll_wait(
                 self.epfd,
-                self.events.as_mut_ptr(),
-                self.events.len() as libc::c_int,
-                timeout_ms,
+                events.as_mut_ptr(),
+                WAIT_BATCH as libc::c_int,
+                timeout_ms(timeout),
             )
         };
         if n < 0 {
@@ -107,7 +122,7 @@ impl Poller {
             }
             return Err(e);
         }
-        for ev in &self.events[..n as usize] {
+        for ev in &events[..n as usize] {
             // Copy packed fields out before touching them (x86_64 packs
             // `epoll_event`, and references into packed structs are UB).
             let bits = ev.events;
@@ -182,7 +197,7 @@ mod tests {
 
     #[test]
     fn waker_unblocks_wait() {
-        let mut poller = Poller::new().unwrap();
+        let poller = Poller::new().unwrap();
         let waker = std::sync::Arc::new(Waker::new().unwrap());
         poller.add(waker.fd(), 7, READABLE).unwrap();
         let remote = waker.clone();
@@ -208,12 +223,24 @@ mod tests {
     }
 
     #[test]
+    fn timeouts_round_up_to_whole_milliseconds() {
+        assert_eq!(timeout_ms(None), -1);
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(100))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_millis(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(1100))), 2);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(1900))), 2);
+        assert_eq!(timeout_ms(Some(Duration::from_millis(500))), 500);
+        assert_eq!(timeout_ms(Some(Duration::MAX)), i32::MAX);
+    }
+
+    #[test]
     fn socket_readiness_round_trip() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (mut server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
+        let poller = Poller::new().unwrap();
         poller
             .add(server_side.as_raw_fd(), 42, READABLE | WRITABLE)
             .unwrap();

@@ -29,10 +29,15 @@ impl Params {
 type Handler = Arc<dyn Fn(&Request, &Params) -> Response + Send + Sync>;
 
 pub(crate) struct Route {
+    /// Position in the table (the front door keys its per-route metric
+    /// handles by it).
+    pub(crate) index: usize,
     method: Method,
     raw_pattern: String,
     pattern: Vec<Pattern>,
     handler: Handler,
+    /// The handler never waits ([`Router::non_blocking`]).
+    non_blocking: bool,
 }
 
 /// Where one walk of the route table ended.
@@ -134,12 +139,42 @@ impl Router {
         handler: impl Fn(&Request, &Params) -> Response + Send + Sync + 'static,
     ) -> &mut Router {
         self.routes.push(Route {
+            index: self.routes.len(),
             method,
             raw_pattern: pattern.to_string(),
             pattern: compile(pattern),
             handler: Arc::new(handler),
+            non_blocking: false,
         });
         self
+    }
+
+    /// Declares the route registered last **non-blocking**: the server may
+    /// run its handler inline on an event loop ([`Service::blocking`]).
+    /// Only for a handler that never waits on disk, the network, a sleep,
+    /// or a lock held across one — a slow inline handler stalls its loop's
+    /// other connections.
+    pub fn non_blocking(&mut self) -> &mut Router {
+        self.routes
+            .last_mut()
+            .expect("non_blocking() follows a route registration")
+            .non_blocking = true;
+        self
+    }
+
+    /// Every route declared [`non_blocking`](Router::non_blocking), as
+    /// `"<METHOD> <pattern>"` in table order.
+    pub fn non_blocking_routes(&self) -> Vec<String> {
+        self.routes
+            .iter()
+            .filter(|route| route.non_blocking)
+            .map(|route| format!("{} {}", route.method.as_str(), route.raw_pattern))
+            .collect()
+    }
+
+    /// Number of registered routes.
+    pub(crate) fn len(&self) -> usize {
+        self.routes.len()
     }
 
     /// Walks the route table once for `request`.
@@ -195,6 +230,13 @@ impl Router {
 impl Service for Router {
     fn handle(&self, request: &Request) -> Response {
         self.resolve(request).respond(request)
+    }
+
+    /// `false` only for a request the table resolves (first match wins,
+    /// as in `handle`) to a route declared non-blocking; 404s and 405s
+    /// take the pool like everything undeclared.
+    fn blocking(&self, request: &Request) -> bool {
+        !matches!(self.resolve(request), Resolved::Route(route, _) if route.non_blocking)
     }
 }
 
@@ -269,6 +311,34 @@ mod tests {
     fn trailing_slash_equivalence() {
         let resp = router().handle(&Request::get("/health/"));
         assert_eq!(resp.status, Status::Ok);
+    }
+
+    #[test]
+    fn only_a_declared_route_is_non_blocking_and_first_match_decides() {
+        let mut r = Router::new();
+        r.get("/api/:any", |_, _| Response::status(Status::Ok));
+        r.get("/api/shadowed", |_, _| Response::status(Status::Ok))
+            .non_blocking();
+        r.get("/health", |_, _| Response::status(Status::Ok))
+            .non_blocking();
+        r.post("/health", |_, _| Response::status(Status::Ok));
+        assert_eq!(
+            r.non_blocking_routes(),
+            ["GET /api/shadowed", "GET /health"]
+        );
+        assert!(!r.blocking(&Request::get("/health")));
+        assert!(!r.blocking(&Request::get("/health/")));
+        // The same path under the undeclared method, a 404 and a 405.
+        let as_method = |method, path: &str| Request {
+            method,
+            ..Request::get(path)
+        };
+        assert!(r.blocking(&as_method(Method::Post, "/health")));
+        assert!(r.blocking(&Request::get("/nope")));
+        assert!(r.blocking(&as_method(Method::Delete, "/health")));
+        // `/api/:any` is registered first and serves `/api/shadowed`, so
+        // the pool runs it whatever the later route declares.
+        assert!(r.blocking(&Request::get("/api/shadowed")));
     }
 
     #[test]

@@ -4,33 +4,99 @@
 //! [`crate::evented`].
 
 use crate::http::Status;
+use sensorsafe_obsv::{Counter, Gauge, Histogram};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Server-level accounting: one latency observation plus a status-class
-/// counter per request, regardless of which service answered it.
-pub(crate) fn record_request(elapsed: Duration, status: Status) {
-    let registry = sensorsafe_obsv::global();
-    registry
-        .histogram(
-            "sensorsafe_net_request_seconds",
-            "Wall-clock request handling latency at the server layer.",
-            &[],
-            None,
-        )
-        .observe(elapsed);
-    let class = match status.code() {
-        200..=299 => "2xx",
-        300..=399 => "3xx",
-        400..=499 => "4xx",
-        _ => "5xx",
-    };
-    registry
-        .counter(
-            "sensorsafe_net_requests_total",
-            "Requests handled at the server layer, by status class.",
-            &[("class", class)],
-        )
-        .inc();
+/// Which thread put a reply on its socket — the `path` label of
+/// `sensorsafe_net_replies_total`.
+#[derive(Clone, Copy)]
+pub(crate) enum ReplyPath {
+    /// A non-blocking route, run and answered on the event loop.
+    Inline,
+    /// A pooled route whose handler thread wrote the whole reply and
+    /// re-armed the connection itself.
+    Direct,
+    /// A pooled route whose reply went back through the loop's completion
+    /// queue (short write, `Connection: close`, pipelined bytes waiting).
+    Loop,
+}
+
+/// The server layer's per-request metric handles, resolved once at bind
+/// so a request builds no label set and takes no registry lock.
+pub(crate) struct NetMetrics {
+    request_seconds: Arc<Histogram>,
+    /// `2xx` … `5xx`; a class's series appears with its first request.
+    requests_by_class: [OnceLock<Arc<Counter>>; 4],
+    replies: [Arc<Counter>; 3],
+    /// Request decoded → handler starts.
+    pub(crate) dispatch_wait: Arc<Histogram>,
+    /// Requests handed to the pool and not yet picked up.
+    pub(crate) queue_depth: Arc<Gauge>,
+}
+
+impl NetMetrics {
+    pub(crate) fn resolve() -> NetMetrics {
+        let registry = sensorsafe_obsv::global();
+        let replies = |path| {
+            registry.counter(
+                "sensorsafe_net_replies_total",
+                "Replies by the thread that wrote them: inline (event loop ran \
+                 the route), direct (pooled handler wrote it all), loop \
+                 (finished by the loop's completion queue).",
+                &[("path", path)],
+            )
+        };
+        NetMetrics {
+            request_seconds: registry.histogram(
+                "sensorsafe_net_request_seconds",
+                "Wall-clock request handling latency at the server layer.",
+                &[],
+                None,
+            ),
+            requests_by_class: Default::default(),
+            replies: [replies("inline"), replies("direct"), replies("loop")],
+            dispatch_wait: registry.histogram(
+                "sensorsafe_net_dispatch_wait_seconds",
+                "Request decoded on the event loop to its handler starting \
+                 (0 for a route run inline on the loop).",
+                &[],
+                None,
+            ),
+            queue_depth: registry.gauge(
+                "sensorsafe_net_handler_queue_depth",
+                "Requests dispatched to the evented servers' handler pool and not \
+                 yet picked up by a handler thread.",
+                &[],
+            ),
+        }
+    }
+
+    /// Server-level accounting: one latency observation plus a
+    /// status-class counter per request, regardless of which service
+    /// answered it.
+    pub(crate) fn record_request(&self, elapsed: Duration, status: Status) {
+        self.request_seconds.observe(elapsed);
+        let (index, class) = match status.code() {
+            200..=299 => (0, "2xx"),
+            300..=399 => (1, "3xx"),
+            400..=499 => (2, "4xx"),
+            _ => (3, "5xx"),
+        };
+        self.requests_by_class[index]
+            .get_or_init(|| {
+                sensorsafe_obsv::global().counter(
+                    "sensorsafe_net_requests_total",
+                    "Requests handled at the server layer, by status class.",
+                    &[("class", class)],
+                )
+            })
+            .inc();
+    }
+
+    pub(crate) fn count_reply(&self, path: ReplyPath) {
+        self.replies[path as usize].inc();
+    }
 }
 
 #[cfg(test)]

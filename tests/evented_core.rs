@@ -199,3 +199,94 @@ fn chunked_post_gets_one_400_and_a_closed_socket_not_a_desynchronised_reply() {
         "the 400 must close: {text}"
     );
 }
+
+fn replies_total(path: &str) -> u64 {
+    sensorsafe::obsv::global()
+        .counter("sensorsafe_net_replies_total", "", &[("path", path)])
+        .get()
+}
+
+/// The routes each server lets an event loop run inline, as a literal:
+/// declaring one more is a reviewed decision, not a side effect. A route
+/// belongs here only if its handler never waits on disk, the network, a
+/// sleep (`/debug/profile`) or a lock held across one — an inline handler
+/// that is slow stalls every other connection of its loop.
+#[test]
+fn non_blocking_routes_are_exactly_the_reviewed_set() {
+    use sensorsafe::broker::{BrokerConfig, BrokerService};
+    use sensorsafe::datastore::{DataStoreConfig, DataStoreService};
+
+    let (broker, _) = BrokerService::new(BrokerConfig::default());
+    assert_eq!(
+        broker.non_blocking_routes(),
+        [
+            "GET /health",
+            "GET /healthz",
+            "POST /api/sync",
+            "POST /api/search"
+        ]
+    );
+    let (store, _) = DataStoreService::new(DataStoreConfig::default());
+    assert_eq!(store.non_blocking_routes(), [] as [&str; 0]);
+
+    // The declaration must survive every wrapper between the table and
+    // the server, or the trait's default (`true`) silently wins.
+    let store: Arc<dyn Service> = Arc::new(store);
+    let broker: Arc<dyn Service> = Arc::new(broker);
+    let search = Request::post_json("/api/search", &json!({}));
+    assert!(!broker.blocking(&search));
+    assert!(!broker.blocking(&Request::get("/healthz")));
+    for waits in ["/debug/profile", "/metrics", "/fleet", "/nope"] {
+        assert!(broker.blocking(&Request::get(waits)), "{waits}");
+    }
+    assert!(broker.blocking(&Request::post_json("/api/consumers/add", &json!({}))));
+    assert!(store.blocking(&Request::get("/healthz")));
+    assert!(store.blocking(&Request::post_json("/api/upload", &json!({}))));
+
+    // And over a socket: the broker's loop answers the probe itself.
+    let inline = replies_total("inline");
+    let server = Server::bind("127.0.0.1:0", 1, broker).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    write_request(&mut stream, &Request::get("/healthz")).unwrap();
+    let mut reader = BufReader::new(stream);
+    assert_eq!(read_response(&mut reader).unwrap().status, Status::Ok);
+    assert!(replies_total("inline") > inline);
+}
+
+#[test]
+fn a_connection_whose_reply_the_handler_wrote_itself_is_still_reaped() {
+    let idle_closed = sensorsafe::obsv::global().counter(
+        "sensorsafe_net_connections_closed_total",
+        "",
+        &[("reason", "idle_timeout")],
+    );
+    let (closed_before, direct_before) = (idle_closed.get(), replies_total("direct"));
+    let config = EventedConfig {
+        loops: 1,
+        handler_threads: 1,
+        idle_timeout: Duration::from_millis(250),
+        ..EventedConfig::default()
+    };
+    let server = Server::bind_evented("127.0.0.1:0", config, echo_service()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // Three pooled round trips: after each the handler thread, not the
+    // loop, put the connection back to reading.
+    for _ in 0..3 {
+        write_request(&mut stream, &Request::get("/ping")).unwrap();
+        assert_eq!(read_response(&mut reader).unwrap().status, Status::Ok);
+    }
+    assert!(replies_total("direct") >= direct_before + 3);
+    let went_idle = std::time::Instant::now();
+    let mut byte = [0u8; 1];
+    assert_eq!(stream.read(&mut byte).unwrap_or(0), 0, "never reaped");
+    assert!(
+        went_idle.elapsed() >= Duration::from_millis(200),
+        "reaped {:?} after its last reply, before the idle timeout",
+        went_idle.elapsed()
+    );
+    assert!(idle_closed.get() > closed_before);
+}
