@@ -7,9 +7,13 @@
 //! mirrors four rule lists between them (`shared`: a search evaluates
 //! four lists however many contributors there are) and one where every
 //! contributor's list is their own (`unshared`: one evaluation each).
+//! Each population is measured twice: `search()`, which materialises a
+//! `Vec<ContributorId>` no server path builds, and `walk_and_render`,
+//! what the broker serves — the visitor appends each hit's pre-rendered
+//! name to a reply body.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sensorsafe_bench::{synthetic_rules, synthetic_rules_unshared};
+use sensorsafe_bench::{synthetic_rules, synthetic_rules_unshared, walk_and_render};
 use sensorsafe_core::policy::PrivacyRule;
 use sensorsafe_core::policy::{ConsumerCtx, RuleIndex, SearchQuery};
 use sensorsafe_core::types::{ContextKind, ContributorId, RepeatTime};
@@ -67,6 +71,11 @@ fn bench_search_scaling(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::from_parameter(n), &index, |b, index| {
                 b.iter(|| black_box(index.search(black_box(&query)).len()))
             });
+            group.bench_with_input(
+                BenchmarkId::new("walk_and_render", n),
+                &index,
+                |b, index| b.iter(|| black_box(walk_and_render(index, black_box(&query)).len())),
+            );
         }
         group.finish();
     }

@@ -13,10 +13,13 @@
 use sensorsafe_bench::{
     alice_scenario, chest_packets, durable_workload_with, run_many_account_uploads,
     segment_store_with, synthetic_rules, synthetic_rules_unshared, tuple_store_with,
+    walk_and_render,
 };
 use sensorsafe_core::datastore::DataStoreConfig;
 use sensorsafe_core::net::{LocalTransport, Request, Service, Transport};
-use sensorsafe_core::policy::{ConsumerCtx, PrivacyRule, RuleIndex, SearchQuery};
+use sensorsafe_core::policy::{
+    Action, Conditions, ConsumerCtx, ConsumerSelector, PrivacyRule, RuleIndex, SearchQuery,
+};
 use sensorsafe_core::store::{MergePolicy, Query};
 use sensorsafe_core::types::{ContextKind, ContributorId, RepeatTime};
 use sensorsafe_core::{json, ContributorDevice, Deployment};
@@ -117,8 +120,15 @@ fn a2_search_table() {
         }),
     ];
     println!(
-        "{:>12}  {:<30} {:>14}  {:<42} {:>15} {:>6}",
-        "contributors", "mirror", "distinct lists", "query", "lists evaluated", "hits"
+        "{:>12}  {:<30} {:>14}  {:<42} {:>15} {:>6} {:>10} {:>10}",
+        "contributors",
+        "mirror",
+        "distinct lists",
+        "query",
+        "lists evaluated",
+        "hits",
+        "render us",
+        "bytes"
     );
     for (n, population, rules_of) in mirrors {
         let mut index = RuleIndex::new();
@@ -135,18 +145,80 @@ fn a2_search_table() {
         ] {
             let mut hits = 0;
             let evaluated = index.search_each(query, |_| hits += 1);
+            let (micros, bytes) = time_walk_and_render(&index, query);
             println!(
-                "{:>12}  {:<30} {:>14}  {:<42} {:>15} {:>6}",
+                "{:>12}  {:<30} {:>14}  {:<42} {:>15} {:>6} {:>10.1} {:>10}",
                 n,
                 population,
                 index.distinct_rule_sets(),
                 name,
                 evaluated,
-                hits
+                hits,
+                micros,
+                bytes
             );
         }
     }
+    println!("(render us, bytes: walk_and_render — what /api/search does — median of 201 runs)");
     println!();
+
+    // The walk alone: 10,000 contributors on four lists that admit one,
+    // two or all four quarters of them, so evaluation is four lists
+    // whatever the hit count and the rest is rows read and names copied.
+    println!("-- walk_and_render by hit count, 10,000 contributors on 4 lists --");
+    let allow = |consumers: &[&str]| {
+        vec![PrivacyRule {
+            conditions: Conditions {
+                consumers: consumers
+                    .iter()
+                    .map(|c| ConsumerSelector::User((*c).into()))
+                    .collect(),
+                ..Default::default()
+            },
+            action: Action::Allow,
+        }]
+    };
+    let lists = [
+        allow(&["quarter", "half", "all"]),
+        allow(&["half", "all"]),
+        allow(&["all"]),
+        allow(&["all", "nobody-else"]),
+    ];
+    let mut index = RuleIndex::new();
+    for i in 0..10_000 {
+        index.sync(
+            ContributorId::new(format!("contributor-{i:06}")),
+            1,
+            lists[i % 4].clone(),
+        );
+    }
+    println!("{:>8} {:>10} {:>10}", "hits", "render us", "bytes");
+    for consumer in ["quarter", "half", "all"] {
+        let query = SearchQuery {
+            consumer: ConsumerCtx::user(consumer),
+            raw_channels: vec!["ecg".into()],
+            ..Default::default()
+        };
+        let hits = index.search(&query).len();
+        let (micros, bytes) = time_walk_and_render(&index, &query);
+        println!("{hits:>8} {micros:>10.1} {bytes:>10}");
+    }
+    println!();
+}
+
+/// Median microseconds of [`walk_and_render`] over 201 runs (after a
+/// first that builds the mirror's scan column), and the bytes it renders.
+fn time_walk_and_render(index: &RuleIndex, query: &SearchQuery) -> (f64, usize) {
+    let bytes = walk_and_render(index, query).len();
+    let mut micros: Vec<f64> = (0..201)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            std::hint::black_box(walk_and_render(index, std::hint::black_box(query)));
+            started.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    micros.sort_by(f64::total_cmp);
+    (micros[micros.len() / 2], bytes)
 }
 
 fn a3_savings_table() {

@@ -8,7 +8,7 @@ use sensorsafe_core::datastore::{DataStoreConfig, DataStoreService};
 use sensorsafe_core::net::{Request, Service, Status};
 use sensorsafe_core::policy::{
     AbstractionSpec, Action, BinaryAbs, Conditions, ConsumerSelector, LocationCondition,
-    PrivacyRule, TimeCondition,
+    PrivacyRule, RuleIndex, SearchQuery, TimeCondition,
 };
 use sensorsafe_core::sim::Scenario;
 use sensorsafe_core::store::{MergePolicy, SegmentStore, TupleStore};
@@ -188,6 +188,20 @@ pub fn synthetic_rules_unshared(i: usize, rules_per_contributor: usize) -> Vec<P
         action: Action::Allow,
     });
     rules
+}
+
+/// What the broker's `/api/search` handler does with a search: the
+/// visitor appends every hit's rendered name to a reply body. Returns
+/// the array's items (A2's `walk_and_render`).
+pub fn walk_and_render(index: &RuleIndex, query: &SearchQuery) -> Vec<u8> {
+    let mut body = Vec::new();
+    index.search_each(query, |hit| {
+        if !body.is_empty() {
+            body.push(b',');
+        }
+        body.extend_from_slice(hit.json().as_bytes());
+    });
+    body
 }
 
 /// The canonical Alice day used by device benches.

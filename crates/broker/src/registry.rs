@@ -123,7 +123,7 @@ impl BrokerRegistry {
     /// The store address hosting `contributor`, if registered. Cheaper
     /// than [`BrokerRegistry::store_of`] when the registration key is not
     /// needed (e.g. annotating search results with store health).
-    pub fn store_addr_of(&self, contributor: &ContributorId) -> Option<StoreAddr> {
+    pub fn store_addr_of(&self, contributor: &str) -> Option<StoreAddr> {
         self.contributors
             .read()
             .get(contributor)
@@ -297,7 +297,7 @@ mod tests {
         // A later upsert (e.g. a deposed primary re-syncing rules) does
         // not move the address or reset the epoch.
         reg.upsert_contributor(alice.clone(), StoreAddr::new("b:1"));
-        assert_eq!(reg.store_addr_of(&alice), Some(StoreAddr::new("a:1")));
+        assert_eq!(reg.store_addr_of("alice"), Some(StoreAddr::new("a:1")));
     }
 
     #[test]
@@ -310,14 +310,14 @@ mod tests {
             reg.promote(&alice, 1, StoreAddr::new("b:1")),
             PromoteOutcome::Promoted(2)
         );
-        assert_eq!(reg.store_addr_of(&alice), Some(StoreAddr::new("b:1")));
+        assert_eq!(reg.store_addr_of("alice"), Some(StoreAddr::new("b:1")));
         // A writer still holding the pre-promotion observation loses:
         // the stale epoch is rejected and the assignment is untouched.
         assert_eq!(
             reg.promote(&alice, 1, StoreAddr::new("c:1")),
             PromoteOutcome::Stale(2)
         );
-        assert_eq!(reg.store_addr_of(&alice), Some(StoreAddr::new("b:1")));
+        assert_eq!(reg.store_addr_of("alice"), Some(StoreAddr::new("b:1")));
         // Unknown contributors cannot be promoted into existence.
         assert_eq!(
             reg.promote(&ContributorId::new("ghost"), 1, StoreAddr::new("b:1")),

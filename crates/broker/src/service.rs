@@ -27,6 +27,7 @@ use sensorsafe_types::{
     TimeOfDay, TimeRange, Timestamp, Weekday,
 };
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Resolves a store address to a transport. Tests and in-process benches
@@ -95,12 +96,25 @@ pub(crate) struct MirrorMetrics {
     distinct_lists: Arc<Gauge>,
     epoch_max: Arc<Gauge>,
     lists_evaluated: Arc<Histogram>,
+    scan_builds: Arc<Counter>,
+    /// The index's own build count as far as `scan_builds` has it.
+    scan_builds_reported: AtomicU64,
 }
 
 impl MirrorMetrics {
-    /// Records one finished search by the rule lists it evaluated.
-    pub(crate) fn observe_search(&self, lists_evaluated: usize) {
+    /// Records one finished search over `index` by the rule lists it
+    /// evaluated, and any scan-column build not yet counted. Searches on
+    /// several event loops may see the same build; `fetch_max` hands each
+    /// increment to exactly one of them.
+    pub(crate) fn observe_search(&self, index: &RuleIndex, lists_evaluated: usize) {
         self.lists_evaluated.observe_secs(lists_evaluated as f64);
+        let built = index.scan_builds();
+        let reported = &self.scan_builds_reported;
+        // Steady state is a load of a line nobody writes.
+        if built > reported.load(Ordering::Relaxed) {
+            let reported = reported.fetch_max(built, Ordering::Relaxed);
+            self.scan_builds.add(built.saturating_sub(reported));
+        }
     }
 
     fn resolve(registry: &Registry) -> MirrorMetrics {
@@ -137,6 +151,12 @@ impl MirrorMetrics {
                     1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0,
                 ]),
             ),
+            scan_builds: registry.counter(
+                "sensorsafe_broker_mirror_scan_builds_total",
+                "Times a search rebuilt the rule mirror's scan column.",
+                &[],
+            ),
+            scan_builds_reported: AtomicU64::new(0),
         }
     }
 }
@@ -153,13 +173,14 @@ fn not_registered() -> Response {
     Response::error(Status::Forbidden, "consumer not registered")
 }
 
-/// Appends `name` as the next item of the JSON string array being written
-/// at the end of `out` (empty, or ending in `[`, before the first item).
-fn push_name(out: &mut Vec<u8>, name: &str) {
+/// Appends `literal`, a rendered JSON value, as the next item of the
+/// array being written at the end of `out` (empty, or ending in `[`,
+/// before the first item).
+fn push_item(out: &mut Vec<u8>, literal: &str) {
     if !matches!(out.last(), None | Some(b'[')) {
         out.push(b',');
     }
-    sensorsafe_json::write_str(out, name);
+    out.extend_from_slice(literal.as_bytes());
 }
 
 impl Inner {
@@ -369,18 +390,13 @@ impl Inner {
     }
 
     fn handle_healthz(&self) -> Response {
-        let rule_sync_epoch = self
-            .rules
-            .read()
-            .epochs()
-            .map(|(_, e)| e)
-            .max()
-            .unwrap_or(0);
+        // The gauge `handle_sync` keeps under the write lock: a probe
+        // takes no lock and walks nothing, whatever the mirror's size.
         Response::json(&json!({
             "status": "ok",
             "version": (env!("CARGO_PKG_VERSION")),
             "uptime_secs": (self.started.elapsed().as_secs()),
-            "rule_sync_epoch": rule_sync_epoch,
+            "rule_sync_epoch": (self.mirror_metrics.epoch_max.get()),
         }))
     }
 
@@ -473,23 +489,26 @@ impl Inner {
         let down = self.fleet.unreachable_stores();
         // The body is written as the walk finds hits — the bytes the tree
         // `json!({"contributors": [..], "unreachable": [..]})` serialized
-        // to. The index read lock covers the walk only (a memo lookup per
+        // to, each name copied as the literal the mirror already rendered.
+        // The index read lock covers the walk only (a memo lookup per
         // contributor, an evaluation per distinct rule list); the
         // registry's contributor map is taken inside it, as a leaf.
         let mut body = b"{\"contributors\":[".to_vec();
         let mut unreachable = Vec::new();
-        let evaluated = self.rules.read().search_each(&query, |hit| {
-            push_name(&mut body, hit.as_str());
+        let index = self.rules.read();
+        let evaluated = index.search_each(&query, |hit| {
+            push_item(&mut body, hit.json());
             if !down.is_empty()
                 && self
                     .registry
-                    .store_addr_of(hit)
+                    .store_addr_of(&hit.name())
                     .is_some_and(|addr| down.iter().any(|d| d == addr.as_str()))
             {
-                push_name(&mut unreachable, hit.as_str());
+                push_item(&mut unreachable, hit.json());
             }
         });
-        self.mirror_metrics.observe_search(evaluated);
+        self.mirror_metrics.observe_search(&index, evaluated);
+        drop(index);
         body.extend_from_slice(b"],\"unreachable\":[");
         body.extend_from_slice(&unreachable);
         body.extend_from_slice(b"]}");
@@ -611,7 +630,7 @@ impl Inner {
                 // (which adopted the same escrowed key).
                 let addr = self
                     .registry
-                    .store_addr_of(&a.contributor)
+                    .store_addr_of(a.contributor.as_str())
                     .map(|addr| addr.as_str().to_string())
                     .unwrap_or_else(|| a.addr.as_str().to_string());
                 json!({
@@ -1571,6 +1590,9 @@ mod tests {
         ));
         assert_eq!(resp.status, Status::Created);
         let bob = register_consumer(&rig, "bob");
+        // Every kind of name the mirror renders ahead of time — quote,
+        // backslash, a control, 3-byte UTF-8 — on the store that dies, so
+        // each is copied into both arrays.
         for (name, addr, rules) in [
             ("alice", "store-2", json!([{"Action": "Allow"}])),
             ("b\\ob", "store-1", json!([{"Action": "Allow"}])),
@@ -1578,19 +1600,39 @@ mod tests {
             ("d\"ave", "store-2", json!([{"Action": "Allow"}])),
             // On the dead store, but shares nothing: not a hit.
             ("erin", "store-1", json!([{"Action": "Deny"}])),
+            ("f\"ay", "store-1", json!([{"Action": "Allow"}])),
+            ("new\nline", "store-1", json!([{"Action": "Allow"}])),
+            ("zoë", "store-2", json!([{"Action": "Allow"}])),
+            ("日本", "store-1", json!([{"Action": "Allow"}])),
         ] {
             sync_rules_at(&rig, name, addr, 1, rules);
         }
-        let hits = ["alice", "b\\ob", "carol", "d\"ave"];
+        let hits = [
+            "alice",
+            "b\\ob",
+            "carol",
+            "d\"ave",
+            "f\"ay",
+            "new\nline",
+            "zoë",
+            "日本",
+        ];
         rig.broker.fleet_sweep_now();
         assert_eq!(search_body(&rig, &bob), tree_body(&hits, &[]));
         // unreachable_after = 2.
         down.store(true, std::sync::atomic::Ordering::SeqCst);
         rig.broker.fleet_sweep_now();
         rig.broker.fleet_sweep_now();
+        let body = search_body(&rig, &bob);
         assert_eq!(
-            search_body(&rig, &bob),
-            tree_body(&hits, &["b\\ob", "carol"])
+            body,
+            tree_body(&hits, &["b\\ob", "carol", "f\"ay", "new\nline", "日本"])
+        );
+        assert_eq!(
+            sensorsafe_json::parse(std::str::from_utf8(&body).unwrap()).unwrap()["unreachable"]
+                .as_string_list()
+                .unwrap(),
+            ["b\\ob", "carol", "f\"ay", "new\nline", "日本"]
         );
         down.store(false, std::sync::atomic::Ordering::SeqCst);
         rig.broker.fleet_sweep_now();
@@ -1667,12 +1709,17 @@ mod tests {
             "sensorsafe_broker_rule_syncs_total{result=\"stale\"} 0",
             "sensorsafe_broker_search_lists_evaluated_count 1",
             "sensorsafe_broker_search_lists_evaluated_sum 3",
+            "sensorsafe_broker_mirror_scan_builds_total 1",
         ] {
             assert!(small.lines().any(|l| l == line), "{line}: {small}");
         }
-        // Thirty times the population, one stale push: same series.
+        // Thirty times the population, one stale push: same series. The
+        // new contributors cost the next search one rebuild of the scan
+        // column, the searches after it none.
         mirror(270, 7);
         sync_rules(&rig, "c000", 2, json!([]));
+        search_body(&rig, &bob);
+        search_body(&rig, &bob);
         search_body(&rig, &bob);
         let large = rig.broker.registry().encode();
         assert_eq!(small.lines().count(), large.lines().count(), "{large}");
@@ -1682,10 +1729,63 @@ mod tests {
             "sensorsafe_broker_distinct_rule_lists 3",
             "sensorsafe_broker_rule_epoch_max 7",
             "sensorsafe_broker_rule_syncs_total{result=\"stale\"} 1",
-            "sensorsafe_broker_search_lists_evaluated_sum 6",
+            "sensorsafe_broker_search_lists_evaluated_sum 12",
+            "sensorsafe_broker_mirror_scan_builds_total 2",
         ] {
             assert!(large.lines().any(|l| l == line), "{line}: {large}");
         }
+    }
+
+    #[test]
+    fn healthz_reports_the_epoch_gauge_without_walking_the_mirror() {
+        let rig = rig();
+        let sync = |contributor: &str, epoch: u64| {
+            rig.broker
+                .handle(&Request::post_json(
+                    "/api/sync",
+                    &json!({
+                        "key": (rig.store_key.clone()),
+                        "contributor": contributor,
+                        "epoch": epoch,
+                        "rules": [],
+                    }),
+                ))
+                .json_body()
+                .unwrap()["accepted"]
+                .as_bool()
+                .unwrap()
+        };
+        let healthz_epoch = || {
+            let body = rig.broker.handle(&Request::get("/healthz"));
+            body.json_body().unwrap()["rule_sync_epoch"].as_u64()
+        };
+        let gauge = || {
+            let line = format!(
+                "sensorsafe_broker_rule_epoch_max {}",
+                healthz_epoch().unwrap()
+            );
+            let scrape = rig.broker.registry().encode();
+            assert!(scrape.lines().any(|l| l == line), "{line}: {scrape}");
+        };
+        assert_eq!(healthz_epoch(), Some(0));
+        // Fresh, stale, a fresh contributor below the maximum, a newer
+        // epoch, and a stale push above every *other* contributor's.
+        for (contributor, epoch, accepted, highest) in [
+            ("alice", 5, true, 5),
+            ("alice", 3, false, 5),
+            ("carol", 2, true, 5),
+            ("carol", 9, true, 9),
+            ("carol", 9, false, 9),
+            ("alice", 7, true, 9),
+        ] {
+            assert_eq!(sync(contributor, epoch), accepted, "{contributor}@{epoch}");
+            assert_eq!(healthz_epoch(), Some(highest), "{contributor}@{epoch}");
+            gauge();
+        }
+        // The probe holds no lock on the mirror: it answers while a
+        // writer does.
+        let _writer = rig.broker.inner.rules.write();
+        assert_eq!(healthz_epoch(), Some(9));
     }
 
     #[test]

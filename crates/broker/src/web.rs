@@ -137,11 +137,13 @@ fn handle_search_post(inner: &Inner, req: &Request, username: &str) -> Response 
         .collect();
     let mut items = String::new();
     let mut hits = 0;
-    let evaluated = inner.rules.read().search_each(&query, |hit| {
+    let index = inner.rules.read();
+    let evaluated = index.search_each(&query, |hit| {
         hits += 1;
-        items.push_str(&format!("<li>{}</li>", escape(hit.as_str())));
+        items.push_str(&format!("<li>{}</li>", escape(&hit.name())));
     });
-    inner.mirror_metrics.observe_search(evaluated);
+    inner.mirror_metrics.observe_search(&index, evaluated);
+    drop(index);
     page(
         SITE,
         "Search Results",

@@ -491,6 +491,70 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_length_annotation_touches_nothing() {
+        // An annotation over `[t, t)` covers no instant: it neither
+        // activates its contexts for the samples around `t` (one rule
+        // denies while driving, another shares conversation as a label)
+        // nor emits a label, nor cuts a window at `t`.
+        let rules = vec![
+            PrivacyRule::allow_all(),
+            PrivacyRule {
+                conditions: Conditions {
+                    contexts: vec![ContextKind::Drive],
+                    ..Default::default()
+                },
+                action: Action::Deny,
+            },
+            PrivacyRule {
+                conditions: Conditions::default(),
+                action: Action::Abstraction(AbstractionSpec {
+                    conversation: Some(BinaryAbs::Label),
+                    ..Default::default()
+                }),
+            },
+        ];
+        let segment = Scenario::alice_day(Timestamp::from_millis(1_311_500_000_000), 5, 1)
+            .render()
+            .chest_segments
+            .remove(0);
+        let range = segment.time_range().unwrap();
+        let inside = Timestamp::from_millis((range.start.millis() + range.end.millis()) / 2);
+        let annotation = |window, active| {
+            let states = [ContextKind::Drive, ContextKind::Conversation]
+                .map(|kind| sensorsafe_types::ContextState { kind, active });
+            ContextAnnotation::new(window, states.to_vec())
+        };
+        let view_with = |instants: &[Timestamp]| {
+            let mut account =
+                ContributorAccount::new(ContributorId::new("alice"), MergePolicy::default());
+            account.store.insert_segment(segment.clone()).unwrap();
+            // Known not driving and not talking over the whole segment...
+            let mut annotations = vec![annotation(range, false)];
+            // ...and "driving, talking" for no time at all.
+            annotations.extend(
+                instants
+                    .iter()
+                    .map(|at| annotation(TimeRange::new(*at, *at), true)),
+            );
+            for annotation in annotations {
+                account.store.insert_annotation(annotation).unwrap();
+            }
+            account.set_rules(rules.clone());
+            shared_view(&account, &bob(), &Query::all(), &graph())
+        };
+        let view = view_with(&[range.start, inside]);
+        assert_eq!(view, view_with(&[]), "as if the annotations were not there");
+        assert_eq!(view.windows.len(), 1);
+        assert!(view.raw_samples() > 0, "not driving: ECG is shared");
+        let labels: Vec<&str> = view.windows[0]
+            .labels
+            .iter()
+            .map(|l| l.label.as_str())
+            .collect();
+        assert_eq!(labels, ["Not Conversation"]);
+    }
+
+    #[test]
     fn wire_codec_roundtrip() {
         let mut account = alice_account();
         account.set_rules(vec![

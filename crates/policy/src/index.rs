@@ -28,14 +28,42 @@
 //! study's participants, an organisation's default) mirror *identical*
 //! lists. So the mirror **interns** lists: a contributor's entry is an
 //! epoch and a slot in a slab of distinct lists, each with a member
-//! count, and a search is one name-ordered walk over the entries with a
-//! per-slot memo — every distinct list is evaluated at most once per
-//! query, through the same reference [`evaluate`] enforcement is tested
-//! against. A search therefore costs `distinct lists × probes`
-//! evaluations plus one memo lookup per contributor; when no two
-//! contributors share a list the memo gives nothing and the cost is the
-//! per-list evaluation the plan already made cheaper. List identity is
-//! `==` on the parsed rules; a hash only picks where to look.
+//! count, and a search is one name-ordered walk with a per-slot memo —
+//! every distinct list is evaluated at most once per query, through the
+//! same reference [`evaluate`] enforcement is tested against. A search
+//! therefore costs `distinct lists × probes` evaluations plus one memo
+//! lookup per contributor; when no two contributors share a list the
+//! memo gives nothing and the cost is the per-list evaluation the plan
+//! already made cheaper. List identity is `==` on the parsed rules; a
+//! hash only picks where to look.
+//!
+//! What the walk reads is not the map of entries but a **scan column**
+//! derived from it: one 8-byte row `(slot, end)` per contributor, in name
+//! order, over a single text that holds every name already rendered as
+//! its JSON string literal. Per contributor a search reads one row and
+//! one memo cell; per hit it hands the visitor a [`Hit`] whose literal is
+//! a slice of that text — the escape scan ran once, when the column was
+//! built, not once per hit per search. The map stays the point-lookup
+//! structure (`sync`, `rules_of`, `epochs`); nothing iterates it to
+//! answer a search. The column is kept true by three rules:
+//!
+//! * a sync of a contributor the mirror did not hold, and a `remove`,
+//!   **drop** it; the next search rebuilds it, once, under `&self`
+//!   (`OnceLock`: any number of searches may hold the caller's read lock);
+//! * a re-sync that moves a held contributor to another list slot
+//!   **patches** their row in place (binary search by name, one store);
+//! * a re-sync whose list interns to the slot already held — a store's
+//!   periodic re-sync — leaves it **untouched**.
+//!
+//! A clone starts without a column. So a burst of k registrations costs
+//! one O(n) rebuild at the next search (about one walk of the map, as
+//! every search used to pay), a rule edit costs O(log n), a same-list
+//! re-sync nothing. The worst case is registrations and searches strictly
+//! alternating: every search rebuilds, about twice what a search cost
+//! before the column existed. [`RuleIndex::scan_builds`] counts the
+//! rebuilds so that churn is visible. The column costs one row and one
+//! literal (name + 2 quotes + escapes) per contributor and is dropped,
+//! never grown, by membership changes.
 
 use crate::abstraction::{ActivityAbs, BinaryAbs};
 use crate::deps::DependencyGraph;
@@ -44,9 +72,12 @@ use crate::rule::{Action, PrivacyRule};
 use sensorsafe_types::{
     ChannelId, ContextKind, ContextState, ContributorId, RepeatTime, TimeRange, Timestamp, Weekday,
 };
+use std::borrow::Cow;
+use std::collections::btree_map::Entry as MapEntry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A contributor-search query.
 #[derive(Debug, Clone, Default)]
@@ -250,9 +281,101 @@ fn bucket_of(rules: &[PrivacyRule]) -> u64 {
     h.finish()
 }
 
+/// One contributor in the [`ScanColumn`]: the slot of their rule list and
+/// where their literal ends in the column's text (it starts where the
+/// previous row's ends).
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    slot: u32,
+    end: u32,
+}
+
+/// The mirror as a search reads it (module docs, "What a search costs"):
+/// every mirrored contributor, in name order.
+#[derive(Debug)]
+struct ScanColumn {
+    rows: Vec<Row>,
+    /// Every name as `sensorsafe_json::write_str` renders it, end to end.
+    text: String,
+}
+
+impl ScanColumn {
+    fn build(entries: &BTreeMap<ContributorId, Entry>) -> ScanColumn {
+        let mut rows = Vec::with_capacity(entries.len());
+        // Sized for names that need no escape — nearly all — so the text
+        // is allocated once instead of leaving a trail of outgrown halves.
+        let unescaped = entries.keys().map(|name| name.as_str().len() + 2).sum();
+        let mut text = Vec::with_capacity(unescaped);
+        for (name, entry) in entries {
+            sensorsafe_json::write_str(&mut text, name.as_str());
+            rows.push(Row {
+                slot: entry.slot,
+                end: u32::try_from(text.len()).expect("fewer than 4 GiB of mirrored names"),
+            });
+        }
+        ScanColumn {
+            rows,
+            text: String::from_utf8(text).expect("write_str of a str is UTF-8"),
+        }
+    }
+
+    /// Row `at` as the hit it would be.
+    fn hit(&self, at: usize) -> Hit<'_> {
+        let start = at.checked_sub(1).map_or(0, |prev| self.rows[prev].end);
+        Hit {
+            literal: &self.text[start as usize..self.rows[at].end as usize],
+        }
+    }
+
+    /// Moves `name`, which the column holds, to rule list `slot`.
+    fn set_slot(&mut self, name: &str, slot: u32) {
+        let (mut below, mut above) = (0, self.rows.len());
+        while below < above {
+            let at = below + (above - below) / 2;
+            match self.hit(at).name().as_ref().cmp(name) {
+                std::cmp::Ordering::Less => below = at + 1,
+                std::cmp::Ordering::Greater => above = at,
+                std::cmp::Ordering::Equal => {
+                    self.rows[at].slot = slot;
+                    return;
+                }
+            }
+        }
+        unreachable!("the scan column holds every mirrored name");
+    }
+}
+
+/// One contributor a search matched, as the scan column holds them.
+#[derive(Debug, Clone, Copy)]
+pub struct Hit<'a> {
+    literal: &'a str,
+}
+
+impl<'a> Hit<'a> {
+    /// The contributor's name as a JSON string literal, quotes included:
+    /// the bytes `sensorsafe_json::write_str` gives for [`Hit::name`].
+    pub fn json(&self) -> &'a str {
+        self.literal
+    }
+
+    /// The contributor's name. Borrowed from inside the literal's quotes
+    /// unless rendering had to escape something in it (`"`, `\` or a
+    /// control byte).
+    pub fn name(&self) -> Cow<'a, str> {
+        let quoted = self.literal;
+        if !quoted.contains('\\') {
+            return Cow::Borrowed(&quoted[1..quoted.len() - 1]);
+        }
+        match sensorsafe_json::parse(quoted) {
+            Ok(sensorsafe_json::Value::String(name)) => Cow::Owned(name),
+            other => unreachable!("{quoted} is a string literal, parsed as {other:?}"),
+        }
+    }
+}
+
 /// The broker's mirror of every contributor's privacy rules, with rule
 /// lists interned (module docs, "What a search costs").
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RuleIndex {
     entries: BTreeMap<ContributorId, Entry>,
     /// Slab of distinct lists; `Entry::slot` indexes it.
@@ -262,6 +385,26 @@ pub struct RuleIndex {
     /// `(bucket_of(list), slot)` of every live list.
     by_bucket: BTreeSet<(u64, u32)>,
     graph: Arc<DependencyGraph>,
+    /// Derived from `entries` by the first search that finds it unset;
+    /// `sync` and `remove` keep it true or drop it.
+    scan: OnceLock<ScanColumn>,
+    scan_builds: AtomicU64,
+}
+
+/// A copy mirrors what the original does and derives its own scan column
+/// if it is ever searched.
+impl Clone for RuleIndex {
+    fn clone(&self) -> RuleIndex {
+        RuleIndex {
+            entries: self.entries.clone(),
+            lists: self.lists.clone(),
+            free: self.free.clone(),
+            by_bucket: self.by_bucket.clone(),
+            graph: self.graph.clone(),
+            scan: OnceLock::new(),
+            scan_builds: AtomicU64::new(0),
+        }
+    }
 }
 
 impl RuleIndex {
@@ -327,8 +470,21 @@ impl RuleIndex {
         // Intern before releasing, so re-syncing an unchanged list never
         // frees and re-allocates it.
         let slot = self.intern(rules);
-        if let Some(old) = self.entries.insert(contributor, Entry { epoch, slot }) {
-            self.release(old.slot);
+        let new = Entry { epoch, slot };
+        match self.entries.entry(contributor) {
+            MapEntry::Vacant(unheld) => {
+                unheld.insert(new);
+                self.scan.take();
+            }
+            MapEntry::Occupied(mut held) => {
+                let old = std::mem::replace(held.get_mut(), new);
+                if old.slot != slot {
+                    if let Some(scan) = self.scan.get_mut() {
+                        scan.set_slot(held.key().as_str(), slot);
+                    }
+                }
+                self.release(old.slot);
+            }
         }
         true
     }
@@ -338,6 +494,7 @@ impl RuleIndex {
         match self.entries.remove(contributor) {
             Some(entry) => {
                 self.release(entry.slot);
+                self.scan.take();
                 true
             }
             None => false,
@@ -378,25 +535,47 @@ impl RuleIndex {
         RuleSnapshot(self.clone())
     }
 
+    /// The scan column, built now if no search has read the mirror since
+    /// its set of contributors last changed.
+    fn scan(&self) -> &ScanColumn {
+        self.scan.get_or_init(|| {
+            self.scan_builds.fetch_add(1, Ordering::Relaxed);
+            ScanColumn::build(&self.entries)
+        })
+    }
+
+    /// How many times a search had to build the scan column over this
+    /// index's life: once per run of membership changes (new contributors,
+    /// removals) that a search followed. A rate near the search rate
+    /// means the two are interleaving and every search pays a rebuild.
+    pub fn scan_builds(&self) -> u64 {
+        self.scan_builds.load(Ordering::Relaxed)
+    }
+
     /// Hands every contributor whose rule list satisfies `query` to
     /// `hit`, in name order, and returns how many rule lists it had to
     /// evaluate: each distinct list at most once, and only lists some
     /// contributor mirrors.
-    pub fn search_each(&self, query: &SearchQuery, mut hit: impl FnMut(&ContributorId)) -> usize {
+    pub fn search_each(&self, query: &SearchQuery, mut hit: impl FnMut(Hit<'_>)) -> usize {
         let plan = query.plan();
+        let scan = self.scan();
         // Verdict per slot, filled on first use. Local to the query, so
         // a slot freed and reused between queries starts unknown.
         let mut memo: Vec<Option<bool>> = vec![None; self.lists.len()];
         let mut evaluated = 0;
-        for (contributor, entry) in &self.entries {
-            let slot = entry.slot as usize;
+        let mut start = 0;
+        for row in &scan.rows {
+            let (slot, end) = (row.slot as usize, row.end as usize);
             let matched = *memo[slot].get_or_insert_with(|| {
                 evaluated += 1;
                 plan.matches(&self.lists[slot].rules, &self.graph)
             });
             if matched {
-                hit(contributor);
+                hit(Hit {
+                    literal: &scan.text[start..end],
+                });
             }
+            start = end;
         }
         evaluated
     }
@@ -404,7 +583,7 @@ impl RuleIndex {
     /// All contributors whose rule lists satisfy `query`, in name order.
     pub fn search(&self, query: &SearchQuery) -> Vec<ContributorId> {
         let mut hits = Vec::new();
-        self.search_each(query, |contributor| hits.push(contributor.clone()));
+        self.search_each(query, |hit| hits.push(ContributorId::new(hit.name())));
         hits
     }
 }

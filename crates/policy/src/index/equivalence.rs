@@ -7,6 +7,12 @@
 //! syncs and removals and requires the same hits in the same order after
 //! every step, over populations that share lists and populations that do
 //! not, plus the slab's bookkeeping invariants.
+//!
+//! The same steps pin the scan column a search reads: the names are ones
+//! JSON has to escape, every hit's literal must be `write_str` of the
+//! reference's hit and give the name back, and a second index that is
+//! searched only now and then takes the same steps, so the column is
+//! checked both patched in place and rebuilt after a run of changes.
 
 use super::*;
 use crate::rule::{
@@ -103,17 +109,47 @@ fn check_invariants(index: &RuleIndex, model: &Model) {
         .eq(model.iter().map(|(id, (epoch, _))| (id.clone(), *epoch))));
 }
 
+/// `name` as the reply body carries it.
+fn literal_of(name: &str) -> String {
+    let mut out = Vec::new();
+    sensorsafe_json::write_str(&mut out, name);
+    String::from_utf8(out).unwrap()
+}
+
 fn check_searches(index: &RuleIndex, model: &Model, queries: &[SearchQuery]) {
     for query in queries {
         let expected = reference_search(model, query);
-        let mut hits = Vec::new();
-        let evaluated = index.search_each(query, |id| hits.push(id.clone()));
-        assert_eq!(hits, expected, "{query:?}");
+        let mut literals = Vec::new();
+        let mut names = Vec::new();
+        let evaluated = index.search_each(query, |hit| {
+            literals.push(hit.json().to_string());
+            names.push(ContributorId::new(hit.name()));
+        });
+        assert_eq!(names, expected, "{query:?}");
+        let rendered: Vec<String> = expected.iter().map(|id| literal_of(id.as_str())).collect();
+        assert_eq!(literals, rendered, "{query:?}");
         assert!(evaluated <= index.distinct_rule_sets());
         assert_eq!(index.search(query), expected);
         assert_eq!(index.snapshot().search(query), expected);
     }
 }
+
+/// Ten contributors whose names share prefixes and need every kind of
+/// escape `write_str` knows — quote, backslash, the named controls, a
+/// `\u00XX` control — or none (multi-byte UTF-8 passes through). Byte
+/// order of the raw names is not the order of their literals.
+const NAMES: [&str; 10] = [
+    "c",
+    "c0",
+    "c\"0",
+    "c\\0",
+    "c\n0",
+    "c\u{7}",
+    "c\t\"\\",
+    "cé",
+    "c日本",
+    "d\u{1f}\u{8}\u{c}\r",
+];
 
 // Small vocabularies, so that rules, queries and each other's lists meet.
 const CHANNELS: [&str; 4] = ["ecg", "respiration", "accel_mag", "audio_energy"];
@@ -324,6 +360,13 @@ enum Step {
     },
 }
 
+impl Step {
+    fn who(&self) -> ContributorId {
+        let (Step::Sync { who, .. } | Step::Remove { who }) = self;
+        ContributorId::new(NAMES[*who])
+    }
+}
+
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (0usize..10, 0usize..64, 0u64..3).prop_map(|(who, list, bump)| Step::Sync {
@@ -348,16 +391,20 @@ proptest! {
     #[test]
     fn interned_search_equals_the_per_contributor_walk(
         pool in prop::collection::vec(arb_rules(), 1..5),
-        steps in prop::collection::vec(arb_step(), 1..40),
+        steps in prop::collection::vec((arb_step(), any::<bool>()), 1..40),
         queries in prop::collection::vec(arb_query(), 1..4),
         shared in any::<bool>(),
     ) {
+        // `index` is searched after every step, so its scan column is
+        // there for every re-sync to patch; `seldom` only where `probe`
+        // says, so its column is rebuilt after runs of changes.
         let mut index = RuleIndex::new();
+        let mut seldom = RuleIndex::new();
         let mut model = Model::new();
-        for (n, step) in steps.iter().enumerate() {
+        for (n, (step, probe)) in steps.iter().enumerate() {
+            let id = step.who();
             match step {
-                Step::Sync { who, list, bump } => {
-                    let id = ContributorId::new(format!("c{who}"));
+                Step::Sync { list, bump, .. } => {
                     let mut rules = pool[list % pool.len()].clone();
                     if !shared {
                         rules.push(PrivacyRule {
@@ -374,13 +421,15 @@ proptest! {
                     let epoch = mirrored + bump;
                     let accepted = index.sync(id.clone(), epoch, rules.clone());
                     prop_assert_eq!(accepted, epoch > mirrored || !model.contains_key(&id));
+                    prop_assert_eq!(seldom.sync(id.clone(), epoch, rules.clone()), accepted);
                     if accepted {
                         model.insert(id, (epoch, rules));
                     }
                 }
-                Step::Remove { who } => {
-                    let id = ContributorId::new(format!("c{who}"));
-                    prop_assert_eq!(index.remove(&id), model.remove(&id).is_some());
+                Step::Remove { .. } => {
+                    let held = model.remove(&id).is_some();
+                    prop_assert_eq!(index.remove(&id), held);
+                    prop_assert_eq!(seldom.remove(&id), held);
                 }
             }
             check_invariants(&index, &model);
@@ -388,7 +437,14 @@ proptest! {
                 prop_assert_eq!(index.distinct_rule_sets(), index.len());
             }
             check_searches(&index, &model, &queries);
+            if *probe {
+                check_invariants(&seldom, &model);
+                check_searches(&seldom, &model, &queries);
+            }
         }
+        // Only a change of membership ever cost `index` a build.
+        prop_assert!(index.scan_builds() <= steps.len() as u64);
+        prop_assert!(seldom.scan_builds() <= index.scan_builds());
     }
 }
 
@@ -441,6 +497,66 @@ fn a_search_evaluates_each_distinct_list_once() {
     assert_eq!(index.search_each(&ecg_query("bob"), |_| hits += 1), 1);
     assert_eq!(hits, 500);
     assert_eq!(RuleIndex::new().search_each(&ecg_query("bob"), |_| ()), 0);
+}
+
+/// What costs a scan-column build, as a count: membership changes that a
+/// search follows, and nothing else.
+#[test]
+fn the_scan_column_is_built_once_per_membership_change() {
+    let names = |index: &RuleIndex, consumer: &str| -> Vec<String> {
+        let mut names = Vec::new();
+        index.search_each(&ecg_query(consumer), |hit| {
+            names.push(hit.name().into_owned())
+        });
+        names
+    };
+    let mut index = RuleIndex::new();
+    for name in ["alice", "b\"ob", "carol"] {
+        index.sync(ContributorId::new(name), 1, allow_for("bob"));
+    }
+    assert_eq!(index.scan_builds(), 0, "no search yet, nothing derived");
+    for _ in 0..5 {
+        assert_eq!(names(&index, "bob"), ["alice", "b\"ob", "carol"]);
+    }
+    assert_eq!(index.scan_builds(), 1);
+    // A store's periodic re-sync: same list, newer epoch.
+    assert!(index.sync(ContributorId::new("b\"ob"), 2, allow_for("bob")));
+    assert_eq!(names(&index, "bob"), ["alice", "b\"ob", "carol"]);
+    // A rule edit moves the contributor to another list: patched in
+    // place, and the very next search sees it.
+    assert!(index.sync(ContributorId::new("b\"ob"), 3, allow_for("eve")));
+    assert_eq!(names(&index, "bob"), ["alice", "carol"]);
+    assert_eq!(names(&index, "eve"), ["b\"ob"]);
+    // A stale push and the removal of a stranger change nothing.
+    assert!(!index.sync(ContributorId::new("alice"), 1, allow_for("eve")));
+    assert!(!index.remove(&ContributorId::new("nobody")));
+    assert_eq!(names(&index, "bob"), ["alice", "carol"]);
+    assert_eq!(index.scan_builds(), 1);
+    // A burst of registrations is one rebuild, at the next search.
+    for name in ["dave", "erin", "frank"] {
+        index.sync(ContributorId::new(name), 1, allow_for("bob"));
+    }
+    assert_eq!(index.scan_builds(), 1);
+    assert_eq!(
+        names(&index, "bob"),
+        ["alice", "carol", "dave", "erin", "frank"]
+    );
+    assert_eq!(names(&index, "eve"), ["b\"ob"]);
+    assert_eq!(index.scan_builds(), 2);
+    // So is a removal.
+    assert!(index.remove(&ContributorId::new("carol")));
+    assert_eq!(names(&index, "bob"), ["alice", "dave", "erin", "frank"]);
+    assert_eq!(index.scan_builds(), 3);
+    // A clone derives its own column, and only if it is searched; the
+    // original keeps the one it has.
+    let clone = index.clone();
+    assert_eq!(clone.scan_builds(), 0);
+    index.sync(ContributorId::new("alice"), 2, allow_for("eve"));
+    assert_eq!(names(&clone, "bob"), ["alice", "dave", "erin", "frank"]);
+    assert_eq!(names(&clone, "bob"), ["alice", "dave", "erin", "frank"]);
+    assert_eq!(clone.scan_builds(), 1);
+    assert_eq!(names(&index, "bob"), ["dave", "erin", "frank"]);
+    assert_eq!(index.scan_builds(), 3);
 }
 
 /// A freed slot is handed to the next new list, and the verdict its old

@@ -31,6 +31,20 @@ macro_rules! string_id {
             }
         }
 
+        // `Eq`, `Ord` and `Hash` are derived from the one `String` field,
+        // so they agree with `str`'s: maps keyed by the id look up by `&str`.
+        impl std::borrow::Borrow<str> for $name {
+            fn borrow(&self) -> &str {
+                &self.0
+            }
+        }
+
+        impl AsRef<str> for $name {
+            fn as_ref(&self) -> &str {
+                &self.0
+            }
+        }
+
         impl From<&str> for $name {
             fn from(s: &str) -> Self {
                 Self::new(s)
@@ -102,6 +116,19 @@ mod tests {
         assert_eq!(c.as_str(), "alice");
         assert_eq!(c.to_string(), "alice");
         assert_eq!(ContributorId::from("alice"), c);
+    }
+
+    #[test]
+    fn ids_borrow_as_str() {
+        use std::collections::{BTreeMap, HashSet};
+        let by_name: BTreeMap<ContributorId, u32> = [("alice", 1), ("zoë", 2)]
+            .map(|(n, v)| (n.into(), v))
+            .into();
+        assert_eq!(by_name.get("zoë"), Some(&2));
+        assert_eq!(by_name.get("bob"), None);
+        let set: HashSet<ConsumerId> = [ConsumerId::new("bob")].into();
+        assert!(set.contains("bob"));
+        assert_eq!(GroupId::new("g").as_ref(), "g");
     }
 
     #[test]

@@ -292,9 +292,11 @@ impl TimeRange {
         self.start <= t && t < self.end
     }
 
-    /// True if the two ranges share any instant.
+    /// True if the two ranges share any instant — exactly when
+    /// [`TimeRange::intersect`] is `Some`. An empty range holds no
+    /// instant, so it overlaps nothing, not even a range around it.
     pub fn overlaps(&self, other: &TimeRange) -> bool {
-        self.start < other.end && other.start < self.end
+        self.start.max(other.start) < self.end.min(other.end)
     }
 
     /// The overlapping part of two ranges, if any.
@@ -480,6 +482,13 @@ mod tests {
         let e = TimeRange::new(Timestamp(5), Timestamp(5));
         assert!(e.is_empty());
         assert!(!e.contains(Timestamp(5)));
+        // It holds no instant, so it overlaps nothing — not the range
+        // around it, not itself — and `intersect` agrees both ways round.
+        let around = TimeRange::new(Timestamp(0), Timestamp(10));
+        for (a, b) in [(&e, &around), (&around, &e), (&e, &e)] {
+            assert!(!a.overlaps(b));
+            assert_eq!(a.intersect(b), None);
+        }
     }
 
     #[test]
