@@ -835,20 +835,18 @@ impl FleetScraper {
             .spawn(move || {
                 while !thread_stop.load(Ordering::Acquire) {
                     let sweep_started = std::time::Instant::now();
-                    {
-                        let _frame = sensorsafe_obsv::prof_frame!("fleet-sweep");
-                        let stop = &thread_stop;
-                        // Hold each store's probe to its deterministic
-                        // jitter offset within the sweep (sliced sleeps
-                        // so stop() still returns promptly).
-                        inner.fleet_sweep_paced(&mut |offset| loop {
-                            let elapsed = sweep_started.elapsed();
-                            if elapsed >= offset || stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            std::thread::sleep((offset - elapsed).min(Duration::from_millis(20)));
-                        });
-                    }
+                    // Hold each store's probe to its deterministic jitter
+                    // offset within the sweep (sliced sleeps so stop()
+                    // still returns promptly). The sweep opens its own
+                    // `fleet sweep` span.
+                    let stop = &thread_stop;
+                    inner.fleet_sweep_paced(&mut |offset| loop {
+                        let elapsed = sweep_started.elapsed();
+                        if elapsed >= offset || stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        std::thread::sleep((offset - elapsed).min(Duration::from_millis(20)));
+                    });
                     // Sleep out the rest of the interval in short slices
                     // so stop() returns promptly even with long scrape
                     // intervals.

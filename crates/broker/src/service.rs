@@ -41,10 +41,6 @@ pub struct BrokerConfig {
     pub name: String,
     /// How to reach data stores.
     pub transports: TransportFactory,
-    /// Requests slower than this are pinned in the slow-trace ring and
-    /// logged as one structured JSON line (`None` disables capture). See
-    /// docs/OPERATIONS.md for tuning guidance.
-    pub slow_request_threshold: Option<std::time::Duration>,
     /// Fleet health plane: scrape cadence, health-machine thresholds,
     /// retention sizing, and SLO objectives. See docs/OPERATIONS.md
     /// ("Fleet monitoring").
@@ -59,7 +55,6 @@ impl Default for BrokerConfig {
             transports: Arc::new(|addr: &str| {
                 Arc::new(TcpTransport::new(addr)) as Arc<dyn Transport>
             }),
-            slow_request_threshold: None,
             fleet: crate::fleet::FleetConfig::default(),
         }
     }
@@ -648,9 +643,7 @@ impl BrokerService {
     /// Builds a broker. Returns the service plus its admin key.
     pub fn new(config: BrokerConfig) -> (BrokerService, ApiKey) {
         let traces = TraceRecorder::new(256);
-        traces.set_slow_threshold(sensorsafe_obsv::trace::slow_threshold_from_env(
-            config.slow_request_threshold,
-        ));
+        traces.set_slow_threshold(sensorsafe_obsv::trace::slow_threshold_from_env());
         let fleet = crate::fleet::FleetPlane::new(config.fleet.clone());
         let metrics = Arc::new(Registry::new());
         let inner = Arc::new(Inner {
@@ -1297,7 +1290,6 @@ mod tests {
                 healthy_after: 1,
                 ..Default::default()
             },
-            ..BrokerConfig::default()
         });
         let resp = broker.handle(&Request::post_json(
             "/api/stores/register",
@@ -1432,7 +1424,6 @@ mod tests {
                 latency_threshold_secs: 0.0,
                 ..Default::default()
             },
-            ..BrokerConfig::default()
         });
         broker.handle(&Request::post_json(
             "/api/stores/register",

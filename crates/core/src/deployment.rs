@@ -104,7 +104,6 @@ impl Deployment {
             name: "broker".into(),
             transports: transports.clone(),
             fleet,
-            ..BrokerConfig::default()
         });
         let broker_transport: Arc<dyn Transport> =
             Arc::new(LocalTransport::new(Arc::new(broker.clone())));
@@ -137,7 +136,6 @@ impl Deployment {
             name: "broker".into(),
             transports: transports.clone(),
             fleet,
-            ..BrokerConfig::default()
         });
         let broker_transport: Arc<dyn Transport> = Arc::new(TcpTransport::new(broker_addr));
         Deployment {

@@ -54,10 +54,6 @@ pub struct DataStoreConfig {
     /// [`sensorsafe_store::JournalConfig`] and `docs/OPERATIONS.md` for
     /// tuning.
     pub journal: sensorsafe_store::JournalConfig,
-    /// Requests slower than this are pinned in the slow-trace ring and
-    /// logged as one structured JSON line (`None` disables capture). See
-    /// docs/OPERATIONS.md for tuning guidance.
-    pub slow_request_threshold: Option<std::time::Duration>,
 }
 
 impl Default for DataStoreConfig {
@@ -67,7 +63,6 @@ impl Default for DataStoreConfig {
             merge: MergePolicy::default(),
             data_dir: None,
             journal: sensorsafe_store::JournalConfig::default(),
-            slow_request_threshold: None,
         }
     }
 }
@@ -1107,9 +1102,7 @@ impl DataStoreService {
             );
         }
         let traces = TraceRecorder::new(256);
-        traces.set_slow_threshold(sensorsafe_obsv::trace::slow_threshold_from_env(
-            config.slow_request_threshold,
-        ));
+        traces.set_slow_threshold(sensorsafe_obsv::trace::slow_threshold_from_env());
         let inner = Arc::new(Inner {
             config,
             journal,

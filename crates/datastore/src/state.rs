@@ -36,7 +36,6 @@ use sensorsafe_types::{ConsumerId, ContributorId, GeoPoint, GroupId, Region, Stu
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One contributor hosted on this data store.
 pub struct ContributorAccount {
@@ -326,16 +325,14 @@ impl DataStoreState {
     /// readers of the same account proceed in parallel; readers of
     /// *different* accounts never contend at all.
     pub fn read_contributor(&self, id: &ContributorId) -> Option<ContributorReadGuard> {
-        let waited = Instant::now();
-        // Profiling frame covers the acquisition only, so sampled stacks
-        // separate lock-wait time from time spent holding the lock.
-        let prof = sensorsafe_obsv::prof_frame!("account-lock-wait");
+        // The frame covers the acquisition only, so sampled stacks separate
+        // lock-wait time from time spent holding the lock.
+        let wait = sensorsafe_obsv::prof_frame!("account-lock-wait");
         let account = self.lookup(id)?;
         lock_order::acquire_account();
         let guard = RwLock::read_arc(&account);
-        drop(prof);
-        // Read the clock before the histogram is looked up: the wait ends here.
-        let elapsed = waited.elapsed();
+        // Close it before the histogram is looked up: the wait ends here.
+        let elapsed = wait.close();
         lock_wait_histogram("read").observe(elapsed);
         Some(ContributorReadGuard { guard })
     }
@@ -343,13 +340,11 @@ impl DataStoreState {
     /// Acquires exclusive access to a contributor's account. Only writers
     /// and readers of the *same* account are serialized.
     pub fn write_contributor(&self, id: &ContributorId) -> Option<ContributorWriteGuard> {
-        let waited = Instant::now();
-        let prof = sensorsafe_obsv::prof_frame!("account-lock-wait");
+        let wait = sensorsafe_obsv::prof_frame!("account-lock-wait");
         let account = self.lookup(id)?;
         lock_order::acquire_account();
         let guard = RwLock::write_arc(&account);
-        drop(prof);
-        let elapsed = waited.elapsed();
+        let elapsed = wait.close();
         lock_wait_histogram("write").observe(elapsed);
         Some(ContributorWriteGuard { guard })
     }

@@ -3,12 +3,13 @@
 //! The blocking parser in [`crate::http`] assumes it can sit in a read
 //! until a full message arrives — fine for a thread-per-connection
 //! server, useless for an event loop where a message trickles in across
-//! many readiness events. [`RequestDecoder`] / [`ResponseDecoder`] are
-//! the evented counterparts: bytes are [`fed`](RequestDecoder::feed) in
-//! whatever fragments the socket yields, and a complete message pops out
-//! once its final byte has arrived.
+//! many readiness events. [`RequestDecoder`] is the evented server's
+//! counterpart: bytes are [`fed`](RequestDecoder::feed) in whatever
+//! fragments the socket yields, and a complete request pops out once its
+//! final byte has arrived. Responses are only ever read by blocking
+//! clients ([`crate::http::read_response`]).
 //!
-//! Both decoders share the head grammar helpers with the blocking parser
+//! The decoder shares the head grammar helpers with the blocking parser
 //! (`parse_request_line`, `parse_header_into`, ...), so the two can
 //! never drift: `crates/net/tests/codec_incremental.rs` proptests feed
 //! identical wire bytes to both at arbitrary split points and assert
@@ -21,8 +22,8 @@
 //! unbounded memory.
 
 use crate::http::{
-    invalid, parse_content_length, parse_header_into, parse_request_line, parse_status_line,
-    Request, Response, Status, MAX_HEAD_BYTES,
+    invalid, parse_content_length, parse_header_into, parse_request_line, Request, Status,
+    MAX_HEAD_BYTES,
 };
 use std::collections::BTreeMap;
 
@@ -61,7 +62,7 @@ fn map_err(e: std::io::Error) -> DecodeError {
     }
 }
 
-/// The phase a decoder is in between messages.
+/// Where the decoder is within the current request.
 enum Phase {
     /// Accumulating head bytes; `scan` is the next unexamined offset and
     /// `line_start` the beginning of the line being scanned.
@@ -72,116 +73,14 @@ enum Phase {
     Failed(DecodeError),
 }
 
-/// Head-agnostic incremental framing shared by both decoders: find the
-/// blank line, split the head into lines, count body bytes.
-struct Framer {
-    buf: Vec<u8>,
-    phase: Phase,
-    /// Parsed head, parked while body bytes accumulate.
-    head_lines: Vec<String>,
-}
-
-impl Framer {
-    fn new() -> Framer {
-        Framer {
-            buf: Vec::new(),
-            phase: Phase::Head {
-                scan: 0,
-                line_start: 0,
-            },
-            head_lines: Vec::new(),
-        }
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn fail(&mut self, err: DecodeError) -> Decoded<(Vec<String>, Vec<u8>)> {
-        self.phase = Phase::Failed(err.clone());
-        Decoded::Failed(err)
-    }
-
-    fn at_boundary(&self) -> bool {
-        matches!(self.phase, Phase::Head { scan: 0, .. }) && self.buf.is_empty()
-    }
-
-    fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Advances the state machine; yields the head lines (request/status
-    /// line first, no blank terminator) plus the body bytes.
-    fn poll(&mut self) -> Decoded<(Vec<String>, Vec<u8>)> {
-        // Every arm returns: callers drive the machine by polling again.
-        match &mut self.phase {
-            Phase::Failed(err) => Decoded::Failed(err.clone()),
-            Phase::Head { scan, line_start } => {
-                let mut found_head_end = None;
-                while *scan < self.buf.len() {
-                    let at = *scan;
-                    *scan += 1;
-                    if self.buf[at] != b'\n' {
-                        continue;
-                    }
-                    let line = &self.buf[*line_start..=at];
-                    let text = match std::str::from_utf8(line) {
-                        Ok(text) => text,
-                        Err(_) => {
-                            // The blocking parser's `read_line` fails
-                            // the same way on a non-UTF-8 head line.
-                            return self.fail(map_err(invalid("head is not valid UTF-8")));
-                        }
-                    };
-                    let first_line = *line_start == 0;
-                    *line_start = at + 1;
-                    if !first_line && text.trim_end().is_empty() {
-                        found_head_end = Some(at + 1);
-                        break;
-                    }
-                    self.head_lines.push(text.to_string());
-                }
-                let Some(head_end) = found_head_end else {
-                    if self.buf.len() > MAX_HEAD_BYTES {
-                        return self.fail(map_err(invalid("headers too large")));
-                    }
-                    return Decoded::NeedMore;
-                };
-                if head_end > MAX_HEAD_BYTES {
-                    return self.fail(map_err(invalid("headers too large")));
-                }
-                // Body bytes (if any) slide to the front; head bytes
-                // are done with.
-                self.buf.drain(..head_end);
-                // An empty first line is still handed to the head
-                // parser so it rejects exactly like the blocking
-                // reader ("bad method" / "missing version").
-                if self.head_lines.is_empty() {
-                    self.head_lines.push(String::new());
-                }
-                self.phase = Phase::Body { need: usize::MAX };
-                Decoded::Item((std::mem::take(&mut self.head_lines), Vec::new()))
-            }
-            Phase::Body { need } => {
-                if self.buf.len() < *need {
-                    return Decoded::NeedMore;
-                }
-                let body: Vec<u8> = self.buf.drain(..*need).collect();
-                self.phase = Phase::Head {
-                    scan: 0,
-                    line_start: 0,
-                };
-                Decoded::Item((Vec::new(), body))
-            }
-        }
-    }
-}
-
 /// Incremental request parser for the evented server. See module docs.
 pub struct RequestDecoder {
-    framer: Framer,
-    /// Head parsed and body length known; awaiting body bytes.
-    pending: Option<(Request, usize)>,
+    buf: Vec<u8>,
+    phase: Phase,
+    /// Head lines scanned so far.
+    head_lines: Vec<String>,
+    /// The parsed head, parked while its body bytes accumulate.
+    pending: Option<Request>,
 }
 
 impl Default for RequestDecoder {
@@ -194,26 +93,36 @@ impl RequestDecoder {
     /// An empty decoder at a message boundary.
     pub fn new() -> RequestDecoder {
         RequestDecoder {
-            framer: Framer::new(),
+            buf: Vec::new(),
+            phase: Phase::Head {
+                scan: 0,
+                line_start: 0,
+            },
+            head_lines: Vec::new(),
             pending: None,
         }
     }
 
     /// Buffers more bytes from the socket.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.framer.feed(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered (bounded by the head cap plus one
     /// declared-in-bounds body).
     pub fn buffered(&self) -> usize {
-        self.framer.buffered()
+        self.buf.len()
     }
 
     /// True when the stream sits exactly between messages — an EOF here
     /// is a clean keep-alive close, anywhere else it is a truncation.
     pub fn at_boundary(&self) -> bool {
-        self.pending.is_none() && self.framer.at_boundary()
+        matches!(self.phase, Phase::Head { scan: 0, .. }) && self.buf.is_empty()
+    }
+
+    fn fail(&mut self, err: DecodeError) -> Decoded<Request> {
+        self.phase = Phase::Failed(err.clone());
+        Decoded::Failed(err)
     }
 
     /// Attempts to decode the next complete request. Call again after
@@ -221,91 +130,72 @@ impl RequestDecoder {
     /// [`Decoded::Item`] to drain pipelined requests.
     pub fn poll(&mut self) -> Decoded<Request> {
         loop {
-            if let Some((_, need)) = &self.pending {
-                self.framer.phase = Phase::Body { need: *need };
-            }
-            match self.framer.poll() {
-                Decoded::NeedMore => return Decoded::NeedMore,
-                Decoded::Failed(err) => return Decoded::Failed(err),
-                Decoded::Item((lines, body)) => {
-                    if let Some((mut request, _)) = self.pending.take() {
-                        request.body = body;
-                        return Decoded::Item(request);
+            match &mut self.phase {
+                Phase::Failed(err) => return Decoded::Failed(err.clone()),
+                Phase::Head { scan, line_start } => {
+                    let mut found_head_end = None;
+                    while *scan < self.buf.len() {
+                        let at = *scan;
+                        *scan += 1;
+                        if self.buf[at] != b'\n' {
+                            continue;
+                        }
+                        let line = &self.buf[*line_start..=at];
+                        let text = match std::str::from_utf8(line) {
+                            Ok(text) => text,
+                            Err(_) => {
+                                // The blocking parser's `read_line` fails
+                                // the same way on a non-UTF-8 head line.
+                                return self.fail(map_err(invalid("head is not valid UTF-8")));
+                            }
+                        };
+                        let first_line = *line_start == 0;
+                        *line_start = at + 1;
+                        if !first_line && text.trim_end().is_empty() {
+                            found_head_end = Some(at + 1);
+                            break;
+                        }
+                        self.head_lines.push(text.to_string());
                     }
-                    match parse_request_head(&lines) {
-                        Ok((request, content_length)) => {
-                            self.pending = Some((request, content_length));
+                    let Some(head_end) = found_head_end else {
+                        if self.buf.len() > MAX_HEAD_BYTES {
+                            return self.fail(map_err(invalid("headers too large")));
+                        }
+                        return Decoded::NeedMore;
+                    };
+                    if head_end > MAX_HEAD_BYTES {
+                        return self.fail(map_err(invalid("headers too large")));
+                    }
+                    // Body bytes (if any) slide to the front; head bytes
+                    // are done with.
+                    self.buf.drain(..head_end);
+                    // An empty first line is still handed to the head
+                    // parser so it rejects exactly like the blocking
+                    // reader ("bad method" / "missing version").
+                    if self.head_lines.is_empty() {
+                        self.head_lines.push(String::new());
+                    }
+                    match parse_request_head(&std::mem::take(&mut self.head_lines)) {
+                        Ok((request, need)) => {
+                            self.pending = Some(request);
+                            self.phase = Phase::Body { need };
                             // Loop: the body (possibly empty) may already
                             // be buffered.
                         }
-                        Err(e) => {
-                            let err = map_err(e);
-                            self.framer.phase = Phase::Failed(err.clone());
-                            return Decoded::Failed(err);
-                        }
+                        Err(e) => return self.fail(map_err(e)),
                     }
                 }
-            }
-        }
-    }
-}
-
-/// Incremental response parser (the client-side mirror image, used by
-/// the codec equivalence tests and available to future evented clients).
-pub struct ResponseDecoder {
-    framer: Framer,
-    pending: Option<(Response, usize)>,
-}
-
-impl Default for ResponseDecoder {
-    fn default() -> Self {
-        ResponseDecoder::new()
-    }
-}
-
-impl ResponseDecoder {
-    /// An empty decoder at a message boundary.
-    pub fn new() -> ResponseDecoder {
-        ResponseDecoder {
-            framer: Framer::new(),
-            pending: None,
-        }
-    }
-
-    /// Buffers more bytes from the socket.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.framer.feed(bytes);
-    }
-
-    /// True when the stream sits exactly between messages.
-    pub fn at_boundary(&self) -> bool {
-        self.pending.is_none() && self.framer.at_boundary()
-    }
-
-    /// Attempts to decode the next complete response.
-    pub fn poll(&mut self) -> Decoded<Response> {
-        loop {
-            if let Some((_, need)) = &self.pending {
-                self.framer.phase = Phase::Body { need: *need };
-            }
-            match self.framer.poll() {
-                Decoded::NeedMore => return Decoded::NeedMore,
-                Decoded::Failed(err) => return Decoded::Failed(err),
-                Decoded::Item((lines, body)) => {
-                    if let Some((mut response, _)) = self.pending.take() {
-                        response.body = body;
-                        return Decoded::Item(response);
+                Phase::Body { need } => {
+                    if self.buf.len() < *need {
+                        return Decoded::NeedMore;
                     }
-                    match parse_response_head(&lines) {
-                        Ok((response, content_length)) => {
-                            self.pending = Some((response, content_length));
-                        }
-                        Err(e) => {
-                            let err = map_err(e);
-                            self.framer.phase = Phase::Failed(err.clone());
-                            return Decoded::Failed(err);
-                        }
-                    }
+                    let mut request = self.pending.take().expect("a parsed head awaits its body");
+                    request.body = self.buf.drain(..*need).collect();
+                    self.phase = Phase::Head {
+                        scan: 0,
+                        line_start: 0,
+                    };
+                    return Decoded::Item(request);
                 }
             }
         }
@@ -338,25 +228,10 @@ fn parse_request_head(lines: &[String]) -> std::io::Result<(Request, usize)> {
     ))
 }
 
-fn parse_response_head(lines: &[String]) -> std::io::Result<(Response, usize)> {
-    let (first, rest) = lines.split_first().ok_or_else(|| invalid("empty head"))?;
-    let status = parse_status_line(first)?;
-    let headers = parse_headers(rest)?;
-    let content_length = parse_content_length(&headers)?;
-    Ok((
-        Response {
-            status,
-            headers,
-            body: Vec::new(),
-        },
-        content_length,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{write_request, write_response, Method};
+    use crate::http::{write_request, Method};
     use sensorsafe_json::json;
 
     #[test]
@@ -447,26 +322,6 @@ mod tests {
         }
         // Terminal: stays failed on subsequent polls.
         assert!(matches!(decoder.poll(), Decoded::Failed(_)));
-    }
-
-    #[test]
-    fn response_roundtrip_split() {
-        let resp = Response::json(&json!({"ok": true, "n": 7}));
-        let mut wire = Vec::new();
-        write_response(&mut wire, &resp).unwrap();
-        for split in 0..wire.len() {
-            let mut decoder = ResponseDecoder::new();
-            decoder.feed(&wire[..split]);
-            let _ = decoder.poll();
-            decoder.feed(&wire[split..]);
-            match decoder.poll() {
-                Decoded::Item(back) => {
-                    assert_eq!(back.status, Status::Ok);
-                    assert_eq!(back.body, resp.body);
-                }
-                other => panic!("split {split}: {other:?}"),
-            }
-        }
     }
 
     #[test]

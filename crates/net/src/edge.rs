@@ -8,24 +8,26 @@
 //!   route table yields the matched pattern and the handler; the request's
 //!   span is opened under `"<METHOD> <pattern>"` (joining the caller's
 //!   trace when it sent an `X-SensorSafe-Trace` header), the handler runs,
-//!   and the latency histogram and status counter are recorded under the
-//!   same pattern. A request is therefore labelled, timed and counted in
-//!   exactly one place, and only ever by its route *pattern* — never the
-//!   concrete path, so label cardinality is bounded by the route table;
-//!   paths no route serves (404) or serves under another method (405)
-//!   share the label `unmatched`. The metric handles are resolved once
-//!   per route (and status code) on first use, so a request in steady
-//!   state builds no label set and takes no registry lock.
+//!   and the span's duration — its one clock reading — is what the latency
+//!   histogram records, beside a status counter under the same pattern. A
+//!   request is therefore labelled, timed and counted in exactly one
+//!   place, and only ever by its route *pattern* — never the concrete
+//!   path, so label cardinality is bounded by the route table; paths no
+//!   route serves (404) or serves under another method (405) share the
+//!   label `unmatched`. Each route's span frame is resolved when the edge
+//!   is built (an unmatched request's, once per method), and the metric
+//!   handles once per route (and status code) on first use, so a request
+//!   in steady state formats no name, builds no label set and takes no
+//!   intern or registry lock.
 //! * **The ops mount**: `GET /metrics` (the instance registry, then the
 //!   process-wide one, in one scrape body), `GET /traces`,
 //!   `GET /debug/profile` and `GET /debug/spans`.
 
-use crate::http::{Request, Response, Status};
+use crate::http::{Method, Request, Response, Status};
 use crate::router::{Resolved, Router};
 use crate::Service;
-use sensorsafe_obsv::{Counter, Histogram, Registry, TraceRecorder};
+use sensorsafe_obsv::{Counter, Frame, Histogram, Registry, TraceRecorder};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// The two per-request metric families of one server, each as `(name,
 /// help)`. The servers pass literals so the README metrics lint
@@ -59,6 +61,10 @@ pub struct Edge {
     /// One entry per route by table index, then the one `unmatched`
     /// requests share.
     metrics: Vec<RouteMetrics>,
+    /// Each route's span frame by table index.
+    frames: Vec<Frame>,
+    /// The span frame of an unmatched request, by [`Method`] variant.
+    unmatched: [OnceLock<Frame>; Method::Delete as usize + 1],
 }
 
 impl Edge {
@@ -88,7 +94,12 @@ impl Edge {
             crate::debug::profile_response(req)
         });
         router.get("/debug/spans", |req, _| crate::debug::spans_response(req));
-        let metrics = (0..=router.len())
+        let frames: Vec<Frame> = router
+            .routes()
+            .iter()
+            .map(|route| Frame::from(route.name()))
+            .collect();
+        let metrics = (0..=frames.len())
             .map(|_| RouteMetrics::default())
             .collect();
         Edge {
@@ -97,6 +108,8 @@ impl Edge {
             registry,
             traces,
             metrics,
+            frames,
+            unmatched: Default::default(),
         }
     }
 
@@ -110,17 +123,20 @@ impl Edge {
 impl Service for Edge {
     fn handle(&self, request: &Request) -> Response {
         let resolved = self.router.resolve(request);
-        let endpoint = resolved.pattern().unwrap_or(UNMATCHED);
-        let _span = self.traces.begin_ctx(
-            format!("{} {endpoint}", request.method.as_str()),
-            request.trace_context(),
-        );
-        let metrics = match &resolved {
-            Resolved::Route(route, _) => &self.metrics[route.index],
-            _ => &self.metrics[self.router.len()],
+        let (index, frame) = match &resolved {
+            Resolved::Route(route, _) => (route.index, self.frames[route.index]),
+            _ => (
+                self.frames.len(),
+                *self.unmatched[request.method as usize].get_or_init(|| {
+                    Frame::from(format!("{} {UNMATCHED}", request.method.as_str()))
+                }),
+            ),
         };
-        let started = Instant::now();
+        let span = self.traces.begin_ctx(frame, request.trace_context());
         let response = resolved.respond(request);
+        let elapsed = span.close();
+        let endpoint = resolved.pattern().unwrap_or(UNMATCHED);
+        let metrics = &self.metrics[index];
         metrics
             .seconds
             .get_or_init(|| {
@@ -128,7 +144,7 @@ impl Service for Edge {
                 self.registry
                     .histogram(name, help, &[("endpoint", endpoint)], None)
             })
-            .observe(started.elapsed());
+            .observe(elapsed);
         metrics.total[response.status as usize]
             .get_or_init(|| {
                 let (name, help) = self.families.total;
@@ -148,7 +164,6 @@ impl Service for Edge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{Method, Status};
 
     fn edge() -> Edge {
         let mut router = Router::new();
@@ -200,6 +215,65 @@ mod tests {
             assert!(text.contains(line), "missing {line} in:\n{text}");
         }
         assert!(!text.contains("alice") && !text.contains("nope"), "{text}");
+    }
+
+    #[test]
+    fn one_measurement_feeds_histogram_span_stats_and_trace_ring() {
+        // The route histogram, the route's span-stats row and the trace
+        // ring all record the span's one clock reading.
+        const N: u64 = 20;
+        let mut router = Router::new();
+        router.get("/edge_test/three_sinks", |_, _| Response::text("ok"));
+        let registry = Arc::new(Registry::new());
+        let traces = TraceRecorder::new(N as usize);
+        let edge = Edge::new(
+            router,
+            RequestFamilies {
+                seconds: ("sensorsafe_test_request_seconds", "Latency."),
+                total: ("sensorsafe_test_requests_total", "Requests."),
+            },
+            registry.clone(),
+            traces.clone(),
+        );
+        let histogram = registry.histogram(
+            "sensorsafe_test_request_seconds",
+            "Latency.",
+            &[("endpoint", "/edge_test/three_sinks")],
+            None,
+        );
+        let row = || {
+            sensorsafe_obsv::prof::span_stats()
+                .into_iter()
+                .find(|s| s.name == "GET /edge_test/three_sinks")
+                .map_or((0, std::time::Duration::ZERO), |s| (s.count, s.total))
+        };
+        let (count_before, total_before) = row();
+        let hist_before = histogram.snapshot();
+        for _ in 0..N {
+            let resp = edge.handle(&Request::get("/edge_test/three_sinks"));
+            assert_eq!(resp.status, Status::Ok);
+        }
+        let (count_after, total_after) = row();
+        let hist_after = histogram.snapshot();
+        let ring = traces.recent_traces();
+
+        let hist_count = hist_after.count() - hist_before.count();
+        assert_eq!(hist_count, N);
+        assert_eq!(count_after - count_before, N);
+        assert_eq!(ring.len() as u64, N);
+        assert!(ring.iter().all(|t| t.name == "GET /edge_test/three_sinks"));
+        let span_secs = (total_after - total_before).as_secs_f64();
+        let hist_secs = hist_after.sum() - hist_before.sum();
+        let ring_secs: f64 = ring.iter().map(|t| t.total.as_secs_f64()).sum();
+        let tolerance = N as f64 * 1e-9;
+        assert!(
+            (hist_secs - span_secs).abs() <= tolerance,
+            "histogram {hist_secs} s vs span-stats {span_secs} s"
+        );
+        assert!(
+            (ring_secs - span_secs).abs() <= tolerance,
+            "trace ring {ring_secs} s vs span-stats {span_secs} s"
+        );
     }
 
     #[test]

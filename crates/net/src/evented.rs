@@ -366,12 +366,11 @@ fn run_request(service: &dyn Service, request: &Request, metrics: &NetMetrics) -
     // Attribute handler time (including the service's own nested spans)
     // to this thread's kind in the profiling plane: `net-handler;
     // request-handler;…` in the pool, `net-loop;request-handler;…` inline.
-    let _frame = sensorsafe_obsv::prof_frame!("request-handler");
-    let started = Instant::now();
+    let frame = sensorsafe_obsv::prof_frame!("request-handler");
     let response =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.handle(request)))
             .unwrap_or_else(|_| Response::error(Status::InternalError, "handler panicked"));
-    metrics.record_request(started.elapsed(), response.status);
+    metrics.record_request(frame.close(), response.status);
     let close = request
         .header("connection")
         .is_some_and(|v| v.eq_ignore_ascii_case("close"));

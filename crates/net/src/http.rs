@@ -419,9 +419,8 @@ pub(crate) fn parse_request_line(
     Ok((method, percent_decode(raw_path), parse_query(raw_query)))
 }
 
-/// Parses a status line (`HTTP/1.1 200 OK`). Shared like
-/// [`parse_request_line`].
-pub(crate) fn parse_status_line(line: &str) -> std::io::Result<Status> {
+/// Parses a status line (`HTTP/1.1 200 OK`).
+fn parse_status_line(line: &str) -> std::io::Result<Status> {
     let mut parts = line.trim_end().splitn(3, ' ');
     let version = parts.next().ok_or_else(|| invalid("missing version"))?;
     if !version.starts_with("HTTP/1.") {

@@ -40,6 +40,13 @@ pub(crate) struct Route {
     non_blocking: bool,
 }
 
+impl Route {
+    /// `"<METHOD> <pattern>"`: the route's span name.
+    pub(crate) fn name(&self) -> String {
+        format!("{} {}", self.method.as_str(), self.raw_pattern)
+    }
+}
+
 /// Where one walk of the route table ended.
 pub(crate) enum Resolved<'a> {
     /// Method and pattern matched.
@@ -168,13 +175,14 @@ impl Router {
         self.routes
             .iter()
             .filter(|route| route.non_blocking)
-            .map(|route| format!("{} {}", route.method.as_str(), route.raw_pattern))
+            .map(Route::name)
             .collect()
     }
 
-    /// Number of registered routes.
-    pub(crate) fn len(&self) -> usize {
-        self.routes.len()
+    /// The table, in registration order (a route's `index` is its
+    /// position).
+    pub(crate) fn routes(&self) -> &[Route] {
+        &self.routes
     }
 
     /// Walks the route table once for `request`.

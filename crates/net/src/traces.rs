@@ -84,7 +84,7 @@ mod tests {
             parent_span_id: 7,
         };
         {
-            let _span = recorder.begin("GET /one");
+            let _span = recorder.begin_ctx("GET /one", None);
         }
         {
             let _span = recorder.begin_ctx("POST /two", Some(ctx));

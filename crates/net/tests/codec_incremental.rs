@@ -4,10 +4,8 @@
 //! blocking parser's verdict on garbage and truncation.
 
 use proptest::prelude::*;
-use sensorsafe_net::codec::{Decoded, RequestDecoder, ResponseDecoder};
-use sensorsafe_net::http::{
-    read_request, read_response, write_request, write_response, Method, Request, Response, Status,
-};
+use sensorsafe_net::codec::{Decoded, RequestDecoder};
+use sensorsafe_net::http::{read_request, write_request, Method, Request, Status};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 
@@ -38,23 +36,6 @@ fn arb_headers() -> impl Strategy<Value = BTreeMap<String, String>> {
         h.remove("content-length");
         h
     })
-}
-
-fn arb_status() -> impl Strategy<Value = Status> {
-    prop::sample::select(vec![
-        Status::Ok,
-        Status::Created,
-        Status::BadRequest,
-        Status::Unauthorized,
-        Status::Forbidden,
-        Status::NotFound,
-        Status::MethodNotAllowed,
-        Status::Conflict,
-        Status::PayloadTooLarge,
-        Status::RequestHeaderFieldsTooLarge,
-        Status::InternalError,
-        Status::ServiceUnavailable,
-    ])
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {
@@ -142,41 +123,6 @@ proptest! {
             prop_assert_eq!(&a.body, &b.body);
         }
         prop_assert!(decoder.at_boundary());
-    }
-
-    /// Responses decode incrementally to what the blocking parser reads,
-    /// at any fragmentation.
-    #[test]
-    fn incremental_response_decode_matches_blocking(
-        status in arb_status(),
-        headers in arb_headers(),
-        body in prop::collection::vec(any::<u8>(), 0..512),
-        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..8),
-    ) {
-        let resp = Response { status, headers, body };
-        let mut wire = Vec::new();
-        write_response(&mut wire, &resp).unwrap();
-
-        let mut reader = BufReader::new(wire.as_slice());
-        let blocking = read_response(&mut reader).unwrap();
-
-        let mut decoder = ResponseDecoder::new();
-        let mut items = Vec::new();
-        for pair in cut_offsets(wire.len(), &cuts).windows(2) {
-            decoder.feed(&wire[pair[0]..pair[1]]);
-            loop {
-                match decoder.poll() {
-                    Decoded::Item(item) => items.push(item),
-                    Decoded::NeedMore => break,
-                    Decoded::Failed(e) => {
-                        panic!("decoder failed on valid response: {}", e.message)
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(items.len(), 1);
-        prop_assert_eq!(items[0].status, blocking.status);
-        prop_assert_eq!(&items[0].body, &blocking.body);
     }
 
     /// Byte-at-a-time (the worst fragmentation) agrees too.

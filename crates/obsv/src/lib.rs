@@ -12,7 +12,10 @@
 //!   served by the datastore and broker `GET /metrics` endpoints.
 //! * [`trace`] — per-request spans with timed phases (auth → policy eval →
 //!   store query → serialize) collected into a bounded ring buffer and read
-//!   back via [`trace::TraceRecorder::recent_traces`].
+//!   back via [`trace::TraceRecorder::recent_traces`]. A traced span is a
+//!   [`prof`] span that also carries a trace: one primitive, one
+//!   thread-local stack, one clock reading per close feeding three sinks
+//!   (the sampler, span-stats, the trace ring).
 //! * [`audit`] — privacy-audit counters: every enforcement decision
 //!   (allow / abstract / deny, dependency-closure suppressions) is counted
 //!   per consumer (labels bounded at [`audit::MAX_CONSUMER_LABELS`]),
@@ -33,8 +36,9 @@
 //!   recorder mirrored per thread, a wall-clock sampler folding every
 //!   registered stack into flamegraph-compatible counts (served at
 //!   `GET /debug/profile`), and an incremental span-stats table
-//!   (`/debug/spans`). Request spans from [`trace`] register frames
-//!   automatically; worker loops add explicit frames via `prof_frame!`.
+//!   (`/debug/spans`). Every span — a worker loop's `prof_frame!`, a
+//!   request's traced span, a trace phase — is recorded there by the one
+//!   [`SpanGuard`] close, which also returns the duration it measured.
 //! * [`timeseries`] — fixed-capacity retention for scraped fleet metrics:
 //!   per-series ring buffers with counter-reset-aware delta/rate and
 //!   windowed-quantile helpers, allocation-free on the push path.
@@ -70,10 +74,10 @@ pub use ledger::{
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, DEFAULT_LATENCY_BUCKETS,
 };
-pub use prof::{ProfGuard, SpanStat};
+pub use prof::{Frame, SpanGuard, SpanStat};
 pub use slo::{Evaluation, Measurement, Objective, ObjectiveKind};
 pub use timeseries::{Sample, SeriesRing, SeriesTable};
-pub use trace::{Phase, SpanGuard, Trace, TraceContext, TraceRecorder};
+pub use trace::{Phase, Trace, TraceContext, TraceRecorder};
 
 use std::sync::OnceLock;
 

@@ -1,11 +1,17 @@
-//! Continuous in-process profiling: a span-stack flight recorder, a
-//! wall-clock sampler, and per-span statistics.
+//! The one span primitive: a per-thread stack of open spans, read by a
+//! wall-clock sampler and closed into per-span statistics.
 //!
-//! Three coordinated parts (ISSUE 9):
+//! A span is opened by [`enter`] / `prof_frame!` (a plain frame) or by
+//! [`TraceRecorder::begin_ctx`](crate::trace::TraceRecorder::begin_ctx)
+//! (the same frame carrying a trace). Either way the one guard,
+//! [`SpanGuard`], closes it with one clock reading that feeds three sinks —
+//! the sampler's stack, span-stats, and for a traced span the trace ring —
+//! and [`SpanGuard::close`] hands that reading back, so a histogram kept
+//! beside a span reads no second clock.
 //!
 //! * **Span-stack flight recorder.** Every instrumented thread mirrors its
-//!   currently-open profiling frames into a lock-free thread stack: a
-//!   fixed array of atomic frame ids plus an atomic depth. Only the owning
+//!   open spans into a lock-free thread stack: a fixed array of atomic
+//!   frame ids plus an atomic depth. Only the owning
 //!   thread writes; the sampler reads cross-thread without stopping the
 //!   world. Frame names are interned to `u32` ids (a fat `&str` pointer
 //!   cannot be stored in one atomic), so a torn read during a concurrent
@@ -22,18 +28,18 @@
 //!   aggregate (count, total, self time, p99 from the shared latency
 //!   bucket layout), exposed via [`span_stats`] and the servers'
 //!   `/debug/spans` + `/ui/spans`. Self time is total minus time spent in
-//!   child frames, accounted on the owning thread with no extra clock
-//!   reads beyond the two every span already pays.
+//!   children, with no extra clock reads. A phase ([`crate::trace::phase`])
+//!   is a child of its traced span, so a request's own self time is what no
+//!   phase or frame claimed, and one thread's self columns add up to its
+//!   wall time.
 //!
-//! The tracing layer pushes a frame per request span automatically
-//! ([`crate::trace::TraceRecorder::begin_ctx`]), so route-level frames come
-//! for free; long-lived worker loops (journal commit, epoll, handler pool,
-//! fleet scraper, replication shipper) add explicit frames via
-//! [`enter`] / the `prof_frame!` macro. Threads with no open frame are
-//! sampled as `kind;(idle)`, so blocked worker pools stay visible without
-//! instrumenting every wait site.
+//! The front door opens a traced span per request; worker loops (journal
+//! commit, epoll, handler pool, replication shipper) add plain frames.
+//! Threads with no open frame are sampled as `kind;(idle)`, so blocked
+//! worker pools stay visible without instrumenting every wait site.
 
 use crate::metrics::{HistogramSnapshot, DEFAULT_LATENCY_BUCKETS};
+use crate::trace::Traced;
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -62,8 +68,8 @@ pub const IDLE_FRAME: u32 = 1;
 // ---------------------------------------------------------------------------
 
 struct Interner {
-    lookup: HashMap<String, u32>,
-    names: Vec<String>,
+    lookup: HashMap<&'static str, u32>,
+    names: Vec<&'static str>,
 }
 
 impl Interner {
@@ -75,9 +81,17 @@ impl Interner {
             return OTHER_FRAME;
         }
         let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.lookup.insert(name.to_string(), id);
+        // Each distinct name is stored once for the life of the process
+        // ([`MAX_FRAMES`] bounds them), so a resolved [`Frame`] can carry
+        // its name without a lock.
+        let name: &'static str = Box::leak(name.into());
+        self.names.push(name);
+        self.lookup.insert(name, id);
         id
+    }
+
+    fn name(&self, id: u32) -> &'static str {
+        self.names.get(id as usize).copied().unwrap_or("__other__")
     }
 }
 
@@ -107,12 +121,32 @@ pub fn intern(name: &str) -> u32 {
 
 /// Resolves a frame id back to its name (`"__other__"` for unknown ids).
 pub fn frame_name(id: u32) -> String {
-    interner()
-        .read()
-        .names
-        .get(id as usize)
-        .cloned()
-        .unwrap_or_else(|| "__other__".to_string())
+    interner().read().name(id).to_string()
+}
+
+/// A span name resolved once to its frame id, so opening a span under it
+/// takes no intern lookup. The front door resolves one per route; names
+/// beyond [`MAX_FRAMES`] resolve to `__other__`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frame {
+    pub(crate) id: u32,
+    pub(crate) name: &'static str,
+}
+
+impl From<&str> for Frame {
+    fn from(name: &str) -> Frame {
+        let id = intern(name);
+        Frame {
+            id,
+            name: interner().read().name(id),
+        }
+    }
+}
+
+impl From<String> for Frame {
+    fn from(name: String) -> Frame {
+        Frame::from(name.as_str())
+    }
 }
 
 /// Opens a profiling frame with a per-call-site cached intern id, skipping
@@ -158,17 +192,26 @@ fn thread_kind() -> String {
 struct OpenFrame {
     id: u32,
     started: Instant,
+    /// Time of the children that closed since the last phase boundary.
     child_nanos: u64,
+    /// Set on a traced span (boxed: a plain frame stays small to push and
+    /// pop).
+    trace: Option<Box<Traced>>,
 }
 
+/// This thread's open spans, innermost last: the one stack every span,
+/// traced or not, is pushed on.
 struct LocalProf {
     stack: Option<Arc<ThreadStack>>,
     open: Vec<OpenFrame>,
+    /// Phase frame ids, one per phase name literal (per call site), so a
+    /// phase takes no intern lock.
+    phase_ids: Vec<(&'static str, u32)>,
 }
 
 thread_local! {
     static LOCAL: RefCell<LocalProf> = const {
-        RefCell::new(LocalProf { stack: None, open: Vec::new() })
+        RefCell::new(LocalProf { stack: None, open: Vec::new(), phase_ids: Vec::new() })
     };
 }
 
@@ -184,28 +227,52 @@ fn new_thread_stack() -> Arc<ThreadStack> {
     stack
 }
 
-/// RAII guard for an open profiling frame (see [`enter`]).
-pub struct ProfGuard {
+/// RAII guard for an open span — plain frame or traced — on the current
+/// thread's stack. Dropping it closes the span; [`SpanGuard::close`] does
+/// the same and hands back the duration it measured.
+pub struct SpanGuard {
     _private: (),
+}
+
+impl SpanGuard {
+    /// Closes the span now and returns its duration: the one clock reading
+    /// that span-stats, the trace ring and any histogram kept beside the
+    /// span all record.
+    pub fn close(self) -> Duration {
+        let total = close_innermost();
+        std::mem::forget(self);
+        total
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        close_innermost();
+    }
 }
 
 /// Opens a profiling frame named `name` on the current thread; the frame
 /// closes when the returned guard drops. While open, the sampler sees the
 /// frame in this thread's stack, and on close its duration feeds
 /// [`span_stats`].
-pub fn enter(name: &str) -> ProfGuard {
+pub fn enter(name: &str) -> SpanGuard {
     enter_id(intern(name))
 }
 
 /// [`enter`] for a pre-interned frame id — the zero-lookup hot path used
 /// by the `prof_frame!` macro.
-pub fn enter_id(id: u32) -> ProfGuard {
+pub fn enter_id(id: u32) -> SpanGuard {
+    open(id, None)
+}
+
+/// Pushes a span on this thread's stack.
+pub(crate) fn open(id: u32, trace: Option<Traced>) -> SpanGuard {
     LOCAL.with(|cell| {
         let mut local = cell.borrow_mut();
         if local.stack.is_none() {
             local.stack = Some(new_thread_stack());
         }
-        let LocalProf { stack, open } = &mut *local;
+        let LocalProf { stack, open, .. } = &mut *local;
         let stack = stack.as_ref().expect("stack registered above");
         let depth = open.len();
         if depth < MAX_DEPTH {
@@ -218,29 +285,84 @@ pub fn enter_id(id: u32) -> ProfGuard {
             id,
             started: Instant::now(),
             child_nanos: 0,
+            trace: trace.map(Box::new),
         });
     });
-    ProfGuard { _private: () }
+    SpanGuard { _private: () }
 }
 
-impl Drop for ProfGuard {
-    fn drop(&mut self) {
-        // try_with: a guard dropped during thread-local teardown must not
-        // panic; losing that one frame's statistics is fine.
-        let _ = LOCAL.try_with(|cell| {
-            let mut local = cell.borrow_mut();
-            let LocalProf { stack, open } = &mut *local;
-            let Some(frame) = open.pop() else { return };
-            if let Some(stack) = stack {
-                stack.depth.store(open.len(), Ordering::Release);
-            }
-            let total = frame.started.elapsed().as_nanos() as u64;
-            if let Some(parent) = open.last_mut() {
-                parent.child_nanos = parent.child_nanos.saturating_add(total);
-            }
-            record_span(frame.id, total, total.saturating_sub(frame.child_nanos));
-        });
+/// The one close: pops the innermost span, publishes the new depth to the
+/// sampler, feeds span-stats, and hands a traced span's trace to its
+/// recorder. Returns the span's duration (zero when the stack is empty or
+/// already torn down — a guard dropped during thread-local teardown must
+/// not panic, and losing that one span is fine).
+fn close_innermost() -> Duration {
+    let closed = LOCAL.try_with(|cell| {
+        let mut local = cell.borrow_mut();
+        let LocalProf { stack, open, .. } = &mut *local;
+        let frame = open.pop()?;
+        if let Some(stack) = stack {
+            stack.depth.store(open.len(), Ordering::Release);
+        }
+        let total = frame.started.elapsed();
+        let nanos = total.as_nanos() as u64;
+        if let Some(parent) = open.last_mut() {
+            parent.child_nanos = parent.child_nanos.saturating_add(nanos);
+        }
+        let phases = frame.trace.as_deref().map_or(0, Traced::marked_nanos);
+        let claimed = frame.child_nanos.saturating_add(phases);
+        record_span(frame.id, nanos, nanos.saturating_sub(claimed));
+        Some((total, frame.trace))
+    });
+    let Ok(Some((total, trace))) = closed else {
+        return Duration::ZERO;
+    };
+    // Outside the stack's borrow: the recorder takes its ring lock and may
+    // log a slow request.
+    if let Some(trace) = trace {
+        (*trace).finish(total);
     }
+    total
+}
+
+/// Ends the current phase of the innermost traced span (see
+/// [`crate::trace::phase`]): a child of that span whose self time is its
+/// segment minus the frames that closed inside it. A no-op when no traced
+/// span is open.
+pub(crate) fn close_phase(name: &'static str) {
+    let _ = LOCAL.try_with(|cell| {
+        let mut local = cell.borrow_mut();
+        let LocalProf {
+            open, phase_ids, ..
+        } = &mut *local;
+        let Some(span) = open.iter_mut().rev().find(|frame| frame.trace.is_some()) else {
+            return;
+        };
+        let at = span.started.elapsed();
+        let segment = span.trace.as_mut().map_or(0, |trace| trace.mark(name, at));
+        let inside = std::mem::take(&mut span.child_nanos);
+        let id = match phase_ids.iter().find(|(n, _)| std::ptr::eq(*n, name)) {
+            Some(&(_, id)) => id,
+            None => {
+                let id = intern(name);
+                phase_ids.push((name, id));
+                id
+            }
+        };
+        record_span(id, segment, segment.saturating_sub(inside));
+    });
+}
+
+/// The trace context of the innermost traced span on this thread.
+pub(crate) fn innermost_trace_context() -> Option<crate::trace::TraceContext> {
+    LOCAL
+        .try_with(|cell| {
+            let local = cell.borrow();
+            let mut open = local.open.iter().rev();
+            open.find_map(|frame| frame.trace.as_deref().map(Traced::context))
+        })
+        .ok()
+        .flatten()
 }
 
 // ---------------------------------------------------------------------------
@@ -290,13 +412,6 @@ fn record_span(id: u32, total_nanos: u64, self_nanos: u64) {
     agg.buckets[bucket].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records a leaf entry for a timed phase (fed by [`crate::trace::phase`]):
-/// a span whose self time equals its total.
-pub fn record_phase(name: &'static str, elapsed: Duration) {
-    let nanos = elapsed.as_nanos() as u64;
-    record_span(intern(name), nanos, nanos);
-}
-
 /// One row of the continuous span-stats table.
 #[derive(Clone, Debug)]
 pub struct SpanStat {
@@ -306,7 +421,8 @@ pub struct SpanStat {
     pub count: u64,
     /// Sum of span wall-clock durations.
     pub total: Duration,
-    /// Sum of durations minus time spent in child frames.
+    /// Sum of durations minus time spent in children (closed frames, and
+    /// for a traced span its phases).
     pub self_time: Duration,
     /// Interpolated 99th-percentile span duration.
     pub p99: Duration,
@@ -335,11 +451,7 @@ pub fn span_stats() -> Vec<SpanStat> {
                 sum: total_nanos as f64 * 1e-9,
             };
             SpanStat {
-                name: names
-                    .names
-                    .get(id as usize)
-                    .cloned()
-                    .unwrap_or_else(|| "__other__".to_string()),
+                name: names.name(id).to_string(),
                 count: agg.count.load(Ordering::Relaxed),
                 total: Duration::from_nanos(total_nanos),
                 self_time: Duration::from_nanos(agg.self_nanos.load(Ordering::Relaxed)),
@@ -469,13 +581,6 @@ pub fn total_samples() -> u64 {
 
 fn render_folded(counts: &HashMap<Vec<u32>, u64>) -> String {
     let names = interner().read();
-    let resolve = |id: u32| -> &str {
-        names
-            .names
-            .get(id as usize)
-            .map(String::as_str)
-            .unwrap_or("__other__")
-    };
     let mut lines: Vec<(String, u64)> = counts
         .iter()
         .filter(|(_, &count)| count > 0)
@@ -487,7 +592,7 @@ fn render_folded(counts: &HashMap<Vec<u32>, u64>) -> String {
                 }
                 // Frame separators are structural in the folded format;
                 // scrub them out of names defensively.
-                for c in resolve(id).chars() {
+                for c in names.name(id).chars() {
                     line.push(if c == ';' || c == '\n' { '_' } else { c });
                 }
             }
@@ -560,6 +665,58 @@ mod tests {
         assert!(outer.self_time < outer.total);
         assert!(inner.self_time <= inner.total);
         assert!(outer.p99 >= Duration::from_millis(1));
+    }
+
+    #[test]
+    fn self_times_of_a_traced_span_add_up_to_its_total() {
+        // One thread, one traced span: a plain frame inside the first of
+        // two phases and another after the last one. Every nanosecond of
+        // the span is some row's self time, exactly once.
+        let rows = [
+            "prof_test_selfsum_root",
+            "prof_test_selfsum_first",
+            "prof_test_selfsum_second",
+            "prof_test_selfsum_frame",
+        ];
+        let read = || -> Vec<(Duration, Duration)> {
+            let stats = span_stats();
+            rows.iter()
+                .map(|name| {
+                    stats
+                        .iter()
+                        .find(|s| s.name == *name)
+                        .map_or((Duration::ZERO, Duration::ZERO), |s| (s.total, s.self_time))
+                })
+                .collect()
+        };
+        let recorder = crate::trace::TraceRecorder::new(4);
+        let before = read();
+        {
+            let _root = recorder.begin_ctx("prof_test_selfsum_root", None);
+            {
+                let _frame = enter("prof_test_selfsum_frame");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            crate::trace::phase("prof_test_selfsum_first");
+            crate::trace::phase("prof_test_selfsum_second");
+            {
+                let _frame = enter("prof_test_selfsum_frame");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        let after = read();
+        let root_total = after[0].0 - before[0].0;
+        let self_sum: Duration = after.iter().zip(&before).map(|(a, b)| a.1 - b.1).sum();
+        let gap = root_total.abs_diff(self_sum);
+        assert!(
+            gap <= Duration::from_micros(1),
+            "self times {self_sum:?} vs root total {root_total:?}"
+        );
+        // The first phase's self time excludes the frame closed inside it.
+        let first_self = after[1].1 - before[1].1;
+        assert!(after[1].0 - before[1].0 >= Duration::from_millis(2));
+        assert!(first_self < Duration::from_millis(2), "{first_self:?}");
+        assert_eq!(recorder.recent_traces()[0].total, root_total);
     }
 
     #[test]

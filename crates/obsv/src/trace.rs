@@ -1,14 +1,21 @@
 //! Request tracing: spans with timed phases in a bounded ring buffer,
 //! linked across processes by a propagated [`TraceContext`].
 //!
-//! A server begins a span per request ([`TraceRecorder::begin_ctx`], fed
-//! from the `X-SensorSafe-Trace` header when present); code deeper in the
-//! stack marks phase boundaries with the free function [`phase`] without
-//! needing the span threaded through its signature (the active span stack
-//! lives in thread-local storage — correct here because a request is served
-//! start-to-finish on one worker thread). When the guard drops, the finished
-//! trace lands in the recorder's ring buffer, where
-//! [`TraceRecorder::recent_traces`] reads it back, newest last.
+//! A traced span is not a second mechanism beside profiling: it is a span
+//! on the one per-thread stack of [`crate::prof`] that also carries a
+//! trace id, its phases and the recorder it reports to. A server begins
+//! one per request ([`TraceRecorder::begin_ctx`], fed from the
+//! `X-SensorSafe-Trace` header when present); code deeper in the stack
+//! marks phase boundaries with the free function [`phase`] without needing
+//! the span threaded through its signature (the stack lives in
+//! thread-local storage — correct here because a request is served
+//! start-to-finish on one thread). The guard's one close feeds the three
+//! sinks — the sampler's stack, span-stats (the span's row and one row per
+//! phase), and the recorder's ring buffer, where
+//! [`TraceRecorder::recent_traces`] reads the finished trace back, newest
+//! last — from a single clock reading, which
+//! [`SpanGuard::close`](crate::prof::SpanGuard::close) also hands to the
+//! caller.
 //!
 //! Propagation: every span carries a `trace_id` (constant across the whole
 //! request tree) and a `parent_span_id`. [`current_context`] exposes the
@@ -25,12 +32,13 @@
 //! `sensorsafe_slow_requests_total`, and logged as one JSON line on stderr
 //! with their trace id and phase breakdown.
 
+use crate::prof::{Frame, SpanGuard};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// How many slow traces are pinned independently of the main ring.
 const SLOW_RING_CAPACITY: usize = 64;
@@ -100,15 +108,61 @@ pub struct Trace {
     pub completed_unix_ms: u64,
 }
 
-struct ActiveSpan {
+/// What a span begun by [`TraceRecorder::begin_ctx`] carries on the span
+/// stack beyond a plain frame.
+pub(crate) struct Traced {
+    recorder: Arc<TraceRecorder>,
+    name: &'static str,
     trace_id: u64,
     span_id: u64,
+    parent_span_id: u64,
     phases: Vec<Phase>,
-    last_mark: Instant,
+    /// Time from the span's start to its last phase boundary.
+    marked: Duration,
+}
+
+impl Traced {
+    /// The context an outbound call made inside this span carries.
+    pub(crate) fn context(&self) -> TraceContext {
+        TraceContext {
+            trace_id: self.trace_id,
+            parent_span_id: self.span_id,
+        }
+    }
+
+    /// Ends the current phase `at` this long after the span opened;
+    /// returns the phase's nanoseconds.
+    pub(crate) fn mark(&mut self, name: &'static str, at: Duration) -> u64 {
+        let elapsed = at.saturating_sub(self.marked);
+        self.marked = at;
+        self.phases.push(Phase { name, elapsed });
+        elapsed.as_nanos() as u64
+    }
+
+    /// The time its phases claimed.
+    pub(crate) fn marked_nanos(&self) -> u64 {
+        self.marked.as_nanos() as u64
+    }
+
+    /// Hands the finished trace to its recorder.
+    pub(crate) fn finish(self, total: Duration) {
+        let completed_unix_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_millis() as u64)
+            .unwrap_or(0);
+        self.recorder.record(Trace {
+            trace_id: self.trace_id,
+            span_id: self.span_id,
+            parent_span_id: self.parent_span_id,
+            name: self.name.to_string(),
+            phases: self.phases,
+            total,
+            completed_unix_ms,
+        });
+    }
 }
 
 thread_local! {
-    static SPAN_STACK: RefCell<Vec<ActiveSpan>> = const { RefCell::new(Vec::new()) };
     static CONTEXT_STACK: RefCell<Vec<TraceContext>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -133,31 +187,19 @@ fn next_id() -> u64 {
     counter.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Marks the end of the current phase of the innermost active span. A no-op
-/// when no span is active (e.g. library code running outside a server).
+/// Marks the end of the current phase of the innermost traced span: the
+/// phase joins the trace and gets a span-stats row of its own. A no-op when
+/// no traced span is open (e.g. library code running outside a server).
 pub fn phase(name: &'static str) {
-    SPAN_STACK.with(|stack| {
-        if let Some(span) = stack.borrow_mut().last_mut() {
-            let now = Instant::now();
-            let elapsed = now - span.last_mark;
-            span.phases.push(Phase { name, elapsed });
-            span.last_mark = now;
-            crate::prof::record_phase(name, elapsed);
-        }
-    });
+    crate::prof::close_phase(name);
 }
 
 /// The context an outbound call made *right now* should carry: the
-/// innermost active span if any (the callee becomes its child), else the
+/// innermost traced span if any (the callee becomes its child), else the
 /// innermost ambient [`context_scope`], else `None`.
 pub fn current_context() -> Option<TraceContext> {
-    let from_span = SPAN_STACK.with(|stack| {
-        stack.borrow().last().map(|span| TraceContext {
-            trace_id: span.trace_id,
-            parent_span_id: span.span_id,
-        })
-    });
-    from_span.or_else(|| CONTEXT_STACK.with(|stack| stack.borrow().last().copied()))
+    crate::prof::innermost_trace_context()
+        .or_else(|| CONTEXT_STACK.with(|stack| stack.borrow().last().copied()))
 }
 
 /// RAII guard for an ambient trace context (see [`context_scope`]).
@@ -207,14 +249,11 @@ impl TraceRecorder {
         self.slow_threshold_nanos.store(nanos, Ordering::Relaxed);
     }
 
-    /// Starts a root-or-inherited span: shorthand for
-    /// [`TraceRecorder::begin_ctx`] with no explicit context.
-    pub fn begin(self: &Arc<Self>, name: impl Into<String>) -> SpanGuard {
-        self.begin_ctx(name, None)
-    }
-
-    /// Starts a span; drop the guard to record the trace. While the guard is
-    /// alive, [`phase`] calls on this thread attribute time to it.
+    /// Starts a traced span on this thread's span stack; drop or
+    /// [`close`](SpanGuard::close) the guard to record the trace. While the
+    /// guard is alive, [`phase`] calls on this thread attribute time to it.
+    /// A hot caller passes a [`Frame`] it resolved once; a name is resolved
+    /// here.
     ///
     /// Parentage: an explicit `ctx` (extracted from an incoming trace
     /// header) wins; otherwise the thread's [`current_context`] (an
@@ -222,36 +261,26 @@ impl TraceRecorder {
     /// roots a fresh trace with `parent_span_id` 0.
     pub fn begin_ctx(
         self: &Arc<Self>,
-        name: impl Into<String>,
+        frame: impl Into<Frame>,
         ctx: Option<TraceContext>,
     ) -> SpanGuard {
+        let frame = frame.into();
         let (trace_id, parent_span_id) = match ctx.or_else(current_context) {
             Some(ctx) => (ctx.trace_id, ctx.parent_span_id),
             None => (next_id(), 0),
         };
-        let span_id = next_id();
-        let name = name.into();
-        // Mirror the span as a profiling frame so the wall-clock sampler
-        // attributes this thread's time to the request while it is active.
-        let prof = crate::prof::enter(&name);
-        let started = Instant::now();
-        SPAN_STACK.with(|stack| {
-            stack.borrow_mut().push(ActiveSpan {
+        crate::prof::open(
+            frame.id,
+            Some(Traced {
+                recorder: self.clone(),
+                name: frame.name,
                 trace_id,
-                span_id,
+                span_id: next_id(),
+                parent_span_id,
                 phases: Vec::with_capacity(4),
-                last_mark: started,
-            })
-        });
-        SpanGuard {
-            recorder: self.clone(),
-            name,
-            trace_id,
-            span_id,
-            parent_span_id,
-            started,
-            _prof: prof,
-        }
+                marked: Duration::ZERO,
+            }),
+        )
     }
 
     /// Finished traces, oldest first, newest last.
@@ -290,19 +319,14 @@ impl TraceRecorder {
     }
 }
 
-/// Resolves the effective slow-request threshold: the
-/// `SENSORSAFE_SLOW_REQ_MS` environment variable overrides the configured
-/// value at startup (a parseable millisecond count; `0` disables capture),
-/// anything unset or malformed falls back to `configured`. Lets operators
-/// retune capture on a deployed binary without a config change.
-pub fn slow_threshold_from_env(configured: Option<Duration>) -> Option<Duration> {
-    match std::env::var("SENSORSAFE_SLOW_REQ_MS") {
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(0) => None,
-            Ok(ms) => Some(Duration::from_millis(ms)),
-            Err(_) => configured,
-        },
-        Err(_) => configured,
+/// The slow-request threshold a server starts with: the
+/// `SENSORSAFE_SLOW_REQ_MS` environment variable, a millisecond count.
+/// Unset, `0` or unparseable means capture is off.
+pub fn slow_threshold_from_env() -> Option<Duration> {
+    let raw = std::env::var("SENSORSAFE_SLOW_REQ_MS").ok()?;
+    match raw.trim().parse::<u64>() {
+        Ok(ms) if ms > 0 => Some(Duration::from_millis(ms)),
+        _ => None,
     }
 }
 
@@ -357,38 +381,6 @@ fn escape_json(s: &str) -> String {
         }
     }
     out
-}
-
-/// RAII guard for an active span.
-pub struct SpanGuard {
-    recorder: Arc<TraceRecorder>,
-    name: String,
-    trace_id: u64,
-    span_id: u64,
-    parent_span_id: u64,
-    started: Instant,
-    /// Closes the mirrored profiling frame when the span ends.
-    _prof: crate::prof::ProfGuard,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let active = SPAN_STACK.with(|stack| stack.borrow_mut().pop());
-        let Some(active) = active else { return };
-        let completed_unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        self.recorder.record(Trace {
-            trace_id: self.trace_id,
-            span_id: self.span_id,
-            parent_span_id: self.parent_span_id,
-            name: std::mem::take(&mut self.name),
-            phases: active.phases,
-            total: self.started.elapsed(),
-            completed_unix_ms,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -459,7 +451,7 @@ mod tests {
     fn span_records_phases_in_order() {
         let recorder = TraceRecorder::new(8);
         {
-            let _span = recorder.begin("POST /api/query");
+            let _span = recorder.begin_ctx("POST /api/query", None);
             phase("auth");
             phase("policy_eval");
             phase("store_query");
@@ -480,7 +472,7 @@ mod tests {
     fn ring_buffer_keeps_newest() {
         let recorder = TraceRecorder::new(4);
         for i in 0..10 {
-            let _span = recorder.begin(format!("req {i}"));
+            let _span = recorder.begin_ctx(format!("req {i}"), None);
         }
         let traces = recorder.recent_traces();
         assert_eq!(traces.len(), 4);
@@ -494,10 +486,10 @@ mod tests {
     fn nested_spans_attribute_phases_to_innermost() {
         let recorder = TraceRecorder::new(8);
         {
-            let _outer = recorder.begin("outer");
+            let _outer = recorder.begin_ctx("outer", None);
             phase("outer_before");
             {
-                let _inner = recorder.begin("inner");
+                let _inner = recorder.begin_ctx("inner", None);
                 phase("inner_work");
             }
             phase("outer_after");
@@ -562,7 +554,7 @@ mod tests {
             // A client thread with no active span propagates the scope.
             assert_eq!(current_context(), Some(ctx));
             {
-                let _span = recorder.begin("inside scope");
+                let _span = recorder.begin_ctx("inside scope", None);
                 // With a span active, outbound calls become its children.
                 let outbound = current_context().unwrap();
                 assert_eq!(outbound.trace_id, ctx.trace_id);
@@ -587,13 +579,13 @@ mod tests {
             )
             .get();
         {
-            let _span = recorder.begin("GET /slow");
+            let _span = recorder.begin_ctx("GET /slow", None);
             std::thread::sleep(Duration::from_millis(5));
             phase("sleepy");
         }
         // Fast traffic evicts the slow trace from the main ring...
         for i in 0..10 {
-            let _span = recorder.begin(format!("GET /fast/{i}"));
+            let _span = recorder.begin_ctx(format!("GET /fast/{i}"), None);
         }
         assert!(recorder
             .recent_traces()
@@ -639,28 +631,17 @@ mod tests {
     }
 
     #[test]
-    fn slow_threshold_env_override() {
-        let configured = Some(Duration::from_millis(250));
-        // Unset: configured value passes through.
+    fn slow_threshold_env_is_the_one_knob() {
+        // Unset: capture is off.
         std::env::remove_var("SENSORSAFE_SLOW_REQ_MS");
-        assert_eq!(slow_threshold_from_env(configured), configured);
-        assert_eq!(slow_threshold_from_env(None), None);
-        // Set: env wins over config.
-        std::env::set_var("SENSORSAFE_SLOW_REQ_MS", "40");
-        assert_eq!(
-            slow_threshold_from_env(configured),
-            Some(Duration::from_millis(40))
-        );
-        assert_eq!(
-            slow_threshold_from_env(None),
-            Some(Duration::from_millis(40))
-        );
-        // Zero disables capture outright.
-        std::env::set_var("SENSORSAFE_SLOW_REQ_MS", "0");
-        assert_eq!(slow_threshold_from_env(configured), None);
-        // Garbage falls back to the configured value.
-        std::env::set_var("SENSORSAFE_SLOW_REQ_MS", "soon");
-        assert_eq!(slow_threshold_from_env(configured), configured);
+        assert_eq!(slow_threshold_from_env(), None);
+        std::env::set_var("SENSORSAFE_SLOW_REQ_MS", " 40 ");
+        assert_eq!(slow_threshold_from_env(), Some(Duration::from_millis(40)));
+        // Zero and garbage leave capture off too.
+        for off in ["0", "soon", "-5"] {
+            std::env::set_var("SENSORSAFE_SLOW_REQ_MS", off);
+            assert_eq!(slow_threshold_from_env(), None, "{off:?}");
+        }
         std::env::remove_var("SENSORSAFE_SLOW_REQ_MS");
     }
 }
