@@ -26,7 +26,9 @@ use sensorsafe_net::{
     str_field, u64_field, Edge, Reply, Request, RequestFamilies, Response, Router, Service, Status,
     Transport,
 };
-use sensorsafe_obsv::{audit, trace, AuditLedger, MemoryLedger, Registry, TraceRecorder};
+use sensorsafe_obsv::{
+    audit, event_line, trace, AuditLedger, MemoryLedger, Registry, TraceRecorder,
+};
 use sensorsafe_policy::{DependencyGraph, PrivacyRule};
 use sensorsafe_store::{repl, MergePolicy, Query, ReplConfig};
 use sensorsafe_types::{
@@ -1069,8 +1071,11 @@ impl DataStoreService {
                 Ok(ledger) => Arc::new(ledger),
                 Err(e) => {
                     eprintln!(
-                        "{{\"event\":\"audit_ledger_rejected\",\"server\":\"{}\",\"error\":\"{e}\"}}",
-                        config.name
+                        "{}",
+                        event_line(
+                            "audit_ledger_rejected",
+                            &[("server", &config.name), ("error", &e.to_string())],
+                        )
                     );
                     ledger_fallback = true;
                     Arc::new(MemoryLedger::new())
@@ -1087,8 +1092,11 @@ impl DataStoreService {
                 Ok(journal) => Ok(Some(Arc::new(journal))),
                 Err(e) => {
                     eprintln!(
-                        "{{\"event\":\"journal_open_failed\",\"server\":\"{}\",\"error\":\"{e}\"}}",
-                        config.name
+                        "{}",
+                        event_line(
+                            "journal_open_failed",
+                            &[("server", &config.name), ("error", &e.to_string())],
+                        )
                     );
                     Err(format!("journal open failed: {e}"))
                 }
@@ -1097,8 +1105,14 @@ impl DataStoreService {
         let legacy_wal_files = config.data_dir.as_deref().map_or(0, count_wal_files);
         if legacy_wal_files > 0 {
             eprintln!(
-                "{{\"event\":\"legacy_wal_files_ignored\",\"server\":\"{}\",\"count\":{legacy_wal_files}}}",
-                config.name
+                "{}",
+                event_line(
+                    "legacy_wal_files_ignored",
+                    &[
+                        ("server", &config.name),
+                        ("count", &legacy_wal_files.to_string()),
+                    ],
+                )
             );
         }
         let traces = TraceRecorder::new(256);
@@ -1881,6 +1895,28 @@ mod tests {
 mod durability_tests {
     use super::*;
     use sensorsafe_json::json;
+
+    /// A server name is operator-chosen and an error message quotes
+    /// paths: neither may break a stderr event line or add fields to it.
+    #[test]
+    fn stderr_event_lines_are_json_for_any_value() {
+        let hostile = "a\"b\\c\nd";
+        for (event, fields) in [
+            ("audit_ledger_rejected", ["server", "error"]),
+            ("journal_open_failed", ["server", "error"]),
+            ("legacy_wal_files_ignored", ["server", "count"]),
+        ] {
+            let pairs: Vec<(&str, &str)> = fields.iter().map(|k| (*k, hostile)).collect();
+            let line = event_line(event, &pairs);
+            let parsed = sensorsafe_json::parse(&line)
+                .unwrap_or_else(|e| panic!("{event}: {line} is not JSON: {e}"));
+            assert_eq!(parsed["event"].as_str(), Some(event));
+            for key in fields {
+                assert_eq!(parsed[key].as_str(), Some(hostile), "{event}.{key}");
+            }
+            assert_eq!(parsed.as_object().unwrap().len(), 3, "no injected fields");
+        }
+    }
 
     #[test]
     fn durable_store_survives_restart() {

@@ -77,7 +77,7 @@ pub use metrics::{
 pub use prof::{Frame, SpanGuard, SpanStat};
 pub use slo::{Evaluation, Measurement, Objective, ObjectiveKind};
 pub use timeseries::{Sample, SeriesRing, SeriesTable};
-pub use trace::{Phase, Trace, TraceContext, TraceRecorder};
+pub use trace::{event_line, Phase, Trace, TraceContext, TraceRecorder};
 
 use std::sync::OnceLock;
 

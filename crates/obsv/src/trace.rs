@@ -370,6 +370,23 @@ fn slow_request_json(trace: &Trace) -> String {
     )
 }
 
+/// One structured stderr event line, `{"event":"<event>","<key>":"<value>",…}`,
+/// with every key and value escaped — so a value carrying a quote, a
+/// backslash or a newline (an account name, an OS error, a path) stays
+/// one valid JSON object and cannot add fields of its own.
+pub fn event_line(event: &str, fields: &[(&str, &str)]) -> String {
+    let mut out = format!("{{\"event\":\"{}\"", escape_json(event));
+    for (key, value) in fields {
+        out.push_str(&format!(
+            ",\"{}\":\"{}\"",
+            escape_json(key),
+            escape_json(value)
+        ));
+    }
+    out.push('}');
+    out
+}
+
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -266,9 +266,96 @@ pub fn decode_annotation(buf: &[u8]) -> Result<ContextAnnotation, CodecError> {
     Ok(ContextAnnotation::new(TimeRange::new(start, end), states))
 }
 
+/// Slicing-by-8 tables for the reflected IEEE polynomial: `CRC_TABLES[0]`
+/// is the classic byte table, and `CRC_TABLES[k][b]` is the CRC of byte
+/// `b` followed by `k` zero bytes, so eight table reads retire eight
+/// input bytes. Built at compile time (8 KiB).
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Incremental CRC-32 (IEEE 802.3, reflected): feeding a buffer in any
+/// number of [`Crc32::update`] calls gives the same [`Crc32::finish`] as
+/// [`crc32`] over the whole of it. A checkpoint checksums its stream
+/// this way without holding the stream.
+pub(crate) struct Crc32 {
+    state: u32,
+}
+
+impl Crc32 {
+    /// A checksum over no bytes yet.
+    pub(crate) const fn new() -> Crc32 {
+        Crc32 { state: !0 }
+    }
+
+    /// Folds `data` into the checksum, eight bytes per step.
+    pub(crate) fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xff) as usize]
+                ^ t[2][((hi >> 8) & 0xff) as usize]
+                ^ t[1][((hi >> 16) & 0xff) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of everything fed so far.
+    pub(crate) fn finish(&self) -> u32 {
+        !self.state
+    }
+}
+
 /// CRC-32 (IEEE 802.3, reflected) for log-record framing.
 pub fn crc32(data: &[u8]) -> u32 {
-    // Nibble-wise table: tiny and fast enough for log framing.
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A nibble-table CRC-32, one table read per four bits: the independent
+/// bit-for-bit reference the slicing-by-8 kernel is tested against.
+#[cfg(test)]
+pub(crate) fn crc32_nibble(data: &[u8]) -> u32 {
     const TABLE: [u32; 16] = [
         0x0000_0000,
         0x1db7_1064,
@@ -414,6 +501,42 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn crc32_matches_the_nibble_reference_on_every_short_length() {
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&data[..len]), crc32_nibble(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_nibble_reference_on_random_buffers() {
+        use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed_c3c3);
+        let mut buf = vec![0u8; 64 * 1024];
+        for case in 0..1000 {
+            let len = rng.gen_range(0..=buf.len());
+            rng.fill_bytes(&mut buf[..len]);
+            assert_eq!(
+                crc32(&buf[..len]),
+                crc32_nibble(&buf[..len]),
+                "case {case}, len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn crc32_incremental_update_splits_anywhere() {
+        let data = encode_segment(&sample_segment());
+        let whole = crc32(&data);
+        for split in 0..=data.len() {
+            let mut crc = Crc32::new();
+            crc.update(&data[..split]);
+            crc.update(&data[split..]);
+            assert_eq!(crc.finish(), whole, "split at {split}");
+        }
     }
 
     #[test]

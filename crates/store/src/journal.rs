@@ -36,17 +36,30 @@
 //!
 //! The commit thread seals the active segment once it crosses
 //! [`JournalConfig::rotate_bytes`] or [`JournalConfig::rotate_records`]
-//! and opens the next one. Every rotation requests a **checkpoint**: a
-//! snapshot of each account's live state (compacted records + rule
-//! epoch + replication/assignment bookkeeping + account-sequence
-//! high-water) covering every sealed segment, written to
-//! `journal.ckpt` with WAL discipline (tmp file, fsync, rename, fsync
-//! dir). Replay after a crash is then **bounded by the tail**: load the
-//! checkpoint, then apply only frames from segments newer than the
-//! checkpoint's coverage whose account sequence exceeds that account's
-//! checkpointed high-water. A ten-year account replays in the time it
-//! takes to read one checkpoint entry plus the tail segment — flat in
-//! history length.
+//! and opens the next one. A **checkpoint** is a snapshot of each
+//! account's live state (compacted records + rule epoch +
+//! replication/assignment bookkeeping + account-sequence high-water)
+//! covering every sealed segment, streamed to `journal.ckpt` through a
+//! small buffer and an incremental CRC with WAL discipline (tmp file,
+//! fsync, rename, fsync dir).
+//!
+//! A checkpoint costs the size of the live store, so rotation does not
+//! imply one. The journal tracks the size of the latest durable
+//! checkpoint (`checkpoint_bytes`, 0 before the first) and the total
+//! size of sealed segments above its coverage (`log_bytes`); a rotation
+//! requests a checkpoint only once `log_bytes >= checkpoint_bytes`.
+//! Each journaled byte is therefore rewritten into checkpoints about
+//! once, amortized, however long it lives; a failed or skipped
+//! checkpoint leaves both sizes alone, so the next rotation asks again. Explicit requests
+//! ([`StoreJournal::request_checkpoint`], [`StoreJournal::checkpoint_now`])
+//! ignore the rule.
+//!
+//! Replay after a crash is **bounded**: load the checkpoint, then apply
+//! only frames from segments newer than its coverage whose account
+//! sequence exceeds that account's checkpointed high-water — at most the
+//! checkpoint's own size of sealed log plus the tail. Disk holds about
+//! twice the checkpoint plus one segment. A ten-year account replays in
+//! time proportional to its live state, flat in history length.
 //!
 //! # Garbage collection and replication
 //!
@@ -103,15 +116,15 @@
 //! under an account lock, and checkpointing inline there would invert
 //! the order.
 
-use crate::codec::crc32;
+use crate::codec::{crc32, Crc32};
 use crate::wal::{
     appends_counter, decode_record_payload, encode_record_payload, fsync_counter, tag_is_known,
     GroupCommitConfig, WalError, WalRecord,
 };
-use sensorsafe_obsv::{Counter, Gauge, Histogram};
+use sensorsafe_obsv::{event_line, Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -120,6 +133,10 @@ use std::time::Instant;
 /// Magic prefix of a checkpoint file (versioned: bump the digits for
 /// incompatible layout changes).
 const CKPT_MAGIC: &[u8; 8] = b"SSCKPT01";
+
+/// Write buffer of the streamed checkpoint: what a checkpoint holds in
+/// memory beyond its largest record.
+const CKPT_BUF: usize = 64 * 1024;
 
 /// Tuning knobs for a [`StoreJournal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,9 +151,9 @@ pub struct JournalConfig {
 }
 
 impl Default for JournalConfig {
-    /// 8 MiB / 8192-record segments: large enough that rotation (and
-    /// the checkpoint it triggers) is rare, small enough that replay of
-    /// one tail segment stays well under a second.
+    /// 8 MiB / 8192-record segments: large enough that rotation is
+    /// rare, small enough that replay of one tail segment stays well
+    /// under a second.
     fn default() -> Self {
         JournalConfig {
             rotate_bytes: 8 * 1024 * 1024,
@@ -244,16 +261,43 @@ struct JournalState {
     /// The active segment number (mirror of the commit thread's own;
     /// for stats).
     active_segment: u64,
-    /// A rotation (or compaction) asked for a checkpoint.
+    /// An explicit request (compaction) asked for a checkpoint.
     checkpoint_requested: bool,
+    /// A rotation found the uncovered log outweighing the latest
+    /// checkpoint; the checkpoint thread re-weighs it before acting.
+    trigger_tipped: bool,
     /// Coverage of the latest durable checkpoint (0 = none yet).
     checkpointed_through: u64,
+    /// Size of the latest durable checkpoint file (0 = none yet).
+    checkpoint_bytes: u64,
+    /// Sealed segments above `checkpointed_through`, number → bytes:
+    /// the log a checkpoint would retire. Their sum is `log_bytes`.
+    uncovered: BTreeMap<u64, u64>,
     /// Replication shipping heads recorded by the latest checkpoint
     /// (only accounts with a non-zero head). The GC gate compares
     /// current acked sequences against these.
     ckpt_repl_heads: BTreeMap<String, u64>,
     /// Accounts recovered at open and not yet claimed.
     recovered: BTreeMap<String, RecoveredState>,
+}
+
+impl JournalState {
+    /// Bytes of sealed log the latest checkpoint does not cover.
+    fn log_bytes(&self) -> u64 {
+        self.uncovered.values().sum()
+    }
+
+    /// The checkpoint trigger (module docs): the sealed log since the
+    /// last checkpoint has grown to at least that checkpoint's size.
+    fn log_outweighs_checkpoint(&self) -> bool {
+        self.log_bytes() >= self.checkpoint_bytes
+    }
+
+    /// Publishes the trigger's two inputs.
+    fn publish_sizes(&self, metrics: &JournalMetrics) {
+        metrics.checkpoint_bytes.set(self.checkpoint_bytes as i64);
+        metrics.log_bytes.set(self.log_bytes() as i64);
+    }
 }
 
 /// Metric handles `stage`, `wait` and the commit thread touch per record
@@ -266,6 +310,10 @@ struct JournalMetrics {
     commit_seconds: Arc<Histogram>,
     active_bytes: Arc<Gauge>,
     rotations: Arc<Counter>,
+    /// Size of the latest durable checkpoint.
+    checkpoint_bytes: Arc<Gauge>,
+    /// Sealed log above the latest checkpoint's coverage.
+    log_bytes: Arc<Gauge>,
     /// Staged records not yet taken by the commit thread. Sampled at
     /// stage and batch-take time; a persistently high value means the
     /// commit thread (write + fsync) is the bottleneck, not the stagers.
@@ -304,6 +352,16 @@ impl JournalMetrics {
             rotations: registry.counter(
                 "sensorsafe_store_journal_rotations_total",
                 "Journal segment rotations (active segment sealed).",
+                &[],
+            ),
+            checkpoint_bytes: registry.gauge(
+                "sensorsafe_store_journal_checkpoint_bytes",
+                "Size of the journal's latest durable checkpoint.",
+                &[],
+            ),
+            log_bytes: registry.gauge(
+                "sensorsafe_store_journal_log_bytes",
+                "Bytes of sealed journal segments the latest checkpoint does not cover.",
                 &[],
             ),
             queue_depth: registry.gauge(
@@ -376,6 +434,11 @@ pub struct JournalStats {
     pub last_sealed: u64,
     /// Coverage of the latest durable checkpoint (0 = none yet).
     pub checkpointed_through: u64,
+    /// Size of the latest durable checkpoint file (0 = none yet).
+    pub checkpoint_bytes: u64,
+    /// Bytes of sealed segments above `checkpointed_through`. A
+    /// rotation checkpoints once this reaches `checkpoint_bytes`.
+    pub log_bytes: u64,
     /// Segment files currently on disk (sealed + active).
     pub live_segments: usize,
     /// Highest global staging sequence known durable.
@@ -496,9 +559,9 @@ impl StoreJournal {
         let _ = std::fs::remove_file(dir.join("journal.ckpt.tmp"));
 
         let ckpt = load_checkpoint(&checkpoint_path(&dir))?;
-        let (covers, mut accounts, ckpt_repl_heads) = match ckpt {
-            Some(c) => (c.covers, c.accounts, c.repl_heads),
-            None => (0, BTreeMap::new(), BTreeMap::new()),
+        let (covers, checkpoint_bytes, mut accounts, ckpt_repl_heads) = match ckpt {
+            Some(c) => (c.covers, c.file_bytes, c.accounts, c.repl_heads),
+            None => (0, 0, BTreeMap::new(), BTreeMap::new()),
         };
 
         // Replay tail segments (those newer than the checkpoint covers).
@@ -507,21 +570,25 @@ impl StoreJournal {
         let mut active_bytes = 0u64;
         let mut active_records = 0u64;
         let mut torn_at: Option<(u64, u64)> = None;
+        // Every replayed segment's size; all but the last are sealed log
+        // the next checkpoint would retire.
+        let mut uncovered = BTreeMap::new();
         for &n in &seg_nos {
             if n <= covers {
                 continue; // fully covered by the checkpoint; GC-pending
             }
-            let (replayed, valid_len, file_len, torn) =
+            let (replayed, valid_len, torn) =
                 replay_segment(&segment_path(&dir, n), &mut accounts)?;
             active_no = n;
             active_bytes = valid_len;
             active_records = replayed;
+            uncovered.insert(n, valid_len);
             if torn {
                 torn_at = Some((n, valid_len));
-                let _ = file_len;
                 break;
             }
         }
+        uncovered.remove(&active_no);
         if let Some((n, valid_len)) = torn_at {
             // Valid-prefix semantics: truncate the torn segment and drop
             // anything after it (a crash only ever tears the final
@@ -567,31 +634,39 @@ impl StoreJournal {
             .collect();
 
         let active = ActiveSegment::open(&dir, active_no, active_bytes, active_records)?;
+        let state = JournalState {
+            buf: Vec::new(),
+            staged_count: 0,
+            staged_seq: 0,
+            cut_seq: 0,
+            durable_seq: 0,
+            waiters: 0,
+            batch_waiters: 0,
+            expected_waiters: 0,
+            batches: 0,
+            flush_requested: false,
+            stop: false,
+            error: None,
+            account_seqs,
+            last_sealed: active_no.saturating_sub(1).max(covers),
+            active_segment: active_no,
+            // The log owed at open is remembered, not paid now: the
+            // next rotation weighs it like any other.
+            checkpoint_requested: false,
+            trigger_tipped: false,
+            checkpointed_through: covers,
+            checkpoint_bytes,
+            uncovered,
+            ckpt_repl_heads,
+            recovered,
+        };
+        let metrics = JournalMetrics::resolve();
+        state.publish_sizes(&metrics);
         let inner = Arc::new(JournalInner {
             dir,
             config,
-            metrics: JournalMetrics::resolve(),
-            state: Mutex::new(JournalState {
-                buf: Vec::new(),
-                staged_count: 0,
-                staged_seq: 0,
-                cut_seq: 0,
-                durable_seq: 0,
-                waiters: 0,
-                batch_waiters: 0,
-                expected_waiters: 0,
-                batches: 0,
-                flush_requested: false,
-                stop: false,
-                error: None,
-                account_seqs,
-                last_sealed: active_no.saturating_sub(1).max(covers),
-                active_segment: active_no,
-                checkpoint_requested: false,
-                checkpointed_through: covers,
-                ckpt_repl_heads,
-                recovered,
-            }),
+            metrics,
+            state: Mutex::new(state),
             work: Condvar::new(),
             done: Condvar::new(),
             ckpt_work: Condvar::new(),
@@ -790,6 +865,8 @@ impl StoreJournal {
             active_segment: state.active_segment,
             last_sealed: state.last_sealed,
             checkpointed_through: state.checkpointed_through,
+            checkpoint_bytes: state.checkpoint_bytes,
+            log_bytes: state.log_bytes(),
             live_segments: list_segments(&self.inner.dir).map(|v| v.len()).unwrap_or(0),
             durable_seq: state.durable_seq,
             batches: state.batches,
@@ -959,14 +1036,20 @@ fn commit_loop(inner: Arc<JournalInner>, mut active: ActiveSegment) {
         inner.done.notify_all();
         if rotate {
             drop(state);
+            let sealed_bytes = active.bytes;
             let rotated = active.rotate(&inner.metrics);
             let mut state = inner.state.lock().expect("journal state poisoned");
             match rotated {
                 Ok(()) => {
-                    state.last_sealed = active.seg_no - 1;
+                    let sealed = active.seg_no - 1;
+                    state.last_sealed = sealed;
                     state.active_segment = active.seg_no;
-                    state.checkpoint_requested = true;
-                    inner.ckpt_work.notify_all();
+                    state.uncovered.insert(sealed, sealed_bytes);
+                    state.publish_sizes(&inner.metrics);
+                    if state.log_outweighs_checkpoint() {
+                        state.trigger_tipped = true;
+                        inner.ckpt_work.notify_all();
+                    }
                 }
                 Err(e) => {
                     // Losing the ability to open the next segment is as
@@ -980,26 +1063,36 @@ fn commit_loop(inner: Arc<JournalInner>, mut active: ActiveSegment) {
     }
 }
 
-/// The checkpoint thread: wait for a rotation (or explicit request),
-/// write a checkpoint, attempt GC.
+/// The checkpoint thread: wait for a rotation that tipped the trigger
+/// (or an explicit request), write a checkpoint, attempt GC.
 fn checkpoint_loop(inner: Arc<JournalInner>) {
     loop {
         {
             let mut state = inner.state.lock().expect("journal state poisoned");
-            while !state.checkpoint_requested && !state.stop {
+            loop {
+                if state.stop {
+                    return;
+                }
+                let explicit = std::mem::take(&mut state.checkpoint_requested);
+                // A rotation that landed while the last checkpoint ran
+                // is weighed against that checkpoint, not the one before.
+                let tipped =
+                    std::mem::take(&mut state.trigger_tipped) && state.log_outweighs_checkpoint();
+                if explicit || tipped {
+                    break;
+                }
                 state = inner.ckpt_work.wait(state).expect("journal state poisoned");
             }
-            if state.stop {
-                return;
-            }
-            state.checkpoint_requested = false;
         }
         let _frame = sensorsafe_obsv::prof_frame!("journal-checkpoint");
         if let Err(e) = do_checkpoint(&inner) {
             // A failed checkpoint endangers no acked data (the segments
-            // it would have covered stay on disk); surface and retry at
-            // the next rotation.
-            eprintln!("{{\"event\":\"journal_checkpoint_failed\",\"error\":\"{e}\"}}");
+            // it would have covered stay on disk) and leaves the trigger
+            // tipped: surface it, and the next rotation retries.
+            eprintln!(
+                "{}",
+                event_line("journal_checkpoint_failed", &[("error", &e.to_string())])
+            );
         }
         let _ = maybe_gc(&inner);
     }
@@ -1075,28 +1168,36 @@ fn do_checkpoint(inner: &JournalInner) -> Result<bool, WalError> {
         for name in state.account_seqs.keys() {
             if !entries.iter().any(|e| &e.name == name) {
                 eprintln!(
-                    "{{\"event\":\"journal_checkpoint_skipped\",\
-                     \"reason\":\"account not covered by snapshot\",\
-                     \"account\":\"{name}\"}}"
+                    "{}",
+                    event_line(
+                        "journal_checkpoint_skipped",
+                        &[
+                            ("reason", "account not covered by snapshot"),
+                            ("account", name),
+                        ],
+                    )
                 );
                 return Ok(false);
             }
         }
     }
 
-    let bytes = encode_checkpoint(covers, &entries);
     let tmp = inner.dir.join("journal.ckpt.tmp");
-    {
+    let file_bytes = {
         let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        let written = write_checkpoint(&mut file, covers, &entries)?;
         file.sync_data()?;
-    }
+        written
+    };
     std::fs::rename(&tmp, checkpoint_path(&inner.dir))?;
     sync_dir(&inner.dir)?;
 
     {
         let mut state = inner.state.lock().expect("journal state poisoned");
         state.checkpointed_through = covers;
+        state.checkpoint_bytes = file_bytes;
+        state.uncovered = state.uncovered.split_off(&(covers + 1));
+        state.publish_sizes(&inner.metrics);
         state.ckpt_repl_heads = entries
             .iter()
             .filter(|e| e.repl_head > 0)
@@ -1191,34 +1292,63 @@ struct ReplayAccount {
 /// A decoded checkpoint file.
 struct Checkpoint {
     covers: u64,
+    /// The file's size: the trigger's `checkpoint_bytes` after a reopen.
+    file_bytes: u64,
     accounts: BTreeMap<String, ReplayAccount>,
     repl_heads: BTreeMap<String, u64>,
 }
 
-fn encode_checkpoint(covers: u64, entries: &[CkptEntry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(CKPT_MAGIC);
-    out.extend_from_slice(&covers.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+/// A checkpoint byte sink: buffered writes that fold every byte into a
+/// running CRC on the way through.
+struct CheckpointStream<W: Write> {
+    out: BufWriter<W>,
+    crc: Crc32,
+    len: u64,
+}
+
+impl<W: Write> CheckpointStream<W> {
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.crc.update(bytes);
+        self.len += bytes.len() as u64;
+        self.out.write_all(bytes)
+    }
+}
+
+/// Streams a checkpoint to `out` and returns its length. The layout is
+/// `SSCKPT01`, `u64 covers`, `u32 account count`, then per account
+/// `u16 name length, name, u64 high_seq, u64 repl_head, u64 rule_epoch,
+/// u32 record count` and per record `u8 tag, u32 length, payload`, then
+/// `u32 crc32` of everything before it. Memory beyond [`CKPT_BUF`] is
+/// one record's payload at a time.
+fn write_checkpoint<W: Write>(out: W, covers: u64, entries: &[CkptEntry]) -> std::io::Result<u64> {
+    let mut s = CheckpointStream {
+        out: BufWriter::with_capacity(CKPT_BUF, out),
+        crc: Crc32::new(),
+        len: 0,
+    };
+    s.put(CKPT_MAGIC)?;
+    s.put(&covers.to_le_bytes())?;
+    s.put(&(entries.len() as u32).to_le_bytes())?;
     for e in entries {
         let name = e.name.as_bytes();
         assert!(name.len() <= u16::MAX as usize, "account name too long");
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name);
-        out.extend_from_slice(&e.high_seq.to_le_bytes());
-        out.extend_from_slice(&e.repl_head.to_le_bytes());
-        out.extend_from_slice(&e.rule_epoch.to_le_bytes());
-        out.extend_from_slice(&(e.records.len() as u32).to_le_bytes());
+        s.put(&(name.len() as u16).to_le_bytes())?;
+        s.put(name)?;
+        s.put(&e.high_seq.to_le_bytes())?;
+        s.put(&e.repl_head.to_le_bytes())?;
+        s.put(&e.rule_epoch.to_le_bytes())?;
+        s.put(&(e.records.len() as u32).to_le_bytes())?;
         for record in &e.records {
             let (tag, payload) = encode_record_payload(record);
-            out.push(tag);
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&payload);
+            s.put(&[tag])?;
+            s.put(&(payload.len() as u32).to_le_bytes())?;
+            s.put(&payload)?;
         }
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    let crc = s.crc.finish();
+    s.out.write_all(&crc.to_le_bytes())?;
+    s.out.flush()?;
+    Ok(s.len + 4)
 }
 
 /// Loads and verifies the checkpoint at `path`. A missing file is a
@@ -1294,19 +1424,20 @@ fn load_checkpoint(path: &Path) -> Result<Option<Checkpoint>, WalError> {
     }
     Ok(Some(Checkpoint {
         covers,
+        file_bytes: data.len() as u64,
         accounts,
         repl_heads,
     }))
 }
 
 /// Replays one segment file into the account map. Returns `(records
-/// replayed, valid byte length, file length, torn?)`.
+/// replayed, valid byte length, torn?)`.
 fn replay_segment(
     path: &Path,
     accounts: &mut BTreeMap<String, ReplayAccount>,
-) -> Result<(u64, u64, u64, bool), WalError> {
+) -> Result<(u64, u64, bool), WalError> {
     if !path.exists() {
-        return Ok((0, 0, 0, false));
+        return Ok((0, 0, false));
     }
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
@@ -1361,7 +1492,7 @@ fn replay_segment(
         }
         pos = payload_end;
     }
-    Ok((replayed, pos as u64, data.len() as u64, pos < data.len()))
+    Ok((replayed, pos as u64, pos < data.len()))
 }
 
 #[cfg(test)]
@@ -1371,6 +1502,7 @@ mod tests {
         ChannelSpec, ContextAnnotation, ContextKind, ContextState, SegmentMeta, TimeRange,
         Timestamp, Timing, WaveSegment,
     };
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn tempdir(name: &str) -> PathBuf {
@@ -2005,5 +2137,317 @@ mod tests {
         let journal = StoreJournal::open(&dir, quick_config()).unwrap();
         assert_eq!(journal.take_account("alice").unwrap().records, vec![seg(0)]);
         assert!(std::fs::metadata(&seg1).unwrap().len() < len as u64);
+    }
+
+    /// The whole-store buffer encoder checkpoints were written with
+    /// before they were streamed: the byte-for-byte reference.
+    fn reference_encode_checkpoint(covers: u64, entries: &[CkptEntry]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(256);
+        out.extend_from_slice(CKPT_MAGIC);
+        out.extend_from_slice(&covers.to_le_bytes());
+        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for e in entries {
+            let name = e.name.as_bytes();
+            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            out.extend_from_slice(name);
+            out.extend_from_slice(&e.high_seq.to_le_bytes());
+            out.extend_from_slice(&e.repl_head.to_le_bytes());
+            out.extend_from_slice(&e.rule_epoch.to_le_bytes());
+            out.extend_from_slice(&(e.records.len() as u32).to_le_bytes());
+            for record in &e.records {
+                let (tag, payload) = encode_record_payload(record);
+                out.push(tag);
+                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                out.extend_from_slice(&payload);
+            }
+        }
+        let crc = crate::codec::crc32_nibble(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    fn seg_rows(start: i64, rows: usize) -> WalRecord {
+        let meta = SegmentMeta {
+            timing: Timing::Uniform {
+                start: Timestamp::from_millis(start),
+                interval_secs: 0.02,
+            },
+            location: None,
+            format: vec![ChannelSpec::f32("ecg")],
+        };
+        let rows: Vec<Vec<f64>> = (0..rows).map(|i| vec![i as f64]).collect();
+        WalRecord::Segment(WaveSegment::from_rows(meta, &rows).unwrap())
+    }
+
+    /// Bytes one record adds to a segment: frame header + payload.
+    fn frame_bytes(name: &str, record: &WalRecord) -> u64 {
+        let (_, payload) = encode_record_payload(record);
+        (4 + 4 + 2 + name.len() + 8 + 1 + payload.len()) as u64
+    }
+
+    /// Size of the checkpoint a one-account `shared_source` snapshot of
+    /// `records` produces.
+    fn checkpoint_size(name: &str, records: &[WalRecord]) -> u64 {
+        let entry = CkptEntry {
+            name: name.to_string(),
+            high_seq: records.len() as u64,
+            repl_head: 0,
+            rule_epoch: 0,
+            records: records.to_vec(),
+        };
+        reference_encode_checkpoint(0, &[entry]).len() as u64
+    }
+
+    /// Every flushed record seals a segment of its own.
+    fn one_record_segments() -> JournalConfig {
+        JournalConfig {
+            rotate_bytes: u64::MAX,
+            rotate_records: 1,
+            commit: GroupCommitConfig::unbatched(),
+        }
+    }
+
+    fn wait_for(journal: &StoreJournal, what: &str, done: impl Fn(&JournalState) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done(&lock(journal)) {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Stages and flushes one of alice's records, then waits for the
+    /// rotation that seals it as segment `n`.
+    fn seal(journal: &StoreJournal, alice: &Shared, record: WalRecord, n: u64) {
+        stage_tracked(journal, "alice", alice, record);
+        journal.flush().unwrap();
+        wait_for(journal, "rotation", |s| s.last_sealed >= n);
+    }
+
+    /// A `shared_source` that also counts its calls (one per checkpoint
+    /// attempt that got as far as snapshotting).
+    fn counted_source(shared: &Shared) -> (CheckpointSource, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let source = shared_source("alice", shared);
+        let counted: CheckpointSource = Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            source()
+        });
+        (counted, calls)
+    }
+
+    #[test]
+    fn checkpoints_land_exactly_where_the_log_outweighs_the_last_one() {
+        let journal = StoreJournal::open(tempdir("trigger"), one_record_segments()).unwrap();
+        let alice: Shared = Arc::new(Mutex::new((Vec::new(), 0)));
+        journal.register_checkpoint_source(shared_source("alice", &alice));
+        // The rule, replayed beside the journal: uneven record sizes make
+        // it tip at irregular rotations.
+        let (mut ckpt_bytes, mut log_bytes, mut covers) = (0u64, 0u64, 0u64);
+        let mut staged = Vec::new();
+        let mut landed = Vec::new();
+        for n in 1..=24u64 {
+            let record = seg_rows(n as i64 * 1000, 1 + (n as usize * 7) % 23);
+            log_bytes += frame_bytes("alice", &record);
+            staged.push(record.clone());
+            seal(&journal, &alice, record, n);
+            if log_bytes >= ckpt_bytes {
+                landed.push(n);
+                ckpt_bytes = checkpoint_size("alice", &staged);
+                log_bytes = 0;
+                covers = n;
+            }
+            wait_for(&journal, "the expected checkpoint", |s| {
+                s.checkpointed_through == covers
+            });
+            let stats = journal.stats();
+            assert_eq!(
+                (stats.checkpoint_bytes, stats.log_bytes),
+                (ckpt_bytes, log_bytes),
+                "after rotation {n} (checkpoints expected at {landed:?})"
+            );
+        }
+        assert_eq!(landed[0], 1, "the first rotation checkpoints");
+        assert!(
+            (3..12).contains(&landed.len()),
+            "checkpointed at {landed:?}: about once per doubling, not per rotation"
+        );
+    }
+
+    #[test]
+    fn a_failed_checkpoint_is_retried_at_the_next_rotation() {
+        let dir = tempdir("ckpt-retry");
+        let journal = StoreJournal::open(&dir, one_record_segments()).unwrap();
+        let alice: Shared = Arc::new(Mutex::new((Vec::new(), 0)));
+        let (source, calls) = counted_source(&alice);
+        journal.register_checkpoint_source(source);
+        let record = |n: u64| seg_rows(n as i64 * 1000, 16);
+        seal(&journal, &alice, record(1), 1);
+        wait_for(&journal, "first checkpoint", |s| {
+            s.checkpointed_through == 1
+        });
+        let ckpt_bytes = journal.stats().checkpoint_bytes;
+
+        // A directory where the tmp file goes: the next attempt fails.
+        let blocker = dir.join("journal.ckpt.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let mut n = 1;
+        let mut log_bytes = 0;
+        while log_bytes < ckpt_bytes {
+            n += 1;
+            log_bytes += frame_bytes("alice", &record(n));
+            seal(&journal, &alice, record(n), n);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while calls.load(Ordering::SeqCst) < 2 {
+            assert!(Instant::now() < deadline, "the tipped trigger never fired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Let the failing attempt finish before looking.
+        drop(journal.inner.ckpt_lock.lock().unwrap());
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        let stats = journal.stats();
+        assert_eq!(stats.checkpointed_through, 1, "the attempt failed");
+        assert_eq!(
+            (stats.checkpoint_bytes, stats.log_bytes),
+            (ckpt_bytes, log_bytes),
+            "a failure forgets nothing"
+        );
+
+        std::fs::remove_dir(&blocker).unwrap();
+        seal(&journal, &alice, record(n + 1), n + 1);
+        wait_for(&journal, "the retry", |s| s.checkpointed_through == n + 1);
+        assert_eq!(journal.stats().log_bytes, 0);
+    }
+
+    #[test]
+    fn a_reopen_neither_checkpoints_at_once_nor_forgets_the_log_it_owes() {
+        let dir = tempdir("reopen-owes");
+        let record = |n: u64| seg_rows(n as i64 * 1000, 16);
+        let (s2, s3) = (
+            frame_bytes("alice", &record(2)),
+            frame_bytes("alice", &record(3)),
+        );
+        let ckpt_bytes = checkpoint_size("alice", &[record(1)]);
+        assert!(
+            s3 < ckpt_bytes && s2 + s3 >= ckpt_bytes,
+            "sizes fit the story"
+        );
+        {
+            let journal = StoreJournal::open(&dir, one_record_segments()).unwrap();
+            let alice: Shared = Arc::new(Mutex::new((Vec::new(), 0)));
+            journal.register_checkpoint_source(shared_source("alice", &alice));
+            seal(&journal, &alice, record(1), 1);
+            wait_for(&journal, "first checkpoint", |s| {
+                s.checkpointed_through == 1
+            });
+            seal(&journal, &alice, record(2), 2);
+            let stats = journal.stats();
+            assert_eq!(stats.checkpointed_through, 1, "segment 2 alone is light");
+            assert_eq!((stats.checkpoint_bytes, stats.log_bytes), (ckpt_bytes, s2));
+        }
+
+        let journal = StoreJournal::open(&dir, one_record_segments()).unwrap();
+        let stats = journal.stats();
+        assert_eq!(
+            (
+                stats.checkpointed_through,
+                stats.checkpoint_bytes,
+                stats.log_bytes
+            ),
+            (1, ckpt_bytes, s2),
+            "both sizes recomputed from disk"
+        );
+        let recovered = journal.take_account("alice").unwrap().records;
+        assert_eq!(recovered, vec![record(1), record(2)]);
+        let alice: Shared = Arc::new(Mutex::new((recovered, journal.account_seq("alice"))));
+        let (source, calls) = counted_source(&alice);
+        journal.register_checkpoint_source(source);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "checkpointed at open");
+
+        // Segment 3 alone is lighter than the checkpoint; with the owed
+        // segment 2 it is not.
+        seal(&journal, &alice, record(3), 3);
+        wait_for(&journal, "the owed checkpoint", |s| {
+            s.checkpointed_through == 3
+        });
+        assert_eq!(journal.stats().log_bytes, 0);
+    }
+
+    #[test]
+    fn streamed_checkpoint_equals_the_whole_buffer_encoding() {
+        // Larger than the stream buffer, with one record larger than it.
+        let mut records: Vec<WalRecord> = (0..200).map(|i| seg_rows(i * 1000, 64)).collect();
+        records.push(seg_rows(1_000_000, 20_000));
+        records.push(ann(5));
+        records.push(WalRecord::ReplApplied(9));
+        records.push(WalRecord::AssignEpoch {
+            epoch: 3,
+            fenced: true,
+        });
+        let entries = vec![
+            CkptEntry {
+                name: "alice".to_string(),
+                high_seq: 204,
+                repl_head: 7,
+                rule_epoch: 2,
+                records,
+            },
+            CkptEntry {
+                name: "bob \"the\" \\ unclaimed".to_string(),
+                high_seq: 1,
+                repl_head: 0,
+                rule_epoch: 0,
+                records: vec![ann(0)],
+            },
+            CkptEntry {
+                name: "carol".to_string(),
+                high_seq: 0,
+                repl_head: 0,
+                rule_epoch: 5,
+                records: Vec::new(),
+            },
+        ];
+        let reference = reference_encode_checkpoint(42, &entries);
+        assert!(reference.len() > 2 * CKPT_BUF);
+        let mut streamed = Vec::new();
+        let len = write_checkpoint(&mut streamed, 42, &entries).unwrap();
+        assert_eq!(len, reference.len() as u64);
+        assert!(
+            streamed == reference,
+            "streamed bytes differ from the reference"
+        );
+
+        let path = tempdir("streamed").join("journal.ckpt");
+        std::fs::write(&path, &streamed).unwrap();
+        let loaded = load_checkpoint(&path).unwrap().unwrap();
+        assert_eq!((loaded.covers, loaded.file_bytes), (42, len));
+        assert_eq!(loaded.accounts["alice"].records, entries[0].records);
+        assert_eq!(loaded.repl_heads.get("alice"), Some(&7));
+    }
+
+    #[test]
+    fn stderr_event_lines_are_json_for_any_value() {
+        let hostile = "a\"b\\c\nd";
+        for (event, fields) in [
+            ("journal_checkpoint_failed", vec!["error"]),
+            ("journal_checkpoint_skipped", vec!["reason", "account"]),
+            ("audit_ledger_sync_failed", vec!["path", "error"]),
+        ] {
+            let pairs: Vec<(&str, &str)> = fields.iter().map(|k| (*k, hostile)).collect();
+            let line = event_line(event, &pairs);
+            let parsed = sensorsafe_json::parse(&line)
+                .unwrap_or_else(|e| panic!("{event}: {line} is not JSON: {e}"));
+            assert_eq!(parsed["event"].as_str(), Some(event));
+            for key in fields {
+                assert_eq!(parsed[key].as_str(), Some(hostile), "{event}.{key}");
+            }
+            assert_eq!(
+                parsed.as_object().unwrap().len(),
+                pairs.len() + 1,
+                "no injected fields"
+            );
+        }
     }
 }

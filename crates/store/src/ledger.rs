@@ -36,7 +36,9 @@
 //! recovery procedure.
 
 use sensorsafe_obsv::ledger::{encode_frame, verify_frames, ChainHead, GENESIS_HASH};
-use sensorsafe_obsv::{AuditFilter, AuditLedger, AuditPage, Counter, DecisionRecord, LedgerError};
+use sensorsafe_obsv::{
+    event_line, AuditFilter, AuditLedger, AuditPage, Counter, DecisionRecord, LedgerError,
+};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
@@ -176,8 +178,14 @@ impl Shared {
             return;
         }
         eprintln!(
-            "{{\"event\":\"audit_ledger_sync_failed\",\"path\":\"{}\",\"error\":\"{error}\"}}",
-            self.path.display()
+            "{}",
+            event_line(
+                "audit_ledger_sync_failed",
+                &[
+                    ("path", &self.path.display().to_string()),
+                    ("error", &error.to_string()),
+                ],
+            )
         );
         self.metrics.sync_failures.inc();
         state.failed = Some(error.to_string());

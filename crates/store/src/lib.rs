@@ -15,10 +15,12 @@
 //!   ([`StoreJournal`]) shared by every hosted account; a store reopened
 //!   from it replays to identical state. One commit thread batches
 //!   staged records from many accounts into a single `write`+`fsync`
-//!   (DESIGN.md §8); segments rotate at a size threshold, each rotation
-//!   checkpoints account state so crash replay is bounded to the tail
-//!   segment, and checkpointed segments are garbage-collected once
-//!   replication acks catch up.
+//!   (DESIGN.md §8); segments rotate at a size threshold, and a rotation
+//!   checkpoints account state once the sealed log since the last
+//!   checkpoint outweighs it, so crash replay is bounded to one
+//!   checkpoint, at most its own size of sealed log, and the tail; and
+//!   checkpointed segments are garbage-collected once replication acks
+//!   catch up.
 //! * [`ledger`] — the file-backed, hash-chained privacy audit ledger
 //!   ([`FileLedger`]): `obsv::ledger`'s integrity model persisted with the
 //!   journal's flush + `sync_data` discipline, so enforcement decisions

@@ -336,6 +336,129 @@ proptest! {
         let _ = std::fs::remove_dir_all(&crash_dir);
     }
 
+    /// Same kill, after the rotation rule has left several sealed
+    /// segments uncovered: a large first checkpoint (the preload) makes
+    /// every later segment lighter than it, so the rotations after it
+    /// seal segments no checkpoint covers, and recovery must replay all
+    /// of them, not only the newest.
+    #[test]
+    fn crash_with_several_uncovered_segments_recovers_acked_prefix(
+        batches in prop::collection::vec((0usize..3, 2u8..5, 1u8..8, any::<bool>()), 4..9),
+        cut_frac in 0u16..=1000,
+    ) {
+        let seed: Vec<u64> = batches
+            .iter()
+            .flat_map(|&(a, n, r, ann)| [a as u64, n as u64, r as u64, ann as u64])
+            .chain([11, cut_frac as u64])
+            .collect();
+        let dir = std::env::temp_dir().join(format!(
+            "sensorsafe-juncov-{}-{}",
+            std::process::id(),
+            case_suffix(&seed),
+        ));
+        let crash_dir = dir.with_extension("crashed");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        type Shared = Arc<Mutex<BTreeMap<String, (Vec<WalRecord>, u64)>>>;
+        let shared: Shared = Arc::new(Mutex::new(BTreeMap::new()));
+        let mut staged: BTreeMap<String, Vec<WalRecord>> = BTreeMap::new();
+        let mut acked: BTreeMap<String, usize> = BTreeMap::new();
+        let mut acked_seg: (u64, u64) = (1, 0);
+        let stage = |journal: &StoreJournal,
+                     staged: &mut BTreeMap<String, Vec<WalRecord>>,
+                     name: &str,
+                     r: WalRecord| {
+            let mut s = shared.lock().unwrap();
+            journal.stage(name, &r).unwrap();
+            let entry = s.entry(name.to_string()).or_default();
+            entry.0.push(r.clone());
+            entry.1 = journal.account_seq(name);
+            drop(s);
+            staged.entry(name.to_string()).or_default().push(r);
+        };
+        // Batches are cut by flushes alone, so the preload is one batch.
+        let config = JournalConfig {
+            commit: GroupCommitConfig {
+                max_batch: 64,
+                max_delay: Duration::from_secs(5),
+            },
+            ..quick_config(2)
+        };
+        let covers;
+        {
+            let journal = StoreJournal::open(&dir, config).unwrap();
+            let source = shared.clone();
+            journal.register_checkpoint_source(Box::new(move || {
+                source
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .map(|(name, (records, high_seq))| CheckpointAccount {
+                        name: name.clone(),
+                        records: records.clone(),
+                        high_seq: *high_seq,
+                        rule_epoch: 0,
+                        repl_head: 0,
+                    })
+                    .collect()
+            }));
+            // Preload: one flushed batch that outweighs everything after
+            // it; its rotation is the first and checkpoints.
+            let mut i = 0usize;
+            for k in 0..48 {
+                stage(&journal, &mut staged, ACCOUNTS[k % 3], record(i * 31, 8, false));
+                i += 1;
+            }
+            journal.flush().unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while journal.stats().checkpointed_through == 0 {
+                prop_assert!(Instant::now() < deadline, "no first checkpoint: {:?}", journal.stats());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            covers = journal.stats().checkpointed_through;
+            for (k, v) in &staged {
+                acked.insert(k.clone(), v.len());
+            }
+            let last = batches.len() - 1;
+            for (b, &(acct, n, rows, ann)) in batches.iter().enumerate() {
+                for _ in 0..n as usize {
+                    stage(&journal, &mut staged, ACCOUNTS[acct], record(i * 31, rows as usize, ann));
+                    i += 1;
+                }
+                if b < last {
+                    journal.flush().unwrap();
+                    for (k, v) in &staged {
+                        acked.insert(k.clone(), v.len());
+                    }
+                    let segs = seg_files(&dir);
+                    let &(n, ref path) = segs.last().unwrap();
+                    acked_seg = (n, std::fs::metadata(path).unwrap().len());
+                }
+            }
+            journal.flush().unwrap();
+            prop_assert_eq!(
+                journal.stats().checkpointed_through,
+                covers,
+                "the later segments never outweighed the preload"
+            );
+        }
+
+        let segs = seg_files(&dir);
+        let uncovered_sealed = segs.iter().filter(|&&(n, _)| n > covers).count() - 1;
+        prop_assert!(uncovered_sealed >= 3, "only {} uncovered sealed segments", uncovered_sealed);
+        let &(last_no, ref last_path) = segs.last().unwrap();
+        let full = std::fs::metadata(last_path).unwrap().len() as usize;
+        let floor = if last_no == acked_seg.0 { (acked_seg.1 as usize).min(full) } else { 0 };
+        let cut = floor + ((full - floor) * cut_frac as usize) / 1000;
+        crash_copy(&dir, &crash_dir, cut);
+
+        let journal = StoreJournal::open(&crash_dir, config).unwrap();
+        assert_recovery(&journal, &staged, &acked)?;
+        drop(journal);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&crash_dir);
+    }
+
     /// A torn tail corrupted with garbage (not just truncated) is also
     /// rejected: replay stops at the last valid frame boundary and
     /// truncates the segment there.
