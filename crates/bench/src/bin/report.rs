@@ -313,7 +313,6 @@ fn c4_recovery_table() {
             JournalConfig {
                 rotate_bytes: u64::MAX,
                 rotate_records: u64::MAX,
-                ..Default::default()
             },
         ),
     ];

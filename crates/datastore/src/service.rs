@@ -51,10 +51,9 @@ pub struct DataStoreConfig {
     /// data is recovered from it on registration, so a restarted server
     /// recovers its data. See `docs/OPERATIONS.md` ("Storage engine").
     pub data_dir: Option<std::path::PathBuf>,
-    /// Journal segment rotation thresholds and commit-thread batching
-    /// caps (ignored when `data_dir` is `None`). See
-    /// [`sensorsafe_store::JournalConfig`] and `docs/OPERATIONS.md` for
-    /// tuning.
+    /// Journal segment rotation thresholds (ignored when `data_dir` is
+    /// `None`); commits are cut by demand and have no knobs. See
+    /// [`sensorsafe_store::JournalConfig`] and `docs/OPERATIONS.md`.
     pub journal: sensorsafe_store::JournalConfig,
 }
 
@@ -2143,6 +2142,83 @@ mod durability_tests {
         let (svc, admin) = DataStoreService::new(config);
         register_alice(&svc, &admin);
         assert_eq!(stored_samples(&svc, "alice"), Some(acked));
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Only a wait commits staged records, so a route that stages and
+    /// replies without waiting would ack records that may not survive a
+    /// crash. After every 2xx of every staging route, the journal holds
+    /// nothing staged that is not durable.
+    #[test]
+    fn no_staging_route_replies_before_its_records_are_durable() {
+        let dir = std::env::temp_dir().join(format!(
+            "sensorsafe-staged-is-durable-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (svc, admin) = DataStoreService::new(DataStoreConfig {
+            name: "staged-is-durable".into(),
+            data_dir: Some(dir.clone()),
+            ..DataStoreConfig::default()
+        });
+        let key = register_alice(&svc, &admin);
+        let admin = admin.to_hex();
+        let packets =
+            sensorsafe_sim::Scenario::alice_day(sensorsafe_types::Timestamp::from_millis(0), 6, 1)
+                .render()
+                .chest_segments;
+        let batch = repl::to_hex(&repl::encode_batch(
+            "alice",
+            0,
+            &sensorsafe_store::SealedBatch {
+                seq: 1,
+                records: vec![sensorsafe_store::WalRecord::Segment(packets[2].clone())],
+            },
+        ));
+        let steps = [
+            (
+                "/api/upload",
+                json!({"key": (key.clone()), "segments": [(packets[0].to_json())]}),
+            ),
+            (
+                "/api/upload",
+                json!({
+                    "key": (key.clone()),
+                    "segments": [(packets[1].to_json())],
+                    "upload_token": "0a0b",
+                }),
+            ),
+            (
+                "/repl/segment",
+                json!({"key": (admin.clone()), "batch": (batch)}),
+            ),
+            (
+                "/repl/fence",
+                json!({"key": (admin.clone()), "contributor": "alice", "epoch": 2}),
+            ),
+            (
+                "/repl/promote",
+                json!({"key": (admin.clone()), "contributor": "alice", "epoch": 3}),
+            ),
+            (
+                "/repl/reset",
+                json!({"key": (admin.clone()), "contributor": "alice", "epoch": 3}),
+            ),
+        ];
+        let mut staged = svc.journal_stats().unwrap().staged_seq;
+        for (path, body) in steps {
+            let resp = svc.handle(&Request::post_json(path, &body));
+            assert!(resp.status.is_success(), "{path}: {:?}", resp.json_body());
+            let stats = svc.journal_stats().unwrap();
+            assert!(stats.staged_seq > staged, "{path} staged nothing");
+            assert_eq!(
+                stats.durable_seq, stats.staged_seq,
+                "{path} replied with records staged but not durable"
+            );
+            staged = stats.staged_seq;
+        }
         drop(svc);
         let _ = std::fs::remove_dir_all(&dir);
     }

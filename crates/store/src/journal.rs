@@ -78,29 +78,15 @@
 //!
 //! # When a batch is cut
 //!
-//! Staging a record never cuts a batch: an upload stages its `Segment`
-//! and its `UploadToken` a few tens of microseconds apart under the
-//! account lock, and a cut between the two would split one request
-//! across two fsyncs. What cuts a batch is **demand** — a
-//! [`JournalTicket::wait`] on a record the commit thread has not taken
-//! yet — or a `flush`, shutdown, a full batch
-//! ([`GroupCommitConfig::max_batch`]), or the flush bound: the first
-//! record staged into an empty buffer starts a
-//! [`GroupCommitConfig::max_delay`] clock, so a record nobody waits on
-//! is still durable within `max_delay` (plus the fsyncs themselves).
-//!
-//! A waiter does not sit out that clock unless the commit thread has
-//! evidence of **company**. Each time a batch retires, the commit
-//! thread notes how many durable waits were outstanding at that moment
-//! — the ones the batch released plus the ones already queued behind
-//! it — as its estimate of the requests in flight. The next batch is
-//! cut as soon as that many waiters have arrived (they are all the
-//! company there is to gather), and otherwise at the `max_delay`
-//! deadline. A lone writer therefore pays handoff + write + one fsync
-//! and no window; a crowd keeps the whole window exactly while some of
-//! it is still on the way. The estimate expires: if nothing was staged
-//! for a whole `max_delay` after a batch retired, whoever was there has
-//! left.
+//! By **demand** alone, the way the audit ledger's `ledger-sync` thread
+//! runs its rounds: a batch is cut when a [`JournalTicket::wait`] (or a
+//! [`StoreJournal::flush`], which waits on everything staged) needs a
+//! record the commit thread has not taken yet, or at shutdown. The cut
+//! takes everything staged; records staged while its fsync runs form the
+//! next batch, so concurrent requests coalesce behind the fsync in
+//! flight. Staging never wakes the commit thread and no timer runs: a
+//! record nobody waits on becomes durable with the next wait on any
+//! account, a flush, or a clean shutdown — and nothing acks it before.
 //!
 //! # Locking
 //!
@@ -119,7 +105,7 @@
 use crate::codec::{crc32, Crc32};
 use crate::wal::{
     appends_counter, decode_record_payload, encode_record_payload, fsync_counter, tag_is_known,
-    GroupCommitConfig, WalError, WalRecord,
+    WalError, WalRecord,
 };
 use sensorsafe_obsv::{event_line, Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
@@ -145,9 +131,6 @@ pub struct JournalConfig {
     pub rotate_bytes: u64,
     /// Seal the active segment once it holds this many records.
     pub rotate_records: u64,
-    /// Group-commit batching for the shared commit thread (the batch
-    /// gathers across accounts).
-    pub commit: GroupCommitConfig,
 }
 
 impl Default for JournalConfig {
@@ -158,7 +141,6 @@ impl Default for JournalConfig {
         JournalConfig {
             rotate_bytes: 8 * 1024 * 1024,
             rotate_records: 8192,
-            commit: GroupCommitConfig::default(),
         }
     }
 }
@@ -232,21 +214,11 @@ struct JournalState {
     cut_seq: u64,
     /// Highest global sequence known durable on disk.
     durable_seq: u64,
-    /// Ticket waits blocked on records past `cut_seq` — the demand that
-    /// cuts the next batch.
-    waiters: usize,
-    /// Ticket waits the batch in flight will release (`waiters` at its
-    /// cut plus late arrivals it already covers).
-    batch_waiters: usize,
-    /// Requests-in-flight estimate taken when the last batch retired:
-    /// the waits it released plus those already queued behind it. While
-    /// fewer than this are waiting, company is on its way and the
-    /// gather window stays open (see the module docs).
-    expected_waiters: usize,
+    /// A wait needs a record past `cut_seq`: the commit thread cuts the
+    /// next batch (module docs, "When a batch is cut").
+    demand: bool,
     /// Batches retired since open (one write + fsync each).
     batches: u64,
-    /// A flush wants the commit thread to cut the batch immediately.
-    flush_requested: bool,
     /// Shutdown: the commit thread drains and exits, the checkpoint
     /// thread exits.
     stop: bool,
@@ -282,6 +254,12 @@ struct JournalState {
 }
 
 impl JournalState {
+    /// Whether the commit thread takes a batch now: something is staged,
+    /// and a wait needs it or the journal is shutting down.
+    fn cut_due(&self) -> bool {
+        self.staged_count > 0 && (self.demand || self.stop)
+    }
+
     /// Bytes of sealed log the latest checkpoint does not cover.
     fn log_bytes(&self) -> u64 {
         self.uncovered.values().sum()
@@ -318,10 +296,6 @@ struct JournalMetrics {
     /// stage and batch-take time; a persistently high value means the
     /// commit thread (write + fsync) is the bottleneck, not the stagers.
     queue_depth: Arc<Gauge>,
-    /// How full each batch ran against `max_batch`: near 1.0 means the
-    /// cap is the binding constraint, near 0 a lone writer or traffic
-    /// too thin to have company worth gathering.
-    occupancy: Arc<Histogram>,
     /// [`JournalTicket::wait`] entry → durable.
     commit_wait: Arc<Histogram>,
 }
@@ -369,12 +343,6 @@ impl JournalMetrics {
                 "Records staged in the store journal awaiting the commit thread.",
                 &[],
             ),
-            occupancy: registry.histogram(
-                "sensorsafe_journal_gather_occupancy_ratio",
-                "Fraction of max_batch filled per journal commit batch.",
-                &[],
-                Some(&[0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]),
-            ),
             commit_wait: registry.histogram(
                 "sensorsafe_journal_commit_wait_seconds",
                 "Time a journal ticket wait took from entry until its records were durable.",
@@ -390,8 +358,7 @@ struct JournalInner {
     config: JournalConfig,
     metrics: JournalMetrics,
     state: Mutex<JournalState>,
-    /// Wakes the commit thread (flush bound to arm / demand / full
-    /// batch / flush / stop).
+    /// Wakes the commit thread (demand / stop).
     work: Condvar,
     /// Wakes ticket waiters (batch retired / sticky error).
     done: Condvar,
@@ -441,6 +408,9 @@ pub struct JournalStats {
     pub log_bytes: u64,
     /// Segment files currently on disk (sealed + active).
     pub live_segments: usize,
+    /// Global sequence of the newest staged record. Above `durable_seq`
+    /// only while some record awaits the commit a wait will cut.
+    pub staged_seq: u64,
     /// Highest global staging sequence known durable.
     pub durable_seq: u64,
     /// Batches retired since open (one write + fsync each).
@@ -640,11 +610,8 @@ impl StoreJournal {
             staged_seq: 0,
             cut_seq: 0,
             durable_seq: 0,
-            waiters: 0,
-            batch_waiters: 0,
-            expected_waiters: 0,
+            demand: false,
             batches: 0,
-            flush_requested: false,
             stop: false,
             error: None,
             account_seqs,
@@ -747,10 +714,8 @@ impl StoreJournal {
     /// (the datastore stages under the account's write lock); staging
     /// for different accounts may race freely.
     ///
-    /// Staging does not cut a batch — a wait on a ticket does (module
-    /// docs, "When a batch is cut"). The commit thread is woken only to
-    /// start the `max_delay` flush bound for the first record of a
-    /// batch, or because the batch is full.
+    /// Staging neither cuts a batch nor wakes the commit thread — a wait
+    /// does (module docs, "When a batch is cut").
     pub fn stage(&self, account: &str, record: &WalRecord) -> Result<u64, WalError> {
         let (tag, payload) = encode_record_payload(record);
         let name = account.as_bytes();
@@ -784,15 +749,13 @@ impl StoreJournal {
         state.buf.extend_from_slice(&crc32(&body).to_le_bytes());
         state.buf.extend_from_slice(&body);
         inner.metrics.appends.inc();
-        let wake = state.staged_count == 1 || state.staged_count >= inner.config.commit.max_batch;
-        drop(state);
-        if wake {
-            inner.work.notify_one();
-        }
         Ok(seq)
     }
 
-    /// A ticket covering everything staged journal-wide so far.
+    /// A ticket covering everything staged journal-wide so far. Nothing
+    /// commits a staged record until somebody waits for it, so a caller
+    /// that stages must wait on its ticket before it acks.
+    #[must_use = "staged records commit only when a wait asks for them"]
     pub fn ticket(&self) -> JournalTicket {
         let state = self.inner.state.lock().expect("journal state poisoned");
         JournalTicket {
@@ -801,14 +764,9 @@ impl StoreJournal {
         }
     }
 
-    /// Commits every staged record immediately (cutting an open gather
-    /// window) and returns once they are durable.
+    /// Waits until every record staged so far is durable.
     pub fn flush(&self) -> Result<(), WalError> {
-        let seq = {
-            let state = self.inner.state.lock().expect("journal state poisoned");
-            state.staged_seq
-        };
-        wait_durable(&self.inner, seq, true)
+        wait_durable(&self.inner, self.ticket().seq)
     }
 
     /// The highest global staging sequence known durable.
@@ -858,19 +816,26 @@ impl StoreJournal {
         maybe_gc(&self.inner)
     }
 
-    /// Current segment/checkpoint summary.
+    /// Current segment/checkpoint summary. The directory is listed after
+    /// the journal mutex is released: staging and commits never queue
+    /// behind a `read_dir`.
     pub fn stats(&self) -> JournalStats {
-        let state = self.inner.state.lock().expect("journal state poisoned");
-        JournalStats {
-            active_segment: state.active_segment,
-            last_sealed: state.last_sealed,
-            checkpointed_through: state.checkpointed_through,
-            checkpoint_bytes: state.checkpoint_bytes,
-            log_bytes: state.log_bytes(),
-            live_segments: list_segments(&self.inner.dir).map(|v| v.len()).unwrap_or(0),
-            durable_seq: state.durable_seq,
-            batches: state.batches,
-        }
+        let mut stats = {
+            let state = self.inner.state.lock().expect("journal state poisoned");
+            JournalStats {
+                active_segment: state.active_segment,
+                last_sealed: state.last_sealed,
+                checkpointed_through: state.checkpointed_through,
+                checkpoint_bytes: state.checkpoint_bytes,
+                log_bytes: state.log_bytes(),
+                live_segments: 0,
+                staged_seq: state.staged_seq,
+                durable_seq: state.durable_seq,
+                batches: state.batches,
+            }
+        };
+        stats.live_segments = list_segments(&self.inner.dir).map_or(0, |v| v.len());
+        stats
     }
 }
 
@@ -881,7 +846,6 @@ impl Drop for StoreJournal {
         {
             let mut state = self.inner.state.lock().expect("journal state poisoned");
             state.stop = true;
-            state.flush_requested = true;
             self.inner.work.notify_all();
             self.inner.ckpt_work.notify_all();
         }
@@ -896,12 +860,11 @@ impl Drop for StoreJournal {
 
 impl JournalTicket {
     /// Blocks until every record covered by this ticket is durable.
-    /// Waiting is what asks the commit thread for a batch: it cuts one
-    /// as soon as every request it believes in flight is waiting too,
-    /// at the latest `max_delay` after the batch's first record.
+    /// Waiting is what asks the commit thread for a batch (module docs,
+    /// "When a batch is cut").
     pub fn wait(&self) -> Result<(), WalError> {
         let entered = Instant::now();
-        let result = wait_durable(&self.inner, self.seq, false);
+        let result = wait_durable(&self.inner, self.seq);
         self.inner.metrics.commit_wait.observe(entered.elapsed());
         result
     }
@@ -912,13 +875,12 @@ impl JournalTicket {
     }
 }
 
-/// Blocks until `seq` is durable or the journal has failed. A wait the
-/// commit thread has not yet taken into a batch registers as demand
-/// (`urgent`: as a flush request) and wakes it; a wait on records that
-/// are already durable, or already in the batch in flight, does not.
-fn wait_durable(inner: &JournalInner, seq: u64, urgent: bool) -> Result<(), WalError> {
+/// Blocks until `seq` is durable or the journal has failed. A wait on a
+/// record the commit thread has not yet taken into a batch is demand and
+/// wakes it; a wait on records already durable, or already in the batch
+/// in flight, asks for nothing.
+fn wait_durable(inner: &JournalInner, seq: u64) -> Result<(), WalError> {
     let mut state = inner.state.lock().expect("journal state poisoned");
-    let mut registered = false;
     loop {
         if let Some(msg) = &state.error {
             return Err(sticky_err(msg));
@@ -926,99 +888,38 @@ fn wait_durable(inner: &JournalInner, seq: u64, urgent: bool) -> Result<(), WalE
         if state.durable_seq >= seq {
             return Ok(());
         }
-        if !registered {
-            registered = true;
-            if seq <= state.cut_seq {
-                if !urgent {
-                    state.batch_waiters += 1;
-                }
-            } else if urgent {
-                state.flush_requested = true;
-                inner.work.notify_one();
-            } else {
-                state.waiters += 1;
-                if state.waiters >= state.expected_waiters {
-                    inner.work.notify_one();
-                }
-            }
+        if seq > state.cut_seq && !state.demand {
+            state.demand = true;
+            inner.work.notify_one();
         }
         state = inner.done.wait(state).expect("journal state poisoned");
     }
 }
 
-/// Whether the commit thread should stop gathering and take the batch
-/// now rather than at the `max_delay` deadline.
-fn cut_now(state: &JournalState, config: &GroupCommitConfig) -> bool {
-    state.flush_requested
-        || state.stop
-        || state.staged_count >= config.max_batch
-        // Demand, and nobody else expected: every request believed in
-        // flight is already waiting on this batch.
-        || (state.waiters > 0 && state.waiters >= state.expected_waiters)
-}
-
-/// The commit thread: gather staged frames across accounts, retire each
-/// batch with one write + fsync, rotate when the active segment fills.
+/// The commit thread: on demand, take everything staged across accounts,
+/// retire it with one write + fsync, rotate when the active segment fills.
 fn commit_loop(inner: Arc<JournalInner>, mut active: ActiveSegment) {
-    let config = inner.config.commit;
-    let mut retired_at = Instant::now();
     loop {
         let (batch, upto, records) = {
-            // Waiting for (and gathering) work; distinguishes idle/gather
-            // time from write+fsync time in sampled profiles.
-            let _gather = sensorsafe_obsv::prof_frame!("journal-gather");
+            // Waiting for demand; distinguishes idle time from
+            // write + fsync time in sampled profiles.
+            let _idle = sensorsafe_obsv::prof_frame!("journal-idle");
             let mut state = inner.state.lock().expect("journal state poisoned");
-            loop {
-                if state.staged_count > 0 || state.flush_requested {
-                    break;
-                }
+            while !state.cut_due() {
                 if state.stop {
                     return;
                 }
                 state = inner.work.wait(state).expect("journal state poisoned");
             }
-            // The batch's clock starts now: whatever is staged is taken
-            // at `deadline` at the latest, waited on or not.
-            let opened = Instant::now();
-            let deadline = opened + config.max_delay;
-            if opened.duration_since(retired_at) > config.max_delay {
-                // Nothing was staged for a whole window after the last
-                // batch retired: its waiters are not coming back.
-                state.expected_waiters = 0;
-            }
-            while !cut_now(&state, &config) {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                state = inner
-                    .work
-                    .wait_timeout(state, deadline - now)
-                    .expect("journal state poisoned")
-                    .0;
-            }
             let batch = std::mem::take(&mut state.buf);
-            let records = state.staged_count;
-            state.staged_count = 0;
+            let records = std::mem::take(&mut state.staged_count);
             inner.metrics.queue_depth.set(0);
-            state.flush_requested = false;
+            state.demand = false;
             state.cut_seq = state.staged_seq;
-            state.batch_waiters = std::mem::take(&mut state.waiters);
             (batch, state.staged_seq, records)
         };
-        if batch.is_empty() {
-            // A flush with nothing staged: everything is already
-            // durable (or sticky-failed); just wake waiters.
-            inner.done.notify_all();
-            continue;
-        }
-        inner
-            .metrics
-            .occupancy
-            .observe_secs(records as f64 / config.max_batch.max(1) as f64);
         let _commit = sensorsafe_obsv::prof_frame!("journal-commit");
         let wrote = active.write_batch(&batch, records, &inner.metrics);
-        retired_at = Instant::now();
         let mut state = inner.state.lock().expect("journal state poisoned");
         let mut rotate = false;
         match wrote {
@@ -1030,9 +931,6 @@ fn commit_loop(inner: Arc<JournalInner>, mut active: ActiveSegment) {
             }
             Err(e) => state.error = Some(e.to_string()),
         }
-        // Requests in flight right now: the waits this batch releases
-        // plus the ones that queued behind it during the fsync.
-        state.expected_waiters = std::mem::take(&mut state.batch_waiters) + state.waiters;
         inner.done.notify_all();
         if rotate {
             drop(state);
@@ -1540,10 +1438,14 @@ mod tests {
         JournalConfig {
             rotate_bytes: u64::MAX,
             rotate_records: u64::MAX,
-            commit: GroupCommitConfig {
-                max_batch: 64,
-                max_delay: Duration::from_micros(200),
-            },
+        }
+    }
+
+    /// Seals the active segment after every batch.
+    fn rotate_every_batch() -> JournalConfig {
+        JournalConfig {
+            rotate_bytes: 1,
+            rotate_records: u64::MAX,
         }
     }
 
@@ -1600,7 +1502,6 @@ mod tests {
     fn tickets_coalesce_across_accounts() {
         let dir = tempdir("coalesce");
         let journal = Arc::new(StoreJournal::open(&dir, quick_config()).unwrap());
-        let fsyncs_before = fsync_counter().get();
         let mut handles = Vec::new();
         for i in 0..8 {
             journal.stage(&format!("acct-{i}"), &seg(i * 1000)).unwrap();
@@ -1610,21 +1511,17 @@ mod tests {
         for h in handles {
             h.join().unwrap().unwrap();
         }
-        let fsyncs = fsync_counter().get() - fsyncs_before;
+        let batches = journal.stats().batches;
         assert!(
-            fsyncs < 8,
-            "8 accounts' waiters should share fsyncs, took {fsyncs}"
+            batches < 8,
+            "8 accounts' waiters should share fsyncs, took {batches}"
         );
     }
 
     #[test]
     fn rotation_seals_and_checkpoint_bounds_replay() {
         let dir = tempdir("rotate");
-        let config = JournalConfig {
-            rotate_bytes: 1, // rotate after every batch
-            rotate_records: u64::MAX,
-            commit: GroupCommitConfig::unbatched(),
-        };
+        let config = rotate_every_batch();
         {
             let journal = StoreJournal::open(&dir, config).unwrap();
             let alice: Shared = Arc::new(Mutex::new((Vec::new(), 0)));
@@ -1634,7 +1531,7 @@ mod tests {
                 journal.flush().unwrap();
             }
             let stats = journal.stats();
-            assert_eq!(stats.batches, 4, "unbatched: one write + fsync per flush");
+            assert_eq!(stats.batches, 4, "one write + fsync per flush");
             assert!(stats.active_segment > 1, "rotation advanced the segment");
             assert!(stats.last_sealed >= 1);
         }
@@ -1650,18 +1547,13 @@ mod tests {
     #[test]
     fn checkpoint_carries_unclaimed_accounts_through_gc() {
         let dir = tempdir("carry");
-        let config = JournalConfig {
-            rotate_bytes: 1,
-            rotate_records: u64::MAX,
-            commit: GroupCommitConfig::unbatched(),
-        };
+        let config = rotate_every_batch();
         {
             let journal = StoreJournal::open(&dir, config).unwrap();
-            journal.stage("alice", &seg(0)).unwrap();
-            journal.stage("alice", &ann(0)).unwrap();
-            journal.flush().unwrap();
-            journal.stage("alice", &seg(1000)).unwrap();
-            journal.flush().unwrap();
+            for record in [seg(0), ann(0), seg(1000)] {
+                journal.stage("alice", &record).unwrap();
+                journal.flush().unwrap();
+            }
         }
         // Reopen WITHOUT claiming alice; checkpoint + GC must not lose
         // her records even though their source segments get deleted.
@@ -1694,12 +1586,7 @@ mod tests {
     #[test]
     fn gc_deletes_checkpointed_segments() {
         let dir = tempdir("gc");
-        let config = JournalConfig {
-            rotate_bytes: 1,
-            rotate_records: u64::MAX,
-            commit: GroupCommitConfig::unbatched(),
-        };
-        let journal = StoreJournal::open(&dir, config).unwrap();
+        let journal = StoreJournal::open(&dir, rotate_every_batch()).unwrap();
         let alice: Shared = Arc::new(Mutex::new((Vec::new(), 0)));
         journal.register_checkpoint_source(shared_source("alice", &alice));
         for i in 0..5 {
@@ -1726,12 +1613,7 @@ mod tests {
     #[test]
     fn gc_defers_until_replication_acked() {
         let dir = tempdir("gc-gate");
-        let config = JournalConfig {
-            rotate_bytes: 1,
-            rotate_records: u64::MAX,
-            commit: GroupCommitConfig::unbatched(),
-        };
-        let journal = StoreJournal::open(&dir, config).unwrap();
+        let journal = StoreJournal::open(&dir, rotate_every_batch()).unwrap();
         let acked = Arc::new(Mutex::new(0u64));
         let gate_acked = Arc::clone(&acked);
         journal.register_checkpoint_source(Box::new(|| {
@@ -1773,79 +1655,54 @@ mod tests {
         }
     }
 
-    /// A journal whose gather window (2 s) dwarfs every threshold the
-    /// policy tests assert on: anything that returns in a fraction of it
-    /// did not sit the window out.
-    fn wide_window_config() -> JournalConfig {
-        JournalConfig {
-            rotate_bytes: u64::MAX,
-            rotate_records: u64::MAX,
-            commit: GroupCommitConfig {
-                max_batch: 64,
-                max_delay: Duration::from_secs(2),
-            },
-        }
-    }
-
-    /// Far below the 2 s window, far above a handoff + write + fsync.
+    /// Far above a handoff + write + fsync: a wait that takes longer
+    /// waited for something other than its own commit.
     const PROMPT: Duration = Duration::from_millis(200);
 
     fn lock(journal: &StoreJournal) -> std::sync::MutexGuard<'_, JournalState> {
         journal.inner.state.lock().unwrap()
     }
 
-    /// Installs the estimate a batch that had `n` requests in flight
-    /// would have left behind.
-    fn expect_company(journal: &StoreJournal, n: usize) {
-        lock(journal).expected_waiters = n;
-    }
-
-    fn wait_for_waiters(journal: &StoreJournal, n: usize) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while lock(journal).waiters < n {
-            assert!(Instant::now() < deadline, "waiters never registered");
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
-    fn cut_rule_wants_demand_and_no_missing_company() {
-        let journal = StoreJournal::open(tempdir("cut-rule"), wide_window_config()).unwrap();
-        let config = journal.config().commit;
+    fn cut_rule_is_demand_alone() {
+        let journal = StoreJournal::open(tempdir("cut-rule"), quick_config()).unwrap();
         let mut state = lock(&journal);
-        state.staged_count = 2;
-        assert!(!cut_now(&state, &config), "staging alone never cuts");
-        state.waiters = 1;
-        assert!(cut_now(&state, &config), "a lone waiter cuts at once");
-        state.expected_waiters = 3;
-        assert!(
-            !cut_now(&state, &config),
-            "two of three are still on the way"
-        );
-        state.waiters = 3;
-        assert!(cut_now(&state, &config), "everyone expected has arrived");
-        state.waiters = 0;
-        state.staged_count = config.max_batch;
-        assert!(cut_now(&state, &config), "a full batch cuts unwaited");
-        state.staged_count = 2;
-        state.flush_requested = true;
-        assert!(cut_now(&state, &config), "a flush cuts unwaited");
+        // (records staged, a wait needs one, shutting down) => cut now?
+        for (staged, demand, stop, cut) in [
+            (0, false, false, false),
+            (3, false, false, false),
+            (64, false, false, false),
+            (1, true, false, true),
+            (3, true, false, true),
+            (3, false, true, true),
+            (0, true, false, false),
+            (0, false, true, false),
+        ] {
+            state.staged_count = staged;
+            state.demand = demand;
+            state.stop = stop;
+            assert_eq!(
+                state.cut_due(),
+                cut,
+                "staged {staged}, demand {demand}, stop {stop}"
+            );
+        }
         // Leave nothing behind for the commit thread to act on.
         state.staged_count = 0;
-        state.flush_requested = false;
-        state.expected_waiters = 0;
+        state.demand = false;
+        state.stop = false;
     }
 
     #[test]
-    fn lone_writer_does_not_sit_out_the_window() {
-        let journal = StoreJournal::open(tempdir("lone"), wide_window_config()).unwrap();
+    fn lone_writer_gets_a_batch_per_wait() {
+        let journal = StoreJournal::open(tempdir("lone"), quick_config()).unwrap();
         for i in 0..3 {
             let started = Instant::now();
             journal.stage("alice", &seg(i * 1000)).unwrap();
             journal.ticket().wait().unwrap();
             assert!(
                 started.elapsed() < PROMPT,
-                "lone durable wait {i} took {:?} under a 2 s window",
+                "lone durable wait {i} took {:?}",
                 started.elapsed()
             );
         }
@@ -1854,11 +1711,11 @@ mod tests {
 
     #[test]
     fn one_callers_records_share_one_batch() {
-        let journal = StoreJournal::open(tempdir("one-request"), wide_window_config()).unwrap();
+        let journal = StoreJournal::open(tempdir("one-request"), quick_config()).unwrap();
         journal.stage("alice", &seg(0)).unwrap();
         // Long enough for a commit thread that cut on staging to have
         // taken the first record alone.
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(50));
         journal.stage("alice", &ann(0)).unwrap();
         journal.ticket().wait().unwrap();
         let stats = journal.stats();
@@ -1867,44 +1724,34 @@ mod tests {
     }
 
     #[test]
-    fn expected_company_holds_the_window_until_it_arrives() {
-        let journal =
-            Arc::new(StoreJournal::open(tempdir("company"), wide_window_config()).unwrap());
-        expect_company(&journal, 2);
-        let first = {
-            let journal = Arc::clone(&journal);
-            std::thread::spawn(move || {
-                journal.stage("alice", &seg(0)).unwrap();
-                journal.ticket().wait()
-            })
-        };
-        wait_for_waiters(&journal, 1);
-        std::thread::sleep(Duration::from_millis(20));
+    fn unwaited_record_stays_staged_until_any_wait() {
+        let dir = tempdir("unwaited");
+        let journal = StoreJournal::open(&dir, quick_config()).unwrap();
+        journal.stage("alice", &seg(0)).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let stats = journal.stats();
         assert_eq!(
-            journal.stats().batches,
-            0,
-            "cut under the first waiter although company was expected"
+            (stats.batches, stats.staged_seq, stats.durable_seq),
+            (0, 1, 0),
+            "a record nobody waits on was committed"
         );
-        let started = Instant::now();
+        // A wait on another account's record takes both in one batch.
         journal.stage("bob", &seg(1000)).unwrap();
         journal.ticket().wait().unwrap();
-        first.join().unwrap().unwrap();
-        assert!(
-            started.elapsed() < PROMPT,
-            "window stayed open after the expected company arrived"
-        );
-        assert_eq!(journal.stats().batches, 1, "both waits share one fsync");
+        let stats = journal.stats();
+        assert_eq!((stats.batches, stats.durable_seq), (1, 2));
+        drop(journal);
+        let journal = StoreJournal::open(&dir, quick_config()).unwrap();
         assert_eq!(
-            lock(&journal).expected_waiters,
-            2,
-            "the retired batch released two waits: that is the next estimate"
+            journal.take_account("alice").unwrap().records,
+            vec![seg(0)],
+            "alice's record rode bob's batch"
         );
     }
 
     #[test]
     fn barrier_released_threads_share_batches() {
-        let journal =
-            Arc::new(StoreJournal::open(tempdir("barrier"), wide_window_config()).unwrap());
+        let journal = Arc::new(StoreJournal::open(tempdir("barrier"), quick_config()).unwrap());
         let n = 8;
         let barrier = Arc::new(std::sync::Barrier::new(n));
         let handles: Vec<_> = (0..n)
@@ -1936,89 +1783,17 @@ mod tests {
     }
 
     #[test]
-    fn stale_company_estimate_expires() {
-        let config = JournalConfig {
-            commit: GroupCommitConfig {
-                max_batch: 64,
-                max_delay: Duration::from_millis(400),
-            },
-            ..wide_window_config()
-        };
-        let journal = StoreJournal::open(tempdir("stale"), config).unwrap();
-        expect_company(&journal, 4);
-        // Nothing staged for more than a whole window: the crowd the
-        // estimate remembers is gone.
-        std::thread::sleep(Duration::from_millis(500));
-        let started = Instant::now();
-        journal.stage("alice", &seg(0)).unwrap();
-        journal.ticket().wait().unwrap();
-        assert!(
-            started.elapsed() < Duration::from_millis(200),
-            "lone wait after a quiet spell took {:?} (400 ms window)",
-            started.elapsed()
-        );
-    }
-
-    #[test]
-    fn unwaited_record_is_durable_within_the_flush_bound() {
-        let config = JournalConfig {
-            commit: GroupCommitConfig {
-                max_batch: 64,
-                max_delay: Duration::from_millis(50),
-            },
-            ..wide_window_config()
-        };
-        let journal = StoreJournal::open(tempdir("unwaited"), config).unwrap();
-        journal.stage("alice", &seg(0)).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while journal.durable_seq() < 1 {
-            assert!(
-                Instant::now() < deadline,
-                "a record nobody waits on never became durable"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn flush_cuts_an_open_gather() {
-        let journal =
-            Arc::new(StoreJournal::open(tempdir("flush-cut"), wide_window_config()).unwrap());
-        expect_company(&journal, 2);
-        let held = {
-            let journal = Arc::clone(&journal);
-            std::thread::spawn(move || {
-                journal.stage("alice", &seg(0)).unwrap();
-                journal.ticket().wait()
-            })
-        };
-        wait_for_waiters(&journal, 1);
-        let started = Instant::now();
-        journal.flush().unwrap();
-        held.join().unwrap().unwrap();
-        assert!(
-            started.elapsed() < PROMPT,
-            "flush waited out the gather window instead of cutting it"
-        );
-        assert_eq!(journal.stats().batches, 1);
-    }
-
-    #[test]
     fn wait_on_durable_records_asks_for_nothing() {
-        let journal = StoreJournal::open(tempdir("durable-wait"), wide_window_config()).unwrap();
+        let journal = StoreJournal::open(tempdir("durable-wait"), quick_config()).unwrap();
         journal.stage("alice", &seg(0)).unwrap();
         let ticket = journal.ticket();
         ticket.wait().unwrap();
-        // Company that will never come: a wait that registered as demand
-        // would now sit in the window.
-        expect_company(&journal, 2);
-        let started = Instant::now();
         ticket.wait().unwrap();
         journal.ticket().wait().unwrap();
         journal.flush().unwrap();
-        assert!(started.elapsed() < PROMPT);
+        // Demand left behind would cut the next record on staging.
         let state = lock(&journal);
-        assert_eq!((state.waiters, state.flush_requested), (0, false));
+        assert!(!state.demand);
         assert_eq!(state.batches, 1);
     }
 
@@ -2027,15 +1802,12 @@ mod tests {
         let dir = tempdir("drop-drain");
         let started = Instant::now();
         {
-            let journal = StoreJournal::open(&dir, wide_window_config()).unwrap();
+            let journal = StoreJournal::open(&dir, quick_config()).unwrap();
             journal.stage("alice", &seg(0)).unwrap();
             journal.stage("alice", &ann(0)).unwrap();
         }
-        assert!(
-            started.elapsed() < PROMPT,
-            "shutdown sat out the flush bound"
-        );
-        let journal = StoreJournal::open(&dir, wide_window_config()).unwrap();
+        assert!(started.elapsed() < PROMPT, "shutdown waited for something");
+        let journal = StoreJournal::open(&dir, quick_config()).unwrap();
         assert_eq!(
             journal.take_account("alice").unwrap().records,
             vec![seg(0), ann(0)]
@@ -2048,11 +1820,7 @@ mod tests {
             return;
         }
         let dir = tempdir("sticky");
-        let config = JournalConfig {
-            rotate_bytes: 1, // rotate after the first batch
-            ..wide_window_config()
-        };
-        let journal = Arc::new(StoreJournal::open(&dir, config).unwrap());
+        let journal = Arc::new(StoreJournal::open(&dir, rotate_every_batch()).unwrap());
         // The next segment is a device that refuses every write.
         std::os::unix::fs::symlink("/dev/full", segment_path(&dir, 2)).unwrap();
         journal.stage("alice", &seg(0)).unwrap();
@@ -2203,7 +1971,6 @@ mod tests {
         JournalConfig {
             rotate_bytes: u64::MAX,
             rotate_records: 1,
-            commit: GroupCommitConfig::unbatched(),
         }
     }
 

@@ -56,4 +56,4 @@ pub use ledger::{verify_ledger_file, FileLedger};
 pub use query::Query;
 pub use repl::{ReplBuffer, ReplConfig, ReplFrame, SealedBatch};
 pub use store::{MergePolicy, SegmentStore, StoreError, StoreStats};
-pub use wal::{GroupCommitConfig, WalError, WalRecord};
+pub use wal::{WalError, WalRecord};

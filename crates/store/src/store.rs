@@ -304,9 +304,9 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Forces every staged log record to disk (an immediate group
-    /// commit, skipping the gathering delay). When this returns `Ok`,
-    /// all prior inserts are durable.
+    /// Waits until every staged log record is on disk (the wait is what
+    /// cuts the commit). When this returns `Ok`, all prior inserts are
+    /// durable.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         match &self.durability {
             Durability::None => Ok(()),
@@ -319,6 +319,9 @@ impl SegmentStore {
     /// lock, release the lock, then [`JournalTicket::wait`] — the
     /// stage-then-wait upload path that keeps fsync latency off the
     /// account lock (one shared fsync may resolve many accounts' tickets).
+    /// Only a wait commits staged records: a dropped ticket leaves them
+    /// for somebody else's wait.
+    #[must_use = "staged records commit only when a wait asks for them"]
     pub fn commit_ticket(&self) -> Option<JournalTicket> {
         match &self.durability {
             Durability::None => None,

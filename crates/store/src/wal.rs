@@ -14,14 +14,12 @@
 //! The journal ([`crate::journal`]) wraps that in its own length + CRC
 //! frame with the account name and sequence, and stores the same
 //! tag + payload pairs in checkpoints, so a record reads back identically
-//! from either place. This module also holds [`GroupCommitConfig`] (the
-//! journal commit thread's batching caps) and the two process-wide
+//! from either place. This module also holds the two process-wide
 //! append / fsync counters.
 
 use crate::codec::{self, CodecError};
 use sensorsafe_types::{ContextAnnotation, WaveSegment};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A record recovered from (or appended to) the log.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,55 +289,6 @@ pub(crate) fn fsync_counter() -> Arc<sensorsafe_obsv::Counter> {
         "fsync calls issued by write-ahead logs.",
         &[],
     )
-}
-
-/// Caps on the batches the [`StoreJournal`](crate::StoreJournal)
-/// commit thread gathers.
-///
-/// Both are upper bounds on gathering, not a price every commit pays: a
-/// batch is cut at `max_batch` staged records or `max_delay` after
-/// gathering began at the latest, and earlier the moment every request
-/// the commit thread believes in flight is waiting (see `journal.rs`,
-/// "When a batch is cut"). A `flush` (and every [`SegmentStore::sync`] /
-/// [`compact`]) cuts the batch immediately regardless.
-///
-/// [`SegmentStore::sync`]: crate::SegmentStore::sync
-/// [`compact`]: crate::SegmentStore::compact
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitConfig {
-    /// Cut the batch once this many records are staged. `1` degenerates
-    /// to one fsync per record (the pre-group-commit behavior).
-    pub max_batch: usize,
-    /// The longest a batch is held open while company is expected, and
-    /// the longest a staged record nobody waits on stays off the disk. `Duration::ZERO` disables gathering: whatever is
-    /// staged is committed the moment the committer takes over
-    /// (batching then comes only from records staged while the previous
-    /// fsync was in flight).
-    pub max_delay: Duration,
-}
-
-impl Default for GroupCommitConfig {
-    /// 64-record batches gathered for at most 500 µs — enough to
-    /// coalesce a fleet-shaped burst (≈ 20 uploads per fsync at 32 in
-    /// flight, EXPERIMENTS.md C4). A lone writer never sees the
-    /// 500 µs: it pays its handoff, the write and one fsync.
-    fn default() -> Self {
-        GroupCommitConfig {
-            max_batch: 64,
-            max_delay: Duration::from_micros(500),
-        }
-    }
-}
-
-impl GroupCommitConfig {
-    /// Per-record commits: no gathering, one fsync per staged record
-    /// batch of one. The baseline the journal's policy tests count against.
-    pub fn unbatched() -> GroupCommitConfig {
-        GroupCommitConfig {
-            max_batch: 1,
-            max_delay: Duration::ZERO,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -19,8 +19,7 @@
 
 use proptest::prelude::*;
 use sensorsafe_store::{
-    CheckpointAccount, GroupCommitConfig, JournalConfig, MergePolicy, SegmentStore, StoreJournal,
-    WalRecord,
+    CheckpointAccount, JournalConfig, MergePolicy, SegmentStore, StoreJournal, WalRecord,
 };
 use sensorsafe_types::{
     ChannelSpec, ContextAnnotation, ContextKind, ContextState, SegmentMeta, TimeRange, Timestamp,
@@ -63,10 +62,6 @@ fn quick_config(rotate_records: u64) -> JournalConfig {
     JournalConfig {
         rotate_bytes: u64::MAX,
         rotate_records,
-        commit: GroupCommitConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(1),
-        },
     }
 }
 
@@ -376,14 +371,8 @@ proptest! {
             drop(s);
             staged.entry(name.to_string()).or_default().push(r);
         };
-        // Batches are cut by flushes alone, so the preload is one batch.
-        let config = JournalConfig {
-            commit: GroupCommitConfig {
-                max_batch: 64,
-                max_delay: Duration::from_secs(5),
-            },
-            ..quick_config(2)
-        };
+        // Only the flushes wait, so the preload is one batch.
+        let config = quick_config(2);
         let covers;
         {
             let journal = StoreJournal::open(&dir, config).unwrap();
@@ -516,13 +505,7 @@ fn concurrent_commits_then_crash_recovers_acked_prefix() {
     let dir = std::env::temp_dir().join(format!("sensorsafe-jcrash-mt-{}", std::process::id()));
     let crash_dir = dir.with_extension("crashed");
     let _ = std::fs::remove_dir_all(&dir);
-    let config = JournalConfig {
-        commit: GroupCommitConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
-        },
-        ..quick_config(u64::MAX)
-    };
+    let config = quick_config(u64::MAX);
     let acked_len;
     {
         let journal = StoreJournal::open(&dir, config).unwrap();
