@@ -122,8 +122,11 @@ pub fn shared_view(
 /// goes straight to response bytes, segments by
 /// [`WaveSegment::write_json`], with no [`Value`] in between.
 /// [`shared_view_to_json`] builds the tree that serializes to the same
-/// bytes.
+/// bytes. The reply is reserved once, from the sum of its windows' size
+/// estimates (each segment's [`WaveSegment::json_size_hint`]), so it is
+/// not grown while its numbers are written.
 pub fn write_shared_view_json(view: &SharedView, out: &mut Vec<u8>) {
+    out.reserve(json_size_hint(view));
     out.extend_from_slice(b"{\"windows\":");
     write_array(out, &view.windows, |out, w| {
         out.extend_from_slice(b"{\"segment\":");
@@ -153,6 +156,22 @@ pub fn write_shared_view_json(view: &SharedView, out: &mut Vec<u8>) {
         out.push(b'}');
     });
     out.push(b'}');
+}
+
+/// What [`write_shared_view_json`] appends for `view`, estimated from above
+/// for typical data: each segment's [`WaveSegment::json_size_hint`], each
+/// label's fields and text, and each window's keys and separators.
+fn json_size_hint(view: &SharedView) -> usize {
+    let window = |w: &SharedSegment| {
+        let segment = w.segment.as_ref().map_or(4, WaveSegment::json_size_hint);
+        let labels: usize = w.labels.iter().map(|l| 96 + l.label.len()).sum();
+        let location = match &w.location {
+            SharedLocation::None => 4,
+            SharedLocation::Text(t) => 2 + t.len(),
+        };
+        80 + segment + labels + location
+    };
+    16 + view.windows.iter().map(window).sum::<usize>()
 }
 
 /// The query-API wire form as a tree (see [`write_shared_view_json`]).
@@ -305,6 +324,20 @@ mod tests {
 
     fn graph() -> DependencyGraph {
         DependencyGraph::paper()
+    }
+
+    #[test]
+    fn a_reply_is_reserved_once_and_never_grown() {
+        let mut account = alice_account();
+        account.set_rules(vec![PrivacyRule::allow_all()]);
+        let start = Timestamp::from_millis(1_311_500_000_000 + 30_000);
+        let minute = Query::all().in_time(TimeRange::new(start, start.plus_millis(60_000)));
+        let view = shared_view(&account, &bob(), &minute, &graph());
+        assert!(view.raw_samples() >= 60 * 50, "{}", view.raw_samples());
+        let reserved = json_size_hint(&view);
+        let mut out = Vec::new();
+        write_shared_view_json(&view, &mut out);
+        assert_eq!(out.capacity(), reserved, "{} bytes", out.len());
     }
 
     #[test]

@@ -528,7 +528,13 @@ impl Inner {
                 .with_contributor(&contributor, |account| account.store.query(&query))
                 .ok_or_else(no_such_contributor)?;
             trace::phase("store_query");
-            let mut body = b"{\"segments\":".to_vec();
+            let mut body = Vec::with_capacity(
+                16 + segments
+                    .iter()
+                    .map(WaveSegment::json_size_hint)
+                    .sum::<usize>(),
+            );
+            body.extend_from_slice(b"{\"segments\":");
             sensorsafe_json::write_array(&mut body, &segments, |body, segment| {
                 segment.write_json(body)
             });

@@ -142,35 +142,31 @@ fn floor_log2_pow10(e: i32) -> i32 {
 /// ends `lower ..= upper` (all in units of a quarter of `10^k`): the
 /// one-digit-shorter candidate if exactly one lies inside, else the
 /// nearer of the two `10^k` neighbours, ties upward as `{}` does.
+///
+/// Which candidate wins follows the data in no pattern a branch
+/// predictor learns, so both are computed and the choice is arithmetic:
+/// comparisons become 0/1 and a mask selects. The result may end in
+/// zeros; [`lay_out`] drops them.
 fn pick(vb: u64, lower: u64, upper: u64, k: i32) -> (u64, i32) {
     let s = vb / 4;
-    if s >= 10 {
-        let sp = s / 10;
-        let down_inside = lower <= 40 * sp;
-        let up_inside = 40 * sp + 40 <= upper;
-        if down_inside != up_inside {
-            return strip_zeros(sp + up_inside as u64, k + 1);
-        }
-    }
-    let down_inside = lower <= 4 * s;
-    let up_inside = 4 * s + 4 <= upper;
-    if down_inside != up_inside {
-        return strip_zeros(s + up_inside as u64, k);
-    }
-    strip_zeros(s + (vb >= 4 * s + 2) as u64, k)
-}
-
-/// `n · 10^e` with the trailing zeros of `n` moved into `e`.
-fn strip_zeros(mut n: u64, mut e: i32) -> (u64, i32) {
-    while n.is_multiple_of(10) {
-        n /= 10;
-        e += 1;
-    }
-    (n, e)
+    // The shorter candidate: the multiple of 10^(k+1) below or above.
+    let sp = s / 10;
+    let short_down = lower <= 40 * sp;
+    let short_up = 40 * sp + 40 <= upper;
+    let short = (s >= 10) & (short_down != short_up);
+    // The full-length candidate: s, or s + 1 if only it is inside or, with
+    // both or neither inside, if it is at least as near.
+    let down = lower <= 4 * s;
+    let up = 4 * s + 4 <= upper;
+    let nearer_up = vb >= 4 * s + 2;
+    let full = s + ((up & !down) | ((up == down) & nearer_up)) as u64;
+    let shorter = sp + short_up as u64;
+    let mask = (short as u64).wrapping_neg();
+    (full ^ ((full ^ shorter) & mask), k + short as i32)
 }
 
 /// Shortest `(n, e)` with `n · 10^e` reading back to the positive finite
-/// `f64` whose bits are `bits`; `n` carries no trailing zeros.
+/// `f64` whose bits are `bits`; `n` may end in zeros.
 fn shortest_f64(bits: u64) -> (u64, i32) {
     let fraction = bits & ((1 << 52) - 1);
     let exponent = ((bits >> 52) & 0x7ff) as i32;
@@ -180,7 +176,7 @@ fn shortest_f64(bits: u64) -> (u64, i32) {
         (fraction, -1074)
     };
     if (-52..=0).contains(&q) && c & ((1 << -q) - 1) == 0 {
-        return strip_zeros(c >> -q, 0);
+        return (c >> -q, 0);
     }
     let even = c & 1 == 0;
     let lower_closer = fraction == 0 && exponent > 1;
@@ -202,7 +198,8 @@ fn shortest_f64(bits: u64) -> (u64, i32) {
     pick(vb, vbl + !even as u64, vbr - !even as u64, k)
 }
 
-/// [`shortest_f64`] for the positive finite `f32` whose bits are `bits`.
+/// [`shortest_f64`] for the positive finite `f32` whose bits are `bits`:
+/// `n < 10^9`.
 fn shortest_f32(bits: u32) -> (u32, i32) {
     let fraction = bits & ((1 << 23) - 1);
     let exponent = ((bits >> 23) & 0xff) as i32;
@@ -212,8 +209,7 @@ fn shortest_f32(bits: u32) -> (u32, i32) {
         (fraction, -149)
     };
     if (-23..=0).contains(&q) && c & ((1 << -q) - 1) == 0 {
-        let (n, e) = strip_zeros((c >> -q) as u64, 0);
-        return (n as u32, e);
+        return (c >> -q, 0);
     }
     let even = c & 1 == 0;
     let lower_closer = fraction == 0 && exponent > 1;
@@ -265,8 +261,8 @@ fn decimal_to_f64(n: u32, e: i32) -> f64 {
             }
             at -= 1;
             text[at] = b'e';
-            let mut digits = [0u8; 20];
-            let digits = u64_digits(n as u64, &mut digits);
+            let digits = ascii_digits(n as u64);
+            let digits = &digits[20 - digit_count::<10>(n as u64)..];
             at -= digits.len();
             text[at..at + digits.len()].copy_from_slice(digits);
             std::str::from_utf8(&text[at..])
@@ -309,7 +305,7 @@ pub fn widen_f32(x: f32) -> f64 {
 /// Appends `x` at `f32` precision: the text of `widen_f32(x)`.
 pub fn write_f32(out: &mut Vec<u8>, x: f32) {
     match f32_decimal(x) {
-        Some((n, e, _)) => write_decimal(out, x < 0.0, n as u64, e),
+        Some((n, e, _)) => lay_out::<9>(out, x < 0.0, n as u64, e),
         None => write_f64(out, x as f64),
     }
 }
@@ -328,7 +324,7 @@ pub fn write_f64(out: &mut Vec<u8>, x: f64) {
         });
     } else {
         let (n, e) = shortest_f64(x.abs().to_bits());
-        write_decimal(out, x < 0.0, n, e);
+        lay_out::<17>(out, x < 0.0, n, e);
     }
 }
 
@@ -337,62 +333,169 @@ pub fn write_i64(out: &mut Vec<u8>, v: i64) {
     if v < 0 {
         out.push(b'-');
     }
-    let mut digits = [0u8; 20];
-    out.extend_from_slice(u64_digits(v.unsigned_abs(), &mut digits));
+    let n = v.unsigned_abs();
+    out.extend_from_slice(&ascii_digits(n)[20 - digit_count::<20>(n)..]);
 }
 
-/// Lays out `n · 10^e` (`n` without trailing zeros) the way `{}` lays out
-/// a float: every digit written out, zeros filled in on either side of
-/// the point, and `.0` after an integral value below 10^15.
-fn write_decimal(out: &mut Vec<u8>, negative: bool, n: u64, e: i32) {
+/// `10^i`, `i < 20`.
+const POW10_U64: [u64; 20] = {
+    let mut table = [1u64; 20];
+    let mut i = 1;
+    while i < 20 {
+        table[i] = table[i - 1] * 10;
+        i += 1;
+    }
+    table
+};
+
+/// `'0'` in every byte: added to digit values, it makes them ASCII.
+const ASCII_ZEROS: u128 = u128::from_le_bytes([b'0'; 16]);
+
+/// Number of decimal digits of `n < 10^D`, `D <= 20`: one, plus one per
+/// power of ten `n` reaches. Comparisons, not a loop over the digits.
+fn digit_count<const D: usize>(n: u64) -> usize {
+    1 + POW10_U64[1..D]
+        .iter()
+        .map(|&power| (n >= power) as usize)
+        .sum::<usize>()
+}
+
+/// Every two-digit number as its two digit values, the tens in the low
+/// byte.
+const PAIRS: [u16; 100] = {
+    let mut pairs = [0u16; 100];
+    let mut i = 0;
+    while i < 100 {
+        pairs[i] = (i / 10) as u16 | ((i % 10) as u16) << 8;
+        i += 1;
+    }
+    pairs
+};
+
+/// The last eight digits of `v` as digit values, one per byte, the most
+/// significant in the lowest byte (so `to_le_bytes` reads them in order).
+/// Each pair is cut from `v` directly — a division and a remainder by
+/// constants, all four at once — and looked up in [`PAIRS`].
+fn eight_digits(v: u32) -> u64 {
+    let pair = |divisor: u32| PAIRS[(v / divisor % 100) as usize] as u64;
+    pair(1_000_000) | pair(10_000) << 16 | pair(100) << 32 | pair(1) << 48
+}
+
+/// The digit values of `n < 10^16`, one per byte, the last digit in the
+/// top byte and zeros (leading zeros of the number) below the first. A
+/// zero digit is a zero byte, so the count of trailing zero digits is
+/// the count of leading zero bytes. A number of at most `D <= 9` digits
+/// (every `f32` decimal) is one digit and four pairs; a longer one is two
+/// runs of four pairs.
+fn top_digit_values<const D: usize>(n: u64) -> u128 {
+    debug_assert!(n < POW10_U64[D.min(16)]);
+    if D <= 9 {
+        (eight_digits(n as u32) as u128) << 64 | ((n / POW10_U64[8]) as u128) << 56
+    } else {
+        let low = (eight_digits((n % POW10_U64[8]) as u32) as u128) << 64;
+        low | eight_digits((n / POW10_U64[8]) as u32) as u128
+    }
+}
+
+/// All twenty digits of `n`, zero-padded, as ASCII.
+fn ascii_digits(n: u64) -> [u8; 20] {
     let mut digits = [0u8; 20];
-    let digits = u64_digits(n, &mut digits);
-    let point = digits.len() as i32 + e;
+    let head = eight_digits((n / POW10_U64[16]) as u32).to_le_bytes();
+    for (digit, value) in digits.iter_mut().zip(&head[4..]) {
+        *digit = b'0' + value;
+    }
+    let tail = top_digit_values::<16>(n % POW10_U64[16]) + ASCII_ZEROS;
+    digits[4..].copy_from_slice(&tail.to_le_bytes());
+    digits
+}
+
+/// Lays out `n · 10^e` (`n` has at most `D` digits and may end in
+/// zeros) the way `{}` lays out a float: every significant digit written
+/// out, zeros filled in on either side of the point, and `.0` after an
+/// integral value below 10^15.
+///
+/// A text of at most 16 bytes — every `f32` a sensor produces — is
+/// composed in one 128-bit register by one formula for every shape. The
+/// digit values, made with no loop, rotate to where the text wants its
+/// first digit: after the sign's byte and, below one, after the zeros of
+/// `0.0…`. A `'0'` added to every byte makes them ASCII (and the
+/// sign's byte a `'-'` less three), and the bytes from the point on move
+/// up one to make room for it. Every shift amount and mask depends on
+/// the exponent and the counts alone, not on a comparison of the digits,
+/// and the register is appended with one fixed-size copy. Longer texts
+/// (17-digit `f64`s, exponents beyond ±13) take [`lay_out_wide`].
+fn lay_out<const D: usize>(out: &mut Vec<u8>, negative: bool, n: u64, e: i32) {
+    // An `f64`'s decimal has 16 or 17 digits, trailing zeros included: a
+    // 17th that is a zero is dropped so that the register holds the rest.
+    let (n, e) = if D > 16 {
+        let drop = (n >= POW10_U64[16]) & n.is_multiple_of(10);
+        (if drop { n / 10 } else { n }, e + drop as i32)
+    } else {
+        (n, e)
+    };
+    let count = digit_count::<D>(n);
+    let point = count as i32 + e;
+    let sign = negative as u32;
+    // Zeros before the first digit: "0" and -point more below one.
+    let zeros = (1 - point).max(0) as u32;
+    let lead = zeros + sign;
+    if count <= 16 && (-13..=14).contains(&point) {
+        let values = top_digit_values::<D>(n);
+        let len = count - values.leading_zeros() as usize / 8;
+        // Down by the leading zeros, up by the text's lead: a rotation, so
+        // the bytes that wrap are zeros either way — leading zeros of the
+        // number, or trailing zeros of a text that fits.
+        let text = values.rotate_right(8 * (16 + 16 - count as u32 - lead) % 128) + ASCII_ZEROS
+            - (sign * (b'0' - b'-') as u32) as u128;
+        // The point follows the sign and at least one digit.
+        let at = 8 * (point + lead as i32) as u32;
+        let below = (1u128 << at) - 1;
+        let text = (text & below) | (b'.' as u128) << at | (text & !below) << 8;
+        let text_len = sign as usize
+            + if e >= 0 {
+                point as usize + 2 * (point <= 15) as usize
+            } else {
+                zeros as usize + len + 1
+            };
+        if text_len <= 16 {
+            // All 16 bytes are appended — a fixed-size copy, where a
+            // variable one would be a call — and the tail cut off.
+            let end = out.len() + text_len;
+            out.extend_from_slice(&text.to_le_bytes());
+            out.truncate(end);
+            return;
+        }
+    }
+    lay_out_wide(out, negative, n, count, e);
+}
+
+/// [`lay_out`] for a text longer than 16 bytes, byte run by byte run.
+#[cold]
+fn lay_out_wide(out: &mut Vec<u8>, negative: bool, n: u64, count: usize, e: i32) {
+    let digits = ascii_digits(n);
+    let digits = &digits[20 - count..];
+    let len = digits.iter().rposition(|&d| d != b'0').expect("n > 0") + 1;
+    let digits = &digits[..len];
+    let point = count as i32 + e;
     if negative {
         out.push(b'-');
     }
-    if e >= 0 {
+    if point >= len as i32 {
         out.extend_from_slice(digits);
-        out.resize(out.len() + e as usize, b'0');
+        out.resize(out.len() + point as usize - len, b'0');
         if point <= 15 {
             out.extend_from_slice(b".0");
         }
     } else if point > 0 {
-        let (whole, frac) = digits.split_at(point as usize);
+        let (whole, fraction) = digits.split_at(point as usize);
         out.extend_from_slice(whole);
         out.push(b'.');
-        out.extend_from_slice(frac);
+        out.extend_from_slice(fraction);
     } else {
         out.extend_from_slice(b"0.");
         out.resize(out.len() + -point as usize, b'0');
         out.extend_from_slice(digits);
     }
-}
-
-const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-2021222324252627282930313233343536373839\
-4041424344454647484950515253545556575859\
-6061626364656667686970717273747576777879\
-8081828384858687888990919293949596979899";
-
-/// The decimal digits of `n`, written right-aligned into `buf`.
-fn u64_digits(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
-    let mut at = buf.len();
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if n >= 10 {
-        let pair = n as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        buf[at] = b'0' + n as u8;
-    }
-    &buf[at..]
 }
 
 #[cfg(test)]
@@ -434,7 +537,7 @@ mod tests {
     fn shortest_text_f32(x: f32) -> String {
         let (n, e) = shortest_f32(x.abs().to_bits());
         let mut out = Vec::new();
-        write_decimal(&mut out, x < 0.0, n as u64, e);
+        lay_out::<9>(&mut out, x < 0.0, n as u64, e);
         String::from_utf8(out).unwrap()
     }
 
@@ -603,27 +706,23 @@ mod tests {
         }
     }
 
-    /// Every finite `f32`: the unguarded digits equal `{}`, the guarded
-    /// text survives `parse::<f64>() as f32`, the tree form prints the
-    /// same bytes, and the number of values that need the widened-`f64`
-    /// fallback is printed (docs/ARCHITECTURE.md records it).
-    ///
-    /// `cargo test --release -p sensorsafe-json -- --ignored --nocapture
-    /// exhaustive_f32` — about 15 minutes on two cores.
-    #[test]
-    #[ignore = "2^32 values; run in release"]
-    fn exhaustive_f32_sweep() {
-        let threads = std::thread::available_parallelism().map_or(2, |n| n.get()) as u64;
-        let span = (1u64 << 31).div_ceil(threads);
-        let fallbacks: u64 = std::thread::scope(|scope| {
+    /// Checks every positive `f32` whose bits are in `bits`, split across
+    /// the machine's threads: the unguarded digits equal `{}`, the guarded
+    /// text survives `parse::<f64>() as f32`, and the tree form prints the
+    /// same bytes. Returns the values that need the widened-`f64`
+    /// fallback.
+    fn sweep(bits: std::ops::Range<u32>) -> Vec<u32> {
+        let threads = std::thread::available_parallelism().map_or(2, |n| n.get()) as u32;
+        let span = (bits.end - bits.start).div_ceil(threads);
+        std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
                 .map(|t| {
+                    let lo = bits.start + t * span;
+                    let hi = (lo + span).min(bits.end);
                     scope.spawn(move || {
                         let mut fallbacks = Vec::new();
-                        let hi = ((t + 1) * span).min(0x7f80_0000);
-                        for bits in t * span..hi {
-                            // Positive values; the sign is a prefix.
-                            let x = f32::from_bits(bits as u32);
+                        for bits in lo..hi {
+                            let x = f32::from_bits(bits);
                             if x == 0.0 {
                                 continue;
                             }
@@ -633,7 +732,7 @@ mod tests {
                             assert_eq!((back as f32).to_bits(), x.to_bits(), "{text}");
                             assert_eq!(text_f64(widen_f32(x)), text, "bits {bits:#x}");
                             if f32_decimal(x).is_none() {
-                                fallbacks.push(bits as u32);
+                                fallbacks.push(bits);
                             }
                         }
                         fallbacks
@@ -642,18 +741,71 @@ mod tests {
                 .collect();
             workers
                 .into_iter()
-                .map(|w| {
-                    let found = w.join().expect("sweep worker");
-                    for bits in &found {
-                        println!(
-                            "fallback: bits {bits:#010x} = {}",
-                            text_f32(f32::from_bits(*bits))
-                        );
+                .flat_map(|w| w.join().expect("sweep worker"))
+                .collect()
+        })
+    }
+
+    /// Every finite `f32`: [`sweep`] over the positive ones (the sign is a
+    /// prefix), printing the values that need the widened-`f64` fallback
+    /// and their number (docs/ARCHITECTURE.md records it).
+    ///
+    /// `cargo test --release -p sensorsafe-json -- --ignored --nocapture
+    /// exhaustive_f32` — about 15 minutes on two cores.
+    #[test]
+    #[ignore = "2^31 values; run in release"]
+    fn exhaustive_f32_sweep() {
+        let fallbacks = sweep(1..0x7f80_0000);
+        for bits in &fallbacks {
+            println!(
+                "fallback: bits {bits:#010x} = {}",
+                text_f32(f32::from_bits(*bits))
+            );
+        }
+        println!(
+            "double-rounding fallbacks among positive finite f32: {}",
+            fallbacks.len()
+        );
+    }
+
+    /// [`sweep`] over every positive `f32` in [2^-8, 2^12), the binades
+    /// sensor readings live in (2^27 values): none of them needs the
+    /// fallback.
+    ///
+    /// `cargo test --release -p sensorsafe-json --lib f32_sensor_binades_sweep
+    /// -- --ignored` — about a minute on two cores.
+    #[test]
+    #[ignore = "2^27 values; run in release"]
+    fn f32_sensor_binades_sweep() {
+        let (lo, hi) = (2f32.powi(-8).to_bits(), 2f32.powi(12).to_bits());
+        assert_eq!(hi - lo, 20 << 23);
+        assert_eq!(sweep(lo..hi), Vec::<u32>::new());
+    }
+
+    /// Texts either side of 16 bytes, where [`lay_out`] hands over to
+    /// [`lay_out_wide`]: every digit count a float has, points from far
+    /// left of the first digit to far right of the last, both signs.
+    #[test]
+    fn layouts_either_side_of_the_register() {
+        for digits in [
+            "1",
+            "12",
+            "1234567",
+            "12345678",
+            "123456789",
+            "1234567890123456",
+            "12345678901234567",
+        ] {
+            for e in -40..=24 {
+                for sign in ["", "-"] {
+                    let x: f64 = format!("{sign}{digits}e{e}").parse().unwrap();
+                    assert_eq!(text_f64(x), std_f64(x), "{sign}{digits}e{e}");
+                    let y = x as f32;
+                    if y.is_finite() {
+                        assert_eq!(text_f32(y), std_f32(y), "{sign}{digits}e{e} as f32");
                     }
-                    found.len() as u64
-                })
-                .sum()
-        });
-        println!("double-rounding fallbacks among positive finite f32: {fallbacks}");
+                }
+            }
+        }
     }
 }

@@ -119,15 +119,9 @@ impl Cell {
     /// Decodes the cell that starts `bytes`.
     fn decode(bytes: &[u8], kind: ValueKind) -> Cell {
         match kind {
-            ValueKind::F64 => Cell::F64(f64::from_le_bytes(
-                bytes[..8].try_into().expect("blob aligned"),
-            )),
-            ValueKind::F32 => Cell::F32(f32::from_le_bytes(
-                bytes[..4].try_into().expect("blob aligned"),
-            )),
-            ValueKind::I16 => Cell::I16(i16::from_le_bytes(
-                bytes[..2].try_into().expect("blob aligned"),
-            )),
+            ValueKind::F64 => Cell::F64(f64::from_le_bytes(cell_bytes(bytes))),
+            ValueKind::F32 => Cell::F32(f32::from_le_bytes(cell_bytes(bytes))),
+            ValueKind::I16 => Cell::I16(i16::from_le_bytes(cell_bytes(bytes))),
         }
     }
 
@@ -529,21 +523,44 @@ impl WaveSegment {
             write_str(out, spec.kind.as_str());
             out.push(b'}');
         });
-        out.extend_from_slice(b",\"data\":");
-        write_array(out, self.tuples(), |out, tuple| {
-            write_array(out, tuple, |out, cell| match cell {
-                Cell::F64(v) => write_f64(out, v),
-                Cell::F32(v) => write_f32(out, v),
-                Cell::I16(v) => write_i64(out, v as i64),
-            })
-        });
-        out.push(b'}');
+        out.extend_from_slice(b",\"data\":[");
+        // Each column's place in a tuple and its kind, resolved once: the
+        // rows below are written from this plan, cell by cell, with every
+        // separator written after its cell and the last one of a row or
+        // of the array overwritten by the closing bracket.
+        let plan: Vec<(usize, ValueKind)> = self
+            .offsets
+            .iter()
+            .zip(&self.meta.format)
+            .map(|(&offset, spec)| (offset, spec.kind))
+            .collect();
+        for tuple in self.blob.chunks_exact(self.tuple_width()) {
+            out.push(b'[');
+            for &(offset, kind) in &plan {
+                let cell = &tuple[offset..];
+                match kind {
+                    ValueKind::F32 => write_f32(out, f32::from_le_bytes(cell_bytes(cell))),
+                    ValueKind::F64 => write_f64(out, f64::from_le_bytes(cell_bytes(cell))),
+                    ValueKind::I16 => write_i64(out, i16::from_le_bytes(cell_bytes(cell)) as i64),
+                }
+                out.push(b',');
+            }
+            *out.last_mut().expect("a format has a column") = b']';
+            out.push(b',');
+        }
+        if self.rows > 0 {
+            out.pop();
+        }
+        out.extend_from_slice(b"]}");
     }
 
-    /// Roughly how many bytes [`WaveSegment::write_json`] appends: what a
-    /// typical cell of each kind prints to, plus brackets and the header.
-    fn json_size_hint(&self) -> usize {
-        let per_row: usize = self
+    /// An upper estimate of the bytes [`WaveSegment::write_json`] appends
+    /// for typical sensor data — what a cell of each kind usually prints
+    /// to, every bracket and separator, and the header — so a reply
+    /// reserved from the sum over its segments is not grown while it is
+    /// written.
+    pub fn json_size_hint(&self) -> usize {
+        let cells: usize = self
             .meta
             .format
             .iter()
@@ -553,11 +570,13 @@ impl WaveSegment {
                 ValueKind::I16 => 7,
             })
             .sum();
+        // `[`, a comma after every cell but the last, `]`, the row's comma.
+        let per_row = cells + self.meta.format.len() + 2;
         let stamps = match &self.meta.timing {
             Timing::Uniform { .. } => 0,
             Timing::PerSample(stamps) => stamps.len() * 14,
         };
-        192 + self.meta.format.len() * 48 + stamps + self.rows * (per_row + 2)
+        192 + self.meta.format.len() * 48 + stamps + self.rows * per_row
     }
 
     /// The Fig. 5 JSON form as a tree, serializing to the bytes of
@@ -709,6 +728,11 @@ impl WaveSegment {
             &rows,
         )
     }
+}
+
+/// The `W` bytes a cell of width `W` starts with.
+fn cell_bytes<const W: usize>(cell: &[u8]) -> [u8; W] {
+    cell[..W].try_into().expect("blob aligned")
 }
 
 /// Byte offset of every column inside a tuple, followed by the tuple
