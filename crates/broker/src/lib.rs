@@ -13,7 +13,9 @@
 //!   records, consumer accounts with escrowed keys and saved lists.
 //! * [`service`] — the HTTP API: `/api/sync` (rule mirror, pushed by
 //!   stores), `/api/register`, `/api/stores/register`,
-//!   `/api/consumers/*` (escrow + lists), `/api/search`.
+//!   `/api/consumers/*` (escrow + lists), `/api/search`. The search
+//!   handler and the mirror's metric families live in the private
+//!   `search` module.
 //! * [`web`] — the broker's web UI: contributor search form and result
 //!   lists, plus the `/ui/fleet` health table.
 //! * [`fleet`] — the fleet health plane: a background scraper over every
@@ -28,6 +30,7 @@
 pub mod failover;
 pub mod fleet;
 pub mod registry;
+mod search;
 pub mod service;
 pub mod web;
 
