@@ -9,8 +9,11 @@
 //! contributor's list is their own (`unshared`: one evaluation each).
 //! Each population is measured twice: `search()`, which materialises a
 //! `Vec<ContributorId>` no server path builds, and `walk_and_render`,
-//! what the broker serves — the visitor appends each hit's pre-rendered
-//! name to a reply body.
+//! what the broker serves — the visitor appends each run of consecutive
+//! hits, pre-rendered, to a reply body. Since a run is one copy however
+//! long it is, `a2_walk_and_render_by_hit_density` varies how the hits
+//! among 10 000 contributors fall: all of them (one run), three in four
+//! (runs of three), alternating and one in a hundred (runs of one).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sensorsafe_bench::{synthetic_rules, synthetic_rules_unshared, walk_and_render};
@@ -81,6 +84,34 @@ fn bench_search_scaling(c: &mut Criterion) {
     }
 }
 
+/// Contributor index → whether that contributor is a hit.
+type HitsAt = fn(usize) -> bool;
+
+fn bench_walk_by_hit_density(c: &mut Criterion) {
+    let mut group = c.benchmark_group("a2_walk_and_render_by_hit_density");
+    let densities: [(&str, HitsAt); 4] = [
+        ("all", |_| true),
+        ("three_in_four", |i| i % 4 != 3),
+        ("alternating", |i| i % 2 == 0),
+        ("one_in_100", |i| i % 100 == 0),
+    ];
+    for (density, hits) in densities {
+        let index = index_of(10_000, |i| {
+            if hits(i) {
+                vec![PrivacyRule::allow_all()]
+            } else {
+                vec![]
+            }
+        });
+        let query = paper_query();
+        group.throughput(Throughput::Elements(10_000));
+        group.bench_with_input(BenchmarkId::from_parameter(density), &index, |b, index| {
+            b.iter(|| black_box(walk_and_render(index, black_box(&query)).len()))
+        });
+    }
+    group.finish();
+}
+
 fn bench_search_vs_rules_per_contributor(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2_search_vs_rules_per_contributor");
     for rules_each in [1usize, 4, 16, 32] {
@@ -115,6 +146,7 @@ fn bench_sync_throughput(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_search_scaling,
+    bench_walk_by_hit_density,
     bench_search_vs_rules_per_contributor,
     bench_sync_throughput
 );

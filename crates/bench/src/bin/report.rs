@@ -144,7 +144,7 @@ fn a2_search_table() {
             ("driving-stress (ECG+RSP while driving)", &driving_query),
         ] {
             let mut hits = 0;
-            let evaluated = index.search_each(query, |_| hits += 1);
+            let evaluated = index.search_each(query, |run| hits += run.hits().len());
             let (micros, bytes) = time_walk_and_render(&index, query);
             println!(
                 "{:>12}  {:<30} {:>14}  {:<42} {:>15} {:>6} {:>10.1} {:>10}",

@@ -191,15 +191,15 @@ pub fn synthetic_rules_unshared(i: usize, rules_per_contributor: usize) -> Vec<P
 }
 
 /// What the broker's `/api/search` handler does with a search: the
-/// visitor appends every hit's rendered name to a reply body. Returns
-/// the array's items (A2's `walk_and_render`).
+/// visitor appends every run of consecutive hits, already rendered, to a
+/// reply body. Returns the array's items (A2's `walk_and_render`).
 pub fn walk_and_render(index: &RuleIndex, query: &SearchQuery) -> Vec<u8> {
     let mut body = Vec::new();
-    index.search_each(query, |hit| {
+    index.search_each(query, |run| {
         if !body.is_empty() {
             body.push(b',');
         }
-        body.extend_from_slice(hit.json().as_bytes());
+        body.extend_from_slice(run.json().as_bytes());
     });
     body
 }

@@ -138,9 +138,11 @@ fn handle_search_post(inner: &Inner, req: &Request, username: &str) -> Response 
     let mut items = String::new();
     let mut hits = 0;
     let index = inner.rules.read();
-    let evaluated = index.search_each(&query, |hit| {
-        hits += 1;
-        items.push_str(&format!("<li>{}</li>", escape(&hit.name())));
+    let evaluated = index.search_each(&query, |run| {
+        for hit in run.hits() {
+            hits += 1;
+            items.push_str(&format!("<li>{}</li>", escape(&hit.name())));
+        }
     });
     inner.mirror_metrics.observe_search(&index, evaluated);
     drop(index);

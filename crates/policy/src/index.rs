@@ -28,24 +28,30 @@
 //! study's participants, an organisation's default) mirror *identical*
 //! lists. So the mirror **interns** lists: a contributor's entry is an
 //! epoch and a slot in a slab of distinct lists, each with a member
-//! count, and a search is one name-ordered walk with a per-slot memo —
-//! every distinct list is evaluated at most once per query, through the
-//! same reference [`evaluate`] enforcement is tested against. A search
-//! therefore costs `distinct lists × probes` evaluations plus one memo
-//! lookup per contributor; when no two contributors share a list the
-//! memo gives nothing and the cost is the per-list evaluation the plan
-//! already made cheaper. List identity is `==` on the parsed rules; a
-//! hash only picks where to look.
+//! count, and a search evaluates every distinct list once per query —
+//! through the same reference [`evaluate`] enforcement is tested
+//! against — into a per-slot verdict table, then makes one name-ordered
+//! walk that reads it. A search therefore costs `distinct lists × probes`
+//! evaluations plus one table lookup per contributor; when no two
+//! contributors share a list the table saves nothing and the cost is the
+//! per-list evaluation the plan already made cheaper. List identity is
+//! `==` on the parsed rules; a hash only picks where to look.
 //!
 //! What the walk reads is not the map of entries but a **scan column**
 //! derived from it: one 8-byte row `(slot, end)` per contributor, in name
 //! order, over a single text that holds every name already rendered as
-//! its JSON string literal. Per contributor a search reads one row and
-//! one memo cell; per hit it hands the visitor a [`Hit`] whose literal is
-//! a slice of that text — the escape scan ran once, when the column was
-//! built, not once per hit per search. The map stays the point-lookup
-//! structure (`sync`, `rules_of`, `epochs`); nothing iterates it to
-//! answer a search. The column is kept true by three rules:
+//! its JSON string literal and followed by its `,` separator. Per
+//! contributor a search reads one row and one verdict. What it hands
+//! the visitor is a **run**, not a hit: rows `a..b` that all match are one
+//! slice of that text, so [`Run::json`] is a whole stretch of a reply's
+//! array, copied with one `extend_from_slice` however many hits it holds.
+//! The escape scan ran once, when the column was built, not once per hit
+//! per search. A search whose hits are isolated copies once per hit, as
+//! before; one that everybody matches copies once. [`Run::hits`] gives
+//! the run's [`Hit`]s one by one, for work that needs names. The map
+//! stays the point-lookup structure (`sync`, `rules_of`, `epochs`);
+//! nothing iterates it to answer a search. The column is kept true by
+//! three rules:
 //!
 //! * a sync of a contributor the mirror did not hold, and a `remove`,
 //!   **drop** it; the next search rebuilds it, once, under `&self`
@@ -62,8 +68,8 @@
 //! alternating: every search rebuilds, about twice what a search cost
 //! before the column existed. [`RuleIndex::scan_builds`] counts the
 //! rebuilds so that churn is visible. The column costs one row and one
-//! literal (name + 2 quotes + escapes) per contributor and is dropped,
-//! never grown, by membership changes.
+//! literal with its separator (name + 3 bytes + escapes) per contributor
+//! and is dropped, never grown, by membership changes.
 
 use crate::abstraction::{ActivityAbs, BinaryAbs};
 use crate::deps::DependencyGraph;
@@ -76,6 +82,7 @@ use std::borrow::Cow;
 use std::collections::btree_map::Entry as MapEntry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -282,8 +289,8 @@ fn bucket_of(rules: &[PrivacyRule]) -> u64 {
 }
 
 /// One contributor in the [`ScanColumn`]: the slot of their rule list and
-/// where their literal ends in the column's text (it starts where the
-/// previous row's ends).
+/// where their literal and its separator end in the column's text (they
+/// start where the previous row's end).
 #[derive(Debug, Clone, Copy)]
 struct Row {
     slot: u32,
@@ -295,7 +302,8 @@ struct Row {
 #[derive(Debug)]
 struct ScanColumn {
     rows: Vec<Row>,
-    /// Every name as `sensorsafe_json::write_str` renders it, end to end.
+    /// Every name as `sensorsafe_json::write_str` renders it, each
+    /// followed by a `,`, end to end: rows `a..b` are one slice of it.
     text: String,
 }
 
@@ -304,10 +312,11 @@ impl ScanColumn {
         let mut rows = Vec::with_capacity(entries.len());
         // Sized for names that need no escape — nearly all — so the text
         // is allocated once instead of leaving a trail of outgrown halves.
-        let unescaped = entries.keys().map(|name| name.as_str().len() + 2).sum();
+        let unescaped = entries.keys().map(|name| name.as_str().len() + 3).sum();
         let mut text = Vec::with_capacity(unescaped);
         for (name, entry) in entries {
             sensorsafe_json::write_str(&mut text, name.as_str());
+            text.push(b',');
             rows.push(Row {
                 slot: entry.slot,
                 end: u32::try_from(text.len()).expect("fewer than 4 GiB of mirrored names"),
@@ -319,11 +328,17 @@ impl ScanColumn {
         }
     }
 
-    /// Row `at` as the hit it would be.
+    /// Where row `at` starts in the text.
+    #[inline]
+    fn start_of(&self, at: usize) -> usize {
+        at.checked_sub(1)
+            .map_or(0, |prev| self.rows[prev].end as usize)
+    }
+
+    /// Row `at` as the hit it would be: its literal, without the separator.
     fn hit(&self, at: usize) -> Hit<'_> {
-        let start = at.checked_sub(1).map_or(0, |prev| self.rows[prev].end);
         Hit {
-            literal: &self.text[start as usize..self.rows[at].end as usize],
+            literal: &self.text[self.start_of(at)..self.rows[at].end as usize - 1],
         }
     }
 
@@ -342,6 +357,53 @@ impl ScanColumn {
             }
         }
         unreachable!("the scan column holds every mirrored name");
+    }
+}
+
+/// Consecutive contributors, in name order, that a search matched: rows
+/// the scan column holds back to back, so their literals are one slice.
+#[derive(Clone)]
+pub struct Run<'a> {
+    scan: &'a ScanColumn,
+    rows: Range<usize>,
+}
+
+/// The rows and the names, not the whole column they are a slice of.
+impl std::fmt::Debug for Run<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Run")
+            .field("rows", &self.rows)
+            .field("json", &self.json())
+            .finish()
+    }
+}
+
+impl<'a> Run<'a> {
+    /// The run's names as the items of a JSON array, comma-separated,
+    /// with no comma before the first or after the last: the bytes of
+    /// [`Hit::json`] over [`Run::hits`] joined by `,`.
+    // Inlined, like `hits` and `start_of`: the broker calls it once per
+    // run from another crate, and a call per run costs what a copy does
+    // when runs are short.
+    #[inline]
+    pub fn json(&self) -> &'a str {
+        let end = self.scan.rows[self.rows.end - 1].end as usize;
+        &self.scan.text[self.scan.start_of(self.rows.start)..end - 1]
+    }
+
+    /// The run's contributors one by one, in name order.
+    #[inline]
+    pub fn hits(&self) -> impl ExactSizeIterator<Item = Hit<'a>> + 'a {
+        let text = self.scan.text.as_str();
+        // Each literal starts where the one before it, and its separator,
+        // ended.
+        let mut start = self.scan.start_of(self.rows.start);
+        self.scan.rows[self.rows.clone()].iter().map(move |row| {
+            let end = row.end as usize;
+            let literal = &text[start..end - 1];
+            start = end;
+            Hit { literal }
+        })
     }
 }
 
@@ -553,29 +615,48 @@ impl RuleIndex {
     }
 
     /// Hands every contributor whose rule list satisfies `query` to
-    /// `hit`, in name order, and returns how many rule lists it had to
-    /// evaluate: each distinct list at most once, and only lists some
-    /// contributor mirrors.
-    pub fn search_each(&self, query: &SearchQuery, mut hit: impl FnMut(Hit<'_>)) -> usize {
+    /// `visit`, in name order, as maximal [`Run`]s of consecutive hits
+    /// (no two runs adjoin), and returns how many rule lists it had to
+    /// evaluate: each distinct list once, and only lists some contributor
+    /// mirrors.
+    pub fn search_each(&self, query: &SearchQuery, mut visit: impl FnMut(Run<'_>)) -> usize {
         let plan = query.plan();
         let scan = self.scan();
-        // Verdict per slot, filled on first use. Local to the query, so
-        // a slot freed and reused between queries starts unknown.
-        let mut memo: Vec<Option<bool>> = vec![None; self.lists.len()];
+        // Verdict per slot, local to the query, so a slot freed and reused
+        // between queries is judged afresh. Every live list has a member
+        // in the column, so the walk would reach each one anyway: judging
+        // them first leaves the walk one table lookup per row.
         let mut evaluated = 0;
-        let mut start = 0;
-        for row in &scan.rows {
-            let (slot, end) = (row.slot as usize, row.end as usize);
-            let matched = *memo[slot].get_or_insert_with(|| {
-                evaluated += 1;
-                plan.matches(&self.lists[slot].rules, &self.graph)
+        let verdict: Vec<bool> = self
+            .lists
+            .iter()
+            .map(|list| {
+                list.members > 0 && {
+                    evaluated += 1;
+                    plan.matches(&list.rules, &self.graph)
+                }
+            })
+            .collect();
+        let matched = |row: &Row| verdict[row.slot as usize];
+        // A run opens at the next row that matches and closes before the
+        // next one that does not, and the next run is looked for after
+        // that one: every row's verdict is read once.
+        let rows = &scan.rows;
+        let mut at = 0;
+        while let Some(skip) = rows
+            .get(at..)
+            .and_then(|rest| rest.iter().position(matched))
+        {
+            let first = at + skip;
+            let end = rows[first + 1..]
+                .iter()
+                .position(|row| !matched(row))
+                .map_or(rows.len(), |len| first + 1 + len);
+            visit(Run {
+                scan,
+                rows: first..end,
             });
-            if matched {
-                hit(Hit {
-                    literal: &scan.text[start..end],
-                });
-            }
-            start = end;
+            at = end + 1;
         }
         evaluated
     }
@@ -583,7 +664,9 @@ impl RuleIndex {
     /// All contributors whose rule lists satisfy `query`, in name order.
     pub fn search(&self, query: &SearchQuery) -> Vec<ContributorId> {
         let mut hits = Vec::new();
-        self.search_each(query, |hit| hits.push(ContributorId::new(hit.name())));
+        self.search_each(query, |run| {
+            hits.extend(run.hits().map(|hit| ContributorId::new(hit.name())))
+        });
         hits
     }
 }

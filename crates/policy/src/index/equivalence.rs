@@ -10,9 +10,11 @@
 //!
 //! The same steps pin the scan column a search reads: the names are ones
 //! JSON has to escape, every hit's literal must be `write_str` of the
-//! reference's hit and give the name back, and a second index that is
-//! searched only now and then takes the same steps, so the column is
-//! checked both patched in place and rebuilt after a run of changes.
+//! reference's hit and give the name back, every run's `json()` must be
+//! those literals comma-joined, runs must be consecutive in name order
+//! and maximal (no two adjoin), and a second index that is searched only
+//! now and then takes the same steps, so the column is checked both
+//! patched in place and rebuilt after a run of changes.
 
 use super::*;
 use crate::rule::{
@@ -117,17 +119,41 @@ fn literal_of(name: &str) -> String {
 }
 
 fn check_searches(index: &RuleIndex, model: &Model, queries: &[SearchQuery]) {
+    // Where each mirrored name sits in name order.
+    let position: BTreeMap<&ContributorId, usize> =
+        model.keys().enumerate().map(|(at, id)| (id, at)).collect();
     for query in queries {
         let expected = reference_search(model, query);
+        let rendered: Vec<String> = expected.iter().map(|id| literal_of(id.as_str())).collect();
         let mut literals = Vec::new();
         let mut names = Vec::new();
-        let evaluated = index.search_each(query, |hit| {
-            literals.push(hit.json().to_string());
-            names.push(ContributorId::new(hit.name()));
+        // Each run as the range of `expected` it covers.
+        let mut runs = Vec::new();
+        let evaluated = index.search_each(query, |run| {
+            let first = names.len();
+            for hit in run.hits() {
+                literals.push(hit.json().to_string());
+                names.push(ContributorId::new(hit.name()));
+            }
+            assert!(names.len() > first, "a run holds at least one hit");
+            runs.push((first..names.len(), run.json().to_string()));
         });
         assert_eq!(names, expected, "{query:?}");
-        let rendered: Vec<String> = expected.iter().map(|id| literal_of(id.as_str())).collect();
         assert_eq!(literals, rendered, "{query:?}");
+        for (at, (covers, json)) in runs.iter().enumerate() {
+            assert_eq!(*json, rendered[covers.clone()].join(","), "{query:?}");
+            // Consecutive in name order, and maximal: the row just
+            // before the next run is not a hit.
+            let positions: Vec<usize> = expected[covers.clone()]
+                .iter()
+                .map(|id| position[id])
+                .collect();
+            assert!(positions.windows(2).all(|w| w[1] == w[0] + 1), "{query:?}");
+            if let Some((next, _)) = runs.get(at + 1) {
+                let last = positions[positions.len() - 1];
+                assert!(position[&expected[next.start]] > last + 1, "{query:?}");
+            }
+        }
         assert!(evaluated <= index.distinct_rule_sets());
         assert_eq!(index.search(query), expected);
         assert_eq!(index.snapshot().search(query), expected);
@@ -486,7 +512,10 @@ fn a_search_evaluates_each_distinct_list_once() {
     }
     assert_eq!(index.distinct_rule_sets(), 4);
     let mut hits = 0;
-    assert_eq!(index.search_each(&ecg_query("bob"), |_| hits += 1), 4);
+    assert_eq!(
+        index.search_each(&ecg_query("bob"), |run| hits += run.hits().len()),
+        4
+    );
     assert_eq!(hits, 500);
     // Re-syncing everyone to one list leaves one list to evaluate, and
     // a mirror nobody is in evaluates nothing.
@@ -494,7 +523,10 @@ fn a_search_evaluates_each_distinct_list_once() {
         index.sync(ContributorId::new(format!("c{i:04}")), 2, allow_for("eve"));
     }
     assert_eq!(index.distinct_rule_sets(), 1);
-    assert_eq!(index.search_each(&ecg_query("bob"), |_| hits += 1), 1);
+    assert_eq!(
+        index.search_each(&ecg_query("bob"), |run| hits += run.hits().len()),
+        1
+    );
     assert_eq!(hits, 500);
     assert_eq!(RuleIndex::new().search_each(&ecg_query("bob"), |_| ()), 0);
 }
@@ -505,8 +537,8 @@ fn a_search_evaluates_each_distinct_list_once() {
 fn the_scan_column_is_built_once_per_membership_change() {
     let names = |index: &RuleIndex, consumer: &str| -> Vec<String> {
         let mut names = Vec::new();
-        index.search_each(&ecg_query(consumer), |hit| {
-            names.push(hit.name().into_owned())
+        index.search_each(&ecg_query(consumer), |run| {
+            names.extend(run.hits().map(|hit| hit.name().into_owned()))
         });
         names
     };

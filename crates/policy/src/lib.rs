@@ -38,7 +38,7 @@ pub use compile::CompiledRules;
 pub use deps::DependencyGraph;
 pub use enforce::{enforce, ContextLabel, SharedLocation, SharedSegment};
 pub use eval::{evaluate, ConsumerCtx, Decision, WindowCtx};
-pub use index::{Hit, RuleIndex, RuleSnapshot, SearchQuery};
+pub use index::{Hit, RuleIndex, RuleSnapshot, Run, SearchQuery};
 pub use rule::{
     AbstractionSpec, Action, Conditions, ConsumerSelector, LocationCondition, PrivacyRule,
     RuleError, TimeCondition,
