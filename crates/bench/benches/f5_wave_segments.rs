@@ -15,16 +15,28 @@
 //! branches, so the two orders should time alike; a writer that branched
 //! on the shape would run faster on the sorted cells, whose shapes a
 //! branch predictor learns.
+//!
+//! The `decode` group times the inverse, on both data paths: a phone's
+//! upload body (the first 100 segments of a simulated day plus its
+//! annotations — one preload batch of the benchmark package's
+//! `query_day`, ≈ 183 KB) and a consumer's query reply (the minute
+//! above), each read straight from the text by the served readers
+//! (`reader`) against a parsed tree decoded by the reference decoders
+//! (`tree`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sensorsafe_bench::{
     alice_scenario, chest_packets, segment_store_with, tuple_store_with, DAY_START,
 };
-use sensorsafe_core::datastore::{write_shared_view_json, SharedView};
-use sensorsafe_core::jsonlib::write_f32;
+use sensorsafe_core::datastore::{
+    annotation_to_json, read_shared_view_json, shared_view_from_json, write_shared_view_json,
+    SharedView,
+};
+use sensorsafe_core::jsonlib::{parse, to_vec, write_array, write_f32, write_str, Reader};
 use sensorsafe_core::policy::{SharedLocation, SharedSegment, TimeAbs};
+use sensorsafe_core::sim::Scenario;
 use sensorsafe_core::store::{MergePolicy, Query, TupleStore};
-use sensorsafe_core::types::{TimeRange, Timestamp, ValueKind};
+use sensorsafe_core::types::{TimeRange, Timestamp, ValueKind, WaveSegment};
 use std::hint::black_box;
 
 /// One hour of 50 Hz chest data = 2812 packets.
@@ -179,11 +191,105 @@ fn bench_render(c: &mut Criterion) {
     group.finish();
 }
 
+/// The first preload batch of one `query_day` contributor: 100 segments
+/// of a simulated day at the package's scale, with the day's annotations.
+fn preload_batch() -> Vec<u8> {
+    let rendered = Scenario::alice_day(Timestamp::from_millis(DAY_START), 101, 2).render();
+    let mut body = b"{\"key\":".to_vec();
+    write_str(&mut body, &"ab".repeat(32));
+    body.extend_from_slice(b",\"segments\":");
+    write_array(
+        &mut body,
+        &rendered.all_segments()[..100],
+        |out, segment| segment.write_json(out),
+    );
+    body.extend_from_slice(b",\"annotations\":");
+    write_array(&mut body, &rendered.annotations, |out, annotation| {
+        out.extend_from_slice(&to_vec(&annotation_to_json(annotation)))
+    });
+    body.push(b'}');
+    body
+}
+
+/// What the upload route keeps of a body read straight from its text:
+/// the segments, and the annotations as a tree.
+fn read_upload(text: &str) -> (Vec<WaveSegment>, usize) {
+    let mut reader = Reader::new(text);
+    let (mut segments, mut annotations) = (Vec::new(), 0);
+    reader.begin_object().expect("object");
+    while let Some(key) = reader.next_key().expect("key") {
+        match &*key {
+            "segments" => {
+                segments = reader
+                    .array_of(WaveSegment::read_json)
+                    .expect("json")
+                    .expect("array")
+                    .expect("segments");
+            }
+            "annotations" => {
+                annotations = reader
+                    .value()
+                    .expect("json")
+                    .as_array()
+                    .map_or(0, <[_]>::len)
+            }
+            _ => reader.skip().expect("json"),
+        }
+    }
+    reader.finish().expect("one document");
+    (segments, annotations)
+}
+
+/// The same through a parsed tree and [`WaveSegment::from_json`].
+fn tree_upload(text: &str) -> (Vec<WaveSegment>, usize) {
+    let tree = parse(text).expect("json");
+    let segments = tree["segments"]
+        .as_array()
+        .expect("array")
+        .iter()
+        .map(|s| WaveSegment::from_json(s).expect("segment"))
+        .collect();
+    (
+        segments,
+        tree["annotations"].as_array().map_or(0, <[_]>::len),
+    )
+}
+
+fn bench_decode(c: &mut Criterion) {
+    let batch = preload_batch();
+    let batch = std::str::from_utf8(&batch).expect("utf-8");
+    assert_eq!(read_upload(batch), tree_upload(batch));
+    let mut reply = Vec::new();
+    write_shared_view_json(&alice_minute(), &mut reply);
+    let reply_tree = || {
+        shared_view_from_json(&parse(std::str::from_utf8(&reply).expect("utf-8")).expect("json"))
+    };
+    assert_eq!(read_shared_view_json(&reply), reply_tree());
+    let mut group = c.benchmark_group("decode");
+    group.sample_size(30);
+    group.throughput(Throughput::Bytes(batch.len() as u64));
+    group.bench_function("upload_batch_reader", |b| {
+        b.iter(|| black_box(read_upload(black_box(batch))))
+    });
+    group.bench_function("upload_batch_tree", |b| {
+        b.iter(|| black_box(tree_upload(black_box(batch))))
+    });
+    group.throughput(Throughput::Bytes(reply.len() as u64));
+    group.bench_function("query_reply_reader", |b| {
+        b.iter(|| black_box(read_shared_view_json(black_box(&reply)).expect("view")))
+    });
+    group.bench_function("query_reply_tree", |b| {
+        b.iter(|| black_box(reply_tree().expect("view")))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_query_latency,
     bench_ingest,
     bench_segment_size_sweep,
-    bench_render
+    bench_render,
+    bench_decode
 );
 criterion_main!(benches);

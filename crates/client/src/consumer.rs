@@ -1,6 +1,6 @@
 //! The consumer application (Bob's workflow in §6).
 
-use sensorsafe_datastore::{shared_view_from_json, SharedView};
+use sensorsafe_datastore::{read_shared_view_json, SharedView};
 use sensorsafe_json::{json, Value};
 use sensorsafe_net::{Request, Transport};
 use sensorsafe_store::Query;
@@ -187,9 +187,7 @@ impl ConsumerApp {
                 resp.status.code()
             )));
         }
-        resp.json_body()
-            .and_then(|b| shared_view_from_json(&b))
-            .map_err(DownloadError::Fatal)
+        read_shared_view_json(&resp.body).map_err(DownloadError::Fatal)
     }
 
     /// The §6 end-to-end loop: fetch the access list and download every

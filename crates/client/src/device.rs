@@ -2,7 +2,7 @@
 //! §5.3 privacy-rule-aware collection.
 
 use sensorsafe_inference::InferencePipeline;
-use sensorsafe_json::{json, Value};
+use sensorsafe_json::{json, to_vec, write_array, write_str};
 use sensorsafe_net::{Request, Transport};
 use sensorsafe_policy::{
     evaluate, ConsumerCtx, ConsumerSelector, DependencyGraph, PrivacyRule, WindowCtx,
@@ -207,10 +207,10 @@ impl ContributorDevice {
             let annotations = self.annotate(&episode_segments, &window);
             let token = sensorsafe_auth::ApiKey::generate().to_hex();
             let payload = upload_payload(&self.api_key, &episode_segments, &annotations, &token);
-            let body_len = payload.to_string().len();
+            let body_len = payload.len();
             let resp = self
                 .store
-                .round_trip(&Request::post_json("/api/upload", &payload).idempotent())
+                .round_trip(&Request::post_json_bytes("/api/upload", payload).idempotent())
                 .map_err(|e| e.to_string())?;
             if !resp.status.is_success() {
                 return Err(format!("upload failed: {}", resp.status.code()));
@@ -266,29 +266,35 @@ fn hypothetical_contexts() -> Vec<Vec<sensorsafe_types::ContextState>> {
     out
 }
 
+/// The `/api/upload` body as text: the segments by
+/// [`WaveSegment::write_json`], with no tree of them.
 fn upload_payload(
     api_key: &str,
     segments: &[WaveSegment],
     annotations: &[ContextAnnotation],
     upload_token: &str,
-) -> Value {
-    json!({
-        "key": api_key,
-        "upload_token": upload_token,
-        "segments": (Value::Array(segments.iter().map(WaveSegment::to_json).collect())),
-        "annotations": (Value::Array(
-            annotations
-                .iter()
-                .map(sensorsafe_datastore::annotation_to_json)
-                .collect()
-        )),
-    })
+) -> Vec<u8> {
+    let mut out = b"{\"key\":".to_vec();
+    write_str(&mut out, api_key);
+    out.extend_from_slice(b",\"upload_token\":");
+    write_str(&mut out, upload_token);
+    out.extend_from_slice(b",\"segments\":");
+    write_array(&mut out, segments, |out, segment| segment.write_json(out));
+    out.extend_from_slice(b",\"annotations\":");
+    write_array(&mut out, annotations, |out, annotation| {
+        out.extend_from_slice(&to_vec(&sensorsafe_datastore::annotation_to_json(
+            annotation,
+        )))
+    });
+    out.push(b'}');
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sensorsafe_datastore::{DataStoreConfig, DataStoreService};
+    use sensorsafe_datastore::{annotation_to_json, DataStoreConfig, DataStoreService};
+    use sensorsafe_json::Value;
     use sensorsafe_net::{LocalTransport, Service, Status};
     use sensorsafe_types::Timestamp;
 
@@ -316,6 +322,23 @@ mod tests {
             &json!({"key": key, "rules": rules}),
         ));
         assert_eq!(resp.status, Status::Ok);
+    }
+
+    #[test]
+    fn upload_body_is_the_tree_form_byte_for_byte() {
+        let rendered = scenario().render();
+        let segments = &rendered.all_segments()[..3];
+        let annotations = &rendered.annotations[..2];
+        let tree = json!({
+            "key": "k\"ey",
+            "upload_token": "00ff",
+            "segments": (Value::Array(segments.iter().map(WaveSegment::to_json).collect())),
+            "annotations": (Value::Array(annotations.iter().map(annotation_to_json).collect())),
+        });
+        assert_eq!(
+            upload_payload("k\"ey", segments, annotations, "00ff"),
+            tree.to_string().into_bytes()
+        );
     }
 
     #[test]

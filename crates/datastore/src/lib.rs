@@ -24,10 +24,12 @@ pub mod pipeline;
 pub mod repl;
 pub mod service;
 pub mod state;
+mod upload;
 pub mod web;
 
 pub use pipeline::{
-    shared_view, shared_view_from_json, shared_view_to_json, write_shared_view_json, SharedView,
+    read_shared_view_json, shared_view, shared_view_from_json, shared_view_to_json,
+    write_shared_view_json, SharedView,
 };
 pub use repl::{ReplShipper, ReplicaLink};
 pub use service::{annotation_to_json, BrokerLink, DataStoreConfig, DataStoreService};

@@ -9,7 +9,9 @@
 //! independently.
 
 use crate::state::ContributorAccount;
-use sensorsafe_json::{json, write_array, write_i64, write_str, Map, Value};
+use sensorsafe_json::{
+    json, write_array, write_i64, write_str, Map, ParseError, Reader, Token, Value,
+};
 use sensorsafe_policy::{
     enforce, ConsumerCtx, DependencyGraph, SharedLocation, SharedSegment, TimeAbs,
 };
@@ -220,7 +222,10 @@ pub fn shared_view_to_json(view: &SharedView) -> Value {
     json!({ "windows": (Value::Array(windows)) })
 }
 
-/// Parses the wire form back into a [`SharedView`] (consumer side).
+/// Parses the wire form back into a [`SharedView`] from a tree. No
+/// served path decodes a reply through a tree ([`read_shared_view_json`]
+/// reads the text itself); this is the reference that reader is tested
+/// against.
 pub fn shared_view_from_json(value: &Value) -> Result<SharedView, String> {
     let windows_json = value
         .get("windows")
@@ -232,57 +237,127 @@ pub fn shared_view_from_json(value: &Value) -> Result<SharedView, String> {
             Value::Null => None,
             seg => Some(WaveSegment::from_json(seg).map_err(|e| e.to_string())?),
         };
-        let labels_json = w
-            .get("labels")
-            .and_then(Value::as_array)
-            .ok_or("missing 'labels'")?;
-        let mut labels = Vec::with_capacity(labels_json.len());
-        for l in labels_json {
-            let kind = l
-                .get("kind")
-                .and_then(Value::as_str)
-                .and_then(sensorsafe_types::ContextKind::parse)
-                .ok_or("bad label kind")?;
-            let text = l
-                .get("label")
-                .and_then(Value::as_str)
-                .ok_or("bad label text")?
-                .to_string();
-            let start = l
-                .path("window.start")
-                .and_then(Value::as_i64)
-                .ok_or("bad label window")?;
-            let end = l
-                .path("window.end")
-                .and_then(Value::as_i64)
-                .ok_or("bad label window")?;
-            labels.push(sensorsafe_policy::ContextLabel {
-                kind,
-                label: text,
-                window: TimeRange::new(
-                    sensorsafe_types::Timestamp::from_millis(start),
-                    sensorsafe_types::Timestamp::from_millis(end),
-                ),
-            });
-        }
-        let location = match &w["location"] {
-            Value::Null => SharedLocation::None,
-            Value::String(s) => SharedLocation::Text(s.clone()),
-            _ => return Err("bad location".into()),
-        };
-        let time_level = w
-            .get("time_level")
-            .and_then(Value::as_str)
-            .and_then(TimeAbs::parse)
-            .ok_or("bad time_level")?;
-        windows.push(SharedSegment {
-            segment,
-            labels,
-            location,
-            time_level,
-        });
+        windows.push(window_from_json(w, segment)?);
     }
     Ok(SharedView { windows })
+}
+
+/// Decodes a query reply body into a [`SharedView`] (consumer side),
+/// reading the text straight into the view's segments
+/// ([`WaveSegment::read_json`]) with no tree of the reply: the inverse
+/// of [`write_shared_view_json`]. Accepts exactly the bodies
+/// [`shared_view_from_json`] accepts after a parse, with the same error.
+/// The small members of a window (its labels, location and time level)
+/// are read as a tree; a repeated key's last value wins, as in a parsed
+/// object.
+pub fn read_shared_view_json(body: &[u8]) -> Result<SharedView, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+    let mut reader = Reader::new(text);
+    let view = read_view(&mut reader).map_err(|e| e.to_string())?;
+    reader.finish().map_err(|e| e.to_string())?;
+    view
+}
+
+/// The view, or its error once the whole value has been read.
+fn read_view(reader: &mut Reader<'_>) -> Result<Result<SharedView, String>, ParseError> {
+    let mut windows = None;
+    if reader.peek()? == Token::Object {
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "windows" => windows = reader.array_of(read_window)?,
+                _ => reader.skip()?,
+            }
+        }
+    } else {
+        reader.skip()?;
+    }
+    Ok(windows
+        .unwrap_or_else(|| Err("missing 'windows'".to_string()))
+        .map(|windows| SharedView { windows }))
+}
+
+fn read_window(reader: &mut Reader<'_>) -> Result<Result<SharedSegment, String>, ParseError> {
+    let mut segment = Ok(None);
+    let mut rest = Map::new();
+    if reader.peek()? == Token::Object {
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "segment" if reader.peek()? == Token::Null => {
+                    reader.skip()?;
+                    segment = Ok(None);
+                }
+                "segment" => {
+                    segment = WaveSegment::read_json(reader)?
+                        .map(Some)
+                        .map_err(|e| e.to_string());
+                }
+                "labels" | "location" | "time_level" => {
+                    let value = reader.value()?;
+                    rest.insert(key.into_owned(), value);
+                }
+                _ => reader.skip()?,
+            }
+        }
+    } else {
+        reader.skip()?;
+    }
+    Ok(segment.and_then(|segment| window_from_json(&Value::Object(rest), segment)))
+}
+
+/// A window's labels, location and time level, around its decoded
+/// segment.
+fn window_from_json(w: &Value, segment: Option<WaveSegment>) -> Result<SharedSegment, String> {
+    let labels_json = w
+        .get("labels")
+        .and_then(Value::as_array)
+        .ok_or("missing 'labels'")?;
+    let mut labels = Vec::with_capacity(labels_json.len());
+    for l in labels_json {
+        let kind = l
+            .get("kind")
+            .and_then(Value::as_str)
+            .and_then(sensorsafe_types::ContextKind::parse)
+            .ok_or("bad label kind")?;
+        let text = l
+            .get("label")
+            .and_then(Value::as_str)
+            .ok_or("bad label text")?
+            .to_string();
+        let start = l
+            .path("window.start")
+            .and_then(Value::as_i64)
+            .ok_or("bad label window")?;
+        let end = l
+            .path("window.end")
+            .and_then(Value::as_i64)
+            .ok_or("bad label window")?;
+        labels.push(sensorsafe_policy::ContextLabel {
+            kind,
+            label: text,
+            window: TimeRange::new(
+                sensorsafe_types::Timestamp::from_millis(start),
+                sensorsafe_types::Timestamp::from_millis(end),
+            ),
+        });
+    }
+    let location = match &w["location"] {
+        Value::Null => SharedLocation::None,
+        Value::String(s) => SharedLocation::Text(s.clone()),
+        _ => return Err("bad location".into()),
+    };
+    let time_level = w
+        .get("time_level")
+        .and_then(Value::as_str)
+        .and_then(TimeAbs::parse)
+        .ok_or("bad time_level")?;
+    Ok(SharedSegment {
+        segment,
+        labels,
+        location,
+        time_level,
+    })
 }
 
 #[cfg(test)]
@@ -606,6 +681,37 @@ mod tests {
         let wire = shared_view_to_json(&view);
         let back = shared_view_from_json(&wire).unwrap();
         assert_eq!(back, view);
+    }
+
+    #[test]
+    fn view_reader_answers_malformed_replies_like_the_tree() {
+        let tree = |text: &str| {
+            sensorsafe_json::parse(text)
+                .map_err(|e| e.to_string())
+                .and_then(|v| shared_view_from_json(&v))
+        };
+        for text in [
+            r#"{}"#,
+            r#"[{"windows": []}]"#,
+            r#"{"windows": {}}"#,
+            r#"{"windows": [5]}"#,
+            r#"{"windows": [7], "windows": [], "extra": [{}]}"#,
+            r#"{"windows": [{"labels": [], "time_level": "Hour"}]}"#,
+            r#"{"windows": [{"labels": [], "time_level": "Hour", "location": "LA", "location": null}]}"#,
+            r#"{"windows": [{"segment": 5, "labels": "x"}]}"#,
+            r#"{"windows": [{"segment": {"format": []}, "segment": null, "labels": [], "time_level": "Day"}]}"#,
+            r#"{"windows": [{"segment": null, "labels": [{"kind": "nope"}], "location": 3}]}"#,
+            r#"{"windows": [{"labels": [], "location": 3, "time_level": "Hour"}]}"#,
+            r#"{"windows": [{"labels": [], "time_level": "Hour"}, {"labels": 1}, {"labels": 2}]}"#,
+            r#"{"windows": [], "x": [1,]}"#,
+            r#"{"windows": []} x"#,
+        ] {
+            assert_eq!(read_shared_view_json(text.as_bytes()), tree(text), "{text}");
+        }
+        assert_eq!(
+            read_shared_view_json(b"{\"windows\": [\xff]}"),
+            Err("body is not UTF-8".to_string())
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::pipeline::{shared_view, write_shared_view_json};
 use crate::state::{ConsumerAccount, ContributorAccount, ContributorWriteGuard, DataStoreState};
+use crate::upload::Upload;
 use parking_lot::Mutex;
 use sensorsafe_auth::{ApiKey, KeyRing, PasswordStore, Principal, Role, SessionManager};
 use sensorsafe_json::{json, Value};
@@ -126,19 +127,18 @@ pub struct DataStoreService {
 }
 
 impl Inner {
-    /// Authenticates the `key` field of a request body (§5.4): the caller
-    /// behind it, or the 401; with `required`, the 403 it carries unless
-    /// the caller holds that role. Every API route passes through here
-    /// before its handler runs (the route table in
-    /// [`DataStoreService::new`] names each route's requirement).
+    /// Authenticates the `key` field of a request body (§5.4), given as
+    /// the string it holds: the caller behind it, or the 401; with
+    /// `required`, the 403 it carries unless the caller holds that role.
+    /// Every API route passes through here before its handler runs (the
+    /// route table in [`DataStoreService::new`] names each route's
+    /// requirement).
     fn authenticate(
         &self,
-        body: &Value,
+        key: Option<&str>,
         required: Option<(Role, &str)>,
     ) -> Result<Principal, Response> {
-        let principal = body
-            .get("key")
-            .and_then(Value::as_str)
+        let principal = key
             .and_then(|key| self.keys.authenticate(key))
             .ok_or_else(Response::unauthorized)?;
         match required {
@@ -416,19 +416,26 @@ impl Inner {
         self.repl_set_epoch(body, false)
     }
 
-    fn handle_upload(&self, principal: Principal, body: &Value) -> Reply {
+    /// Answers a read upload body: authenticated like every API route,
+    /// by a contributor's key, then stored.
+    pub(crate) fn upload(&self, body: Upload) -> Response {
+        let required = Some((Role::Contributor, "only contributors upload data"));
+        self.authenticate(body.key.as_deref(), required)
+            .and_then(|principal| self.handle_upload(principal, body))
+            .unwrap_or_else(|early| early)
+    }
+
+    fn handle_upload(&self, principal: Principal, upload: Upload) -> Reply {
         let id = ContributorId::new(principal.name);
-        let items = |field| {
-            body.get(field)
-                .and_then(Value::as_array)
-                .into_iter()
-                .flatten()
-        };
-        let segments = items("segments")
-            .map(WaveSegment::from_json)
-            .collect::<Result<Vec<_>, _>>()
+        let segments = upload
+            .segments
             .map_err(|e| Response::bad_request(&format!("bad segment: {e}")))?;
-        let annotations = items("annotations")
+        let annotations = upload
+            .annotations
+            .as_ref()
+            .and_then(Value::as_array)
+            .into_iter()
+            .flatten()
             .map(annotation_from_json)
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| Response::bad_request(&format!("bad annotation: {e}")))?;
@@ -436,8 +443,8 @@ impl Inner {
         // whose response was lost sends the same token again, and the
         // duplicate is answered from the store's token ledger instead of
         // being stored twice.
-        let token = body
-            .get("upload_token")
+        let token = upload
+            .upload_token
             .map(|v| {
                 v.as_str()
                     .and_then(|hex| repl::from_hex(hex).ok())
@@ -1208,13 +1215,25 @@ impl DataStoreService {
             let inner = inner.clone();
             router.get("/healthz", move |_, _| inner.handle_healthz());
         }
-        // Every API route: who may call it (the role its key must hold and
-        // the 403 otherwise; `None` = the handler decides by role) and the
-        // handler the authenticated caller is passed to.
+        {
+            // The upload body is read from its text, not parsed to a tree
+            // (`crate::upload`), and authenticates in `Inner::upload`; a
+            // body that is no JSON document gets the 400 every JSON route
+            // gives it.
+            let inner = inner.clone();
+            router.post("/api/upload", move |request, _| {
+                match Upload::read(&request.body) {
+                    Ok(body) => inner.upload(body),
+                    Err(e) => Response::bad_request(&format!("invalid JSON body: {e}")),
+                }
+            });
+        }
+        // Every other API route: who may call it (the role its key must
+        // hold and the 403 otherwise; `None` = the handler decides by role)
+        // and the handler the authenticated caller is passed to.
         type Handler = fn(&Inner, Principal, &Value) -> Reply;
         type Required = Option<(Role, &'static str)>;
         let contributor = |denied| Some((Role::Contributor, denied));
-        let upload = contributor("only contributors upload data");
         let edit_rules = contributor("only contributors edit their rules");
         let read_rules = contributor("only contributors read their rules");
         let edit_places = contributor("only contributors edit their places");
@@ -1222,9 +1241,8 @@ impl DataStoreService {
         let admin = Some((Role::Server, admin));
         let repl = Some((Role::Server, "replication requires a server key"));
         let fence = Some((Role::Server, "fencing requires a server key"));
-        let api: [(&str, Required, Handler); 15] = [
+        let api: [(&str, Required, Handler); 14] = [
             ("/api/register", admin, Inner::handle_register),
-            ("/api/upload", upload, Inner::handle_upload),
             ("/api/query", None, Inner::handle_query),
             ("/api/rules/set", edit_rules, Inner::handle_rules_set),
             ("/api/rules/get", read_rules, Inner::handle_rules_get),
@@ -1242,7 +1260,8 @@ impl DataStoreService {
         for (path, required, handler) in api {
             let inner = inner.clone();
             router.post_json(path, move |body| {
-                handler(&inner, inner.authenticate(body, required)?, body)
+                let key = body.get("key").and_then(Value::as_str);
+                handler(&inner, inner.authenticate(key, required)?, body)
             });
         }
         crate::web::mount(&mut router, &inner);
@@ -1268,6 +1287,11 @@ impl DataStoreService {
             },
             admin_key,
         )
+    }
+
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &Inner {
+        &self.inner
     }
 
     /// Attaches the broker link used for automatic rule sync.
@@ -1611,6 +1635,36 @@ mod tests {
         assert_eq!(resp.status, Status::Ok);
         let segments = resp.json_body().unwrap();
         assert!(!segments["segments"].as_array().unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_f32_cell_beyond_the_f32_range_is_refused_and_nothing_is_stored() {
+        let (svc, admin) = service();
+        let alice = register(&svc, &admin, "alice", "contributor");
+        let segment = |data: &str| {
+            format!(
+                r#"{{"start_time":0,"sampling_interval":1.0,"format":[{{"channel":"x","kind":"f32"}}],"data":{data}}}"#
+            )
+        };
+        let body = format!(
+            r#"{{"key":"{alice}","segments":[{},{}]}}"#,
+            segment("[[0.5]]"),
+            segment("[[1.5],[1e39],[2.5]]")
+        );
+        let resp = svc.handle(&Request::post_json_bytes("/api/upload", body.into_bytes()));
+        assert_eq!(resp.status, Status::BadRequest);
+        let error = resp.json_body().unwrap()["error"]
+            .as_str()
+            .unwrap()
+            .to_string();
+        assert!(error.starts_with("bad segment: "), "{error}");
+        assert!(error.contains("f32"), "{error}");
+        let resp = svc.handle(&Request::post_json(
+            "/api/query",
+            &json!({"key": (alice.clone()), "contributor": "alice"}),
+        ));
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.body, br#"{"segments":[]}"#);
     }
 
     #[test]

@@ -10,9 +10,16 @@
 //! The constants were captured before the number writer's branch-free
 //! rewrite; when a change means to alter the reply text, re-capture them
 //! from the table the failing assertion prints.
+//!
+//! Every reply is also read back the way a client reads it — straight
+//! from the text ([`read_shared_view_json`], [`WaveSegment::read_json`])
+//! — and must decode bit for bit to what the tree path decodes.
 
-use sensorsafe_datastore::{annotation_to_json, DataStoreConfig, DataStoreService};
-use sensorsafe_json::{json, Value};
+use sensorsafe_datastore::{
+    annotation_to_json, read_shared_view_json, shared_view_from_json, DataStoreConfig,
+    DataStoreService,
+};
+use sensorsafe_json::{json, parse, Reader, Value};
 use sensorsafe_net::{http::Request, http::Status, Service};
 use sensorsafe_policy::{
     AbstractionSpec, Action, ActivityAbs, BinaryAbs, Conditions, ConsumerSelector, LocationAbs,
@@ -277,6 +284,52 @@ const GOLDEN: [(&str, usize, usize, usize, u32); 25] = [
     ("owner", 0, 4, 1498, 0x8b8612fc),
 ];
 
+/// Reads one reply back straight from its text and checks it against the
+/// tree path: a consumer's view, or the owner's `{"segments": [...]}`.
+fn read_back(reader: &str, body: &[u8]) {
+    let text = std::str::from_utf8(body).unwrap();
+    let tree = parse(text).unwrap();
+    let blobs = |segments: Vec<&WaveSegment>| -> Vec<Vec<u8>> {
+        segments.iter().map(|s| s.blob().to_vec()).collect()
+    };
+    if reader == "owner" {
+        let expected: Vec<WaveSegment> = tree["segments"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| WaveSegment::from_json(s).unwrap())
+            .collect();
+        let mut r = Reader::new(text);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("segments"));
+        let read = r
+            .array_of(WaveSegment::read_json)
+            .unwrap()
+            .unwrap()
+            .unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+        assert_eq!(read, expected);
+        assert_eq!(
+            blobs(read.iter().collect()),
+            blobs(expected.iter().collect())
+        );
+    } else {
+        let expected = shared_view_from_json(&tree).unwrap();
+        let read = read_shared_view_json(body).unwrap();
+        assert_eq!(read, expected);
+        let segments = |view: &sensorsafe_datastore::SharedView| {
+            blobs(
+                view.windows
+                    .iter()
+                    .filter_map(|w| w.segment.as_ref())
+                    .collect(),
+            )
+        };
+        assert_eq!(segments(&read), segments(&expected));
+    }
+}
+
 #[test]
 fn query_replies_are_byte_identical_to_the_captured_digests() {
     let (svc, owners, consumer) = store();
@@ -304,6 +357,7 @@ fn query_replies_are_byte_identical_to_the_captured_digests() {
             "owner" => query(&owners[class], &contributor, window),
             _ => query(&consumer, &contributor, window),
         };
+        read_back(reader, &body);
         seen.push((reader, class, window, body.len(), crc32(&body)));
     }
     let table: String = seen

@@ -1,10 +1,12 @@
 //! The query-API wire form, as properties: the streamed text of any
-//! [`SharedView`] decodes back to that view on the consumer side, and the
+//! [`SharedView`] decodes back to that view on the consumer side — through
+//! a parsed tree and read straight from the text, bit for bit — and the
 //! tree form serializes to the same bytes.
 
 use proptest::prelude::*;
 use sensorsafe_datastore::{
-    shared_view_from_json, shared_view_to_json, write_shared_view_json, SharedView,
+    read_shared_view_json, shared_view_from_json, shared_view_to_json, write_shared_view_json,
+    SharedView,
 };
 use sensorsafe_policy::{ContextLabel, SharedLocation, SharedSegment, TimeAbs};
 use sensorsafe_types::{
@@ -138,12 +140,15 @@ proptest! {
     fn view_stream_roundtrip_and_tree_equality(view in arb_view()) {
         let mut text = Vec::new();
         write_shared_view_json(&view, &mut text);
+        let read = read_shared_view_json(&text).unwrap();
         let text = String::from_utf8(text).unwrap();
         let back = shared_view_from_json(&sensorsafe_json::parse(&text).unwrap()).unwrap();
-        prop_assert_eq!(&back, &view);
-        for (a, b) in back.windows.iter().zip(&view.windows) {
-            if let (Some(a), Some(b)) = (&a.segment, &b.segment) {
-                prop_assert_eq!(a.blob(), b.blob());
+        for decoded in [&back, &read] {
+            prop_assert_eq!(decoded, &view);
+            for (a, b) in decoded.windows.iter().zip(&view.windows) {
+                if let (Some(a), Some(b)) = (&a.segment, &b.segment) {
+                    prop_assert_eq!(a.blob(), b.blob());
+                }
             }
         }
         prop_assert_eq!(sensorsafe_json::to_string(&shared_view_to_json(&view)), text);

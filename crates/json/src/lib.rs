@@ -2,9 +2,11 @@
 //!
 //! The SensorSafe paper represents both privacy rules (Fig. 4) and wave
 //! segments (Fig. 5) as JSON documents. This crate provides the JSON data
-//! model ([`Value`]), a strict RFC 8259 parser ([`parse`]), compact and
-//! pretty serializers, and an insertion-ordered object map ([`Map`]) so
-//! that documents round-trip byte-stably. The number and string writers
+//! model ([`Value`]), a strict RFC 8259 parser ([`parse`]) built on a
+//! pull reader ([`Reader`]) that decoders also use directly, to read a
+//! large document straight into their own columns, compact and pretty
+//! serializers, and an insertion-ordered object map ([`Map`]) so that
+//! documents round-trip byte-stably. The number and string writers
 //! the serializers are made of ([`write_f64`], [`write_f32`],
 //! [`write_i64`], [`write_str`], [`write_array`]) are public, so a large
 //! reply can be written straight into its body buffer without building a
@@ -40,7 +42,7 @@ mod value;
 
 pub use map::Map;
 pub use num::{widen_f32, write_f32, write_f64, write_i64};
-pub use parse::{parse, ParseError, Parser};
+pub use parse::{parse, ParseError, Reader, Token};
 pub use ser::{to_string, to_string_pretty, to_vec, write_array, write_str};
 pub use value::{Number, Value};
 

@@ -233,7 +233,7 @@ fn shortest_f32(bits: u32) -> (u32, i32) {
 
 /// `10^i` for the exponents at which a product or quotient of two exact
 /// `f64`s is the correctly rounded `f64` of the decimal (Clinger).
-const EXACT_POW10: [f64; 23] = [
+pub(crate) const EXACT_POW10: [f64; 23] = [
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
     1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 ];

@@ -1,7 +1,9 @@
 //! Property-based round-trip tests for the JSON substrate.
 
 use proptest::prelude::*;
-use sensorsafe_json::{parse, to_string, to_string_pretty, write_str, Map, Value};
+use sensorsafe_json::{
+    parse, to_string, to_string_pretty, write_str, Map, Number, ParseError, Reader, Value,
+};
 
 /// Strategy for arbitrary JSON values with bounded depth and size.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -108,6 +110,67 @@ proptest! {
     #[test]
     fn parser_total_on_garbage(s in "\\PC{0,256}") {
         let _ = parse(&s);
+    }
+
+    /// A decoder that skips what it does not want accepts exactly the
+    /// documents the tree parser accepts, failing with the same error:
+    /// over garbage, over valid documents cut at any byte, and over
+    /// documents with one byte replaced.
+    #[test]
+    fn skipping_accepts_exactly_what_parse_accepts(
+        garbage in "[\\[\\]{}:,\"0-9a-z. \\\\eE+-]{0,64}",
+        v in arb_value(),
+        cut in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let skipped = |text: &str| -> Result<(), ParseError> {
+            let mut reader = Reader::new(text);
+            reader.skip()?;
+            reader.finish()
+        };
+        let text = to_string(&v);
+        let at = cut % (text.len() + 1);
+        let mut replaced = text.clone().into_bytes();
+        if at < replaced.len() && byte.is_ascii() && replaced[at].is_ascii() {
+            replaced[at] = byte;
+        }
+        let replaced = String::from_utf8(replaced).unwrap();
+        for doc in [garbage.as_str(), &text, text.get(..at).unwrap_or(""), &replaced] {
+            prop_assert_eq!(skipped(doc), parse(doc).map(drop), "{:?}", doc);
+        }
+    }
+
+    /// A number reads as the standard library reads its text: an `i64`
+    /// when it is an integer that fits, else the correctly rounded `f64`
+    /// (bit for bit, signed zeros included) or the out-of-range error —
+    /// whether or not the reader's exact fast path took it.
+    #[test]
+    fn numbers_read_as_the_standard_library_reads_them(
+        negative in any::<bool>(),
+        int in "0|[1-9][0-9]{0,24}",
+        fraction in prop::option::of("[0-9]{1,24}"),
+        exponent in prop::option::of((any::<bool>(), 0u32..400)),
+    ) {
+        let mut text = format!("{}{int}", if negative { "-" } else { "" });
+        if let Some(fraction) = &fraction {
+            text += &format!(".{fraction}");
+        }
+        if let Some((minus, e)) = exponent {
+            text += &format!("e{}{e}", if minus { "-" } else { "+" });
+        }
+        let read = Reader::new(&text).number().map_err(|e| e.message);
+        let reference = match text.parse::<i64>() {
+            Ok(i) if fraction.is_none() && exponent.is_none() => Ok(Number::Int(i)),
+            _ => match text.parse::<f64>().unwrap() {
+                f if f.is_infinite() => Err("number out of range".to_string()),
+                f => Ok(Number::Float(f)),
+            },
+        };
+        let bits = |n: Result<Number, String>| n.map(|n| match n {
+            Number::Int(i) => (0, i as u64),
+            Number::Float(f) => (1, f.to_bits()),
+        });
+        prop_assert_eq!(bits(read), bits(reference), "{}", text);
     }
 
     /// Any error reported on structured-ish garbage carries a plausible

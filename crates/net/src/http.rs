@@ -188,12 +188,18 @@ impl Request {
 
     /// A POST with a JSON body.
     pub fn post_json(path: impl Into<String>, json: &sensorsafe_json::Value) -> Request {
+        Request::post_json_bytes(path, sensorsafe_json::to_vec(json))
+    }
+
+    /// A POST whose body is JSON text the caller has already written (a
+    /// large upload streamed into its buffer instead of built as a tree).
+    pub fn post_json_bytes(path: impl Into<String>, body: Vec<u8>) -> Request {
         let mut req = Request {
             method: Method::Post,
             path: path.into(),
             query: BTreeMap::new(),
             headers: BTreeMap::new(),
-            body: json.to_string().into_bytes(),
+            body,
             idempotent: false,
         };
         req.headers

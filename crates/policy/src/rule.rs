@@ -7,7 +7,7 @@
 //! "Allow"}` shares all data collected at UCLA with Bob.
 
 use crate::abstraction::{ActivityAbs, BinaryAbs, LocationAbs, TimeAbs};
-use sensorsafe_json::{Map, Parser, Value};
+use sensorsafe_json::{Map, Reader, Value};
 use sensorsafe_types::{
     ChannelId, ConsumerId, ContextKind, GroupId, Region, RepeatTime, StudyId, TimeOfDay, TimeRange,
     Timestamp, Weekday,
@@ -452,8 +452,8 @@ impl PrivacyRule {
     /// Parses a whole rule document: a JSON array of rules (Fig. 4) or a
     /// single rule object. Accepts the paper's single-quoted style.
     pub fn parse_rules(text: &str) -> Result<Vec<PrivacyRule>, RuleError> {
-        let value = Parser::lenient(text)
-            .parse_document()
+        let value = Reader::lenient(text)
+            .document()
             .map_err(|e| err(format!("JSON: {e}")))?;
         PrivacyRule::rules_from_json(&value)
     }

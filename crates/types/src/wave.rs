@@ -21,7 +21,8 @@ use crate::location::GeoPoint;
 use crate::time::{TimeRange, Timestamp};
 use bytes::{Bytes, BytesMut};
 use sensorsafe_json::{
-    json, widen_f32, write_array, write_f32, write_f64, write_i64, write_str, Map, Value,
+    json, widen_f32, write_array, write_f32, write_f64, write_i64, write_str, Map, ParseError,
+    Reader, Token, Value,
 };
 
 /// Errors constructing or decoding wave segments.
@@ -46,6 +47,14 @@ pub enum WaveError {
     BadInterval,
     /// The format (channel list) was empty.
     EmptyFormat,
+    /// A value for an `f32` column narrows to an infinite `f32`: no JSON
+    /// text could carry it back out.
+    F32Overflow {
+        /// Sample (row) index.
+        row: usize,
+        /// Column index.
+        column: usize,
+    },
 }
 
 impl std::fmt::Display for WaveError {
@@ -60,6 +69,9 @@ impl std::fmt::Display for WaveError {
             WaveError::Json(msg) => write!(f, "invalid wave-segment JSON: {msg}"),
             WaveError::BadInterval => write!(f, "sampling interval must be positive and finite"),
             WaveError::EmptyFormat => write!(f, "wave segment needs at least one channel"),
+            WaveError::F32Overflow { row, column } => {
+                write!(f, "row {row}, column {column}: value beyond the f32 range")
+            }
         }
     }
 }
@@ -137,40 +149,31 @@ impl Cell {
 impl WaveSegment {
     /// Builds a segment from `rows` of `f64` values (one inner slice per
     /// sample, one value per format column). Values are narrowed to each
-    /// column's [`ValueKind`].
+    /// column's [`ValueKind`]; a value an `f32` column would hold as an
+    /// infinity is refused ([`WaveError::F32Overflow`]).
     pub fn from_rows(meta: SegmentMeta, rows: &[Vec<f64>]) -> Result<WaveSegment, WaveError> {
         if meta.format.is_empty() {
             return Err(WaveError::EmptyFormat);
         }
-        if let Timing::Uniform { interval_secs, .. } = meta.timing {
-            if !(interval_secs.is_finite() && interval_secs > 0.0) {
-                return Err(WaveError::BadInterval);
-            }
-        }
-        if let Timing::PerSample(stamps) = &meta.timing {
-            if stamps.len() != rows.len() {
-                return Err(WaveError::TimestampCount);
-            }
-            if stamps.windows(2).any(|w| w[1] < w[0]) {
-                return Err(WaveError::TimestampsNotMonotonic);
-            }
-        }
+        check_timing(&meta.timing, rows.len())?;
         let offsets = column_offsets(&meta.format);
-        let mut blob = BytesMut::with_capacity(offsets[meta.format.len()] * rows.len());
-        for row in rows {
+        let mut blob = Vec::with_capacity(offsets[meta.format.len()] * rows.len());
+        for (r, row) in rows.iter().enumerate() {
             if row.len() != meta.format.len() {
                 return Err(WaveError::RowWidth {
                     expected: meta.format.len(),
                     actual: row.len(),
                 });
             }
-            for (value, spec) in row.iter().zip(&meta.format) {
-                encode_value(&mut blob, *value, spec.kind);
+            for (c, (value, spec)) in row.iter().zip(&meta.format).enumerate() {
+                if !encode_value(&mut blob, *value, spec.kind) {
+                    return Err(WaveError::F32Overflow { row: r, column: c });
+                }
             }
         }
         Ok(WaveSegment {
             meta,
-            blob: blob.freeze(),
+            blob: Bytes::from(blob),
             rows: rows.len(),
             offsets,
         })
@@ -188,19 +191,7 @@ impl WaveSegment {
             return Err(WaveError::BlobMisaligned);
         }
         let rows = blob.len() / width;
-        if let Timing::PerSample(stamps) = &meta.timing {
-            if stamps.len() != rows {
-                return Err(WaveError::TimestampCount);
-            }
-            if stamps.windows(2).any(|w| w[1] < w[0]) {
-                return Err(WaveError::TimestampsNotMonotonic);
-            }
-        }
-        if let Timing::Uniform { interval_secs, .. } = meta.timing {
-            if !(interval_secs.is_finite() && interval_secs > 0.0) {
-                return Err(WaveError::BadInterval);
-            }
-        }
+        check_timing(&meta.timing, rows)?;
         Ok(WaveSegment {
             meta,
             blob,
@@ -639,85 +630,42 @@ impl WaveSegment {
         Value::Object(obj)
     }
 
-    /// Parses the Fig. 5 JSON form. Accepts `format` entries as either
-    /// `{"channel": ..., "kind": ...}` objects or bare channel-name
-    /// strings (defaulting to `f32`, matching the paper's figure which
-    /// lists only names).
+    /// Parses the Fig. 5 JSON form from a tree. Accepts `format` entries
+    /// as either `{"channel": ..., "kind": ...}` objects or bare
+    /// channel-name strings (defaulting to `f32`, matching the paper's
+    /// figure which lists only names).
+    ///
+    /// No served path decodes through a tree ([`WaveSegment::read_json`]
+    /// reads the text itself); this is the reference that reader is
+    /// tested against.
     pub fn from_json(value: &Value) -> Result<WaveSegment, WaveError> {
-        let err = |msg: &str| WaveError::Json(msg.to_string());
-        let obj = value.as_object().ok_or_else(|| err("expected object"))?;
-        let format_json = obj
-            .get("format")
+        let obj = value
+            .as_object()
+            .ok_or_else(|| json_err("expected object"))?;
+        let format = format_from_json(obj.get("format"))?;
+        let stamps = obj
+            .get("timestamps")
             .and_then(Value::as_array)
-            .ok_or_else(|| err("missing format array"))?;
-        let mut format = Vec::with_capacity(format_json.len());
-        for entry in format_json {
-            let spec = match entry {
-                Value::String(name) => ChannelSpec::f32(
-                    ChannelId::try_new(name.clone()).ok_or_else(|| err("bad channel name"))?,
-                ),
-                Value::Object(_) => {
-                    let name = entry
-                        .get("channel")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| err("format entry missing channel"))?;
-                    let kind = entry
-                        .get("kind")
-                        .and_then(Value::as_str)
-                        .and_then(ValueKind::parse)
-                        .unwrap_or(ValueKind::F32);
-                    ChannelSpec {
-                        channel: ChannelId::try_new(name).ok_or_else(|| err("bad channel name"))?,
-                        kind,
-                    }
-                }
-                _ => return Err(err("format entry must be string or object")),
-            };
-            format.push(spec);
-        }
-        let timing = if let Some(stamps) = obj.get("timestamps").and_then(Value::as_array) {
-            let parsed: Option<Vec<Timestamp>> = stamps
-                .iter()
-                .map(|v| v.as_i64().map(Timestamp::from_millis))
-                .collect();
-            Timing::PerSample(parsed.ok_or_else(|| err("non-integer timestamp"))?)
-        } else {
-            let start = obj
-                .get("start_time")
-                .and_then(Value::as_i64)
-                .ok_or_else(|| err("missing start_time"))?;
-            let interval = obj
-                .get("sampling_interval")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| err("missing sampling_interval"))?;
-            Timing::Uniform {
-                start: Timestamp::from_millis(start),
-                interval_secs: interval,
-            }
-        };
-        let location = match obj.get("location") {
-            Some(loc) => {
-                let lat = loc
-                    .get("latitude")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| err("location missing latitude"))?;
-                let lon = loc
-                    .get("longitude")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| err("location missing longitude"))?;
-                Some(GeoPoint::new(lat, lon))
-            }
-            None => None,
-        };
+            .map(|stamps| {
+                stamps
+                    .iter()
+                    .map(|v| v.as_i64().map(Timestamp::from_millis))
+                    .collect::<Option<Vec<_>>>()
+                    .ok_or_else(|| json_err("non-integer timestamp"))
+            });
+        let timing = timing_from_json(obj, stamps)?;
+        let location = location_from_json(obj.get("location"))?;
         let data = obj
             .get("data")
             .and_then(Value::as_array)
-            .ok_or_else(|| err("missing data array"))?;
+            .ok_or_else(|| json_err("missing data array"))?;
         let mut rows = Vec::with_capacity(data.len());
         for row in data {
-            let cells = row.as_array().ok_or_else(|| err("data row not an array"))?;
+            let cells = row
+                .as_array()
+                .ok_or_else(|| json_err("data row not an array"))?;
             let parsed: Option<Vec<f64>> = cells.iter().map(Value::as_f64).collect();
-            rows.push(parsed.ok_or_else(|| err("non-numeric sample value"))?);
+            rows.push(parsed.ok_or_else(|| json_err("non-numeric sample value"))?);
         }
         WaveSegment::from_rows(
             SegmentMeta {
@@ -728,6 +676,287 @@ impl WaveSegment {
             &rows,
         )
     }
+
+    /// Reads one segment in the Fig. 5 JSON form from `reader`, filling
+    /// the blob straight from the text: each cell is read as an `f64` and
+    /// narrowed to its column's kind as [`WaveSegment::from_rows`] does,
+    /// so the blob is bit for bit the one [`WaveSegment::from_json`]
+    /// builds from the parsed tree, and any document one accepts the
+    /// other accepts, with the same error.
+    ///
+    /// The outer error is the text's (the document is not JSON); the
+    /// inner one the segment's, after its whole value has been read, so
+    /// a caller can go on reading the document around it. Every member
+    /// but `data` and `timestamps` is small and is read as a tree, where
+    /// a repeated key's last value wins as in a parsed object. `data` is
+    /// decoded under the format read before it (the order
+    /// [`WaveSegment::write_json`] writes); a segment whose format comes
+    /// after its data, or changes after it, is decoded again from where
+    /// its data starts.
+    pub fn read_json(
+        reader: &mut Reader<'_>,
+    ) -> Result<Result<WaveSegment, WaveError>, ParseError> {
+        if reader.peek()? != Token::Object {
+            reader.skip()?;
+            return Ok(Err(json_err("expected object")));
+        }
+        let mut head = Map::new();
+        let mut stamps = None;
+        let mut data = None;
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "data" => {
+                    let at = reader.clone();
+                    let cells = match format_from_json(head.get("format")) {
+                        Ok(format) => Some((read_cells(reader, &format)?, format)),
+                        Err(_) => {
+                            reader.skip()?;
+                            None
+                        }
+                    };
+                    data = Some((at, cells));
+                }
+                "timestamps" => stamps = read_stamps(reader)?,
+                "format" | "location" | "start_time" | "sampling_interval" => {
+                    let value = reader.value()?;
+                    head.insert(key.into_owned(), value);
+                }
+                _ => reader.skip()?,
+            }
+        }
+        Ok(assemble(&head, stamps, data))
+    }
+}
+
+/// Where a segment's `data` starts, and its cells if they were read
+/// under the format known then (with that format).
+type Data<'a> = (Reader<'a>, Option<(Cells, Vec<ChannelSpec>)>);
+
+/// The segment one [`WaveSegment::read_json`] pass collected, checked in
+/// [`WaveSegment::from_json`]'s order; the data is read again when it was
+/// read under another format than the final one, or none.
+fn assemble(
+    head: &Map,
+    stamps: Option<Result<Vec<Timestamp>, WaveError>>,
+    data: Option<Data<'_>>,
+) -> Result<WaveSegment, WaveError> {
+    let format = format_from_json(head.get("format"))?;
+    let timing = timing_from_json(head, stamps)?;
+    let location = location_from_json(head.get("location"))?;
+    let (at, cells) = data.ok_or_else(|| json_err("missing data array"))?;
+    let cells = match cells {
+        Some((cells, read_under)) if read_under == format => cells,
+        _ => read_cells(&mut at.clone(), &format).expect("the data was read through once already"),
+    };
+    if let Some(e) = cells.data_error {
+        return Err(e);
+    }
+    if format.is_empty() {
+        return Err(WaveError::EmptyFormat);
+    }
+    check_timing(&timing, cells.rows)?;
+    if let Some(e) = cells.row_error {
+        return Err(e);
+    }
+    let offsets = column_offsets(&format);
+    Ok(WaveSegment {
+        meta: SegmentMeta {
+            timing,
+            location,
+            format,
+        },
+        blob: Bytes::from(cells.blob),
+        rows: cells.rows,
+        offsets,
+    })
+}
+
+/// A segment's `data` as [`read_cells`] found it: the blob under one
+/// format, the row count, and the first error of each class
+/// [`WaveSegment::from_json`] tells apart, in its order: a row that is
+/// not an array or a cell that is not a number (found while reading the
+/// tree), before a row of the wrong width or an `f32` overflow (found
+/// by [`WaveSegment::from_rows`]).
+struct Cells {
+    blob: Vec<u8>,
+    rows: usize,
+    data_error: Option<WaveError>,
+    row_error: Option<WaveError>,
+}
+
+/// Reads a `data` value under `format`, straight into a blob.
+fn read_cells(reader: &mut Reader<'_>, format: &[ChannelSpec]) -> Result<Cells, ParseError> {
+    let mut cells = Cells {
+        blob: Vec::new(),
+        rows: 0,
+        data_error: None,
+        row_error: None,
+    };
+    if reader.peek()? != Token::Array {
+        reader.skip()?;
+        cells.data_error = Some(json_err("missing data array"));
+        return Ok(cells);
+    }
+    reader.begin_array()?;
+    while reader.next_element()? {
+        if cells.data_error.is_some() {
+            reader.skip()?;
+            continue;
+        }
+        if reader.peek()? != Token::Array {
+            reader.skip()?;
+            cells.data_error = Some(json_err("data row not an array"));
+            continue;
+        }
+        reader.begin_array()?;
+        let (mut column, mut overflow) = (0, None);
+        while reader.next_element()? {
+            if reader.peek()? != Token::Number {
+                reader.skip()?;
+                cells
+                    .data_error
+                    .get_or_insert_with(|| json_err("non-numeric sample value"));
+                continue;
+            }
+            let value = reader.number()?.as_f64();
+            if let Some(spec) = format.get(column) {
+                if !encode_value(&mut cells.blob, value, spec.kind) {
+                    overflow.get_or_insert(column);
+                }
+            }
+            column += 1;
+        }
+        if cells.row_error.is_none() {
+            cells.row_error = if column != format.len() {
+                Some(WaveError::RowWidth {
+                    expected: format.len(),
+                    actual: column,
+                })
+            } else {
+                overflow.map(|column| WaveError::F32Overflow {
+                    row: cells.rows,
+                    column,
+                })
+            };
+        }
+        cells.rows += 1;
+    }
+    Ok(cells)
+}
+
+/// Reads a `timestamps` value: `None` when it is not an array (the
+/// segment then has uniform timing), else its stamps or the error for
+/// one that is not an integer.
+fn read_stamps(
+    reader: &mut Reader<'_>,
+) -> Result<Option<Result<Vec<Timestamp>, WaveError>>, ParseError> {
+    reader.array_of(|reader| {
+        let millis = match reader.peek()? {
+            Token::Number => reader.number()?.as_i64(),
+            _ => {
+                reader.skip()?;
+                None
+            }
+        };
+        Ok(millis
+            .map(Timestamp::from_millis)
+            .ok_or_else(|| json_err("non-integer timestamp")))
+    })
+}
+
+fn json_err(msg: &str) -> WaveError {
+    WaveError::Json(msg.to_string())
+}
+
+/// The `format` member: channel objects or bare names (`f32`).
+fn format_from_json(format: Option<&Value>) -> Result<Vec<ChannelSpec>, WaveError> {
+    let entries = format
+        .and_then(Value::as_array)
+        .ok_or_else(|| json_err("missing format array"))?;
+    let channel = |name: &str| ChannelId::try_new(name).ok_or_else(|| json_err("bad channel name"));
+    entries
+        .iter()
+        .map(|entry| match entry {
+            Value::String(name) => Ok(ChannelSpec::f32(channel(name)?)),
+            Value::Object(_) => {
+                let name = entry
+                    .get("channel")
+                    .and_then(Value::as_str)
+                    .ok_or_else(|| json_err("format entry missing channel"))?;
+                let kind = entry
+                    .get("kind")
+                    .and_then(Value::as_str)
+                    .and_then(ValueKind::parse)
+                    .unwrap_or(ValueKind::F32);
+                Ok(ChannelSpec {
+                    channel: channel(name)?,
+                    kind,
+                })
+            }
+            _ => Err(json_err("format entry must be string or object")),
+        })
+        .collect()
+}
+
+/// The timing: per-sample when the segment carries a `timestamps` array
+/// (`stamps`, already decoded), else `start_time` + `sampling_interval`.
+fn timing_from_json(
+    obj: &Map,
+    stamps: Option<Result<Vec<Timestamp>, WaveError>>,
+) -> Result<Timing, WaveError> {
+    if let Some(stamps) = stamps {
+        return Ok(Timing::PerSample(stamps?));
+    }
+    let start = obj
+        .get("start_time")
+        .and_then(Value::as_i64)
+        .ok_or_else(|| json_err("missing start_time"))?;
+    let interval = obj
+        .get("sampling_interval")
+        .and_then(Value::as_f64)
+        .ok_or_else(|| json_err("missing sampling_interval"))?;
+    Ok(Timing::Uniform {
+        start: Timestamp::from_millis(start),
+        interval_secs: interval,
+    })
+}
+
+/// The `location` member, if any.
+fn location_from_json(location: Option<&Value>) -> Result<Option<GeoPoint>, WaveError> {
+    let Some(loc) = location else {
+        return Ok(None);
+    };
+    let coordinate = |name, missing| {
+        loc.get(name)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| json_err(missing))
+    };
+    let lat = coordinate("latitude", "location missing latitude")?;
+    let lon = coordinate("longitude", "location missing longitude")?;
+    Ok(Some(GeoPoint::new(lat, lon)))
+}
+
+/// The timing invariants for a segment of `rows` samples: a uniform
+/// interval is positive and finite, per-sample stamps are one per row
+/// and never go back.
+fn check_timing(timing: &Timing, rows: usize) -> Result<(), WaveError> {
+    match timing {
+        Timing::Uniform { interval_secs, .. } => {
+            if !(interval_secs.is_finite() && *interval_secs > 0.0) {
+                return Err(WaveError::BadInterval);
+            }
+        }
+        Timing::PerSample(stamps) => {
+            if stamps.len() != rows {
+                return Err(WaveError::TimestampCount);
+            }
+            if stamps.windows(2).any(|w| w[1] < w[0]) {
+                return Err(WaveError::TimestampsNotMonotonic);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The `W` bytes a cell of width `W` starts with.
@@ -756,15 +985,24 @@ fn location_eq(a: Option<GeoPoint>, b: Option<GeoPoint>) -> bool {
     }
 }
 
-fn encode_value(out: &mut BytesMut, value: f64, kind: ValueKind) {
+/// Appends `value` narrowed to `kind`: `false`, and nothing appended,
+/// when an `f32` column would hold it as an infinity.
+fn encode_value(out: &mut Vec<u8>, value: f64, kind: ValueKind) -> bool {
     match kind {
         ValueKind::F64 => out.extend_from_slice(&value.to_le_bytes()),
-        ValueKind::F32 => out.extend_from_slice(&(value as f32).to_le_bytes()),
+        ValueKind::F32 => {
+            let narrowed = value as f32;
+            if narrowed.is_infinite() {
+                return false;
+            }
+            out.extend_from_slice(&narrowed.to_le_bytes());
+        }
         ValueKind::I16 => {
             let clamped = value.round().clamp(i16::MIN as f64, i16::MAX as f64) as i16;
             out.extend_from_slice(&clamped.to_le_bytes());
         }
     }
+    true
 }
 
 #[cfg(test)]
@@ -1109,13 +1347,19 @@ mod tests {
 
     #[test]
     fn non_finite_cells_print_null_in_both_forms() {
-        // 1e300 narrows to an infinite f32; JSON has no text for it.
+        // JSON has no text for an infinite f32 or a NaN f64. `from_rows`
+        // refuses the first, so the blob is assembled by hand.
         let meta = SegmentMeta {
             timing: Timing::PerSample(vec![Timestamp(1), Timestamp(2)]),
             location: None,
             format: vec![ChannelSpec::f32("x"), ChannelSpec::f64("y")],
         };
-        let seg = WaveSegment::from_rows(meta, &[vec![1e300, f64::NAN], vec![1.5, 2.5]]).unwrap();
+        let mut blob = Vec::new();
+        for (x, y) in [(f32::INFINITY, f64::NAN), (1.5, 2.5)] {
+            blob.extend_from_slice(&x.to_le_bytes());
+            blob.extend_from_slice(&y.to_le_bytes());
+        }
+        let seg = WaveSegment::from_blob(meta, Bytes::from(blob)).unwrap();
         let text = streamed(&seg);
         assert!(
             text.ends_with(r#""data":[[null,null],[1.5,2.5]]}"#),
@@ -1123,6 +1367,67 @@ mod tests {
         );
         assert!(text.contains(r#""timestamps":[1,2]"#));
         assert_eq!(sensorsafe_json::to_string(&seg.to_json()), text);
+    }
+
+    #[test]
+    fn f32_cells_beyond_the_f32_range_are_refused() {
+        let meta = SegmentMeta {
+            timing: Timing::Uniform {
+                start: Timestamp(0),
+                interval_secs: 1.0,
+            },
+            location: None,
+            format: vec![ChannelSpec::f64("a"), ChannelSpec::f32("b")],
+        };
+        assert_eq!(
+            WaveSegment::from_rows(meta.clone(), &[vec![1e39, 1.5], vec![2.0, -1e39]]),
+            Err(WaveError::F32Overflow { row: 1, column: 1 })
+        );
+        // The text of f32::MAX reads back as an f64 above it, which still
+        // narrows to f32::MAX.
+        let max = sensorsafe_json::widen_f32(f32::MAX);
+        assert!(max > f32::MAX as f64);
+        let seg = WaveSegment::from_rows(meta, &[vec![0.0, max], vec![0.0, -max]]).unwrap();
+        assert_eq!(seg.value(0, 1), f32::MAX as f64);
+        assert_eq!(seg.value(1, 1), f32::MIN as f64);
+    }
+
+    /// `read_json` over `text`, which must be one JSON document.
+    fn read(text: &str) -> Result<WaveSegment, WaveError> {
+        let mut reader = Reader::new(text);
+        let segment = WaveSegment::read_json(&mut reader).unwrap();
+        reader.finish().unwrap();
+        segment
+    }
+
+    #[test]
+    fn reader_decodes_like_the_tree_whatever_the_member_order() {
+        let seg = sample_segment();
+        let text = streamed(&seg);
+        assert_eq!(read(&text).unwrap().blob(), seg.blob());
+        assert_eq!(read(&text), Ok(seg));
+        let tree = |text: &str| WaveSegment::from_json(&sensorsafe_json::parse(text).unwrap());
+        for text in [
+            // Data before its format, and a format replaced after the data.
+            r#"{"data": [[1, 2.5]], "format": ["a", {"channel": "b", "kind": "i16"}], "start_time": 0, "sampling_interval": 1}"#,
+            r#"{"format": ["a"], "data": [[1.5], [2.25]], "format": [{"channel": "a", "kind": "i16"}], "start_time": 0, "sampling_interval": 1}"#,
+            r#"{"format": ["a"], "data": [["x"]], "data": [[3]], "start_time": 0, "sampling_interval": 1, "junk": [[{}]]}"#,
+            r#"{"format": ["a"], "timestamps": [1, 2], "timestamps": {}, "data": [[3]], "start_time": 5, "sampling_interval": 1}"#,
+            r#"{"format": ["a"], "timestamps": [1, 2], "data": [[3], [4]], "location": {"latitude": 1, "longitude": 2}}"#,
+            // Errors, each one of the tree's, in the tree's order.
+            r#"{"format": ["a"], "data": [[1, 2], ["x"]], "start_time": 0, "sampling_interval": 1}"#,
+            r#"{"format": ["a"], "data": [[1e39], 7], "start_time": 0, "sampling_interval": 1}"#,
+            r#"{"format": ["a"], "data": [[1e39], [1, 2]], "start_time": 0, "sampling_interval": 1}"#,
+            r#"{"format": [], "data": [[1]], "start_time": 0, "sampling_interval": -1}"#,
+            r#"{"format": ["a"], "data": [[1]], "timestamps": [2.5], "sampling_interval": 1}"#,
+            r#"{"format": ["a"], "data": [[1]], "timestamps": [2, 1], "location": {"latitude": 1}}"#,
+            r#"{"format": ["a"], "data": [[1]], "timestamps": [2, 1]}"#,
+            r#"{"format": ["a"], "data": {}, "start_time": 0}"#,
+            r#"{"format": 7, "data": [[1]], "start_time": 0, "sampling_interval": 1}"#,
+            r#"[{"format": ["a"]}]"#,
+        ] {
+            assert_eq!(read(text), tree(text), "{text}");
+        }
     }
 
     #[test]
@@ -1156,6 +1461,7 @@ mod tests {
         ] {
             let v = sensorsafe_json::parse(bad).unwrap();
             assert!(WaveSegment::from_json(&v).is_err(), "should reject {bad}");
+            assert_eq!(read(bad), WaveSegment::from_json(&v), "{bad}");
         }
     }
 

@@ -152,7 +152,8 @@ fn uniform_meta(start: i64, interval_ms: u16) -> SegmentMeta {
 proptest! {
     /// The streamed text is the wire form: a consumer that parses it and
     /// narrows each cell to its column's kind recovers the segment bit
-    /// for bit, and the tree form serializes to the very same bytes.
+    /// for bit — through the tree or reading the text straight into the
+    /// blob — and the tree form serializes to the very same bytes.
     #[test]
     fn wave_stream_roundtrip_and_tree_equality(seg in arb_segment()) {
         let mut text = Vec::new();
@@ -161,6 +162,11 @@ proptest! {
         let back = WaveSegment::from_json(&sensorsafe_json::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(&back, &seg);
         prop_assert_eq!(back.blob(), seg.blob());
+        let mut reader = sensorsafe_json::Reader::new(&text);
+        let read = WaveSegment::read_json(&mut reader).unwrap().unwrap();
+        reader.finish().unwrap();
+        prop_assert_eq!(&read, &seg);
+        prop_assert_eq!(read.blob(), seg.blob());
         prop_assert_eq!(sensorsafe_json::to_string(&seg.to_json()), text);
     }
 
