@@ -1,10 +1,9 @@
 //! What the perf ledger (`crates/bench/perf`) cannot say: storage
 //! sizes, segment counts, data-volume savings, search-result shapes, the
-//! 10k-connection soak, journal recovery time against history, and the
-//! fleet scraper's cost to a store.
+//! 10k-connection soak, and journal recovery time against history.
 //!
 //! One table per experiment id in EXPERIMENTS.md (F5, A1, A2, A3, C3,
-//! C4, O2); `report a2` and `report c4` run those two alone.
+//! C4); `report a2` and `report c4` run those two alone.
 //!
 //! ```text
 //! cargo run -p sensorsafe-bench --bin report --release
@@ -20,7 +19,7 @@ use sensorsafe_core::net::{LocalTransport, Request, Service, Transport};
 use sensorsafe_core::policy::{
     Action, Conditions, ConsumerCtx, ConsumerSelector, PrivacyRule, RuleIndex, SearchQuery,
 };
-use sensorsafe_core::store::{MergePolicy, Query};
+use sensorsafe_core::store::MergePolicy;
 use sensorsafe_core::types::{ContextKind, ContributorId, RepeatTime};
 use sensorsafe_core::{json, ContributorDevice, Deployment};
 use std::sync::Arc;
@@ -491,105 +490,6 @@ fn c3_evented_core_table() {
     println!("--> 10,240 keep-alive connections on 8 handler threads\n");
 }
 
-fn fleet_scrape_overhead_table() {
-    println!("== O2: fleet scrape overhead on store query latency ==");
-    // The configurations are interleaved over several rounds and each
-    // reports its best round — the estimator least disturbed by
-    // scheduler and allocator interference — because run-to-run noise
-    // on one query dwarfs the 5% budget. The scraped rigs run
-    // the broker's background scraper at intervals far more aggressive
-    // than the 5 s default, so the measured overhead is an upper bound:
-    // every sweep costs the store two extra requests (/healthz +
-    // /metrics) that contend with the query workload.
-    use sensorsafe_core::broker::FleetConfig;
-    let wire = |fleet: Option<FleetConfig>| {
-        let scraped = fleet.is_some();
-        let mut deployment = match fleet {
-            Some(fleet) => Deployment::in_process_with_fleet(fleet),
-            None => Deployment::in_process(),
-        };
-        deployment.add_store("s1");
-        let alice = deployment.register_contributor("s1", "alice").unwrap();
-        alice.upload_scenario(&alice_scenario(3)).unwrap();
-        alice.set_rules(&json!([{"Action": "Allow"}])).unwrap();
-        let bob = deployment.register_consumer("bob").unwrap();
-        bob.add_contributors(&["alice"]).unwrap();
-        if scraped {
-            deployment.start_fleet_scraper();
-        }
-        (deployment, bob)
-    };
-    let scrape_config = |millis: u64| FleetConfig {
-        scrape_interval: std::time::Duration::from_millis(millis),
-        ..FleetConfig::default()
-    };
-    let rigs = [
-        ("no fleet scraping", wire(None)),
-        (
-            "scraped every 100 ms (50x default)",
-            wire(Some(scrape_config(100))),
-        ),
-        (
-            "scraped every 10 ms (500x default)",
-            wire(Some(scrape_config(10))),
-        ),
-    ];
-
-    const ROUNDS: usize = 5;
-    const ITERATIONS: usize = 30;
-    let mut best = [f64::INFINITY; 3];
-    for round in 0..=ROUNDS {
-        for (i, (_, (_deployment, bob))) in rigs.iter().enumerate() {
-            let started = std::time::Instant::now();
-            for _ in 0..ITERATIONS {
-                let results = bob.download_all(&Query::all()).unwrap();
-                assert!(results[0].1.raw_samples() > 0);
-            }
-            let mean_ms = started.elapsed().as_secs_f64() * 1e3 / ITERATIONS as f64;
-            // Round 0 is warm-up (caches, scraper series registration).
-            if round > 0 && mean_ms < best[i] {
-                best[i] = mean_ms;
-            }
-        }
-    }
-    let sweeps: Vec<u64> = rigs
-        .iter()
-        .map(|(_, (deployment, _))| {
-            deployment
-                .broker()
-                .handle(&sensorsafe_core::net::Request::get("/fleet"))
-                .json_body()
-                .ok()
-                .and_then(|b| b["sweeps"].as_u64())
-                .unwrap_or(0)
-        })
-        .collect();
-    for (i, (label, _)) in rigs.iter().enumerate() {
-        println!(
-            "{label:<36} {:>9.3} ms/query (best of {ROUNDS}, {} sweeps)",
-            best[i], sweeps[i]
-        );
-    }
-    let overhead_100ms = (best[1] - best[0]) / best[0] * 100.0;
-    let overhead_10ms = (best[2] - best[0]) / best[0] * 100.0;
-    println!("--> scrape overhead at 100 ms interval: {overhead_100ms:+.2}% (budget: <5%)");
-    println!("--> scrape overhead at 10 ms interval:  {overhead_10ms:+.2}% (budget: <5%)");
-    // Broker-side cost of the most aggressive rig, from its own
-    // self-observation metrics (fleet gauges live on the broker
-    // instance registry, not the process-wide one).
-    let broker_metrics = rigs[2].1 .0.broker().handle(&Request::get("/metrics"));
-    let text = String::from_utf8(broker_metrics.body).unwrap();
-    for line in text.lines().filter(|l| {
-        l.starts_with("sensorsafe_broker_fleet_scrape_seconds_sum")
-            || l.starts_with("sensorsafe_broker_fleet_scrape_seconds_count")
-            || l.starts_with("sensorsafe_broker_fleet_retained_series")
-    }) {
-        println!("    {line}");
-    }
-    println!();
-    // Scrapers stop (and join) when the deployments drop here.
-}
-
 fn main() {
     // Self-exec entry point for the C3 soak's client children.
     let args: Vec<String> = std::env::args().collect();
@@ -615,7 +515,6 @@ fn main() {
             a3_savings_table();
             c3_evented_core_table();
             c4_recovery_table();
-            fleet_scrape_overhead_table();
         }
     }
 }

@@ -28,7 +28,7 @@ use crate::registry::PromoteOutcome;
 use crate::service::Inner;
 use sensorsafe_json::{json, Value};
 use sensorsafe_net::Request;
-use sensorsafe_obsv::audit::consumer_label;
+use sensorsafe_obsv::metrics::bounded_label;
 use sensorsafe_types::ContributorId;
 
 /// Completed promotions retained for `GET /fleet` (oldest dropped).
@@ -157,7 +157,7 @@ impl Inner {
                 &[],
             )
             .inc();
-        let label = consumer_label("sensorsafe_broker_failover_epoch", contributor.as_str());
+        let label = bounded_label("sensorsafe_broker_failover_epoch", contributor.as_str());
         self.metrics
             .gauge(
                 "sensorsafe_broker_failover_epoch",

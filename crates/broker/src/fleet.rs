@@ -1,35 +1,27 @@
 //! The broker's fleet health plane.
 //!
-//! Each registered data store exposes `/healthz` and `/metrics`, but
-//! those are islands: nobody can answer "is the fleet healthy?" without
-//! curling every store. This module closes the loop. A background
-//! scraper ([`FleetScraper`]) sweeps every paired store on an interval,
-//! probing `/healthz` and scraping `/metrics` over the broker's normal
-//! client transport (each sweep runs under one trace context, so a sweep
-//! is followable across the fleet like any other request). Scraped
-//! samples are parsed back from Prometheus text ([`sensorsafe_net::promtext`])
-//! and retained in fixed-capacity ring buffers
-//! ([`sensorsafe_obsv::timeseries`]).
+//! Failover needs one fact about each registered data store: is it
+//! alive? A background prober ([`FleetScraper`]) sweeps every paired
+//! store on an interval and asks for `/healthz` alone, over the broker's
+//! normal client transport (each sweep runs under one trace context, so
+//! a sweep is followable across the fleet like any other request). The
+//! broker reads nothing else from a store: no `/metrics`, no decision
+//! counts, nothing about who shares with whom (the paper's broker finds
+//! contributors and holds keys; sharing activity never passes through
+//! it).
 //!
-//! On top of the retained series sit two judgement layers:
-//!
-//! * a **health state machine** per store — Healthy → Degraded →
-//!   Unreachable with consecutive-failure thresholds and recovery
-//!   hysteresis ([`FleetConfig::unreachable_after`] /
-//!   [`FleetConfig::healthy_after`]), so one dropped probe never flaps a
-//!   store's status;
-//! * an **SLO burn-rate engine** ([`sensorsafe_obsv::slo`]) evaluating
-//!   rolling windows against configurable objectives: probe
-//!   availability, request latency under a threshold, and the WAL
-//!   fsync-per-upload coalescing ratio.
+//! Each store's probe outcomes drive a **health state machine** —
+//! Healthy → Degraded → Unreachable with consecutive-failure thresholds
+//! and recovery hysteresis ([`FleetConfig::unreachable_after`] /
+//! [`FleetConfig::healthy_after`]), so one dropped probe never flaps a
+//! store's status. Failover promotions act on its verdicts.
 //!
 //! Results surface three ways: `GET /fleet` (JSON), `/ui/fleet` (the web
-//! UI table), and fleet-aggregated gauges re-exported under the broker's
-//! own `/metrics` (store-labelled, bounded by the same 64-label
-//! cardinality cap as per-consumer counters). Contributor search results
-//! additionally annotate contributors whose store is currently
-//! Unreachable. The plane observes itself: scrape failures, scrape
-//! latency, and per-store staleness are first-class metrics.
+//! UI table), and store-labelled gauges under the broker's own
+//! `/metrics` (bounded by [`sensorsafe_obsv::metrics::bounded_label`]).
+//! Contributor search results additionally annotate contributors whose
+//! store is currently Unreachable. The plane observes itself: probe
+//! failures, probe latency, and per-store staleness are metrics too.
 //!
 //! Pair a store, sweep it once, and read the verdict back from
 //! `GET /fleet` (production deployments spawn
@@ -39,17 +31,17 @@
 //! ```
 //! use sensorsafe_broker::{BrokerConfig, BrokerService, TransportFactory};
 //! use sensorsafe_json::json;
-//! use sensorsafe_net::{LocalTransport, Request, Response, Service, Transport};
+//! use sensorsafe_net::{LocalTransport, Request, Response, Service, Status, Transport};
 //! use std::sync::Arc;
 //!
-//! // A minimal "store": anything serving /healthz and /metrics can be
-//! // swept. Real deployments hand the factory a TCP transport instead.
+//! // A minimal "store": anything serving /healthz can be swept. Real
+//! // deployments hand the factory a TCP transport instead.
 //! struct StubStore;
 //! impl Service for StubStore {
 //!     fn handle(&self, request: &Request) -> Response {
 //!         match request.path.as_str() {
 //!             "/healthz" => Response::json(&json!({"status": "ok"})),
-//!             _ => Response::text("sensorsafe_requests_total 1\n"),
+//!             _ => Response::error(Status::NotFound, "healthz only"),
 //!         }
 //!     }
 //! }
@@ -81,10 +73,8 @@
 use crate::service::Inner;
 use parking_lot::Mutex;
 use sensorsafe_json::{json, Value};
-use sensorsafe_net::{promtext, Request, Response};
-use sensorsafe_obsv::audit::consumer_label;
-use sensorsafe_obsv::slo::{Evaluation, Measurement, Objective};
-use sensorsafe_obsv::timeseries::{histogram_quantile, SeriesTable};
+use sensorsafe_net::{Request, Response};
+use sensorsafe_obsv::metrics::bounded_label;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -95,28 +85,13 @@ use std::time::Duration;
 /// [`BrokerConfig`](crate::BrokerConfig)).
 #[derive(Clone)]
 pub struct FleetConfig {
-    /// How often the scraper sweeps every registered store.
+    /// How often the prober sweeps every registered store.
     pub scrape_interval: Duration,
     /// Consecutive probe failures before a store is marked Unreachable.
     pub unreachable_after: u32,
     /// Consecutive successful probes an impaired store must accumulate
     /// before returning to Healthy (recovery hysteresis).
     pub healthy_after: u32,
-    /// Samples retained per series (ring-buffer capacity).
-    pub ring_capacity: usize,
-    /// Hard cap on distinct retained series across the whole fleet.
-    pub max_series: usize,
-    /// A request is a "good event" for the latency objective when it
-    /// completed within this many seconds.
-    pub latency_threshold_secs: f64,
-    /// Probe-availability objective (good = reachable probes).
-    pub availability: Objective,
-    /// Request-latency objective (good = requests under
-    /// [`FleetConfig::latency_threshold_secs`]).
-    pub latency: Objective,
-    /// WAL coalescing objective: fsyncs per durable upload stays under
-    /// the target ratio.
-    pub wal_ratio: Objective,
 }
 
 impl Default for FleetConfig {
@@ -125,12 +100,6 @@ impl Default for FleetConfig {
             scrape_interval: Duration::from_secs(5),
             unreachable_after: 3,
             healthy_after: 2,
-            ring_capacity: 240,
-            max_series: 2048,
-            latency_threshold_secs: 0.25,
-            availability: Objective::good_fraction("availability", 0.99, 300.0, 2.0),
-            latency: Objective::good_fraction("request_latency", 0.99, 300.0, 2.0),
-            wal_ratio: Objective::max_ratio("wal_fsync_upload_ratio", 1.5, 300.0, 1.0),
         }
     }
 }
@@ -244,10 +213,6 @@ struct StoreState {
     healthz_status: Option<String>,
     probes: u64,
     failures: u64,
-    /// Windowed request p99 computed from scraped histogram buckets.
-    request_p99_secs: Option<f64>,
-    /// Latest SLO evaluations, refreshed every sweep.
-    evaluations: Vec<Evaluation>,
 }
 
 impl StoreState {
@@ -260,8 +225,6 @@ impl StoreState {
             healthz_status: None,
             probes: 0,
             failures: 0,
-            request_p99_secs: None,
-            evaluations: Vec::new(),
         }
     }
 }
@@ -271,18 +234,15 @@ impl StoreState {
 pub(crate) struct FleetPlane {
     config: FleetConfig,
     stores: Mutex<BTreeMap<String, StoreState>>,
-    series: Mutex<SeriesTable>,
     /// Sweeps completed since the broker started.
     sweeps: Mutex<u64>,
 }
 
 impl FleetPlane {
     pub(crate) fn new(config: FleetConfig) -> FleetPlane {
-        let series = SeriesTable::new(config.ring_capacity, config.max_series);
         FleetPlane {
             config,
             stores: Mutex::new(BTreeMap::new()),
-            series: Mutex::new(series),
             sweeps: Mutex::new(0),
         }
     }
@@ -304,47 +264,11 @@ impl FleetPlane {
     }
 }
 
-/// Series-key helpers: every retained series is namespaced by store
-/// address, so one store's retention can be dropped wholesale.
-fn key_up(addr: &str) -> String {
-    format!("{addr}|up")
-}
-fn key_req_count(addr: &str) -> String {
-    format!("{addr}|req_count")
-}
-fn key_req_bucket(addr: &str, le: &str) -> String {
-    format!("{addr}|req_bucket|{le}")
-}
-fn key_req_bucket_prefix(addr: &str) -> String {
-    format!("{addr}|req_bucket|")
-}
-fn key_wal_fsyncs(addr: &str) -> String {
-    format!("{addr}|wal_fsyncs")
-}
-fn key_durable_uploads(addr: &str) -> String {
-    format!("{addr}|durable_uploads")
-}
-fn key_decisions(addr: &str, outcome: &str) -> String {
-    format!("{addr}|decisions|{outcome}")
-}
-fn key_baseline_decisions(addr: &str) -> String {
-    format!("{addr}|baseline_decisions")
-}
-fn key_rule_hits(addr: &str) -> String {
-    format!("{addr}|rule_hits")
-}
-fn key_dead_rules(addr: &str) -> String {
-    format!("{addr}|dead_rules")
-}
-
-/// The decision outcomes the privacy rollup tracks, in display order.
-const PRIVACY_OUTCOMES: [&str; 3] = ["allowed", "abstracted", "denied"];
-
 /// Deterministic per-store probe offset within one sweep interval:
 /// FNV-1a over the store address, reduced modulo the interval. Stores
 /// registered to the same broker land at different phases of the sweep
 /// instead of being probed in lockstep at every tick (a thundering herd
-/// on the fleet's `/metrics` endpoints when N is large). Derived purely
+/// on the fleet's `/healthz` endpoints when N is large). Derived purely
 /// from the address so the offset is stable across broker restarts.
 pub(crate) fn store_jitter(addr: &str, interval: Duration) -> Duration {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -360,15 +284,14 @@ pub(crate) fn store_jitter(addr: &str, interval: Duration) -> Duration {
 
 impl Inner {
     /// Seconds on the broker's monotonic clock (time since start) — the
-    /// clock every retained sample is stamped with.
+    /// clock every probe is stamped with.
     pub(crate) fn fleet_now_secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
     /// One full sweep of every registered store: probe `/healthz`,
-    /// scrape `/metrics`, ingest samples, advance each store's state
-    /// machine, evaluate SLOs, and refresh the fleet gauges. Runs on the
-    /// scraper thread, but callable directly for deterministic tests
+    /// advance each store's state machine, refresh the fleet gauges, and
+    /// run failover on the verdicts. Runs on the prober thread, but callable directly for deterministic tests
     /// (this path never sleeps — see [`Inner::fleet_sweep_paced`]).
     pub(crate) fn fleet_sweep(&self) {
         self.fleet_sweep_paced(&mut |_| {});
@@ -376,7 +299,7 @@ impl Inner {
 
     /// A sweep with a caller-supplied pacing hook. Stores are visited in
     /// [`store_jitter`] order and the hook is handed each store's
-    /// deterministic offset before its probe; the scraper thread sleeps
+    /// deterministic offset before its probe; the prober thread sleeps
     /// up to that offset so N stores are spread across the interval
     /// instead of being probed in lockstep at every tick. Tests and the
     /// `/fleet/sweep` admin path pass a no-op hook.
@@ -401,39 +324,37 @@ impl Inner {
             self.metrics
                 .histogram(
                     "sensorsafe_broker_fleet_scrape_seconds",
-                    "Latency of one store probe (healthz + metrics scrape).",
+                    "Latency of one store probe (a healthz round trip).",
                     &[],
                     None,
                 )
                 .observe(started.elapsed());
             self.ingest_probe(addr, now, probe);
         }
-        self.evaluate_fleet(self.fleet_now_secs(), &addrs);
+        self.publish_fleet_gauges(self.fleet_now_secs(), &addrs);
         // Failover rides the sweep: promotions act on the verdicts the
         // health machines just reached.
         self.failover_sweep();
         *self.fleet.sweeps.lock() += 1;
     }
 
-    /// Probes one store: `/healthz` first (the liveness + component
-    /// verdict), then `/metrics` when reachable.
+    /// Probes one store's `/healthz`: the liveness and component
+    /// verdict, and the only thing the broker asks a store for.
     fn probe_store(
         &self,
         addr: &str,
         ctx: Option<sensorsafe_obsv::TraceContext>,
-    ) -> (ProbeOutcome, Option<String>, Option<promtext::ParsedScrape>) {
-        let transport = (self.config.transports)(addr);
-        let stamp = |req: Request| match ctx {
-            Some(ctx) => req.with_trace_context(ctx),
-            None => req,
-        };
-        let health = match transport.round_trip(&stamp(Request::get("/healthz"))) {
-            Err(e) => return (ProbeOutcome::Failure, Some(e.to_string()), None),
+    ) -> (ProbeOutcome, String) {
+        let mut request = Request::get("/healthz");
+        if let Some(ctx) = ctx {
+            request = request.with_trace_context(ctx);
+        }
+        let health = match (self.config.transports)(addr).round_trip(&request) {
+            Err(e) => return (ProbeOutcome::Failure, e.to_string()),
             Ok(resp) if !resp.status.is_success() => {
                 return (
                     ProbeOutcome::Failure,
-                    Some(format!("healthz returned {}", resp.status.code())),
-                    None,
+                    format!("healthz returned {}", resp.status.code()),
                 )
             }
             Ok(resp) => resp,
@@ -448,123 +369,22 @@ impl Inner {
         } else {
             ProbeOutcome::DegradedReport
         };
-        let scrape = transport
-            .round_trip(&stamp(Request::get("/metrics")))
-            .ok()
-            .filter(|r| r.status.is_success())
-            .map(|r| promtext::parse(&String::from_utf8_lossy(&r.body)));
-        (outcome, Some(status), scrape)
+        (outcome, status)
     }
 
-    /// Folds one probe's results into retention and the state machine.
-    fn ingest_probe(
-        &self,
-        addr: &str,
-        now: f64,
-        (outcome, detail, scrape): (ProbeOutcome, Option<String>, Option<promtext::ParsedScrape>),
-    ) {
-        let reachable = outcome != ProbeOutcome::Failure;
-        {
-            let mut series = self.fleet.series.lock();
-            series.push(&key_up(addr), now, if reachable { 1.0 } else { 0.0 });
-            if let Some(scrape) = &scrape {
-                // Aggregate across endpoint labels at ingest time: the
-                // SLOs only need fleet-level counts per store, and
-                // aggregation here keeps retention bounded regardless of
-                // how many routes a store serves.
-                // Cumulative counters are retained as-is; a reading
-                // lower than history just marks a store restart, which
-                // `SeriesRing::delta` already handles (reset-aware).
-                let mut req_count = 0.0;
-                let mut req_buckets: BTreeMap<String, f64> = BTreeMap::new();
-                let mut wal_fsyncs: Option<f64> = None;
-                let mut uploads: Option<f64> = None;
-                let mut decisions: BTreeMap<String, f64> = BTreeMap::new();
-                let mut baseline: Option<f64> = None;
-                let mut rule_hits: Option<f64> = None;
-                let mut dead_rules: Option<f64> = None;
-                for sample in &scrape.samples {
-                    match sample.name.as_str() {
-                        "sensorsafe_datastore_request_seconds_bucket" => {
-                            if let Some(le) = sample.label("le") {
-                                *req_buckets.entry(le.to_string()).or_insert(0.0) += sample.value;
-                            }
-                        }
-                        "sensorsafe_datastore_request_seconds_count" => {
-                            req_count += sample.value;
-                        }
-                        "sensorsafe_store_wal_fsyncs_total" => {
-                            wal_fsyncs = Some(wal_fsyncs.unwrap_or(0.0) + sample.value);
-                        }
-                        "sensorsafe_datastore_durable_uploads_total" => {
-                            uploads = Some(uploads.unwrap_or(0.0) + sample.value);
-                        }
-                        // The privacy-posture families from the store's
-                        // sharing-awareness plane.
-                        "sensorsafe_policy_decision_outcomes_total" => {
-                            if let Some(outcome) = sample.label("outcome") {
-                                *decisions.entry(outcome.to_string()).or_insert(0.0) +=
-                                    sample.value;
-                            }
-                        }
-                        "sensorsafe_policy_baseline_decisions_total" => {
-                            baseline = Some(baseline.unwrap_or(0.0) + sample.value);
-                        }
-                        "sensorsafe_policy_rule_hits_total" => {
-                            rule_hits = Some(rule_hits.unwrap_or(0.0) + sample.value);
-                        }
-                        "sensorsafe_policy_dead_rules" => {
-                            dead_rules = Some(dead_rules.unwrap_or(0.0) + sample.value);
-                        }
-                        _ => {}
-                    }
-                }
-                series.push(&key_req_count(addr), now, req_count);
-                for (le, cum) in req_buckets {
-                    series.push(&key_req_bucket(addr, &le), now, cum);
-                }
-                if let Some(v) = wal_fsyncs {
-                    series.push(&key_wal_fsyncs(addr), now, v);
-                }
-                if let Some(v) = uploads {
-                    series.push(&key_durable_uploads(addr), now, v);
-                }
-                for (outcome, cum) in decisions {
-                    series.push(&key_decisions(addr, &outcome), now, cum);
-                }
-                if let Some(v) = baseline {
-                    series.push(&key_baseline_decisions(addr), now, v);
-                }
-                if let Some(v) = rule_hits {
-                    series.push(&key_rule_hits(addr), now, v);
-                }
-                if let Some(v) = dead_rules {
-                    series.push(&key_dead_rules(addr), now, v);
-                }
-            }
-            self.metrics
-                .gauge(
-                    "sensorsafe_broker_fleet_retained_series",
-                    "Distinct time series retained by the fleet scraper.",
-                    &[],
-                )
-                .set(series.series_count() as i64);
-        }
+    /// Folds one probe's result into the store's state machine.
+    fn ingest_probe(&self, addr: &str, now: f64, (outcome, detail): (ProbeOutcome, String)) {
         let mut stores = self.fleet.stores.lock();
         let state = stores
             .entry(addr.to_string())
             .or_insert_with(StoreState::new);
         state.probes += 1;
         state.last_probe_at = Some(now);
-        if reachable {
-            state.last_ok_at = Some(now);
-            state.last_error = None;
-            state.healthz_status = detail;
-        } else {
+        if outcome == ProbeOutcome::Failure {
             state.failures += 1;
-            state.last_error = detail;
+            state.last_error = Some(detail);
             state.healthz_status = None;
-            let store_label = consumer_label("sensorsafe_broker_fleet_scrape_failures_total", addr);
+            let store_label = bounded_label("sensorsafe_broker_fleet_scrape_failures_total", addr);
             self.metrics
                 .counter(
                     "sensorsafe_broker_fleet_scrape_failures_total",
@@ -572,77 +392,26 @@ impl Inner {
                     &[("store", &store_label)],
                 )
                 .inc();
+        } else {
+            state.last_ok_at = Some(now);
+            state.last_error = None;
+            state.healthz_status = Some(detail);
         }
         state.machine.observe(outcome, &self.fleet.config);
     }
 
-    /// Recomputes SLO evaluations and fleet gauges for every store.
-    fn evaluate_fleet(&self, now: f64, addrs: &[String]) {
-        let config = &self.fleet.config;
-        let series = self.fleet.series.lock();
-        let mut stores = self.fleet.stores.lock();
+    /// Refreshes the per-store and per-state fleet gauges.
+    fn publish_fleet_gauges(&self, now: f64, addrs: &[String]) {
+        let stores = self.fleet.stores.lock();
         let mut by_state =
             BTreeMap::from([("healthy", 0i64), ("degraded", 0i64), ("unreachable", 0i64)]);
         for addr in addrs {
-            let Some(state) = stores.get_mut(addr) else {
+            let Some(state) = stores.get(addr) else {
                 continue;
             };
-            let mut evaluations = Vec::new();
-
-            // Availability: reachable probes over all probes in window.
-            if let Some(up) = series.get(&key_up(addr)) {
-                let window = config.availability.window_secs;
-                let total = up.window_count(now, window) as f64;
-                let good = up.window_sum(now, window);
-                evaluations.push(config.availability.evaluate(&Measurement { good, total }));
-            }
-
-            // Request latency: windowed increases of the scraped
-            // histogram buckets. "Good" is the cumulative count at the
-            // largest bound at or under the threshold (conservative: a
-            // request in the straddling bucket counts as bad).
-            let mut buckets: Vec<(f64, f64)> = series
-                .with_prefix(&key_req_bucket_prefix(addr))
-                .filter_map(|(key, ring)| {
-                    let le = key.rsplit('|').next()?;
-                    let bound = promtext::parse_bound(le)?;
-                    let delta = ring.delta(now, config.latency.window_secs)?;
-                    Some((bound, delta))
-                })
-                .collect();
-            buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            if let Some(&(_, total)) = buckets.last() {
-                let good = buckets
-                    .iter()
-                    .filter(|(bound, _)| *bound <= config.latency_threshold_secs)
-                    .map(|&(_, cum)| cum)
-                    .next_back()
-                    .unwrap_or(0.0);
-                evaluations.push(config.latency.evaluate(&Measurement { good, total }));
-                state.request_p99_secs = histogram_quantile(&buckets, 0.99);
-            } else {
-                state.request_p99_secs = None;
-            }
-
-            // WAL coalescing: fsyncs per durable upload over the window.
-            let fsyncs = series
-                .get(&key_wal_fsyncs(addr))
-                .and_then(|r| r.delta(now, config.wal_ratio.window_secs));
-            let uploads = series
-                .get(&key_durable_uploads(addr))
-                .and_then(|r| r.delta(now, config.wal_ratio.window_secs));
-            if let (Some(fsyncs), Some(uploads)) = (fsyncs, uploads) {
-                if uploads > 0.0 {
-                    evaluations.push(config.wal_ratio.evaluate(&Measurement {
-                        good: fsyncs,
-                        total: uploads,
-                    }));
-                }
-            }
-
             let health = state.machine.state;
             *by_state.entry(health.as_str()).or_insert(0) += 1;
-            let store_label = consumer_label("sensorsafe_broker_fleet_store_health", addr);
+            let store_label = bounded_label("sensorsafe_broker_fleet_store_health", addr);
             self.metrics
                 .gauge(
                     "sensorsafe_broker_fleet_store_health",
@@ -667,19 +436,6 @@ impl Inner {
                     &[("store", &store_label)],
                 )
                 .set(staleness.round() as i64);
-            for eval in &evaluations {
-                self.metrics
-                    .gauge(
-                        "sensorsafe_broker_fleet_slo_burn_rate",
-                        "Error-budget burn rate per store and objective (x1000).",
-                        &[
-                            ("store", &store_label),
-                            ("objective", eval.objective.as_str()),
-                        ],
-                    )
-                    .set((eval.burn_rate * 1000.0).round() as i64);
-            }
-            state.evaluations = evaluations;
         }
         for (label, count) in by_state {
             self.metrics
@@ -692,90 +448,13 @@ impl Inner {
         }
     }
 
-    /// Fleet-wide privacy-posture rollup from the retained awareness
-    /// families: decision totals and per-second rates by outcome, the
-    /// denial ratio, baseline-only decision volume, and the dead-rule
-    /// count summed across every store.
-    fn privacy_rollup(&self, now: f64, addrs: &[String]) -> Value {
-        let window = self.fleet.config.availability.window_secs;
-        let series = self.fleet.series.lock();
-        let mut totals = BTreeMap::new();
-        let mut rates = BTreeMap::new();
-        for outcome in PRIVACY_OUTCOMES {
-            let mut total = 0.0;
-            let mut rate = 0.0;
-            for addr in addrs {
-                if let Some(ring) = series.get(&key_decisions(addr, outcome)) {
-                    total += ring.latest().map(|s| s.value).unwrap_or(0.0);
-                    rate += ring.rate(now, window).unwrap_or(0.0);
-                }
-            }
-            totals.insert(outcome, total);
-            rates.insert(outcome, rate);
-        }
-        let sum = |keys: &BTreeMap<&str, f64>| keys.values().sum::<f64>();
-        let all = sum(&totals);
-        // fold from +0.0: f64's `Sum` identity is -0.0, which would
-        // serialize an absent family as "-0.0" in the JSON.
-        let latest_sum = |key: &dyn Fn(&str) -> String| {
-            addrs
-                .iter()
-                .filter_map(|a| series.get(&key(a)))
-                .filter_map(|r| r.latest())
-                .fold(0.0, |acc, s| acc + s.value)
-        };
-        json!({
-            "window_secs": (window),
-            "decisions": {
-                "allowed": (totals["allowed"]),
-                "abstracted": (totals["abstracted"]),
-                "denied": (totals["denied"]),
-                "total": (all),
-            },
-            "decisions_per_sec": {
-                "allowed": (rates["allowed"]),
-                "abstracted": (rates["abstracted"]),
-                "denied": (rates["denied"]),
-                "total": (sum(&rates)),
-            },
-            "denial_ratio": (if all > 0.0 { totals["denied"] / all } else { 0.0 }),
-            "baseline_decisions": (latest_sum(&|a: &str| key_baseline_decisions(a))),
-            "rule_hits": (latest_sum(&|a: &str| key_rule_hits(a))),
-            "dead_rules": (latest_sum(&|a: &str| key_dead_rules(a))),
-        })
-    }
-
     /// `GET /fleet`: the whole plane as JSON.
     pub(crate) fn handle_fleet(&self) -> Response {
         let now = self.fleet_now_secs();
         let config = &self.fleet.config;
-        let privacy = self.privacy_rollup(now, &self.registry.store_addrs());
         let stores = self.fleet.stores.lock();
         let mut store_entries = Vec::new();
-        let mut alerts = Vec::new();
         for (addr, state) in stores.iter() {
-            let slo: Vec<Value> = state
-                .evaluations
-                .iter()
-                .map(|e| {
-                    json!({
-                        "objective": (e.objective.clone()),
-                        "burn_rate": (e.burn_rate),
-                        "alerting": (e.alerting),
-                        "good": (e.good),
-                        "total": (e.total),
-                    })
-                })
-                .collect();
-            for e in &state.evaluations {
-                if e.alerting {
-                    alerts.push(json!({
-                        "store": (addr.clone()),
-                        "objective": (e.objective.clone()),
-                        "burn_rate": (e.burn_rate),
-                    }));
-                }
-            }
             store_entries.push(json!({
                 "addr": (addr.clone()),
                 "health": (state.machine.state.as_str()),
@@ -795,11 +474,6 @@ impl Inner {
                 }),
                 "probes": (state.probes),
                 "failures": (state.failures),
-                "request_p99_secs": (match state.request_p99_secs {
-                    Some(p) => Value::from(p),
-                    None => Value::Null,
-                }),
-                "slo": (Value::Array(slo)),
             }));
         }
         let failovers: Vec<Value> = self.failovers.lock().iter().map(|e| e.to_json()).collect();
@@ -808,16 +482,13 @@ impl Inner {
             "unreachable_after": (config.unreachable_after),
             "healthy_after": (config.healthy_after),
             "sweeps": (*self.fleet.sweeps.lock()),
-            "series_retained": (self.fleet.series.lock().series_count() as u64),
             "stores": (Value::Array(store_entries)),
-            "alerts": (Value::Array(alerts)),
             "failovers": (Value::Array(failovers)),
-            "privacy": (privacy),
         }))
     }
 }
 
-/// Handle to the background scraper thread. Dropping it (or calling
+/// Handle to the background prober thread. Dropping it (or calling
 /// [`FleetScraper::stop`]) stops the thread and joins it — the same
 /// clean-shutdown contract as [`sensorsafe_net::Server`].
 pub struct FleetScraper {
@@ -865,7 +536,7 @@ impl FleetScraper {
         }
     }
 
-    /// Signals the scraper to stop and joins the thread.
+    /// Signals the prober to stop and joins the thread.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(handle) = self.handle.take() {
@@ -963,6 +634,71 @@ mod tests {
         assert!(offsets.len() >= 6, "poor spread: {offsets:?}");
         // Degenerate interval: no panic, no offset.
         assert_eq!(store_jitter("x", Duration::ZERO), Duration::ZERO);
+    }
+
+    #[test]
+    fn sweeps_ask_stores_for_healthz_only() {
+        use crate::{BrokerConfig, BrokerService, TransportFactory};
+        use sensorsafe_net::{LocalTransport, Service, Status, Transport};
+
+        /// A store that answers everything and records what it was asked.
+        struct RecordingStore(Mutex<Vec<String>>);
+        impl Service for RecordingStore {
+            fn handle(&self, request: &Request) -> Response {
+                self.0.lock().push(request.path.clone());
+                match request.path.as_str() {
+                    "/healthz" => Response::json(&json!({"status": "ok"})),
+                    "/metrics" => Response::text("sensorsafe_policy_decisions_total 1\n"),
+                    _ => Response::error(Status::NotFound, "no such route"),
+                }
+            }
+        }
+
+        let store = Arc::new(RecordingStore(Mutex::new(Vec::new())));
+        let for_factory = Arc::clone(&store);
+        let transports: TransportFactory = Arc::new(move |_addr: &str| {
+            Arc::new(LocalTransport::new(for_factory.clone() as Arc<dyn Service>))
+                as Arc<dyn Transport>
+        });
+        let (broker, admin) = BrokerService::new(BrokerConfig {
+            name: "broker".into(),
+            transports,
+            ..BrokerConfig::default()
+        });
+        for addr in ["s1", "s2"] {
+            let resp = broker.handle(&Request::post_json(
+                "/api/stores/register",
+                &json!({"key": (admin.to_hex()), "addr": addr, "register_key": "k"}),
+            ));
+            assert!(resp.status.is_success());
+        }
+        store.0.lock().clear();
+        for _ in 0..3 {
+            broker.fleet_sweep_now();
+        }
+        let asked = store.0.lock().clone();
+        assert_eq!(asked, vec!["/healthz"; 6]);
+
+        let fleet = broker.handle(&Request::get("/fleet")).json_body().unwrap();
+        let keys: Vec<&str> = fleet
+            .as_object()
+            .expect("/fleet is an object")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "scrape_interval_secs",
+                "unreachable_after",
+                "healthy_after",
+                "sweeps",
+                "stores",
+                "failovers"
+            ]
+        );
+        assert!(fleet.get("privacy").is_none());
+        assert_eq!(fleet["stores"][0]["health"], json!("healthy"));
     }
 
     #[test]

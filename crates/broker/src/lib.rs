@@ -18,10 +18,10 @@
 //!   `search` module.
 //! * [`web`] — the broker's web UI: contributor search form and result
 //!   lists, plus the `/ui/fleet` health table.
-//! * [`fleet`] — the fleet health plane: a background scraper over every
-//!   paired store's `/healthz` + `/metrics`, ring-buffer retention, a
-//!   per-store health state machine, and SLO burn-rate alerts, surfaced
-//!   at `GET /fleet` and re-exported as broker metrics.
+//! * [`fleet`] — the fleet health plane: a background prober of every
+//!   paired store's `/healthz` (and nothing else) feeding a per-store
+//!   health state machine, surfaced at `GET /fleet` and as broker
+//!   metrics.
 //! * [`failover`] — the failover controller riding each fleet sweep:
 //!   when a primary store trips Unreachable and has a paired replica,
 //!   contributors are moved over via the registry's monotonic epoch

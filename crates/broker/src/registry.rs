@@ -114,7 +114,7 @@ impl BrokerRegistry {
         self.stores.read().len()
     }
 
-    /// Addresses of every paired store, sorted. The fleet scraper walks
+    /// Addresses of every paired store, sorted. The fleet prober walks
     /// this list each sweep.
     pub fn store_addrs(&self) -> Vec<String> {
         self.stores.read().keys().cloned().collect()

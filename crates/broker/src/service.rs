@@ -38,9 +38,8 @@ pub struct BrokerConfig {
     pub name: String,
     /// How to reach data stores.
     pub transports: TransportFactory,
-    /// Fleet health plane: scrape cadence, health-machine thresholds,
-    /// retention sizing, and SLO objectives. See docs/OPERATIONS.md
-    /// ("Fleet monitoring").
+    /// Fleet health plane: probe cadence and health-machine thresholds.
+    /// See docs/OPERATIONS.md ("Fleet monitoring").
     pub fleet: crate::fleet::FleetConfig,
 }
 
@@ -464,7 +463,7 @@ impl BrokerService {
         // is only for a handler that never waits on disk, the network, a
         // sleep or a lock held across one: all four routes so marked read
         // and write memory under short locks. Everything else takes the
-        // POOL (`/fleet` walks every store's retained series,
+        // POOL (`/fleet` renders every store's entry and the failover log,
         // `/api/consumers/add` and the registrations call out to stores).
         // `tests/evented_core.rs` pins the set.
         const INLINE: bool = true;
@@ -599,7 +598,7 @@ impl BrokerService {
         self.inner.fleet_sweep();
     }
 
-    /// Starts the background fleet scraper. The returned handle stops
+    /// Starts the background fleet prober. The returned handle stops
     /// and joins the thread when dropped.
     pub fn spawn_fleet_scraper(&self) -> crate::fleet::FleetScraper {
         crate::fleet::FleetScraper::spawn(self.inner.clone())
@@ -1094,7 +1093,6 @@ pub(crate) mod tests {
         assert_eq!(stores[0]["healthz_status"].as_str(), Some("ok"));
         assert_eq!(stores[0]["probes"].as_u64(), Some(2));
         assert_eq!(stores[0]["failures"].as_u64(), Some(0));
-        assert!(body["series_retained"].as_u64().unwrap() >= 1);
         // Fleet gauges are re-exported under the broker's own /metrics.
         let metrics = rig.broker.handle(&Request::get("/metrics"));
         let text = String::from_utf8(metrics.body).unwrap();
@@ -1168,60 +1166,6 @@ pub(crate) mod tests {
             .as_array()
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn fleet_slo_burn_alerts_on_latency_breach() {
-        let (store, store_admin) = DataStoreService::new(DataStoreConfig::default());
-        let store_for_factory = store.clone();
-        let transports: TransportFactory = Arc::new(move |_addr: &str| {
-            Arc::new(LocalTransport::new(Arc::new(store_for_factory.clone()))) as Arc<dyn Transport>
-        });
-        // A latency threshold no real request can meet: every request in
-        // the window is a "bad event", so the burn rate saturates.
-        let (broker, broker_admin) = BrokerService::new(BrokerConfig {
-            name: "slo-broker".into(),
-            transports,
-            fleet: crate::fleet::FleetConfig {
-                healthy_after: 1,
-                latency_threshold_secs: 0.0,
-                ..Default::default()
-            },
-        });
-        broker.handle(&Request::post_json(
-            "/api/stores/register",
-            &json!({
-                "key": (broker_admin.to_hex()),
-                "addr": "store-1",
-                "register_key": (store_admin.to_hex()),
-            }),
-        ));
-        // Drive some real store requests so the scraped histogram moves
-        // between sweeps (the burn engine works on windowed deltas).
-        broker.fleet_sweep_now();
-        for _ in 0..5 {
-            store.handle(&Request::get("/healthz"));
-        }
-        broker.fleet_sweep_now();
-        let body = broker.handle(&Request::get("/fleet")).json_body().unwrap();
-        let alerts = body["alerts"].as_array().unwrap();
-        assert!(
-            alerts.iter().any(|a| {
-                a["objective"].as_str() == Some("request_latency")
-                    && a["store"].as_str() == Some("store-1")
-            }),
-            "{body}"
-        );
-        let slo = body["stores"][0]["slo"].as_array().unwrap();
-        let latency = slo
-            .iter()
-            .find(|e| e["objective"].as_str() == Some("request_latency"))
-            .expect("latency objective evaluated");
-        assert_eq!(latency["alerting"].as_bool(), Some(true));
-        assert!(latency["burn_rate"].as_f64().unwrap() >= 1.0);
-        // The burn gauge surfaces on /metrics too.
-        let text = String::from_utf8(broker.handle(&Request::get("/metrics")).body).unwrap();
-        assert!(text.contains("sensorsafe_broker_fleet_slo_burn_rate"));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! form, and registry overview.
 
 use crate::service::Inner;
-use sensorsafe_json::Value;
 use sensorsafe_net::html::{escape, form_all, page, parse_form, with_session};
 use sensorsafe_net::{Method, Request, Response, Router, Status};
 use sensorsafe_policy::{ConsumerCtx, SearchQuery};
@@ -153,27 +152,6 @@ fn handle_search_post(inner: &Inner, req: &Request, username: &str) -> Response 
     )
 }
 
-/// Renders one store's SLO cell: `objective burn×N` per line, alerting
-/// objectives flagged.
-fn slo_cell(slo: &Value) -> String {
-    let Some(entries) = slo.as_array() else {
-        return String::new();
-    };
-    entries
-        .iter()
-        .map(|e| {
-            let name = e["objective"].as_str().unwrap_or("?");
-            let burn = e["burn_rate"].as_f64().unwrap_or(0.0);
-            let flag = if e["alerting"].as_bool() == Some(true) {
-                " <strong>ALERT</strong>"
-            } else {
-                ""
-            };
-            format!("{} burn {:.2}{}<br>", escape(name), burn, flag)
-        })
-        .collect()
-}
-
 /// `GET /ui/fleet`: the fleet health plane as an HTML table — the same
 /// snapshot `GET /fleet` serves as JSON.
 fn handle_fleet_page(inner: &Inner, _: &Request, _: &str) -> Response {
@@ -187,49 +165,23 @@ fn handle_fleet_page(inner: &Inner, _: &Request, _: &str) -> Response {
                 .iter()
                 .map(|s| {
                     let health = s["health"].as_str().unwrap_or("unknown");
-                    let p99 = s["request_p99_secs"]
-                        .as_f64()
-                        .map(|p| format!("{:.3}s", p))
-                        .unwrap_or_else(|| "—".to_string());
                     let staleness = s["staleness_secs"]
                         .as_f64()
                         .map(|v| format!("{v:.0}s"))
                         .unwrap_or_else(|| "never".to_string());
                     format!(
                         "<tr class=\"fleet-{health}\"><td>{addr}</td><td>{health}</td>\
-                         <td>{healthz}</td><td>{p99}</td><td>{failures}/{probes}</td>\
-                         <td>{staleness}</td><td>{slo}</td></tr>",
+                         <td>{healthz}</td><td>{failures}/{probes}</td>\
+                         <td>{staleness}</td></tr>",
                         addr = escape(s["addr"].as_str().unwrap_or("?")),
                         healthz = escape(s["healthz_status"].as_str().unwrap_or("—")),
                         failures = s["failures"].as_u64().unwrap_or(0),
                         probes = s["probes"].as_u64().unwrap_or(0),
-                        slo = slo_cell(&s["slo"]),
                     )
                 })
                 .collect()
         })
         .unwrap_or_default();
-    let alerts: String = fleet["alerts"]
-        .as_array()
-        .map(|alerts| {
-            alerts
-                .iter()
-                .map(|a| {
-                    format!(
-                        "<li><strong>{}</strong>: {} burning at {:.2}</li>",
-                        escape(a["store"].as_str().unwrap_or("?")),
-                        escape(a["objective"].as_str().unwrap_or("?")),
-                        a["burn_rate"].as_f64().unwrap_or(0.0),
-                    )
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let alert_block = if alerts.is_empty() {
-        "<p id=\"no-alerts\">No SLO burn alerts.</p>".to_string()
-    } else {
-        format!("<h2>Burn alerts</h2><ul id=\"alerts\">{alerts}</ul>")
-    };
     let failovers: String = fleet["failovers"]
         .as_array()
         .map(|events| {
@@ -258,40 +210,14 @@ fn handle_fleet_page(inner: &Inner, _: &Request, _: &str) -> Response {
     } else {
         format!("<h2>Failovers</h2><ul id=\"failovers\">{failovers}</ul>")
     };
-    // Fleet-wide privacy posture from the scraped awareness families.
-    let privacy = &fleet["privacy"];
-    let outcome = |k: &str| privacy["decisions"][k].as_f64().unwrap_or(0.0);
-    let rate = |k: &str| privacy["decisions_per_sec"][k].as_f64().unwrap_or(0.0);
-    let privacy_block = format!(
-        "<h2>Privacy posture</h2>\
-         <table id=\"privacy\">\
-         <tr><th>Outcome</th><th>Decisions</th><th>Per second</th></tr>\
-         <tr><td>allowed</td><td>{a:.0}</td><td>{ar:.3}</td></tr>\
-         <tr><td>abstracted</td><td>{b:.0}</td><td>{br:.3}</td></tr>\
-         <tr><td>denied</td><td>{d:.0}</td><td>{dr:.3}</td></tr>\
-         </table>\
-         <p>Denial ratio {ratio:.3}; {baseline:.0} decision(s) matched no rule; \
-         {dead:.0} dead rule(s) fleet-wide.</p>",
-        a = outcome("allowed"),
-        ar = rate("allowed"),
-        b = outcome("abstracted"),
-        br = rate("abstracted"),
-        d = outcome("denied"),
-        dr = rate("denied"),
-        ratio = privacy["denial_ratio"].as_f64().unwrap_or(0.0),
-        baseline = privacy["baseline_decisions"].as_f64().unwrap_or(0.0),
-        dead = privacy["dead_rules"].as_f64().unwrap_or(0.0),
-    );
     page(
         SITE,
         "Fleet Health",
         &format!(
-            "<p>{sweeps} sweep(s), {series} series retained.</p>{alert_block}{failover_block}\
+            "<p>{sweeps} sweep(s).</p>{failover_block}\
              <table id=\"fleet\"><tr><th>Store</th><th>Health</th><th>Healthz</th>\
-             <th>p99</th><th>Failures</th><th>Staleness</th><th>SLO</th></tr>{rows}</table>\
-             {privacy_block}",
+             <th>Failures</th><th>Staleness</th></tr>{rows}</table>",
             sweeps = fleet["sweeps"].as_u64().unwrap_or(0),
-            series = fleet["series_retained"].as_u64().unwrap_or(0),
         ),
     )
 }
@@ -334,7 +260,7 @@ pub(crate) fn mount(router: &mut Router, inner: &Arc<Inner>) {
 mod tests {
     use super::*;
     use crate::service::{BrokerConfig, BrokerService};
-    use sensorsafe_json::json;
+    use sensorsafe_json::{json, Value};
     use sensorsafe_net::Service;
     use sensorsafe_types::ContributorId;
 

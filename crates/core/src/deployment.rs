@@ -88,7 +88,7 @@ impl Deployment {
     }
 
     /// [`Deployment::in_process`] with explicit fleet health-plane
-    /// settings (scrape thresholds, SLO objectives).
+    /// settings (probe interval and health thresholds).
     pub fn in_process_with_fleet(fleet: FleetConfig) -> Deployment {
         let stores: Stores = Arc::new(RwLock::new(BTreeMap::new()));
         let stores_for_factory = stores.clone();

@@ -75,7 +75,6 @@
 use crate::service::Inner;
 use sensorsafe_json::{json, Value};
 use sensorsafe_net::{Request, Transport};
-use sensorsafe_obsv::audit::consumer_label;
 use sensorsafe_store::repl;
 use sensorsafe_types::ContributorId;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -113,98 +112,21 @@ impl Inner {
         };
         let (transport, repl_key) = link;
         let mut shipped = 0usize;
-        let registry = sensorsafe_obsv::global();
+        let mut pending = 0usize;
         for id in self.state.contributor_ids() {
-            // Handshake before trusting acks: the replica persists its
-            // applied high-water, but this shipper's sequence numbering is
-            // in-memory. After a primary restart (or replica swap) the two
-            // can disagree — a replica ahead of us would silently ack
-            // batches it never applied. Compare high-waters once per
-            // attachment; on mismatch, wipe the replica (epoch-guarded)
-            // and re-snapshot so shipping restarts from seq 1.
-            if !self.repl_synced.lock().contains(&id) {
-                if !self.repl_handshake(&id, transport.as_ref(), &repl_key) {
-                    registry
-                        .counter(
-                            "sensorsafe_datastore_repl_ship_failures_total",
-                            "Replication batch pushes that failed or were rejected.",
-                            &[],
-                        )
-                        .inc();
-                    continue;
-                }
-                self.repl_synced.lock().insert(id.clone());
-            }
-            let Some((batches, epoch)) = self
-                .state
-                .with_contributor_mut(&id, |account| {
-                    if !account.store.repl_enabled() || account.store.fenced() {
-                        return None;
-                    }
-                    account.store.repl_seal();
-                    Some((
-                        account.store.repl_peek(MAX_BATCHES_PER_PASS),
-                        account.store.assignment_epoch(),
-                    ))
-                })
-                .flatten()
-            else {
-                continue;
-            };
-            for batch in batches {
-                let seq = batch.seq;
-                let frame = repl::encode_batch(id.as_str(), epoch, &batch);
-                let payload = json!({
-                    "key": (repl_key.clone()),
-                    "batch": (repl::to_hex(&frame)),
-                });
-                let outcome = transport.round_trip(&Request::post_json("/repl/segment", &payload));
-                match outcome {
-                    Ok(resp) if resp.status.is_success() => {
-                        self.state
-                            .with_contributor_mut(&id, |a| a.store.repl_ack(seq));
-                        shipped += 1;
-                        registry
-                            .counter(
-                                "sensorsafe_datastore_repl_shipped_batches_total",
-                                "Replication batches acked by the replica.",
-                                &[],
-                            )
-                            .inc();
-                    }
-                    _ => {
-                        // Transport error or rejection (including a fence
-                        // response): stop this account for the pass and
-                        // retry on the next one. The replica may have
-                        // restarted mid-run, so force a fresh handshake
-                        // before trusting its next ack. (A fence also
-                        // flips the durable fence flag via /repl/fence,
-                        // which skips the account entirely from then on.)
-                        self.repl_synced.lock().remove(&id);
-                        registry
-                            .counter(
-                                "sensorsafe_datastore_repl_ship_failures_total",
-                                "Replication batch pushes that failed or were rejected.",
-                                &[],
-                            )
-                            .inc();
-                        break;
-                    }
-                }
-            }
-            let pending = self
+            shipped += self.repl_ship_account(&id, transport.as_ref(), &repl_key);
+            pending += self
                 .state
                 .with_contributor(&id, |a| a.store.repl_pending())
                 .unwrap_or(0);
-            let label = consumer_label("sensorsafe_datastore_repl_pending_batches", id.as_str());
-            registry
-                .gauge(
-                    "sensorsafe_datastore_repl_pending_batches",
-                    "Replication lag: sealed batches not yet acked by the replica.",
-                    &[("contributor", &label)],
-                )
-                .set(pending as i64);
         }
+        sensorsafe_obsv::global()
+            .gauge(
+                "sensorsafe_datastore_repl_pending_batches",
+                "Replication lag: sealed batches not yet acked by the replica, summed over hosted contributors.",
+                &[],
+            )
+            .set(pending as i64);
         // Fresh acks may have unblocked journal segment GC: checkpointed
         // segments are only deleted once every account's shipped batches
         // are acked (the journal's GC gate reads `repl_acked_seq`), so a
@@ -212,6 +134,97 @@ impl Inner {
         if shipped > 0 {
             if let Ok(Some(journal)) = &self.journal {
                 journal.maybe_gc();
+            }
+        }
+        shipped
+    }
+
+    /// Ships one contributor's unacked batches in sequence order (at
+    /// most [`MAX_BATCHES_PER_PASS`]) and returns how many the replica
+    /// acked.
+    fn repl_ship_account(
+        &self,
+        id: &ContributorId,
+        transport: &dyn Transport,
+        repl_key: &str,
+    ) -> usize {
+        let registry = sensorsafe_obsv::global();
+        // Handshake before trusting acks: the replica persists its
+        // applied high-water, but this shipper's sequence numbering is
+        // in-memory. After a primary restart (or replica swap) the two
+        // can disagree — a replica ahead of us would silently ack
+        // batches it never applied. Compare high-waters once per
+        // attachment; on mismatch, wipe the replica (epoch-guarded)
+        // and re-snapshot so shipping restarts from seq 1.
+        if !self.repl_synced.lock().contains(id) {
+            if !self.repl_handshake(id, transport, repl_key) {
+                registry
+                    .counter(
+                        "sensorsafe_datastore_repl_ship_failures_total",
+                        "Replication batch pushes that failed or were rejected.",
+                        &[],
+                    )
+                    .inc();
+                return 0;
+            }
+            self.repl_synced.lock().insert(id.clone());
+        }
+        let Some((batches, epoch)) = self
+            .state
+            .with_contributor_mut(id, |account| {
+                if !account.store.repl_enabled() || account.store.fenced() {
+                    return None;
+                }
+                account.store.repl_seal();
+                Some((
+                    account.store.repl_peek(MAX_BATCHES_PER_PASS),
+                    account.store.assignment_epoch(),
+                ))
+            })
+            .flatten()
+        else {
+            return 0;
+        };
+        let mut shipped = 0usize;
+        for batch in batches {
+            let seq = batch.seq;
+            let frame = repl::encode_batch(id.as_str(), epoch, &batch);
+            let payload = json!({
+                "key": (repl_key),
+                "batch": (repl::to_hex(&frame)),
+            });
+            let outcome = transport.round_trip(&Request::post_json("/repl/segment", &payload));
+            match outcome {
+                Ok(resp) if resp.status.is_success() => {
+                    self.state
+                        .with_contributor_mut(id, |a| a.store.repl_ack(seq));
+                    shipped += 1;
+                    registry
+                        .counter(
+                            "sensorsafe_datastore_repl_shipped_batches_total",
+                            "Replication batches acked by the replica.",
+                            &[],
+                        )
+                        .inc();
+                }
+                _ => {
+                    // Transport error or rejection (including a fence
+                    // response): stop this account for the pass and
+                    // retry on the next one. The replica may have
+                    // restarted mid-run, so force a fresh handshake
+                    // before trusting its next ack. (A fence also
+                    // flips the durable fence flag via /repl/fence,
+                    // which skips the account entirely from then on.)
+                    self.repl_synced.lock().remove(id);
+                    registry
+                        .counter(
+                            "sensorsafe_datastore_repl_ship_failures_total",
+                            "Replication batch pushes that failed or were rejected.",
+                            &[],
+                        )
+                        .inc();
+                    break;
+                }
             }
         }
         shipped
@@ -344,7 +357,7 @@ impl Inner {
 
 /// Handle to the `repl-shipper` background thread. Dropping it (or
 /// calling [`ReplShipper::stop`]) stops the thread and joins it — the
-/// same clean-shutdown contract as the broker's fleet scraper.
+/// same clean-shutdown contract as the broker's fleet prober.
 pub struct ReplShipper {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,

@@ -560,10 +560,7 @@ impl Inner {
             .counter(
                 "sensorsafe_audit_requests_total",
                 "Consumer data queries entering the enforcement pipeline.",
-                &[(
-                    "consumer",
-                    &audit::consumer_label("sensorsafe_audit_requests_total", &principal.name),
-                )],
+                &[],
             )
             .inc();
         let ctx = consumer.to_ctx();
@@ -572,7 +569,7 @@ impl Inner {
             .read_contributor(&contributor)
             .ok_or_else(no_such_contributor)?;
         // Everything `policy::enforce`, deep in the pipeline, needs to
-        // attribute a decision: the consumer (per-decision audit counters),
+        // attribute a decision: the consumer (named in the ledger record),
         // the contributor and the rule epoch live for this request (read
         // under the same account guard enforcement uses, so rule hits
         // attribute to the exact rule set that produced them), and both
@@ -1453,6 +1450,68 @@ mod tests {
             Some(count as u64)
         );
         count
+    }
+
+    #[test]
+    fn metrics_name_no_principal() {
+        // `/metrics` needs no key, so a principal name on it would tell
+        // any scraper who reads whose data. Distinctive names make a
+        // leak through any family (or a label fold) visible as a
+        // substring.
+        const CONTRIBUTOR: &str = "alice-7f3a9";
+        const CONSUMER: &str = "bob-7f3a9";
+        let (primary, admin) = service();
+        let (replica, replica_admin) = DataStoreService::new(DataStoreConfig {
+            name: "replica".to_string(),
+            ..DataStoreConfig::default()
+        });
+        primary.attach_replica(crate::repl::ReplicaLink {
+            addr: "replica:0".to_string(),
+            transport: Arc::new(sensorsafe_net::LocalTransport::new(Arc::new(
+                replica.clone(),
+            ))),
+            repl_key: replica_admin.to_hex(),
+        });
+        let alice = register(&primary, &admin, CONTRIBUTOR, "contributor");
+        let bob = register(&primary, &admin, CONSUMER, "consumer");
+        upload_alice_day(&primary, &alice);
+        let query = |rules: Value| {
+            let resp = primary.handle(&Request::post_json(
+                "/api/rules/set",
+                &json!({"key": (alice.clone()), "rules": (rules)}),
+            ));
+            assert_eq!(resp.status, Status::Ok);
+            let resp = primary.handle(&Request::post_json(
+                "/api/query",
+                &json!({"key": (bob.clone()), "contributor": CONTRIBUTOR}),
+            ));
+            assert_eq!(resp.status, Status::Ok);
+        };
+        // Allowed, then a raw channel withheld (a closure suppression),
+        // then everything denied.
+        query(json!([{"Action": "Allow"}]));
+        query(json!([{"Action": "Allow"}, {"Sensor": ["ecg"], "Action": "Deny"}]));
+        query(json!([]));
+        assert!(primary.repl_ship_now() >= 1);
+        for (server, svc) in [("primary", &primary), ("replica", &replica)] {
+            let resp = svc.handle(&Request::get("/metrics"));
+            assert_eq!(resp.status, Status::Ok);
+            let text = String::from_utf8(resp.body).unwrap();
+            for name in [CONTRIBUTOR, CONSUMER] {
+                assert!(
+                    !text.contains(name),
+                    "{server} /metrics names {name}: {text}"
+                );
+            }
+            assert!(!text.contains("consumer=\""), "{server}: {text}");
+            assert!(!text.contains("contributor=\""), "{server}: {text}");
+        }
+        // The decisions are still counted, by outcome alone.
+        let text = String::from_utf8(primary.handle(&Request::get("/metrics")).body).unwrap();
+        assert!(
+            text.contains("sensorsafe_policy_decisions_total{decision=\"allowed\"}"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -20,31 +20,22 @@
 //! reply to render meanwhile) so the response never outruns its audit
 //! trail.
 //!
-//! Consumer names are attacker-influenced label values (anyone the broker
-//! registers), so the counter families cap distinct consumer labels at
-//! [`MAX_CONSUMER_LABELS`] and fold the overflow into `"__other__"` —
-//! the ledger keeps exact names, the metrics keep bounded cardinality.
+//! The counter families carry no principal names: `/metrics` needs no
+//! key, so a consumer label would tell any scraper who reads whose data.
+//! The ledger keeps exact names, and the owner reads them per consumer
+//! behind a key (`/api/audit`, `/api/privacy/summary`).
 
 use crate::awareness::AwarenessPlane;
 use crate::global;
 use crate::ledger::{AuditLedger, DecisionRecord};
 use crate::trace;
-use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 thread_local! {
     static DECISION_SCOPES: RefCell<Vec<DecisionScope>> = const { RefCell::new(Vec::new()) };
 }
-
-/// Most distinct `consumer` label values any one metric family will emit;
-/// consumers beyond this are folded into `consumer="__other__"`.
-pub const MAX_CONSUMER_LABELS: usize = 64;
-
-/// The fold label for consumers past the cardinality cap.
-pub const OTHER_CONSUMER_LABEL: &str = "__other__";
 
 /// The outcome of a single policy enforcement decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,58 +110,34 @@ impl Drop for InstalledScope {
     }
 }
 
-/// The bounded consumer label for `family`: the consumer's own name while
-/// the family has seen fewer than [`MAX_CONSUMER_LABELS`] distinct
-/// consumers (or this one already has a slot), else
-/// [`OTHER_CONSUMER_LABEL`]. Used by every counter family keyed on
-/// consumer so an open-registration deployment cannot blow up scrape
-/// cardinality.
-pub fn consumer_label(family: &str, consumer: &str) -> String {
-    static SEEN: OnceLock<Mutex<BTreeMap<String, BTreeSet<String>>>> = OnceLock::new();
-    let mut seen = SEEN.get_or_init(|| Mutex::new(BTreeMap::new())).lock();
-    let consumers = seen.entry(family.to_string()).or_default();
-    if consumers.contains(consumer) {
-        return consumer.to_string();
-    }
-    if consumers.len() < MAX_CONSUMER_LABELS {
-        consumers.insert(consumer.to_string());
-        return consumer.to_string();
-    }
-    OTHER_CONSUMER_LABEL.to_string()
-}
-
 /// Records one enforcement decision with its rule provenance: bumps the
-/// per-consumer counters (bounded labels; `"unknown"` when enforcement
-/// runs outside a request scope — tests, offline tools) and, inside a
+/// decision counters (labelled by outcome alone) and, inside a
 /// [`DecisionScope`], hands one [`DecisionRecord`] to both of its sinks.
 pub fn record_decision(outcome: Outcome, suppressed_channels: u64, matched_rules: &[u32]) {
-    let scope = DECISION_SCOPES.with(|stack| stack.borrow().last().cloned());
-    let consumer = scope.as_ref().map_or("unknown", |s| s.consumer.as_str());
-    let label = consumer_label("sensorsafe_policy_decisions_total", consumer);
     global()
         .counter(
             "sensorsafe_policy_decisions_total",
-            "Policy enforcement decisions by consumer and decision.",
-            &[("consumer", &label), ("decision", outcome.as_str())],
+            "Policy enforcement decisions by outcome.",
+            &[("decision", outcome.as_str())],
         )
         .inc();
     if suppressed_channels > 0 {
-        let label = consumer_label("sensorsafe_policy_closure_suppressions_total", consumer);
         global()
             .counter(
                 "sensorsafe_policy_closure_suppressions_total",
                 "Enforcement decisions in which the dependency-closure rule suppressed at least one channel.",
-                &[("consumer", &label)],
+                &[],
             )
             .inc();
         global()
             .counter(
                 "sensorsafe_policy_closure_suppressed_channels_total",
                 "Channels withheld by the dependency-closure rule.",
-                &[("consumer", &label)],
+                &[],
             )
             .add(suppressed_channels);
     }
+    let scope = DECISION_SCOPES.with(|stack| stack.borrow().last().cloned());
     let Some(scope) = scope else {
         return;
     };
@@ -235,34 +202,45 @@ mod tests {
     }
 
     #[test]
-    fn record_decision_counts_by_consumer_and_decision() {
+    fn record_decision_counts_by_decision() {
+        // The families are process-wide and other tests decide too, so
+        // compare before and after rather than absolute values.
+        let get = |decision: &str| {
+            global()
+                .counter(
+                    "sensorsafe_policy_decisions_total",
+                    "Policy enforcement decisions by outcome.",
+                    &[("decision", decision)],
+                )
+                .get()
+        };
+        let suppressed = || {
+            global()
+                .counter(
+                    "sensorsafe_policy_closure_suppressed_channels_total",
+                    "Channels withheld by the dependency-closure rule.",
+                    &[],
+                )
+                .get()
+        };
+        let before = (
+            get("allowed"),
+            get("abstracted"),
+            get("denied"),
+            suppressed(),
+        );
         let ledger = Arc::new(MemoryLedger::new());
         let _scope = scope("audit-test-consumer", &ledger).install();
         record_decision(Outcome::Allowed, 0, &[]);
         record_decision(Outcome::Allowed, 0, &[]);
         record_decision(Outcome::Abstracted, 0, &[]);
         record_decision(Outcome::Denied, 3, &[]);
-
-        let get = |decision: &str| {
-            global()
-                .counter(
-                    "sensorsafe_policy_decisions_total",
-                    "Policy enforcement decisions by consumer and decision.",
-                    &[("consumer", "audit-test-consumer"), ("decision", decision)],
-                )
-                .get()
-        };
-        assert_eq!(get("allowed"), 2);
-        assert_eq!(get("abstracted"), 1);
-        assert_eq!(get("denied"), 1);
-        let suppressed = global()
-            .counter(
-                "sensorsafe_policy_closure_suppressed_channels_total",
-                "Channels withheld by the dependency-closure rule.",
-                &[("consumer", "audit-test-consumer")],
-            )
-            .get();
-        assert_eq!(suppressed, 3);
+        assert!(get("allowed") >= before.0 + 2);
+        assert!(get("abstracted") > before.1);
+        assert!(get("denied") > before.2);
+        assert!(suppressed() >= before.3 + 3);
+        // No family names the consumer.
+        assert!(!global().encode().contains("audit-test-consumer"));
     }
 
     #[test]
@@ -270,34 +248,6 @@ mod tests {
         assert_eq!(Outcome::Allowed.as_str(), "allowed");
         assert_eq!(Outcome::Abstracted.as_str(), "abstracted");
         assert_eq!(Outcome::Denied.as_str(), "denied");
-    }
-
-    #[test]
-    fn consumer_labels_fold_into_other_past_the_cap() {
-        // A synthetic family, so this flood cannot steal label slots from
-        // the real families other tests (and processes) assert on.
-        let family = "sensorsafe_test_cardinality_family";
-        for i in 0..MAX_CONSUMER_LABELS {
-            assert_eq!(consumer_label(family, &format!("c{i}")), format!("c{i}"));
-        }
-        // Known consumers keep their slots forever...
-        assert_eq!(consumer_label(family, "c0"), "c0");
-        assert_eq!(
-            consumer_label(family, &format!("c{}", MAX_CONSUMER_LABELS - 1)),
-            format!("c{}", MAX_CONSUMER_LABELS - 1)
-        );
-        // ...newcomers beyond the cap all fold into one label.
-        for i in MAX_CONSUMER_LABELS..MAX_CONSUMER_LABELS + 10 {
-            assert_eq!(
-                consumer_label(family, &format!("c{i}")),
-                OTHER_CONSUMER_LABEL
-            );
-        }
-        // Folding is per family: a fresh family still hands out real labels.
-        assert_eq!(
-            consumer_label("sensorsafe_test_cardinality_family_2", "c9999"),
-            "c9999"
-        );
     }
 
     #[test]

@@ -54,8 +54,7 @@ pub const TREND_BUCKET_SECS: u64 = 60;
 pub const TREND_RING_BUCKETS: usize = 256;
 
 /// Hard cap on distinct trend series (contributor × outcome keys); new
-/// keys past the cap are dropped and counted, exactly like the fleet
-/// scraper's retention.
+/// keys past the cap are dropped and counted.
 pub const MAX_TREND_SERIES: usize = 4096;
 
 /// Rule-hit attribution epochs retained per contributor. Rule churn bumps
@@ -64,12 +63,6 @@ pub const MAX_TREND_SERIES: usize = 4096;
 /// previous ones. Retention is deterministic (smallest epochs evicted
 /// first) so a ledger replay reproduces it exactly.
 pub const MAX_EPOCHS_RETAINED: usize = 4;
-
-/// Metric family: enforcement decisions by outcome alone. The existing
-/// `sensorsafe_policy_decisions_total` keys on (consumer, decision); this
-/// family is the low-cardinality fleet-facing view the broker's scraper
-/// aggregates into decisions/sec and denial ratio.
-pub const FAMILY_OUTCOMES: &str = "sensorsafe_policy_decision_outcomes_total";
 
 /// Metric family: total rule hits (one per matched rule per decision).
 pub const FAMILY_RULE_HITS: &str = "sensorsafe_policy_rule_hits_total";
@@ -453,7 +446,7 @@ impl AwarenessPlane {
     }
 
     /// Folds one decision into the live aggregates and bumps the
-    /// fleet-facing metric families.
+    /// unlabelled store-local metric families.
     pub fn observe(&self, record: &DecisionRecord) {
         {
             let mut state = self.state.lock();
@@ -463,13 +456,6 @@ impl AwarenessPlane {
             drop(state);
             dead_rules_gauge().set(dead_total as i64);
         }
-        global()
-            .counter(
-                FAMILY_OUTCOMES,
-                "Policy enforcement decisions by outcome.",
-                &[("outcome", record.outcome.as_str())],
-            )
-            .inc();
         if record.matched_rules.is_empty() {
             global()
                 .counter(

@@ -18,9 +18,10 @@
 //!   (the sampler, span-stats, the trace ring).
 //! * [`audit`] — privacy-audit counters: every enforcement decision
 //!   (allow / abstract / deny, dependency-closure suppressions) is counted
-//!   per consumer (labels bounded at [`audit::MAX_CONSUMER_LABELS`]),
-//!   giving the accountable-serving record that a privacy platform owes
-//!   its contributors.
+//!   by outcome alone, with no principal name on the keyless `/metrics`,
+//!   and appended with its exact consumer to the ledger, giving the
+//!   accountable-serving record that a privacy platform owes its
+//!   contributors.
 //! * [`ledger`] — the durable half of that record: a hash-chained,
 //!   append-only ledger of enforcement decisions whose `verify_frames`
 //!   detects any in-place tampering or truncation. File persistence lives
@@ -39,13 +40,9 @@
 //!   (`/debug/spans`). Every span — a worker loop's `prof_frame!`, a
 //!   request's traced span, a trace phase — is recorded there by the one
 //!   [`SpanGuard`] close, which also returns the duration it measured.
-//! * [`timeseries`] — fixed-capacity retention for scraped fleet metrics:
-//!   per-series ring buffers with counter-reset-aware delta/rate and
-//!   windowed-quantile helpers, allocation-free on the push path.
-//! * [`slo`] — service-level objectives and burn-rate math: pure
-//!   evaluation of windowed measurements against configurable
-//!   availability / latency / ratio objectives, feeding the broker's
-//!   fleet health plane.
+//! * [`timeseries`] — fixed-capacity retention: per-series ring buffers
+//!   in a bounded table, allocation-free on the push path, holding the
+//!   awareness plane's bucketed decision trend.
 //! * [`trace::TraceContext`] — cross-process propagation: the net client
 //!   stamps outbound requests with `X-SensorSafe-Trace`, servers adopt it,
 //!   and `GET /traces` on each server lets one request be followed across
@@ -63,7 +60,6 @@ pub mod expose;
 pub mod ledger;
 pub mod metrics;
 pub mod prof;
-pub mod slo;
 pub mod timeseries;
 pub mod trace;
 
@@ -75,7 +71,6 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, DEFAULT_LATENCY_BUCKETS,
 };
 pub use prof::{Frame, SpanGuard, SpanStat};
-pub use slo::{Evaluation, Measurement, Objective, ObjectiveKind};
 pub use timeseries::{Sample, SeriesRing, SeriesTable};
 pub use trace::{event_line, Phase, Trace, TraceContext, TraceRecorder};
 

@@ -7,10 +7,10 @@
 //! concurrent writers on different cores do not bounce a cache line.
 //! Scrapes merge the shards.
 
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Number of per-metric shards; a small power of two is enough to take
@@ -23,6 +23,33 @@ pub const DEFAULT_LATENCY_BUCKETS: &[f64] = &[
     0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
     2.5,
 ];
+
+/// Most distinct values any one metric family hands out through
+/// [`bounded_label`]; values beyond this fold into [`OTHER_LABEL_VALUE`].
+pub const MAX_LABEL_VALUES: usize = 64;
+
+/// The fold label for values past the cardinality cap.
+pub const OTHER_LABEL_VALUE: &str = "__other__";
+
+/// The bounded label value for `family`: `value` itself while the family
+/// has seen fewer than [`MAX_LABEL_VALUES`] distinct values (or this one
+/// already has a slot), else [`OTHER_LABEL_VALUE`]. Every label whose
+/// values come from outside the process (a store address, a contributor
+/// name) goes through this, so an open-registration deployment cannot
+/// blow up scrape cardinality.
+pub fn bounded_label(family: &str, value: &str) -> String {
+    static SEEN: OnceLock<Mutex<BTreeMap<String, BTreeSet<String>>>> = OnceLock::new();
+    let mut seen = SEEN.get_or_init(|| Mutex::new(BTreeMap::new())).lock();
+    let values = seen.entry(family.to_string()).or_default();
+    if values.contains(value) {
+        return value.to_string();
+    }
+    if values.len() < MAX_LABEL_VALUES {
+        values.insert(value.to_string());
+        return value.to_string();
+    }
+    OTHER_LABEL_VALUE.to_string()
+}
 
 #[repr(align(64))]
 struct CachePadded<T>(T);
@@ -433,6 +460,31 @@ mod tests {
         assert!((0.01..=0.1).contains(&p99), "p99 = {p99}");
         assert!(snap.p90() <= p99);
         assert!((snap.sum() - (90.0 * 0.005 + 10.0 * 0.05)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bounded_labels_fold_into_other_past_the_cap() {
+        // A synthetic family, so this flood cannot steal label slots from
+        // the real families other tests (and processes) assert on.
+        let family = "sensorsafe_test_cardinality_family";
+        for i in 0..MAX_LABEL_VALUES {
+            assert_eq!(bounded_label(family, &format!("c{i}")), format!("c{i}"));
+        }
+        // Known values keep their slots forever...
+        assert_eq!(bounded_label(family, "c0"), "c0");
+        assert_eq!(
+            bounded_label(family, &format!("c{}", MAX_LABEL_VALUES - 1)),
+            format!("c{}", MAX_LABEL_VALUES - 1)
+        );
+        // ...newcomers beyond the cap all fold into one label.
+        for i in MAX_LABEL_VALUES..MAX_LABEL_VALUES + 10 {
+            assert_eq!(bounded_label(family, &format!("c{i}")), OTHER_LABEL_VALUE);
+        }
+        // Folding is per family: a fresh family still hands out real labels.
+        assert_eq!(
+            bounded_label("sensorsafe_test_cardinality_family_2", "c9999"),
+            "c9999"
+        );
     }
 
     #[test]

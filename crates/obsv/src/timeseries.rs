@@ -1,24 +1,19 @@
-//! Fixed-capacity time-series retention for scraped fleet metrics.
+//! Fixed-capacity time-series retention.
 //!
-//! The broker's fleet scraper polls every registered store's `/metrics`
-//! and needs to keep *recent history* — enough to compute deltas, rates,
-//! and windowed quantiles for SLO burn-rate evaluation — without letting
-//! memory grow with uptime or fleet size. This module provides:
+//! The awareness plane keeps a bucketed decision trend per (contributor,
+//! outcome) and must not let memory grow with uptime or with the number
+//! of contributors. This module provides:
 //!
 //! * [`SeriesRing`] — a fixed-capacity ring buffer of `(time, value)`
 //!   samples. All storage is allocated at construction; [`SeriesRing::push`]
-//!   never allocates, so the scrape hot path is allocation-free.
-//! * [`SeriesTable`] — a bounded map of named series (one ring per
-//!   `(store, family)` key). New keys allocate once; keys past the
-//!   configured cap are dropped and counted rather than admitted, so a
-//!   misbehaving store cannot balloon the broker's retention.
-//! * [`histogram_quantile`] — quantile interpolation over windowed
-//!   cumulative-bucket increases, the standard way to turn scraped
-//!   histogram counters into a latency percentile.
+//!   never allocates.
+//! * [`SeriesTable`] — a bounded map of named series. New keys allocate
+//!   once; keys past the configured cap are dropped and counted rather
+//!   than admitted.
 //!
-//! Timestamps are plain `f64` seconds on a caller-chosen monotonic clock
-//! (the broker uses seconds since service start). Keeping the clock out of
-//! this module makes every computation deterministic under test.
+//! Timestamps are plain `f64` seconds on a caller-chosen clock. Keeping
+//! the clock out of this module makes every computation deterministic
+//! under test.
 
 use std::collections::BTreeMap;
 
@@ -108,146 +103,14 @@ impl SeriesRing {
         let start = (self.head + cap - self.len) % cap;
         (0..self.len).map(move |i| self.samples[(start + i) % cap])
     }
-
-    /// The most recently pushed sample.
-    pub fn latest(&self) -> Option<Sample> {
-        if self.len == 0 {
-            return None;
-        }
-        let cap = self.samples.len();
-        Some(self.samples[(self.head + cap - 1) % cap])
-    }
-
-    /// Samples with `at_secs >= now_secs - window_secs`, oldest first.
-    pub fn window(&self, now_secs: f64, window_secs: f64) -> impl Iterator<Item = Sample> + '_ {
-        let cutoff = now_secs - window_secs;
-        self.iter().filter(move |s| s.at_secs >= cutoff)
-    }
-
-    /// Number of samples inside the window.
-    pub fn window_count(&self, now_secs: f64, window_secs: f64) -> usize {
-        self.window(now_secs, window_secs).count()
-    }
-
-    /// Sum of sample values inside the window.
-    pub fn window_sum(&self, now_secs: f64, window_secs: f64) -> f64 {
-        self.window(now_secs, window_secs).map(|s| s.value).sum()
-    }
-
-    /// Counter increase over the window, tolerant of counter resets.
-    ///
-    /// Sums positive increments between consecutive samples; a decrease is
-    /// treated as a process restart (the counter restarted from zero), so
-    /// the new reading counts as the whole increment. Needs ≥ 2 samples in
-    /// the window to report anything.
-    pub fn delta(&self, now_secs: f64, window_secs: f64) -> Option<f64> {
-        let mut prev: Option<Sample> = None;
-        let mut total = 0.0;
-        let mut pairs = 0usize;
-        for s in self.window(now_secs, window_secs) {
-            if let Some(p) = prev {
-                total += if s.value >= p.value {
-                    s.value - p.value
-                } else {
-                    s.value
-                };
-                pairs += 1;
-            }
-            prev = Some(s);
-        }
-        if pairs == 0 {
-            None
-        } else {
-            Some(total)
-        }
-    }
-
-    /// Per-second rate of a counter over the window (delta / elapsed).
-    pub fn rate(&self, now_secs: f64, window_secs: f64) -> Option<f64> {
-        let mut first: Option<Sample> = None;
-        let mut last: Option<Sample> = None;
-        for s in self.window(now_secs, window_secs) {
-            if first.is_none() {
-                first = Some(s);
-            }
-            last = Some(s);
-        }
-        let (first, last) = (first?, last?);
-        let elapsed = last.at_secs - first.at_secs;
-        if elapsed <= 0.0 {
-            return None;
-        }
-        Some(self.delta(now_secs, window_secs)? / elapsed)
-    }
-
-    /// Windowed quantile of sample *values* (for gauges), `q` in `[0, 1]`.
-    ///
-    /// `scratch` is the caller-owned sort buffer, reused across
-    /// evaluations so the steady state allocates nothing.
-    pub fn windowed_quantile(
-        &self,
-        now_secs: f64,
-        window_secs: f64,
-        q: f64,
-        scratch: &mut Vec<f64>,
-    ) -> Option<f64> {
-        scratch.clear();
-        scratch.extend(self.window(now_secs, window_secs).map(|s| s.value));
-        if scratch.is_empty() {
-            return None;
-        }
-        scratch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = (q.clamp(0.0, 1.0) * (scratch.len() - 1) as f64).round() as usize;
-        Some(scratch[rank.min(scratch.len() - 1)])
-    }
-}
-
-/// Interpolated quantile from windowed histogram-bucket increases.
-///
-/// `buckets` is `(upper_bound, cumulative_increase)` sorted by bound, one
-/// entry per `le` bucket *including* `+Inf` (`f64::INFINITY`). The
-/// increases are cumulative, Prometheus-style: each bucket counts every
-/// event at or below its bound. Returns `None` when no events landed in
-/// the window. Events above the largest finite bound report that bound —
-/// the same convention as the in-process histogram snapshot.
-pub fn histogram_quantile(buckets: &[(f64, f64)], q: f64) -> Option<f64> {
-    let total = buckets.last().map(|&(_, c)| c)?;
-    if total <= 0.0 {
-        return None;
-    }
-    let target = q.clamp(0.0, 1.0) * total;
-    let mut prev_bound = 0.0;
-    let mut prev_cum = 0.0;
-    let mut largest_finite = 0.0f64;
-    for &(bound, _) in buckets {
-        if bound.is_finite() {
-            largest_finite = largest_finite.max(bound);
-        }
-    }
-    for &(bound, cum) in buckets {
-        if cum >= target {
-            if !bound.is_finite() {
-                return Some(largest_finite);
-            }
-            let in_bucket = cum - prev_cum;
-            if in_bucket <= 0.0 {
-                return Some(bound);
-            }
-            let frac = (target - prev_cum) / in_bucket;
-            return Some(prev_bound + (bound - prev_bound) * frac.clamp(0.0, 1.0));
-        }
-        prev_bound = bound;
-        prev_cum = cum;
-    }
-    Some(largest_finite)
 }
 
 /// A bounded collection of named [`SeriesRing`]s.
 ///
-/// Keys are caller-chosen canonical series identifiers (the broker uses
-/// `store-addr|family` strings). The first push for a key allocates its
-/// ring; once `max_series` distinct keys exist, pushes for *new* keys are
-/// dropped and counted, so retention memory is hard-bounded.
+/// Keys are caller-chosen canonical series identifiers. The first push
+/// for a key allocates its ring; once `max_series` distinct keys exist,
+/// pushes for *new* keys are dropped and counted, so retention memory is
+/// hard-bounded.
 #[derive(Debug)]
 pub struct SeriesTable {
     ring_capacity: usize,
@@ -358,7 +221,6 @@ mod tests {
                 value: 40.0
             }
         );
-        assert_eq!(ring.latest().unwrap().value, 40.0);
         assert_eq!(ring.capacity(), 3);
     }
 
@@ -380,71 +242,11 @@ mod tests {
         let mut table = SeriesTable::new(4, 1);
         assert!(table.accumulate("a|x", 60.0, 1.0));
         assert!(table.accumulate("a|x", 60.0, 1.0));
-        assert_eq!(table.get("a|x").unwrap().latest().unwrap().value, 2.0);
+        let sums: Vec<f64> = table.get("a|x").unwrap().iter().map(|s| s.value).collect();
+        assert_eq!(sums, [2.0]);
         // Series cap still applies to new keys.
         assert!(!table.accumulate("b|x", 60.0, 1.0));
         assert_eq!(table.dropped_series_pushes(), 1);
-    }
-
-    #[test]
-    fn delta_and_rate_over_window() {
-        let mut ring = SeriesRing::new(16);
-        ring.push(0.0, 100.0); // outside the 10s window at now=12
-        ring.push(4.0, 110.0);
-        ring.push(8.0, 140.0);
-        ring.push(12.0, 150.0);
-        assert_eq!(ring.delta(12.0, 10.0), Some(40.0));
-        assert!((ring.rate(12.0, 10.0).unwrap() - 5.0).abs() < 1e-9);
-        // one sample in window -> no delta
-        assert_eq!(ring.delta(12.0, 0.5), None);
-    }
-
-    #[test]
-    fn delta_survives_counter_reset() {
-        let mut ring = SeriesRing::new(8);
-        ring.push(0.0, 90.0);
-        ring.push(1.0, 100.0);
-        ring.push(2.0, 5.0); // process restarted: counter reset to ~0
-        ring.push(3.0, 9.0);
-        // 10 (0->1) + 5 (reset, count the new reading) + 4 (2->3)
-        assert_eq!(ring.delta(3.0, 10.0), Some(19.0));
-    }
-
-    #[test]
-    fn windowed_quantile_reuses_scratch() {
-        let mut ring = SeriesRing::new(8);
-        for (i, v) in [5.0, 1.0, 9.0, 3.0, 7.0].iter().enumerate() {
-            ring.push(i as f64, *v);
-        }
-        let mut scratch = Vec::new();
-        assert_eq!(
-            ring.windowed_quantile(4.0, 100.0, 0.5, &mut scratch),
-            Some(5.0)
-        );
-        assert_eq!(
-            ring.windowed_quantile(4.0, 100.0, 1.0, &mut scratch),
-            Some(9.0)
-        );
-        assert_eq!(
-            ring.windowed_quantile(4.0, 0.5, 0.5, &mut scratch),
-            Some(7.0)
-        );
-        assert_eq!(ring.windowed_quantile(4.0, -1.0, 0.5, &mut scratch), None);
-    }
-
-    #[test]
-    fn histogram_quantile_interpolates() {
-        // 10 events <= 0.01, 30 <= 0.1 (20 in bucket), 40 total (10 above).
-        let buckets = [(0.01, 10.0), (0.1, 30.0), (f64::INFINITY, 40.0)];
-        let p50 = histogram_quantile(&buckets, 0.5).unwrap();
-        assert!(p50 > 0.01 && p50 <= 0.1, "{p50}");
-        // p99 lands above the largest finite bound -> reports that bound.
-        assert_eq!(histogram_quantile(&buckets, 0.99), Some(0.1));
-        assert_eq!(histogram_quantile(&[], 0.5), None);
-        assert_eq!(
-            histogram_quantile(&[(0.1, 0.0), (f64::INFINITY, 0.0)], 0.5),
-            None
-        );
     }
 
     #[test]

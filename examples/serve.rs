@@ -90,7 +90,7 @@ fn main() {
     assert!(total > 0);
 
     // Fleet health plane: one synchronous sweep proves both stores are
-    // probed, then the background scraper keeps the picture fresh while
+    // probed, then the background prober keeps the picture fresh while
     // the example serves.
     deployment.broker().fleet_sweep_now();
     deployment.broker().fleet_sweep_now();

@@ -9,7 +9,6 @@
 
 use sensorsafe::broker::FleetConfig;
 use sensorsafe::net::{HttpClient, Request, Server, Status, Transport};
-use sensorsafe::obsv::slo::Objective;
 use sensorsafe::sim::Scenario;
 use sensorsafe::store::Query;
 use sensorsafe::types::{ContributorId, Timestamp};
@@ -91,7 +90,6 @@ fn failover_promotes_replica_without_acked_record_loss() {
     let fleet_config = FleetConfig {
         unreachable_after: 2,
         healthy_after: 1,
-        availability: Objective::good_fraction("availability", 0.99, SLO_WINDOW_SECS, 2.0),
         ..FleetConfig::default()
     };
     let mut deployment = Deployment::over_tcp_with_fleet(BROKER_ADDR, fleet_config);

@@ -1,14 +1,12 @@
 //! Fleet health plane e2e (ISSUE 5 acceptance): a broker and two data
-//! stores over real TCP. The broker's fleet scraper probes both stores'
-//! `/healthz` and `/metrics`; killing one store mid-run must drive it
+//! stores over real TCP. The broker's fleet prober asks both stores for
+//! `/healthz` alone; killing one store mid-run must drive it
 //! Healthy → Degraded → Unreachable within the configured consecutive-
 //! failure threshold, annotate search results that include its
-//! contributors, and recover to Healthy after a restart. An induced
-//! latency/error burst must trip an SLO burn alert in `GET /fleet`.
+//! contributors, and recover to Healthy after a restart.
 
 use sensorsafe::broker::FleetConfig;
 use sensorsafe::net::{HttpClient, Request, Server, Status};
-use sensorsafe::obsv::slo::Objective;
 use sensorsafe::sim::Scenario;
 use sensorsafe::types::Timestamp;
 use sensorsafe::{json, Deployment, Value};
@@ -79,14 +77,10 @@ fn bind_store(addr: &str, store: sensorsafe::datastore::DataStoreService) -> Ser
 
 #[test]
 fn fleet_tracks_store_death_and_recovery_over_tcp() {
-    // Fast thresholds so state transitions happen in test time, plus a
-    // request-latency objective no real request can meet — the induced
-    // traffic burst below must trip its burn alert.
+    // Fast thresholds so state transitions happen in test time.
     let fleet_config = FleetConfig {
         unreachable_after: 2,
         healthy_after: 1,
-        latency_threshold_secs: 0.0,
-        availability: Objective::good_fraction("availability", 0.99, 300.0, 2.0),
         ..FleetConfig::default()
     };
     let mut deployment = Deployment::over_tcp_with_fleet(BROKER_ADDR, fleet_config);
@@ -138,34 +132,7 @@ fn fleet_tracks_store_death_and_recovery_over_tcp() {
         Some("ok")
     );
 
-    // Induced burst: real upload traffic between two sweeps. With the
-    // impossible latency threshold every one of those requests burns
-    // error budget, so the request_latency objective must alert.
-    alice
-        .upload_scenario(&Scenario::alice_day(
-            Timestamp::from_millis(10_000_000),
-            2,
-            1,
-        ))
-        .unwrap();
-    deployment.broker().fleet_sweep_now();
-    let fleet = get_fleet();
-    let alerts = fleet["alerts"].as_array().unwrap();
-    assert!(
-        alerts.iter().any(|a| {
-            a["store"].as_str() == Some(STORE1_ADDR)
-                && a["objective"].as_str() == Some("request_latency")
-        }),
-        "latency burst should trip the burn alert: {fleet}"
-    );
-    assert!(
-        store_entry(&fleet, STORE1_ADDR)["request_p99_secs"]
-            .as_f64()
-            .is_some(),
-        "p99 computed from scraped buckets: {fleet}"
-    );
-
-    // The background scraper thread also sweeps on its own.
+    // The background prober thread also sweeps on its own.
     let sweeps_before = get_fleet()["sweeps"].as_u64().unwrap();
     deployment.start_fleet_scraper();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
@@ -176,7 +143,7 @@ fn fleet_tracks_store_death_and_recovery_over_tcp() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "background scraper never swept"
+            "background prober never swept"
         );
     }
     deployment.stop_fleet_scraper();
@@ -193,14 +160,6 @@ fn fleet_tracks_store_death_and_recovery_over_tcp() {
     assert!(store_entry(&fleet, STORE1_ADDR)["last_error"]
         .as_str()
         .is_some());
-    // The outage also burns availability budget.
-    let dead_slo = store_entry(&fleet, STORE1_ADDR)["slo"].as_array().unwrap();
-    let availability = dead_slo
-        .iter()
-        .find(|e| e["objective"].as_str() == Some("availability"))
-        .expect("availability objective evaluated");
-    assert!(availability["burn_rate"].as_f64().unwrap() > 0.0);
-
     // Search still finds Alice's mirrored rules, but flags her store.
     let hits = search(&bob_key);
     assert_eq!(names(&hits["contributors"]), ["alice", "carol"]);

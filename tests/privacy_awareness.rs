@@ -3,10 +3,10 @@
 //! to three different outcomes (allow / abstract / deny) while a fourth
 //! consumer matches no rule at all; the awareness plane must surface the
 //! outcome mix, per-rule hit counts, the dead rule, and the
-//! baseline-only flow through `/api/privacy/summary`, the `/ui/privacy`
-//! dashboard, and the broker's fleet-wide privacy rollup — and an
-//! offline replay of the hash-chained audit ledger must reproduce the
-//! live aggregates byte for byte.
+//! baseline-only flow through `/api/privacy/summary` and the `/ui/privacy`
+//! dashboard (and nowhere at the broker, whose `/fleet` carries no
+//! decision counts) — and an offline replay of the hash-chained audit
+//! ledger must reproduce the live aggregates byte for byte.
 
 use sensorsafe::net::{HttpClient, Method, Request, Server, Status};
 use sensorsafe::obsv::awareness::{hex, AwarenessAggregates};
@@ -166,34 +166,33 @@ fn awareness_loop_over_tcp_with_ledger_replay() {
     assert!(html.contains("id=\"trend\""));
     assert!(html.contains(&live_digest), "{html}");
 
-    // The fleet rollup: scrape, generate fresh decisions between two
-    // sweeps so windowed rates are non-zero, scrape again.
+    // The broker learns liveness, not who shares with whom: sweeps
+    // around fresh decisions leave `/fleet` without any decision count,
+    // outcome or principal name.
     deployment.broker().fleet_sweep_now();
     let bob = deployment.register_consumer("bob-2").unwrap();
     bob.add_contributors(&["alice"]).unwrap();
     bob.download_all(&Query::all()).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(30));
     deployment.broker().fleet_sweep_now();
     let resp = HttpClient::new(BROKER_ADDR)
         .send(&Request::get("/fleet"))
         .unwrap();
     assert_eq!(resp.status, Status::Ok);
     let fleet = resp.json_body().unwrap();
-    let privacy = &fleet["privacy"];
-    assert!(
-        privacy["decisions"]["total"].as_f64().unwrap() >= 5.0,
-        "fleet rollup sees the decision volume: {fleet}"
-    );
-    assert!(privacy["decisions"]["denied"].as_f64().unwrap() >= 2.0);
-    let ratio = privacy["denial_ratio"].as_f64().unwrap();
-    assert!(ratio > 0.0 && ratio < 1.0, "denial ratio {ratio}");
-    assert!(privacy["dead_rules"].as_f64().unwrap() >= 1.0, "{fleet}");
-    assert!(privacy["baseline_decisions"].as_f64().unwrap() >= 1.0);
-    assert!(
-        privacy["decisions_per_sec"]["total"].as_f64().unwrap() > 0.0,
-        "decisions between the two sweeps give a non-zero rate: {fleet}"
-    );
-    // The fleet page renders the same posture block.
+    assert!(fleet.get("privacy").is_none(), "{fleet}");
+    assert_eq!(fleet["stores"][0]["addr"].as_str(), Some(STORE_ADDR));
+    let text = fleet.to_string();
+    for word in [
+        "decision",
+        "allowed",
+        "abstracted",
+        "denied",
+        "alice",
+        "bob",
+    ] {
+        assert!(!text.contains(word), "/fleet carries {word:?}: {text}");
+    }
+    // Neither does the fleet page.
     assert!(deployment.broker().create_web_user("ops", "secret"));
     let mut login = Request {
         method: Method::Post,
@@ -223,8 +222,17 @@ fn awareness_loop_over_tcp_with_ledger_replay() {
         .unwrap();
     assert_eq!(resp.status, Status::Ok);
     let html = String::from_utf8(resp.body).unwrap();
-    assert!(html.contains("id=\"privacy\""), "{html}");
-    assert!(html.contains("Denial ratio"), "{html}");
+    assert!(html.contains("id=\"fleet\""), "{html}");
+    for word in [
+        "privacy",
+        "Denial",
+        "allowed",
+        "abstracted",
+        "denied",
+        "alice",
+    ] {
+        assert!(!html.contains(word), "/ui/fleet carries {word:?}: {html}");
+    }
 
     // Offline rebuild: sync the chain, verify it, replay it — the
     // rebuilt aggregates must be byte-identical to the live plane and
