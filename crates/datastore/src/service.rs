@@ -1493,18 +1493,26 @@ mod tests {
         query(json!([{"Action": "Allow"}, {"Sensor": ["ecg"], "Action": "Deny"}]));
         query(json!([]));
         assert!(primary.repl_ship_now() >= 1);
+        // Every surface that answers without a key: the scrape, the trace
+        // ring, the span table and the health probe.
         for (server, svc) in [("primary", &primary), ("replica", &replica)] {
-            let resp = svc.handle(&Request::get("/metrics"));
-            assert_eq!(resp.status, Status::Ok);
-            let text = String::from_utf8(resp.body).unwrap();
-            for name in [CONTRIBUTOR, CONSUMER] {
-                assert!(
-                    !text.contains(name),
-                    "{server} /metrics names {name}: {text}"
-                );
+            for path in ["/metrics", "/traces", "/debug/spans", "/healthz"] {
+                let resp = svc.handle(&Request::get(path));
+                assert_eq!(resp.status, Status::Ok, "{server} {path}");
+                let text = String::from_utf8(resp.body).unwrap();
+                for name in [CONTRIBUTOR, CONSUMER] {
+                    assert!(!text.contains(name), "{server} {path} names {name}: {text}");
+                }
+                assert!(!text.contains("consumer=\""), "{server} {path}: {text}");
+                assert!(!text.contains("contributor=\""), "{server} {path}: {text}");
+                if matches!(path, "/traces" | "/debug/spans") {
+                    // Not vacuous: the requests above are on it.
+                    assert!(
+                        text.contains("\"name\":\"POST /"),
+                        "{server} {path}: {text}"
+                    );
+                }
             }
-            assert!(!text.contains("consumer=\""), "{server}: {text}");
-            assert!(!text.contains("contributor=\""), "{server}: {text}");
         }
         // The decisions are still counted, by outcome alone.
         let text = String::from_utf8(primary.handle(&Request::get("/metrics")).body).unwrap();

@@ -20,9 +20,10 @@ const BROKER_ADDR: &str = "127.0.0.1:7290";
 const PRIMARY_ADDR: &str = "127.0.0.1:7291";
 const REPLICA_ADDR: &str = "127.0.0.1:7292";
 
-/// The availability SLO window (seconds): promotion must complete well
-/// inside it.
-const SLO_WINDOW_SECS: f64 = 300.0;
+/// How long (seconds) the fleet may take to promote the replica and
+/// resume acked uploads after the primary dies; promotion must complete
+/// well inside it.
+const RECOVERY_DEADLINE_SECS: f64 = 300.0;
 
 fn get_fleet() -> Value {
     let resp = HttpClient::new(BROKER_ADDR)
@@ -213,8 +214,8 @@ fn failover_promotes_replica_without_acked_record_loss() {
         .expect("in-flight uploads must retry transparently across failover");
     let recovery = outage_started.elapsed();
     assert!(
-        recovery.as_secs_f64() < SLO_WINDOW_SECS,
-        "recovery took {recovery:?}, outside the availability SLO window"
+        recovery.as_secs_f64() < RECOVERY_DEADLINE_SECS,
+        "recovery took {recovery:?}, past the {RECOVERY_DEADLINE_SECS} s recovery deadline"
     );
 
     // Zero acked-record loss: part 1 (replicated pre-failover) plus
