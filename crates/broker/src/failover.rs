@@ -21,14 +21,15 @@
 //!
 //! Losing the CAS (`AlreadyPromoted` / `Stale`) means a concurrent sweep
 //! won and owns the notifications; the loser does nothing. Promotions
-//! are recorded in a bounded event log surfaced in `GET /fleet` and
-//! `/ui/fleet`, and counted in `sensorsafe_broker_failovers_total`.
+//! are recorded in a bounded event log, counted in
+//! `sensorsafe_broker_failovers_total`, and surfaced in `GET /fleet` and
+//! `/ui/fleet` by stores and epoch only: the contributor who moved stays
+//! in the log, for the fence retries, and out of every keyless surface.
 
 use crate::registry::PromoteOutcome;
 use crate::service::Inner;
 use sensorsafe_json::{json, Value};
 use sensorsafe_net::Request;
-use sensorsafe_obsv::metrics::bounded_label;
 use sensorsafe_types::ContributorId;
 
 /// Completed promotions retained for `GET /fleet` (oldest dropped).
@@ -53,9 +54,10 @@ pub struct FailoverEvent {
 }
 
 impl FailoverEvent {
+    /// The entry `GET /fleet` serves. It needs no key, so it names the
+    /// stores and the epoch, not the contributor who moved.
     pub(crate) fn to_json(&self) -> Value {
         json!({
-            "contributor": (self.contributor.clone()),
             "from": (self.from.clone()),
             "to": (self.to.clone()),
             "epoch": (self.epoch),
@@ -157,14 +159,6 @@ impl Inner {
                 &[],
             )
             .inc();
-        let label = bounded_label("sensorsafe_broker_failover_epoch", contributor.as_str());
-        self.metrics
-            .gauge(
-                "sensorsafe_broker_failover_epoch",
-                "Assignment epoch per contributor after its last failover.",
-                &[("contributor", &label)],
-            )
-            .set(epoch as i64);
     }
 
     /// Stamps the fence epoch on a deposed primary. Returns whether the

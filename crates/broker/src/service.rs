@@ -922,12 +922,10 @@ pub(crate) mod tests {
     }
 
     /// The broker's twin of the data store's `metrics_name_no_principal`:
-    /// while no failover has happened, what answers without a key tells
-    /// nobody who shares with whom, and a memoized search reply is no
-    /// exception. A failover is the known exception, left out of this
-    /// scenario: `/fleet`'s `failovers` entries and the
-    /// `sensorsafe_broker_failover_epoch{contributor}` gauge name the moved
-    /// contributor (ROADMAP item 10, "What is left").
+    /// what answers without a key tells nobody who shares with whom, and
+    /// a memoized search reply is no exception. A failover is covered by
+    /// `tests/failover.rs`, which checks `/fleet` and `/metrics` after
+    /// one.
     #[test]
     fn unauthenticated_surfaces_name_no_principal() {
         const CONTRIBUTOR: &str = "alice-m42c";
@@ -957,11 +955,15 @@ pub(crate) mod tests {
             "/metrics",
             "/traces",
             "/debug/spans",
+            "/debug/profile",
             "/health",
             "/healthz",
             "/fleet",
         ] {
-            let resp = rig.broker.handle(&Request::get(path));
+            // `seconds` is read by `/debug/profile` alone: a zero window.
+            let resp = rig
+                .broker
+                .handle(&Request::get(path).with_query("seconds", "0"));
             assert_eq!(resp.status, Status::Ok, "{path}");
             let text = String::from_utf8(resp.body).unwrap();
             for name in [CONTRIBUTOR, CONSUMER] {

@@ -189,9 +189,7 @@ fn handle_fleet_page(inner: &Inner, _: &Request, _: &str) -> Response {
                 .iter()
                 .map(|f| {
                     format!(
-                        "<li><strong>{contributor}</strong>: {from} &rarr; {to} \
-                         (epoch {epoch}{fence})</li>",
-                        contributor = escape(f["contributor"].as_str().unwrap_or("?")),
+                        "<li>{from} &rarr; {to} (epoch {epoch}{fence})</li>",
                         from = escape(f["from"].as_str().unwrap_or("?")),
                         to = escape(f["to"].as_str().unwrap_or("?")),
                         epoch = f["epoch"].as_u64().unwrap_or(0),

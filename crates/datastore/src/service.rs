@@ -112,10 +112,6 @@ pub(crate) struct Inner {
     /// decisions are going to an in-memory fallback; `/healthz` reports
     /// the component as degraded so the condition is visible fleet-wide.
     pub(crate) ledger_fallback: bool,
-    /// The sharing-awareness plane: live privacy-decision analytics fed
-    /// from the same `record_decision` stream as the ledger, surfaced via
-    /// `/api/privacy/summary` and `/ui/privacy`.
-    pub(crate) awareness: Arc<sensorsafe_obsv::AwarenessPlane>,
     pub(crate) started: std::time::Instant,
 }
 
@@ -167,7 +163,9 @@ impl Inner {
                 let rule_meta = (account.rule_epoch, account.rules.len());
                 let created = self.state.add_contributor(account);
                 if created {
-                    self.awareness.note_rule_set(name, rule_meta.0, rule_meta.1);
+                    self.ledger
+                        .awareness()
+                        .note_rule_set(name, rule_meta.0, rule_meta.1);
                 }
                 created
             }
@@ -369,7 +367,8 @@ impl Inner {
             .unwrap_or(0);
         if current == epoch {
             // Adopted: the mirrored set is now live on this replica too.
-            self.awareness
+            self.ledger
+                .awareness()
                 .note_rule_set(contributor, epoch, rules.len());
         }
         Ok(Response::json(&json!({ "epoch": current })))
@@ -572,14 +571,13 @@ impl Inner {
         // attribute a decision: the consumer (named in the ledger record),
         // the contributor and the rule epoch live for this request (read
         // under the same account guard enforcement uses, so rule hits
-        // attribute to the exact rule set that produced them), and both
-        // sinks — the tamper-evident ledger and the awareness plane.
+        // attribute to the exact rule set that produced them), and the
+        // tamper-evident ledger, which feeds the awareness plane.
         let decisions = audit::DecisionScope {
             consumer: principal.name,
             contributor: contributor.as_str().to_string(),
             rule_epoch: account.rule_epoch,
             ledger: self.ledger.clone(),
-            awareness: self.awareness.clone(),
         }
         .install();
         let view = shared_view(&account, &ctx, &query, &self.graph);
@@ -627,7 +625,8 @@ impl Inner {
             let rules = edit(&account.rules);
             (account.set_rules(rules.clone()), rules)
         };
-        self.awareness
+        self.ledger
+            .awareness()
             .note_rule_set(id.as_str(), epoch, rules.len());
         let synced = self.push_rules_to_broker(id, epoch, &rules);
         self.mirror_rules_to_replica(id.as_str(), epoch, &PrivacyRule::rules_to_json(&rules));
@@ -788,11 +787,10 @@ impl Inner {
                 ))
             }
         };
-        let summary = self.awareness.contributor_summary(&contributor);
+        let summary = self.ledger.awareness().contributor_summary(&contributor);
         Ok(Response::json(&privacy_summary_json(
             &contributor,
             &summary,
-            self.ledger.len(),
         )))
     }
 
@@ -984,11 +982,7 @@ pub fn annotation_to_json(ann: &ContextAnnotation) -> Value {
 
 /// Serializes a [`sensorsafe_obsv::ContributorSummary`] into the
 /// `/api/privacy/summary` response shape (shared with `/ui/privacy`).
-fn privacy_summary_json(
-    contributor: &str,
-    summary: &sensorsafe_obsv::ContributorSummary,
-    ledger_len: u64,
-) -> Value {
+fn privacy_summary_json(contributor: &str, summary: &sensorsafe_obsv::ContributorSummary) -> Value {
     let consumers: Vec<Value> = summary
         .consumers
         .iter()
@@ -1058,7 +1052,7 @@ fn privacy_summary_json(
         "baseline_only_consumers": (Value::Array(baseline_only)),
         "trend": (Value::Array(trend)),
         "aggregates_digest": (summary.digest.clone()),
-        "ledger_len": (ledger_len),
+        "ledger_len": (summary.ledger_len),
     })
 }
 
@@ -1142,7 +1136,6 @@ impl DataStoreService {
             traces,
             ledger,
             ledger_fallback,
-            awareness: Arc::new(sensorsafe_obsv::AwarenessPlane::new()),
             started: std::time::Instant::now(),
         });
         let admin_key = inner.keys.register(Principal {
@@ -1372,11 +1365,11 @@ impl DataStoreService {
         self.inner.ledger.clone()
     }
 
-    /// The sharing-awareness plane: live privacy-decision analytics over
-    /// the `record_decision` stream. Tests compare its aggregates against
-    /// a ledger replay.
-    pub fn awareness(&self) -> Arc<sensorsafe_obsv::AwarenessPlane> {
-        self.inner.awareness.clone()
+    /// The sharing-awareness plane: the audit ledger's fold of its
+    /// durable decisions. Tests compare its aggregates against a ledger
+    /// replay.
+    pub fn awareness(&self) -> &sensorsafe_obsv::AwarenessPlane {
+        self.inner.ledger.awareness()
     }
 
     /// A snapshot of the shared journal's segment/checkpoint bookkeeping,
@@ -1494,10 +1487,17 @@ mod tests {
         query(json!([]));
         assert!(primary.repl_ship_now() >= 1);
         // Every surface that answers without a key: the scrape, the trace
-        // ring, the span table and the health probe.
+        // ring, the span table, the profile and the health probe.
         for (server, svc) in [("primary", &primary), ("replica", &replica)] {
-            for path in ["/metrics", "/traces", "/debug/spans", "/healthz"] {
-                let resp = svc.handle(&Request::get(path));
+            for path in [
+                "/metrics",
+                "/traces",
+                "/debug/spans",
+                "/debug/profile",
+                "/healthz",
+            ] {
+                // `seconds` is read by `/debug/profile` alone: a zero window.
+                let resp = svc.handle(&Request::get(path).with_query("seconds", "0"));
                 assert_eq!(resp.status, Status::Ok, "{server} {path}");
                 let text = String::from_utf8(resp.body).unwrap();
                 for name in [CONTRIBUTOR, CONSUMER] {

@@ -377,7 +377,7 @@ fn handle_audit_page(inner: &Inner, req: &Request, username: &str) -> Response {
 /// with dead rules highlighted, baseline-only flows, and the recent
 /// decision trend.
 fn handle_privacy_page(inner: &Inner, _: &Request, username: &str) -> Response {
-    let s = inner.awareness.contributor_summary(username);
+    let s = inner.ledger.awareness().contributor_summary(username);
     let consumer_rows: String = s
         .consumers
         .iter()
@@ -810,8 +810,10 @@ mod tests {
         );
         // Two rules live, one decision that matched only rule 0: rule 1
         // is dead; carol's flow is rule-governed, dave's baseline-only.
+        // The decisions enter through the ledger, the plane's one input.
         svc.awareness().note_rule_set("alice", 2, 2);
-        svc.awareness().observe(&sensorsafe_obsv::DecisionRecord {
+        let ledger = svc.audit_ledger();
+        ledger.append(sensorsafe_obsv::DecisionRecord {
             seq: 0,
             unix_ms: 60_000,
             trace_id: 1,
@@ -822,8 +824,8 @@ mod tests {
             outcome: sensorsafe_obsv::audit::Outcome::Abstracted,
             suppressed_channels: 2,
         });
-        svc.awareness().observe(&sensorsafe_obsv::DecisionRecord {
-            seq: 1,
+        ledger.append(sensorsafe_obsv::DecisionRecord {
+            seq: 0,
             unix_ms: 120_000,
             trace_id: 2,
             rule_epoch: 2,

@@ -11,21 +11,21 @@
 //! around enforcement, and [`record_decision`] reads it (requests are
 //! served start-to-finish on one worker thread, so this is sound).
 //!
-//! The scope names both sinks of a decision: every one is appended to the
-//! scope's [`AuditLedger`] — exact consumer name, matched rule indices, the
-//! request's trace id — and observed by its [`AwarenessPlane`] *as the
-//! same record*, which is what keeps the live aggregates replayable from
-//! the chain. Dropping the installed scope waits for the ledger's sync
-//! (requested earlier with [`InstalledScope::begin_sync`] when there is a
-//! reply to render meanwhile) so the response never outruns its audit
-//! trail.
+//! A decision has one destination: the scope's [`AuditLedger`], which
+//! records it with the exact consumer name, the matched rule indices and
+//! the request's trace id. The ledger folds what it has made durable into
+//! its awareness plane ([`AuditLedger::awareness`]), so nothing here
+//! feeds the aggregates. Dropping the installed scope waits for the
+//! ledger's sync (requested earlier with [`InstalledScope::begin_sync`]
+//! when there is a reply to render meanwhile) so the response never
+//! outruns its audit trail.
 //!
 //! The counter families carry no principal names: `/metrics` needs no
 //! key, so a consumer label would tell any scraper who reads whose data.
 //! The ledger keeps exact names, and the owner reads them per consumer
 //! behind a key (`/api/audit`, `/api/privacy/summary`).
 
-use crate::awareness::AwarenessPlane;
+use crate::awareness::{FAMILY_BASELINE, FAMILY_RULE_HITS};
 use crate::global;
 use crate::ledger::{AuditLedger, DecisionRecord};
 use crate::trace;
@@ -73,8 +73,6 @@ pub struct DecisionScope {
     pub rule_epoch: u64,
     /// Where the decision records are appended.
     pub ledger: Arc<dyn AuditLedger>,
-    /// The live aggregates observing the same records.
-    pub awareness: Arc<AwarenessPlane>,
 }
 
 impl DecisionScope {
@@ -110,9 +108,10 @@ impl Drop for InstalledScope {
     }
 }
 
-/// Records one enforcement decision with its rule provenance: bumps the
-/// decision counters (labelled by outcome alone) and, inside a
-/// [`DecisionScope`], hands one [`DecisionRecord`] to both of its sinks.
+/// Records one enforcement decision with its rule provenance: bumps every
+/// per-decision counter (labelled by outcome alone, or not at all) and,
+/// inside a [`DecisionScope`], appends one [`DecisionRecord`] to its
+/// ledger.
 pub fn record_decision(outcome: Outcome, suppressed_channels: u64, matched_rules: &[u32]) {
     global()
         .counter(
@@ -121,6 +120,23 @@ pub fn record_decision(outcome: Outcome, suppressed_channels: u64, matched_rules
             &[("decision", outcome.as_str())],
         )
         .inc();
+    if matched_rules.is_empty() {
+        global()
+            .counter(
+                FAMILY_BASELINE,
+                "Enforcement decisions that matched no rule (outcome from the default baseline).",
+                &[],
+            )
+            .inc();
+    } else {
+        global()
+            .counter(
+                FAMILY_RULE_HITS,
+                "Rule hits across enforcement decisions (one per matched rule).",
+                &[],
+            )
+            .add(matched_rules.len() as u64);
+    }
     if suppressed_channels > 0 {
         global()
             .counter(
@@ -141,9 +157,6 @@ pub fn record_decision(outcome: Outcome, suppressed_channels: u64, matched_rules
     let Some(scope) = scope else {
         return;
     };
-    // One record serves both sinks: the ledger append and the awareness
-    // observation must carry identical fields (timestamp included) so a
-    // replay of the chain reproduces the live aggregates byte for byte.
     let record = DecisionRecord {
         seq: 0, // assigned by the ledger
         unix_ms: SystemTime::now()
@@ -158,7 +171,6 @@ pub fn record_decision(outcome: Outcome, suppressed_channels: u64, matched_rules
         outcome,
         suppressed_channels,
     };
-    scope.awareness.observe(&record);
     scope.ledger.append(record);
 }
 
@@ -173,7 +185,6 @@ mod tests {
             contributor: "alice".to_string(),
             rule_epoch: 7,
             ledger: ledger.clone(),
-            awareness: Arc::new(AwarenessPlane::new()),
         }
     }
 
@@ -223,22 +234,34 @@ mod tests {
                 )
                 .get()
         };
+        let unlabelled = |family: &str| {
+            let help = if family == FAMILY_BASELINE {
+                "Enforcement decisions that matched no rule (outcome from the default baseline)."
+            } else {
+                "Rule hits across enforcement decisions (one per matched rule)."
+            };
+            global().counter(family, help, &[]).get()
+        };
         let before = (
             get("allowed"),
             get("abstracted"),
             get("denied"),
             suppressed(),
+            unlabelled(FAMILY_BASELINE),
+            unlabelled(FAMILY_RULE_HITS),
         );
         let ledger = Arc::new(MemoryLedger::new());
         let _scope = scope("audit-test-consumer", &ledger).install();
         record_decision(Outcome::Allowed, 0, &[]);
         record_decision(Outcome::Allowed, 0, &[]);
-        record_decision(Outcome::Abstracted, 0, &[]);
+        record_decision(Outcome::Abstracted, 0, &[1, 2]);
         record_decision(Outcome::Denied, 3, &[]);
         assert!(get("allowed") >= before.0 + 2);
         assert!(get("abstracted") > before.1);
         assert!(get("denied") > before.2);
         assert!(suppressed() >= before.3 + 3);
+        assert!(unlabelled(FAMILY_BASELINE) >= before.4 + 3);
+        assert!(unlabelled(FAMILY_RULE_HITS) >= before.5 + 2);
         // No family names the consumer.
         assert!(!global().encode().contains("audit-test-consumer"));
     }
@@ -251,10 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn decisions_reach_both_sinks_as_one_record_with_exact_names() {
+    fn decisions_reach_the_ledger_and_its_plane_with_exact_names() {
         let ledger = Arc::new(MemoryLedger::new());
         let scope = scope("ledger-test-consumer", &ledger);
-        let plane = scope.awareness.clone();
+        let plane = ledger.awareness();
         {
             let _installed = scope.install();
             record_decision(Outcome::Abstracted, 2, &[1, 4]);
@@ -271,7 +294,7 @@ mod tests {
         assert_eq!(records[1].matched_rules, vec![2]);
         assert_eq!(records[1].outcome, Outcome::Denied);
         assert_eq!(records[1].seq, 1);
-        // The plane saw the same records the chain holds.
+        // The ledger's plane folded the records the chain holds.
         let rebuilt = crate::awareness::AwarenessAggregates::rebuild(records.iter());
         assert_eq!(plane.aggregates(), rebuilt);
         // Outside the scope, decisions no longer reach the ledger.

@@ -12,50 +12,44 @@
 //!   hits attribute to the rule set that was live when they happened (an
 //!   epoch bump snapshots the old attribution instead of smearing it),
 //! * suppressed-channel totals,
-//! * a time-bucketed decision trend per contributor and outcome (reusing
-//!   [`crate::timeseries::SeriesTable`]),
+//! * a time-bucketed decision trend per contributor, split by outcome,
 //! * derived posture findings: **dead rules** (rules in the current set
 //!   that have never matched since their epoch went live) and
 //!   **baseline-only flows** (consumers whose every decision carried an
 //!   empty `matched_rules` — data shared or denied purely by the default
 //!   baseline, a posture worth surfacing to the contributor).
 //!
-//! The plane is fed from the same [`crate::audit::record_decision`] path
-//! that feeds the ledger: the datastore request handler installs one
-//! [`crate::audit::DecisionScope`] naming both, and every decision updates
-//! the live aggregates with *the same record* that is appended to the
-//! chain. That shared feed is what makes the numbers **verifiable**:
-//! [`AwarenessAggregates::rebuild`] replays any decision-record stream
-//! (e.g. a hash-chain-verified `FileLedger`) into a fresh aggregate
-//! structure, and [`AwarenessAggregates::encode`] is a canonical byte
-//! serialization — live and rebuilt aggregates must be byte-identical, so
-//! a contributor (or operator) can check the dashboard against the
-//! tamper-evident chain. Everything an aggregate contains is a pure
-//! deterministic function of the record stream; live-only metadata (the
-//! contributor's *current* rule-set epoch and size, needed for dead-rule
-//! findings) lives beside the aggregates in [`AwarenessPlane`], never
-//! inside them.
+//! The plane has one input: the audit ledger that owns it
+//! ([`crate::ledger::AuditLedger::awareness`]) folds in the decisions it
+//! has made durable, in chain (`seq`) order — at open the verified
+//! chain, then each sync round's new frames. So the aggregates are
+//! **verifiable** by construction: [`AwarenessAggregates::rebuild`]
+//! replays any decision-record stream (e.g. a hash-chain-verified
+//! `FileLedger`) into a fresh aggregate structure, and
+//! [`AwarenessAggregates::encode`] is a canonical byte serialization —
+//! after every sync the live aggregates equal a rebuild of the chain byte
+//! for byte, across restarts, so a contributor (or operator) can check
+//! the dashboard against the tamper-evident chain. Everything an
+//! aggregate contains is a pure deterministic function of the record
+//! stream; live-only metadata (the contributor's *current* rule-set epoch
+//! and size, needed for dead-rule findings) lives beside the aggregates
+//! in [`AwarenessPlane`], never inside them.
 
 use crate::audit::Outcome;
 use crate::global;
 use crate::ledger::DecisionRecord;
-use crate::timeseries::SeriesTable;
 use parking_lot::Mutex;
 use sensorsafe_auth::Sha256;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Width of one trend bucket. Decisions inside the same bucket accumulate
-/// into one sample, so the trend ring retains `TREND_RING_BUCKETS` buckets
-/// of history rather than that many raw events.
+/// into one entry, so the trend retains `TREND_RING_BUCKETS` buckets of
+/// history rather than that many raw events.
 pub const TREND_BUCKET_SECS: u64 = 60;
 
-/// Buckets of trend history retained per (contributor, outcome) series.
+/// Buckets of trend history retained per contributor (the newest win).
 pub const TREND_RING_BUCKETS: usize = 256;
-
-/// Hard cap on distinct trend series (contributor × outcome keys); new
-/// keys past the cap are dropped and counted.
-pub const MAX_TREND_SERIES: usize = 4096;
 
 /// Rule-hit attribution epochs retained per contributor. Rule churn bumps
 /// the epoch; keeping the newest few snapshots bounds memory while still
@@ -137,55 +131,25 @@ pub struct ContributorAggregates {
     pub suppressed_channels: u64,
     /// `unix_ms` of the newest decision observed.
     pub last_unix_ms: u64,
+    /// Decisions per trend bucket: bucket start (seconds since the Unix
+    /// epoch) → `[allowed, abstracted, denied]`. Only the newest
+    /// [`TREND_RING_BUCKETS`] buckets are retained.
+    pub trend: BTreeMap<u64, [u64; 3]>,
 }
 
 /// The deterministic aggregate state: a pure function of the decision
-/// record stream (record `seq` is ignored, so live observations — whose
-/// seq is assigned later by the ledger — and replayed ledger records
-/// aggregate identically).
-#[derive(Debug)]
+/// record stream (record `seq` is ignored). Equal aggregates have equal
+/// canonical encodings.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AwarenessAggregates {
     contributors: BTreeMap<String, ContributorAggregates>,
-    trend: SeriesTable,
     total: OutcomeCounts,
-}
-
-impl Default for AwarenessAggregates {
-    fn default() -> AwarenessAggregates {
-        AwarenessAggregates::new()
-    }
-}
-
-impl Clone for AwarenessAggregates {
-    fn clone(&self) -> AwarenessAggregates {
-        let mut copy = AwarenessAggregates::new();
-        copy.contributors = self.contributors.clone();
-        copy.total = self.total;
-        for (key, ring) in self.trend.with_prefix("") {
-            for sample in ring.iter() {
-                copy.trend.push(key, sample.at_secs, sample.value);
-            }
-        }
-        copy
-    }
-}
-
-impl PartialEq for AwarenessAggregates {
-    /// Byte-identical equality: two aggregates are equal exactly when
-    /// their canonical encodings are.
-    fn eq(&self, other: &AwarenessAggregates) -> bool {
-        self.encode() == other.encode()
-    }
 }
 
 impl AwarenessAggregates {
     /// An empty aggregate state.
     pub fn new() -> AwarenessAggregates {
-        AwarenessAggregates {
-            contributors: BTreeMap::new(),
-            trend: SeriesTable::new(TREND_RING_BUCKETS, MAX_TREND_SERIES),
-            total: OutcomeCounts::default(),
-        }
+        AwarenessAggregates::default()
     }
 
     /// Folds one decision into the aggregates. Every update here must be
@@ -195,17 +159,15 @@ impl AwarenessAggregates {
     pub fn observe(&mut self, record: &DecisionRecord) {
         let baseline = record.matched_rules.is_empty();
         self.total.count(record.outcome, baseline);
-        let c = self
-            .contributors
-            .entry(record.contributor.clone())
-            .or_default();
+        let c = slot(&mut self.contributors, &record.contributor);
         c.outcomes.count(record.outcome, baseline);
-        c.suppressed_channels += record.suppressed_channels;
+        // Saturating: the fold runs on the ledger's sync thread, and a
+        // verified chain may still carry any `u64` here.
+        c.suppressed_channels = c
+            .suppressed_channels
+            .saturating_add(record.suppressed_channels);
         c.last_unix_ms = c.last_unix_ms.max(record.unix_ms);
-        c.consumers
-            .entry(record.consumer.clone())
-            .or_default()
-            .count(record.outcome, baseline);
+        slot(&mut c.consumers, &record.consumer).count(record.outcome, baseline);
         for &rule in &record.matched_rules {
             let hit = c
                 .rule_hits
@@ -220,8 +182,11 @@ impl AwarenessAggregates {
             c.rule_hits.pop_first();
         }
         let bucket = record.unix_ms / 1000 / TREND_BUCKET_SECS * TREND_BUCKET_SECS;
-        let key = format!("{}|{}", record.contributor, record.outcome.as_str());
-        self.trend.accumulate(&key, bucket as f64, 1.0);
+        // `Outcome`'s declaration order is the index order.
+        c.trend.entry(bucket).or_default()[record.outcome as usize] += 1;
+        while c.trend.len() > TREND_RING_BUCKETS {
+            c.trend.pop_first();
+        }
     }
 
     /// Replays a decision-record stream (typically the verified contents
@@ -242,11 +207,6 @@ impl AwarenessAggregates {
     /// Decision counts across every contributor.
     pub fn total(&self) -> OutcomeCounts {
         self.total
-    }
-
-    /// The per-(contributor, outcome) trend table.
-    pub fn trend(&self) -> &SeriesTable {
-        &self.trend
     }
 
     /// Canonical byte serialization covering every aggregate field, in a
@@ -280,15 +240,12 @@ impl AwarenessAggregates {
                     out.extend_from_slice(&hit.last_unix_ms.to_le_bytes());
                 }
             }
-        }
-        let series: Vec<_> = self.trend.with_prefix("").collect();
-        out.extend_from_slice(&(series.len() as u64).to_le_bytes());
-        for (key, ring) in series {
-            put_str(&mut out, key);
-            out.extend_from_slice(&(ring.len() as u64).to_le_bytes());
-            for sample in ring.iter() {
-                out.extend_from_slice(&sample.at_secs.to_bits().to_le_bytes());
-                out.extend_from_slice(&sample.value.to_bits().to_le_bytes());
+            out.extend_from_slice(&(c.trend.len() as u64).to_le_bytes());
+            for (bucket, counts) in &c.trend {
+                out.extend_from_slice(&bucket.to_le_bytes());
+                for count in counts {
+                    out.extend_from_slice(&count.to_le_bytes());
+                }
             }
         }
         out
@@ -342,8 +299,7 @@ impl PlaneState {
         let prev = if fresh == 0 {
             self.dead.remove(contributor).unwrap_or(0)
         } else {
-            let slot = self.dead.entry(contributor.to_string()).or_insert(0);
-            std::mem::replace(slot, fresh)
+            std::mem::replace(slot(&mut self.dead, contributor), fresh)
         };
         self.dead_total = self.dead_total - prev + fresh;
     }
@@ -416,12 +372,16 @@ pub struct ContributorSummary {
     /// Hex SHA-256 of the plane's full canonical aggregate encoding —
     /// what an offline ledger replay must reproduce.
     pub digest: String,
+    /// Decisions folded into the plane, read with `digest`: the length
+    /// of the chain prefix a replay must cover to reproduce it.
+    pub ledger_len: u64,
 }
 
 /// The live analytics plane: deterministic aggregates plus the live-only
-/// rule-set metadata needed for posture findings, behind one mutex. A
-/// datastore owns one plane and feeds it through a
-/// [`crate::audit::DecisionScope`] + [`crate::audit::record_decision`].
+/// rule-set metadata needed for posture findings, behind one mutex. Each
+/// audit ledger owns one plane and is its only writer of decisions
+/// ([`AwarenessPlane::fold`]); the datastore reports rule sets
+/// ([`AwarenessPlane::note_rule_set`]) and reads summaries.
 pub struct AwarenessPlane {
     state: Mutex<PlaneState>,
 }
@@ -445,34 +405,28 @@ impl AwarenessPlane {
         }
     }
 
-    /// Folds one decision into the live aggregates and bumps the
-    /// unlabelled store-local metric families.
-    pub fn observe(&self, record: &DecisionRecord) {
-        {
-            let mut state = self.state.lock();
+    /// Folds decisions into the live aggregates, in the order given. The
+    /// ledger that owns the plane calls this with the records it has made
+    /// durable, in chain order; nothing else should.
+    pub fn fold(&self, records: &[DecisionRecord]) {
+        if records.is_empty() {
+            return;
+        }
+        let mut state = self.state.lock();
+        for (i, record) in records.iter().enumerate() {
             state.aggregates.observe(record);
-            state.refresh_dead(&record.contributor);
-            let dead_total = state.dead_total;
-            drop(state);
-            dead_rules_gauge().set(dead_total as i64);
+            // Dead rules follow from the hits alone: refresh once at the
+            // end of each run of one contributor's records.
+            if records
+                .get(i + 1)
+                .is_none_or(|next| next.contributor != record.contributor)
+            {
+                state.refresh_dead(&record.contributor);
+            }
         }
-        if record.matched_rules.is_empty() {
-            global()
-                .counter(
-                    FAMILY_BASELINE,
-                    "Enforcement decisions that matched no rule (outcome from the default baseline).",
-                    &[],
-                )
-                .inc();
-        } else {
-            global()
-                .counter(
-                    FAMILY_RULE_HITS,
-                    "Rule hits across enforcement decisions (one per matched rule).",
-                    &[],
-                )
-                .add(record.matched_rules.len() as u64);
-        }
+        let dead_total = state.dead_total;
+        drop(state);
+        dead_rules_gauge().set(dead_total as i64);
     }
 
     /// Reports that `contributor`'s rule set changed: `epoch` is now live
@@ -524,6 +478,7 @@ impl AwarenessPlane {
             rule_epoch: meta.epoch,
             rule_count: meta.rule_count,
             digest: hex(&state.aggregates.digest()),
+            ledger_len: state.aggregates.total().total(),
             ..ContributorSummary::default()
         };
         if meta.rule_count > 0 {
@@ -572,29 +527,29 @@ impl AwarenessPlane {
         summary.dead_rules = (0..meta.rule_count)
             .filter(|rule| current_hits.is_none_or(|hits| !hits.contains_key(rule)))
             .collect();
-        let mut buckets: BTreeMap<u64, TrendPoint> = BTreeMap::new();
-        for outcome in [Outcome::Allowed, Outcome::Abstracted, Outcome::Denied] {
-            let key = format!("{}|{}", contributor, outcome.as_str());
-            let Some(ring) = state.aggregates.trend().get(&key) else {
-                continue;
-            };
-            for sample in ring.iter() {
-                let point = buckets
-                    .entry(sample.at_secs as u64)
-                    .or_insert_with(|| TrendPoint {
-                        bucket_unix_secs: sample.at_secs as u64,
-                        ..TrendPoint::default()
-                    });
-                match outcome {
-                    Outcome::Allowed => point.allowed += sample.value as u64,
-                    Outcome::Abstracted => point.abstracted += sample.value as u64,
-                    Outcome::Denied => point.denied += sample.value as u64,
-                }
-            }
-        }
-        summary.trend = buckets.into_values().collect();
+        summary.trend = c
+            .trend
+            .iter()
+            .map(
+                |(&bucket_unix_secs, &[allowed, abstracted, denied])| TrendPoint {
+                    bucket_unix_secs,
+                    allowed,
+                    abstracted,
+                    denied,
+                },
+            )
+            .collect();
         summary
     }
+}
+
+/// `map[key]`, inserted as `V::default()` first when absent: the key is
+/// allocated only then, since the fold runs under its ledger's lock.
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
 }
 
 /// Lower-hex rendering of a digest.
@@ -648,14 +603,11 @@ mod tests {
             record("alice", "insurer", Outcome::Denied, &[], 1, 120_500),
             record("bob", "doctor", Outcome::Allowed, &[], 3, 180_000),
         ];
-        for (i, r) in records.iter().enumerate() {
-            // Live observations carry seq 0 (the ledger assigns seq on
-            // append); replayed records carry the real seq. Equality must
-            // hold regardless.
-            let mut live = r.clone();
-            live.seq = 0;
-            plane.observe(&live);
-            let _ = i;
+        // One batch and then one record at a time: the fold does not
+        // depend on how the ledger groups its rounds, nor on `seq`.
+        plane.fold(&records[..2]);
+        for r in &records[2..] {
+            plane.fold(std::slice::from_ref(r));
         }
         let mut replayed = records.clone();
         for (i, r) in replayed.iter_mut().enumerate() {
@@ -671,30 +623,9 @@ mod tests {
     fn summary_surfaces_flows_rules_and_trend() {
         let plane = AwarenessPlane::new();
         plane.note_rule_set("alice", 1, 3);
-        plane.observe(&record(
-            "alice",
-            "doctor",
-            Outcome::Allowed,
-            &[0],
-            1,
-            60_000,
-        ));
-        plane.observe(&record(
-            "alice",
-            "doctor",
-            Outcome::Allowed,
-            &[0],
-            1,
-            60_500,
-        ));
-        plane.observe(&record(
-            "alice",
-            "insurer",
-            Outcome::Denied,
-            &[],
-            1,
-            121_000,
-        ));
+        plane.fold(&[record("alice", "doctor", Outcome::Allowed, &[0], 1, 60_000)]);
+        plane.fold(&[record("alice", "doctor", Outcome::Allowed, &[0], 1, 60_500)]);
+        plane.fold(&[record("alice", "insurer", Outcome::Denied, &[], 1, 121_000)]);
         let summary = plane.contributor_summary("alice");
         assert_eq!(summary.counts.total(), 3);
         assert_eq!(summary.counts.allowed, 2);
@@ -726,12 +657,12 @@ mod tests {
     fn epoch_bump_snapshots_old_attribution() {
         let plane = AwarenessPlane::new();
         plane.note_rule_set("alice", 1, 2);
-        plane.observe(&record("alice", "doctor", Outcome::Allowed, &[0], 1, 1_000));
+        plane.fold(&[record("alice", "doctor", Outcome::Allowed, &[0], 1, 1_000)]);
         plane.note_rule_set("alice", 2, 2);
         // After the bump, old hits no longer count for the new epoch:
         // both rules are dead again.
         assert_eq!(plane.contributor_summary("alice").dead_rules, vec![0, 1]);
-        plane.observe(&record("alice", "doctor", Outcome::Allowed, &[1], 2, 2_000));
+        plane.fold(&[record("alice", "doctor", Outcome::Allowed, &[1], 2, 2_000)]);
         let summary = plane.contributor_summary("alice");
         assert_eq!(summary.dead_rules, vec![0]);
         // Both attributions are visible, newest epoch first.
@@ -773,12 +704,12 @@ mod tests {
     }
 
     #[test]
-    fn scoped_decisions_feed_plane_and_ledger_identically() {
+    fn scoped_decisions_reach_the_plane_through_the_ledger() {
         use crate::audit::{record_decision, DecisionScope};
         use crate::ledger::{AuditLedger, MemoryLedger};
 
-        let plane = Arc::new(AwarenessPlane::new());
         let ledger = Arc::new(MemoryLedger::new());
+        let plane = ledger.awareness();
         plane.note_rule_set("alice", 7, 2);
         {
             let _installed = DecisionScope {
@@ -786,7 +717,6 @@ mod tests {
                 contributor: "alice".to_string(),
                 rule_epoch: 7,
                 ledger: ledger.clone(),
-                awareness: plane.clone(),
             }
             .install();
             record_decision(Outcome::Allowed, 0, &[0]);
@@ -803,5 +733,38 @@ mod tests {
         assert_eq!(summary.counts.denied, 1);
         assert_eq!(summary.counts.baseline, 1);
         assert_eq!(summary.dead_rules, vec![1]);
+    }
+
+    #[test]
+    fn trend_keeps_the_newest_buckets_whatever_the_fold_order() {
+        let newest = TREND_RING_BUCKETS as u64 + 2;
+        let records: Vec<_> = (0..=newest)
+            .map(|b| {
+                let outcome =
+                    [Outcome::Allowed, Outcome::Abstracted, Outcome::Denied][b as usize % 3];
+                record(
+                    "alice",
+                    "doctor",
+                    outcome,
+                    &[],
+                    1,
+                    b * TREND_BUCKET_SECS * 1000,
+                )
+            })
+            .collect();
+        let forward = AwarenessAggregates::rebuild(records.iter());
+        let trend = &forward.contributor("alice").unwrap().trend;
+        assert_eq!(trend.len(), TREND_RING_BUCKETS);
+        assert_eq!(trend.keys().next(), Some(&(3 * TREND_BUCKET_SECS)));
+        assert_eq!(trend[&(newest * TREND_BUCKET_SECS)], [1, 0, 0]);
+        // Two decisions in one bucket share its entry whichever comes
+        // first, even with another bucket folded between them.
+        let a = record("alice", "doctor", Outcome::Allowed, &[], 1, 60_000);
+        let b = record("alice", "doctor", Outcome::Denied, &[], 1, 200_000);
+        let c = record("alice", "doctor", Outcome::Denied, &[], 1, 61_000);
+        let one = AwarenessAggregates::rebuild([&a, &b, &c]);
+        let other = AwarenessAggregates::rebuild([&c, &a, &b]);
+        assert_eq!(one, other);
+        assert_eq!(one.contributor("alice").unwrap().trend[&60], [1, 0, 1]);
     }
 }

@@ -20,6 +20,7 @@
 //! (count + final hash), which the file backend persists in a sidecar.
 
 use crate::audit::Outcome;
+use crate::awareness::AwarenessPlane;
 use parking_lot::Mutex;
 use sensorsafe_auth::Sha256;
 
@@ -421,6 +422,11 @@ pub fn page_records(records: &[DecisionRecord], filter: &AuditFilter) -> AuditPa
 /// splits it in two — `sync_begin` right after its last append, `sync`
 /// when it needs the guarantee — and a backend that syncs off-thread
 /// overlaps the two.
+///
+/// Each ledger owns the [`AwarenessPlane`] of the decisions it holds and
+/// is that plane's only input: it folds records in once they are
+/// durable (by the backend's definition), in chain order, so the plane
+/// equals a rebuild of the chain after every `sync`.
 pub trait AuditLedger: Send + Sync {
     /// Appends one decision, assigning and returning its chain position.
     fn append(&self, record: DecisionRecord) -> u64;
@@ -447,13 +453,18 @@ pub trait AuditLedger: Send + Sync {
     /// Filtered, limited page of records — matching runs inside the
     /// backend so callers never materialize the whole ledger.
     fn page(&self, filter: &AuditFilter) -> AuditPage;
+    /// The sharing-awareness plane this ledger folds its durable
+    /// records into.
+    fn awareness(&self) -> &AwarenessPlane;
 }
 
 /// Volatile ledger for memory-only stores and tests: same chain-position
-/// semantics as the file backend, no durability.
+/// semantics as the file backend, no durability. An appended record
+/// counts as durable, so `append` folds it into the plane.
 #[derive(Default)]
 pub struct MemoryLedger {
     records: Mutex<Vec<DecisionRecord>>,
+    awareness: AwarenessPlane,
 }
 
 impl MemoryLedger {
@@ -467,6 +478,8 @@ impl AuditLedger for MemoryLedger {
         let mut records = self.records.lock();
         record.seq = records.len() as u64;
         let seq = record.seq;
+        // Under the records lock, so the fold follows chain order.
+        self.awareness.fold(std::slice::from_ref(&record));
         records.push(record);
         appends_counter().inc();
         seq
@@ -486,6 +499,10 @@ impl AuditLedger for MemoryLedger {
 
     fn page(&self, filter: &AuditFilter) -> AuditPage {
         page_records(&self.records.lock(), filter)
+    }
+
+    fn awareness(&self) -> &AwarenessPlane {
+        &self.awareness
     }
 }
 

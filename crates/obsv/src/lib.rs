@@ -27,12 +27,13 @@
 //!   detects any in-place tampering or truncation. File persistence lives
 //!   in the `store` crate (`FileLedger`).
 //! * [`awareness`] — the sharing-awareness plane: streaming
-//!   privacy-decision analytics fed from the same `record_decision` path
-//!   as the ledger — per-contributor (consumer × outcome) rollups,
-//!   epoch-keyed rule-hit attribution, dead-rule and baseline-only-flow
-//!   findings, and a bucketed decision trend. Aggregates are a pure
-//!   function of the decision-record stream, so a replay of the verified
-//!   hash chain reproduces the live numbers byte for byte.
+//!   privacy-decision analytics that each ledger folds its durable
+//!   records into, in chain order — per-contributor (consumer × outcome)
+//!   rollups, epoch-keyed rule-hit attribution, dead-rule and
+//!   baseline-only-flow findings, and a bucketed decision trend.
+//!   Aggregates are a pure function of the decision-record stream, so a
+//!   replay of the verified hash chain reproduces the live numbers byte
+//!   for byte, across restarts.
 //! * [`prof`] — continuous profiling plane: a lock-free span-stack flight
 //!   recorder mirrored per thread, a wall-clock sampler folding every
 //!   registered stack into flamegraph-compatible counts (served at
@@ -40,9 +41,6 @@
 //!   (`/debug/spans`). Every span — a worker loop's `prof_frame!`, a
 //!   request's traced span, a trace phase — is recorded there by the one
 //!   [`SpanGuard`] close, which also returns the duration it measured.
-//! * [`timeseries`] — fixed-capacity retention: per-series ring buffers
-//!   in a bounded table, allocation-free on the push path, holding the
-//!   awareness plane's bucketed decision trend.
 //! * [`trace::TraceContext`] — cross-process propagation: the net client
 //!   stamps outbound requests with `X-SensorSafe-Trace`, servers adopt it,
 //!   and `GET /traces` on each server lets one request be followed across
@@ -60,7 +58,6 @@ pub mod expose;
 pub mod ledger;
 pub mod metrics;
 pub mod prof;
-pub mod timeseries;
 pub mod trace;
 
 pub use awareness::{AwarenessAggregates, AwarenessPlane, ContributorSummary};
@@ -71,7 +68,6 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, DEFAULT_LATENCY_BUCKETS,
 };
 pub use prof::{Frame, SpanGuard, SpanStat};
-pub use timeseries::{Sample, SeriesRing, SeriesTable};
 pub use trace::{event_line, Phase, Trace, TraceContext, TraceRecorder};
 
 use std::sync::OnceLock;

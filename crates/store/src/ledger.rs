@@ -17,6 +17,14 @@
 //! concurrent waiters share rounds (same shape as the store journal's
 //! stage-then-wait, DESIGN.md §8).
 //!
+//! The ledger owns the store's sharing-awareness plane and is its only
+//! input ([`AuditLedger::awareness`]). [`FileLedger::open`] folds the
+//! chain it has just verified; each round, once both of its syncs have
+//! returned and before any waiter is released, folds the records it made
+//! durable. The fold therefore follows chain order, counts only durable
+//! decisions, survives a restart, and has covered a reply's decisions by
+//! the time the reply leaves. A failed round folds nothing.
+//!
 //! The sidecar is created once (tmp file + rename, so it is never seen
 //! short or empty) and from then on held open and overwritten in place:
 //! its length never changes, so a round costs two data syncs and no
@@ -37,7 +45,8 @@
 
 use sensorsafe_obsv::ledger::{encode_frame, verify_frames, ChainHead, GENESIS_HASH};
 use sensorsafe_obsv::{
-    event_line, AuditFilter, AuditLedger, AuditPage, Counter, DecisionRecord, LedgerError,
+    event_line, AuditFilter, AuditLedger, AuditPage, AwarenessPlane, Counter, DecisionRecord,
+    LedgerError,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -160,6 +169,8 @@ struct Shared {
     work: Condvar,
     /// Wakes waiters: a round completed or the ledger failed.
     done: Condvar,
+    /// The aggregates of every durable record, folded in chain order.
+    awareness: AwarenessPlane,
     metrics: Metrics,
     /// Test-only pause point between a round's two syncs.
     #[cfg(test)]
@@ -294,6 +305,8 @@ fn sync_loop(shared: Arc<Shared>, mut disk: Disk) {
         let mut state = shared.lock();
         match persisted {
             Ok(()) => {
+                let newly_durable = state.durable as usize..head.count as usize;
+                shared.awareness.fold(&state.records[newly_durable]);
                 state.durable = head.count;
                 shared.metrics.fsyncs.inc();
                 shared.done.notify_all();
@@ -313,8 +326,9 @@ pub struct FileLedger {
 
 impl FileLedger {
     /// Opens (creating if absent) the ledger at `path`, verifying the
-    /// existing chain against its head sidecar, and starts its
-    /// `ledger-sync` thread. Errors mean the audit trail is torn,
+    /// existing chain against its head sidecar, folds the verified
+    /// records into its awareness plane, and starts its `ledger-sync`
+    /// thread. Errors mean the audit trail is torn,
     /// tampered, or truncated — the caller decides whether to refuse
     /// startup or quarantine the file; this code never silently repairs
     /// it.
@@ -347,6 +361,8 @@ impl FileLedger {
             file: file.try_clone().map_err(io_err)?,
             head_file,
         };
+        let awareness = AwarenessPlane::new();
+        awareness.fold(&records);
         let shared = Arc::new(Shared {
             path,
             state: Mutex::new(State {
@@ -360,6 +376,7 @@ impl FileLedger {
             }),
             work: Condvar::new(),
             done: Condvar::new(),
+            awareness,
             metrics: Metrics {
                 appends: appends_counter(),
                 fsyncs: fsyncs_counter(),
@@ -479,6 +496,10 @@ impl AuditLedger for FileLedger {
 
     fn page(&self, filter: &AuditFilter) -> AuditPage {
         sensorsafe_obsv::ledger::page_records(&self.shared.lock().records, filter)
+    }
+
+    fn awareness(&self) -> &AwarenessPlane {
+        &self.shared.awareness
     }
 }
 
