@@ -11,15 +11,21 @@
 //! never panics or misparses a torn or garbage tail.
 //!
 //! Simulated kill: the journal directory is copied and the **active**
-//! (highest-numbered) segment is cut at an arbitrary byte no earlier
-//! than its length at the last ack. Sealed segments are complete by
+//! (highest-numbered) segment is torn at an arbitrary byte no earlier
+//! than its frames' length at the last ack, in one of two shapes: cut
+//! there, or kept at its length with every byte after the tear zeroed —
+//! what a crash leaves in a segment whose frames run into the zero
+//! extent written ahead of them. Sealed segments are complete by
 //! construction (rotation happens only after the filling batch's
-//! `write`+`fsync`), so only the tail can tear — exactly the power-cut
-//! shape.
+//! `write`+`fsync`, and trims the extent), so only the tail can tear —
+//! exactly the power-cut shape. The acked floor is the journal's own
+//! count of durable frame bytes ([`JournalStats::active_bytes`]): the
+//! live file's length includes its zero extent.
 
 use proptest::prelude::*;
 use sensorsafe_store::{
-    CheckpointAccount, JournalConfig, MergePolicy, SegmentStore, StoreJournal, WalRecord,
+    CheckpointAccount, JournalConfig, JournalStats, MergePolicy, SegmentStore, StoreJournal,
+    WalRecord,
 };
 use sensorsafe_types::{
     ChannelSpec, ContextAnnotation, ContextKind, ContextState, SegmentMeta, TimeRange, Timestamp,
@@ -91,9 +97,29 @@ fn seg_files(dir: &Path) -> Vec<(u64, PathBuf)> {
     out
 }
 
-/// Copies the journal's on-disk state to `crash_dir`, cutting the
-/// active (highest) segment to `cut` bytes — the crash image.
-fn crash_copy(dir: &Path, crash_dir: &Path, cut: usize) {
+/// How a crash tears the active segment at the tear point.
+#[derive(Debug, Clone, Copy)]
+enum Tear {
+    /// The file ends there.
+    Cut,
+    /// The file keeps its length; every byte after the tear is zero.
+    Zeroed,
+}
+
+/// `(active segment, its durable frame bytes)`: where the last ack left
+/// the log.
+fn acked_point(journal: &StoreJournal) -> (u64, u64) {
+    let JournalStats {
+        active_segment,
+        active_bytes,
+        ..
+    } = journal.stats();
+    (active_segment, active_bytes)
+}
+
+/// Copies the journal's on-disk state to `crash_dir`, tearing the
+/// active (highest) segment at byte `cut` — the crash image.
+fn crash_copy(dir: &Path, crash_dir: &Path, cut: usize, tear: Tear) {
     let _ = std::fs::remove_dir_all(crash_dir);
     std::fs::create_dir_all(crash_dir).unwrap();
     let ckpt = dir.join("journal.ckpt");
@@ -103,12 +129,14 @@ fn crash_copy(dir: &Path, crash_dir: &Path, cut: usize) {
     let segs = seg_files(dir);
     let last = segs.last().map(|&(n, _)| n);
     for (n, path) in &segs {
-        let bytes = std::fs::read(path).unwrap();
-        let bytes = if Some(*n) == last {
-            &bytes[..cut.min(bytes.len())]
-        } else {
-            &bytes[..]
-        };
+        let mut bytes = std::fs::read(path).unwrap();
+        if Some(*n) == last {
+            let cut = cut.min(bytes.len());
+            match tear {
+                Tear::Cut => bytes.truncate(cut),
+                Tear::Zeroed => bytes[cut..].fill(0),
+            }
+        }
         std::fs::write(crash_dir.join(format!("journal.seg-{n}")), bytes).unwrap();
     }
 }
@@ -159,11 +187,12 @@ proptest! {
         batches in prop::collection::vec((0usize..3, 1u8..5, 1u8..8, any::<bool>()), 2..8),
         rotate in 2u64..5,
         cut_frac in 0u16..=1000,
+        zeroed in any::<bool>(),
     ) {
         let seed: Vec<u64> = batches
             .iter()
             .flat_map(|&(a, n, r, ann)| [a as u64, n as u64, r as u64, ann as u64])
-            .chain([rotate, cut_frac as u64])
+            .chain([rotate, cut_frac as u64, zeroed as u64])
             .collect();
         let dir = std::env::temp_dir().join(format!(
             "sensorsafe-jcrash-{}-{}",
@@ -195,9 +224,7 @@ proptest! {
                     for (k, v) in &staged {
                         acked.insert(k.clone(), v.len());
                     }
-                    let segs = seg_files(&dir);
-                    let &(n, ref path) = segs.last().unwrap();
-                    acked_seg = (n, std::fs::metadata(path).unwrap().len());
+                    acked_seg = acked_point(&journal);
                 }
             }
             // Force the torn batch's bytes out, then shut down cleanly —
@@ -213,7 +240,8 @@ proptest! {
         let floor = if last_no == acked_seg.0 { acked_seg.1 as usize } else { 0 };
         prop_assert!(floor <= full);
         let cut = floor + ((full - floor) * cut_frac as usize) / 1000;
-        crash_copy(&dir, &crash_dir, cut);
+        let tear = if zeroed { Tear::Zeroed } else { Tear::Cut };
+        crash_copy(&dir, &crash_dir, cut, tear);
 
         let journal = StoreJournal::open(&crash_dir, quick_config(rotate)).unwrap();
         assert_recovery(&journal, &staged, &acked)?;
@@ -233,11 +261,12 @@ proptest! {
     fn checkpointed_replay_recovers_acked_exactly_once(
         batches in prop::collection::vec((0usize..2, 1u8..4, 1u8..6, any::<bool>()), 3..8),
         cut_frac in 0u16..=1000,
+        zeroed in any::<bool>(),
     ) {
         let seed: Vec<u64> = batches
             .iter()
             .flat_map(|&(a, n, r, ann)| [a as u64, n as u64, r as u64, ann as u64])
-            .chain([7, cut_frac as u64])
+            .chain([7, cut_frac as u64, zeroed as u64])
             .collect();
         let dir = std::env::temp_dir().join(format!(
             "sensorsafe-jckpt-{}-{}",
@@ -294,9 +323,7 @@ proptest! {
                     for (k, v) in &staged {
                         acked.insert(k.clone(), v.len());
                     }
-                    let segs = seg_files(&dir);
-                    let &(n, ref path) = segs.last().unwrap();
-                    acked_seg = (n, std::fs::metadata(path).unwrap().len());
+                    acked_seg = acked_point(&journal);
                 }
             }
             journal.flush().unwrap();
@@ -322,7 +349,8 @@ proptest! {
         let full = std::fs::metadata(last_path).unwrap().len() as usize;
         let floor = if last_no == acked_seg.0 { (acked_seg.1 as usize).min(full) } else { 0 };
         let cut = floor + ((full - floor) * cut_frac as usize) / 1000;
-        crash_copy(&dir, &crash_dir, cut);
+        let tear = if zeroed { Tear::Zeroed } else { Tear::Cut };
+        crash_copy(&dir, &crash_dir, cut, tear);
 
         let journal = StoreJournal::open(&crash_dir, quick_config(2)).unwrap();
         assert_recovery(&journal, &staged, &acked)?;
@@ -340,11 +368,12 @@ proptest! {
     fn crash_with_several_uncovered_segments_recovers_acked_prefix(
         batches in prop::collection::vec((0usize..3, 2u8..5, 1u8..8, any::<bool>()), 4..9),
         cut_frac in 0u16..=1000,
+        zeroed in any::<bool>(),
     ) {
         let seed: Vec<u64> = batches
             .iter()
             .flat_map(|&(a, n, r, ann)| [a as u64, n as u64, r as u64, ann as u64])
-            .chain([11, cut_frac as u64])
+            .chain([11, cut_frac as u64, zeroed as u64])
             .collect();
         let dir = std::env::temp_dir().join(format!(
             "sensorsafe-juncov-{}-{}",
@@ -419,9 +448,7 @@ proptest! {
                     for (k, v) in &staged {
                         acked.insert(k.clone(), v.len());
                     }
-                    let segs = seg_files(&dir);
-                    let &(n, ref path) = segs.last().unwrap();
-                    acked_seg = (n, std::fs::metadata(path).unwrap().len());
+                    acked_seg = acked_point(&journal);
                 }
             }
             journal.flush().unwrap();
@@ -439,7 +466,8 @@ proptest! {
         let full = std::fs::metadata(last_path).unwrap().len() as usize;
         let floor = if last_no == acked_seg.0 { (acked_seg.1 as usize).min(full) } else { 0 };
         let cut = floor + ((full - floor) * cut_frac as usize) / 1000;
-        crash_copy(&dir, &crash_dir, cut);
+        let tear = if zeroed { Tear::Zeroed } else { Tear::Cut };
+        crash_copy(&dir, &crash_dir, cut, tear);
 
         let journal = StoreJournal::open(&crash_dir, config).unwrap();
         assert_recovery(&journal, &staged, &acked)?;
@@ -520,16 +548,18 @@ fn concurrent_commits_then_crash_recovers_acked_prefix() {
         for h in handles {
             h.join().unwrap().unwrap();
         }
-        acked_len = std::fs::metadata(dir.join("journal.seg-1")).unwrap().len();
+        acked_len = journal.stats().active_bytes;
         // One more record staged but never acked, then "kill": cut inside it.
         journal.stage("alice", &record(999, 8, false)).unwrap();
         journal.flush().unwrap();
     }
-    crash_copy(&dir, &crash_dir, acked_len as usize + 3);
-    let journal = StoreJournal::open(&crash_dir, config).unwrap();
-    let recovered = journal.take_account("alice").unwrap().records;
-    assert_eq!(recovered.len(), 32, "all acked records, torn tail dropped");
-    drop(journal);
+    for tear in [Tear::Cut, Tear::Zeroed] {
+        crash_copy(&dir, &crash_dir, acked_len as usize + 3, tear);
+        let journal = StoreJournal::open(&crash_dir, config).unwrap();
+        let recovered = journal.take_account("alice").unwrap().records;
+        assert_eq!(recovered.len(), 32, "all acked records, torn tail dropped");
+        drop(journal);
+    }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
 }
@@ -589,7 +619,7 @@ fn gc_waits_for_replication_ack_and_crash_replays_retained_segments() {
         // Crash with GC deferred: every segment is still on disk, so a
         // reopen recovers the full history even if the checkpoint file
         // were lost — delete it to prove the segments alone suffice.
-        crash_copy(&dir, &crash_dir, usize::MAX);
+        crash_copy(&dir, &crash_dir, usize::MAX, Tear::Cut);
         std::fs::remove_file(crash_dir.join("journal.ckpt")).unwrap();
         let reopened = StoreJournal::open(&crash_dir, quick_config(2)).unwrap();
         let rec = reopened.take_account("alice").unwrap();
